@@ -155,8 +155,9 @@ const (
 	// BackendDense keeps an n-bit bitset row per node (O(n²) bits) — the
 	// golden reference, right up to a few thousand nodes.
 	BackendDense = graph.BackendDense
-	// BackendSparse keeps sorted adjacency rows promoting to bitsets past
-	// a density threshold (O(m) memory) — the backend for n = 100k–1M.
+	// BackendSparse reads short rows straight from the adjacency lists and
+	// keeps sorted rows promoting to bitsets past a density threshold (O(m)
+	// memory) — the backend for n = 100k–1M.
 	BackendSparse = graph.BackendSparse
 	// BackendAuto picks dense or sparse from n at construction time.
 	BackendAuto = graph.BackendAuto

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
 )
 
@@ -22,6 +23,17 @@ func TestPathCycleStar(t *testing.T) {
 	s := Star(6)
 	if s.M() != 5 || s.Degree(0) != 5 || s.MinDegree() != 1 {
 		t.Fatalf("star wrong: %v", s)
+	}
+}
+
+// TestCycleSparseAllocsPerNode pins the sparse backend's set-up cost: a
+// short row has no storage of its own, so a cycle costs one allocation per
+// node (its two-entry neighbor list) plus the graph's fixed handful.
+func TestCycleSparseAllocsPerNode(t *testing.T) {
+	const n = 10_000
+	allocs := testing.AllocsPerRun(3, func() { Cycle(n, graph.BackendSparse) })
+	if allocs > n+16 {
+		t.Fatalf("Cycle(%d, sparse) made %.0f allocations, want <= 1 per node", n, allocs)
 	}
 }
 

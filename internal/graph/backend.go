@@ -21,14 +21,15 @@ const (
 	// backend; right up to a few thousand nodes.
 	BackendDense Backend = iota
 
-	// BackendSparse stores per-node sorted adjacency rows (4 bytes/entry)
-	// that promote to bitset rows once a row holds >= max(16, n/32)
-	// entries — the point where a sorted row's memory crosses the n-bit
-	// row's. Complement views flip meaning at the same threshold: promoted
-	// rows use the dense inverted-bitset primitives, unpromoted rows
-	// compute rank/select over the sorted list directly, so the dense-phase
-	// engine keeps working. O(m) memory overall; the only backend that
-	// fits n = 100k–1M.
+	// BackendSparse stores nothing for a row of fewer than 128 entries —
+	// the row is the graph's own neighbor list, scanned for membership —
+	// then a sorted copy (4 bytes/entry), and promotes to a bitset row once
+	// a row holds >= max(16, n/32) entries — the point where a sorted
+	// row's memory crosses the n-bit row's. Complement views flip meaning
+	// at the same threshold: promoted rows use the dense inverted-bitset
+	// primitives, unpromoted rows compute rank/select over their sorted
+	// entries directly, so the dense-phase engine keeps working. O(m)
+	// memory overall; the only backend that fits n = 100k–1M.
 	BackendSparse
 
 	// BackendAuto picks dense for n <= AutoDenseLimit and sparse above, at
@@ -84,8 +85,16 @@ func (b Backend) resolve(n int) Backend {
 
 // rowStore is the storage contract behind a graph's rows: one set of nodes
 // per row, universe [0, n). The graph layers (Undirected, Directed) own the
-// adjacency lists, edge counts, and symmetry; a rowStore owns only
-// membership and the complement/diff views derived from it.
+// adjacency lists, edge counts, and symmetry; a rowStore answers membership
+// and the complement/diff views derived from it.
+//
+// A store is built over its graph's neighbor lists (lists[u] is what the
+// graph appends to) and may read them instead of keeping entries of its own
+// — the sparse store does, for short rows. That makes the mutation order
+// part of the contract: after insert(u, v) returns true the graph appends v
+// to lists[u] before it calls the store on row u again, and it never
+// replaces the outer slice. A store never writes the lists, and rows only
+// grow — graphs are insert-only.
 //
 // Ordering contract: forEach and forEachClear visit in increasing node
 // order; rank/selectClear/selectDiff are defined over that order. Every
@@ -99,8 +108,6 @@ type rowStore interface {
 	// insert adds v to row u and reports whether it was absent — the fused
 	// test-and-set the grouped commit paths rely on.
 	insert(u, v int) bool
-	// remove deletes v from row u and reports whether it was present.
-	remove(u, v int) bool
 	// count returns the number of entries in row u.
 	count(u int) int
 	// forEach visits the entries of row u in increasing order.
@@ -124,16 +131,17 @@ type rowStore interface {
 	// materialized snapshot otherwise; callers must treat it as read-only
 	// and must not hold it across mutations.
 	row(u int) *bitset.Set
-	// clone returns a deep copy on the same backend.
-	clone() rowStore
+	// clone returns a deep copy on the same backend, built over lists —
+	// the cloned graph's copy of the neighbor lists.
+	clone(lists [][]int32) rowStore
 }
 
-// newRowStore builds an empty store for an n-node graph on the resolved
-// backend.
-func newRowStore(n int, b Backend) rowStore {
+// newRowStore builds an empty store on the resolved backend over lists, the
+// n empty neighbor lists of the graph it will serve.
+func newRowStore(n int, b Backend, lists [][]int32) rowStore {
 	switch b.resolve(n) {
 	case BackendSparse:
-		return newSparseRows(n)
+		return newSparseRows(n, lists)
 	default:
 		return newDenseRows(n)
 	}
@@ -160,14 +168,6 @@ func (s *denseRows) insert(u, v int) bool {
 	return s.rows[u].OrWord(v>>6, 1<<(uint(v)&63)) != 0
 }
 
-func (s *denseRows) remove(u, v int) bool {
-	if !s.rows[u].Test(v) {
-		return false
-	}
-	s.rows[u].Clear(v)
-	return true
-}
-
 func (s *denseRows) count(u int) int               { return s.rows[u].Count() }
 func (s *denseRows) forEach(u int, fn func(v int)) { s.rows[u].ForEach(fn) }
 func (s *denseRows) rank(u, v int) int             { return s.rows[u].Rank(v) }
@@ -186,7 +186,7 @@ func (s *denseRows) selectDiff(u int, target *bitset.Set, k int) int {
 
 func (s *denseRows) row(u int) *bitset.Set { return s.rows[u] }
 
-func (s *denseRows) clone() rowStore {
+func (s *denseRows) clone([][]int32) rowStore {
 	c := &denseRows{universe: s.universe, rows: make([]*bitset.Set, len(s.rows))}
 	for i, r := range s.rows {
 		c.rows[i] = r.Clone()

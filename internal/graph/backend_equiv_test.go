@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"gossipdisc/internal/bitset"
@@ -11,20 +12,24 @@ import (
 // This file is the cross-backend equivalence suite: randomized op sequences
 // applied to the dense (golden) and sparse backends in lockstep, asserting
 // identical observable state after every step. The universes are chosen so
-// rows cross the sparse promotion threshold — and, with removals, the
-// demotion threshold — mid-sequence, pinning the complement-view flip. CI
-// runs the whole file under -race.
+// rows climb the sparse ladder mid-sequence — list → bitset where promoteAt
+// <= shortRow, list → sorted → bitset above — pinning the complement-view
+// flips. CI runs the whole file under -race.
 
-// storePair drives a dense and a sparse rowStore in lockstep.
+// storePair drives a dense and a sparse rowStore in lockstep, playing the
+// graph for the sparse store: it owns the neighbor lists the store reads and
+// appends to them after every accepted insert.
 type storePair struct {
 	t      *testing.T
 	n      int
 	dense  rowStore
+	lists  [][]int32
 	sparse rowStore
 }
 
 func newStorePair(t *testing.T, n int) *storePair {
-	return &storePair{t: t, n: n, dense: newDenseRows(n), sparse: newSparseRows(n)}
+	lists := make([][]int32, n)
+	return &storePair{t: t, n: n, dense: newDenseRows(n), lists: lists, sparse: newSparseRows(n, lists)}
 }
 
 func (p *storePair) insert(u, v int) {
@@ -33,14 +38,49 @@ func (p *storePair) insert(u, v int) {
 	if d != s {
 		p.t.Fatalf("n=%d insert(%d,%d): dense %v sparse %v", p.n, u, v, d, s)
 	}
+	if s {
+		p.lists[u] = append(p.lists[u], int32(v))
+	}
 }
 
-func (p *storePair) remove(u, v int) {
-	d := p.dense.remove(u, v)
-	s := p.sparse.remove(u, v)
-	if d != s {
-		p.t.Fatalf("n=%d remove(%d,%d): dense %v sparse %v", p.n, u, v, d, s)
+// sparseForm names the rung of the sparse ladder row u of store stands on.
+func sparseForm(store rowStore, u int) string {
+	switch r := store.(*sparseRows).rows[u]; {
+	case r == nil:
+		return "list"
+	case r.bits != nil:
+		return "bitset"
+	default:
+		return "sorted"
 	}
+}
+
+// ladderN is the smallest power-of-two universe where promoteAt (= n/32 =
+// 2·shortRow) leaves room for the sorted form between list and bitset.
+const ladderN = 64 * shortRow
+
+// equivCases are the universes of the graph-level lockstep tests. Half of
+// all tails are drawn from four hub nodes, so row 0 climbs as far as its
+// universe lets it: it stays a list at n = 9, goes list → bitset where
+// promoteAt = 16 < shortRow, and list → sorted → bitset at n = ladderN.
+var equivCases = []struct {
+	n, steps int
+	forms    []string // every form row 0 must be seen in
+}{
+	{9, 60, []string{"list"}},
+	{40, 60, []string{"list", "bitset"}},
+	{64, 60, []string{"list", "bitset"}},
+	{130, 60, []string{"list", "bitset"}},
+	{ladderN, 5 * shortRow, []string{"list", "sorted", "bitset"}},
+}
+
+// hubTail draws an edge's first endpoint: one of the four hubs half the
+// time, any node otherwise.
+func hubTail(r *rng.Rand, n int) int {
+	if r.Bool() {
+		return r.Intn(4)
+	}
+	return r.Intn(n)
 }
 
 // checkRow compares every observable of row u across the two stores.
@@ -54,7 +94,7 @@ func (p *storePair) checkRow(u int, r *rng.Rand, target *bitset.Set) {
 	var ds, ss []int
 	p.dense.forEach(u, func(v int) { ds = append(ds, v) })
 	p.sparse.forEach(u, func(v int) { ss = append(ss, v) })
-	if fmt.Sprint(ds) != fmt.Sprint(ss) {
+	if !slices.Equal(ds, ss) {
 		t.Fatalf("n=%d forEach(%d): dense %v sparse %v", n, u, ds, ss)
 	}
 	v := r.Intn(n)
@@ -74,7 +114,7 @@ func (p *storePair) checkRow(u int, r *rng.Rand, target *bitset.Set) {
 	var dc, sc []int
 	p.dense.forEachClear(u, func(v int) { dc = append(dc, v) })
 	p.sparse.forEachClear(u, func(v int) { sc = append(sc, v) })
-	if fmt.Sprint(dc) != fmt.Sprint(sc) {
+	if !slices.Equal(dc, sc) {
 		t.Fatalf("n=%d forEachClear(%d): dense %v sparse %v", n, u, dc, sc)
 	}
 	if target != nil {
@@ -98,12 +138,13 @@ func (p *storePair) checkRow(u int, r *rng.Rand, target *bitset.Set) {
 }
 
 // TestRowStoreEquivalence is the lockstep property test at the storage
-// layer: random insert/remove sequences — biased so rows cross the sparse
-// promotion threshold up and the demotion threshold back down — with every
-// membership, ordering, rank/select, complement, and diff observable
-// compared against the dense golden after each batch.
+// layer: random insert sequences over a few rows — enough of them that rows
+// climb every rung their universe has (list → bitset at n = 40 … 1100,
+// list → sorted → bitset at n = ladderN, where promoteAt = 2·shortRow) —
+// with every membership, ordering, rank/select, complement, and diff
+// observable compared against the dense golden after each batch.
 func TestRowStoreEquivalence(t *testing.T) {
-	for _, n := range []int{1, 7, 40, 64, 130, 520, 1100} {
+	for _, n := range []int{1, 7, 40, 64, 130, 520, 1100, ladderN} {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			r := rng.New(uint64(9000 + n))
@@ -117,14 +158,11 @@ func TestRowStoreEquivalence(t *testing.T) {
 			if rows > n {
 				rows = n
 			}
-			for step := 0; step < 300; step++ {
+			seen := map[string]bool{}
+			for step := 0; step < 700+n/4; step++ {
 				u := r.Intn(rows)
-				switch r.Intn(10) {
-				case 0, 1: // removals drive demotion
-					p.remove(u, r.Intn(n))
-				default:
-					p.insert(u, r.Intn(n))
-				}
+				p.insert(u, r.Intn(n))
+				seen[sparseForm(p.sparse, u)] = true
 				if step%10 == 0 {
 					p.checkRow(u, r, target)
 				}
@@ -132,64 +170,69 @@ func TestRowStoreEquivalence(t *testing.T) {
 			for u := 0; u < rows; u++ {
 				p.checkRow(u, r, target)
 			}
-			// Clones must be independent deep copies.
-			dc, sc := p.dense.clone(), p.sparse.clone()
-			p.insert(0, r.Intn(n))
-			if dc.count(0) != sc.count(0) {
-				t.Fatalf("clone counts diverged: dense %d sparse %d", dc.count(0), sc.count(0))
+			if want := n >= 40; seen["bitset"] != want {
+				t.Fatalf("bitset rows reached: %v, want %v", seen["bitset"], want)
+			}
+			if want := n == ladderN; seen["sorted"] != want {
+				t.Fatalf("sorted rows reached: %v, want %v", seen["sorted"], want)
+			}
+			// Clones must be independent deep copies over their own lists.
+			lists := make([][]int32, n)
+			for u := range lists {
+				lists[u] = append([]int32(nil), p.lists[u]...)
+			}
+			dc, sc := p.dense.clone(nil), p.sparse.clone(lists)
+			before := p.dense.count(0)
+			for p.dense.count(0) == before && before < n {
+				p.insert(0, r.Intn(n))
+			}
+			if dc.count(0) != before || sc.count(0) != before {
+				t.Fatalf("clones followed the original: dense %d sparse %d, want %d", dc.count(0), sc.count(0), before)
 			}
 		})
 	}
 }
 
-// TestRowStorePromotionBoundary walks a single row across the promotion
-// threshold one insert at a time, checking the complement view at every
-// size, then removes entries one at a time back through the demotion
-// threshold.
+// TestRowStorePromotionBoundary walks a single row up the whole ladder one
+// insert at a time, checking every view at every size and that each rung is
+// taken exactly at its threshold: list below shortRow, sorted from shortRow,
+// bitset from promoteAt.
 func TestRowStorePromotionBoundary(t *testing.T) {
-	const n = 640 // promoteAt = max(16, 640/32) = 20
+	const n = ladderN
 	p := newStorePair(t, n)
 	sp := p.sparse.(*sparseRows)
-	if sp.promoteAt != 20 {
-		t.Fatalf("promoteAt = %d, want 20", sp.promoteAt)
+	if sp.promoteAt != 2*shortRow {
+		t.Fatalf("promoteAt = %d, want %d", sp.promoteAt, 2*shortRow)
 	}
 	r := rng.New(77)
-	var inserted []int
-	for len(inserted) < 2*sp.promoteAt {
+	for size := 1; size <= sp.promoteAt+shortRow; size++ {
 		v := r.Intn(n)
-		if p.dense.test(0, v) {
-			continue
+		for p.dense.test(0, v) {
+			v = r.Intn(n)
 		}
 		p.insert(0, v)
-		inserted = append(inserted, v)
-		promoted := sp.rows[0].bits != nil
-		if want := sp.rows[0].cnt >= sp.promoteAt; promoted != want {
-			t.Fatalf("at %d entries: promoted=%v want %v", len(inserted), promoted, want)
+		want := "list"
+		if size >= sp.promoteAt {
+			want = "bitset"
+		} else if size >= shortRow {
+			want = "sorted"
+		}
+		if got := sparseForm(p.sparse, 0); got != want {
+			t.Fatalf("at %d entries: row is a %s, want %s", size, got, want)
 		}
 		p.checkRow(0, r, nil)
-	}
-	for i, v := range inserted {
-		p.remove(0, v)
-		left := len(inserted) - i - 1
-		promoted := sp.rows[0].bits != nil
-		if promoted && left < sp.promoteAt/2 {
-			t.Fatalf("at %d entries: still promoted below demotion threshold %d", left, sp.promoteAt/2)
-		}
-		p.checkRow(0, r, nil)
-	}
-	if sp.rows[0].cnt != 0 {
-		t.Fatalf("row not empty after removing everything: cnt=%d", sp.rows[0].cnt)
 	}
 }
 
 // TestBackendEquivalenceUndirected drives dense, sparse, and auto graphs in
 // lockstep through randomized AddEdge / AddEdgesGrouped batches, asserting
 // identical accepted deltas, identical missing-view answers, identical edge
-// lists, and cross-backend Equal/Clone/invariants throughout — including
-// past the density where sparse rows promote (n=130 rows promote at 16).
+// lists, and cross-backend Equal/Clone/invariants throughout — on every
+// rung of the sparse ladder (see equivCases) — and that OnBackend and Clone
+// copies keep working as graphs of their own afterwards.
 func TestBackendEquivalenceUndirected(t *testing.T) {
-	for _, n := range []int{9, 40, 130} {
-		n := n
+	for _, tc := range equivCases {
+		n, tc := tc.n, tc
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			gd := NewUndirectedOn(n, BackendDense)
 			gs := NewUndirectedOn(n, BackendSparse)
@@ -228,16 +271,17 @@ func TestBackendEquivalenceUndirected(t *testing.T) {
 				gd.CheckInvariants()
 				gs.CheckInvariants()
 			}
-			for step := 0; step < 60; step++ {
+			seen := map[string]bool{}
+			for step := 0; step < tc.steps; step++ {
 				if step%3 == 0 {
-					u, v := r.Intn(n), r.Intn(n)
+					u, v := hubTail(r, n), r.Intn(n)
 					if gd.AddEdge(u, v) != gs.AddEdge(u, v) {
 						t.Fatalf("AddEdge(%d,%d) differs", u, v)
 					}
 				} else {
 					batch := make([]Edge, 0, 8)
 					for i := 0; i < 8; i++ {
-						batch = append(batch, Edge{r.Intn(n), r.Intn(n)})
+						batch = append(batch, Edge{hubTail(r, n), r.Intn(n)})
 					}
 					ad := gd.AddEdgesGrouped(batch, nil)
 					as := gs.AddEdgesGrouped(batch, nil)
@@ -245,7 +289,15 @@ func TestBackendEquivalenceUndirected(t *testing.T) {
 						t.Fatalf("accepted deltas differ: dense %v sparse %v", ad, as)
 					}
 				}
-				check()
+				if n < ladderN || step%8 == 0 { // check() is Θ(n + m)
+					check()
+				}
+				seen[sparseForm(gs.rows, 0)] = true
+			}
+			for _, f := range tc.forms {
+				if !seen[f] {
+					t.Fatalf("row 0 was never a %s row (saw %v)", f, seen)
+				}
 			}
 			if fmt.Sprint(gd.Edges()) != fmt.Sprint(gs.Edges()) {
 				t.Fatal("Edges() listings differ")
@@ -257,10 +309,28 @@ func TestBackendEquivalenceUndirected(t *testing.T) {
 					t.Fatalf("OnBackend changed adjacency order at %d", u)
 				}
 			}
-			conv.CheckInvariants()
 			cl := gs.Clone()
-			if cl.Backend() != BackendSparse || !cl.Equal(gd) {
-				t.Fatal("sparse Clone broken")
+			if cl.Backend() != BackendSparse {
+				t.Fatalf("Clone of a sparse graph is on %v", cl.Backend())
+			}
+			// The copies are graphs of their own: their stores must read
+			// their own lists, through further inserts, and leave gs alone.
+			frozen := gs.Edges()
+			for step := 0; step < 40; step++ {
+				u, v := hubTail(r, n), r.Intn(n)
+				want := gd.AddEdge(u, v)
+				if conv.AddEdge(u, v) != want || cl.AddEdge(u, v) != want {
+					t.Fatalf("AddEdge(%d,%d) on a copy differs from dense %v", u, v, want)
+				}
+			}
+			for name, c := range map[string]*Undirected{"OnBackend": conv, "Clone": cl} {
+				c.CheckInvariants()
+				if !c.Equal(gd) || !gd.Equal(c) {
+					t.Fatalf("%s copy diverged from dense after further AddEdges", name)
+				}
+			}
+			if fmt.Sprint(gs.Edges()) != fmt.Sprint(frozen) {
+				t.Fatal("inserting into the copies changed the original")
 			}
 		})
 	}
@@ -268,10 +338,11 @@ func TestBackendEquivalenceUndirected(t *testing.T) {
 
 // TestBackendEquivalenceDirected is the directed lockstep: AddArc /
 // AddArcsGrouped batches, missing-out views, and the dense-phase diff
-// queries (RowDiffCount / RowSelectDiff) against a closure-style target.
+// queries (RowDiffCount / RowSelectDiff) against a closure-style target, over
+// the same universes and with the same copy checks as the undirected test.
 func TestBackendEquivalenceDirected(t *testing.T) {
-	for _, n := range []int{9, 40, 130} {
-		n := n
+	for _, tc := range equivCases {
+		n, tc := tc.n, tc
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			gd := NewDirectedOn(n, BackendDense)
 			gs := NewDirectedOn(n, BackendSparse)
@@ -316,16 +387,17 @@ func TestBackendEquivalenceDirected(t *testing.T) {
 				gd.CheckInvariants()
 				gs.CheckInvariants()
 			}
-			for step := 0; step < 60; step++ {
+			seen := map[string]bool{}
+			for step := 0; step < tc.steps; step++ {
 				if step%3 == 0 {
-					u, v := r.Intn(n), r.Intn(n)
+					u, v := hubTail(r, n), r.Intn(n)
 					if gd.AddArc(u, v) != gs.AddArc(u, v) {
 						t.Fatalf("AddArc(%d,%d) differs", u, v)
 					}
 				} else {
 					batch := make([]Arc, 0, 8)
 					for i := 0; i < 8; i++ {
-						batch = append(batch, Arc{r.Intn(n), r.Intn(n)})
+						batch = append(batch, Arc{hubTail(r, n), r.Intn(n)})
 					}
 					ad := gd.AddArcsGrouped(batch, nil)
 					as := gs.AddArcsGrouped(batch, nil)
@@ -333,7 +405,15 @@ func TestBackendEquivalenceDirected(t *testing.T) {
 						t.Fatalf("accepted deltas differ: dense %v sparse %v", ad, as)
 					}
 				}
-				check()
+				if n < ladderN || step%8 == 0 { // check() is Θ(n + m)
+					check()
+				}
+				seen[sparseForm(gs.rows, 0)] = true
+			}
+			for _, f := range tc.forms {
+				if !seen[f] {
+					t.Fatalf("row 0 was never a %s row (saw %v)", f, seen)
+				}
 			}
 			if fmt.Sprint(gd.Arcs()) != fmt.Sprint(gs.Arcs()) {
 				t.Fatal("Arcs() listings differ")
@@ -344,13 +424,33 @@ func TestBackendEquivalenceDirected(t *testing.T) {
 			if !gd.Underlying().Equal(gs.Underlying()) {
 				t.Fatal("Underlying graphs differ")
 			}
-			conv := gs.OnBackend(BackendDense)
+			conv := gd.OnBackend(BackendSparse)
 			for u := 0; u < n; u++ {
-				if fmt.Sprint(gs.OutNeighbors(u, nil)) != fmt.Sprint(conv.OutNeighbors(u, nil)) {
+				if fmt.Sprint(gd.OutNeighbors(u, nil)) != fmt.Sprint(conv.OutNeighbors(u, nil)) {
 					t.Fatalf("OnBackend changed out-list order at %d", u)
 				}
 			}
-			conv.CheckInvariants()
+			if back := gs.OnBackend(BackendDense); !back.Equal(gd) {
+				t.Fatal("sparse → dense conversion lost arcs")
+			}
+			cl := gs.Clone()
+			frozen := gs.Arcs()
+			for step := 0; step < 40; step++ {
+				u, v := hubTail(r, n), r.Intn(n)
+				want := gd.AddArc(u, v)
+				if conv.AddArc(u, v) != want || cl.AddArc(u, v) != want {
+					t.Fatalf("AddArc(%d,%d) on a copy differs from dense %v", u, v, want)
+				}
+			}
+			for name, c := range map[string]*Directed{"OnBackend": conv, "Clone": cl} {
+				c.CheckInvariants()
+				if !c.Equal(gd) || !gd.Equal(c) {
+					t.Fatalf("%s copy diverged from dense after further AddArcs", name)
+				}
+			}
+			if fmt.Sprint(gs.Arcs()) != fmt.Sprint(frozen) {
+				t.Fatal("inserting into the copies changed the original")
+			}
 		})
 	}
 }
@@ -374,5 +474,37 @@ func TestBackendAutoResolution(t *testing.T) {
 	}
 	if _, err := ParseBackend("nope"); err == nil {
 		t.Fatal("ParseBackend accepted junk")
+	}
+}
+
+// TestSparseShortRowAddEdgeAllocs pins what a short row costs: below
+// shortRow entries the sparse store keeps nothing of its own, so an AddEdge
+// allocates exactly when a neighbor list grows — the hub's at powers of two,
+// the fresh leaf's always — and never for the row.
+func TestSparseShortRowAddEdgeAllocs(t *testing.T) {
+	g := NewUndirectedOn(ladderN, BackendSparse)
+	next, grew := 1, 0
+	add := func() {
+		hub, leaf := cap(g.adj[0]), cap(g.adj[next])
+		if !g.AddEdge(0, next) {
+			t.Fatalf("AddEdge(0,%d) not new", next)
+		}
+		grew = 0
+		if cap(g.adj[0]) != hub {
+			grew++
+		}
+		if cap(g.adj[next]) != leaf {
+			grew++
+		}
+		next++
+	}
+	// AllocsPerRun(1, add) adds two edges and measures the second.
+	for next+2 < shortRow {
+		if allocs := testing.AllocsPerRun(1, add); int(allocs) != grew {
+			t.Fatalf("AddEdge at %d entries: %v allocations, %d lists grew", next-2, allocs, grew)
+		}
+	}
+	if f := sparseForm(g.rows, 0); f != "list" {
+		t.Fatalf("hub row with %d entries is a %s row", g.Degree(0), f)
 	}
 }

@@ -35,12 +35,8 @@ func NewDirectedOn(n int, b Backend) *Directed {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	return &Directed{
-		n:    n,
-		out:  make([][]int32, n),
-		rows: newRowStore(n, b),
-		in:   make([]int, n),
-	}
+	out := make([][]int32, n)
+	return &Directed{n: n, out: out, rows: newRowStore(n, b, out), in: make([]int, n)}
 }
 
 // Backend returns the concrete row-storage backend of the graph (never
@@ -58,9 +54,11 @@ func (g *Directed) OnBackend(b Backend) *Directed {
 		if len(g.out[u]) == 0 {
 			continue
 		}
-		c.out[u] = append([]int32(nil), g.out[u]...)
+		// Insert-then-append, as in Undirected.OnBackend.
+		c.out[u] = make([]int32, 0, len(g.out[u]))
 		for _, v := range g.out[u] {
 			c.rows.insert(u, int(v))
+			c.out[u] = append(c.out[u], v)
 		}
 	}
 	return c
@@ -189,8 +187,7 @@ func (g *Directed) MissingOutDegree(u int) int {
 
 // MissingOutNeighbor returns the k-th (0-based, increasing node order) node
 // u has no arc toward, excluding u itself. It panics if k is out of
-// [0, MissingOutDegree(u)). Cost is O(n/64) on dense or promoted rows and
-// O(log d) on unpromoted sparse rows.
+// [0, MissingOutDegree(u)). Costs are those of Undirected.MissingNeighbor.
 func (g *Directed) MissingOutNeighbor(u, k int) int {
 	g.checkNode(u)
 	if k < 0 || k >= g.MissingOutDegree(u) {
@@ -278,17 +275,11 @@ func (g *Directed) Arcs() []Arc {
 
 // Clone returns a deep copy of the graph on the same backend.
 func (g *Directed) Clone() *Directed {
-	c := &Directed{
-		n:    g.n,
-		out:  make([][]int32, g.n),
-		rows: g.rows.clone(),
-		in:   append([]int(nil), g.in...),
-		m:    g.m,
+	out := make([][]int32, g.n)
+	for u := range out {
+		out[u] = append([]int32(nil), g.out[u]...)
 	}
-	for u := 0; u < g.n; u++ {
-		c.out[u] = append([]int32(nil), g.out[u]...)
-	}
-	return c
+	return &Directed{n: g.n, out: out, rows: g.rows.clone(out), in: append([]int(nil), g.in...), m: g.m}
 }
 
 // Equal reports whether g and h have identical node and arc sets. The

@@ -4,92 +4,142 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"gossipdisc/internal/bitset"
 )
 
-// sparseRows is the O(m)-memory row store: each row starts as a sorted
-// []int32 of entries (4 bytes each) and promotes to a bitset row once it
-// holds promoteAt entries — the density at which the sorted form's memory
-// crosses the n-bit row's (32d bits vs n bits at d = n/32). Removals below
-// half the threshold demote back to the sorted form; the hysteresis gap
-// keeps a row oscillating around the threshold from thrashing between
-// representations.
+// sparseRows is the O(m)-memory row store. A row climbs a three-step
+// ladder, each step chosen by the row's own length:
 //
-// Complement and diff views flip meaning at the same threshold: a promoted
-// row answers rank/selectClear/selectDiff with the dense inverted-bitset
-// primitives, an unpromoted row answers them by binary search and
-// word-walks over the sorted entries — identical results either way, pinned
-// by FuzzSparseRow and the cross-backend equivalence suite.
+//   - list: with fewer than shortRow entries a row has no storage of its
+//     own — it is the owning graph's neighbor list lists[u], which the graph
+//     appends to after every accepted insert. Membership is a linear scan of
+//     a list the act phase reads anyway; the ordered views sort the entries
+//     into a stack buffer on demand.
+//   - sorted: from shortRow entries on, a sorted []int32 copy (4 bytes per
+//     entry) answers membership and the ordered views by binary search.
+//   - bitset: from promoteAt entries on — the density at which the sorted
+//     form's memory crosses the n-bit row's (32d bits vs n bits at d = n/32)
+//     — a bitset row answers everything with the dense primitives. Where
+//     promoteAt <= shortRow (n up to 32·shortRow = 4096) rows go list →
+//     bitset and the sorted form never appears.
+//
+// Graphs only ever add edges, so rows only climb. Every form gives identical
+// answers, pinned by FuzzSparseRow and the cross-backend equivalence suite.
 type sparseRows struct {
 	universe  int
 	promoteAt int
-	rows      []sparseRow
+	lists     [][]int32    // the owning graph's neighbor lists, shared, never written here
+	rows      []*sparseRow // nil while row u is short
 }
 
-// sparseRow is one node's row: sorted entries while sparse, a bitset once
-// promoted. Exactly one of sorted/bits is in use (bits != nil ⇔ promoted);
-// cnt tracks the entry count in both forms.
+// sparseRow is the storage of a row that outgrew its list: sorted entries,
+// or a bitset once promoted. Exactly one of sorted/bits is in use (bits !=
+// nil ⇔ promoted); cnt counts a promoted row's entries.
 type sparseRow struct {
 	sorted []int32
 	bits   *bitset.Set
 	cnt    int
 }
 
+// shortRow is the length at which a row stops being its graph's neighbor
+// list and gets a sorted copy: below it a linear scan of at most eight cache
+// lines costs about what a mispredicting binary search does, and beats
+// maintaining (allocating, growing, shifting) a second copy of every edge
+// endpoint. Sized on cmd/bench's sparse workloads; see DESIGN.md "Graph
+// backends".
+const shortRow = 128
+
 // sparsePromoteFloor is the minimum promotion threshold: below 16 entries a
-// sorted row is always cheaper than any bitset, whatever the universe.
+// bitset row is never cheaper, whatever the universe.
 const sparsePromoteFloor = 16
 
 func promoteThreshold(n int) int {
-	t := n / 32
-	if t < sparsePromoteFloor {
-		t = sparsePromoteFloor
-	}
-	return t
+	return max(sparsePromoteFloor, n/32)
 }
 
-func newSparseRows(n int) *sparseRows {
+// newSparseRows builds an empty store over lists, the owning graph's n
+// neighbor lists. The graph must append v to lists[u] after every
+// insert(u, v) that returns true, before the next call on row u.
+func newSparseRows(n int, lists [][]int32) *sparseRows {
 	if n > math.MaxInt32 {
 		panic(fmt.Sprintf("graph: sparse backend supports at most %d nodes, got %d", math.MaxInt32, n))
 	}
 	return &sparseRows{
 		universe:  n,
 		promoteAt: promoteThreshold(n),
-		rows:      make([]sparseRow, n),
+		lists:     lists,
+		rows:      make([]*sparseRow, n),
 	}
 }
 
 func (s *sparseRows) backend() Backend { return BackendSparse }
 
-// find returns the position of v in the sorted entries of r, or the
-// insertion point if absent (second result false). The binary search is
-// hand-rolled: it sits on the AddEdge/HasEdge hot path of every simulation
-// loop, where sort.Search's per-probe closure call is measurable.
-func (r *sparseRow) find(v int) (int, bool) {
-	lo, hi := 0, len(r.sorted)
+// find returns the position of v in sorted, or the insertion point if absent
+// (second result false). The binary search is hand-rolled: it sits on the
+// AddEdge/HasEdge hot path of every simulation loop, where sort.Search's
+// per-probe closure call is measurable.
+func find(sorted []int32, v int) (int, bool) {
+	lo, hi := 0, len(sorted)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if int(r.sorted[mid]) < v {
+		if int(sorted[mid]) < v {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(r.sorted) && int(r.sorted[lo]) == v
+	return lo, lo < len(sorted) && int(sorted[lo]) == v
+}
+
+// promoted returns row u's bitset, or nil while the row is unpromoted.
+func (s *sparseRows) promoted(u int) *bitset.Set {
+	if r := s.rows[u]; r != nil {
+		return r.bits
+	}
+	return nil
+}
+
+// ordered returns the entries of an unpromoted row u in increasing order:
+// its sorted copy, or a short row's list sorted into buf. buf is the
+// caller's stack array, never a field of the store — the sharded engine's
+// dense phase reads rows from several workers at once.
+func (s *sparseRows) ordered(u int, buf *[shortRow]int32) []int32 {
+	if r := s.rows[u]; r != nil {
+		return r.sorted
+	}
+	sorted := buf[:copy(buf[:], s.lists[u])]
+	slices.Sort(sorted)
+	return sorted
 }
 
 func (s *sparseRows) test(u, v int) bool {
-	r := &s.rows[u]
+	r := s.rows[u]
+	if r == nil {
+		return slices.Contains(s.lists[u], int32(v))
+	}
 	if r.bits != nil {
 		return r.bits.Test(v)
 	}
-	_, ok := r.find(v)
+	_, ok := find(r.sorted, v)
 	return ok
 }
 
 func (s *sparseRows) insert(u, v int) bool {
-	r := &s.rows[u]
+	r := s.rows[u]
+	if r == nil {
+		list := s.lists[u]
+		if slices.Contains(list, int32(v)) {
+			return false
+		}
+		if len(list)+1 < min(shortRow, s.promoteAt) {
+			return true // the graph's append is the insert
+		}
+		r = &sparseRow{sorted: slices.Clone(list)}
+		slices.Sort(r.sorted)
+		s.rows[u] = r
+	}
 	if r.bits != nil {
 		if r.bits.OrWord(v>>6, 1<<(uint(v)&63)) == 0 {
 			return false
@@ -97,77 +147,62 @@ func (s *sparseRows) insert(u, v int) bool {
 		r.cnt++
 		return true
 	}
-	i, ok := r.find(v)
+	i, ok := find(r.sorted, v)
 	if ok {
 		return false
 	}
 	r.sorted = append(r.sorted, 0)
 	copy(r.sorted[i+1:], r.sorted[i:])
 	r.sorted[i] = int32(v)
-	r.cnt++
-	if r.cnt >= s.promoteAt {
-		s.promote(r)
+	if len(r.sorted) >= s.promoteAt {
+		r.bits = bitset.New(s.universe)
+		for _, w := range r.sorted {
+			r.bits.Set(int(w))
+		}
+		r.cnt = len(r.sorted)
+		r.sorted = nil
 	}
 	return true
 }
 
-func (s *sparseRows) promote(r *sparseRow) {
-	b := bitset.New(s.universe)
-	for _, v := range r.sorted {
-		b.Set(int(v))
+func (s *sparseRows) count(u int) int {
+	r := s.rows[u]
+	switch {
+	case r == nil:
+		return len(s.lists[u])
+	case r.bits != nil:
+		return r.cnt
+	default:
+		return len(r.sorted)
 	}
-	r.bits = b
-	r.sorted = nil
 }
-
-func (s *sparseRows) demote(r *sparseRow) {
-	sorted := make([]int32, 0, r.cnt)
-	r.bits.ForEach(func(v int) { sorted = append(sorted, int32(v)) })
-	r.sorted = sorted
-	r.bits = nil
-}
-
-func (s *sparseRows) remove(u, v int) bool {
-	r := &s.rows[u]
-	if r.bits != nil {
-		if !r.bits.Test(v) {
-			return false
-		}
-		r.bits.Clear(v)
-		r.cnt--
-		if r.cnt < s.promoteAt/2 {
-			s.demote(r)
-		}
-		return true
-	}
-	i, ok := r.find(v)
-	if !ok {
-		return false
-	}
-	r.sorted = append(r.sorted[:i], r.sorted[i+1:]...)
-	r.cnt--
-	return true
-}
-
-func (s *sparseRows) count(u int) int { return s.rows[u].cnt }
 
 func (s *sparseRows) forEach(u int, fn func(v int)) {
-	r := &s.rows[u]
-	if r.bits != nil {
-		r.bits.ForEach(fn)
+	if b := s.promoted(u); b != nil {
+		b.ForEach(fn)
 		return
 	}
-	for _, v := range r.sorted {
+	var buf [shortRow]int32
+	for _, v := range s.ordered(u, &buf) {
 		fn(int(v))
 	}
 }
 
 func (s *sparseRows) rank(u, v int) int {
-	r := &s.rows[u]
+	r := s.rows[u]
+	if r == nil {
+		below := 0
+		for _, w := range s.lists[u] {
+			if int(w) < v {
+				below++
+			}
+		}
+		return below
+	}
 	if r.bits != nil {
 		return r.bits.Rank(v)
 	}
-	i, _ := r.find(v)
+	i, _ := find(r.sorted, v)
 	return i
 }
 
@@ -175,28 +210,37 @@ func (s *sparseRows) selectClear(u, k int) int {
 	if k < 0 {
 		return -1
 	}
-	r := &s.rows[u]
-	if r.bits != nil {
-		return r.bits.SelectClear(k)
+	if b := s.promoted(u); b != nil {
+		return b.SelectClear(k)
 	}
+	var buf [shortRow]int32
+	sorted := s.ordered(u, &buf)
 	// The number of absent values below sorted[i] is sorted[i]-i; the k-th
 	// absent value therefore lands after exactly i entries, where i is the
 	// first position with sorted[i]-i > k, and equals k+i.
-	i := sort.Search(len(r.sorted), func(i int) bool { return int(r.sorted[i])-i > k })
-	if v := k + i; v < s.universe {
+	lo, hi := 0, len(sorted)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(sorted[mid])-mid > k {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if v := k + lo; v < s.universe {
 		return v
 	}
 	return -1
 }
 
 func (s *sparseRows) forEachClear(u int, fn func(v int)) {
-	r := &s.rows[u]
-	if r.bits != nil {
-		r.bits.ForEachClear(fn)
+	if b := s.promoted(u); b != nil {
+		b.ForEachClear(fn)
 		return
 	}
+	var buf [shortRow]int32
 	next := 0
-	for _, e := range r.sorted {
+	for _, e := range s.ordered(u, &buf) {
 		for v := next; v < int(e); v++ {
 			fn(v)
 		}
@@ -214,13 +258,12 @@ func (s *sparseRows) checkTarget(target *bitset.Set) {
 }
 
 func (s *sparseRows) diffCount(u int, target *bitset.Set) int {
-	r := &s.rows[u]
-	if r.bits != nil {
-		return target.DiffCount(r.bits)
+	if b := s.promoted(u); b != nil {
+		return target.DiffCount(b)
 	}
 	s.checkTarget(target)
 	c := target.Count()
-	for _, v := range r.sorted {
+	for _, v := range s.lists[u] { // any order will do
 		if target.Test(int(v)) {
 			c--
 		}
@@ -229,9 +272,8 @@ func (s *sparseRows) diffCount(u int, target *bitset.Set) int {
 }
 
 func (s *sparseRows) selectDiff(u int, target *bitset.Set, k int) int {
-	r := &s.rows[u]
-	if r.bits != nil {
-		return target.SelectDiff(r.bits, k)
+	if b := s.promoted(u); b != nil {
+		return target.SelectDiff(b, k)
 	}
 	s.checkTarget(target)
 	if k < 0 {
@@ -240,12 +282,14 @@ func (s *sparseRows) selectDiff(u int, target *bitset.Set, k int) int {
 	// Walk target's words with a cursor into the sorted entries: mask the
 	// row's bits out of each word and select within the remainder —
 	// O(n/64 + d) without materializing the row as a bitset.
+	var buf [shortRow]int32
+	sorted := s.ordered(u, &buf)
 	ri := 0
 	for wi, nw := 0, target.Words(); wi < nw; wi++ {
 		d := target.Word(wi)
 		hi := (wi + 1) * 64
-		for ri < len(r.sorted) && int(r.sorted[ri]) < hi {
-			d &^= 1 << (uint(r.sorted[ri]) & 63)
+		for ri < len(sorted) && int(sorted[ri]) < hi {
+			d &^= 1 << (uint(sorted[ri]) & 63)
 			ri++
 		}
 		c := bits.OnesCount64(d)
@@ -261,31 +305,25 @@ func (s *sparseRows) selectDiff(u int, target *bitset.Set, k int) int {
 }
 
 func (s *sparseRows) row(u int) *bitset.Set {
-	r := &s.rows[u]
-	if r.bits != nil {
-		return r.bits
+	if b := s.promoted(u); b != nil {
+		return b
 	}
 	b := bitset.New(s.universe)
-	for _, v := range r.sorted {
+	for _, v := range s.lists[u] {
 		b.Set(int(v))
 	}
 	return b
 }
 
-func (s *sparseRows) clone() rowStore {
-	c := &sparseRows{
-		universe:  s.universe,
-		promoteAt: s.promoteAt,
-		rows:      make([]sparseRow, len(s.rows)),
-	}
-	for i := range s.rows {
-		r := &s.rows[i]
-		cr := &c.rows[i]
-		cr.cnt = r.cnt
+func (s *sparseRows) clone(lists [][]int32) rowStore {
+	c := newSparseRows(s.universe, lists)
+	for u, r := range s.rows {
+		if r == nil {
+			continue
+		}
+		c.rows[u] = &sparseRow{sorted: slices.Clone(r.sorted), cnt: r.cnt}
 		if r.bits != nil {
-			cr.bits = r.bits.Clone()
-		} else if len(r.sorted) > 0 {
-			cr.sorted = append([]int32(nil), r.sorted...)
+			c.rows[u].bits = r.bits.Clone()
 		}
 	}
 	return c

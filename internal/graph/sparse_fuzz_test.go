@@ -6,24 +6,39 @@ import (
 	"gossipdisc/internal/bitset"
 )
 
-// FuzzSparseRow fuzzes the sparse row primitives — insert, remove (and the
-// promote/demote transitions they trigger), rank, membership, complement
+// FuzzSparseRow fuzzes the sparse row primitives — insert (and the list →
+// sorted → bitset transitions it triggers), rank, membership, complement
 // select, complement iteration, and the dense-phase diff queries — against
-// a bitset row as the oracle. The op stream is interpreted two bytes at a
+// a bitset row as the oracle. The harness plays the graph: it owns the
+// neighbor list the store reads and appends to it on an accepted insert. The op stream is interpreted two bytes at a
 // time: the low 3 bits of the first byte pick the operation, the second
-// byte (scaled into the universe) is its argument. Universes are kept small
-// enough that the byte argument can reach every node and every complement
-// rank, and large enough that rows cross promoteAt = max(16, n/32) both
-// ways.
+// byte (scaled into the universe) is its argument. Most universes are kept
+// small enough that the byte argument can reach every node and every
+// complement rank, where rows go list → bitset at promoteAt = max(16, n/32)
+// <= 64; the top bit of the universe argument widens it eightfold so that
+// rows can also pass shortRow while still unpromoted.
 func FuzzSparseRow(f *testing.F) {
 	f.Add(uint16(40), []byte{0, 1, 0, 2, 0, 3, 1, 2, 4, 0})
 	f.Add(uint16(130), []byte("insert-heavy seed that promotes the row........"))
 	f.Add(uint16(640), []byte{0, 10, 0, 20, 0, 30, 0, 40, 1, 20, 1, 10, 5, 0, 6, 7})
 	f.Add(uint16(1), []byte{0, 0, 1, 0, 3, 0})
 	f.Add(uint16(0), []byte{0, 0})
+	// 200 distinct inserts in the widest universe leave a sorted row (128 <=
+	// 200 < promoteAt = 512) for the queries that follow.
+	long := make([]byte, 0, 410)
+	for i := 0; i < 200; i++ {
+		long = append(long, 0, byte(i*37))
+	}
+	f.Add(uint16(1<<15|2047), append(long, 4, 100, 5, 77, 6, 9, 7, 37, 3, 38))
 	f.Fuzz(func(t *testing.T, un uint16, ops []byte) {
 		n := int(un)%2048 + 1
-		s := newSparseRows(n)
+		if un >= 1<<15 {
+			// Up to 16384, where promoteAt reaches 512: the only universes in
+			// which the byte-sized arguments can build a sorted row.
+			n *= 8
+		}
+		lists := make([][]int32, 1)
+		s := newSparseRows(n, lists)
 		oracle := bitset.New(n)
 		target := bitset.New(n)
 		for i := 0; i < n; i += 3 {
@@ -43,17 +58,9 @@ func FuzzSparseRow(f *testing.F) {
 					t.Fatalf("insert(%d) returned %v with oracle %v", v, ins, oracle.Test(v))
 				}
 				if ins {
+					lists[0] = append(lists[0], int32(v))
 					oracle.Set(v)
 					cnt++
-				}
-			case 3: // remove drives demotion
-				rem := s.remove(0, v)
-				if rem != oracle.Test(v) {
-					t.Fatalf("remove(%d) returned %v with oracle %v", v, rem, oracle.Test(v))
-				}
-				if rem {
-					oracle.Clear(v)
-					cnt--
 				}
 			case 4: // rank
 				if got, want := s.rank(0, v), oracle.Rank(v); got != want {
@@ -75,7 +82,7 @@ func FuzzSparseRow(f *testing.F) {
 						t.Fatalf("selectDiff(%d) = %d, want %d", k, got, want)
 					}
 				}
-			case 7: // membership probe
+			case 3, 7: // membership probe (3 was remove while rows could shrink)
 				if got, want := s.test(0, v), oracle.Test(v); got != want {
 					t.Fatalf("test(%d) = %v, want %v", v, got, want)
 				}
@@ -83,14 +90,13 @@ func FuzzSparseRow(f *testing.F) {
 			if s.count(0) != cnt {
 				t.Fatalf("count = %d after %d net inserts", s.count(0), cnt)
 			}
-			// Hysteresis invariant: promoted rows never sit below the
-			// demotion threshold; unpromoted rows never reach promoteAt.
-			r := &s.rows[0]
-			if r.bits != nil && r.cnt < s.promoteAt/2 {
-				t.Fatalf("row promoted with cnt=%d below demotion threshold %d", r.cnt, s.promoteAt/2)
+			// Ladder invariant: the row's form is a function of its length.
+			r := s.rows[0]
+			if long := cnt >= min(shortRow, s.promoteAt); (r != nil) != long {
+				t.Fatalf("row has own storage = %v with cnt=%d (shortRow %d, promoteAt %d)", r != nil, cnt, shortRow, s.promoteAt)
 			}
-			if r.bits == nil && r.cnt >= s.promoteAt {
-				t.Fatalf("row unpromoted with cnt=%d at threshold %d", r.cnt, s.promoteAt)
+			if r != nil && (r.bits != nil) != (cnt >= s.promoteAt) {
+				t.Fatalf("row promoted = %v with cnt=%d at threshold %d", r.bits != nil, cnt, s.promoteAt)
 			}
 		}
 		// Final exhaustive sweep: the row, its complement, and a snapshot

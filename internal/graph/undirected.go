@@ -10,11 +10,12 @@
 //   - edge-membership tests: O(1) via per-node row sets.
 //
 // Row sets are pluggable (see Backend): the dense backend keeps an n-bit
-// bitset per node — the golden reference — while the sparse backend keeps
-// sorted adjacency rows that promote to bitsets past a density threshold,
-// taking graphs to n = 100k–1M. All random sampling reads only the
-// insertion-ordered adjacency slices, which every backend maintains
-// identically, so simulation results are byte-identical across backends.
+// bitset per node — the golden reference — while the sparse backend reads
+// short rows straight from the adjacency slices and keeps sorted rows that
+// promote to bitsets past a density threshold, taking graphs to n =
+// 100k–1M. All random sampling reads only the insertion-ordered adjacency
+// slices, which every backend maintains identically, so simulation results
+// are byte-identical across backends.
 //
 // Node identifiers are dense integers in [0, N()). Self-loops and parallel
 // edges are never stored; AddEdge reports whether an edge was new, which is
@@ -64,11 +65,8 @@ func NewUndirectedOn(n int, b Backend) *Undirected {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	return &Undirected{
-		n:    n,
-		adj:  make([][]int32, n),
-		rows: newRowStore(n, b),
-	}
+	adj := make([][]int32, n)
+	return &Undirected{n: n, adj: adj, rows: newRowStore(n, b, adj)}
 }
 
 // Backend returns the concrete row-storage backend of the graph (never
@@ -85,9 +83,12 @@ func (g *Undirected) OnBackend(b Backend) *Undirected {
 		if len(g.adj[u]) == 0 {
 			continue
 		}
-		c.adj[u] = append([]int32(nil), g.adj[u]...)
+		// Insert, then append, one entry at a time: a store that reads the
+		// lists must not find an entry there before it is inserted.
+		c.adj[u] = make([]int32, 0, len(g.adj[u]))
 		for _, v := range g.adj[u] {
 			c.rows.insert(u, int(v))
+			c.adj[u] = append(c.adj[u], v)
 		}
 	}
 	return c
@@ -322,8 +323,9 @@ func (g *Undirected) MissingDegree(u int) int {
 // MissingNeighbor returns the k-th (0-based, increasing node order)
 // non-neighbor of u, excluding u itself. It panics if k is out of
 // [0, MissingDegree(u)). Cost is O(n/64) on dense or promoted rows — one
-// rank plus one select over the inverted row — and O(log d) on unpromoted
-// sparse rows.
+// rank plus one select over the inverted row — O(log d) on sorted sparse
+// rows, and one sort of the d < 128 entries on sparse rows still short
+// enough to live in the neighbor list.
 func (g *Undirected) MissingNeighbor(u, k int) int {
 	g.checkNode(u)
 	if k < 0 || k >= g.MissingDegree(u) {
@@ -367,16 +369,11 @@ func (g *Undirected) ForEachMissing(u int, fn func(v int)) {
 
 // Clone returns a deep copy of the graph on the same backend.
 func (g *Undirected) Clone() *Undirected {
-	c := &Undirected{
-		n:    g.n,
-		adj:  make([][]int32, g.n),
-		rows: g.rows.clone(),
-		m:    g.m,
+	adj := make([][]int32, g.n)
+	for u := range adj {
+		adj[u] = append([]int32(nil), g.adj[u]...)
 	}
-	for u := 0; u < g.n; u++ {
-		c.adj[u] = append([]int32(nil), g.adj[u]...)
-	}
-	return c
+	return &Undirected{n: g.n, adj: adj, rows: g.rows.clone(adj), m: g.m}
 }
 
 // Equal reports whether g and h have identical node and edge sets. The

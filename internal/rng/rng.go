@@ -67,9 +67,14 @@ func (r *Rand) Uint64() uint64 {
 // splitting is itself deterministic: the k-th child of a generator seeded
 // with s is always the same generator.
 func (r *Rand) Split() *Rand {
+	c := r.split()
+	return &c
+}
+
+func (r *Rand) split() Rand {
 	x := r.Uint64() ^ 0xd2b74407b1ce6e93
 	y := r.Uint64()
-	c := &Rand{}
+	var c Rand
 	z := x
 	c.s0 = splitmix64(&z)
 	c.s1 = splitmix64(&z)
@@ -87,11 +92,14 @@ func (r *Rand) Split() *Rand {
 // parent's state and on i — never on goroutine scheduling — which is the
 // property the sharded round engine's determinism contract is built on:
 // shard i always receives the same stream no matter how many workers
-// consume the shards.
+// consume the shards. The children share one backing array (two
+// allocations, not n + 1: the event runtime splits one stream per node).
 func (r *Rand) SplitN(n int) []*Rand {
+	kids := make([]Rand, n)
 	out := make([]*Rand, n)
 	for i := range out {
-		out[i] = r.Split()
+		kids[i] = r.split()
+		out[i] = &kids[i]
 	}
 	return out
 }

@@ -325,4 +325,8 @@ func TestSplitNSequentialEquivalence(t *testing.T) {
 	if a.Uint64() != b.Uint64() {
 		t.Fatal("SplitN left parent in a different state than sequential splits")
 	}
+	// One backing array for the children, one for the pointers.
+	if allocs := testing.AllocsPerRun(10, func() { a.SplitN(1000) }); allocs > 2 {
+		t.Fatalf("SplitN(1000) made %.0f allocations, want <= 2", allocs)
+	}
 }

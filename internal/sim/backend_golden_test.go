@@ -115,6 +115,43 @@ func TestBackendRunGoldens(t *testing.T) {
 	}
 }
 
+// TestBackendDensePhaseShardedShortRows arms the dense phase from round 1
+// on a 6144-cycle, so four workers sample the complement views (rank,
+// selectClear) of rows on every rung of the sparse ladder while it is being
+// climbed: neighbor-list rows sorted on demand into per-call stack buffers,
+// then sorted copies from 128 entries, then bitsets from 6144/32 = 192. The
+// goldens above never get here — at n <= 1024 a row is a bitset long before
+// the dense phase starts. Result and delta stream must match the dense
+// backend, and CI's race job must see no shared scratch.
+func TestBackendDensePhaseShardedShortRows(t *testing.T) {
+	const n = 6144
+	run := func(b graph.Backend) (Result, uint64, *graph.Undirected) {
+		g := gen.Cycle(n, b)
+		dh := newDeltaHash()
+		res := Run(g, core.Push{}, rng.New(77), Config{
+			Workers:       4,
+			DensePhase:    1,
+			MaxRounds:     100,
+			DeltaObserver: dh.observe,
+		})
+		return res, dh.h, g
+	}
+	wantRes, wantHash, gd := run(graph.BackendDense)
+	res, h, gs := run(graph.BackendSparse)
+	if res != wantRes || h != wantHash {
+		t.Fatalf("sparse diverged from dense:\n dense:  %+v %x\n sparse: %+v %x", wantRes, wantHash, res, h)
+	}
+	gs.CheckInvariants()
+	if !gs.Equal(gd) {
+		t.Fatal("final graphs differ")
+	}
+	// Rows start at 2 entries and gain ~2 per dense round: by the end every
+	// row must have left the list form and some must be bitsets.
+	if lo, hi := gs.MinDegree(), gs.MaxDegree(); lo < 128 || hi < 192 {
+		t.Fatalf("final degrees [%d, %d]: rows did not climb past 128 and 192", lo, hi)
+	}
+}
+
 // runDirectedFingerprint is the directed analogue of runFingerprint.
 func runDirectedFingerprint(b graph.Backend, n, workers int, densePhase float64) (DirectedResult, uint64) {
 	g := gen.RandomStronglyConnected(n, n/2, rng.New(uint64(7000+n)), b)

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"gossipdisc/internal/bitset"
 	"gossipdisc/internal/core"
@@ -362,7 +361,7 @@ func (s *DirectedSession) denseAct(lo, hi int, r *rng.Rand, propose func(a, b in
 		t := r.Intn(tot)
 		var u int
 		if prefix != nil {
-			i := sort.Search(width, func(i int) bool { return prefix[i+1] > t })
+			i := prefixOwner(prefix, t)
 			u = lo + i
 			t -= prefix[i]
 		} else {
