@@ -304,6 +304,29 @@ func TestCrashedFiltersDeadNodes(t *testing.T) {
 	}
 }
 
+// TestCrashedPushActDoesNotAllocate pins the cost of the churn runtime's
+// process — Crashed over Push, one activation per member per round: the
+// liveness filter must not cost a heap allocation per activation.
+func TestCrashedPushActDoesNotAllocate(t *testing.T) {
+	g := gen.Cycle(16)
+	alive := make([]bool, 16)
+	for i := range alive {
+		alive[i] = i%5 != 0
+	}
+	var p Process = Crashed{Inner: Push{}, Alive: alive}
+	r := rng.New(15)
+	proposals := 0
+	propose := func(a, b int) { proposals++ }
+	allocs := testing.AllocsPerRun(100, func() {
+		for u := 0; u < 16; u++ {
+			p.Act(g, u, r, propose)
+		}
+	})
+	if allocs != 0 || proposals == 0 {
+		t.Fatalf("16 activations: %v allocations, %d proposals; want 0 allocations and some proposals", allocs, proposals)
+	}
+}
+
 // probeAll proposes one edge to every other pair (u, x) to exercise filters.
 type probeAll struct{}
 

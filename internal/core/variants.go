@@ -105,6 +105,18 @@ func (c Crashed) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b 
 	if !c.Alive[u] {
 		return
 	}
+	if push, ok := c.Inner.(Push); ok {
+		// The churn runtime's process, once per member per round. Called on
+		// the concrete type, Push.Act inlines and this literal stays on the
+		// stack; the one below escapes through the interface call and costs
+		// a heap allocation per activation.
+		push.Act(g, u, r, func(a, b int) {
+			if c.Alive[a] && c.Alive[b] {
+				propose(a, b)
+			}
+		})
+		return
+	}
 	c.Inner.Act(g, u, r, func(a, b int) {
 		if c.Alive[a] && c.Alive[b] {
 			propose(a, b)

@@ -8,12 +8,14 @@
 // gossip literature studies (fast/slow/mobile nodes, rate allocation under
 // a total budget, age-of-information staleness after Bastopcu et al., see
 // PAPERS.md): this package makes the schedule itself first-class. Pending
-// activations live in an indexed min-heap keyed by (time, node) —
+// activations live in a calendar queue that pops in (time, node) order —
 // continuous event times with the node id as the deterministic tie-break —
 // and each node's exponential inter-activation gaps — and its action
 // randomness — are drawn from the node's own split generator stream, so no
 // node ever consumes another node's draws and a run is a pure function of
 // (seed, rates): bit-replayable for any GOMAXPROCS setting and under -race.
+// The queue's bucket width is derived from the rates and changes speed,
+// never order (queue.go).
 //
 // # Time, rounds, and the session contract
 //
@@ -130,7 +132,7 @@ type Session struct {
 	// process randomness, so the activation sequence and every action are
 	// functions of (seed, rates) alone.
 	streams []*rng.Rand
-	heap    *pending
+	queue   *pending
 
 	// Age-of-information state, maintained at exact event times.
 	lastUpdate  []float64
@@ -226,10 +228,10 @@ func (s *Session) start() {
 		return
 	}
 	s.streams = s.r.SplitN(s.n)
-	s.heap = newPending(s.n)
+	s.queue = newPending(s.n, s.rates.TotalRate())
 	for u := 0; u < s.n; u++ {
 		if rate := s.rates.Rate(u); rate > 0 {
-			s.heap.push(int32(u), s.streams[u].Exp()/rate)
+			s.queue.push(int32(u), s.streams[u].Exp()/rate)
 		}
 	}
 	s.lastUpdate = make([]float64, s.n)
@@ -301,14 +303,14 @@ func (s *Session) step() bool {
 	}
 	target := float64(s.rounds + 1)
 	for {
-		if s.heap.Len() == 0 {
+		if s.queue.Len() == 0 {
 			// No node has a positive rate: the run can never progress.
 			s.finished = true
 			s.res.Stalled = true
 			s.flushPartial()
 			return false
 		}
-		u, t := s.heap.top()
+		u, t := s.queue.top()
 		if t > target {
 			break
 		}
@@ -328,7 +330,7 @@ func (s *Session) step() bool {
 		s.p.Act(s.g, int(u), s.streams[u], s.propose)
 		// The clock draw follows the action draw on the same per-node
 		// stream; the next gap depends only on u's stream and u's rate.
-		s.heap.replaceTop(t + s.streams[u].Exp()/s.rates.Rate(int(u)))
+		s.queue.replaceTop(t + s.streams[u].Exp()/s.rates.Rate(int(u)))
 		if s.res.NewEdges > prevEdges && s.done(s.g) {
 			s.res.Converged = true
 			s.finished = true
@@ -478,12 +480,15 @@ func (s *Session) reschedule(u int) {
 	if !s.started {
 		return // start() schedules from the map's then-current rates
 	}
+	// The bucket width follows the total rate; inside its band this is a
+	// comparison, so a class retune re-files once and a node retune rarely.
+	s.queue.tune(s.rates.TotalRate())
 	rate := s.rates.Rate(u)
 	if rate <= 0 {
-		s.heap.remove(int32(u))
+		s.queue.remove(int32(u))
 		return
 	}
-	s.heap.update(int32(u), s.now+s.streams[u].Exp()/rate)
+	s.queue.update(int32(u), s.now+s.streams[u].Exp()/rate)
 	if s.finished && s.res.Stalled {
 		s.finished = false
 		s.res.Stalled = false

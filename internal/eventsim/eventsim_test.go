@@ -332,7 +332,7 @@ func TestEventAoIAccounting(t *testing.T) {
 // same homogeneous Poisson model, so their mean parallel-round convergence
 // times must agree up to a small constant (the documented shift comes from
 // tick's exactly-n-activations-per-round vs event's Poisson(n)). CI runs
-// this under -race next to the heap fuzz smoke.
+// this under -race next to the queue fuzz smoke.
 func TestEventVsTickUniform(t *testing.T) {
 	const trials = 12
 	for _, n := range []int{32, 64} {

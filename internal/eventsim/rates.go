@@ -28,6 +28,7 @@ type RateMap struct {
 	classRate []float64
 	byName    map[string]int
 	def       float64
+	total     float64 // running Σ rates, kept by every mutator
 }
 
 // NewRateMap returns a map assigning every one of the n nodes the default
@@ -47,6 +48,7 @@ func NewRateMap(n int, def float64) *RateMap {
 	for i := range m.rates {
 		m.rates[i] = def
 		m.classOf[i] = -1
+		m.total += def
 	}
 	return m
 }
@@ -69,14 +71,11 @@ func (m *RateMap) N() int { return len(m.rates) }
 func (m *RateMap) Rate(u int) float64 { return m.rates[u] }
 
 // TotalRate returns the sum of all node rates — the expected number of
-// activations per unit of simulated time. O(n).
-func (m *RateMap) TotalRate() float64 {
-	s := 0.0
-	for _, r := range m.rates {
-		s += r
-	}
-	return s
-}
+// activations per unit of simulated time. O(1): a running sum, which
+// SetNodeRate and AssignClass adjust by the difference and SetClassRate
+// re-adds from scratch, so it can differ from a fresh summation in the last
+// bits. The session derives its queue's bucket width from it.
+func (m *RateMap) TotalRate() float64 { return m.total }
 
 // DefineClass registers a named rate class. It panics if the name is empty,
 // already defined, or the rate invalid.
@@ -105,6 +104,7 @@ func (m *RateMap) AssignClass(name string, lo, hi int) {
 	}
 	for u := lo; u < hi; u++ {
 		m.classOf[u] = int32(c)
+		m.total += m.classRate[c] - m.rates[u]
 		m.rates[u] = m.classRate[c]
 	}
 }
@@ -113,6 +113,7 @@ func (m *RateMap) AssignClass(name string, lo, hi int) {
 func (m *RateMap) SetNodeRate(u int, rate float64) {
 	validRate(rate, fmt.Sprintf("node %d", u))
 	m.classOf[u] = -1
+	m.total += rate - m.rates[u]
 	m.rates[u] = rate
 }
 
@@ -136,11 +137,13 @@ func (m *RateMap) SetClassRate(name string, rate float64) []int {
 	validRate(rate, "class "+name)
 	m.classRate[c] = rate
 	var members []int
+	m.total = 0
 	for u := range m.classOf {
 		if m.classOf[u] == int32(c) {
 			m.rates[u] = rate
 			members = append(members, u)
 		}
+		m.total += m.rates[u]
 	}
 	return members
 }

@@ -19,11 +19,15 @@ func TestRateMapOps(t *testing.T) {
 	if m.ClassRate("fast") != 4 {
 		t.Fatalf("ClassRate = %v", m.ClassRate("fast"))
 	}
+	// TotalRate is a running sum: every mutator must keep it.
+	if m.TotalRate() != 4*4+6*0.5 {
+		t.Fatalf("TotalRate after AssignClass = %v, want 19", m.TotalRate())
+	}
 
 	// A per-node override detaches the node from its class...
 	m.SetNodeRate(2, 9)
-	if m.Rate(2) != 9 {
-		t.Fatalf("override: %v", m.Rate(2))
+	if m.Rate(2) != 9 || m.TotalRate() != 3*4+9+6*0.5 {
+		t.Fatalf("override: rate %v, total %v", m.Rate(2), m.TotalRate())
 	}
 	// ...so retuning the class changes exactly the remaining members.
 	members := m.SetClassRate("fast", 8)
@@ -35,8 +39,8 @@ func TestRateMapOps(t *testing.T) {
 			t.Fatalf("member %d at rate %v after SetClassRate", u, m.Rate(u))
 		}
 	}
-	if m.Rate(2) != 9 {
-		t.Fatalf("override lost on SetClassRate: %v", m.Rate(2))
+	if m.Rate(2) != 9 || m.TotalRate() != 3*8+9+6*0.5 {
+		t.Fatalf("after SetClassRate: override %v, total %v", m.Rate(2), m.TotalRate())
 	}
 
 	if got := m.Classes(); len(got) != 1 || got[0] != "fast" {

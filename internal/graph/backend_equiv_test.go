@@ -193,10 +193,11 @@ func TestRowStoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestRowStorePromotionBoundary walks a single row up the whole ladder one
-// insert at a time, checking every view at every size and that each rung is
-// taken exactly at its threshold: list below shortRow, sorted from shortRow,
-// bitset from promoteAt.
+// TestRowStorePromotionBoundary walks two rows up the whole ladder one
+// insert at a time — row 0 through insert, row 1 through insertAbsent only,
+// the mirror half of a symmetric insert — checking every view at every size
+// and that each rung is taken exactly at its threshold: list below shortRow,
+// sorted from shortRow, bitset from promoteAt.
 func TestRowStorePromotionBoundary(t *testing.T) {
 	const n = ladderN
 	p := newStorePair(t, n)
@@ -211,16 +212,23 @@ func TestRowStorePromotionBoundary(t *testing.T) {
 			v = r.Intn(n)
 		}
 		p.insert(0, v)
+		if !p.dense.insert(1, v) {
+			t.Fatalf("rows 0 and 1 diverged: %d already in row 1", v)
+		}
+		sp.insertAbsent(1, v)
+		p.lists[1] = append(p.lists[1], int32(v))
 		want := "list"
 		if size >= sp.promoteAt {
 			want = "bitset"
 		} else if size >= shortRow {
 			want = "sorted"
 		}
-		if got := sparseForm(p.sparse, 0); got != want {
-			t.Fatalf("at %d entries: row is a %s, want %s", size, got, want)
+		for u := 0; u < 2; u++ {
+			if got := sparseForm(p.sparse, u); got != want {
+				t.Fatalf("at %d entries: row %d is a %s, want %s", size, u, got, want)
+			}
+			p.checkRow(u, r, nil)
 		}
-		p.checkRow(0, r, nil)
 	}
 }
 

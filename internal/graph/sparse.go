@@ -165,6 +165,16 @@ func (s *sparseRows) insert(u, v int) bool {
 	return true
 }
 
+// insertAbsent is insert(u, v) for a v the caller knows is not in row u —
+// the mirror half of a symmetric insert whose first half was accepted — so a
+// short row that stays short skips the scan of its list.
+func (s *sparseRows) insertAbsent(u, v int) {
+	if s.rows[u] == nil && len(s.lists[u])+1 < min(shortRow, s.promoteAt) {
+		return // the graph's append is the insert
+	}
+	s.insert(u, v)
+}
+
 func (s *sparseRows) count(u int) int {
 	r := s.rows[u]
 	switch {

@@ -115,7 +115,12 @@ func (g *Undirected) AddEdge(u, v int) bool {
 	if u == v || !g.rows.insert(u, v) {
 		return false
 	}
-	g.rows.insert(v, u)
+	// By symmetry u is known absent from row v.
+	if sr, ok := g.rows.(*sparseRows); ok {
+		sr.insertAbsent(v, u)
+	} else {
+		g.rows.insert(v, u)
+	}
 	g.adj[u] = append(g.adj[u], int32(v))
 	g.adj[v] = append(g.adj[v], int32(u))
 	g.m++
@@ -144,9 +149,9 @@ func (g *Undirected) AddEdges(edges []Edge) int {
 // sequence of the per-edge path. A stable counting-sort row grouping of the
 // batch was benchmarked here and lost 2–4× across every regime — gossip
 // proposals have no row locality, so sorting costs more than the matrix
-// accesses it saves (see DESIGN.md "Word-level batched commits"). Other
-// backends go through the store's fused insert; accepted lists and final
-// state are identical either way.
+// accesses it saves (see DESIGN.md "Word-level batched commits"). The
+// sparse backend goes through its store's fused insert; accepted lists and
+// final state are identical either way.
 //
 // Pass a reused buffer (resliced to [:0]) to keep the commit
 // allocation-free in steady state.
@@ -177,6 +182,9 @@ func (g *Undirected) AddEdgesGrouped(edges []Edge, accepted []Edge) []Edge {
 		g.m += added
 		return accepted
 	}
+	// The sparse store, devirtualized like the dense one: by symmetry the
+	// mirror half of an accepted insert is known absent from its row.
+	sr := g.rows.(*sparseRows)
 	for _, e := range edges {
 		u, v := e.U, e.V
 		if uint(u) >= uint(n) || uint(v) >= uint(n) {
@@ -185,10 +193,10 @@ func (g *Undirected) AddEdgesGrouped(edges []Edge, accepted []Edge) []Edge {
 		if u == v {
 			continue
 		}
-		if !g.rows.insert(u, v) {
+		if !sr.insert(u, v) {
 			continue
 		}
-		g.rows.insert(v, u)
+		sr.insertAbsent(v, u)
 		adj[u] = append(adj[u], int32(v))
 		adj[v] = append(adj[v], int32(u))
 		accepted = append(accepted, e.Norm())

@@ -455,16 +455,23 @@ func TestScenarioReplayByteIdentical(t *testing.T) {
 	run := func() (string, Stats) {
 		nw := New(n, Config{Seed: 99, Scenario: scn})
 		defer nw.Close()
-		var trace strings.Builder
+		// Handlers run on the pool's goroutines, in scheduler order: each
+		// node writes its own trace, and the traces are joined in node
+		// order once the run is over.
+		traces := make([]strings.Builder, n)
 		handlers := make([]Handler, n)
 		for i := 0; i < n; i++ {
 			i := i
 			handlers[i] = handlerFunc(func(round int, inbox []Message, r *rng.Rand) []Message {
-				fmt.Fprintf(&trace, "r%d u%d %v\n", round, i, inbox)
+				fmt.Fprintf(&traces[i], "r%d u%d %v\n", round, i, inbox)
 				return []Message{{From: i, To: r.Intn(n), Kind: KindIntroduce, Payload: i}}
 			})
 		}
 		nw.Run(handlers, rounds, nil)
+		var trace strings.Builder
+		for i := range traces {
+			trace.WriteString(traces[i].String())
+		}
 		return trace.String(), nw.Stats()
 	}
 	t1, s1 := run()
