@@ -27,6 +27,7 @@ import (
 	"gossipdisc/internal/experiments"
 	"gossipdisc/internal/export"
 	"gossipdisc/internal/graph"
+	"gossipdisc/internal/profile"
 	"gossipdisc/internal/sim"
 )
 
@@ -46,7 +47,9 @@ func main() {
 		outDir         = flag.String("out", "", "also write each experiment's output to <out>/E<k>.txt (or .csv)")
 		metricsAddr    = flag.String("metrics-addr", "", "serve Prometheus text-format harness-progress metrics at this host:port while the selection runs")
 		list           = flag.Bool("list", false, "list experiments and exit")
+		prof           profile.Flags
 	)
+	prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -59,12 +62,23 @@ func main() {
 	opts := &options{
 		workers: *workers, trialsParallel: *trialsParallel,
 		backend: *backendName, sched: *sched, rates: *ratesSpec, roles: *rolesSpec,
-		metricsAddr: *metricsAddr,
+		metricsAddr: *metricsAddr, profile: prof,
 	}
 	if err := opts.validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
+	stopProfile, err := prof.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			os.Exit(1)
+		}
+	}()
 
 	// -metrics-addr serves harness-progress gauges over the whole selection:
 	// experiments run as black boxes (each owns its sessions), so the

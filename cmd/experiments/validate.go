@@ -8,6 +8,7 @@ import (
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/eventsim"
 	"gossipdisc/internal/graph"
+	"gossipdisc/internal/profile"
 )
 
 // options collects every flag value the experiments command accepts, so
@@ -24,6 +25,7 @@ type options struct {
 	rates          string
 	roles          string
 	metricsAddr    string
+	profile        profile.Flags
 }
 
 // validateMetricsAddr checks a -metrics-addr value exactly as gossipsim
@@ -90,5 +92,8 @@ func (o *options) validate() error {
 			return fmt.Errorf("-roles: %w", err)
 		}
 	}
-	return validateMetricsAddr(o.metricsAddr)
+	if err := validateMetricsAddr(o.metricsAddr); err != nil {
+		return err
+	}
+	return o.profile.Validate()
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"gossipdisc/internal/profile"
 )
 
 // good returns a fully valid option set; cases mutate one field at a time.
@@ -33,7 +35,9 @@ func TestValidateOptions(t *testing.T) {
 		{"roles eavesdroppers", func(o *options) { o.roles = "eavesdropper=8" }, ""},
 		{"metrics addr host:port", func(o *options) { o.metricsAddr = "localhost:9090" }, ""},
 		{"metrics addr bare port", func(o *options) { o.metricsAddr = ":8080" }, ""},
+		{"profiles to two files", func(o *options) { o.profile = profile.Flags{CPU: "cpu.prof", Mem: "mem.prof"} }, ""},
 
+		{"profiles to one file", func(o *options) { o.profile = profile.Flags{CPU: "p.prof", Mem: "p.prof"} }, "-memprofile"},
 		{"workers below sentinel", func(o *options) { o.workers = "-2" }, "-workers"},
 		{"workers gibberish", func(o *options) { o.workers = "many" }, "-workers"},
 		{"workers empty", func(o *options) { o.workers = "" }, "-workers"},

@@ -23,6 +23,7 @@ import (
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/metrics"
 	"gossipdisc/internal/netsim"
+	"gossipdisc/internal/profile"
 	"gossipdisc/internal/protocol"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
@@ -52,7 +53,9 @@ func main() {
 		metricsAddr  = flag.String("metrics-addr", "", "serve Prometheus text-format metrics at this host:port for the duration of the run (trial 0 carries the analyzer pack; attaching does not change results)")
 		snapshotFmt  = flag.String("snapshot", "none", "print a topology snapshot of trial 0's final contact graph: dot | mermaid | none")
 		list         = flag.Bool("list", false, "list workload families and exit")
+		prof         profile.Flags
 	)
+	prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -71,11 +74,22 @@ func main() {
 		rounds: *roundsBudget, traceAt: *traceAt, fail: *failProb, dense: *dense,
 		scenario: *scenarioPath, backend: *backendName,
 		sched: *sched, rates: *ratesSpec, roles: *rolesSpec,
-		metricsAddr: *metricsAddr, snapshot: *snapshotFmt,
+		metricsAddr: *metricsAddr, snapshot: *snapshotFmt, profile: prof,
 	}
 	if err := opts.validate(); err != nil {
 		fatalf("%v", err)
 	}
+	// Registered first, so it runs last: the profiles cover everything the
+	// run defers (observer teardown, the stepped trajectory table).
+	stopProfile, err := prof.Start()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fatalf("%v", err)
+		}
+	}()
 	backend, _ := graph.ParseBackend(*backendName)
 	obs := newObservability(*metricsAddr, *snapshotFmt)
 

@@ -8,6 +8,7 @@ import (
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/eventsim"
 	"gossipdisc/internal/graph"
+	"gossipdisc/internal/profile"
 )
 
 // options collects every flag value gossipsim accepts, so input validation
@@ -38,6 +39,7 @@ type options struct {
 
 	metricsAddr string
 	snapshot    string
+	profile     profile.Flags
 }
 
 // validateMetricsAddr checks a -metrics-addr value: empty disables the
@@ -149,6 +151,9 @@ func (o *options) validate() error {
 		return fmt.Errorf("-dense cannot be combined with -fail: dense rounds sample missing edges directly and bypass the process (and its failure model)")
 	}
 	if err := validateMetricsAddr(o.metricsAddr); err != nil {
+		return err
+	}
+	if err := o.profile.Validate(); err != nil {
 		return err
 	}
 	switch o.snapshot {

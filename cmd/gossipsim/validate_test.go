@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"gossipdisc/internal/profile"
 )
 
 // good returns a fully valid option set; cases mutate one field at a time.
@@ -32,7 +34,9 @@ func TestValidateOptions(t *testing.T) {
 		{"n of one", func(o *options) { o.n = 1 }, ""},
 		{"backend sparse", func(o *options) { o.backend = "sparse" }, ""},
 		{"backend auto", func(o *options) { o.backend = "auto" }, ""},
+		{"profiles to two files", func(o *options) { o.profile = profile.Flags{CPU: "cpu.prof", Mem: "mem.prof"} }, ""},
 
+		{"profiles to one file", func(o *options) { o.profile = profile.Flags{CPU: "p.prof", Mem: "p.prof"} }, "-memprofile"},
 		{"unknown process", func(o *options) { o.process = "teleport" }, "-process"},
 		{"unknown backend", func(o *options) { o.backend = "hologram" }, "-backend"},
 		{"empty backend", func(o *options) { o.backend = "" }, "-backend"},

@@ -152,8 +152,8 @@ const (
 // sampling draws from backend-independent adjacency lists, so simulation
 // results are byte-identical across backends — pick by memory footprint.
 const (
-	// BackendDense keeps an n-bit bitset row per node (O(n²) bits) — the
-	// golden reference, right up to a few thousand nodes.
+	// BackendDense keeps an n-bit row per node in one flat bit matrix (O(n²)
+	// bits) — the golden reference, right up to a few thousand nodes.
 	BackendDense = graph.BackendDense
 	// BackendSparse reads short rows straight from the adjacency lists and
 	// keeps sorted rows promoting to bitsets past a density threshold (O(m)

@@ -4,8 +4,10 @@
 // computations on directed graphs, where an n×n boolean matrix stored as n
 // bitsets supports the union-heavy inner loops of BFS-based closure with
 // word-level parallelism. The OrWord primitive additionally exposes a fused
-// word-level test-and-set, which the graph commit paths use to insert a
-// proposal and learn whether it was new in a single load/store.
+// word-level test-and-set, which the graph's per-edge inserts and promoted
+// sparse rows use to insert an entry and learn whether it was new in a
+// single load/store; View lays a set over words the caller owns, which is
+// how the dense graph backend keeps all its rows in one slab.
 package bitset
 
 import (
@@ -28,6 +30,22 @@ func New(n int) *Set {
 		panic("bitset: negative size")
 	}
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
+}
+
+// View returns a set over the universe [0, n) whose bits live in words,
+// which the caller owns: the set neither copies nor grows them. It is how
+// one flat slab backs every row of a bit matrix (graph's dense rows) —
+// pass a three-index slice so that no operation on one view can reach its
+// neighbor's words. It panics unless len(words) is exactly the ⌈n/64⌉ words
+// New(n) would allocate.
+func View(words []uint64, n int) Set {
+	if n < 0 {
+		panic("bitset: negative size")
+	}
+	if want := (n + wordBits - 1) / wordBits; len(words) != want {
+		panic(fmt.Sprintf("bitset: view of %d bits over %d words, want %d", n, len(words), want))
+	}
+	return Set{words: words, n: n}
 }
 
 // Len returns the capacity (universe size) of the set.
@@ -59,7 +77,7 @@ func (s *Set) Test(i int) bool {
 
 // OrWord ors mask into the wi-th 64-bit word (bit j of the word is bit
 // wi*64+j of the set) and returns the bits that were newly set (mask &^
-// old). This is the graph commit paths' fused test-and-set: one load/store
+// old). This is the graph row stores' fused test-and-set: one load/store
 // answers "was this bit set?" and sets it, where Test+Set would cost two.
 // Callers must not set bits at or beyond Len(); doing so corrupts Count and
 // iteration.

@@ -186,6 +186,45 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestView: a view reads and writes the caller's words, behaves as a New(n)
+// set over them, and is refused over a word slice of any other length.
+func TestView(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		words := make([]uint64, (n+63)/64)
+		v := View(words, n)
+		ref := New(n)
+		for i := 0; i < n; i += 3 {
+			v.Set(i)
+			ref.Set(i)
+		}
+		if !v.Equal(ref) || v.Len() != n || v.Count() != ref.Count() {
+			t.Fatalf("n=%d: view %v, want %v", n, &v, ref)
+		}
+		if n > 0 && words[0]&1 == 0 {
+			t.Fatalf("n=%d: Set(0) on the view did not reach the caller's words", n)
+		}
+		if c := v.Clone(); n > 0 {
+			c.Clear(0)
+			if !v.Test(0) {
+				t.Fatalf("n=%d: clone of a view aliased the viewed words", n)
+			}
+		}
+		for _, bad := range []int{len(words) - 1, len(words) + 1} {
+			if bad < 0 {
+				continue
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("View(%d words, %d bits) did not panic", bad, n)
+					}
+				}()
+				View(make([]uint64, bad), n)
+			}()
+		}
+	}
+}
+
 func TestString(t *testing.T) {
 	s := New(10)
 	if s.String() != "{}" {

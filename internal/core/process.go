@@ -55,6 +55,36 @@ func (Push) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b int))
 	}
 }
 
+// actBlock is how many consecutive nodes ActRange draws for before it reads
+// their neighbor lists. Throughput is flat from 16 to 256 (DESIGN.md "The
+// push round in blocks"), so it is the sharded engine's shard width
+// (sim.shardNodes): a shard is exactly one block, and the two index
+// buffers are 256 bytes of stack.
+const actBlock = 32
+
+// ActRange performs Act for every node of [lo, hi) in increasing order on
+// the one stream r, appending the proposals to edges and returning the
+// grown slice — the same proposals in the same order, and r left in the
+// same state, as hi-lo calls of Act whose propose appends {a, b}
+// (TestPushActRangeMatchesAct). Act stays the definition; this is the form
+// the synchronous round engines call on a bare Push, because a block at a
+// time the neighbor-list reads of different nodes overlap (see
+// graph.Undirected.RandomNeighborPairs). It panics like Act on a node
+// outside the graph.
+func (Push) ActRange(g *graph.Undirected, lo, hi int, r *rng.Rand, edges []graph.Edge) []graph.Edge {
+	var vs, ws [actBlock]int32
+	for ; lo < hi; lo += actBlock {
+		b := min(actBlock, hi-lo)
+		g.RandomNeighborPairs(lo, r, vs[:b], ws[:b])
+		for k, v := range vs[:b] {
+			if w := ws[k]; v >= 0 && v != w {
+				edges = append(edges, graph.Edge{U: int(v), V: int(w)})
+			}
+		}
+	}
+	return edges
+}
+
 // Pull is the two-hop walk (pull discovery) process: each round every node u
 // contacts a uniform neighbor v, receives the identity of a uniform neighbor
 // w of v, and proposes the edge {u, w}. If w == u (the walk returned), no

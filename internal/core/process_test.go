@@ -36,6 +36,76 @@ func TestPushProposesPairsOfNeighbors(t *testing.T) {
 	}
 }
 
+// TestPushActRangeMatchesAct holds the block form to its definition: over
+// any range, ActRange appends exactly what per-node Act proposes, in order,
+// and leaves the stream in the same state. The graph has isolated nodes at
+// both ends of every range tried (lo = 3 and lo+width-1 for each width) and
+// inside them, and degrees on both sides of 1; widths straddle the 32-node
+// block.
+func TestPushActRangeMatchesAct(t *testing.T) {
+	const n = 140
+	isolated := map[int]bool{0: true, 3: true, 20: true, 33: true, 34: true, 35: true, 102: true, n - 1: true}
+	for _, b := range []graph.Backend{graph.BackendDense, graph.BackendSparse} {
+		g := graph.NewUndirectedOn(n, b)
+		build := rng.New(7)
+		for k := 0; k < 4*n; k++ {
+			if u, v := build.Intn(n), build.Intn(n); !isolated[u] && !isolated[v] {
+				g.AddEdge(u, v)
+			}
+		}
+		for u := range isolated {
+			if g.Degree(u) != 0 {
+				t.Fatalf("node %d should be isolated", u)
+			}
+		}
+		ranges := [][2]int{{0, n}, {0, 0}, {n, n}}
+		for _, width := range []int{1, 31, 32, 33, 100} {
+			ranges = append(ranges, [2]int{3, 3 + width})
+		}
+		for _, rg := range ranges {
+			lo, hi := rg[0], rg[1]
+			a := rng.New(uint64(hi))
+			c := *a
+			var want []graph.Edge
+			for u := lo; u < hi; u++ {
+				want = append(want, collect(Push{}, g, u, a)...)
+			}
+			prefix := []graph.Edge{{U: -5, V: -6}} // ActRange appends; it does not overwrite
+			got := Push{}.ActRange(g, lo, hi, &c, prefix)
+			if len(got) != 1+len(want) || got[0] != prefix[0] {
+				t.Fatalf("%v [%d,%d): %d proposals after the prefix, want %d", b, lo, hi, len(got)-1, len(want))
+			}
+			for i, e := range want {
+				if got[1+i] != e {
+					t.Fatalf("%v [%d,%d): proposal %d is %v, per-node Act proposed %v", b, lo, hi, i, got[1+i], e)
+				}
+			}
+			if *a != c {
+				t.Fatalf("%v [%d,%d): stream state differs from the per-node loop's", b, lo, hi)
+			}
+			if hi-lo > 1 && len(want) == 0 {
+				t.Fatalf("%v [%d,%d): nothing proposed, so nothing compared", b, lo, hi)
+			}
+		}
+		// A node outside the graph panics as it does under Act.
+		wantPanic := func(u int) (msg any) {
+			defer func() { msg = recover() }()
+			Push{}.Act(g, u, rng.New(1), func(int, int) {})
+			return nil
+		}
+		for _, bad := range []struct{ lo, hi, node int }{{-1, 5, -1}, {n - 2, n + 1, n}, {n, n + 1, n}} {
+			func() {
+				defer func() {
+					if got, want := recover(), wantPanic(bad.node); got == nil || got != want {
+						t.Fatalf("%v ActRange(%d, %d) panicked with %v, Act(%d) with %v", b, bad.lo, bad.hi, got, bad.node, want)
+					}
+				}()
+				Push{}.ActRange(g, bad.lo, bad.hi, rng.New(1), nil)
+			}()
+		}
+	}
+}
+
 func TestPushSelfPairProposesNothing(t *testing.T) {
 	// A leaf has exactly one neighbor: both samples coincide, no proposal.
 	g := gen.Star(5)

@@ -16,9 +16,10 @@ import (
 type Backend uint8
 
 const (
-	// BackendDense stores one n-bit bitset row per node: O(n²) bits total,
-	// O(1) membership, O(n/64) complement rank/select. The golden reference
-	// backend; right up to a few thousand nodes.
+	// BackendDense stores one n-bit row per node in a single flat bit
+	// matrix: O(n²) bits total, O(1) membership, O(n/64) complement
+	// rank/select. The golden reference backend; right up to a few thousand
+	// nodes.
 	BackendDense Backend = iota
 
 	// BackendSparse stores nothing for a row of fewer than 128 entries —
@@ -147,16 +148,27 @@ func newRowStore(n int, b Backend, lists [][]int32) rowStore {
 	}
 }
 
-// denseRows is the golden reference store: one n-bit bitset per row.
+// denseRows is the golden reference store: one flat bit matrix. slab holds
+// n rows of stride = ⌈n/64⌉ words each, row u at slab[u*stride:(u+1)*stride],
+// so bit v of row u is bit v&63 of slab[u*stride+v>>6] — the one dependent
+// load the grouped commit loops (AddEdgesGrouped, AddArcsGrouped) make per
+// test. rows[u] is a cap-limited bitset view over row u's words: the same
+// bytes, for every whole-row operation. Nothing is allocated per row.
 type denseRows struct {
-	universe int
-	rows     []*bitset.Set
+	stride int
+	slab   []uint64
+	rows   []bitset.Set
 }
 
+// newDenseRows allocates the zeroed slab and lays the row views over it.
+// The views are three-index slices: a row cannot be resliced into the next
+// one.
 func newDenseRows(n int) *denseRows {
-	s := &denseRows{universe: n, rows: make([]*bitset.Set, n)}
-	for i := range s.rows {
-		s.rows[i] = bitset.New(n)
+	stride := (n + 63) / 64
+	s := &denseRows{stride: stride, slab: make([]uint64, n*stride), rows: make([]bitset.Set, n)}
+	for u := range s.rows {
+		lo, hi := u*stride, (u+1)*stride
+		s.rows[u] = bitset.View(s.slab[lo:hi:hi], n)
 	}
 	return s
 }
@@ -177,19 +189,17 @@ func (s *denseRows) forEachClear(u int, fn func(v int)) {
 }
 
 func (s *denseRows) diffCount(u int, target *bitset.Set) int {
-	return target.DiffCount(s.rows[u])
+	return target.DiffCount(&s.rows[u])
 }
 
 func (s *denseRows) selectDiff(u int, target *bitset.Set, k int) int {
-	return target.SelectDiff(s.rows[u], k)
+	return target.SelectDiff(&s.rows[u], k)
 }
 
-func (s *denseRows) row(u int) *bitset.Set { return s.rows[u] }
+func (s *denseRows) row(u int) *bitset.Set { return &s.rows[u] }
 
 func (s *denseRows) clone([][]int32) rowStore {
-	c := &denseRows{universe: s.universe, rows: make([]*bitset.Set, len(s.rows))}
-	for i, r := range s.rows {
-		c.rows[i] = r.Clone()
-	}
+	c := newDenseRows(len(s.rows))
+	copy(c.slab, s.slab)
 	return c
 }

@@ -104,10 +104,10 @@ func (g *Directed) AddArcs(arcs []Arc, accepted []Arc) []Arc {
 // graph, same out-list insertion order, same duplicate semantics — but
 // appends every newly inserted arc to accepted, returning the grown slice
 // in deterministic batch (commit) order; this list is the round's arc
-// delta. On the dense backend each proposal is applied to its tail row with
-// a single fused word-level OR (bitset.OrWord doubles as membership test
-// and insertion); other backends go through the store's fused insert with
-// identical accepted lists and final state. Pass a reused buffer (resliced
+// delta. On the dense backend each proposal is one test of its tail row's
+// bit on the flat bit matrix, and only an accepted arc stores; the sparse
+// backend goes through its store's fused insert with identical accepted
+// lists and final state. Pass a reused buffer (resliced
 // to [:0]) to keep the commit allocation-free in steady state. See
 // AddEdgesGrouped for why batch order beats counting-sort row grouping
 // here.
@@ -116,8 +116,8 @@ func (g *Directed) AddArcsGrouped(arcs []Arc, accepted []Arc) []Arc {
 	out := g.out
 	added := 0
 	if dr, ok := g.rows.(*denseRows); ok {
-		// Dense fast path: keep the fused word-level loop devirtualized.
-		mat := dr.rows
+		// Dense fast path: test-then-set straight on the slab.
+		slab, stride := dr.slab, dr.stride
 		for _, a := range arcs {
 			u, v := a.U, a.V
 			if uint(u) >= uint(n) || uint(v) >= uint(n) {
@@ -126,9 +126,11 @@ func (g *Directed) AddArcsGrouped(arcs []Arc, accepted []Arc) []Arc {
 			if u == v {
 				continue
 			}
-			if mat[u].OrWord(v>>6, 1<<(uint(v)&63)) == 0 {
+			wi, bit := u*stride+v>>6, uint64(1)<<(uint(v)&63)
+			if slab[wi]&bit != 0 {
 				continue
 			}
+			slab[wi] |= bit
 			out[u] = append(out[u], int32(v))
 			g.in[v]++
 			accepted = append(accepted, a)

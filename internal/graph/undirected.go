@@ -10,12 +10,12 @@
 //   - edge-membership tests: O(1) via per-node row sets.
 //
 // Row sets are pluggable (see Backend): the dense backend keeps an n-bit
-// bitset per node — the golden reference — while the sparse backend reads
-// short rows straight from the adjacency slices and keeps sorted rows that
-// promote to bitsets past a density threshold, taking graphs to n =
-// 100k–1M. All random sampling reads only the insertion-ordered adjacency
-// slices, which every backend maintains identically, so simulation results
-// are byte-identical across backends.
+// row per node in one flat bit matrix — the golden reference — while the
+// sparse backend reads short rows straight from the adjacency slices and
+// keeps sorted rows that promote to bitsets past a density threshold,
+// taking graphs to n = 100k–1M. All random sampling reads only the
+// insertion-ordered adjacency slices, which every backend maintains
+// identically, so simulation results are byte-identical across backends.
 //
 // Node identifiers are dense integers in [0, N()). Self-loops and parallel
 // edges are never stored; AddEdge reports whether an edge was new, which is
@@ -43,8 +43,10 @@ func (e Edge) Norm() Edge {
 }
 
 // Undirected is a simple undirected graph on nodes 0..n-1 supporting
-// edge insertion only (the discovery processes never delete edges; deletion
-// for churn experiments is handled by rebuilding, see RemoveNode).
+// edge insertion only: the discovery processes never delete edges, and
+// neither does churn — a departure is a membership change on the session
+// (sim.Session.RemoveNode), which leaves the departed node's edges in the
+// graph as stale entries in its neighbors' lists.
 type Undirected struct {
 	n    int
 	adj  [][]int32 // adjacency lists; adj[u] holds the neighbors of u
@@ -143,10 +145,12 @@ func (g *Undirected) AddEdges(edges []Edge) int {
 // accepted list is the round's edge delta, emitted in deterministic batch
 // (commit) order.
 //
-// On the dense backend each proposal is applied to its graph row with a
-// single fused word-level OR (bitset.OrWord): the returned new-bits mask is
-// both the membership test and the insertion, replacing the Test+Set+Set
-// sequence of the per-edge path. A stable counting-sort row grouping of the
+// On the dense backend each proposal is one test on the flat bit matrix —
+// slab[u*stride+v>>6], a single dependent load — and only an accepted edge
+// stores: its bit in row u, its mirror in row v. Near convergence almost
+// every proposal is a duplicate (94 % on the 2048-cycle run to K_n), and a
+// duplicate now leaves its cache line clean where the fused OR it replaces
+// wrote it back unchanged. A stable counting-sort row grouping of the
 // batch was benchmarked here and lost 2–4× across every regime — gossip
 // proposals have no row locality, so sorting costs more than the matrix
 // accesses it saves (see DESIGN.md "Word-level batched commits"). The
@@ -160,8 +164,8 @@ func (g *Undirected) AddEdgesGrouped(edges []Edge, accepted []Edge) []Edge {
 	adj := g.adj
 	added := 0
 	if dr, ok := g.rows.(*denseRows); ok {
-		// Dense fast path: keep the fused word-level loop devirtualized.
-		mat := dr.rows
+		// Dense fast path: test-then-set straight on the slab.
+		slab, stride := dr.slab, dr.stride
 		for _, e := range edges {
 			u, v := e.U, e.V
 			if uint(u) >= uint(n) || uint(v) >= uint(n) {
@@ -170,10 +174,12 @@ func (g *Undirected) AddEdgesGrouped(edges []Edge, accepted []Edge) []Edge {
 			if u == v {
 				continue
 			}
-			if mat[u].OrWord(v>>6, 1<<(uint(v)&63)) == 0 {
+			wi, bit := u*stride+v>>6, uint64(1)<<(uint(v)&63)
+			if slab[wi]&bit != 0 {
 				continue // already present, or a duplicate earlier in the batch
 			}
-			mat[v].OrWord(u>>6, 1<<(uint(u)&63))
+			slab[wi] |= bit
+			slab[v*stride+u>>6] |= 1 << (uint(u) & 63)
 			adj[u] = append(adj[u], int32(v))
 			adj[v] = append(adj[v], int32(u))
 			accepted = append(accepted, e.Norm())
@@ -247,6 +253,42 @@ func (g *Undirected) RandomNeighborPair(u int, r *rng.Rand) (int, int) {
 	}
 	i, j := r.Sample2(d)
 	return int(g.adj[u][i]), int(g.adj[u][j])
+}
+
+// RandomNeighborPairs is RandomNeighborPair for the block of consecutive
+// nodes lo, lo+1, …, lo+len(vs)-1 on the one stream r: node lo+k's pair
+// lands in vs[k], ws[k] (both -1 if it is isolated). len(ws) must be at
+// least len(vs). The values, and the state r is left in, are exactly those
+// of calling RandomNeighborPair on each node in increasing order
+// (TestRandomNeighborPairsMatchesPair); what differs is the order of the
+// memory reads. A pair draw needs only the length of a node's list, and
+// the list headers of consecutive nodes are consecutive memory — so the
+// first pass makes every node's draw, in node order, without touching a
+// list, and only the second reads the 2·len(vs) drawn entries, back to
+// back with nothing between them, so their cache misses overlap instead
+// of each waiting behind the next node's draw.
+func (g *Undirected) RandomNeighborPairs(lo int, r *rng.Rand, vs, ws []int32) {
+	if len(vs) == 0 {
+		return
+	}
+	g.checkNode(lo)
+	g.checkNode(lo + len(vs) - 1)
+	lists := g.adj[lo : lo+len(vs)]
+	ws = ws[:len(lists)]
+	for k, list := range lists {
+		if d := len(list); d == 0 {
+			vs[k], ws[k] = -1, -1
+		} else {
+			// A list holds distinct int32 nodes, so its indices fit too.
+			i, j := r.Sample2(d)
+			vs[k], ws[k] = int32(i), int32(j)
+		}
+	}
+	for k, list := range lists {
+		if i := vs[k]; i >= 0 {
+			vs[k], ws[k] = list[i], list[ws[k]]
+		}
+	}
 }
 
 // Neighbors appends the neighbors of u to dst and returns the result.

@@ -151,6 +151,50 @@ func TestRandomNeighborPairWithReplacement(t *testing.T) {
 	}
 }
 
+// TestRandomNeighborPairsMatchesPair: the block draw is the per-node draw —
+// same pairs, -1s for isolated nodes included, same stream state — at every
+// block position, and it checks both ends of the block against the graph.
+// (core's TestPushActRangeMatchesAct holds the act built on it to Push.Act.)
+func TestRandomNeighborPairsMatchesPair(t *testing.T) {
+	const n = 50
+	g := NewUndirected(n)
+	build := rng.New(3)
+	for k := 0; k < 3*n; k++ {
+		if u, v := build.Intn(n), build.Intn(n); u%9 != 0 && v%9 != 0 {
+			g.AddEdge(u, v) // nodes 0, 9, …, 45 stay isolated
+		}
+	}
+	for lo := 0; lo < n; lo += 7 {
+		for _, width := range []int{0, 1, min(8, n-lo), n - lo} {
+			a := rng.New(uint64(lo))
+			b := *a
+			vs, ws := make([]int32, width), make([]int32, width+2)
+			g.RandomNeighborPairs(lo, a, vs, ws)
+			for k := 0; k < width; k++ {
+				v, w := g.RandomNeighborPair(lo+k, &b)
+				if int(vs[k]) != v || int(ws[k]) != w {
+					t.Fatalf("block at %d: node %d drew (%d, %d), per-node (%d, %d)", lo, lo+k, vs[k], ws[k], v, w)
+				}
+				if (v == -1) != (g.Degree(lo+k) == 0) {
+					t.Fatalf("node %d of degree %d drew %d", lo+k, g.Degree(lo+k), v)
+				}
+			}
+			if *a != b {
+				t.Fatalf("block [%d,%d): stream state differs from the per-node loop's", lo, lo+width)
+			}
+		}
+	}
+	for _, bad := range []struct{ lo, width, node int }{{-1, 2, -1}, {n - 1, 2, n}, {n, 1, n}} {
+		want := panicMessage(func() { g.RandomNeighborPair(bad.node, rng.New(1)) })
+		got := panicMessage(func() {
+			g.RandomNeighborPairs(bad.lo, rng.New(1), make([]int32, bad.width), make([]int32, bad.width))
+		})
+		if got == nil || got != want {
+			t.Fatalf("block of %d at %d panicked with %v, want %v", bad.width, bad.lo, got, want)
+		}
+	}
+}
+
 func TestEdgesAndNeighbors(t *testing.T) {
 	g := pathGraph(4)
 	es := g.Edges()

@@ -121,10 +121,23 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	// Lemire's method: multiply-shift with rejection in the biased zone.
 	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.Uint64(), n)
-		}
+		hi = r.reject(n, hi, lo)
+	}
+	return hi
+}
+
+// reject is the slow path of Lemire's method, entered with the (hi, lo)
+// product of a draw that landed in the zone lo < n: it redraws while lo is
+// below the bias threshold 2^64 mod n and returns the surviving hi. It is
+// kept out of line so the division stays off the callers' fast path —
+// Sample2 makes both of its draws in one body and calls this only when a
+// draw needs it (a share n/2^64 of draws).
+//
+//go:noinline
+func (r *Rand) reject(n, hi, lo uint64) uint64 {
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(r.Uint64(), n)
 	}
 	return hi
 }
@@ -177,8 +190,25 @@ func Pick[T any](r *Rand, s []T) T {
 // *with replacement* — the exact sampling semantics of the paper's push
 // (triangulation) process, where a node picks two random neighbors that may
 // coincide (in which case no edge is formed).
+//
+// The outputs and the generator state afterwards are exactly those of
+// Intn(n), Intn(n) (TestSample2MatchesIntn); the two draws are written out
+// in one body because this is the push round's per-node draw and Intn →
+// Uint64n is two calls deep per index.
 func (r *Rand) Sample2(n int) (int, int) {
-	return r.Intn(n), r.Intn(n)
+	if n <= 0 {
+		panic("rng: Intn with non-positive n")
+	}
+	un := uint64(n)
+	i, lo := bits.Mul64(r.Uint64(), un)
+	if lo < un {
+		i = r.reject(un, i, lo)
+	}
+	j, lo := bits.Mul64(r.Uint64(), un)
+	if lo < un {
+		j = r.reject(un, j, lo)
+	}
+	return int(i), int(j)
 }
 
 // Exp returns a standard exponential variate (rate 1, mean 1) by inverse

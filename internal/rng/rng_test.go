@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -231,6 +232,80 @@ func TestSample2WithReplacement(t *testing.T) {
 	rate := float64(collisions) / draws
 	if math.Abs(rate-0.25) > 0.02 {
 		t.Fatalf("Sample2 collision rate %.4f, want ~0.25 (with replacement)", rate)
+	}
+}
+
+// refUint64n is Lemire's bounded draw as Uint64n was written before its
+// rejection loop moved out of line — the reference the split is held to.
+func refUint64n(r *Rand, n uint64) uint64 {
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.Uint64(), n)
+		}
+	}
+	return hi
+}
+
+// TestSample2MatchesIntn pins Sample2(n) to Intn(n), Intn(n) — and both to
+// the reference loop — on cloned streams: same values, same generator state
+// afterwards. At n = 1<<62+1 a quarter of the draws enter the slow method
+// and most of those redraw; at math.MaxInt (the nearest an int gets to the
+// 1<<63+1 that Uint64n is checked at below) about every other draw enters it.
+func TestSample2MatchesIntn(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 2047, 1<<31 - 1, 1<<62 + 1, math.MaxInt} {
+		a := New(uint64(n))
+		b, c := *a, *a
+		for k := 0; k < 4000; k++ {
+			i, j := a.Sample2(n)
+			wi, wj := b.Intn(n), b.Intn(n)
+			ri, rj := refUint64n(&c, uint64(n)), refUint64n(&c, uint64(n))
+			if i != wi || j != wj || uint64(i) != ri || uint64(j) != rj {
+				t.Fatalf("n=%d draw %d: Sample2 (%d, %d), Intn (%d, %d), reference (%d, %d)",
+					n, k, i, j, wi, wj, ri, rj)
+			}
+		}
+		if *a != b || *a != c {
+			t.Fatalf("n=%d: generator states differ after 4000 pair draws", n)
+		}
+	}
+}
+
+// TestUint64nMatchesReference covers the bounds an int cannot hold: at
+// 1<<63+1 half the draws land in the biased zone and nearly all of those
+// are redrawn.
+func TestUint64nMatchesReference(t *testing.T) {
+	for _, n := range []uint64{1, 3, 1<<63 + 1, math.MaxUint64} {
+		a := New(n)
+		b := *a
+		for k := 0; k < 4000; k++ {
+			if got, want := a.Uint64n(n), refUint64n(&b, n); got != want {
+				t.Fatalf("n=%d draw %d: Uint64n %d, reference %d", n, k, got, want)
+			}
+		}
+		if *a != b {
+			t.Fatalf("n=%d: generator states differ after 4000 draws", n)
+		}
+	}
+}
+
+// TestSample2PanicsLikeIntn: a non-positive bound panics with Intn's message,
+// as it did when Sample2 was two Intn calls.
+func TestSample2PanicsLikeIntn(t *testing.T) {
+	msg := func(f func()) (got any) {
+		defer func() { got = recover() }()
+		f()
+		return nil
+	}
+	want := msg(func() { New(1).Intn(0) })
+	if want != "rng: Intn with non-positive n" {
+		t.Fatalf("Intn(0) panicked with %v", want)
+	}
+	for _, n := range []int{0, -1} {
+		if got := msg(func() { New(1).Sample2(n) }); got != want {
+			t.Fatalf("Sample2(%d) panicked with %v, want %v", n, got, want)
+		}
 	}
 }
 

@@ -76,8 +76,8 @@
 //
 // Synchronous commits go through the grouped graph commit paths
 // (graph.Undirected.AddEdgesGrouped / graph.Directed.AddArcsGrouped), which
-// apply each proposal to its graph row with a fused word-level OR (one
-// test-and-set per row word) and return the newly inserted edges. That
+// probe each proposal's bit in its graph row once (test, then set only if
+// it was new) and return the newly inserted edges. That
 // accepted list is the round's *delta*, and Config.DeltaObserver /
 // DirectedConfig.DeltaObserver (and AsyncConfig.DeltaObserver, per parallel
 // round) stream it to consumers as a RoundDelta / DirectedRoundDelta: new

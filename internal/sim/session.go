@@ -87,6 +87,11 @@ type Session struct {
 	eng    *engine
 	engAct func(s *shard)
 
+	// ranged is the process's block form, set by dispatch when a synchronous
+	// session's process has one (see rangeActor); nil means every act goes
+	// node by node through p.Act.
+	ranged rangeActor
+
 	// Sequential state: the hoisted propose closure and the reused round
 	// buffers (buf holds synchronous proposals, accepted the round's delta).
 	propose  func(a, b int)
@@ -187,15 +192,21 @@ func (s *Session) Subscribe(sub stream.Subscriber) {
 // facade's semantics. A session resumed by a membership mutation after
 // finishing at entry dispatches here too.
 func (s *Session) dispatch() {
+	if s.mode == CommitSynchronous {
+		s.ranged, _ = s.p.(rangeActor)
+	}
 	if s.mode == CommitSynchronous && (s.workers >= 1 || s.workers == WorkersAuto) {
 		s.eng = newEngine(s.g.N(), s.workers, s.r)
 		s.engAct = func(sh *shard) {
-			if s.dense {
+			switch {
+			case s.dense:
 				s.denseAct(sh.lo, sh.hi, sh.r, sh.proposeEdge)
-				return
-			}
-			for u := sh.lo; u < sh.hi; u++ {
-				s.p.Act(s.g, u, sh.r, sh.proposeEdge)
+			case s.ranged != nil:
+				sh.edges = s.ranged.ActRange(s.g, sh.lo, sh.hi, sh.r, sh.edges)
+			default:
+				for u := sh.lo; u < sh.hi; u++ {
+					s.p.Act(s.g, u, sh.r, sh.proposeEdge)
+				}
 			}
 		}
 		return
@@ -277,9 +288,14 @@ func (s *Session) step() bool {
 		s.eng.tune(roundProposals, len(acc))
 	} else {
 		n := s.g.N()
-		if s.dense {
+		switch {
+		case s.dense:
 			s.denseAct(0, n, s.r, s.propose)
-		} else {
+		case s.ranged != nil:
+			// buf was emptied above, so its length is the round's proposals.
+			s.buf = s.ranged.ActRange(s.g, 0, n, s.r, s.buf)
+			s.res.Proposals += len(s.buf)
+		default:
 			for u := 0; u < n; u++ {
 				s.p.Act(s.g, u, s.r, s.propose)
 			}
@@ -338,6 +354,26 @@ func (s *Session) step() bool {
 	}
 	return true
 }
+
+// rangeActor is the block form of a synchronous act: the process performs
+// Act for every node of [lo, hi) in increasing order on the one stream r and
+// appends what those Acts would have proposed, in order, to edges. The
+// contract is bit-identity with the per-node loop — same proposals, same
+// final state of r — so taking it changes no result; it exists because a
+// process that sees the whole range can overlap its nodes' memory reads
+// (core.Push.ActRange). The session asks for it once, in dispatch, on the
+// process exactly as configured: a wrapper (core.Population, core.Crashed,
+// core.Wrap(...)) does not have it and acts node by node, as do eager
+// commits, the dense phase, AsyncSession and eventsim.
+type rangeActor interface {
+	ActRange(g *graph.Undirected, lo, hi int, r *rng.Rand, edges []graph.Edge) []graph.Edge
+}
+
+// The core types that take the block path, listed so that adding one is a
+// decision made here. A type that embeds one of these would inherit its
+// ActRange past its own Act; TestRangeActorsListed fails on any core process
+// that has the method and is not on this list.
+var _ rangeActor = core.Push{}
 
 // denseAct is the dense-phase act body for the node range [lo, hi): the
 // whole range under the sequential engine, one shard under the sharded one

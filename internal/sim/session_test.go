@@ -251,22 +251,62 @@ func TestSessionStepWithoutObserver(t *testing.T) {
 }
 
 // TestSessionZeroAllocStep: once warm, a steady-state Step performs zero
-// allocations on every engine family. Skipped under -race, which
+// allocations on every engine family — including a bare Push on Workers 0
+// and 1, where the act is core.Push.ActRange and its block buffers must stay
+// on the stack (K_70: two full blocks and a ragged one, every proposal a
+// duplicate, so the lists have stopped growing). Skipped under -race, which
 // instruments allocations.
 func TestSessionZeroAllocStep(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
 	}
-	for _, workers := range []int{0, 1, 4} {
-		g := gen.Star(64)
-		s := NewSession(g, fixedProbe{}, rng.New(1), Config{Workers: workers, MaxRounds: -1})
-		for i := 0; i < 50; i++ { // warm the buffers and the delta state
-			s.Step()
+	never := func(*graph.Undirected) bool { return false }
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Undirected
+		p       core.Process
+		workers []int
+	}{
+		{"fixed-probe", gen.Star(64), fixedProbe{}, []int{0, 1, 4}},
+		{"push", gen.Complete(70), core.Push{}, []int{0, 1}},
+	} {
+		for _, workers := range tc.workers {
+			s := NewSession(tc.g.Clone(), tc.p, rng.New(1), Config{Workers: workers, MaxRounds: -1, Done: never})
+			for i := 0; i < 50; i++ { // warm the buffers and the delta state
+				s.Step()
+			}
+			if extra := testing.AllocsPerRun(200, func() { s.Step() }); extra > 0 {
+				t.Errorf("%s, Workers=%d: steady-state Step allocates %v", tc.name, workers, extra)
+			}
+			if s.Stats().Proposals == 0 {
+				t.Errorf("%s, Workers=%d: no proposals, so the steps measured nothing", tc.name, workers)
+			}
+			s.Close()
 		}
-		if extra := testing.AllocsPerRun(200, func() { s.Step() }); extra > 0 {
-			t.Errorf("Workers=%d: steady-state Step allocates %v", workers, extra)
+	}
+}
+
+// TestRangeActorsListed: of core's undirected processes — one value of every
+// type with an Act — exactly Push has the block form the session dispatches
+// to. A wrapper that gained ActRange by embedding a Push would skip its own
+// Act on the synchronous engines; it fails here until it is listed beside
+// session.go's compile-time assertion, which is where that gets decided.
+func TestRangeActorsListed(t *testing.T) {
+	alive := []bool{true, true}
+	for _, p := range []core.Process{
+		core.Push{}, core.Pull{}, core.PushPull{},
+		core.Faulty{Inner: core.Push{}, FailProb: 0.5},
+		core.Partial{Inner: core.Push{}, Participation: 0.5},
+		core.Crashed{Inner: core.Push{}, Alive: alive},
+		core.CrashedPull{Alive: alive},
+		core.Byzantine{Target: -1}, core.Selfish{}, core.Silent{},
+		core.Wrap(core.Push{}, core.Fail(0.5)),
+		core.NewPopulation(2, core.Push{}),
+	} {
+		_, has := p.(rangeActor)
+		if _, listed := p.(core.Push); has != listed {
+			t.Errorf("%T (%s): has ActRange %v, listed %v", p, p.Name(), has, listed)
 		}
-		s.Close()
 	}
 }
 
