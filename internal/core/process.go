@@ -55,11 +55,12 @@ func (Push) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b int))
 	}
 }
 
-// actBlock is how many consecutive nodes ActRange draws for before it reads
-// their neighbor lists. Throughput is flat from 16 to 256 (DESIGN.md "The
-// push round in blocks"), so it is the sharded engine's shard width
-// (sim.shardNodes): a shard is exactly one block, and the two index
-// buffers are 256 bytes of stack.
+// actBlock is how many consecutive nodes an ActRange hands the graph at a
+// time: Push draws for that many before it reads their neighbor lists, the
+// walks take that many two-hop walks per call. Throughput is flat from 16
+// to 256 (DESIGN.md "The round in blocks"), so it is the sharded engine's
+// shard width (sim.shardNodes): a shard is exactly one block, and the
+// buffers are 256 bytes of stack for Push, 128 for a walk.
 const actBlock = 32
 
 // ActRange performs Act for every node of [lo, hi) in increasing order on
@@ -114,6 +115,29 @@ func (Pull) ActRelay(g *graph.Undirected, u int, r *rng.Rand, relay func(v int) 
 	}
 }
 
+// ActRange performs Act for every node of [lo, hi) in increasing order on
+// the one stream r, appending the proposals to edges and returning the
+// grown slice — the same proposals in the same order, and r left in the
+// same state, as hi-lo calls of Act whose propose appends {a, b}
+// (TestPullActRangeMatchesAct). Act stays the definition; this is the form
+// the synchronous round engines call on a bare Pull, a block of walks per
+// call into the graph (graph.Undirected.TwoHopWalks) in place of Act →
+// ActRelay → two RandomNeighbor → relay → propose per node. It panics like
+// Act on a node outside the graph.
+func (Pull) ActRange(g *graph.Undirected, lo, hi int, r *rng.Rand, edges []graph.Edge) []graph.Edge {
+	var ws [actBlock]int32
+	for ; lo < hi; lo += actBlock {
+		b := min(actBlock, hi-lo)
+		g.TwoHopWalks(lo, r, ws[:b])
+		for k, w := range ws[:b] {
+			if u := lo + k; w >= 0 && int(w) != u {
+				edges = append(edges, graph.Edge{U: u, V: int(w)})
+			}
+		}
+	}
+	return edges
+}
+
 // relayAll is the ungated relay: every middle hop answers. Package-level so
 // the un-wrapped walks pay no per-call closure.
 func relayAll(int) bool { return true }
@@ -144,6 +168,26 @@ func (DirectedTwoHop) ActRelay(g *graph.Directed, u int, r *rng.Rand, relay func
 	if w >= 0 && w != u {
 		propose(u, w)
 	}
+}
+
+// ActRange is Pull.ActRange for the directed walk: Act for every node of
+// [lo, hi) in increasing order on the one stream r, the proposed arcs
+// u → w appended to arcs — same arcs, same order, same final r as per-node
+// Act (TestDirectedTwoHopActRangeMatchesAct), a block of walks per
+// graph.Directed.TwoHopWalks call. It panics like Act on a node outside the
+// graph.
+func (DirectedTwoHop) ActRange(g *graph.Directed, lo, hi int, r *rng.Rand, arcs []graph.Arc) []graph.Arc {
+	var ws [actBlock]int32
+	for ; lo < hi; lo += actBlock {
+		b := min(actBlock, hi-lo)
+		g.TwoHopWalks(lo, r, ws[:b])
+		for k, w := range ws[:b] {
+			if u := lo + k; w >= 0 && int(w) != u {
+				arcs = append(arcs, graph.Arc{U: u, V: int(w)})
+			}
+		}
+	}
+	return arcs
 }
 
 // compile-time interface checks

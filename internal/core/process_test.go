@@ -36,74 +36,118 @@ func TestPushProposesPairsOfNeighbors(t *testing.T) {
 	}
 }
 
-// TestPushActRangeMatchesAct holds the block form to its definition: over
-// any range, ActRange appends exactly what per-node Act proposes, in order,
-// and leaves the stream in the same state. The graph has isolated nodes at
-// both ends of every range tried (lo = 3 and lo+width-1 for each width) and
-// inside them, and degrees on both sides of 1; widths straddle the 32-node
-// block.
-func TestPushActRangeMatchesAct(t *testing.T) {
-	const n = 140
-	isolated := map[int]bool{0: true, 3: true, 20: true, 33: true, 34: true, 35: true, 102: true, n - 1: true}
+// actRangeN is the size of the ActRange tests' graphs, and actRangeHoles the
+// nodes they leave without a (out-)list: both ends of every range tried
+// (lo = 3 and lo+width-1 for each width of actRangeMatchesAct) and some
+// inside them.
+const actRangeN = 140
+
+var actRangeHoles = map[int]bool{0: true, 3: true, 20: true, 33: true, 34: true, 35: true, 102: true, actRangeN - 1: true}
+
+// actRangeMatchesAct holds a block form to its definition on a graph g of
+// actRangeN nodes: over any range, actRange appends exactly what per-node
+// act proposes, in order, and leaves the stream in the same state; on a
+// node outside the graph it panics as act does. Widths straddle the 32-node
+// block. E is graph.Edge or graph.Arc, built by mk.
+func actRangeMatchesAct[G any, E comparable](t *testing.T, label string, g G,
+	act func(g G, u int, r *rng.Rand, propose func(a, b int)),
+	actRange func(g G, lo, hi int, r *rng.Rand, out []E) []E,
+	mk func(a, b int) E) {
+	t.Helper()
+	const n = actRangeN
+	ranges := [][2]int{{0, n}, {0, 0}, {n, n}}
+	for _, width := range []int{1, 31, 32, 33, 100} {
+		ranges = append(ranges, [2]int{3, 3 + width})
+	}
+	for _, rg := range ranges {
+		lo, hi := rg[0], rg[1]
+		a := rng.New(uint64(hi))
+		c := *a
+		var want []E
+		for u := lo; u < hi; u++ {
+			act(g, u, a, func(x, y int) { want = append(want, mk(x, y)) })
+		}
+		prefix := []E{mk(-5, -6)} // ActRange appends; it does not overwrite
+		got := actRange(g, lo, hi, &c, prefix)
+		if len(got) != 1+len(want) || got[0] != prefix[0] {
+			t.Fatalf("%s [%d,%d): %d proposals after the prefix, want %d", label, lo, hi, len(got)-1, len(want))
+		}
+		for i, e := range want {
+			if got[1+i] != e {
+				t.Fatalf("%s [%d,%d): proposal %d is %v, per-node Act proposed %v", label, lo, hi, i, got[1+i], e)
+			}
+		}
+		if *a != c {
+			t.Fatalf("%s [%d,%d): stream state differs from the per-node loop's", label, lo, hi)
+		}
+		if hi-lo > 1 && len(want) == 0 {
+			t.Fatalf("%s [%d,%d): nothing proposed, so nothing compared", label, lo, hi)
+		}
+	}
+	panicOf := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
+	}
+	for _, bad := range []struct{ lo, hi, node int }{{-1, 5, -1}, {n - 2, n + 1, n}, {n, n + 1, n}} {
+		want := panicOf(func() { act(g, bad.node, rng.New(1), func(int, int) {}) })
+		got := panicOf(func() { actRange(g, bad.lo, bad.hi, rng.New(1), nil) })
+		if got == nil || got != want {
+			t.Fatalf("%s ActRange(%d, %d) panicked with %v, Act(%d) with %v", label, bad.lo, bad.hi, got, bad.node, want)
+		}
+	}
+}
+
+// undirectedActRangeMatchesAct runs actRangeMatchesAct on both backends, on
+// a graph with isolated nodes (actRangeHoles) and degrees on both sides of 1.
+func undirectedActRangeMatchesAct(t *testing.T, p Process, actRange func(g *graph.Undirected, lo, hi int, r *rng.Rand, edges []graph.Edge) []graph.Edge) {
+	const n = actRangeN
 	for _, b := range []graph.Backend{graph.BackendDense, graph.BackendSparse} {
 		g := graph.NewUndirectedOn(n, b)
 		build := rng.New(7)
 		for k := 0; k < 4*n; k++ {
-			if u, v := build.Intn(n), build.Intn(n); !isolated[u] && !isolated[v] {
+			if u, v := build.Intn(n), build.Intn(n); !actRangeHoles[u] && !actRangeHoles[v] {
 				g.AddEdge(u, v)
 			}
 		}
-		for u := range isolated {
+		for u := range actRangeHoles {
 			if g.Degree(u) != 0 {
 				t.Fatalf("node %d should be isolated", u)
 			}
 		}
-		ranges := [][2]int{{0, n}, {0, 0}, {n, n}}
-		for _, width := range []int{1, 31, 32, 33, 100} {
-			ranges = append(ranges, [2]int{3, 3 + width})
-		}
-		for _, rg := range ranges {
-			lo, hi := rg[0], rg[1]
-			a := rng.New(uint64(hi))
-			c := *a
-			var want []graph.Edge
-			for u := lo; u < hi; u++ {
-				want = append(want, collect(Push{}, g, u, a)...)
-			}
-			prefix := []graph.Edge{{U: -5, V: -6}} // ActRange appends; it does not overwrite
-			got := Push{}.ActRange(g, lo, hi, &c, prefix)
-			if len(got) != 1+len(want) || got[0] != prefix[0] {
-				t.Fatalf("%v [%d,%d): %d proposals after the prefix, want %d", b, lo, hi, len(got)-1, len(want))
-			}
-			for i, e := range want {
-				if got[1+i] != e {
-					t.Fatalf("%v [%d,%d): proposal %d is %v, per-node Act proposed %v", b, lo, hi, i, got[1+i], e)
-				}
-			}
-			if *a != c {
-				t.Fatalf("%v [%d,%d): stream state differs from the per-node loop's", b, lo, hi)
-			}
-			if hi-lo > 1 && len(want) == 0 {
-				t.Fatalf("%v [%d,%d): nothing proposed, so nothing compared", b, lo, hi)
-			}
-		}
-		// A node outside the graph panics as it does under Act.
-		wantPanic := func(u int) (msg any) {
-			defer func() { msg = recover() }()
-			Push{}.Act(g, u, rng.New(1), func(int, int) {})
-			return nil
-		}
-		for _, bad := range []struct{ lo, hi, node int }{{-1, 5, -1}, {n - 2, n + 1, n}, {n, n + 1, n}} {
-			func() {
-				defer func() {
-					if got, want := recover(), wantPanic(bad.node); got == nil || got != want {
-						t.Fatalf("%v ActRange(%d, %d) panicked with %v, Act(%d) with %v", b, bad.lo, bad.hi, got, bad.node, want)
-					}
-				}()
-				Push{}.ActRange(g, bad.lo, bad.hi, rng.New(1), nil)
-			}()
+		actRangeMatchesAct(t, b.String(), g, p.Act, actRange, func(a, b int) graph.Edge { return graph.Edge{U: a, V: b} })
+	}
+}
+
+// TestPushActRangeMatchesAct holds Push's block form to per-node Act.
+func TestPushActRangeMatchesAct(t *testing.T) {
+	undirectedActRangeMatchesAct(t, Push{}, Push{}.ActRange)
+}
+
+// TestPullActRangeMatchesAct is the same pin for the two-hop walk.
+func TestPullActRangeMatchesAct(t *testing.T) {
+	undirectedActRangeMatchesAct(t, Pull{}, Pull{}.ActRange)
+}
+
+// TestDirectedTwoHopActRangeMatchesAct is the same pin for the directed walk.
+// The holes are sinks with in-arcs: at both ends of every range tried, and
+// reached as middle hops.
+func TestDirectedTwoHopActRangeMatchesAct(t *testing.T) {
+	const n = actRangeN
+	g := graph.NewDirected(n)
+	build := rng.New(8)
+	for k := 0; k < 4*n; k++ {
+		if u, v := build.Intn(n), build.Intn(n); !actRangeHoles[u] {
+			g.AddArc(u, v)
 		}
 	}
+	for u := range actRangeHoles {
+		if g.OutDegree(u) != 0 || g.InDegree(u) == 0 {
+			t.Fatalf("node %d should be a sink with in-arcs", u)
+		}
+	}
+	p := DirectedTwoHop{}
+	actRangeMatchesAct(t, "directed", g, p.Act, p.ActRange, func(a, b int) graph.Arc { return graph.Arc{U: a, V: b} })
 }
 
 func TestPushSelfPairProposesNothing(t *testing.T) {

@@ -245,6 +245,23 @@ func (g *Directed) RandomOutNeighbor(u int, r *rng.Rand) int {
 	return int(g.out[u][r.Intn(d)])
 }
 
+// TwoHopWalks takes the directed two-hop walk from each of the consecutive
+// nodes lo, lo+1, …, lo+len(ws)-1 on the one stream r: node lo+k's walk
+// u → v → w leaves w in ws[k], or -1 if u has no out-neighbor (no draw is
+// made) or v has none (no second draw). The values, and the state r is left
+// in, are exactly those of RandomOutNeighbor(u, r) followed — when it found
+// a v — by RandomOutNeighbor(v, r), node after node
+// (TestTwoHopWalksMatchesRandomNeighbor); see Undirected.TwoHopWalks for why
+// this is one fused loop.
+func (g *Directed) TwoHopWalks(lo int, r *rng.Rand, ws []int32) {
+	if len(ws) == 0 {
+		return
+	}
+	g.checkNode(lo)
+	g.checkNode(lo + len(ws) - 1)
+	twoHopWalks(g.out, lo, r, ws)
+}
+
 // OutNeighbors appends the out-neighbors of u to dst and returns the result.
 func (g *Directed) OutNeighbors(u int, dst []int) []int {
 	g.checkNode(u)

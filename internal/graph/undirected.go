@@ -268,6 +268,9 @@ func (g *Undirected) RandomNeighborPair(u int, r *rng.Rand) (int, int) {
 // back with nothing between them, so their cache misses overlap instead
 // of each waiting behind the next node's draw.
 func (g *Undirected) RandomNeighborPairs(lo int, r *rng.Rand, vs, ws []int32) {
+	if len(ws) < len(vs) {
+		panic(fmt.Sprintf("graph: RandomNeighborPairs buffer of %d for a block of %d nodes", len(ws), len(vs)))
+	}
 	if len(vs) == 0 {
 		return
 	}
@@ -288,6 +291,42 @@ func (g *Undirected) RandomNeighborPairs(lo int, r *rng.Rand, vs, ws []int32) {
 		if i := vs[k]; i >= 0 {
 			vs[k], ws[k] = list[i], list[ws[k]]
 		}
+	}
+}
+
+// TwoHopWalks takes the pull process's two-hop walk from each of the
+// consecutive nodes lo, lo+1, …, lo+len(ws)-1 on the one stream r: node
+// lo+k's walk u → v → w leaves w in ws[k], or -1 if u is isolated (no draw
+// is made). The values, and the state r is left in, are exactly those of
+// RandomNeighbor(u, r) followed — when it found a v — by RandomNeighbor(v, r),
+// node after node (TestTwoHopWalksMatchesRandomNeighbor). Unlike
+// RandomNeighborPairs this is one loop, not two passes: the second draw's
+// bound is the length of the list the first draw picks, so no draw can be
+// made ahead of the read before it. What the block saves is the calls — the
+// per-node form goes through eight to make a proposal, this through the two
+// draws.
+func (g *Undirected) TwoHopWalks(lo int, r *rng.Rand, ws []int32) {
+	if len(ws) == 0 {
+		return
+	}
+	g.checkNode(lo)
+	g.checkNode(lo + len(ws) - 1)
+	twoHopWalks(g.adj, lo, r, ws)
+}
+
+// twoHopWalks is the walk loop shared by Undirected.TwoHopWalks (on adj) and
+// Directed.TwoHopWalks (on out); the callers have checked that lo and
+// lo+len(ws)-1 are nodes. An empty first list makes no draw; an empty
+// second list — a directed sink as middle hop — makes no second draw.
+func twoHopWalks(lists [][]int32, lo int, r *rng.Rand, ws []int32) {
+	for k, list := range lists[lo : lo+len(ws)] {
+		w := int32(-1)
+		if d := len(list); d != 0 {
+			if next := lists[list[r.Intn(d)]]; len(next) != 0 {
+				w = next[r.Intn(len(next))]
+			}
+		}
+		ws[k] = w
 	}
 }
 

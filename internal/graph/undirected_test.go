@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -192,6 +193,11 @@ func TestRandomNeighborPairsMatchesPair(t *testing.T) {
 		if got == nil || got != want {
 			t.Fatalf("block of %d at %d panicked with %v, want %v", bad.width, bad.lo, got, want)
 		}
+	}
+	// A second buffer shorter than the block is the caller's bug, named as such.
+	short := panicMessage(func() { g.RandomNeighborPairs(1, rng.New(1), make([]int32, 4), make([]int32, 3)) })
+	if msg, ok := short.(string); !ok || !strings.HasPrefix(msg, "graph: RandomNeighborPairs buffer") {
+		t.Fatalf("short ws buffer panicked with %v, want a graph: message", short)
 	}
 }
 

@@ -152,11 +152,12 @@ func TestBackendDensePhaseShardedShortRows(t *testing.T) {
 	}
 }
 
-// runDirectedFingerprint is the directed analogue of runFingerprint.
-func runDirectedFingerprint(b graph.Backend, n, workers int, densePhase float64) (DirectedResult, uint64) {
+// runDirectedFingerprint is the directed analogue of runFingerprint, for
+// the given process.
+func runDirectedFingerprint(p core.DirectedProcess, b graph.Backend, n, workers int, densePhase float64) (DirectedResult, uint64) {
 	g := gen.RandomStronglyConnected(n, n/2, rng.New(uint64(7000+n)), b)
 	dh := newDeltaHash()
-	res := RunDirected(g, core.DirectedTwoHop{}, rng.New(uint64(2000+n)), DirectedConfig{
+	res := RunDirected(g, p, rng.New(uint64(2000+n)), DirectedConfig{
 		Workers:       workers,
 		DensePhase:    densePhase,
 		DeltaObserver: dh.observeDirected,
@@ -174,11 +175,11 @@ func TestBackendDirectedRunGoldens(t *testing.T) {
 				n, workers, dense := n, workers, dense
 				name := fmt.Sprintf("n=%d/w=%d/dense=%v", n, workers, dense)
 				t.Run(name, func(t *testing.T) {
-					wantRes, wantHash := runDirectedFingerprint(graph.BackendDense, n, workers, dense)
+					wantRes, wantHash := runDirectedFingerprint(core.DirectedTwoHop{}, graph.BackendDense, n, workers, dense)
 					if !wantRes.Converged {
 						t.Fatal("golden directed run did not converge")
 					}
-					res, h := runDirectedFingerprint(graph.BackendSparse, n, workers, dense)
+					res, h := runDirectedFingerprint(core.DirectedTwoHop{}, graph.BackendSparse, n, workers, dense)
 					if res != wantRes {
 						t.Fatalf("sparse DirectedResult diverged:\n dense:  %+v\n sparse: %+v", wantRes, res)
 					}

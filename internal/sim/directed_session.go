@@ -55,6 +55,11 @@ type DirectedSession struct {
 	eng    *engine
 	engAct func(s *shard)
 
+	// ranged is the process's block form, set by dispatch when a synchronous
+	// session's process has one (see directedRangeActor); nil means every act
+	// goes node by node through p.Act.
+	ranged directedRangeActor
+
 	propose  func(a, b int)
 	buf      []graph.Arc
 	accepted []graph.Arc
@@ -162,15 +167,21 @@ func (s *DirectedSession) commitArc(a, b int) {
 // executes a round, so a session that is done at entry consumes no
 // generator output.
 func (s *DirectedSession) dispatch() {
+	if s.mode == CommitSynchronous {
+		s.ranged, _ = s.p.(directedRangeActor)
+	}
 	if s.mode == CommitSynchronous && (s.workers >= 1 || s.workers == WorkersAuto) {
 		s.eng = newEngine(s.g.N(), s.workers, s.r)
 		s.engAct = func(sh *shard) {
-			if s.dense {
+			switch {
+			case s.dense:
 				s.denseAct(sh.lo, sh.hi, sh.r, sh.proposeArc)
-				return
-			}
-			for u := sh.lo; u < sh.hi; u++ {
-				s.p.Act(s.g, u, sh.r, sh.proposeArc)
+			case s.ranged != nil:
+				sh.arcs = s.ranged.ActRange(s.g, sh.lo, sh.hi, sh.r, sh.arcs)
+			default:
+				for u := sh.lo; u < sh.hi; u++ {
+					s.p.Act(s.g, u, sh.r, sh.proposeArc)
+				}
 			}
 		}
 		return
@@ -247,9 +258,14 @@ func (s *DirectedSession) step() bool {
 		s.eng.tune(roundProposals, len(acc))
 	} else {
 		n := s.g.N()
-		if s.dense {
+		switch {
+		case s.dense:
 			s.denseAct(0, n, s.r, s.propose)
-		} else {
+		case s.ranged != nil:
+			// buf was emptied above, so its length is the round's proposals.
+			s.buf = s.ranged.ActRange(s.g, 0, n, s.r, s.buf)
+			s.res.Proposals += len(s.buf)
+		default:
 			for u := 0; u < n; u++ {
 				s.p.Act(s.g, u, s.r, s.propose)
 			}
@@ -286,6 +302,23 @@ func (s *DirectedSession) step() bool {
 	}
 	return true
 }
+
+// directedRangeActor is rangeActor for the directed substrate: Act for every
+// node of [lo, hi) in increasing order on the one stream r, the proposed
+// arcs appended in order — the same arcs and the same final r as the
+// per-node loop, so taking it changes no result. As in Session, dispatch
+// asks the process as configured, once, in synchronous mode only: a wrapper
+// (core.DirectedPopulation, core.FaultyDirected, core.WrapDirected with a
+// behavior chain) acts node by node, and WrapDirected(p) with an empty
+// chain is p itself.
+type directedRangeActor interface {
+	ActRange(g *graph.Directed, lo, hi int, r *rng.Rand, arcs []graph.Arc) []graph.Arc
+}
+
+// directedRangeActors lists the core types that take the directed block
+// path; TestDirectedRangeActorsListed fails on any directed core process
+// that has the method and is not here (see rangeActors).
+var directedRangeActors = []directedRangeActor{core.DirectedTwoHop{}}
 
 // Step executes one committed round and returns its delta plus whether the
 // session can continue. The final converging round is returned with

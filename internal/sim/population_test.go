@@ -19,8 +19,8 @@ import (
 
 // populationFingerprint runs one full discovery over a cycle graph with
 // the given process and returns the Result plus the delta-stream hash.
-func populationFingerprint(p core.Process, n, workers int, densePhase float64) (Result, uint64) {
-	g := gen.Cycle(n)
+func populationFingerprint(p core.Process, b graph.Backend, n, workers int, densePhase float64) (Result, uint64) {
+	g := gen.Cycle(n, b)
 	dh := newDeltaHash()
 	res := Run(g, p, rng.New(uint64(3000+n)), Config{
 		Workers:       workers,
@@ -33,29 +33,72 @@ func populationFingerprint(p core.Process, n, workers int, densePhase float64) (
 // TestPopulationUniformByteIdentity: a Population with no roles assigned
 // must be indistinguishable from the bare default process — same Result,
 // same delta stream — under the sequential engine, the sharded engine,
-// and the dense phase. This is the tentpole's compatibility pin: wrapping
-// every run in a Population is free.
+// and the dense phase. This is the population layer's compatibility pin:
+// wrapping every run in a Population is free. It is also where the block
+// acts meet their definition inside a real session: a bare Push or Pull
+// takes ActRange, a uniform Population has none and acts node by node
+// through the same process, and the two must agree.
 func TestPopulationUniformByteIdentity(t *testing.T) {
 	const n = 96
+	cases := []struct {
+		name string
+		p    core.Process
+		b    graph.Backend
+	}{
+		{"push", core.Push{}, graph.BackendDense},
+		{"pull/dense", core.Pull{}, graph.BackendDense},
+		{"pull/sparse", core.Pull{}, graph.BackendSparse},
+	}
 	for _, workers := range []int{0, 1, 4} {
 		for _, dense := range []float64{0, 0.3} {
 			workers, dense := workers, dense
 			t.Run(fmt.Sprintf("w=%d/dense=%v", workers, dense), func(t *testing.T) {
-				wantRes, wantHash := populationFingerprint(core.Push{}, n, workers, dense)
-				pop := core.NewPopulation(n, core.Push{})
-				res, h := populationFingerprint(pop, n, workers, dense)
+				for _, tc := range cases {
+					wantRes, wantHash := populationFingerprint(tc.p, tc.b, n, workers, dense)
+					if !wantRes.Converged {
+						t.Fatalf("%s: bare run did not converge", tc.name)
+					}
+					pop := core.NewPopulation(n, tc.p)
+					res, h := populationFingerprint(pop, tc.b, n, workers, dense)
+					if res != wantRes {
+						t.Fatalf("%s: uniform population diverged:\n bare: %+v\n pop:  %+v", tc.name, wantRes, res)
+					}
+					if h != wantHash {
+						t.Fatalf("%s: uniform population delta stream diverged (hash %x vs %x)", tc.name, h, wantHash)
+					}
+					// Defining (but not assigning) roles must change nothing.
+					pop2 := core.NewPopulation(n, tc.p)
+					pop2.DefineRole("byzantine", core.Byzantine{Target: -1})
+					res2, h2 := populationFingerprint(pop2, tc.b, n, workers, dense)
+					if res2 != wantRes || h2 != wantHash {
+						t.Fatalf("%s: defining an unassigned role perturbed the run", tc.name)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPopulationUniformByteIdentityDirected is the directed twin: a bare
+// DirectedTwoHop takes its block act, a uniform DirectedPopulation acts
+// node by node, and Result and delta stream must be the same on every
+// engine family with the dense phase off and on.
+func TestPopulationUniformByteIdentityDirected(t *testing.T) {
+	const n = 96
+	for _, workers := range []int{0, 1, 4} {
+		for _, dense := range []float64{0, 0.5} {
+			t.Run(fmt.Sprintf("w=%d/dense=%v", workers, dense), func(t *testing.T) {
+				wantRes, wantHash := runDirectedFingerprint(core.DirectedTwoHop{}, graph.BackendDense, n, workers, dense)
+				if !wantRes.Converged {
+					t.Fatal("bare directed run did not converge")
+				}
+				pop := core.NewDirectedPopulation(n, core.DirectedTwoHop{})
+				res, h := runDirectedFingerprint(pop, graph.BackendDense, n, workers, dense)
 				if res != wantRes {
-					t.Fatalf("uniform population diverged:\n bare: %+v\n pop:  %+v", wantRes, res)
+					t.Fatalf("uniform directed population diverged:\n bare: %+v\n pop:  %+v", wantRes, res)
 				}
 				if h != wantHash {
-					t.Fatalf("uniform population delta stream diverged (hash %x vs %x)", h, wantHash)
-				}
-				// Defining (but not assigning) roles must change nothing.
-				pop2 := core.NewPopulation(n, core.Push{})
-				pop2.DefineRole("byzantine", core.Byzantine{Target: -1})
-				res2, h2 := populationFingerprint(pop2, n, workers, dense)
-				if res2 != wantRes || h2 != wantHash {
-					t.Fatal("defining an unassigned role perturbed the run")
+					t.Fatalf("uniform directed population delta stream diverged (hash %x vs %x)", h, wantHash)
 				}
 			})
 		}

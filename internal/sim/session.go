@@ -361,19 +361,22 @@ func (s *Session) step() bool {
 // contract is bit-identity with the per-node loop — same proposals, same
 // final state of r — so taking it changes no result; it exists because a
 // process that sees the whole range can overlap its nodes' memory reads
-// (core.Push.ActRange). The session asks for it once, in dispatch, on the
+// (core.Push.ActRange) or make a block's draws in one call
+// (core.Pull.ActRange). The session asks for it once, in dispatch, on the
 // process exactly as configured: a wrapper (core.Population, core.Crashed,
-// core.Wrap(...)) does not have it and acts node by node, as do eager
-// commits, the dense phase, AsyncSession and eventsim.
+// core.Wrap with a behavior chain) does not have it and acts node by node,
+// as do eager commits, the dense phase, AsyncSession and eventsim.
+// core.Wrap(p) with an empty chain returns p itself, so it takes the block
+// path when p does.
 type rangeActor interface {
 	ActRange(g *graph.Undirected, lo, hi int, r *rng.Rand, edges []graph.Edge) []graph.Edge
 }
 
-// The core types that take the block path, listed so that adding one is a
-// decision made here. A type that embeds one of these would inherit its
-// ActRange past its own Act; TestRangeActorsListed fails on any core process
-// that has the method and is not on this list.
-var _ rangeActor = core.Push{}
+// rangeActors lists the core types that take the block path, so that adding
+// one is a decision made here. A type that embeds one of these would inherit
+// its ActRange past its own Act; TestRangeActorsListed fails on any core
+// process that has the method and is not on this list.
+var rangeActors = []rangeActor{core.Push{}, core.Pull{}}
 
 // denseAct is the dense-phase act body for the node range [lo, hi): the
 // whole range under the sequential engine, one shard under the sharded one

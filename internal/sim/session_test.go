@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"gossipdisc/internal/core"
@@ -251,11 +252,11 @@ func TestSessionStepWithoutObserver(t *testing.T) {
 }
 
 // TestSessionZeroAllocStep: once warm, a steady-state Step performs zero
-// allocations on every engine family — including a bare Push on Workers 0
-// and 1, where the act is core.Push.ActRange and its block buffers must stay
-// on the stack (K_70: two full blocks and a ragged one, every proposal a
-// duplicate, so the lists have stopped growing). Skipped under -race, which
-// instruments allocations.
+// allocations on every engine family — including a bare Push or Pull on
+// Workers 0 and 1, where the act is the process's ActRange and its block
+// buffers must stay on the stack (K_70: two full blocks and a ragged one,
+// every proposal a duplicate, so the lists have stopped growing). Skipped
+// under -race, which instruments allocations.
 func TestSessionZeroAllocStep(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
@@ -269,6 +270,7 @@ func TestSessionZeroAllocStep(t *testing.T) {
 	}{
 		{"fixed-probe", gen.Star(64), fixedProbe{}, []int{0, 1, 4}},
 		{"push", gen.Complete(70), core.Push{}, []int{0, 1}},
+		{"pull", gen.Complete(70), core.Pull{}, []int{0, 1}},
 	} {
 		for _, workers := range tc.workers {
 			s := NewSession(tc.g.Clone(), tc.p, rng.New(1), Config{Workers: workers, MaxRounds: -1, Done: never})
@@ -286,26 +288,92 @@ func TestSessionZeroAllocStep(t *testing.T) {
 	}
 }
 
+// TestDirectedSessionZeroAllocStep: the same for a bare DirectedTwoHop, whose
+// act is DirectedTwoHop.ActRange into the round buffer (Workers 0) or the
+// shard's arc buffer (Workers 1). On the complete digraph on 70 nodes every
+// walk lands on a known arc or on its own start.
+func TestDirectedSessionZeroAllocStep(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting differs under -race")
+	}
+	const n = 70
+	g := graph.NewDirected(n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			g.AddArc(u, v)
+		}
+	}
+	never := func(*graph.Directed) bool { return false }
+	for _, workers := range []int{0, 1} {
+		s := NewDirectedSession(g.Clone(), core.DirectedTwoHop{}, rng.New(1), DirectedConfig{Workers: workers, MaxRounds: -1, Done: never})
+		for i := 0; i < 50; i++ {
+			s.Step()
+		}
+		if extra := testing.AllocsPerRun(200, func() { s.Step() }); extra > 0 {
+			t.Errorf("Workers=%d: steady-state Step allocates %v", workers, extra)
+		}
+		if s.Stats().Proposals == 0 {
+			t.Errorf("Workers=%d: no proposals, so the steps measured nothing", workers)
+		}
+		s.Close()
+	}
+}
+
+// typesOf returns the set of dynamic types in a rangeActors list.
+func typesOf[T any](list []T) map[reflect.Type]bool {
+	set := map[reflect.Type]bool{}
+	for _, p := range list {
+		set[reflect.TypeOf(p)] = true
+	}
+	return set
+}
+
 // TestRangeActorsListed: of core's undirected processes — one value of every
-// type with an Act — exactly Push has the block form the session dispatches
-// to. A wrapper that gained ActRange by embedding a Push would skip its own
-// Act on the synchronous engines; it fails here until it is listed beside
-// session.go's compile-time assertion, which is where that gets decided.
+// type with an Act — exactly the types on session.go's rangeActors list have
+// the block form the session dispatches to. A wrapper that gained ActRange by
+// embedding a Push or a Pull would skip its own Act on the synchronous
+// engines; it fails here until it is put on that list, which is where that
+// gets decided.
 func TestRangeActorsListed(t *testing.T) {
 	alive := []bool{true, true}
+	listed := typesOf(rangeActors)
 	for _, p := range []core.Process{
 		core.Push{}, core.Pull{}, core.PushPull{},
 		core.Faulty{Inner: core.Push{}, FailProb: 0.5},
+		core.Faulty{Inner: core.Pull{}, FailProb: 0.5},
 		core.Partial{Inner: core.Push{}, Participation: 0.5},
 		core.Crashed{Inner: core.Push{}, Alive: alive},
+		core.Crashed{Inner: core.Pull{}, Alive: alive},
 		core.CrashedPull{Alive: alive},
 		core.Byzantine{Target: -1}, core.Selfish{}, core.Silent{},
 		core.Wrap(core.Push{}, core.Fail(0.5)),
+		core.Wrap(core.Pull{}, core.Crash(alive)),
 		core.NewPopulation(2, core.Push{}),
+		core.NewPopulation(2, core.Pull{}),
 	} {
 		_, has := p.(rangeActor)
-		if _, listed := p.(core.Push); has != listed {
-			t.Errorf("%T (%s): has ActRange %v, listed %v", p, p.Name(), has, listed)
+		if on := listed[reflect.TypeOf(p)]; has != on {
+			t.Errorf("%T (%s): has ActRange %v, listed %v", p, p.Name(), has, on)
+		}
+	}
+}
+
+// TestDirectedRangeActorsListed is the directed twin, over
+// directed_session.go's directedRangeActors: a wrapper that embeds the walk
+// cannot inherit ActRange past its own Act unnoticed.
+func TestDirectedRangeActorsListed(t *testing.T) {
+	listed := typesOf(directedRangeActors)
+	for _, p := range []core.DirectedProcess{
+		core.DirectedTwoHop{},
+		core.FaultyDirected{Inner: core.DirectedTwoHop{}, FailProb: 0.5},
+		core.ByzantineDirected{Target: -1}, core.SilentDirected{},
+		core.WrapDirected(core.DirectedTwoHop{}, core.Fail(0.5)),
+		core.WrapDirected(core.DirectedTwoHop{}, core.Crash([]bool{true, true})),
+		core.NewDirectedPopulation(2, core.DirectedTwoHop{}),
+	} {
+		_, has := p.(directedRangeActor)
+		if on := listed[reflect.TypeOf(p)]; has != on {
+			t.Errorf("%T (%s): has ActRange %v, listed %v", p, p.Name(), has, on)
 		}
 	}
 }
