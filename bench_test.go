@@ -142,7 +142,7 @@ func BenchmarkE11Baselines(b *testing.B) {
 
 // BenchmarkE12Robustness measures push under 30% connection failures.
 func BenchmarkE12Robustness(b *testing.B) {
-	benchUndirected(b, core.Faulty{Inner: core.Push{}, FailProb: 0.3},
+	benchUndirected(b, core.Wrap(core.Push{}, core.Fail(0.3)),
 		func(r *rng.Rand) *gossipdisc.Graph { return gen.Cycle(96) })
 }
 

@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gossipdisc/internal/cliflag"
 	"gossipdisc/internal/experiments"
 	"gossipdisc/internal/export"
 	"gossipdisc/internal/graph"
@@ -104,7 +105,7 @@ func main() {
 	// Resolve -workers exactly as gossipsim does: "auto" selects the
 	// autoscaling sentinel, -1 resolves to GOMAXPROCS (validate already
 	// rejected everything else).
-	wcount, wauto, _ := opts.workerCount()
+	wcount, wauto, _ := cliflag.WorkerCount(opts.workers)
 	engineWorkers := wcount
 	if wauto {
 		engineWorkers = sim.WorkersAuto

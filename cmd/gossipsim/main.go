@@ -17,6 +17,7 @@ import (
 	"os"
 	"runtime"
 
+	"gossipdisc/internal/cliflag"
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/eventsim"
 	"gossipdisc/internal/gen"
@@ -110,7 +111,7 @@ func main() {
 	// Resolve -workers to the sim.Config value: "auto" selects the
 	// autoscaling sentinel, -1 resolves to GOMAXPROCS here (validate
 	// already rejected everything else).
-	wcount, wauto, _ := opts.workerCount()
+	wcount, wauto, _ := cliflag.WorkerCount(opts.workers)
 	engineWorkers := wcount
 	if wauto {
 		engineWorkers = sim.WorkersAuto

@@ -2,9 +2,8 @@ package main
 
 import (
 	"fmt"
-	"net"
-	"strconv"
 
+	"gossipdisc/internal/cliflag"
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/eventsim"
 	"gossipdisc/internal/graph"
@@ -40,42 +39,6 @@ type options struct {
 	metricsAddr string
 	snapshot    string
 	profile     profile.Flags
-}
-
-// validateMetricsAddr checks a -metrics-addr value: empty disables the
-// endpoint, anything else must be host:port with a port in 1-65535. Pure,
-// so table-driven tests can drive it without binding sockets.
-func validateMetricsAddr(addr string) error {
-	if addr == "" {
-		return nil
-	}
-	_, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return fmt.Errorf("-metrics-addr must be host:port (got %q)", addr)
-	}
-	p, err := strconv.Atoi(port)
-	if err != nil || p < 1 || p > 65535 {
-		return fmt.Errorf("-metrics-addr port must be an integer in 1-65535 (got %q)", port)
-	}
-	return nil
-}
-
-// workerCount resolves the -workers flag: auto == true selects the
-// adaptive engine (n is then meaningless); otherwise n is the parsed
-// count, with -1 still meaning GOMAXPROCS (resolved by the caller). The
-// error mirrors validate's style and is what validate reports.
-func (o *options) workerCount() (n int, auto bool, err error) {
-	if o.workers == "auto" {
-		return 0, true, nil
-	}
-	n, perr := strconv.Atoi(o.workers)
-	if perr != nil {
-		return 0, false, fmt.Errorf("-workers must be an integer or \"auto\" (got %q)", o.workers)
-	}
-	if n < -1 {
-		return 0, false, fmt.Errorf("-workers must be >= -1 (-1 = GOMAXPROCS, 0 = sequential engine, auto = autoscaled; got %d)", n)
-	}
-	return n, false, nil
 }
 
 // validate reports the first nonsensical option, or nil. Workload-family
@@ -129,7 +92,7 @@ func (o *options) validate() error {
 	if o.trials < 1 {
 		return fmt.Errorf("-trials must be at least 1 (got %d)", o.trials)
 	}
-	if _, _, err := o.workerCount(); err != nil {
+	if _, _, err := cliflag.WorkerCount(o.workers); err != nil {
 		return err
 	}
 	if _, err := graph.ParseBackend(o.backend); err != nil {
@@ -141,16 +104,18 @@ func (o *options) validate() error {
 	if o.traceAt < 0 {
 		return fmt.Errorf("-trace must be >= 0 (0 = off; got %d)", o.traceAt)
 	}
-	if o.fail < 0 || o.fail > 1 {
+	// Written so that NaN fails too: it compares false both ways, and a NaN
+	// -fail makes Bernoulli never fire, a NaN -dense disarms the mode.
+	if !(o.fail >= 0 && o.fail <= 1) {
 		return fmt.Errorf("-fail must be a probability in [0, 1] (got %v)", o.fail)
 	}
-	if o.dense < 0 || o.dense > 1 {
+	if !(o.dense >= 0 && o.dense <= 1) {
 		return fmt.Errorf("-dense must be a fraction in [0, 1] (got %v)", o.dense)
 	}
 	if o.dense > 0 && o.fail > 0 {
 		return fmt.Errorf("-dense cannot be combined with -fail: dense rounds sample missing edges directly and bypass the process (and its failure model)")
 	}
-	if err := validateMetricsAddr(o.metricsAddr); err != nil {
+	if err := cliflag.ValidateMetricsAddr(o.metricsAddr); err != nil {
 		return err
 	}
 	if err := o.profile.Validate(); err != nil {

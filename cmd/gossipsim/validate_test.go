@@ -1,9 +1,11 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"gossipdisc/internal/cliflag"
 	"gossipdisc/internal/profile"
 )
 
@@ -52,8 +54,10 @@ func TestValidateOptions(t *testing.T) {
 		{"negative rounds", func(o *options) { o.rounds = -1 }, "-rounds"},
 		{"negative trace", func(o *options) { o.traceAt = -3 }, "-trace"},
 		{"fail above one", func(o *options) { o.fail = 1.5 }, "-fail"},
+		{"fail NaN", func(o *options) { o.fail = math.NaN() }, "-fail"},
 		{"negative fail", func(o *options) { o.fail = -0.1 }, "-fail"},
 		{"dense above one", func(o *options) { o.dense = 1.01 }, "-dense"},
+		{"dense NaN", func(o *options) { o.dense = math.NaN() }, "-dense"},
 		{"negative dense", func(o *options) { o.dense = -0.5 }, "-dense"},
 		{"dense with fail", func(o *options) { o.dense = 0.3; o.fail = 0.4 }, "-dense"},
 
@@ -128,15 +132,15 @@ func TestValidateOptions(t *testing.T) {
 	t.Run("worker count resolution", func(t *testing.T) {
 		o := good()
 		o.workers = "auto"
-		if _, auto, err := o.workerCount(); err != nil || !auto {
+		if _, auto, err := cliflag.WorkerCount(o.workers); err != nil || !auto {
 			t.Fatalf("auto: auto=%v err=%v", auto, err)
 		}
 		o.workers = "-1"
-		if n, auto, err := o.workerCount(); err != nil || auto || n != -1 {
+		if n, auto, err := cliflag.WorkerCount(o.workers); err != nil || auto || n != -1 {
 			t.Fatalf("-1: n=%d auto=%v err=%v", n, auto, err)
 		}
 		o.workers = "6"
-		if n, auto, err := o.workerCount(); err != nil || auto || n != 6 {
+		if n, auto, err := cliflag.WorkerCount(o.workers); err != nil || auto || n != 6 {
 			t.Fatalf("6: n=%d auto=%v err=%v", n, auto, err)
 		}
 	})

@@ -89,10 +89,6 @@ type (
 	Pull = core.Pull
 	// DirectedTwoHop is the directed two-hop walk (Section 5).
 	DirectedTwoHop = core.DirectedTwoHop
-	// Faulty drops each proposed connection with a fixed probability.
-	Faulty = core.Faulty
-	// Partial gates each node's per-round participation.
-	Partial = core.Partial
 )
 
 // Engine types.

@@ -115,12 +115,12 @@ func TestGraphConstructors(t *testing.T) {
 
 func TestFaultyAndPartialExported(t *testing.T) {
 	g := gossipdisc.Cycle(16)
-	res := gossipdisc.Run(g, gossipdisc.Faulty{Inner: gossipdisc.Push{}, FailProb: 0.2}, 11)
+	res := gossipdisc.Run(g, gossipdisc.Wrap(gossipdisc.Push{}, gossipdisc.Fail(0.2)), 11)
 	if !res.Converged {
 		t.Fatal("faulty push did not converge")
 	}
 	h := gossipdisc.Cycle(16)
-	res = gossipdisc.Run(h, gossipdisc.Partial{Inner: gossipdisc.Pull{}, Participation: 0.5}, 12)
+	res = gossipdisc.Run(h, gossipdisc.Wrap(gossipdisc.Pull{}, gossipdisc.Participation(0.5)), 12)
 	if !res.Converged {
 		t.Fatal("partial pull did not converge")
 	}

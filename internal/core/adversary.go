@@ -102,30 +102,26 @@ func (Selfish) ActRelay(g *graph.Undirected, u int, r *rng.Rand, relay func(v in
 	Pull{}.ActRelay(g, u, r, relay, propose)
 }
 
-// Silent is the parked node: it never initiates an action but can still be
-// discovered and still answers relays. It is the "crashed" role of a
-// Population (distinct from the Crash behavior, whose mask also filters
+// SilentOn is the parked node: it never initiates an action but can still
+// be discovered and still answers relays. It is the "crashed" role of a
+// population (distinct from the Crash behavior, whose mask also filters
 // proposals naming the node).
-type Silent struct{}
+type SilentOn[G any] struct{}
 
-// Name implements Process.
-func (Silent) Name() string { return "silent" }
+// Silent is the undirected parked node, SilentDirected the directed one.
+type (
+	Silent         = SilentOn[*graph.Undirected]
+	SilentDirected = SilentOn[*graph.Directed]
+)
 
-// Act implements Process.
-func (Silent) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b int)) {}
+// Name implements ProcessOn.
+func (SilentOn[G]) Name() string { return "silent" }
 
-// SilentDirected is the directed parked node.
-type SilentDirected struct{}
-
-// Name implements DirectedProcess.
-func (SilentDirected) Name() string { return "silent" }
-
-// Act implements DirectedProcess.
-func (SilentDirected) Act(g *graph.Directed, u int, r *rng.Rand, propose func(a, b int)) {}
+// Act implements ProcessOn.
+func (SilentOn[G]) Act(g G, u int, r *rng.Rand, propose func(a, b int)) {}
 
 var (
 	_ Process         = Byzantine{}
-	_ Process         = Selfish{}
 	_ RelayProcess    = Selfish{}
 	_ Process         = Silent{}
 	_ DirectedProcess = ByzantineDirected{}

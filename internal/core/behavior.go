@@ -13,8 +13,8 @@ import (
 // composed with Wrap / WrapDirected. The paper's Section 6 variants —
 // connection failures, partial participation, fail-stop crashes — are each
 // one Behavior (Fail, Participation, Crash) instead of one wrapper struct
-// per (variant, direction) pair. The pre-existing wrapper structs in
-// variants.go survive as deprecated thin aliases over this chain.
+// per (variant, direction) pair. Crashed and CrashedPull in variants.go are the
+// two wrapper structs that remain; their comments say why.
 //
 // Composition rules (the determinism contract the equivalence suites pin):
 //
@@ -57,8 +57,7 @@ type Behavior struct {
 
 // Fail is the connection-failure behavior: every proposal is independently
 // dropped with probability prob, consuming one Bernoulli draw per proposal —
-// the Faulty / FaultyDirected semantics, now one implementation for both
-// directions.
+// one implementation for both directions.
 func Fail(prob float64) Behavior {
 	return Behavior{
 		Label: fmt.Sprintf("fail%.2f", prob),
@@ -119,20 +118,21 @@ func crashLabel(alive []bool) string {
 	return fmt.Sprintf("crash%.2f", float64(up)/float64(len(alive)))
 }
 
-// RelayProcess is implemented by undirected processes whose action is a
-// relay walk (the two-hop pull): ActRelay is Act with a liveness gate on
-// the middle hop — a refused relay ends the walk without drawing the second
-// hop. Wrap uses it to apply Behavior.Relay hooks.
-type RelayProcess interface {
-	Process
-	ActRelay(g *graph.Undirected, u int, r *rng.Rand, relay func(v int) bool, propose func(a, b int))
+// RelayProcessOn is implemented by processes whose action is a relay walk
+// (the two-hop pull, the directed two-hop walk): ActRelay is Act with a
+// liveness gate on the middle hop — a refused relay ends the walk without
+// drawing the second hop. Wrap / WrapDirected use it to apply
+// Behavior.Relay hooks.
+type RelayProcessOn[G any] interface {
+	ProcessOn[G]
+	ActRelay(g G, u int, r *rng.Rand, relay func(v int) bool, propose func(a, b int))
 }
 
-// DirectedRelayProcess is the directed counterpart of RelayProcess.
-type DirectedRelayProcess interface {
-	DirectedProcess
-	ActRelay(g *graph.Directed, u int, r *rng.Rand, relay func(v int) bool, propose func(a, b int))
-}
+// RelayProcess is the undirected RelayProcessOn.
+type RelayProcess = RelayProcessOn[*graph.Undirected]
+
+// DirectedRelayProcess is the directed RelayProcessOn.
+type DirectedRelayProcess = RelayProcessOn[*graph.Directed]
 
 // wrappedName joins the inner name with the chain's labels:
 // "pull+crash0.75", "push+fail0.30+part0.50".
@@ -178,36 +178,24 @@ func combinedRelay(chain []Behavior) func(v int) bool {
 // participation gates in chain order, proposal filters in chain order, and
 // — when inner implements RelayProcess and any layer sets Relay — the
 // combined relay gate on the walk's middle hop.
-func Wrap(inner Process, chain ...Behavior) Process {
-	if len(chain) == 0 {
-		return inner
-	}
-	w := &wrapped{
-		inner: inner,
-		chain: append([]Behavior(nil), chain...),
-	}
-	w.name = wrappedName(inner.Name(), w.chain)
-	if relay := combinedRelay(w.chain); relay != nil {
-		if rp, ok := inner.(RelayProcess); ok {
-			w.relayInner = rp
-			w.relay = relay
-		}
-	}
-	return w
-}
+func Wrap(inner Process, chain ...Behavior) Process { return wrap(inner, chain) }
 
 // WrapDirected composes the same behavior chain over a directed process.
 func WrapDirected(inner DirectedProcess, chain ...Behavior) DirectedProcess {
+	return wrap(inner, chain)
+}
+
+func wrap[G any](inner ProcessOn[G], chain []Behavior) ProcessOn[G] {
 	if len(chain) == 0 {
 		return inner
 	}
-	w := &wrappedDirected{
+	w := &wrapped[G]{
 		inner: inner,
 		chain: append([]Behavior(nil), chain...),
 	}
 	w.name = wrappedName(inner.Name(), w.chain)
 	if relay := combinedRelay(w.chain); relay != nil {
-		if rp, ok := inner.(DirectedRelayProcess); ok {
+		if rp, ok := inner.(RelayProcessOn[G]); ok {
 			w.relayInner = rp
 			w.relay = relay
 		}
@@ -215,48 +203,20 @@ func WrapDirected(inner DirectedProcess, chain ...Behavior) DirectedProcess {
 	return w
 }
 
-// wrapped is the undirected behavior-chain process built by Wrap.
-type wrapped struct {
-	inner      Process
+// wrapped is the behavior-chain process built by Wrap / WrapDirected.
+type wrapped[G any] struct {
+	inner      ProcessOn[G]
 	chain      []Behavior
 	name       string
-	relayInner RelayProcess     // non-nil iff inner is relay-aware and the chain gates relays
-	relay      func(v int) bool // the combined relay gate, set with relayInner
+	relayInner RelayProcessOn[G] // non-nil iff inner is relay-aware and the chain gates relays
+	relay      func(v int) bool  // the combined relay gate, set with relayInner
 }
 
-// Name implements Process.
-func (w *wrapped) Name() string { return w.name }
+// Name implements ProcessOn.
+func (w *wrapped[G]) Name() string { return w.name }
 
-// Act implements Process.
-func (w *wrapped) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b int)) {
-	for i := range w.chain {
-		if gate := w.chain[i].Participate; gate != nil && !gate(u, r) {
-			return
-		}
-	}
-	emit := chainPropose(w.chain, r, propose)
-	if w.relayInner != nil {
-		w.relayInner.ActRelay(g, u, r, w.relay, emit)
-		return
-	}
-	w.inner.Act(g, u, r, emit)
-}
-
-// wrappedDirected is the directed behavior-chain process built by
-// WrapDirected.
-type wrappedDirected struct {
-	inner      DirectedProcess
-	chain      []Behavior
-	name       string
-	relayInner DirectedRelayProcess
-	relay      func(v int) bool
-}
-
-// Name implements DirectedProcess.
-func (w *wrappedDirected) Name() string { return w.name }
-
-// Act implements DirectedProcess.
-func (w *wrappedDirected) Act(g *graph.Directed, u int, r *rng.Rand, propose func(a, b int)) {
+// Act implements ProcessOn.
+func (w *wrapped[G]) Act(g G, u int, r *rng.Rand, propose func(a, b int)) {
 	for i := range w.chain {
 		if gate := w.chain[i].Participate; gate != nil && !gate(u, r) {
 			return
@@ -286,9 +246,6 @@ func chainPropose(chain []Behavior, r *rng.Rand, sink func(a, b int)) func(a, b 
 }
 
 var (
-	_ Process         = (*wrapped)(nil)
-	_ DirectedProcess = (*wrappedDirected)(nil)
-	_ RelayProcess    = Pull{}
-
+	_ RelayProcess         = Pull{}
 	_ DirectedRelayProcess = DirectedTwoHop{}
 )

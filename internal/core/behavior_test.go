@@ -11,8 +11,8 @@ import (
 )
 
 // collectN runs reps Acts for node u on one continuous stream and returns
-// every proposed edge in order — the draw-for-draw fingerprint the
-// deprecated wrappers and their behavior-chain equivalents must share.
+// every proposed edge in order — the draw-for-draw fingerprint the wrapper
+// structs and their behavior-chain equivalents must share.
 func collectN(p Process, g *graph.Undirected, u int, seed uint64, reps int) []graph.Edge {
 	r := rng.New(seed)
 	var out []graph.Edge
@@ -22,18 +22,10 @@ func collectN(p Process, g *graph.Undirected, u int, seed uint64, reps int) []gr
 	return out
 }
 
-func collectDirectedN(p DirectedProcess, g *graph.Directed, u int, seed uint64, reps int) []graph.Arc {
-	r := rng.New(seed)
-	var out []graph.Arc
-	for i := 0; i < reps; i++ {
-		p.Act(g, u, r, func(a, b int) { out = append(out, graph.Arc{U: a, V: b}) })
-	}
-	return out
-}
-
-// TestWrapMatchesDeprecatedWrappers pins the chain against the historical
-// wrapper structs, draw for draw on a shared stream: the deprecated types
-// are documented as thin aliases, so any divergence is a contract break.
+// TestWrapMatchesDeprecatedWrappers pins the chain against the two wrapper
+// structs that remain, draw for draw on a shared stream: Crashed and
+// CrashedPull are documented as the chain's equals on these inners, so any
+// divergence is a contract break.
 func TestWrapMatchesDeprecatedWrappers(t *testing.T) {
 	g := gen.Cycle(16)
 	alive := make([]bool, 16)
@@ -44,9 +36,6 @@ func TestWrapMatchesDeprecatedWrappers(t *testing.T) {
 		name       string
 		old, chain Process
 	}{
-		{"faulty-push", Faulty{Inner: Push{}, FailProb: 0.3}, Wrap(Push{}, Fail(0.3))},
-		{"faulty-pull", Faulty{Inner: Pull{}, FailProb: 0.5}, Wrap(Pull{}, Fail(0.5))},
-		{"partial-push", Partial{Inner: Push{}, Participation: 0.6}, Wrap(Push{}, Participation(0.6))},
 		{"crashed-push", Crashed{Inner: Push{}, Alive: alive}, Wrap(Push{}, Crash(alive))},
 		{"crashed-pull", CrashedPull{Alive: alive}, Wrap(Pull{}, Crash(alive))},
 	}
@@ -57,22 +46,6 @@ func TestWrapMatchesDeprecatedWrappers(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("%s: node %d diverged: old %v chain %v", tc.name, u, want, got)
 			}
-		}
-	}
-}
-
-// TestFaultyDirectedMatchesChain pins the shared Fail behavior against the
-// deprecated directed wrapper — the duplication the chain killed.
-func TestFaultyDirectedMatchesChain(t *testing.T) {
-	r := rng.New(3)
-	g := gen.RandomStronglyConnected(12, 20, r)
-	old := FaultyDirected{Inner: DirectedTwoHop{}, FailProb: 0.4}
-	chain := WrapDirected(DirectedTwoHop{}, Fail(0.4))
-	for u := 0; u < 12; u++ {
-		want := collectDirectedN(old, g, u, uint64(u)+7, 400)
-		got := collectDirectedN(chain, g, u, uint64(u)+7, 400)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("node %d diverged: old %v chain %v", u, want, got)
 		}
 	}
 }

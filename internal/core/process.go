@@ -17,24 +17,27 @@ import (
 	"gossipdisc/internal/rng"
 )
 
-// Process is the per-node action of an undirected discovery process.
+// ProcessOn is the per-node action of a discovery process over the graph
+// type G. The layers above the graph — behavior chains, populations, the
+// round engines — never call a method on G, so they are written once over
+// it; Process and DirectedProcess are its two instantiations.
 //
 // Act performs node u's action for one round: it reads g (never mutates it)
-// and calls propose for each edge the action creates. Proposing a self-loop
-// or an existing edge is allowed and has no effect when committed.
-type Process interface {
+// and calls propose for each edge the action creates — for a directed
+// process, propose(a, b) proposes the arc a → b. Proposing a self-loop or an
+// existing edge is allowed and has no effect when committed.
+type ProcessOn[G any] interface {
 	// Name identifies the process in experiment output, e.g. "push".
 	Name() string
 	// Act executes node u's round action on the (read-only) graph g.
-	Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b int))
+	Act(g G, u int, r *rng.Rand, propose func(a, b int))
 }
 
-// DirectedProcess is the per-node action of a directed discovery process;
-// propose(a, b) proposes the arc a → b.
-type DirectedProcess interface {
-	Name() string
-	Act(g *graph.Directed, u int, r *rng.Rand, propose func(a, b int))
-}
+// Process is the per-node action of an undirected discovery process.
+type Process = ProcessOn[*graph.Undirected]
+
+// DirectedProcess is the per-node action of a directed discovery process.
+type DirectedProcess = ProcessOn[*graph.Directed]
 
 // Push is the triangulation (push discovery) process: each round every node
 // u draws two neighbors v, w independently and uniformly at random from

@@ -321,14 +321,14 @@ func TestDirectedTwoHopStaysInClosure(t *testing.T) {
 
 func TestProcessNames(t *testing.T) {
 	cases := map[string]string{
-		Push{}.Name():                                  "push",
-		Pull{}.Name():                                  "pull",
-		DirectedTwoHop{}.Name():                        "directed-two-hop",
-		PushPull{}.Name():                              "push-pull",
-		(Faulty{Push{}, 0.25}).Name():                  "push+fail0.25",
-		(Partial{Pull{}, 0.5}).Name():                  "pull+part0.50",
-		(Crashed{Push{}, nil}).Name():                  "push+crash",
-		(FaultyDirected{DirectedTwoHop{}, 0.1}).Name(): "directed-two-hop+fail0.10",
+		Push{}.Name():                                    "push",
+		Pull{}.Name():                                    "pull",
+		DirectedTwoHop{}.Name():                          "directed-two-hop",
+		PushPull{}.Name():                                "push-pull",
+		Wrap(Push{}, Fail(0.25)).Name():                  "push+fail0.25",
+		Wrap(Pull{}, Participation(0.5)).Name():          "pull+part0.50",
+		(Crashed{Push{}, nil}).Name():                    "push+crash",
+		WrapDirected(DirectedTwoHop{}, Fail(0.1)).Name(): "directed-two-hop+fail0.10",
 	}
 	for got, want := range cases {
 		if got != want {
@@ -340,11 +340,11 @@ func TestProcessNames(t *testing.T) {
 func TestFaultyDropsEverythingAtP1(t *testing.T) {
 	g := gen.Complete(4)
 	r := rng.New(11)
-	p := Faulty{Inner: Push{}, FailProb: 1}
+	p := Wrap(Push{}, Fail(1))
 	for u := 0; u < 4; u++ {
 		for i := 0; i < 50; i++ {
 			if es := collect(p, g, u, r); len(es) != 0 {
-				t.Fatalf("Faulty(1) proposed %v", es)
+				t.Fatalf("Fail(1) proposed %v", es)
 			}
 		}
 	}
@@ -353,23 +353,23 @@ func TestFaultyDropsEverythingAtP1(t *testing.T) {
 func TestFaultyPassesEverythingAtP0(t *testing.T) {
 	g := gen.Star(6)
 	r := rng.New(12)
-	p := Faulty{Inner: Push{}, FailProb: 0}
+	p := Wrap(Push{}, Fail(0))
 	got := 0
 	for i := 0; i < 500; i++ {
 		got += len(collect(p, g, 0, r))
 	}
 	if got == 0 {
-		t.Fatal("Faulty(0) never proposed")
+		t.Fatal("Fail(0) never proposed")
 	}
 }
 
 func TestPartialZeroNeverActs(t *testing.T) {
 	g := gen.Complete(5)
 	r := rng.New(13)
-	p := Partial{Inner: Push{}, Participation: 0}
+	p := Wrap(Push{}, Participation(0))
 	for u := 0; u < 5; u++ {
 		if es := collect(p, g, u, r); len(es) != 0 {
-			t.Fatalf("Partial(0) proposed %v", es)
+			t.Fatalf("Participation(0) proposed %v", es)
 		}
 	}
 }
@@ -380,14 +380,14 @@ func TestPartialRate(t *testing.T) {
 	const draws = 40000
 	// A deterministic probe isolates the participation gate from the inner
 	// process's own no-proposal outcomes.
-	probe := Partial{Inner: probeProcess{}, Participation: 0.5}
+	probe := Wrap(probeProcess{}, Participation(0.5))
 	hits := 0
 	for i := 0; i < draws; i++ {
 		hits += len(collect(probe, g, 0, r))
 	}
 	rate := float64(hits) / draws
 	if math.Abs(rate-0.5) > 0.01 {
-		t.Fatalf("Partial(0.5) act rate %.4f", rate)
+		t.Fatalf("Participation(0.5) act rate %.4f", rate)
 	}
 }
 

@@ -8,14 +8,14 @@ import (
 	"gossipdisc/internal/rng"
 )
 
-// A Population assigns every node its own behavior: node u's round action
+// A PopulationOn assigns every node its own behavior: node u's round action
 // dispatches through the Process its *role* selects, so heterogeneous
 // populations — 5% Byzantine, 10% selfish, the rest honest — run in one
 // session on any engine. The design mirrors eventsim's RateMap: named role
 // classes plus per-node overrides, mutable between steps, resolvable from a
 // textual spec (ParseRoleSpec).
 //
-// A Population implements Process itself, which is how it threads through
+// A population implements ProcessOn itself, which is how it threads through
 // every runtime unchanged: the sequential, sharded, dense-phase, tick-async
 // and event-driven engines all call Act(g, u, r, propose) per node, and the
 // Population forwards to node u's own process on node u's existing stream.
@@ -34,15 +34,22 @@ import (
 //
 // Nodes beyond the population's size (members admitted later via
 // Session.InsertNode) run the default process.
-type Population struct {
-	def       Process
-	procs     []Process
-	classProc []Process
+type PopulationOn[G any] struct {
+	kind      string // "Population" / "DirectedPopulation", for panic texts
+	def       ProcessOn[G]
+	procs     []ProcessOn[G]
+	classProc []ProcessOn[G]
 	roleTable
 }
 
-// roleTable is the class/override bookkeeping shared by Population and
-// DirectedPopulation.
+// Population is the undirected PopulationOn.
+type Population = PopulationOn[*graph.Undirected]
+
+// DirectedPopulation is the directed PopulationOn: per-node dispatch over
+// DirectedProcess behaviors, same bookkeeping, same determinism contract.
+type DirectedPopulation = PopulationOn[*graph.Directed]
+
+// roleTable is the class/override bookkeeping under PopulationOn.
 type roleTable struct {
 	classOf  []int32 // node -> class index, -1 = default or override
 	override []bool  // node has a per-node process override
@@ -157,15 +164,25 @@ func (t *roleTable) summary() string {
 // NewPopulation returns the uniform population: every one of the n nodes
 // runs the default process def. It panics on negative n or a nil default.
 func NewPopulation(n int, def Process) *Population {
+	return newPopulation("Population", n, def)
+}
+
+// NewDirectedPopulation returns the uniform directed population.
+func NewDirectedPopulation(n int, def DirectedProcess) *DirectedPopulation {
+	return newPopulation("DirectedPopulation", n, def)
+}
+
+func newPopulation[G any](kind string, n int, def ProcessOn[G]) *PopulationOn[G] {
 	if n < 0 {
-		panic(fmt.Sprintf("core: NewPopulation with negative n %d", n))
+		panic(fmt.Sprintf("core: New%s with negative n %d", kind, n))
 	}
 	if def == nil {
-		panic("core: NewPopulation with nil default process")
+		panic("core: New" + kind + " with nil default process")
 	}
-	p := &Population{
+	p := &PopulationOn[G]{
+		kind:      kind,
 		def:       def,
-		procs:     make([]Process, n),
+		procs:     make([]ProcessOn[G], n),
 		roleTable: newRoleTable(n),
 	}
 	for i := range p.procs {
@@ -175,27 +192,27 @@ func NewPopulation(n int, def Process) *Population {
 }
 
 // N returns the number of nodes the population covers.
-func (p *Population) N() int { return len(p.procs) }
+func (p *PopulationOn[G]) N() int { return len(p.procs) }
 
 // Uniform reports whether every node currently runs the default process —
 // the populations whose runs are byte-identical to the plain single-Process
 // path.
-func (p *Population) Uniform() bool { return p.assigned == 0 }
+func (p *PopulationOn[G]) Uniform() bool { return p.assigned == 0 }
 
-// Name implements Process: the default process's name for a uniform
+// Name implements ProcessOn: the default process's name for a uniform
 // population (so experiment output is unchanged), else the default name
 // plus a role census, e.g. "push+roles[byzantine:3,selfish:6]".
-func (p *Population) Name() string {
+func (p *PopulationOn[G]) Name() string {
 	if p.assigned == 0 {
 		return p.def.Name()
 	}
 	return p.def.Name() + "+" + p.summary()
 }
 
-// Act implements Process: node u's action is its own process's action, on
+// Act implements ProcessOn: node u's action is its own process's action, on
 // u's existing stream — the whole dispatch is one slice index, so uniform
 // populations add zero allocations to the hot step path.
-func (p *Population) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b int)) {
+func (p *PopulationOn[G]) Act(g G, u int, r *rng.Rand, propose func(a, b int)) {
 	if u < len(p.procs) {
 		p.procs[u].Act(g, u, r, propose)
 		return
@@ -205,19 +222,19 @@ func (p *Population) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a
 
 // DefineRole registers a named role class running proc. It panics on an
 // empty or duplicate name or a nil process.
-func (p *Population) DefineRole(name string, proc Process) {
+func (p *PopulationOn[G]) DefineRole(name string, proc ProcessOn[G]) {
 	if proc == nil {
 		panic(fmt.Sprintf("core: DefineRole(%q) with nil process", name))
 	}
-	p.defineClass("Population", name)
+	p.defineClass(p.kind, name)
 	p.classProc = append(p.classProc, proc)
 }
 
 // AssignRole puts nodes [lo, hi) into the named role (last assignment
 // wins, clearing any per-node override). It panics on an unknown role or
 // an out-of-range interval.
-func (p *Population) AssignRole(name string, lo, hi int) {
-	c := p.classIndex("Population", "AssignRole", name)
+func (p *PopulationOn[G]) AssignRole(name string, lo, hi int) {
+	c := p.classIndex(p.kind, "AssignRole", name)
 	if lo < 0 || hi > len(p.procs) || lo > hi {
 		panic(fmt.Sprintf("core: AssignRole range [%d, %d) outside [0, %d)", lo, hi, len(p.procs)))
 	}
@@ -228,8 +245,8 @@ func (p *Population) AssignRole(name string, lo, hi int) {
 }
 
 // AssignRoleNodes puts the listed nodes into the named role.
-func (p *Population) AssignRoleNodes(name string, nodes ...int) {
-	c := p.classIndex("Population", "AssignRoleNodes", name)
+func (p *PopulationOn[G]) AssignRoleNodes(name string, nodes ...int) {
+	c := p.classIndex(p.kind, "AssignRoleNodes", name)
 	for _, u := range nodes {
 		if u < 0 || u >= len(p.procs) {
 			panic(fmt.Sprintf("core: AssignRoleNodes node %d outside [0, %d)", u, len(p.procs)))
@@ -241,7 +258,7 @@ func (p *Population) AssignRoleNodes(name string, nodes ...int) {
 
 // SetNodeProcess gives node u a per-node override, detaching it from its
 // role. A nil proc resets u to the default process.
-func (p *Population) SetNodeProcess(u int, proc Process) {
+func (p *PopulationOn[G]) SetNodeProcess(u int, proc ProcessOn[G]) {
 	if u < 0 || u >= len(p.procs) {
 		panic(fmt.Sprintf("core: SetNodeProcess node %d outside [0, %d)", u, len(p.procs)))
 	}
@@ -256,13 +273,13 @@ func (p *Population) SetNodeProcess(u int, proc Process) {
 
 // SetRoleProcess swaps the named role's process and returns the nodes it
 // currently covers (mirroring RateMap.SetClassRate). O(n).
-func (p *Population) SetRoleProcess(name string, proc Process) []int {
-	c := p.classIndex("Population", "SetRoleProcess", name)
+func (p *PopulationOn[G]) SetRoleProcess(name string, proc ProcessOn[G]) []int {
+	c := p.classIndex(p.kind, "SetRoleProcess", name)
 	if proc == nil {
 		panic(fmt.Sprintf("core: SetRoleProcess(%q) with nil process", name))
 	}
 	p.classProc[c] = proc
-	members := p.nodes("Population", name)
+	members := p.nodes(p.kind, name)
 	for _, u := range members {
 		p.procs[u] = proc
 	}
@@ -271,10 +288,10 @@ func (p *Population) SetRoleProcess(name string, proc Process) []int {
 
 // Role returns node u's role name, or "" for default-role nodes and
 // per-node overrides.
-func (p *Population) Role(u int) string { return p.role(u) }
+func (p *PopulationOn[G]) Role(u int) string { return p.role(u) }
 
 // ProcessOf returns the process node u currently runs.
-func (p *Population) ProcessOf(u int) Process {
+func (p *PopulationOn[G]) ProcessOf(u int) ProcessOn[G] {
 	if u >= len(p.procs) {
 		return p.def
 	}
@@ -283,134 +300,7 @@ func (p *Population) ProcessOf(u int) Process {
 
 // Nodes returns the current members of the named role, ascending — e.g.
 // the eavesdropper coalition handed to analyze.NewAnonymity.
-func (p *Population) Nodes(name string) []int { return p.nodes("Population", name) }
+func (p *PopulationOn[G]) Nodes(name string) []int { return p.nodes(p.kind, name) }
 
 // Roles returns the defined role names in definition order.
-func (p *Population) Roles() []string { return append([]string(nil), p.classes...) }
-
-// DirectedPopulation is the directed mirror of Population: per-node
-// dispatch over DirectedProcess behaviors, same bookkeeping, same
-// determinism contract.
-type DirectedPopulation struct {
-	def       DirectedProcess
-	procs     []DirectedProcess
-	classProc []DirectedProcess
-	roleTable
-}
-
-// NewDirectedPopulation returns the uniform directed population.
-func NewDirectedPopulation(n int, def DirectedProcess) *DirectedPopulation {
-	if n < 0 {
-		panic(fmt.Sprintf("core: NewDirectedPopulation with negative n %d", n))
-	}
-	if def == nil {
-		panic("core: NewDirectedPopulation with nil default process")
-	}
-	p := &DirectedPopulation{
-		def:       def,
-		procs:     make([]DirectedProcess, n),
-		roleTable: newRoleTable(n),
-	}
-	for i := range p.procs {
-		p.procs[i] = def
-	}
-	return p
-}
-
-// N returns the number of nodes the population covers.
-func (p *DirectedPopulation) N() int { return len(p.procs) }
-
-// Uniform reports whether every node currently runs the default process.
-func (p *DirectedPopulation) Uniform() bool { return p.assigned == 0 }
-
-// Name implements DirectedProcess.
-func (p *DirectedPopulation) Name() string {
-	if p.assigned == 0 {
-		return p.def.Name()
-	}
-	return p.def.Name() + "+" + p.summary()
-}
-
-// Act implements DirectedProcess.
-func (p *DirectedPopulation) Act(g *graph.Directed, u int, r *rng.Rand, propose func(a, b int)) {
-	if u < len(p.procs) {
-		p.procs[u].Act(g, u, r, propose)
-		return
-	}
-	p.def.Act(g, u, r, propose)
-}
-
-// DefineRole registers a named role class running proc.
-func (p *DirectedPopulation) DefineRole(name string, proc DirectedProcess) {
-	if proc == nil {
-		panic(fmt.Sprintf("core: DefineRole(%q) with nil process", name))
-	}
-	p.defineClass("DirectedPopulation", name)
-	p.classProc = append(p.classProc, proc)
-}
-
-// AssignRole puts nodes [lo, hi) into the named role (last assignment wins).
-func (p *DirectedPopulation) AssignRole(name string, lo, hi int) {
-	c := p.classIndex("DirectedPopulation", "AssignRole", name)
-	if lo < 0 || hi > len(p.procs) || lo > hi {
-		panic(fmt.Sprintf("core: AssignRole range [%d, %d) outside [0, %d)", lo, hi, len(p.procs)))
-	}
-	for u := lo; u < hi; u++ {
-		p.setNode(u, int32(c), false)
-		p.procs[u] = p.classProc[c]
-	}
-}
-
-// AssignRoleNodes puts the listed nodes into the named role.
-func (p *DirectedPopulation) AssignRoleNodes(name string, nodes ...int) {
-	c := p.classIndex("DirectedPopulation", "AssignRoleNodes", name)
-	for _, u := range nodes {
-		if u < 0 || u >= len(p.procs) {
-			panic(fmt.Sprintf("core: AssignRoleNodes node %d outside [0, %d)", u, len(p.procs)))
-		}
-		p.setNode(u, int32(c), false)
-		p.procs[u] = p.classProc[c]
-	}
-}
-
-// SetNodeProcess gives node u a per-node override; nil resets to default.
-func (p *DirectedPopulation) SetNodeProcess(u int, proc DirectedProcess) {
-	if u < 0 || u >= len(p.procs) {
-		panic(fmt.Sprintf("core: SetNodeProcess node %d outside [0, %d)", u, len(p.procs)))
-	}
-	if proc == nil {
-		p.setNode(u, -1, false)
-		p.procs[u] = p.def
-		return
-	}
-	p.setNode(u, -1, true)
-	p.procs[u] = proc
-}
-
-// SetRoleProcess swaps the named role's process, returning its members.
-func (p *DirectedPopulation) SetRoleProcess(name string, proc DirectedProcess) []int {
-	c := p.classIndex("DirectedPopulation", "SetRoleProcess", name)
-	if proc == nil {
-		panic(fmt.Sprintf("core: SetRoleProcess(%q) with nil process", name))
-	}
-	p.classProc[c] = proc
-	members := p.nodes("DirectedPopulation", name)
-	for _, u := range members {
-		p.procs[u] = proc
-	}
-	return members
-}
-
-// Role returns node u's role name ("" for default/override).
-func (p *DirectedPopulation) Role(u int) string { return p.role(u) }
-
-// Nodes returns the current members of the named role, ascending.
-func (p *DirectedPopulation) Nodes(name string) []int { return p.nodes("DirectedPopulation", name) }
-
-// Roles returns the defined role names in definition order.
-func (p *DirectedPopulation) Roles() []string { return append([]string(nil), p.classes...) }
-
-var (
-	_ Process         = (*Population)(nil)
-	_ DirectedProcess = (*DirectedPopulation)(nil)
-)
+func (p *PopulationOn[G]) Roles() []string { return append([]string(nil), p.classes...) }

@@ -48,13 +48,28 @@ func TestPopulationDispatchesPerNode(t *testing.T) {
 	}
 }
 
+// Both populations are one PopulationOn, so their bookkeeping and panic
+// tests are one body each, run per substrate: newPop is the exported
+// constructor, def the default process, x and y two role processes, g a
+// complete graph on 10 nodes.
 func TestPopulationBookkeeping(t *testing.T) {
-	pop := NewPopulation(10, Push{})
-	if !pop.Uniform() || pop.Name() != "push" {
+	t.Run("undirected", func(t *testing.T) {
+		testPopulationBookkeeping(t, NewPopulation, Push{}, Byzantine{Target: -1}, Selfish{}, gen.Complete(10))
+	})
+	t.Run("directed", func(t *testing.T) {
+		testPopulationBookkeeping(t, NewDirectedPopulation, DirectedTwoHop{},
+			ByzantineDirected{Target: -1}, ByzantineDirected{Target: 0}, gen.CompleteDigraph(10))
+	})
+}
+
+func testPopulationBookkeeping[G any](t *testing.T, newPop func(int, ProcessOn[G]) *PopulationOn[G],
+	def, x, y ProcessOn[G], g G) {
+	pop := newPop(10, def)
+	if !pop.Uniform() || pop.Name() != def.Name() {
 		t.Fatalf("fresh population not uniform: %q", pop.Name())
 	}
-	pop.DefineRole("byzantine", Byzantine{Target: -1})
-	pop.DefineRole("selfish", Selfish{})
+	pop.DefineRole("byzantine", x)
+	pop.DefineRole("selfish", y)
 	if pop.N() != 10 || !pop.Uniform() {
 		t.Fatal("defining roles must not assign anyone")
 	}
@@ -69,16 +84,19 @@ func TestPopulationBookkeeping(t *testing.T) {
 	if pop.Role(2) != "selfish" || pop.Role(5) != "" {
 		t.Fatalf("Role lookup wrong: %q %q", pop.Role(2), pop.Role(5))
 	}
+	if pop.ProcessOf(1) != x || pop.ProcessOf(2) != y || pop.ProcessOf(5) != def || pop.ProcessOf(99) != def {
+		t.Fatalf("ProcessOf wrong: %v %v %v %v", pop.ProcessOf(1), pop.ProcessOf(2), pop.ProcessOf(5), pop.ProcessOf(99))
+	}
 	if pop.Uniform() {
 		t.Fatal("mixed population reported uniform")
 	}
-	wantName := "push+roles[byzantine:2,selfish:3]"
+	wantName := def.Name() + "+roles[byzantine:2,selfish:3]"
 	if pop.Name() != wantName {
 		t.Fatalf("Name %q want %q", pop.Name(), wantName)
 	}
 
 	// Overrides detach from the role and show up in the census.
-	pop.SetNodeProcess(2, Silent{})
+	pop.SetNodeProcess(2, SilentOn[G]{})
 	if got := pop.Nodes("selfish"); !reflect.DeepEqual(got, []int{3, 4}) {
 		t.Fatalf("selfish members after override %v", got)
 	}
@@ -92,42 +110,53 @@ func TestPopulationBookkeeping(t *testing.T) {
 	for u := 0; u < 10; u++ {
 		pop.SetNodeProcess(u, nil)
 	}
-	if !pop.Uniform() || pop.Name() != "push" {
+	if !pop.Uniform() || pop.Name() != def.Name() {
 		t.Fatalf("reset population not uniform: %q", pop.Name())
 	}
 
 	// SetRoleProcess retunes the class and reports its members.
 	pop.AssignRole("byzantine", 6, 9)
-	if got := pop.SetRoleProcess("byzantine", Silent{}); !reflect.DeepEqual(got, []int{6, 7, 8}) {
+	if got := pop.SetRoleProcess("byzantine", SilentOn[G]{}); !reflect.DeepEqual(got, []int{6, 7, 8}) {
 		t.Fatalf("SetRoleProcess members %v", got)
 	}
-	g := gen.Complete(10)
 	r := rng.New(2)
 	pop.Act(g, 7, r, func(a, b int) { t.Fatal("retuned silent node proposed") })
 }
 
 func TestPopulationPanics(t *testing.T) {
-	expectPanic := func(name string, fn func()) {
+	t.Run("undirected", func(t *testing.T) { testPopulationPanics(t, NewPopulation, Push{}, "Population") })
+	t.Run("directed", func(t *testing.T) {
+		testPopulationPanics(t, NewDirectedPopulation, DirectedTwoHop{}, "DirectedPopulation")
+	})
+}
+
+func testPopulationPanics[G any](t *testing.T, newPop func(int, ProcessOn[G]) *PopulationOn[G],
+	def ProcessOn[G], kind string) {
+	// Every panic is a "core:" string; the ones the role table raises name
+	// the exported type, not the generic one under it.
+	expectPanic := func(name, want string, fn func()) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
+			msg, _ := recover().(string)
+			if !strings.HasPrefix(msg, "core: ") || !strings.Contains(msg, want) {
+				t.Fatalf("%s: panic %q, want a core: panic naming %q", name, msg, want)
 			}
 		}()
 		fn()
 	}
-	pop := NewPopulation(4, Push{})
-	pop.DefineRole("x", Silent{})
-	expectPanic("negative n", func() { NewPopulation(-1, Push{}) })
-	expectPanic("nil default", func() { NewPopulation(1, nil) })
-	expectPanic("dup role", func() { pop.DefineRole("x", Silent{}) })
-	expectPanic("empty role", func() { pop.DefineRole("", Silent{}) })
-	expectPanic("nil role proc", func() { pop.DefineRole("y", nil) })
-	expectPanic("unknown assign", func() { pop.AssignRole("nope", 0, 1) })
-	expectPanic("bad range", func() { pop.AssignRole("x", 0, 5) })
-	expectPanic("bad node", func() { pop.AssignRoleNodes("x", 4) })
-	expectPanic("override range", func() { pop.SetNodeProcess(-1, Silent{}) })
-	expectPanic("unknown nodes", func() { pop.Nodes("nope") })
+	silent := SilentOn[G]{}
+	pop := newPop(4, def)
+	pop.DefineRole("x", silent)
+	expectPanic("negative n", "New"+kind, func() { newPop(-1, def) })
+	expectPanic("nil default", "New"+kind, func() { newPop(1, nil) })
+	expectPanic("dup role", " "+kind+":", func() { pop.DefineRole("x", silent) })
+	expectPanic("empty role", " "+kind+":", func() { pop.DefineRole("", silent) })
+	expectPanic("nil role proc", "DefineRole", func() { pop.DefineRole("y", nil) })
+	expectPanic("unknown assign", " "+kind+":", func() { pop.AssignRole("nope", 0, 1) })
+	expectPanic("bad range", "AssignRole", func() { pop.AssignRole("x", 0, 5) })
+	expectPanic("bad node", "AssignRoleNodes", func() { pop.AssignRoleNodes("x", 4) })
+	expectPanic("override range", "SetNodeProcess", func() { pop.SetNodeProcess(-1, silent) })
+	expectPanic("unknown nodes", " "+kind+":", func() { pop.Nodes("nope") })
 }
 
 func TestSpreadNodes(t *testing.T) {

@@ -171,45 +171,7 @@ func ParseRoleSpec(spec string, n int, base Process) (*Population, error) {
 	if base == nil {
 		base = Push{}
 	}
-	var entries []roleEntry
-	if spec != "" {
-		var err error
-		if entries, err = parseRoleEntries(spec); err != nil {
-			return nil, err
-		}
-	}
-	def := base
-	for _, e := range entries {
-		if e.def {
-			def, _ = roleProcess(e.name, base)
-		}
-	}
-	pop := NewPopulation(n, def)
-	for _, e := range entries {
-		if e.def {
-			continue
-		}
-		proc, ok := roleProcess(e.name, base)
-		if !ok {
-			return nil, fmt.Errorf("roles: role %q has no undirected process", e.name)
-		}
-		lo, hi := e.lo, e.hi
-		if lo == -1 {
-			lo, hi = 0, n-1
-		}
-		if hi >= n {
-			return nil, fmt.Errorf("roles: role %q range %d-%d outside the %d-node population", e.name, lo, hi, n)
-		}
-		k, err := resolveQuantity(e, hi-lo+1)
-		if err != nil {
-			return nil, err
-		}
-		pop.DefineRole(e.name, proc)
-		if k > 0 {
-			pop.AssignRoleNodes(e.name, spreadNodes(lo, hi, k)...)
-		}
-	}
-	return pop, nil
+	return parseRoleSpec("Population", "undirected", spec, n, base, roleProcess)
 }
 
 // ParseDirectedRoleSpec is ParseRoleSpec for directed runs: same grammar,
@@ -219,6 +181,13 @@ func ParseDirectedRoleSpec(spec string, n int, base DirectedProcess) (*DirectedP
 	if base == nil {
 		base = DirectedTwoHop{}
 	}
+	return parseRoleSpec("DirectedPopulation", "directed", spec, n, base, directedRoleProcess)
+}
+
+// parseRoleSpec is the resolver under both: lookup is the substrate's
+// role-name → process registry, substrate the word its errors use.
+func parseRoleSpec[G any](kind, substrate, spec string, n int, base ProcessOn[G],
+	lookup func(name string, base ProcessOn[G]) (ProcessOn[G], bool)) (*PopulationOn[G], error) {
 	var entries []roleEntry
 	if spec != "" {
 		var err error
@@ -226,24 +195,26 @@ func ParseDirectedRoleSpec(spec string, n int, base DirectedProcess) (*DirectedP
 			return nil, err
 		}
 	}
+	noProcess := func(name string) error {
+		return fmt.Errorf("roles: role %q has no %s process", name, substrate)
+	}
 	def := base
 	for _, e := range entries {
 		if e.def {
-			d, ok := directedRoleProcess(e.name, base)
-			if !ok {
-				return nil, fmt.Errorf("roles: role %q has no directed process", e.name)
+			var ok bool
+			if def, ok = lookup(e.name, base); !ok {
+				return nil, noProcess(e.name)
 			}
-			def = d
 		}
 	}
-	pop := NewDirectedPopulation(n, def)
+	pop := newPopulation(kind, n, def)
 	for _, e := range entries {
 		if e.def {
 			continue
 		}
-		proc, ok := directedRoleProcess(e.name, base)
+		proc, ok := lookup(e.name, base)
 		if !ok {
-			return nil, fmt.Errorf("roles: role %q has no directed process", e.name)
+			return nil, noProcess(e.name)
 		}
 		lo, hi := e.lo, e.hi
 		if lo == -1 {

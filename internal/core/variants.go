@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
 )
@@ -13,65 +11,10 @@ import (
 // nodes, or having only a subset of nodes to participate in forming
 // connections."
 //
-// The variants are now one composable middleware chain — see behavior.go
-// (Behavior, Fail, Participation, Crash, Wrap, WrapDirected). The structs
-// below predate the chain and survive as thin deprecated aliases with their
-// exact historical draw sequences, so existing callers and pinned goldens
-// are untouched.
-
-// Faulty wraps a process so that every proposed connection independently
-// fails (is dropped) with probability FailProb. It models flaky links or
-// rejected introductions.
-//
-// Deprecated: use Wrap(inner, Fail(prob)), which is draw-for-draw
-// identical and composes with the other behaviors.
-type Faulty struct {
-	Inner    Process
-	FailProb float64
-}
-
-// Name implements Process.
-func (f Faulty) Name() string { return fmt.Sprintf("%s+fail%.2f", f.Inner.Name(), f.FailProb) }
-
-// Act implements Process.
-func (f Faulty) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b int)) {
-	f.Inner.Act(g, u, r, failFilter(r, f.FailProb, propose))
-}
-
-// failFilter is the proposal gate shared by Faulty and FaultyDirected —
-// the Fail behavior's filter, pre-bound to one node's stream. Each proposal
-// is dropped independently with probability prob, consuming one Bernoulli
-// draw per proposal.
-func failFilter(r *rng.Rand, prob float64, emit func(a, b int)) func(a, b int) {
-	return func(a, b int) {
-		if !r.Bernoulli(prob) {
-			emit(a, b)
-		}
-	}
-}
-
-// Partial wraps a process so that each node participates in a given round
-// only with probability Participation; non-participants take no action that
-// round (they can still be discovered by others).
-//
-// Deprecated: use Wrap(inner, Participation(q)).
-type Partial struct {
-	Inner         Process
-	Participation float64
-}
-
-// Name implements Process.
-func (p Partial) Name() string {
-	return fmt.Sprintf("%s+part%.2f", p.Inner.Name(), p.Participation)
-}
-
-// Act implements Process.
-func (p Partial) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b int)) {
-	if !r.Bernoulli(p.Participation) {
-		return
-	}
-	p.Inner.Act(g, u, r, propose)
-}
+// The variants are one composable middleware chain — see behavior.go
+// (Behavior, Fail, Participation, Crash, Wrap, WrapDirected). Two wrapper
+// structs remain beside it, Crashed and CrashedPull: the churn runtime's
+// processes, kept for their allocation-free Acts.
 
 // Crashed wraps a process with a static liveness mask, modeling fail-stop
 // crashes: dead nodes take no action, and any proposal naming a dead
@@ -87,9 +30,14 @@ func (p Partial) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b 
 //
 // Alive is indexed by node id and must cover the graph.
 //
-// Deprecated: use Wrap(inner, Crash(alive)). Note the chain additionally
-// gates relays on relay-aware inners, so Wrap(Pull{}, Crash(alive)) matches
-// CrashedPull, not Crashed{Inner: Pull{}}.
+// Wrap(inner, Crash(alive)) is the chain's form of the same mask, and the
+// one to compose with other behaviors. Crashed stays beside it because it is
+// the churn runtime's process, once per member per round, and its Act
+// allocates nothing (TestCrashedPushActDoesNotAllocate) where the chain
+// builds a closure per Act; because cmd/bench's layer ladder names
+// Crashed{Inner:, Alive:}; and because the chain gates relays on relay-aware
+// inners, so Wrap(Pull{}, Crash(alive)) matches CrashedPull, not
+// Crashed{Inner: Pull{}}.
 type Crashed struct {
 	Inner Process
 	Alive []bool
@@ -128,8 +76,9 @@ func (c Crashed) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b 
 // never initiates a pull, a pull whose relay v is dead goes unanswered, and
 // a pulled contact w that is dead is useless.
 //
-// Deprecated: use Wrap(Pull{}, Crash(alive)), which is draw-for-draw
-// identical (the chain's relay gate reproduces the unanswered dead relay).
+// Wrap(Pull{}, Crash(alive)) is draw-for-draw identical (the chain's relay
+// gate reproduces the unanswered dead relay); CrashedPull stays as the pull
+// process of churn sessions, with the two closures of its Act on the stack.
 type CrashedPull struct {
 	Alive []bool
 }
@@ -163,30 +112,8 @@ func (PushPull) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b i
 	Pull{}.Act(g, u, r, propose)
 }
 
-// FaultyDirected is the directed analogue of Faulty.
-//
-// Deprecated: use WrapDirected(inner, Fail(prob)) — the same Fail behavior
-// serves both directions.
-type FaultyDirected struct {
-	Inner    DirectedProcess
-	FailProb float64
-}
-
-// Name implements DirectedProcess.
-func (f FaultyDirected) Name() string {
-	return fmt.Sprintf("%s+fail%.2f", f.Inner.Name(), f.FailProb)
-}
-
-// Act implements DirectedProcess.
-func (f FaultyDirected) Act(g *graph.Directed, u int, r *rng.Rand, propose func(a, b int)) {
-	f.Inner.Act(g, u, r, failFilter(r, f.FailProb, propose))
-}
-
 var (
-	_ Process         = Faulty{}
-	_ Process         = Partial{}
-	_ Process         = Crashed{}
-	_ Process         = CrashedPull{}
-	_ Process         = PushPull{}
-	_ DirectedProcess = FaultyDirected{}
+	_ Process = Crashed{}
+	_ Process = CrashedPull{}
+	_ Process = PushPull{}
 )

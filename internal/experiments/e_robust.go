@@ -50,7 +50,7 @@ func runRobustness(cfg Config, w io.Writer) error {
 		for pi, p := range []float64{0, 0.1, 0.3, 0.5} {
 			proc := core.Process(inner)
 			if p > 0 {
-				proc = core.Faulty{Inner: inner, FailProb: p}
+				proc = core.Wrap(inner, core.Fail(p))
 			}
 			seed := pointSeed(cfg.Seed, hashName(procName), uint64(pi))
 			results := sim.Trials(trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
@@ -78,7 +78,7 @@ func runRobustness(cfg Config, w io.Writer) error {
 		for qi, q := range []float64{1, 0.5, 0.25} {
 			proc := core.Process(inner)
 			if q < 1 {
-				proc = core.Partial{Inner: inner, Participation: q}
+				proc = core.Wrap(inner, core.Participation(q))
 			}
 			seed := pointSeed(cfg.Seed, hashName(procName), 100+uint64(qi))
 			results := sim.Trials(trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {

@@ -161,13 +161,6 @@ func TrialsAggregateOn(trialWorkers, numTrials int, seed uint64, build func(tria
 	if cfg.DeltaObserver != nil {
 		panic("sim: TrialsAggregate owns Config.DeltaObserver; observe per-trial deltas with Trials and per-run configs instead")
 	}
-	root := rng.New(seed)
-	gens := make([]*rng.Rand, numTrials)
-	for i := range gens {
-		gens[i] = root.Split()
-	}
-
-	results := make([]Result, numTrials)
 	// Per-trial round rows (appended only by the owning trial — no locks)
 	// and per-trial state frozen at each trial's last committed round, for
 	// the terminal fill below: the final minimum degree, edge count, and
@@ -177,9 +170,7 @@ func TrialsAggregateOn(trialWorkers, numTrials int, seed uint64, build func(tria
 	finalMin := make([]int, numTrials)
 	finalEdges := make([]int, numTrials)
 	trialPairs := make([]int, numTrials)
-	parallelFor(trialWorkers, numTrials, func(i int) {
-		r := gens[i]
-		g := build(i, r)
+	results := trialsOn(trialWorkers, numTrials, seed, build, func(i int, g *graph.Undirected, r *rng.Rand) Result {
 		trialPairs[i] = g.N() * (g.N() - 1) / 2
 		// Entry state covers trials that finish in zero rounds.
 		finalMin[i], finalEdges[i] = g.MinDegree(), g.M()
@@ -190,7 +181,7 @@ func TrialsAggregateOn(trialWorkers, numTrials int, seed uint64, build func(tria
 			finalMin[i], finalEdges[i] = minDeg, edges
 			rows[i] = append(rows[i], trialRound{minDeg: minDeg, newEdges: len(d.NewEdges), edges: edges})
 		}
-		results[i] = Run(g, p, r, c)
+		return Run(g, p, r, c)
 	})
 
 	// Merge in trial order — strictly sequential, so the output cannot

@@ -33,7 +33,7 @@ func TestRunAsyncAlreadyComplete(t *testing.T) {
 
 func TestRunAsyncAbort(t *testing.T) {
 	g := gen.Path(16)
-	res := RunAsync(g, core.Faulty{Inner: core.Push{}, FailProb: 1}, rng.New(3),
+	res := RunAsync(g, core.Wrap(core.Push{}, core.Fail(1)), rng.New(3),
 		AsyncConfig{MaxTicks: 100})
 	if res.Converged || res.Ticks != 100 || res.NewEdges != 0 {
 		t.Fatalf("aborted async run: %+v", res)

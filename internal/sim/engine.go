@@ -7,15 +7,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
 )
 
 // This file implements the sharded parallel round engine (Workers >= 1 or
-// WorkersAuto). The engine only owns the act phase: Session /
-// DirectedSession create one lazily at their first step, call actRound once
-// per round, commit the shard buffers themselves, and keep the worker
-// goroutines parked between steps until Close.
+// WorkersAuto). The engine only owns the act phase: the round core
+// (round.go) creates one lazily at a session's first step, calls actRound
+// once per round, commits the shard buffers through its substrate, and keeps
+// the worker goroutines parked between steps until Close.
 //
 // Determinism contract. The node set [0, n) is partitioned into fixed
 // contiguous shards of shardNodes nodes; the shard layout depends only on n,
@@ -127,28 +126,26 @@ func prospectiveEngineStats(configured, n int) EngineStats {
 	}
 }
 
-// shard is the worker-private state of one contiguous node range.
-type shard struct {
+// shard is the worker-private state of one contiguous node range; P is the
+// substrate's proposal type (graph.Edge or graph.Arc, see pair).
+type shard[P pair] struct {
 	lo, hi int       // node range [lo, hi)
 	r      *rng.Rand // private stream; i-th sequential split of the root
-	edges  []graph.Edge
-	arcs   []graph.Arc
-	// proposeEdge / proposeArc append to the buffers above; they are built
-	// once at engine construction so the act loop passes a preexisting func
-	// value instead of allocating a closure per node (or per round).
-	proposeEdge func(a, b int)
-	proposeArc  func(a, b int)
+	props  []P
+	// propose appends to props; it is built once at engine construction so
+	// the act loop passes a preexisting func value instead of allocating a
+	// closure per node (or per round).
+	propose func(a, b int)
 	// pad pushes sibling shards onto different cache lines: during the act
 	// phase distinct workers append to adjacent shard structs concurrently.
 	_ [64]byte
 }
 
-// engine is the reusable sharded act-phase engine shared by Session and
-// DirectedSession. It is created once per session and reused across every
-// round; between rounds (and between session steps) the workers stay
-// parked on the start channel.
-type engine struct {
-	shards []shard
+// engine is the reusable sharded act-phase engine under the round core. It
+// is created once per session and reused across every round; between rounds
+// (and between session steps) the workers stay parked on the start channel.
+type engine[P pair] struct {
+	shards []shard[P]
 	// workers is the number of started worker goroutines (0 when every
 	// round runs inline). active is how many of them the next act phase
 	// will signal: fixed schedules pin it to the post-clamp worker count
@@ -164,7 +161,7 @@ type engine struct {
 
 	// Worker-pool state (unused when workers == 0). act is the per-round
 	// shard action; it is stored once per run before the first round.
-	act   func(s *shard)
+	act   func(s *shard[P])
 	start chan struct{}
 	next  atomic.Int64
 	wg    sync.WaitGroup
@@ -187,13 +184,13 @@ type engine struct {
 // n smaller than one shard — including n == 0 and n == 1 — yields a single
 // shard covering exactly [0, n) (empty for n == 0), which acts inline with
 // no worker goroutines.
-func newEngine(n, workers int, root *rng.Rand) *engine {
+func newEngine[P pair](n, workers int, root *rng.Rand) *engine[P] {
 	if n < 0 {
 		panic(fmt.Sprintf("sim: newEngine with negative node count %d", n))
 	}
 	numShards, spawned, active, auto := resolveSchedule(workers, n)
-	e := &engine{
-		shards:  make([]shard, numShards),
+	e := &engine[P]{
+		shards:  make([]shard[P], numShards),
 		workers: spawned,
 		active:  active,
 	}
@@ -206,8 +203,7 @@ func newEngine(n, workers int, root *rng.Rand) *engine {
 			s.hi = n
 		}
 		s.r = streams[i]
-		s.proposeEdge = func(a, b int) { s.edges = append(s.edges, graph.Edge{U: a, V: b}) }
-		s.proposeArc = func(a, b int) { s.arcs = append(s.arcs, graph.Arc{U: a, V: b}) }
+		s.propose = func(a, b int) { s.props = append(s.props, P{U: a, V: b}) }
 	}
 	if spawned > 0 {
 		e.start = make(chan struct{})
@@ -223,7 +219,7 @@ func newEngine(n, workers int, root *rng.Rand) *engine {
 
 // worker is the body of one parked worker goroutine: on each round signal it
 // drains shards from the shared atomic cursor and reports to the barrier.
-func (e *engine) worker() {
+func (e *engine[P]) worker() {
 	for range e.start {
 		for {
 			i := e.next.Add(1) - 1
@@ -237,7 +233,7 @@ func (e *engine) worker() {
 }
 
 // stop releases the worker goroutines. The engine must not be used after.
-func (e *engine) stop() {
+func (e *engine[P]) stop() {
 	if e.start != nil {
 		close(e.start)
 	}
@@ -249,7 +245,7 @@ func (e *engine) stop() {
 // read-only and touch only its shard's state, so scheduling cannot
 // influence results. Autoscaled engines also time the act phase here — the
 // wall-time half of the cost probe tune consumes.
-func (e *engine) actRound(act func(s *shard)) {
+func (e *engine[P]) actRound(act func(s *shard[P])) {
 	var t0 time.Time
 	if e.auto != nil {
 		t0 = time.Now()
@@ -278,7 +274,7 @@ func (e *engine) actRound(act func(s *shard)) {
 // called between rounds, on the committing goroutine; it is a no-op for
 // fixed schedules. Changing active never changes results: the shard layout
 // and streams are already fixed.
-func (e *engine) tune(proposals, committed int) {
+func (e *engine[P]) tune(proposals, committed int) {
 	if e.auto == nil {
 		return
 	}
@@ -287,7 +283,7 @@ func (e *engine) tune(proposals, committed int) {
 }
 
 // stats snapshots the engine's schedule telemetry (see EngineStats).
-func (e *engine) stats(configured int) EngineStats {
+func (e *engine[P]) stats(configured int) EngineStats {
 	st := EngineStats{
 		ConfiguredWorkers: configured,
 		EffectiveWorkers:  e.active,

@@ -341,7 +341,7 @@ func TestNewEngineLayout(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newEngine(tc.n, tc.workers, rng.New(1))
+			e := newEngine[graph.Edge](tc.n, tc.workers, rng.New(1))
 			defer e.stop()
 			if len(e.shards) != tc.wantShards {
 				t.Fatalf("n=%d: %d shards want %d", tc.n, len(e.shards), tc.wantShards)
@@ -376,7 +376,7 @@ func TestNewEngineLayout(t *testing.T) {
 			// The layout acts cleanly: an act over the engine touches every
 			// node exactly once even on degenerate layouts.
 			seen := make([]int, tc.n)
-			e.actRound(func(sh *shard) {
+			e.actRound(func(sh *shard[graph.Edge]) {
 				for u := sh.lo; u < sh.hi; u++ {
 					seen[u]++
 				}
@@ -394,6 +394,6 @@ func TestNewEngineLayout(t *testing.T) {
 				t.Fatal("newEngine(-1, ...) did not panic")
 			}
 		}()
-		newEngine(-1, 2, rng.New(1))
+		newEngine[graph.Edge](-1, 2, rng.New(1))
 	})
 }

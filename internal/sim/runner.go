@@ -206,7 +206,7 @@ type Config struct {
 	// work) and proposes that exact missing edge, so late rounds spend time
 	// proportional to the work remaining instead of mostly proposing
 	// duplicates. Dense rounds bypass the Process entirely (its Act is
-	// never called, so wrappers such as core.Faulty stop applying once the
+	// never called, so wrappers such as core.Wrap(p, core.Fail(q)) stop applying once the
 	// phase flips) — the mode is an engine-level accelerator for
 	// convergence runs, not a re-expression of the process. 0 (the
 	// default) disables the mode and keeps every legacy result

@@ -45,7 +45,7 @@ func TestRunAlreadyComplete(t *testing.T) {
 
 func TestRunMaxRoundsAbort(t *testing.T) {
 	g := gen.Path(16)
-	res := Run(g, core.Faulty{Inner: core.Push{}, FailProb: 1}, rng.New(4), Config{MaxRounds: 10})
+	res := Run(g, core.Wrap(core.Push{}, core.Fail(1)), rng.New(4), Config{MaxRounds: 10})
 	if res.Converged || res.Rounds != 10 || res.NewEdges != 0 {
 		t.Fatalf("aborted run: %+v", res)
 	}
@@ -308,7 +308,7 @@ func TestRunDirectedEagerMode(t *testing.T) {
 func TestRunDirectedObserverAndAbort(t *testing.T) {
 	g := gen.Thm14WeakLowerBound(16)
 	calls := 0
-	res := RunDirected(g, core.FaultyDirected{Inner: core.DirectedTwoHop{}, FailProb: 1},
+	res := RunDirected(g, core.WrapDirected(core.DirectedTwoHop{}, core.Fail(1)),
 		rng.New(14), DirectedConfig{MaxRounds: 7, Observer: func(round int, g *graph.Directed) { calls++ }})
 	if res.Converged || res.Rounds != 7 || calls != 7 {
 		t.Fatalf("aborted directed run: %+v calls=%d", res, calls)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/graph"
@@ -21,20 +20,10 @@ import (
 // consumes exactly the generator stream the facade consumed, round for
 // round, for every engine family (Workers == 0, Workers >= 1, CommitEager).
 //
-// # Lifecycle
-//
-// A Session moves through three states:
-//
-//	ready    — constructed; no generator output consumed yet
-//	running  — at least one round executed; the sharded engine (if any) is
-//	           live with its worker goroutines parked between steps
-//	finished — the Done predicate fired, or the round budget was exhausted
-//
-// The engine is created lazily on the first step, so a session whose graph
-// already satisfies Done consumes no generator output at all — exactly as
-// the facade behaved. Close releases the parked worker goroutines; it is
-// idempotent, and sessions constructed with Workers <= 1 need it only for
-// symmetry. Between steps the session — including its graph — may be
+// The lifecycle, the engine dispatch and the round body are the round core's
+// (round.go), shared with DirectedSession; what is here is what is really
+// undirected: the completeness target, membership, AddEdge injection and
+// coverage. Between steps the session — including its graph — may be
 // mutated; see the membership section below.
 //
 // # Membership and between-step mutation
@@ -53,50 +42,8 @@ import (
 // Members / MemberEdges), so delta consumers see joins and leaves in
 // stream order.
 type Session struct {
-	g *graph.Undirected
-	p core.Process
-	r *rng.Rand
-
-	mode      CommitMode
-	workers   int
-	maxRounds int
-	done      func(*graph.Undirected) bool
-	observer  func(round int, g *graph.Undirected)
-
-	started  bool
-	finished bool
-	closed   bool
-
-	res Result
-
-	// Dense-phase state. denseThreshold < 0 means the mode is disarmed;
-	// otherwise, once the graph's missing-pair count drops to the
-	// threshold, dense flips true and the act phase samples proposals from
-	// the complement graph instead of scanning all nodes (see
-	// Config.DensePhase). The flag is written only on the committing
-	// goroutine between rounds; workers observe it through the round
-	// fan-out's channel synchronization. densePrefix is the sequential
-	// engine's reusable prefix-sum scratch (never touched by shard calls,
-	// which run concurrently and scan their <= shardNodes range linearly).
-	denseThreshold int
-	dense          bool
-	densePrefix    []int
-
-	// Engine state. eng is non-nil only for sharded sessions (synchronous
-	// mode with Workers >= 1); engAct is the hoisted per-round shard action.
-	eng    *engine
-	engAct func(s *shard)
-
-	// ranged is the process's block form, set by dispatch when a synchronous
-	// session's process has one (see rangeActor); nil means every act goes
-	// node by node through p.Act.
-	ranged rangeActor
-
-	// Sequential state: the hoisted propose closure and the reused round
-	// buffers (buf holds synchronous proposals, accepted the round's delta).
-	propose  func(a, b int)
-	buf      []graph.Edge
-	accepted []graph.Edge
+	round[*graph.Undirected, graph.Edge]
+	done func(*graph.Undirected) bool
 
 	// Observation bus and delta state. Every round publishes through bus
 	// (a cheap no-op while nothing is subscribed); the legacy
@@ -131,38 +78,19 @@ type Session struct {
 // MaxRounds means unbounded, for open-ended stepping under churn.
 //
 // Junk configuration fails fast here rather than misbehaving downstream: a
-// negative Workers other than WorkersAuto and a DensePhase outside [0, 1]
-// panic with a clear message (TestNewSessionRejectsJunkConfig).
+// negative Workers other than WorkersAuto, an unknown Mode and a DensePhase
+// outside [0, 1] panic with a clear message (see round.setup).
 func NewSession(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Config) *Session {
-	validateWorkers(cfg.Workers, "Config.Workers")
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = DefaultMaxRounds(g.N())
-	} else if maxRounds < 0 {
-		maxRounds = math.MaxInt
+	n := g.N()
+	s := &Session{done: cfg.Done}
+	if s.done == nil {
+		s.done = (*graph.Undirected).IsComplete
 	}
-	done := cfg.Done
-	if done == nil {
-		done = (*graph.Undirected).IsComplete
+	s.round = round[*graph.Undirected, graph.Edge]{
+		g: g, n: n, p: p, r: r, sub: s,
+		mode: cfg.Mode, workers: cfg.Workers, maxRounds: cfg.MaxRounds, observer: cfg.Observer,
 	}
-	if cfg.DensePhase < 0 || cfg.DensePhase > 1 {
-		panic(fmt.Sprintf("sim: DensePhase %v outside [0, 1]", cfg.DensePhase))
-	}
-	denseThreshold := -1
-	if cfg.DensePhase > 0 && cfg.Mode == CommitSynchronous {
-		denseThreshold = int(cfg.DensePhase * float64(g.N()*(g.N()-1)/2))
-	}
-	s := &Session{
-		g:              g,
-		p:              p,
-		r:              r,
-		mode:           cfg.Mode,
-		workers:        cfg.Workers,
-		maxRounds:      maxRounds,
-		done:           done,
-		observer:       cfg.Observer,
-		denseThreshold: denseThreshold,
-	}
+	s.setup("Config.Workers", DefaultMaxRounds(n), cfg.DensePhase, n*(n-1)/2)
 	if cfg.DeltaObserver != nil {
 		// The legacy observer rides the bus as its first subscriber, so it
 		// sees every round exactly as before and anything Subscribe attaches
@@ -186,130 +114,41 @@ func (s *Session) Subscribe(sub stream.Subscriber) {
 	}
 }
 
-// dispatch performs the engine-family setup. It runs lazily, at the first
-// step that actually executes a round, so a session that is done at entry
-// (or never stepped) consumes no generator output — preserving the
-// facade's semantics. A session resumed by a membership mutation after
-// finishing at entry dispatches here too.
-func (s *Session) dispatch() {
-	if s.mode == CommitSynchronous {
-		s.ranged, _ = s.p.(rangeActor)
-	}
-	if s.mode == CommitSynchronous && (s.workers >= 1 || s.workers == WorkersAuto) {
-		s.eng = newEngine(s.g.N(), s.workers, s.r)
-		s.engAct = func(sh *shard) {
-			switch {
-			case s.dense:
-				s.denseAct(sh.lo, sh.hi, sh.r, sh.proposeEdge)
-			case s.ranged != nil:
-				sh.edges = s.ranged.ActRange(s.g, sh.lo, sh.hi, sh.r, sh.edges)
-			default:
-				for u := sh.lo; u < sh.hi; u++ {
-					s.p.Act(s.g, u, sh.r, sh.proposeEdge)
-				}
-			}
-		}
-		return
-	}
-	switch s.mode {
-	case CommitSynchronous:
-		s.propose = func(a, b int) {
-			s.res.Proposals++
-			s.buf = append(s.buf, graph.Edge{U: a, V: b})
-		}
-	case CommitEager:
-		s.propose = func(a, b int) {
-			s.res.Proposals++
-			if s.g.AddEdge(a, b) {
-				s.res.NewEdges++
-				if s.ds != nil || s.alive != nil {
-					s.accepted = append(s.accepted, graph.Edge{U: a, V: b}.Norm())
-				}
-			} else {
-				s.res.DuplicateProposals++
-			}
-		}
-	default:
-		panic(fmt.Sprintf("sim: unknown commit mode %d", s.mode))
-	}
+// The substrate of an undirected round: done is the Done predicate (graph
+// complete by default), the dense phase samples the complement graph, and
+// commits go through AddEdge / AddEdgesGrouped.
+
+func (s *Session) converged() bool         { return s.done(s.g) }
+func (s *Session) missing() int            { return s.g.MissingEdges() }
+func (s *Session) missingDegree(u int) int { return s.g.MissingDegree(u) }
+
+// missingPick discards, when membership tracking is active, a draw landing
+// on a pair with a departed endpoint — departed nodes neither gossip nor
+// accept connections.
+func (s *Session) missingPick(u, t int) (int, bool) {
+	w := s.g.MissingNeighbor(u, t)
+	return w, s.alive == nil || s.alive[u] && s.alive[w]
 }
 
-// step executes one committed round and reports whether the session can
-// continue. It is the single round body shared by Step, Run, and RunUntil.
-func (s *Session) step() bool {
-	if s.finished || s.closed {
+func (s *Session) commit(props, accepted []graph.Edge) []graph.Edge {
+	return s.g.AddEdgesGrouped(props, accepted)
+}
+
+func (s *Session) commitEager(a, b int) bool {
+	if !s.g.AddEdge(a, b) {
 		return false
 	}
-	if !s.started {
-		// Done-at-entry check, before any generator output is consumed.
-		s.started = true
-		if s.done(s.g) {
-			s.res.Converged = true
-			s.finished = true
-			return false
-		}
+	if s.ds != nil || s.alive != nil {
+		s.accepted = append(s.accepted, graph.Edge{U: a, V: b}.Norm())
 	}
-	if s.res.Rounds >= s.maxRounds {
-		s.finished = true
-		return false
-	}
-	if s.eng == nil && s.propose == nil {
-		s.dispatch()
-	}
-	if s.denseThreshold >= 0 && !s.dense && s.g.MissingEdges() <= s.denseThreshold {
-		// Crossing the density threshold is one-way: the graph only grows,
-		// so the missing-pair count never climbs back above it.
-		s.dense = true
-	}
-	round := s.res.Rounds + 1
-	s.buf, s.accepted = s.buf[:0], s.accepted[:0]
-	actWorkers := 0
+	return true
+}
 
-	if s.eng != nil {
-		// Sharded act phase, then commit the shard buffers in shard order
-		// through the grouped path — state-identical to per-edge commits,
-		// and the accepted list doubles as the round's delta.
-		s.eng.actRound(s.engAct)
-		roundProposals := 0
-		acc := s.accepted
-		for i := range s.eng.shards {
-			sh := &s.eng.shards[i]
-			roundProposals += len(sh.edges)
-			acc = s.g.AddEdgesGrouped(sh.edges, acc)
-			sh.edges = sh.edges[:0]
-		}
-		s.accepted = acc
-		s.res.Proposals += roundProposals
-		s.res.NewEdges += len(acc)
-		s.res.DuplicateProposals += roundProposals - len(acc)
-		// Snapshot the count that served this round for the delta's
-		// telemetry before tune moves it for the next one.
-		actWorkers = s.eng.active
-		s.eng.tune(roundProposals, len(acc))
-	} else {
-		n := s.g.N()
-		switch {
-		case s.dense:
-			s.denseAct(0, n, s.r, s.propose)
-		case s.ranged != nil:
-			// buf was emptied above, so its length is the round's proposals.
-			s.buf = s.ranged.ActRange(s.g, 0, n, s.r, s.buf)
-			s.res.Proposals += len(s.buf)
-		default:
-			for u := 0; u < n; u++ {
-				s.p.Act(s.g, u, s.r, s.propose)
-			}
-		}
-		if s.mode == CommitSynchronous {
-			s.accepted = s.g.AddEdgesGrouped(s.buf, s.accepted)
-			s.res.NewEdges += len(s.accepted)
-			s.res.DuplicateProposals += len(s.buf) - len(s.accepted)
-		}
-	}
-	s.res.Rounds = round
-
+// publish settles the member-edge count over the round's accepted edges,
+// then fills and publishes the delta.
+func (s *Session) publish(round, actWorkers int, accepted []graph.Edge) {
 	if s.alive != nil {
-		for _, e := range s.accepted {
+		for _, e := range accepted {
 			if s.alive[e.U] && s.alive[e.V] {
 				s.memberEdges++
 			}
@@ -318,12 +157,11 @@ func (s *Session) step() bool {
 	if s.ds != nil {
 		// Edges injected between steps (AddEdge) lead the round's delta so
 		// the stream accounts for every insertion the graph saw.
-		acc := s.accepted
 		if len(s.injected) > 0 {
-			s.combined = append(append(s.combined[:0], s.injected...), s.accepted...)
-			acc = s.combined
+			s.combined = append(append(s.combined[:0], s.injected...), accepted...)
+			accepted = s.combined
 		}
-		s.ds.fill(round, s.g, acc)
+		s.ds.fill(round, s.g, accepted)
 		d := s.ds.d()
 		d.ActiveWorkers = actWorkers
 		d.Joined = append(d.Joined[:0], s.joined...)
@@ -340,139 +178,7 @@ func (s *Session) step() bool {
 	}
 	s.joined, s.left = s.joined[:0], s.left[:0]
 	s.injected = s.injected[:0]
-	if s.observer != nil {
-		s.observer(round, s.g)
-	}
-	if s.done(s.g) {
-		s.res.Converged = true
-		s.finished = true
-		return false
-	}
-	if s.res.Rounds >= s.maxRounds {
-		s.finished = true
-		return false
-	}
-	return true
 }
-
-// rangeActor is the block form of a synchronous act: the process performs
-// Act for every node of [lo, hi) in increasing order on the one stream r and
-// appends what those Acts would have proposed, in order, to edges. The
-// contract is bit-identity with the per-node loop — same proposals, same
-// final state of r — so taking it changes no result; it exists because a
-// process that sees the whole range can overlap its nodes' memory reads
-// (core.Push.ActRange) or make a block's draws in one call
-// (core.Pull.ActRange). The session asks for it once, in dispatch, on the
-// process exactly as configured: a wrapper (core.Population, core.Crashed,
-// core.Wrap with a behavior chain) does not have it and acts node by node,
-// as do eager commits, the dense phase, AsyncSession and eventsim.
-// core.Wrap(p) with an empty chain returns p itself, so it takes the block
-// path when p does.
-type rangeActor interface {
-	ActRange(g *graph.Undirected, lo, hi int, r *rng.Rand, edges []graph.Edge) []graph.Edge
-}
-
-// rangeActors lists the core types that take the block path, so that adding
-// one is a decision made here. A type that embeds one of these would inherit
-// its ActRange past its own Act; TestRangeActorsListed fails on any core
-// process that has the method and is not on this list.
-var rangeActors = []rangeActor{core.Push{}, core.Pull{}}
-
-// denseAct is the dense-phase act body for the node range [lo, hi): the
-// whole range under the sequential engine, one shard under the sharded one
-// (each shard draws from its own stream, which is what keeps dense rounds
-// bit-identical for every Workers >= 1). Instead of letting every node
-// gossip — near convergence almost every such proposal is a duplicate — it
-// samples up to hi-lo proposals from the range's complement incidences:
-// a draw picks t uniform in [0, Σ MissingDegree(u)), which lands on node u
-// with probability proportional to u's missing work and on u's t'-th
-// missing partner w uniformly within it, and proposes exactly the missing
-// edge {u, w}. Every draw reads only the committed graph, so the act phase
-// stays read-only and scheduling-independent. Ranges (and whole rounds)
-// with no missing work consume no generator output. When membership
-// tracking is active, draws landing on a pair with a departed endpoint are
-// discarded — departed nodes neither gossip nor accept connections.
-func (s *Session) denseAct(lo, hi int, r *rng.Rand, propose func(a, b int)) {
-	// Locating a draw's node: shard calls cover at most shardNodes nodes
-	// and scan their missing degrees linearly; the sequential engine's
-	// whole-graph call builds prefix sums once per round and binary-
-	// searches each draw, keeping the round O(n + budget·(log n + n/64))
-	// instead of O(n·budget). Both map t to the identical (u, t') pair —
-	// the graph is read-only during the act — so the two lookups share
-	// one deterministic trajectory.
-	width := hi - lo
-	var prefix []int
-	tot := 0
-	if width > shardNodes {
-		if cap(s.densePrefix) < width+1 {
-			s.densePrefix = make([]int, width+1)
-		}
-		prefix = s.densePrefix[:width+1]
-		prefix[0] = 0
-		for i := 0; i < width; i++ {
-			tot += s.g.MissingDegree(lo + i)
-			prefix[i+1] = tot
-		}
-	} else {
-		for u := lo; u < hi; u++ {
-			tot += s.g.MissingDegree(u)
-		}
-	}
-	if tot == 0 {
-		return
-	}
-	budget := width
-	if tot < budget {
-		budget = tot
-	}
-	for p := 0; p < budget; p++ {
-		t := r.Intn(tot)
-		var u int
-		if prefix != nil {
-			i := prefixOwner(prefix, t)
-			u = lo + i
-			t -= prefix[i]
-		} else {
-			u = lo
-			for {
-				md := s.g.MissingDegree(u)
-				if t < md {
-					break
-				}
-				t -= md
-				u++
-			}
-		}
-		w := s.g.MissingNeighbor(u, t)
-		if s.alive != nil && (!s.alive[u] || !s.alive[w]) {
-			continue
-		}
-		propose(u, w)
-	}
-}
-
-// prefixOwner returns the first i with prefix[i+1] > t: the node (offset)
-// whose slice of the prefix sums a dense-phase draw t lands in — the one
-// lookup both sessions' denseAct share. A plain loop, no closure; on go1.24
-// it times the same as the sort.Search it replaced (64 vs 65 ns at width
-// 2048), the probes' mispredicted branches being the cost either way.
-func prefixOwner(prefix []int, t int) int {
-	lo, hi := 0, len(prefix)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if prefix[mid+1] > t {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// InDensePhase reports whether the session has crossed its DensePhase
-// threshold and is sampling proposals from the complement graph. Always
-// false when the mode is disarmed.
-func (s *Session) InDensePhase() bool { return s.dense }
 
 // Step executes one committed round and returns its delta plus whether the
 // session can continue (false once Done fired or the budget is exhausted).
@@ -511,9 +217,6 @@ func (s *Session) RunUntil(pred func(g *graph.Undirected) bool) Result {
 	}
 	return s.res
 }
-
-// Round returns the number of committed rounds so far. O(1).
-func (s *Session) Round() int { return s.res.Rounds }
 
 // EdgesRemaining returns the number of node pairs still missing, in O(1).
 // When membership tracking is active it counts only pairs of current
@@ -555,43 +258,6 @@ func (s *Session) MissingDegree(u int) int { return s.g.MissingDegree(u) }
 // EngineStats.
 func (s *Session) Stats() Result { return s.res }
 
-// EngineStats returns the session's schedule telemetry: the configured and
-// effective worker counts (newEngine clamps fixed requests onto
-// [1, shards]), the shard count, and — for WorkersAuto sessions — the
-// autoscaler's current active count and grow/shrink decision counts. O(1).
-// Before the first step the values describe the schedule the engine will
-// start with.
-func (s *Session) EngineStats() EngineStats {
-	if s.mode != CommitSynchronous || s.workers == 0 {
-		return EngineStats{ConfiguredWorkers: s.workers}
-	}
-	if s.eng != nil {
-		return s.eng.stats(s.workers)
-	}
-	return prospectiveEngineStats(s.workers, s.g.N())
-}
-
-// Converged reports whether the Done predicate has fired.
-func (s *Session) Converged() bool { return s.res.Converged }
-
-// Graph exposes the session's live graph. Read freely between steps;
-// mutate it only through the session's mutation methods so the membership
-// accounting stays consistent.
-func (s *Session) Graph() *graph.Undirected { return s.g }
-
-// Close releases the parked worker goroutines of a sharded session. It is
-// idempotent; the session must not be stepped afterwards. Sessions with
-// Workers <= 1 hold no goroutines, but calling Close is always safe.
-func (s *Session) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if s.eng != nil {
-		s.eng.stop()
-	}
-}
-
 // TrackMembership enables membership tracking over the given liveness mask
 // (len(alive) must equal the node count). The session adopts the mask —
 // share the same slice with liveness-aware processes such as core.Crashed —
@@ -628,13 +294,22 @@ func (s *Session) aliveDegree(u int) int {
 	return cnt
 }
 
+// checkNode panics unless membership is tracked and u is a slot of the mask.
+func (s *Session) checkNode(op string, u int) {
+	if s.alive == nil {
+		panic("sim: " + op + " without TrackMembership")
+	}
+	if u < 0 || u >= len(s.alive) {
+		panic(fmt.Sprintf("sim: %s(%d): outside [0, %d)", op, u, len(s.alive)))
+	}
+}
+
 // InsertNode admits node u as a member between steps (a join). Any edges u
 // already has toward members immediately count toward coverage. It panics
-// if membership tracking is off or u is already a member.
+// if membership tracking is off, u is outside the mask or u is already a
+// member.
 func (s *Session) InsertNode(u int) {
-	if s.alive == nil {
-		panic("sim: InsertNode without TrackMembership")
-	}
+	s.checkNode("InsertNode", u)
 	if s.alive[u] {
 		panic(fmt.Sprintf("sim: InsertNode(%d): already a member", u))
 	}
@@ -648,11 +323,9 @@ func (s *Session) InsertNode(u int) {
 
 // RemoveNode removes member u between steps (a fail-stop leave: its edges
 // remain as stale entries in other members' contact lists). It panics if
-// membership tracking is off or u is not a member.
+// membership tracking is off, u is outside the mask or u is not a member.
 func (s *Session) RemoveNode(u int) {
-	if s.alive == nil {
-		panic("sim: RemoveNode without TrackMembership")
-	}
+	s.checkNode("RemoveNode", u)
 	if !s.alive[u] {
 		panic(fmt.Sprintf("sim: RemoveNode(%d): not a member", u))
 	}

@@ -319,29 +319,33 @@ func TestDirectedSessionZeroAllocStep(t *testing.T) {
 	}
 }
 
-// typesOf returns the set of dynamic types in a rangeActors list.
-func typesOf[T any](list []T) map[reflect.Type]bool {
-	set := map[reflect.Type]bool{}
+// rangeActorsListed is the body of the two tests below: of procs — one value
+// of every type of one substrate with an Act — exactly the types on list have
+// the block form the round dispatches to. A wrapper that gained ActRange by
+// embedding a walk would skip its own Act on the synchronous engines; it
+// fails here until it is put on that list, which is where that gets decided.
+func rangeActorsListed[G any, P pair](t *testing.T, list []rangeActor[G, P], procs []core.ProcessOn[G]) {
+	t.Helper()
+	listed := map[reflect.Type]bool{}
 	for _, p := range list {
-		set[reflect.TypeOf(p)] = true
+		listed[reflect.TypeOf(p)] = true
 	}
-	return set
+	for _, p := range procs {
+		_, has := p.(rangeActor[G, P])
+		if on := listed[reflect.TypeOf(p)]; has != on {
+			t.Errorf("%T (%s): has ActRange %v, listed %v", p, p.Name(), has, on)
+		}
+	}
 }
 
-// TestRangeActorsListed: of core's undirected processes — one value of every
-// type with an Act — exactly the types on session.go's rangeActors list have
-// the block form the session dispatches to. A wrapper that gained ActRange by
-// embedding a Push or a Pull would skip its own Act on the synchronous
-// engines; it fails here until it is put on that list, which is where that
-// gets decided.
+// TestRangeActorsListed covers core's undirected processes against round.go's
+// rangeActors.
 func TestRangeActorsListed(t *testing.T) {
 	alive := []bool{true, true}
-	listed := typesOf(rangeActors)
-	for _, p := range []core.Process{
+	rangeActorsListed(t, rangeActors, []core.Process{
 		core.Push{}, core.Pull{}, core.PushPull{},
-		core.Faulty{Inner: core.Push{}, FailProb: 0.5},
-		core.Faulty{Inner: core.Pull{}, FailProb: 0.5},
-		core.Partial{Inner: core.Push{}, Participation: 0.5},
+		core.Wrap(core.Pull{}, core.Fail(0.5)),
+		core.Wrap(core.Push{}, core.Participation(0.5)),
 		core.Crashed{Inner: core.Push{}, Alive: alive},
 		core.Crashed{Inner: core.Pull{}, Alive: alive},
 		core.CrashedPull{Alive: alive},
@@ -350,32 +354,19 @@ func TestRangeActorsListed(t *testing.T) {
 		core.Wrap(core.Pull{}, core.Crash(alive)),
 		core.NewPopulation(2, core.Push{}),
 		core.NewPopulation(2, core.Pull{}),
-	} {
-		_, has := p.(rangeActor)
-		if on := listed[reflect.TypeOf(p)]; has != on {
-			t.Errorf("%T (%s): has ActRange %v, listed %v", p, p.Name(), has, on)
-		}
-	}
+	})
 }
 
-// TestDirectedRangeActorsListed is the directed twin, over
-// directed_session.go's directedRangeActors: a wrapper that embeds the walk
-// cannot inherit ActRange past its own Act unnoticed.
+// TestDirectedRangeActorsListed is the directed instantiation, over
+// directedRangeActors.
 func TestDirectedRangeActorsListed(t *testing.T) {
-	listed := typesOf(directedRangeActors)
-	for _, p := range []core.DirectedProcess{
+	rangeActorsListed(t, directedRangeActors, []core.DirectedProcess{
 		core.DirectedTwoHop{},
-		core.FaultyDirected{Inner: core.DirectedTwoHop{}, FailProb: 0.5},
 		core.ByzantineDirected{Target: -1}, core.SilentDirected{},
 		core.WrapDirected(core.DirectedTwoHop{}, core.Fail(0.5)),
 		core.WrapDirected(core.DirectedTwoHop{}, core.Crash([]bool{true, true})),
 		core.NewDirectedPopulation(2, core.DirectedTwoHop{}),
-	} {
-		_, has := p.(directedRangeActor)
-		if on := listed[reflect.TypeOf(p)]; has != on {
-			t.Errorf("%T (%s): has ActRange %v, listed %v", p, p.Name(), has, on)
-		}
-	}
+	})
 }
 
 // TestSessionRunUntilIsBreakpoint: RunUntil must stop without finishing the

@@ -45,20 +45,8 @@ func Trials(numTrials int, seed uint64, build func(trial int, r *rng.Rand) *grap
 // work is dispatched.
 func TrialsOn(trialWorkers, numTrials int, seed uint64, build func(trial int, r *rng.Rand) *graph.Undirected,
 	p core.Process, cfg Config) []Result {
-
-	root := rng.New(seed)
-	gens := make([]*rng.Rand, numTrials)
-	for i := range gens {
-		gens[i] = root.Split()
-	}
-
-	results := make([]Result, numTrials)
-	parallelFor(trialWorkers, numTrials, func(i int) {
-		r := gens[i]
-		g := build(i, r)
-		results[i] = Run(g, p, r, cfg)
-	})
-	return results
+	return trialsOn(trialWorkers, numTrials, seed, build,
+		func(_ int, g *graph.Undirected, r *rng.Rand) Result { return Run(g, p, r, cfg) })
 }
 
 // DirectedTrials is the directed analogue of Trials.
@@ -70,18 +58,23 @@ func DirectedTrials(numTrials int, seed uint64, build func(trial int, r *rng.Ran
 // DirectedTrialsOn is the directed analogue of TrialsOn.
 func DirectedTrialsOn(trialWorkers, numTrials int, seed uint64, build func(trial int, r *rng.Rand) *graph.Directed,
 	p core.DirectedProcess, cfg DirectedConfig) []DirectedResult {
+	return trialsOn(trialWorkers, numTrials, seed, build,
+		func(_ int, g *graph.Directed, r *rng.Rand) DirectedResult { return RunDirected(g, p, r, cfg) })
+}
 
+// trialsOn is the harness under every trial entry point: trial i builds its
+// graph and then runs on the i-th sequential split of the seed's root
+// generator, all splits taken before any work is dispatched.
+func trialsOn[G, R any](trialWorkers, numTrials int, seed uint64, build func(trial int, r *rng.Rand) G,
+	run func(trial int, g G, r *rng.Rand) R) []R {
 	root := rng.New(seed)
 	gens := make([]*rng.Rand, numTrials)
 	for i := range gens {
 		gens[i] = root.Split()
 	}
-
-	results := make([]DirectedResult, numTrials)
+	results := make([]R, numTrials)
 	parallelFor(trialWorkers, numTrials, func(i int) {
-		r := gens[i]
-		g := build(i, r)
-		results[i] = RunDirected(g, p, r, cfg)
+		results[i] = run(i, build(i, gens[i]), gens[i])
 	})
 	return results
 }

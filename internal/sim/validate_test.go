@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -33,7 +35,8 @@ func mustPanic(t *testing.T, fn func()) (msg string) {
 
 // TestNewSessionRejectsJunkConfig: negative worker counts other than
 // WorkersAuto panic at construction, for all three session families'
-// constructors that take workers, with messages naming the field.
+// constructors that take workers, with messages naming the field; so do a
+// NaN DensePhase and an unknown Mode, for both round substrates.
 func TestNewSessionRejectsJunkConfig(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -63,6 +66,39 @@ func TestNewSessionRejectsJunkConfig(t *testing.T) {
 			})
 			if !strings.Contains(msg, "DirectedConfig.Workers") {
 				t.Fatalf("panic %q does not name DirectedConfig.Workers", msg)
+			}
+		})
+	}
+
+	// The checks written once in round.setup: a NaN DensePhase (x < 0 ||
+	// x > 1 is false for it, so it used to disarm the mode in silence) and a
+	// mode that is no CommitMode (it used to panic at the first step, or
+	// never, when the graph was done at entry) — both substrates, on a graph
+	// that is done at entry.
+	junk := []struct {
+		name, want string
+		mode       CommitMode
+		dense      float64
+	}{
+		{"NaN dense phase", "DensePhase NaN outside [0, 1]", CommitSynchronous, math.NaN()},
+		{"unknown commit mode", "sim: unknown commit mode 7", CommitMode(7), 0},
+	}
+	for _, tc := range junk {
+		t.Run("undirected "+tc.name, func(t *testing.T) {
+			msg := mustPanic(t, func() {
+				NewSession(gen.Complete(8), core.Push{}, rng.New(1), Config{Mode: tc.mode, DensePhase: tc.dense})
+			})
+			if !strings.Contains(msg, tc.want) {
+				t.Fatalf("panic %q, want %q", msg, tc.want)
+			}
+		})
+		t.Run("directed "+tc.name, func(t *testing.T) {
+			msg := mustPanic(t, func() {
+				NewDirectedSession(gen.CompleteDigraph(8), core.DirectedTwoHop{}, rng.New(1),
+					DirectedConfig{Mode: tc.mode, DensePhase: tc.dense})
+			})
+			if !strings.Contains(msg, tc.want) {
+				t.Fatalf("panic %q, want %q", msg, tc.want)
 			}
 		})
 	}
@@ -134,4 +170,21 @@ func TestDensePhaseOutOfRangePanics(t *testing.T) {
 		NewDirectedSession(gen.DirectedCycle(8), core.DirectedTwoHop{}, rng.New(1),
 			DirectedConfig{DensePhase: -0.2})
 	})
+}
+
+// TestMembershipNodeOutsideMaskPanics: InsertNode / RemoveNode of a node
+// the liveness mask has no slot for used to die with a bare runtime index
+// error; they name the call and the range like their neighbours do.
+func TestMembershipNodeOutsideMaskPanics(t *testing.T) {
+	s := NewSession(gen.Cycle(8), core.Push{}, rng.New(1), Config{})
+	defer s.Close()
+	s.TrackMembership(make([]bool, 8))
+	for _, u := range []int{-1, 8, 9} {
+		for op, call := range map[string]func(int){"InsertNode": s.InsertNode, "RemoveNode": s.RemoveNode} {
+			msg := mustPanic(t, func() { call(u) })
+			if want := fmt.Sprintf("sim: %s(%d): outside [0, 8)", op, u); msg != want {
+				t.Errorf("panic %q, want %q", msg, want)
+			}
+		}
+	}
 }

@@ -73,9 +73,8 @@ func ParseDirectedRoleSpec(spec string, n int, base DirectedProcess) (*DirectedP
 // valid and means everyone honest.
 func ValidateRoleSpec(spec string) error { return core.ValidateRoleSpec(spec) }
 
-// Wrap composes behavior layers around an undirected process:
-// Wrap(Push{}, Fail(0.1)) replaces the deprecated Faulty wrapper,
-// Wrap(Pull{}, Crash(alive)) the CrashedPull one, and layers stack —
+// Wrap composes behavior layers around an undirected process —
+// Wrap(Push{}, Fail(0.1)), Wrap(Pull{}, Crash(alive)) — and layers stack:
 // Wrap(p, Crash(alive), Fail(0.05), Participation(0.8)).
 func Wrap(inner Process, chain ...Behavior) Process { return core.Wrap(inner, chain...) }
 

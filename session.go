@@ -142,7 +142,7 @@ func WithAutoWorkers() SessionOption {
 // nodes weighted by their missing work, partners uniform within each
 // node's missing set — so late rounds cost time proportional to the work
 // remaining instead of scanning all n nodes mostly to propose duplicates.
-// Dense rounds bypass the process entirely (wrappers such as Faulty stop
+// Dense rounds bypass the process entirely (behavior chains such as Fail stop
 // applying once the phase flips): the mode is an engine-level accelerator
 // for convergence runs, not a re-expression of the paper's process.
 // 0 (the default) disables the mode and keeps legacy results bit-identical;
