@@ -92,16 +92,16 @@ func BenchmarkE8NonMonotonicity(b *testing.B) {
 
 // BenchmarkE9MinDegreeGrowth measures a push run with full min-degree
 // trajectory recording on a 128-node cycle (the Thm 8/12 proof engine).
-// Like the E9 experiment it feeds the trajectory from the engine's
-// streaming deltas; BenchmarkScaleTrajectory1024 compares this path against
-// the legacy snapshot observer.
+// Like the E9 experiment it subscribes the trajectory to the session's
+// delta stream; BenchmarkScaleTrajectory1024 compares this path against
+// snapshot scanning.
 func BenchmarkE9MinDegreeGrowth(b *testing.B) {
 	r := rng.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g := gen.Cycle(128)
 		traj := &metrics.Trajectory{}
-		res := sim.Run(g, core.Push{}, r.Split(), sim.Config{DeltaObserver: traj.ObserveDelta})
+		res := runObserved(g, r.Split(), 0, traj)
 		if !res.Converged || len(traj.GrowthEpochs(2, 128)) == 0 {
 			b.Fatal("growth trajectory failed")
 		}

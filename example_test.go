@@ -9,10 +9,10 @@ import (
 	"gossipdisc"
 )
 
-// ExampleRunPush runs the triangulation process on a small path graph.
-func ExampleRunPush() {
+// ExampleRun runs the triangulation process on a small path graph.
+func ExampleRun() {
 	g := gossipdisc.Path(8)
-	res := gossipdisc.RunPush(g, 1)
+	res := gossipdisc.Run(g, gossipdisc.Push{}, 1)
 	fmt.Println("converged:", res.Converged)
 	fmt.Println("complete:", g.IsComplete())
 	fmt.Println("new edges:", res.NewEdges)
@@ -59,15 +59,20 @@ func ExampleTrials() {
 	// trial 2 converged: true
 }
 
-// ExampleRunParallel runs the sharded deterministic engine: results are
+// ExampleWithWorkers runs the sharded deterministic engine: results are
 // bit-identical for every worker count >= 1, so the worker count is purely
 // a performance knob.
-func ExampleRunParallel() {
+func ExampleWithWorkers() {
+	run := func(g *gossipdisc.Graph, workers int) gossipdisc.Result {
+		sess := gossipdisc.NewSession(g, gossipdisc.WithSeed(9), gossipdisc.WithWorkers(workers))
+		defer sess.Close() // releases the parked worker goroutines
+		return sess.Run()
+	}
 	a := gossipdisc.Cycle(64)
-	resA := gossipdisc.RunParallel(a, gossipdisc.Push{}, 9, 1)
+	resA := run(a, 1)
 
 	b := gossipdisc.Cycle(64)
-	resB := gossipdisc.RunParallel(b, gossipdisc.Push{}, 9, 4)
+	resB := run(b, 4)
 
 	fmt.Println("converged:", resA.Converged && resB.Converged)
 	fmt.Println("same rounds:", resA.Rounds == resB.Rounds)
@@ -80,20 +85,25 @@ func ExampleRunParallel() {
 	// same result: true
 }
 
-// ExampleConfig_deltaObserver consumes the streaming delta the engine emits
-// from its commit path each round: the new edges, per-node degree
-// increments, and the edges-remaining counter. A metrics Trajectory uses the
-// same stream to record min-degree curves without re-scanning the graph.
-func ExampleConfig_deltaObserver() {
+// ExampleWithAnalyzers_trajectory consumes the streaming delta the engine
+// emits from its commit path each round: the new edges, per-node degree
+// increments, and the edges-remaining counter. A metrics Trajectory
+// subscribes to the same stream to record min-degree curves without
+// re-scanning the graph.
+func ExampleWithAnalyzers_trajectory() {
 	g := gossipdisc.Path(12)
 	streamed := 0
 	traj := &gossipdisc.Trajectory{Every: 25}
-	res := gossipdisc.RunWithConfig(g, gossipdisc.Push{}, 3, gossipdisc.Config{
-		DeltaObserver: func(g *gossipdisc.Graph, d *gossipdisc.RoundDelta) {
-			streamed += len(d.NewEdges) // delta slices are reused: don't retain
-			traj.ObserveDelta(g, d)
-		},
-	})
+	sess := gossipdisc.NewSession(g, gossipdisc.WithSeed(3), gossipdisc.WithAnalyzers(
+		gossipdisc.SubscriberFunc(func(e *gossipdisc.Event) {
+			if e.Kind == gossipdisc.KindRound {
+				streamed += len(e.Delta.NewEdges) // delta slices are reused: don't retain
+			}
+		}),
+		traj,
+	))
+	defer sess.Close()
+	res := sess.Run()
 	traj.Finalize()
 	fmt.Println("delta stream edges == result new edges:", streamed == res.NewEdges)
 	last := traj.Snapshots[len(traj.Snapshots)-1]
@@ -107,7 +117,7 @@ func ExampleConfig_deltaObserver() {
 
 // ExampleNewSession steps a run round by round through the resumable
 // session API, reading O(1) progress between steps, and finishes it with
-// Run — bit-identical to the one-shot facade.
+// Run — bit-identical to the one-shot Run.
 func ExampleNewSession() {
 	g := gossipdisc.Path(12)
 	sess := gossipdisc.NewSession(g,
@@ -163,13 +173,17 @@ func ExampleWithAnalyzers() {
 	// [info] degree-profile (round 37): mean degree 15.00, cv 0.00, drift +0.347/round
 }
 
-// ExampleRunWithConfig stops a run at a custom condition: a minimum degree
+// ExampleWithDone stops a run at a custom condition: a minimum degree
 // target rather than completeness.
-func ExampleRunWithConfig() {
+func ExampleWithDone() {
 	g := gossipdisc.Path(16)
-	res := gossipdisc.RunWithConfig(g, gossipdisc.Pull{}, 5, gossipdisc.Config{
-		Done: func(g *gossipdisc.Graph) bool { return g.MinDegree() >= 3 },
-	})
+	sess := gossipdisc.NewSession(g,
+		gossipdisc.WithProcess(gossipdisc.Pull{}),
+		gossipdisc.WithSeed(5),
+		gossipdisc.WithDone(func(g *gossipdisc.Graph) bool { return g.MinDegree() >= 3 }),
+	)
+	defer sess.Close()
+	res := sess.Run()
 	fmt.Println("converged:", res.Converged)
 	fmt.Println("min degree >= 3:", g.MinDegree() >= 3)
 	fmt.Println("still incomplete:", !g.IsComplete())
@@ -189,7 +203,7 @@ func ExampleWithAutoWorkers() {
 	defer sess.Close()
 	res := sess.Run()
 
-	fixed := gossipdisc.RunParallel(gossipdisc.Cycle(64), gossipdisc.Push{}, 7, 1)
+	fixed := gossipdisc.NewSession(gossipdisc.Cycle(64), gossipdisc.WithWorkers(1), gossipdisc.WithSeed(7)).Run()
 	fmt.Println("converged:", res.Converged)
 	fmt.Println("matches fixed Workers=1:", res == fixed)
 	fmt.Println("schedule was autoscaling's to pick:", sess.EngineStats().ConfiguredWorkers == gossipdisc.WorkersAuto)

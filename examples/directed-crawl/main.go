@@ -21,6 +21,7 @@ import (
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
 	"gossipdisc/internal/stats"
+	"gossipdisc/internal/stream"
 	"gossipdisc/internal/trace"
 )
 
@@ -79,16 +80,18 @@ func main() {
 	g := gen.Thm15StrongLowerBound(n)
 	var remaining []int
 	total := 0
-	res := sim.RunDirected(g, core.DirectedTwoHop{}, rng.New(5), sim.DirectedConfig{
-		DeltaObserver: func(g *graph.Directed, d *sim.DirectedRoundDelta) {
-			if len(remaining) == 0 {
-				// The walk only ever adds closure arcs, so the initial
-				// missing count is round 1's remainder plus its additions.
-				total = d.ClosureArcsRemaining + len(d.NewArcs)
-			}
-			remaining = append(remaining, d.ClosureArcsRemaining)
-		},
-	})
+	sess := sim.NewDirectedSession(g, core.DirectedTwoHop{}, rng.New(5), sim.DirectedConfig{})
+	sess.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
+		d := e.DirectedDelta
+		if len(remaining) == 0 {
+			// The walk only ever adds closure arcs, so the initial
+			// missing count is round 1's remainder plus its additions.
+			total = d.ClosureArcsRemaining + len(d.NewArcs)
+		}
+		remaining = append(remaining, d.ClosureArcsRemaining)
+	}))
+	res := sess.Run()
+	sess.Close()
 	fmt.Printf("\nThm 15 graph, n=%d: closure progress (fraction of missing arcs found)\n", n)
 	if total > 0 {
 		var bar strings.Builder

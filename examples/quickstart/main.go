@@ -17,29 +17,29 @@ func main() {
 	// Push discovery (triangulation): every round, every node introduces
 	// two random neighbors to each other.
 	g := gossipdisc.Cycle(n)
-	res := gossipdisc.RunPush(g, 42)
+	res := gossipdisc.Run(g, gossipdisc.Push{}, 42)
 	fmt.Printf("push: %d-node cycle became complete after %d rounds (%d introductions, %d of them redundant)\n",
 		n, res.Rounds, res.Proposals, res.DuplicateProposals)
 
 	// Pull discovery (two-hop walk): every round, every node pulls a random
 	// contact of a random neighbor.
 	h := gossipdisc.Cycle(n)
-	res = gossipdisc.RunPull(h, 42)
+	res = gossipdisc.Run(h, gossipdisc.Pull{}, 42)
 	fmt.Printf("pull: %d-node cycle became complete after %d rounds\n", n, res.Rounds)
 
 	// The paper's Theorem 8/12 bound is O(n log² n); normalize to see it.
 	lnN := math.Log(float64(n))
 	fmt.Printf("for scale: n·ln²n = %.0f\n", float64(n)*lnN*lnN)
 
-	// Watch discovery happen. The engine streams a delta from its commit
+	// Watch discovery happen. The session publishes a delta from its commit
 	// path after every round (new edges, degree increments, edges left);
-	// a Trajectory consumes the stream incrementally, so recording the
-	// whole min-degree curve never re-scans the graph.
+	// a subscribed Trajectory consumes the stream incrementally, so
+	// recording the whole min-degree curve never re-scans the graph.
 	traj := &gossipdisc.Trajectory{Every: 10}
-	k := gossipdisc.Cycle(n)
-	gossipdisc.RunWithConfig(k, gossipdisc.Push{}, 42, gossipdisc.Config{
-		DeltaObserver: traj.ObserveDelta,
-	})
+	sess := gossipdisc.NewSession(gossipdisc.Cycle(n), gossipdisc.WithSeed(42))
+	sess.Subscribe(traj)
+	sess.Run()
+	sess.Close()
 	traj.Finalize()
 	fmt.Print("min degree every 10 rounds: ")
 	for _, s := range traj.Snapshots {

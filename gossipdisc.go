@@ -29,16 +29,17 @@
 // # Quick start
 //
 //	g := gossipdisc.Cycle(64)
-//	res := gossipdisc.RunPush(g, 42)
+//	res := gossipdisc.Run(g, gossipdisc.Push{}, 42)
 //	fmt.Printf("complete after %d rounds\n", res.Rounds)
 //
 // # Sessions
 //
-// Every run is a resumable Session underneath; the Run* helpers are thin
-// wrappers that drive one to completion. Construct a Session directly (see
-// NewSession and the functional options in session.go) to step a run round
-// by round, read O(1) progress, observe per-round deltas, or mutate the
-// membership mid-flight — the shape long-running gossip deployments need:
+// Every run is a resumable Session underneath; Run and RunDirected drive
+// one to completion. Construct a Session directly (see NewSession and the
+// functional options in session.go) to choose the engine, step a run round
+// by round, read O(1) progress, subscribe to per-round deltas, or mutate
+// the membership mid-flight — the shape long-running gossip deployments
+// need:
 //
 //	sess := gossipdisc.NewSession(g, gossipdisc.WithWorkers(8))
 //	defer sess.Close()
@@ -52,8 +53,6 @@
 package gossipdisc
 
 import (
-	"runtime"
-
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
@@ -77,7 +76,7 @@ type (
 )
 
 // Process types. A Process defines the per-node action of one synchronous
-// round; the engine in Run/RunDirected owns commit semantics.
+// round; the session engine owns commit semantics.
 type (
 	// Process is an undirected discovery process.
 	Process = core.Process
@@ -95,35 +94,31 @@ type (
 type (
 	// CommitMode selects when proposed edges are inserted into the graph.
 	CommitMode = sim.CommitMode
-	// Config controls a single undirected run.
-	Config = sim.Config
 	// Result reports an undirected run.
 	Result = sim.Result
-	// DirectedConfig controls a directed run.
-	DirectedConfig = sim.DirectedConfig
 	// DirectedResult reports a directed run.
 	DirectedResult = sim.DirectedResult
 	// Rand is the deterministic generator used throughout.
 	Rand = rng.Rand
 )
 
-// Streaming delta pipeline (see DESIGN.md "The delta observer pipeline").
-// The commit path emits a per-round delta — the new edges, the degree
-// increments they imply, and the O(1) edges-remaining counter — so
-// trajectory recording no longer re-scans the graph every round.
+// Per-round deltas (see DESIGN.md "Observing a run"). The commit path
+// emits a per-round delta — the new edges, the degree increments they
+// imply, and the O(1) edges-remaining counter — so trajectory recording
+// never re-scans the graph.
 type (
-	// RoundDelta is one committed round's change set for undirected runs;
-	// set Config.DeltaObserver to receive the stream.
+	// RoundDelta is one committed round's change set for undirected runs,
+	// returned by Step and carried by KindRound events.
 	RoundDelta = sim.RoundDelta
 	// DirectedRoundDelta is the directed counterpart, carrying the
 	// closure-arcs-remaining progress counter.
 	DirectedRoundDelta = sim.DirectedRoundDelta
 )
 
-// Trajectory recording (package metrics re-exports). A Trajectory consumes
-// either observer stream: Observe plugs into Config.Observer (full-graph
-// snapshots), ObserveDelta plugs into Config.DeltaObserver and maintains
-// degrees, the degree histogram, and min/max degree incrementally.
+// Trajectory recording (package metrics re-exports). A Trajectory is a
+// Subscriber: attached with WithAnalyzers or Subscribe it maintains
+// degrees, the degree histogram, and min/max degree incrementally from the
+// delta stream.
 type (
 	// Snapshot is a per-round summary of an undirected graph's state.
 	Snapshot = metrics.Snapshot
@@ -204,52 +199,17 @@ var (
 )
 
 // Run executes process p on g (mutating it) until g is complete, using the
-// paper's synchronous-round semantics, and returns the run statistics.
+// paper's synchronous-round semantics on the sequential engine, and returns
+// the run statistics. NewSession(g, opts...).Run() is the configurable form.
 func Run(g *Graph, p Process, seed uint64) Result {
 	return sim.Run(g, p, rng.New(seed), sim.Config{})
 }
 
-// RunWithConfig is Run with full engine control.
-func RunWithConfig(g *Graph, p Process, seed uint64, cfg Config) Result {
-	return sim.Run(g, p, rng.New(seed), cfg)
-}
-
-// RunPush runs the push (triangulation) process to completion.
-func RunPush(g *Graph, seed uint64) Result { return Run(g, core.Push{}, seed) }
-
-// RunPull runs the pull (two-hop walk) process to completion.
-func RunPull(g *Graph, seed uint64) Result { return Run(g, core.Pull{}, seed) }
-
-// RunParallel executes p on g with the sharded parallel round engine on the
-// given number of workers (workers <= 0 selects GOMAXPROCS). Results are
-// bit-identical for every worker count >= 1 — the shard layout and rng
-// streams depend only on the graph size and the seed — but differ from the
-// classic sequential engine used by Run, which consumes a single stream.
-func RunParallel(g *Graph, p Process, seed uint64, workers int) Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return sim.Run(g, p, rng.New(seed), sim.Config{Workers: workers})
-}
-
-// RunDirectedParallel is the directed counterpart of RunParallel, running
-// the directed two-hop walk to the transitive closure of the initial graph.
-func RunDirectedParallel(g *Digraph, seed uint64, workers int) DirectedResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return sim.RunDirected(g, core.DirectedTwoHop{}, rng.New(seed), sim.DirectedConfig{Workers: workers})
-}
-
 // RunDirected executes the directed two-hop walk on g until it contains the
-// transitive closure of the initial graph.
+// transitive closure of the initial graph. NewDirectedSession(g,
+// opts...).Run() is the configurable form.
 func RunDirected(g *Digraph, seed uint64) DirectedResult {
 	return sim.RunDirected(g, core.DirectedTwoHop{}, rng.New(seed), sim.DirectedConfig{})
-}
-
-// RunDirectedWithConfig is RunDirected with full engine control.
-func RunDirectedWithConfig(g *Digraph, p DirectedProcess, seed uint64, cfg DirectedConfig) DirectedResult {
-	return sim.RunDirected(g, p, rng.New(seed), cfg)
 }
 
 // Trials runs numTrials independent deterministic trials of p in parallel;

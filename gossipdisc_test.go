@@ -5,11 +5,14 @@ import (
 	"testing"
 
 	"gossipdisc"
+	"gossipdisc/internal/core"
+	"gossipdisc/internal/rng"
+	"gossipdisc/internal/sim"
 )
 
 func TestQuickstartFlow(t *testing.T) {
 	g := gossipdisc.Cycle(32)
-	res := gossipdisc.RunPush(g, 42)
+	res := gossipdisc.Run(g, gossipdisc.Push{}, 42)
 	if !res.Converged {
 		t.Fatalf("push did not converge: %+v", res)
 	}
@@ -18,19 +21,17 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
-func TestRunPullFacade(t *testing.T) {
+func TestPullFacade(t *testing.T) {
 	g := gossipdisc.Path(20)
-	res := gossipdisc.RunPull(g, 7)
+	res := gossipdisc.Run(g, gossipdisc.Pull{}, 7)
 	if !res.Converged || !g.IsComplete() {
 		t.Fatalf("pull facade failed: %+v", res)
 	}
 }
 
-func TestRunWithConfigCustomDone(t *testing.T) {
+func TestWithDoneCustomPredicate(t *testing.T) {
 	g := gossipdisc.Path(20)
-	res := gossipdisc.RunWithConfig(g, gossipdisc.Push{}, 1, gossipdisc.Config{
-		Done: func(g *gossipdisc.Graph) bool { return g.MinDegree() >= 4 },
-	})
+	res := gossipdisc.NewSession(g, gossipdisc.WithDone(func(g *gossipdisc.Graph) bool { return g.MinDegree() >= 4 })).Run()
 	if !res.Converged || g.MinDegree() < 4 {
 		t.Fatalf("custom done failed: %+v", res)
 	}
@@ -52,8 +53,7 @@ func TestThm15GraphExported(t *testing.T) {
 	if !g.IsStronglyConnected() {
 		t.Fatal("Thm15 graph not strongly connected")
 	}
-	res := gossipdisc.RunDirectedWithConfig(g, gossipdisc.DirectedTwoHop{}, 5,
-		gossipdisc.DirectedConfig{})
+	res := gossipdisc.RunDirected(g, 5)
 	if !res.Converged {
 		t.Fatalf("Thm15 run did not converge: %+v", res)
 	}
@@ -128,9 +128,7 @@ func TestFaultyAndPartialExported(t *testing.T) {
 
 func TestCommitModesExported(t *testing.T) {
 	g := gossipdisc.Path(12)
-	res := gossipdisc.RunWithConfig(g, gossipdisc.Push{}, 13, gossipdisc.Config{
-		Mode: gossipdisc.CommitEager,
-	})
+	res := gossipdisc.NewSession(g, gossipdisc.WithSeed(13), gossipdisc.WithCommitMode(gossipdisc.CommitEager)).Run()
 	if !res.Converged {
 		t.Fatal("eager mode did not converge")
 	}
@@ -139,10 +137,12 @@ func TestCommitModesExported(t *testing.T) {
 	}
 }
 
-func TestRunParallelFacade(t *testing.T) {
+func TestWithWorkersInvariant(t *testing.T) {
 	run := func(workers int) (gossipdisc.Result, *gossipdisc.Graph) {
 		g := gossipdisc.Cycle(100)
-		return gossipdisc.RunParallel(g, gossipdisc.Push{}, 42, workers), g
+		sess := gossipdisc.NewSession(g, gossipdisc.WithSeed(42), gossipdisc.WithWorkers(workers))
+		defer sess.Close()
+		return sess.Run(), g
 	}
 	base, baseG := run(1)
 	if !base.Converged || !baseG.IsComplete() {
@@ -150,10 +150,7 @@ func TestRunParallelFacade(t *testing.T) {
 	}
 	res, g := run(4)
 	if res != base || !g.Equal(baseG) {
-		t.Fatalf("RunParallel not worker-count invariant: %+v vs %+v", res, base)
-	}
-	if auto, _ := run(0); auto != base {
-		t.Fatalf("workers<=0 (GOMAXPROCS) diverged: %+v vs %+v", auto, base)
+		t.Fatalf("WithWorkers not worker-count invariant: %+v vs %+v", res, base)
 	}
 }
 
@@ -168,9 +165,9 @@ func TestNewSessionMatchesRunFacades(t *testing.T) {
 		t.Fatalf("default session diverged from Run: %+v vs %+v", got, want)
 	}
 
-	// WithProcess + WithSeed + WithWorkers reproduces RunParallel.
+	// WithProcess + WithSeed + WithWorkers reproduces the engine's config.
 	g3 := gossipdisc.Cycle(100)
-	wantPar := gossipdisc.RunParallel(g3, gossipdisc.Pull{}, 9, 4)
+	wantPar := sim.Run(g3, core.Pull{}, rng.New(9), sim.Config{Workers: 4})
 	g4 := gossipdisc.Cycle(100)
 	par := gossipdisc.NewSession(g4,
 		gossipdisc.WithProcess(gossipdisc.Pull{}),
@@ -178,7 +175,7 @@ func TestNewSessionMatchesRunFacades(t *testing.T) {
 		gossipdisc.WithWorkers(4))
 	defer par.Close()
 	if got := par.Run(); got != wantPar || !g4.Equal(g3) {
-		t.Fatalf("parallel session diverged from RunParallel: %+v vs %+v", got, wantPar)
+		t.Fatalf("parallel session diverged from sim.Run: %+v vs %+v", got, wantPar)
 	}
 }
 
@@ -189,9 +186,9 @@ func TestNewSessionOptions(t *testing.T) {
 		gossipdisc.WithSeed(5),
 		gossipdisc.WithMaxRounds(3),
 		gossipdisc.WithCommitMode(gossipdisc.CommitEager),
-		gossipdisc.WithDeltaObserver(func(g *gossipdisc.Graph, d *gossipdisc.RoundDelta) {
-			streamed += len(d.NewEdges)
-		}),
+		gossipdisc.WithAnalyzers(gossipdisc.SubscriberFunc(func(e *gossipdisc.Event) {
+			streamed += len(e.Delta.NewEdges)
+		})),
 		gossipdisc.WithDone(func(g *gossipdisc.Graph) bool { return false }),
 	)
 	defer sess.Close()
@@ -200,7 +197,49 @@ func TestNewSessionOptions(t *testing.T) {
 		t.Fatalf("MaxRounds/Done options ignored: %+v", res)
 	}
 	if streamed != res.NewEdges {
-		t.Fatalf("delta observer saw %d edges, result has %d", streamed, res.NewEdges)
+		t.Fatalf("subscriber saw %d edges, result has %d", streamed, res.NewEdges)
+	}
+}
+
+// TestWithRandOverridesWithSeed: WithRand wins over WithSeed whichever
+// comes first — options apply in argument order, so the precedence has to
+// be resolved after all of them.
+func TestWithRandOverridesWithSeed(t *testing.T) {
+	run := func(opts ...gossipdisc.SessionOption) gossipdisc.Result {
+		return gossipdisc.NewSession(gossipdisc.Cycle(32), opts...).Run()
+	}
+	want := run(gossipdisc.WithRand(gossipdisc.NewRand(77)))
+	if seeded := run(gossipdisc.WithSeed(1)); seeded == want {
+		t.Fatal("seed 1 and the seed-77 generator gave the same run; the rows below prove nothing")
+	}
+	for name, opts := range map[string][]gossipdisc.SessionOption{
+		"rand then seed": {gossipdisc.WithRand(gossipdisc.NewRand(77)), gossipdisc.WithSeed(1)},
+		"seed then rand": {gossipdisc.WithSeed(1), gossipdisc.WithRand(gossipdisc.NewRand(77))},
+	} {
+		if got := run(opts...); got != want {
+			t.Errorf("%s: %+v, want the WithRand run %+v", name, got, want)
+		}
+	}
+}
+
+// TestWithMaxRoundsActivationBudgetSaturates: the tick and event sessions
+// turn WithMaxRounds into MaxRounds × n activations. At 1<<62 + 1 rounds on
+// 4 nodes the plain product wraps to a 4-activation budget; saturated, it
+// is effectively unbounded.
+func TestWithMaxRoundsActivationBudgetSaturates(t *testing.T) {
+	opts := []gossipdisc.SessionOption{
+		gossipdisc.WithMaxRounds(1<<62 + 1),
+		gossipdisc.WithDone(func(*gossipdisc.Graph) bool { return false }),
+	}
+	async := gossipdisc.NewAsyncSession(gossipdisc.Path(4), opts...)
+	event := gossipdisc.NewEventSession(gossipdisc.Path(4), opts...)
+	for i := 0; i < 3; i++ {
+		if _, more := async.Step(); !more {
+			t.Fatalf("async session stopped after %d ticks: %+v", async.Stats().Ticks, async.Stats())
+		}
+		if _, more := event.Step(); !more {
+			t.Fatalf("event session stopped after %d events: %+v", event.Events(), event.Stats())
+		}
 	}
 }
 
@@ -230,16 +269,18 @@ func TestTrialsAggregateFacade(t *testing.T) {
 	}
 }
 
-func TestRunDirectedParallelFacade(t *testing.T) {
+func TestDirectedWithWorkersInvariant(t *testing.T) {
 	run := func(workers int) gossipdisc.DirectedResult {
-		return gossipdisc.RunDirectedParallel(gossipdisc.DirectedCycle(40), 7, workers)
+		sess := gossipdisc.NewDirectedSession(gossipdisc.DirectedCycle(40), gossipdisc.WithSeed(7), gossipdisc.WithWorkers(workers))
+		defer sess.Close()
+		return sess.Run()
 	}
 	base := run(1)
 	if !base.Converged || base.TargetArcs != 40*39 {
 		t.Fatalf("parallel directed run failed: %+v", base)
 	}
 	if res := run(4); res != base {
-		t.Fatalf("RunDirectedParallel not worker-count invariant: %+v vs %+v", res, base)
+		t.Fatalf("directed WithWorkers not worker-count invariant: %+v vs %+v", res, base)
 	}
 }
 
@@ -258,8 +299,7 @@ func TestWithDensePhaseOption(t *testing.T) {
 		t.Fatalf("dense session did not complete: %+v", res)
 	}
 	g2 := gossipdisc.Cycle(96)
-	want := gossipdisc.RunWithConfig(g2, gossipdisc.Push{}, 5,
-		gossipdisc.Config{Workers: 2, DensePhase: 0.5})
+	want := sim.Run(g2, core.Push{}, rng.New(5), sim.Config{Workers: 2, DensePhase: 0.5})
 	if res != want {
 		t.Fatalf("option path %+v != config path %+v", res, want)
 	}

@@ -14,8 +14,8 @@ import (
 
 // The event-driven half of the bus-equivalence contract (the synchronous
 // engines are covered in internal/sim): Result and delta stream must be
-// bit-identical whether deltas are consumed through the legacy
-// Config.DeltaObserver adapter or the bus, with 0, 1, or N subscribers.
+// bit-identical whether deltas are read off Step or the bus, with 0, 1, or
+// N subscribers.
 
 // eventDeltaHash folds each round delta into an fnv-1a fingerprint — the
 // same fold internal/sim's backend goldens use, minus the fields the event
@@ -41,17 +41,27 @@ func (d *eventDeltaHash) observe(g *graph.Undirected, rd *sim.RoundDelta) {
 	}
 }
 
+// OnEvent folds every round delta into the hash.
+func (d *eventDeltaHash) OnEvent(e *stream.Event) {
+	if e.Kind == stream.KindRound {
+		d.observe(e.Graph, e.Delta)
+	}
+}
+
+// runHashed drives a fresh session to completion with dh subscribed.
+func runHashed(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Config, dh *eventDeltaHash) Result {
+	s := New(g, p, r, cfg)
+	s.Subscribe(dh)
+	return s.Run()
+}
+
 func TestBusEquivalenceEvent(t *testing.T) {
 	run := func(nsubs int) (Result, uint64) {
 		g := gen.Path(64)
 		dh := newEventDeltaHash()
 		s := New(g, core.Push{}, rng.New(11), Config{})
 		if nsubs >= 1 {
-			s.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
-				if e.Kind == stream.KindRound {
-					dh.observe(e.Graph, e.Delta)
-				}
-			}))
+			s.Subscribe(dh)
 		}
 		for i := 1; i < nsubs; i++ {
 			if i == 1 {
@@ -70,21 +80,25 @@ func TestBusEquivalenceEvent(t *testing.T) {
 		return res, dh.h
 	}
 
+	// Stepped baseline: the deltas Step returns to a session with nothing
+	// subscribed.
 	g := gen.Path(64)
-	legacy := newEventDeltaHash()
-	wantRes := Run(g, core.Push{}, rng.New(11), Config{
-		DeltaObserver: legacy.observe,
-	})
+	s := New(g, core.Push{}, rng.New(11), Config{})
+	stepped := newEventDeltaHash()
+	for d, _ := s.Step(); d != nil; d, _ = s.Step() {
+		stepped.observe(g, d)
+	}
+	wantRes := s.Stats()
 	if !g.IsComplete() {
-		t.Fatal("legacy event run did not complete the graph")
+		t.Fatal("stepped event run did not complete the graph")
 	}
 	for _, nsubs := range []int{0, 1, 3} {
 		res, h := run(nsubs)
 		if res != wantRes {
-			t.Fatalf("nsubs=%d Result diverged:\n legacy: %+v\n bus:    %+v", nsubs, wantRes, res)
+			t.Fatalf("nsubs=%d Result diverged:\n stepped: %+v\n bus:     %+v", nsubs, wantRes, res)
 		}
-		if nsubs > 0 && h != legacy.h {
-			t.Fatalf("nsubs=%d delta stream diverged (hash %x, legacy %x)", nsubs, h, legacy.h)
+		if nsubs > 0 && h != stepped.h {
+			t.Fatalf("nsubs=%d delta stream diverged (hash %x, stepped %x)", nsubs, h, stepped.h)
 		}
 	}
 }

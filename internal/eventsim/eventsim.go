@@ -60,26 +60,16 @@ type Config struct {
 	Rates *RateMap
 	// MaxEvents bounds the run, mirroring AsyncConfig.MaxTicks event for
 	// tick: 0 selects the default budget of n × sim.DefaultMaxRounds(n)
-	// events; any negative value means unbounded, which is meaningful only
-	// for stepped Sessions (the Run facade normalizes negatives back to the
-	// default budget); a positive budget that runs out stops the session at
-	// exactly MaxEvents events with BudgetExhausted == true.
+	// events (saturating, see sim.ActivationBudget); any negative value
+	// means unbounded, which is meaningful only for stepped Sessions (the
+	// Run facade normalizes negatives back to the default budget); a
+	// positive budget that runs out stops the session at exactly MaxEvents
+	// events with BudgetExhausted == true.
 	MaxEvents int
 	// Done overrides the convergence predicate (default: complete graph).
 	// It must be a pure function of the graph: the runtime re-evaluates it
 	// only when the graph changed.
 	Done func(g *graph.Undirected) bool
-	// DeltaObserver, if non-nil, receives a streaming delta after every
-	// parallel-round boundary (unit simulated time) — including empty
-	// rounds in which no node activated, since time passing is itself
-	// signal for age metrics. A final partial round, if any, is emitted
-	// before the run finishes. The delta and its slices are reused; copy
-	// anything retained.
-	//
-	// Deprecated: a thin adapter over the session's observation bus (see
-	// sim.Config.DeltaObserver); new consumers should attach through
-	// Session.Subscribe, which also carries rate-change events.
-	DeltaObserver func(g *graph.Undirected, d *sim.RoundDelta)
 }
 
 // Result reports an event-driven run.
@@ -175,7 +165,7 @@ func New(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Config) *Session 
 	}
 	maxEvents := cfg.MaxEvents
 	if maxEvents == 0 {
-		maxEvents = n * sim.DefaultMaxRounds(n)
+		maxEvents = sim.ActivationBudget(sim.DefaultMaxRounds(n), n)
 	} else if maxEvents < 0 {
 		maxEvents = math.MaxInt
 	}
@@ -183,7 +173,7 @@ func New(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Config) *Session 
 	if done == nil {
 		done = (*graph.Undirected).IsComplete
 	}
-	s := &Session{
+	return &Session{
 		g:         g,
 		p:         p,
 		r:         r,
@@ -192,18 +182,14 @@ func New(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Config) *Session 
 		done:      done,
 		rates:     rates,
 	}
-	if cfg.DeltaObserver != nil {
-		// The legacy observer rides the bus as its first subscriber, exactly
-		// as the sim sessions treat their DeltaObserver fields.
-		s.Subscribe(stream.RoundObserver(cfg.DeltaObserver))
-	}
-	return s
 }
 
 // Subscribe attaches sub to the session's observation bus. Subscribers
 // receive a KindRound event at every parallel-round boundary (Time carries
-// the exact simulated time, fractional for the final partial round) and a
-// KindRateChange event for every SetNodeRate / SetClassRate retune.
+// the exact simulated time, fractional for the final partial round) —
+// including empty rounds in which no node activated, since time passing is
+// itself signal for age metrics — and a KindRateChange event for every
+// SetNodeRate / SetClassRate retune.
 // Attaching subscribers does not perturb the run
 // (TestBusEquivalenceEvent); payloads are reused across rounds — copy
 // anything retained.

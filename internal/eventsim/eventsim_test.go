@@ -11,6 +11,7 @@ import (
 	"gossipdisc/internal/metrics"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
+	"gossipdisc/internal/stream"
 )
 
 func never(g *graph.Undirected) bool { return false }
@@ -269,12 +270,14 @@ func TestEventDeltaStreamConsistency(t *testing.T) {
 			m.AssignClass("fast", 0, 8)
 			return m
 		}(),
-		DeltaObserver: func(g *graph.Undirected, d *sim.RoundDelta) {
-			streamed += len(d.NewEdges)
-			traj.ObserveDelta(g, d)
-			aoi.ObserveDelta(g, d)
-		},
 	})
+	s.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
+		if e.Kind == stream.KindRound {
+			streamed += len(e.Delta.NewEdges)
+		}
+	}))
+	s.Subscribe(traj)
+	s.Subscribe(aoi)
 	res := s.Run()
 	if !res.Converged {
 		t.Fatalf("run did not converge: %+v", res)

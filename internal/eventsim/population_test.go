@@ -17,7 +17,7 @@ func eventFingerprint(t *testing.T, p core.Process, n int) (Result, uint64) {
 	t.Helper()
 	g := gen.Path(n)
 	dh := newEventDeltaHash()
-	res := Run(g, p, rng.New(uint64(500+n)), Config{DeltaObserver: dh.observe})
+	res := runHashed(g, p, rng.New(uint64(500+n)), Config{}, dh)
 	if !g.IsComplete() {
 		t.Fatal("event run did not complete the graph")
 	}
@@ -50,10 +50,7 @@ func TestPopulationMixedReplayEvent(t *testing.T) {
 		}
 		g := gen.Path(n)
 		dh := newEventDeltaHash()
-		res := Run(g, pop, rng.New(77), Config{
-			MaxEvents:     4000,
-			DeltaObserver: dh.observe,
-		})
+		res := runHashed(g, pop, rng.New(77), Config{MaxEvents: 4000}, dh)
 		return res, dh.h
 	}
 	res1, h1 := run()
@@ -63,7 +60,7 @@ func TestPopulationMixedReplayEvent(t *testing.T) {
 	}
 	g := gen.Path(n)
 	dh := newEventDeltaHash()
-	Run(g, core.Push{}, rng.New(77), Config{MaxEvents: 4000, DeltaObserver: dh.observe})
+	runHashed(g, core.Push{}, rng.New(77), Config{MaxEvents: 4000}, dh)
 	if dh.h == h1 {
 		t.Fatal("mixed population produced the uniform event trajectory — roles had no effect")
 	}

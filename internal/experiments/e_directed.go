@@ -10,6 +10,7 @@ import (
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
 	"gossipdisc/internal/stats"
+	"gossipdisc/internal/stream"
 	"gossipdisc/internal/trace"
 )
 
@@ -204,10 +205,11 @@ func runThm15CutPhases(cfg Config, w io.Writer, trials int) error {
 		for trial := 0; trial < trials; trial++ {
 			r := root.Split()
 			g := gen.Thm15StrongLowerBound(n)
-			tracker := newCutTracker(g)
-			dc := cfg.directedEngine()
-			dc.Observer = tracker.observe
-			res := sim.RunDirected(g, core.DirectedTwoHop{}, r, dc)
+			s := sim.NewDirectedSession(g, core.DirectedTwoHop{}, r, cfg.directedEngine())
+			tracker := &cutTracker{}
+			s.Subscribe(tracker)
+			res := s.Run()
+			s.Close()
 			if !res.Converged {
 				return fmt.Errorf("E7 phases n=%d: did not converge", n)
 			}
@@ -235,16 +237,12 @@ func runThm15CutPhases(cfg Config, w io.Writer, trials int) error {
 // cutTracker records X_t — the smallest x whose cut is untouched — after
 // every round, and the phase lengths between changes of X.
 type cutTracker struct {
-	n       int
 	history []int
 }
 
-func newCutTracker(g *graph.Directed) *cutTracker {
-	return &cutTracker{n: g.N()}
-}
-
-func (c *cutTracker) observe(round int, g *graph.Directed) {
-	c.history = append(c.history, smallestUntouchedCut(g))
+// OnEvent implements stream.Subscriber for the directed run it watches.
+func (c *cutTracker) OnEvent(e *stream.Event) {
+	c.history = append(c.history, smallestUntouchedCut(e.Digraph))
 }
 
 // smallestUntouchedCut returns the smallest x in [0, n-1) such that the

@@ -5,10 +5,10 @@ import (
 	"io"
 
 	"gossipdisc/internal/gen"
-	"gossipdisc/internal/graph"
 	"gossipdisc/internal/metrics"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
+	"gossipdisc/internal/stream"
 	"gossipdisc/internal/trace"
 )
 
@@ -69,17 +69,17 @@ func runEvolution(cfg Config, w io.Writer) error {
 				delete(marks, 0)
 			}
 			// The replay must use the same engine (and so the same rng
-			// discipline) as the probe, or the trajectory would differ. The
-			// delta observer streams from the commit path, so off-checkpoint
-			// rounds cost O(1) instead of an observer-side graph inspection;
-			// the expensive evolution snapshot runs only at the marks.
-			replay := cfg.engine()
-			replay.DeltaObserver = func(g *graph.Undirected, d *sim.RoundDelta) {
-				if fi, ok := marks[d.Round]; ok {
-					addSnapshot(&agg[fi], &counts[fi], metrics.TakeEvolution(d.Round, g))
+			// discipline) as the probe, or the trajectory would differ.
+			// Off-checkpoint rounds cost the subscriber a map lookup; the
+			// expensive evolution snapshot runs only at the marks.
+			replay := sim.NewSession(g, proc, rng.New(runSeed), cfg.engine())
+			replay.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
+				if fi, ok := marks[e.Delta.Round]; ok {
+					addSnapshot(&agg[fi], &counts[fi], metrics.TakeEvolution(e.Delta.Round, e.Graph))
 				}
-			}
-			sim.Run(g, proc, rng.New(runSeed), replay)
+			}))
+			replay.Run()
+			replay.Close()
 		}
 		for fi, f := range fractions {
 			c := float64(counts[fi])

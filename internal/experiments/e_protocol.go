@@ -12,6 +12,7 @@ import (
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
 	"gossipdisc/internal/stats"
+	"gossipdisc/internal/stream"
 	"gossipdisc/internal/trace"
 )
 
@@ -96,7 +97,9 @@ func runProtocol(cfg Config, w io.Writer) error {
 		g := gen.RandomTree(24, r)
 		c := cfg.engine()
 		c.MaxRounds = 10
-		c.Observer = func(round int, g *graph.Undirected) {
+		s := sim.NewSession(g, core.Push{}, r, c)
+		s.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
+			g := e.Graph
 			delta := g.MinDegree()
 			for u := 0; u < g.N(); u++ {
 				bound := 2 * delta
@@ -108,8 +111,9 @@ func runProtocol(cfg Config, w io.Writer) error {
 					violations++
 				}
 			}
-		}
-		sim.Run(g, core.Push{}, r, c)
+		}))
+		s.Run()
+		s.Close()
 	}
 	lem := trace.NewTable("E13: Lemma 1 checks along push trajectories on random trees",
 		"node-rounds checked", "violations")

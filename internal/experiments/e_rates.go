@@ -10,7 +10,6 @@ import (
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/metrics"
 	"gossipdisc/internal/rng"
-	"gossipdisc/internal/sim"
 	"gossipdisc/internal/stats"
 	"gossipdisc/internal/trace"
 )
@@ -118,12 +117,8 @@ func eventTrials(trials int, seed uint64, n int, backend graph.Backend, build fu
 		r := root.Split()
 		g := gen.Cycle(n, backend)
 		aoi := &metrics.AoITrajectory{}
-		s := eventsim.New(g, core.Push{}, r, eventsim.Config{
-			Rates: build(),
-			DeltaObserver: func(g *graph.Undirected, d *sim.RoundDelta) {
-				aoi.ObserveDelta(g, d)
-			},
-		})
+		s := eventsim.New(g, core.Push{}, r, eventsim.Config{Rates: build()})
+		s.Subscribe(aoi)
 		res := s.Run()
 		if !res.Converged {
 			return eventAgg{}, fmt.Errorf("trial %d did not converge (%+v)", t, res)

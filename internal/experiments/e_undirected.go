@@ -186,9 +186,10 @@ func runMinDegreeGrowth(cfg Config, w io.Writer) error {
 				r := root.Split()
 				g := gen.Cycle(n)
 				traj := &metrics.Trajectory{}
-				c := cfg.engine()
-				c.DeltaObserver = traj.ObserveDelta
-				res := sim.Run(g, proc, r, c)
+				s := sim.NewSession(g, proc, r, cfg.engine())
+				s.Subscribe(traj)
+				res := s.Run()
+				s.Close()
 				if !res.Converged {
 					return fmt.Errorf("E9 n=%d: run did not converge", n)
 				}

@@ -33,8 +33,8 @@ type AoISample struct {
 }
 
 // AoITrajectory records mean/max age-of-information trajectories from a
-// per-round delta stream: plug ObserveDelta into a delta observer (or feed
-// it the deltas Step returns) on either the tick or the event runtime. As
+// per-round delta stream: subscribe it to a session (or feed ObserveDelta
+// the deltas Step returns) on either the tick or the event runtime. As
 // with Trajectory, pass Every > 1 to subsample; the final observed round is
 // always recorded — call Finalize before reading Samples directly.
 type AoITrajectory struct {

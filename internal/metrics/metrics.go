@@ -2,18 +2,17 @@
 // tracks: minimum degree (the proofs' progress measure), missing edges,
 // degree histograms, neighborhood structure, and per-round trajectories.
 //
-// Trajectories consume either of the engine's observer streams. Snapshot
-// mode (Trajectory.Observe ← sim.Config.Observer) summarizes the live graph
-// by scanning it; delta mode (Trajectory.ObserveDelta ←
-// sim.Config.DeltaObserver) consumes the per-round deltas the commit path
-// emits and maintains all per-node state incrementally, which keeps
-// trajectory recording O(new edges) per round and allocation-flat. Both
-// modes always record the final committed round even under subsampling
+// Trajectories are bus subscribers: handed to a session's Subscribe, they
+// consume the per-round deltas the commit path emits (delta mode,
+// ObserveDelta) and maintain all per-node state incrementally, which keeps
+// trajectory recording O(new edges) per round and allocation-flat.
+// Snapshot mode (Observe) summarizes a graph by scanning it. Both modes
+// always record the final committed round even under subsampling
 // (Every > 1) — see Trajectory.Finalize.
 //
-// Stepped sessions need no observer wiring at all: sim.Session.Step returns
-// the same delta the observer would receive, so a driver loop can feed a
-// trajectory directly —
+// Stepped sessions need no subscription at all: sim.Session.Step returns
+// the same delta the bus carries, so a driver loop can feed a trajectory
+// directly —
 //
 //	for {
 //	    d, more := sess.Step()
@@ -57,9 +56,9 @@ func Take(round int, g *graph.Undirected) Snapshot {
 // Trajectory records a time series of snapshots. It has two observation
 // modes sharing the same Snapshots output:
 //
-//   - Snapshot mode: Observe plugs into sim.Config.Observer and summarizes
-//     the graph by scanning it (O(n) per recorded round).
-//   - Delta mode: ObserveDelta plugs into sim.Config.DeltaObserver and
+//   - Snapshot mode: Observe(round, g) summarizes the graph by scanning it
+//     (O(n) per recorded round).
+//   - Delta mode: ObserveDelta — what OnEvent feeds from the bus —
 //     maintains degrees, the degree histogram, and the min/max degree
 //     incrementally from the round's edge delta (O(new edges) per round, no
 //     graph scans after the first round).
@@ -91,7 +90,7 @@ type Trajectory struct {
 	hist   []int32 // hist[d] = number of nodes with degree d
 }
 
-// Observe implements the sim observer signature (snapshot mode). Skipped
+// Observe records round from a scan of g (snapshot mode). Skipped
 // rounds are held as a graph pointer, not a snapshot, so subsampled rounds
 // cost nothing until Finalize — this lazy path deliberately bypasses the
 // shared recorder.
@@ -104,8 +103,7 @@ func (t *Trajectory) Observe(round int, g *graph.Undirected) {
 	t.pendingRound, t.pendingG, t.rec.have = round, g, true
 }
 
-// ObserveDelta implements the sim delta observer signature (delta mode). It
-// consumes the per-round edge delta the commit path emits, so trajectory
+// ObserveDelta records one round's delta (delta mode). It consumes the per-round edge delta the commit path emits, so trajectory
 // recording never re-scans the graph: state is initialized once from the
 // first delta (rewinding that round's increments) and advanced by O(new
 // edges) work per round afterwards.
@@ -291,9 +289,9 @@ type DirectedSnapshot struct {
 	Arcs  int
 }
 
-// DirectedTrajectory records directed snapshots; Observe plugs into
-// sim.DirectedConfig.Observer and ObserveDelta into
-// sim.DirectedConfig.DeltaObserver (use one mode per trajectory). As with
+// DirectedTrajectory records directed snapshots, by scanning (Observe) or
+// from the delta stream (ObserveDelta, fed by OnEvent); use one mode per
+// trajectory. As with
 // Trajectory, the final committed round is always recorded regardless of
 // Every — call Finalize before reading Snapshots directly.
 type DirectedTrajectory struct {
@@ -307,12 +305,12 @@ type DirectedTrajectory struct {
 	arcs   int
 }
 
-// Observe implements the directed sim observer signature.
+// Observe records round from g's arc count (snapshot mode).
 func (t *DirectedTrajectory) Observe(round int, g *graph.Directed) {
 	t.record(DirectedSnapshot{Round: round, Arcs: g.M()}, false)
 }
 
-// ObserveDelta implements the directed sim delta observer signature. After
+// ObserveDelta records one round's directed delta (delta mode). After
 // initializing from the first delta (rewinding that round's arcs), the arc
 // count is tracked from the delta stream alone; recording terminates
 // exactly at closure because the delta carries the engine's own

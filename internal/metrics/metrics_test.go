@@ -8,7 +8,39 @@ import (
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
+	"gossipdisc/internal/stream"
 )
+
+// run drives a fresh session over g to completion with subs on its bus.
+func run(g *graph.Undirected, p core.Process, seed uint64, cfg sim.Config, subs ...stream.Subscriber) sim.Result {
+	s := sim.NewSession(g, p, rng.New(seed), cfg)
+	defer s.Close()
+	for _, sub := range subs {
+		s.Subscribe(sub)
+	}
+	return s.Run()
+}
+
+// runDirected is run for a directed session.
+func runDirected(g *graph.Directed, seed uint64, subs ...stream.Subscriber) sim.DirectedResult {
+	s := sim.NewDirectedSession(g, core.DirectedTwoHop{}, rng.New(seed), sim.DirectedConfig{})
+	defer s.Close()
+	for _, sub := range subs {
+		s.Subscribe(sub)
+	}
+	return s.Run()
+}
+
+// snapshots feeds t's snapshot mode from the bus: Observe scans the live
+// graph the round event carries.
+func snapshots(t *Trajectory) stream.Subscriber {
+	return stream.SubscriberFunc(func(e *stream.Event) { t.Observe(e.Delta.Round, e.Graph) })
+}
+
+// directedSnapshots is snapshots for a DirectedTrajectory.
+func directedSnapshots(t *DirectedTrajectory) stream.Subscriber {
+	return stream.SubscriberFunc(func(e *stream.Event) { t.Observe(e.DirectedDelta.Round, e.Digraph) })
+}
 
 func TestTakeSnapshot(t *testing.T) {
 	g := gen.Path(5)
@@ -21,7 +53,7 @@ func TestTakeSnapshot(t *testing.T) {
 func TestTrajectoryRecordsMonotoneMinDegree(t *testing.T) {
 	g := gen.Cycle(10)
 	traj := &Trajectory{}
-	res := sim.Run(g, core.Push{}, rng.New(1), sim.Config{Observer: traj.Observe})
+	res := run(g, core.Push{}, 1, sim.Config{}, snapshots(traj))
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -42,7 +74,7 @@ func TestTrajectoryRecordsMonotoneMinDegree(t *testing.T) {
 func TestTrajectorySubsampling(t *testing.T) {
 	g := gen.Path(12)
 	traj := &Trajectory{Every: 5}
-	res := sim.Run(g, core.Push{}, rng.New(2), sim.Config{Observer: traj.Observe})
+	res := run(g, core.Push{}, 2, sim.Config{}, snapshots(traj))
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -77,7 +109,7 @@ func TestRoundsToMinDegree(t *testing.T) {
 func TestGrowthEpochs(t *testing.T) {
 	g := gen.Cycle(16)
 	traj := &Trajectory{}
-	sim.Run(g, core.Push{}, rng.New(3), sim.Config{Observer: traj.Observe})
+	run(g, core.Push{}, 3, sim.Config{}, snapshots(traj))
 	epochs := traj.GrowthEpochs(2, 16)
 	if len(epochs) == 0 {
 		t.Fatal("no epochs")
@@ -133,9 +165,7 @@ func TestAliveComplete(t *testing.T) {
 func TestDirectedTrajectory(t *testing.T) {
 	g := gen.DirectedCycle(6)
 	traj := &DirectedTrajectory{}
-	res := sim.RunDirected(g, core.DirectedTwoHop{}, rng.New(4), sim.DirectedConfig{
-		Observer: traj.Observe,
-	})
+	res := runDirected(g, 4, directedSnapshots(traj))
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -150,19 +180,16 @@ func TestDirectedTrajectory(t *testing.T) {
 }
 
 // TestTrajectoryDeltaMatchesSnapshotMode: for every engine family, a
-// delta-mode trajectory must record exactly the snapshots the legacy
-// full-scan Observe records — same rounds, edges, missing counts, and
+// delta-mode trajectory must record exactly the snapshots the full-scan
+// Observe records — same rounds, edges, missing counts, and
 // min/max degrees.
 func TestTrajectoryDeltaMatchesSnapshotMode(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 8} {
 		for _, every := range []int{1, 5} {
 			snapTraj := &Trajectory{Every: every}
 			deltaTraj := &Trajectory{Every: every}
-			res := sim.Run(gen.RandomTree(90, rng.New(4)), core.Push{}, rng.New(6), sim.Config{
-				Workers:       workers,
-				Observer:      snapTraj.Observe,
-				DeltaObserver: deltaTraj.ObserveDelta,
-			})
+			res := run(gen.RandomTree(90, rng.New(4)), core.Push{}, 6, sim.Config{Workers: workers},
+				snapshots(snapTraj), deltaTraj)
 			if !res.Converged {
 				t.Fatalf("Workers=%d did not converge", workers)
 			}
@@ -187,10 +214,7 @@ func TestTrajectoryDeltaMatchesSnapshotMode(t *testing.T) {
 func TestTrajectoryDeltaDegreeHistogram(t *testing.T) {
 	g := gen.Path(40)
 	traj := &Trajectory{}
-	res := sim.Run(g, core.Pull{}, rng.New(11), sim.Config{
-		MaxRounds:     25,
-		DeltaObserver: traj.ObserveDelta,
-	})
+	res := run(g, core.Pull{}, 11, sim.Config{MaxRounds: 25}, traj)
 	if res.Rounds == 0 {
 		t.Fatal("no rounds ran")
 	}
@@ -211,17 +235,15 @@ func TestTrajectoryDeltaDegreeHistogram(t *testing.T) {
 // not a multiple of Every and the graph never completes, so the old Observe
 // dropped it. Both observation modes must now always record it.
 func TestTrajectorySubsamplingRecordsFinalRound(t *testing.T) {
-	for name, attach := range map[string]func(*Trajectory, *sim.Config){
-		"snapshot": func(tr *Trajectory, c *sim.Config) { c.Observer = tr.Observe },
-		"delta":    func(tr *Trajectory, c *sim.Config) { c.DeltaObserver = tr.ObserveDelta },
+	for name, attach := range map[string]func(*Trajectory) stream.Subscriber{
+		"snapshot": snapshots,
+		"delta":    func(tr *Trajectory) stream.Subscriber { return tr },
 	} {
 		traj := &Trajectory{Every: 7}
 		cfg := sim.Config{
 			Done: func(g *graph.Undirected) bool { return g.MinDegree() >= 4 },
 		}
-		attach(traj, &cfg)
-		g := gen.Path(32)
-		res := sim.Run(g, core.Push{}, rng.New(9), cfg)
+		res := run(gen.Path(32), core.Push{}, 9, cfg, attach(traj))
 		if !res.Converged {
 			t.Fatalf("%s: did not converge", name)
 		}
@@ -251,10 +273,7 @@ func TestDirectedTrajectoryDeltaAndFinalize(t *testing.T) {
 	snapTraj := &DirectedTrajectory{Every: 3}
 	deltaTraj := &DirectedTrajectory{Every: 3}
 	g := gen.DirectedCycle(14)
-	res := sim.RunDirected(g, core.DirectedTwoHop{}, rng.New(2), sim.DirectedConfig{
-		Observer:      snapTraj.Observe,
-		DeltaObserver: deltaTraj.ObserveDelta,
-	})
+	res := runDirected(g, 2, directedSnapshots(snapTraj), deltaTraj)
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}

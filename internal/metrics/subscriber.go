@@ -5,13 +5,10 @@ import (
 )
 
 // This file is the trajectories' bus-facing side: the shared subsampling
-// recorder and the stream.Subscriber adapters. Before the observation bus
-// (internal/stream) existed, each trajectory type carried its own copy of
-// the Every/pending/Finalize bookkeeping and callers wired ObserveDelta
-// into per-config observer fields; now the cadence logic lives in one
-// generic recorder and every trajectory can be handed straight to
-// Session.Subscribe. The ObserveDelta methods remain the public
-// delta-consuming surface — OnEvent is a kind-filtered delegation to them.
+// recorder and the stream.Subscriber implementations. The cadence logic
+// lives in one generic recorder and every trajectory can be handed straight
+// to Session.Subscribe; OnEvent is a kind-filtered delegation to the public
+// ObserveDelta methods, which stepped drivers call directly.
 
 // recorder owns the Every-subsampling contract shared by every trajectory
 // type: record rounds on cadence, hold the latest skipped round pending,

@@ -6,24 +6,22 @@ import (
 
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/gen"
-	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
 )
 
 // TestTrajectorySubscriberEquivalence pins that attaching trajectories
-// through Session.Subscribe records exactly what the legacy DeltaObserver
-// wiring records: OnEvent is a pure kind-filter over ObserveDelta.
+// through Session.Subscribe records exactly what feeding them the deltas
+// Step returns records: OnEvent is a pure kind-filter over ObserveDelta.
 func TestTrajectorySubscriberEquivalence(t *testing.T) {
-	legacyTraj := &Trajectory{Every: 2}
-	legacyAoI := &AoITrajectory{Every: 2}
-	legacy := sim.NewSession(gen.Path(10), core.Push{}, rng.New(11), sim.Config{
-		DeltaObserver: func(g *graph.Undirected, d *sim.RoundDelta) {
-			legacyTraj.ObserveDelta(g, d)
-			legacyAoI.ObserveDelta(g, d)
-		},
-	})
-	legacyRes := legacy.Run()
+	steppedTraj := &Trajectory{Every: 2}
+	steppedAoI := &AoITrajectory{Every: 2}
+	stepped := sim.NewSession(gen.Path(10), core.Push{}, rng.New(11), sim.Config{})
+	for d, _ := stepped.Step(); d != nil; d, _ = stepped.Step() {
+		steppedTraj.ObserveDelta(stepped.Graph(), d)
+		steppedAoI.ObserveDelta(stepped.Graph(), d)
+	}
+	steppedRes := stepped.Stats()
 
 	busTraj := &Trajectory{Every: 2}
 	busAoI := &AoITrajectory{Every: 2}
@@ -32,28 +30,29 @@ func TestTrajectorySubscriberEquivalence(t *testing.T) {
 	bus.Subscribe(busAoI)
 	busRes := bus.Run()
 
-	if legacyRes != busRes {
-		t.Fatalf("results diverged: legacy %+v, bus %+v", legacyRes, busRes)
+	if steppedRes != busRes {
+		t.Fatalf("results diverged: stepped %+v, bus %+v", steppedRes, busRes)
 	}
-	legacyTraj.Finalize()
+	steppedTraj.Finalize()
 	busTraj.Finalize()
-	if !reflect.DeepEqual(legacyTraj.Snapshots, busTraj.Snapshots) {
-		t.Errorf("snapshots diverged:\nlegacy: %v\nbus:    %v", legacyTraj.Snapshots, busTraj.Snapshots)
+	if !reflect.DeepEqual(steppedTraj.Snapshots, busTraj.Snapshots) {
+		t.Errorf("snapshots diverged:\nstepped: %v\nbus:    %v", steppedTraj.Snapshots, busTraj.Snapshots)
 	}
-	legacyAoI.Finalize()
+	steppedAoI.Finalize()
 	busAoI.Finalize()
-	if !reflect.DeepEqual(legacyAoI.Samples, busAoI.Samples) {
-		t.Errorf("AoI samples diverged:\nlegacy: %v\nbus:    %v", legacyAoI.Samples, busAoI.Samples)
+	if !reflect.DeepEqual(steppedAoI.Samples, busAoI.Samples) {
+		t.Errorf("AoI samples diverged:\nstepped: %v\nbus:    %v", steppedAoI.Samples, busAoI.Samples)
 	}
 }
 
 // TestDirectedTrajectorySubscriber pins the directed adapter end to end.
 func TestDirectedTrajectorySubscriber(t *testing.T) {
-	legacy := &DirectedTrajectory{}
-	ls := sim.NewDirectedSession(gen.DirectedCycle(8), core.DirectedTwoHop{}, rng.New(4), sim.DirectedConfig{
-		DeltaObserver: legacy.ObserveDelta,
-	})
-	lres := ls.Run()
+	stepped := &DirectedTrajectory{}
+	ls := sim.NewDirectedSession(gen.DirectedCycle(8), core.DirectedTwoHop{}, rng.New(4), sim.DirectedConfig{})
+	for d, _ := ls.Step(); d != nil; d, _ = ls.Step() {
+		stepped.ObserveDelta(ls.Graph(), d)
+	}
+	lres := ls.Stats()
 
 	viaBus := &DirectedTrajectory{}
 	bs := sim.NewDirectedSession(gen.DirectedCycle(8), core.DirectedTwoHop{}, rng.New(4), sim.DirectedConfig{})
@@ -61,11 +60,11 @@ func TestDirectedTrajectorySubscriber(t *testing.T) {
 	bres := bs.Run()
 
 	if lres != bres {
-		t.Fatalf("results diverged: legacy %+v, bus %+v", lres, bres)
+		t.Fatalf("results diverged: stepped %+v, bus %+v", lres, bres)
 	}
-	legacy.Finalize()
+	stepped.Finalize()
 	viaBus.Finalize()
-	if !reflect.DeepEqual(legacy.Snapshots, viaBus.Snapshots) {
-		t.Errorf("snapshots diverged:\nlegacy: %v\nbus:    %v", legacy.Snapshots, viaBus.Snapshots)
+	if !reflect.DeepEqual(stepped.Snapshots, viaBus.Snapshots) {
+		t.Errorf("snapshots diverged:\nstepped: %v\nbus:    %v", stepped.Snapshots, viaBus.Snapshots)
 	}
 }

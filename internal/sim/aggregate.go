@@ -6,6 +6,7 @@ import (
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
+	"gossipdisc/internal/stream"
 )
 
 // This file implements delta-driven cross-trial aggregation. The multi-
@@ -138,11 +139,8 @@ func (t *minDegreeTracker) observe(g *graph.Undirected, d *RoundDelta) (minDeg, 
 // — same seeds, same per-trial generators, bit-identical Results — while
 // streaming every trial's per-round deltas into cross-trial aggregates. It
 // returns the per-trial results and the per-round aggregate series (length
-// = longest trial). TrialsAggregate owns the delta stream: it panics if
-// cfg.DeltaObserver is set, because trials run concurrently and a single
-// chained observer would receive interleaved streams from different graphs
-// (no stateful consumer can interpret that, and most would race). It is
-// TrialsAggregateOn with the default GOMAXPROCS-wide pool.
+// = longest trial). It is TrialsAggregateOn with the default
+// GOMAXPROCS-wide pool.
 func TrialsAggregate(numTrials int, seed uint64, build func(trial int, r *rng.Rand) *graph.Undirected,
 	p core.Process, cfg Config) ([]Result, []RoundAggregate) {
 	return TrialsAggregateOn(0, numTrials, seed, build, p, cfg)
@@ -158,8 +156,8 @@ func TrialsAggregate(numTrials int, seed uint64, build func(trial int, r *rng.Ra
 func TrialsAggregateOn(trialWorkers, numTrials int, seed uint64, build func(trial int, r *rng.Rand) *graph.Undirected,
 	p core.Process, cfg Config) ([]Result, []RoundAggregate) {
 
-	if cfg.DeltaObserver != nil {
-		panic("sim: TrialsAggregate owns Config.DeltaObserver; observe per-trial deltas with Trials and per-run configs instead")
+	if cfg.MaxRounds < 0 {
+		cfg.MaxRounds = 0 // Run's budget rule: a trial must return
 	}
 	// Per-trial round rows (appended only by the owning trial — no locks)
 	// and per-trial state frozen at each trial's last committed round, for
@@ -175,13 +173,14 @@ func TrialsAggregateOn(trialWorkers, numTrials int, seed uint64, build func(tria
 		// Entry state covers trials that finish in zero rounds.
 		finalMin[i], finalEdges[i] = g.MinDegree(), g.M()
 		tracker := &minDegreeTracker{}
-		c := cfg
-		c.DeltaObserver = func(g *graph.Undirected, d *RoundDelta) {
-			minDeg, edges := tracker.observe(g, d)
+		s := NewSession(g, p, r, cfg)
+		defer s.Close()
+		s.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
+			minDeg, edges := tracker.observe(e.Graph, e.Delta)
 			finalMin[i], finalEdges[i] = minDeg, edges
-			rows[i] = append(rows[i], trialRound{minDeg: minDeg, newEdges: len(d.NewEdges), edges: edges})
-		}
-		return Run(g, p, r, c)
+			rows[i] = append(rows[i], trialRound{minDeg: minDeg, newEdges: len(e.Delta.NewEdges), edges: edges})
+		}))
+		return s.Run()
 	})
 
 	// Merge in trial order — strictly sequential, so the output cannot

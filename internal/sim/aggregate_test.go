@@ -9,6 +9,7 @@ import (
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
+	"gossipdisc/internal/stream"
 )
 
 // TestTrialsAggregateResultsMatchTrials: tapping the delta streams must not
@@ -46,16 +47,17 @@ func TestTrialsAggregateDeterministic(t *testing.T) {
 
 // TestTrialsAggregateSingleTrialMatchesTrajectory: with one trial the
 // aggregate min-degree series must equal the trajectory the delta consumer
-// in metrics would record (recomputed here with a plain observer).
+// in metrics would record (recomputed here by a graph-scanning subscriber
+// on a replay of trial 0: its generator is the root's first split).
 func TestTrialsAggregateSingleTrialMatchesTrajectory(t *testing.T) {
 	build := func(trial int, r *rng.Rand) *graph.Undirected { return gen.Path(40) }
 	var mins []int
 	var edges []int
-	cfg := Config{Observer: func(round int, g *graph.Undirected) {
-		mins = append(mins, g.MinDegree())
-		edges = append(edges, g.M())
-	}}
-	results, agg := TrialsAggregate(1, 5, build, core.Push{}, cfg)
+	runWith(gen.Path(40), core.Push{}, rng.New(5).Split(), Config{}, stream.SubscriberFunc(func(e *stream.Event) {
+		mins = append(mins, e.Graph.MinDegree())
+		edges = append(edges, e.Graph.M())
+	}))
+	results, agg := TrialsAggregate(1, 5, build, core.Push{}, Config{})
 	if !results[0].Converged {
 		t.Fatal("trial did not converge")
 	}
@@ -167,20 +169,6 @@ func TestRoundAtEdgeFraction(t *testing.T) {
 	if got := RoundAtEdgeFraction(agg, 0.99); got != -1 {
 		t.Fatalf("RoundAtEdgeFraction(0.99) = %d", got)
 	}
-}
-
-// TestTrialsAggregateOwnsDeltaObserver: a caller-supplied DeltaObserver
-// must be rejected — trials run concurrently, so a single chained observer
-// would race and receive interleaved streams.
-func TestTrialsAggregateOwnsDeltaObserver(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for a caller-supplied DeltaObserver")
-		}
-	}()
-	build := func(trial int, r *rng.Rand) *graph.Undirected { return gen.Path(16) }
-	cfg := Config{DeltaObserver: func(g *graph.Undirected, d *RoundDelta) {}}
-	TrialsAggregate(1, 4, build, core.Push{}, cfg)
 }
 
 // TestTrialsAggregateCustomDoneTerminalFill: with a custom Done a trial can

@@ -46,26 +46,17 @@ type AsyncResult struct {
 // AsyncConfig controls an asynchronous run or session.
 type AsyncConfig struct {
 	// MaxTicks bounds the run, mirroring Config.MaxRounds tick for round:
-	// 0 selects the default budget of n × DefaultMaxRounds(n) ticks; any
-	// negative value means unbounded, which is meaningful only for stepped
-	// AsyncSessions (the RunAsync facade normalizes negatives back to the
-	// default budget — a fire-and-forget run could never return); a
+	// 0 selects the default budget of n × DefaultMaxRounds(n) ticks
+	// (saturating, see ActivationBudget); any negative value means
+	// unbounded, which is meaningful only for stepped AsyncSessions (the
+	// RunAsync facade normalizes negatives back to the default budget — a
+	// fire-and-forget run could never return); a
 	// positive budget that runs out mid-round stops the session exactly at
 	// MaxTicks ticks with Converged == false
 	// (TestAsyncMaxTicksBudgetContract pins all three).
 	MaxTicks int
 	// Done overrides the convergence predicate (default: complete graph).
 	Done func(g *graph.Undirected) bool
-	// DeltaObserver, if non-nil, receives a streaming delta after every
-	// completed parallel round (n ticks) — the asynchronous analogue of
-	// Config.DeltaObserver, with RoundDelta.Round counting parallel rounds.
-	// A final partial round, if any, is emitted before the run finishes.
-	// The delta and its slices are reused; copy anything retained.
-	//
-	// Deprecated: a thin adapter over the session's observation bus (see
-	// Config.DeltaObserver); new consumers should attach through
-	// AsyncSession.Subscribe.
-	DeltaObserver func(g *graph.Undirected, d *RoundDelta)
 }
 
 // AsyncSession is a resumable asynchronous run: Step executes the ticks of
@@ -88,10 +79,9 @@ type AsyncSession struct {
 	accepted []graph.Edge
 	propose  func(a, b int)
 
-	// Observation bus and delta state, mirroring Session: the legacy
-	// AsyncConfig.DeltaObserver is subscribed first at construction.
+	// Observation bus and delta accumulator, mirroring Session.
 	bus stream.Bus
-	ds  *deltaState
+	acc *stream.DeltaAccumulator
 }
 
 // NewAsyncSession constructs a resumable asynchronous session over g.
@@ -100,7 +90,7 @@ func NewAsyncSession(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Async
 	n := g.N()
 	maxTicks := cfg.MaxTicks
 	if maxTicks == 0 {
-		maxTicks = n * DefaultMaxRounds(n)
+		maxTicks = ActivationBudget(DefaultMaxRounds(n), n)
 	} else if maxTicks < 0 {
 		maxTicks = math.MaxInt
 	}
@@ -108,7 +98,7 @@ func NewAsyncSession(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Async
 	if done == nil {
 		done = (*graph.Undirected).IsComplete
 	}
-	s := &AsyncSession{
+	return &AsyncSession{
 		g:        g,
 		p:        p,
 		r:        r,
@@ -116,10 +106,6 @@ func NewAsyncSession(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Async
 		maxTicks: maxTicks,
 		done:     done,
 	}
-	if cfg.DeltaObserver != nil {
-		s.Subscribe(stream.RoundObserver(cfg.DeltaObserver))
-	}
-	return s
 }
 
 // Subscribe attaches sub to the session's observation bus: a KindRound
@@ -129,8 +115,8 @@ func NewAsyncSession(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Async
 // retained.
 func (s *AsyncSession) Subscribe(sub stream.Subscriber) {
 	s.bus.Subscribe(sub)
-	if s.ds == nil {
-		s.ds = newDeltaState(s.n, &s.bus)
+	if s.acc == nil {
+		s.acc = stream.NewDeltaAccumulator(s.n)
 	}
 }
 
@@ -150,17 +136,19 @@ func (s *AsyncSession) start() {
 		s.res.Proposals++
 		if s.g.AddEdge(a, b) {
 			s.res.NewEdges++
-			if s.ds != nil {
+			if s.acc != nil {
 				s.accepted = append(s.accepted, graph.Edge{U: a, V: b}.Norm())
 			}
 		}
 	}
 }
 
-// emitRound emits the accumulated delta for the given parallel round.
+// emitRound fills and publishes the accumulated delta for the given
+// parallel round.
 func (s *AsyncSession) emitRound(round int) {
-	if s.ds != nil {
-		s.ds.emit(round, s.g, s.accepted)
+	if s.acc != nil {
+		s.acc.Fill(round, s.g, s.accepted)
+		s.bus.EmitRound(s.g, &s.acc.D, float64(round))
 	}
 	s.accepted = s.accepted[:0]
 }
@@ -222,15 +210,15 @@ func (s *AsyncSession) step() bool {
 // returns its delta plus whether the session can continue. The delta and
 // its slices are reused across rounds — copy anything retained.
 func (s *AsyncSession) Step() (d *RoundDelta, ok bool) {
-	if s.ds == nil {
-		s.ds = newDeltaState(s.n, &s.bus)
+	if s.acc == nil {
+		s.acc = stream.NewDeltaAccumulator(s.n)
 	}
 	before := s.res.Ticks
 	ok = s.step()
 	if s.res.Ticks == before {
 		return nil, false
 	}
-	return s.ds.d(), ok
+	return &s.acc.D, ok
 }
 
 // Run drives the session to the Done predicate or the tick budget.

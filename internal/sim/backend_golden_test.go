@@ -8,6 +8,7 @@ import (
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
+	"gossipdisc/internal/stream"
 )
 
 // This file pins the cross-backend determinism contract end to end: a full
@@ -55,6 +56,17 @@ func (d *deltaHash) observe(g *graph.Undirected, rd *RoundDelta) {
 	}
 }
 
+// OnEvent folds the round deltas of either session family into the hash,
+// so one deltaHash subscribes to any run.
+func (d *deltaHash) OnEvent(e *stream.Event) {
+	switch e.Kind {
+	case stream.KindRound:
+		d.observe(e.Graph, e.Delta)
+	case stream.KindDirectedRound:
+		d.observeDirected(e.Digraph, e.DirectedDelta)
+	}
+}
+
 func (d *deltaHash) observeDirected(g *graph.Directed, rd *DirectedRoundDelta) {
 	d.ints(rd.Round, len(rd.NewArcs), rd.ClosureArcsRemaining)
 	for _, a := range rd.NewArcs {
@@ -73,11 +85,10 @@ func (d *deltaHash) observeDirected(g *graph.Directed, rd *DirectedRoundDelta) {
 func runFingerprint(b graph.Backend, n, workers int, densePhase float64) (Result, uint64) {
 	g := gen.Cycle(n, b)
 	dh := newDeltaHash()
-	res := Run(g, core.Push{}, rng.New(uint64(1000+n)), Config{
-		Workers:       workers,
-		DensePhase:    densePhase,
-		DeltaObserver: dh.observe,
-	})
+	res := runWith(g, core.Push{}, rng.New(uint64(1000+n)), Config{
+		Workers:    workers,
+		DensePhase: densePhase,
+	}, dh)
 	if !g.IsComplete() {
 		panic("run did not complete the graph")
 	}
@@ -128,12 +139,11 @@ func TestBackendDensePhaseShardedShortRows(t *testing.T) {
 	run := func(b graph.Backend) (Result, uint64, *graph.Undirected) {
 		g := gen.Cycle(n, b)
 		dh := newDeltaHash()
-		res := Run(g, core.Push{}, rng.New(77), Config{
-			Workers:       4,
-			DensePhase:    1,
-			MaxRounds:     100,
-			DeltaObserver: dh.observe,
-		})
+		res := runWith(g, core.Push{}, rng.New(77), Config{
+			Workers:    4,
+			DensePhase: 1,
+			MaxRounds:  100,
+		}, dh)
 		return res, dh.h, g
 	}
 	wantRes, wantHash, gd := run(graph.BackendDense)
@@ -157,11 +167,10 @@ func TestBackendDensePhaseShardedShortRows(t *testing.T) {
 func runDirectedFingerprint(p core.DirectedProcess, b graph.Backend, n, workers int, densePhase float64) (DirectedResult, uint64) {
 	g := gen.RandomStronglyConnected(n, n/2, rng.New(uint64(7000+n)), b)
 	dh := newDeltaHash()
-	res := RunDirected(g, p, rng.New(uint64(2000+n)), DirectedConfig{
-		Workers:       workers,
-		DensePhase:    densePhase,
-		DeltaObserver: dh.observeDirected,
-	})
+	res := runDirectedWith(g, p, rng.New(uint64(2000+n)), DirectedConfig{
+		Workers:    workers,
+		DensePhase: densePhase,
+	}, dh)
 	return res, dh.h
 }
 

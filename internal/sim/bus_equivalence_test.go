@@ -19,16 +19,6 @@ import (
 // randomness, so any divergence here means a subscriber leaked into the
 // engine's schedule or generator stream.
 
-// hashSubscriber folds every KindRound delta into the same fnv-1a
-// fingerprint backend_golden_test.go uses for the legacy observer path.
-func hashSubscriber(dh *deltaHash) stream.Subscriber {
-	return stream.SubscriberFunc(func(e *stream.Event) {
-		if e.Kind == stream.KindRound {
-			dh.observe(e.Graph, e.Delta)
-		}
-	})
-}
-
 // busRun executes one full undirected run with nsubs bus subscribers and
 // returns the Result plus the delta-stream hash (0 when nsubs == 0: a
 // silent run has nothing to hash — only the Result is comparable).
@@ -40,7 +30,7 @@ func busRun(workers int, densePhase float64, nsubs int) (Result, uint64) {
 	defer s.Close()
 	dh := newDeltaHash()
 	if nsubs >= 1 {
-		s.Subscribe(hashSubscriber(dh))
+		s.Subscribe(dh)
 	}
 	for i := 1; i < nsubs; i++ {
 		if i == 1 {
@@ -62,28 +52,30 @@ func busRun(workers int, densePhase float64, nsubs int) (Result, uint64) {
 // TestBusEquivalence: across Workers {0, 1, 4} and dense phase off/on, a
 // run with 0, 1, or 3 bus subscribers (one of them a full analyzer pack)
 // produces the identical Result, and every subscribed run the identical
-// delta-stream hash — which must also match the legacy Config.DeltaObserver
-// adapter path, since that is now just the bus's first subscriber.
+// delta-stream hash — which must also match the stream Step returns to a
+// session with nothing subscribed.
 func TestBusEquivalence(t *testing.T) {
 	for _, workers := range []int{0, 1, 4} {
 		for _, dense := range []float64{0, 0.3} {
 			workers, dense := workers, dense
 			t.Run(fmt.Sprintf("w=%d/dense=%v", workers, dense), func(t *testing.T) {
-				// Legacy adapter baseline: same seed, same topology,
-				// observer through Config.DeltaObserver.
+				// Stepped baseline: same seed, same topology, the deltas
+				// read off Step's return value.
 				g := gen.Cycle(256)
-				legacy := newDeltaHash()
-				wantRes := Run(g, core.Push{}, rng.New(7), Config{
-					Workers: workers, DensePhase: dense,
-					DeltaObserver: legacy.observe,
-				})
+				s := NewSession(g, core.Push{}, rng.New(7), Config{Workers: workers, DensePhase: dense})
+				defer s.Close()
+				stepped := newDeltaHash()
+				for d, _ := s.Step(); d != nil; d, _ = s.Step() {
+					stepped.observe(g, d)
+				}
+				wantRes := s.Stats()
 				for _, nsubs := range []int{0, 1, 3} {
 					res, h := busRun(workers, dense, nsubs)
 					if res != wantRes {
-						t.Fatalf("nsubs=%d Result diverged:\n legacy: %+v\n bus:    %+v", nsubs, wantRes, res)
+						t.Fatalf("nsubs=%d Result diverged:\n stepped: %+v\n bus:     %+v", nsubs, wantRes, res)
 					}
-					if nsubs > 0 && h != legacy.h {
-						t.Fatalf("nsubs=%d delta stream diverged (hash %x, legacy %x)", nsubs, h, legacy.h)
+					if nsubs > 0 && h != stepped.h {
+						t.Fatalf("nsubs=%d delta stream diverged (hash %x, stepped %x)", nsubs, h, stepped.h)
 					}
 				}
 			})

@@ -1,87 +1,18 @@
 package sim
 
-import (
-	"gossipdisc/internal/graph"
-	"gossipdisc/internal/stream"
-)
+import "gossipdisc/internal/stream"
 
-// This file wires the engines' streaming delta pipeline onto the
-// runtime-agnostic observation bus in internal/stream. The delta payload
-// types and the fill logic live there now — shared with the event-driven
-// runtime and every bus consumer — and are aliased here under their
-// historical names so existing consumers compile unchanged. What remains
-// in this package is the per-session glue: a deltaState couples the shared
-// accumulator with the session's bus and preserves the exact fill/notify
-// order the engines always had (commit-derived fields first, session-level
-// membership fields next, publish last).
-//
-// Determinism is unchanged by the bus: dispatch is synchronous, in
-// subscription order, draws no randomness, and allocates nothing, so the
-// delta stream is bit-identical whether zero, one, or many subscribers are
-// attached (TestBusEquivalence* pins this against the fnv delta-stream
-// hash for every engine family and worker count).
+// The round-delta payload types and the fill logic live in internal/stream,
+// shared with the event-driven runtime and every bus consumer; they are
+// aliased here under their historical names. Each session owns a
+// stream.DeltaAccumulator and publishes its delta on its own bus.
 
 // RoundDelta describes everything that changed in one committed synchronous
 // round of an undirected run. It is an alias of stream.RoundDelta — see
 // that type for the field contract; the engine reuses the delta and its
-// slices across rounds, so observers must copy anything they retain.
+// slices across rounds, so subscribers must copy anything they retain.
 type RoundDelta = stream.RoundDelta
 
 // DirectedRoundDelta is the directed counterpart of RoundDelta, aliasing
 // stream.DirectedRoundDelta.
 type DirectedRoundDelta = stream.DirectedRoundDelta
-
-// deltaState couples an undirected run's reusable delta accumulator with
-// the bus it publishes on. It is allocated when the session has (or gains)
-// any reason to fill deltas: a subscriber on the bus, or a Step caller.
-type deltaState struct {
-	acc *stream.DeltaAccumulator
-	bus *stream.Bus
-}
-
-func newDeltaState(n int, bus *stream.Bus) *deltaState {
-	return &deltaState{acc: stream.NewDeltaAccumulator(n), bus: bus}
-}
-
-// d returns the session-owned delta the accumulator maintains.
-func (ds *deltaState) d() *RoundDelta { return &ds.acc.D }
-
-// emit fills the delta from the round's accepted edges and publishes it.
-// Steady-state emits allocate nothing once the slices are warm.
-func (ds *deltaState) emit(round int, g *graph.Undirected, accepted []graph.Edge) {
-	ds.fill(round, g, accepted)
-	ds.notify(g)
-}
-
-// fill populates the delta's commit-derived fields without publishing;
-// sessions add their membership fields between fill and notify.
-func (ds *deltaState) fill(round int, g *graph.Undirected, accepted []graph.Edge) {
-	ds.acc.Fill(round, g, accepted)
-}
-
-// notify publishes the filled delta on the bus (a no-op when nothing is
-// subscribed — a Session created by Step alone has a delta state but no
-// subscribers).
-func (ds *deltaState) notify(g *graph.Undirected) {
-	ds.bus.EmitRound(g, &ds.acc.D, float64(ds.acc.D.Round))
-}
-
-// directedDeltaState is the directed counterpart of deltaState.
-type directedDeltaState struct {
-	acc *stream.DirectedDeltaAccumulator
-	bus *stream.Bus
-}
-
-func newDirectedDeltaState(n int, bus *stream.Bus) *directedDeltaState {
-	return &directedDeltaState{acc: stream.NewDirectedDeltaAccumulator(n), bus: bus}
-}
-
-// d returns the session-owned delta the accumulator maintains.
-func (ds *directedDeltaState) d() *DirectedRoundDelta { return &ds.acc.D }
-
-// emit fills the delta from the round's accepted arcs and the engine's
-// missing-closure counter, then publishes it.
-func (ds *directedDeltaState) emit(round int, g *graph.Directed, accepted []graph.Arc, closureRemaining int) {
-	ds.acc.Fill(round, accepted, closureRemaining)
-	ds.bus.EmitDirectedRound(g, &ds.acc.D, float64(round))
-}

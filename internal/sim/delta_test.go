@@ -8,6 +8,7 @@ import (
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
+	"gossipdisc/internal/stream"
 )
 
 // checkDeltaConsistency validates the internal consistency of one emitted
@@ -47,37 +48,32 @@ func checkDeltaConsistency(t *testing.T, g *graph.Undirected, d *RoundDelta) {
 
 // TestDeltaReconstructsObserverSnapshots: for every engine (Workers 0, 1,
 // 2, 8) and both processes, accumulating the delta stream onto a shadow
-// graph reconstructs, round for round, exactly the graph the legacy
-// snapshot Observer sees. The engines call DeltaObserver before Observer,
-// so the Observer can compare the two directly. CI runs this under -race.
+// graph reconstructs, round for round, exactly the live graph the event
+// carries — the snapshot is taken inside the subscriber, after the delta
+// is applied. CI runs this under -race.
 func TestDeltaReconstructsObserverSnapshots(t *testing.T) {
 	for _, proc := range []core.Process{core.Push{}, core.Pull{}} {
 		for _, workers := range []int{0, 1, 2, 8} {
 			g := gen.RandomTree(110, rng.New(5))
 			shadow := g.Clone()
 			rounds := 0
-			cfg := Config{
-				Workers: workers,
-				DeltaObserver: func(g *graph.Undirected, d *RoundDelta) {
-					rounds++
-					if d.Round != rounds {
-						t.Fatalf("delta round %d, want %d", d.Round, rounds)
+			res := runWith(g, proc, rng.New(99), Config{Workers: workers}, stream.SubscriberFunc(func(ev *stream.Event) {
+				d := ev.Delta
+				rounds++
+				if d.Round != rounds {
+					t.Fatalf("delta round %d, want %d", d.Round, rounds)
+				}
+				checkDeltaConsistency(t, ev.Graph, d)
+				for _, e := range d.NewEdges {
+					if !shadow.AddEdge(e.U, e.V) {
+						t.Fatalf("round %d: delta edge %v already in shadow graph", d.Round, e)
 					}
-					checkDeltaConsistency(t, g, d)
-					for _, e := range d.NewEdges {
-						if !shadow.AddEdge(e.U, e.V) {
-							t.Fatalf("round %d: delta edge %v already in shadow graph", d.Round, e)
-						}
-					}
-				},
-				Observer: func(round int, g *graph.Undirected) {
-					if !shadow.Equal(g) {
-						t.Fatalf("%s Workers=%d round %d: accumulated deltas diverge from observer snapshot",
-							proc.Name(), workers, round)
-					}
-				},
-			}
-			res := Run(g, proc, rng.New(99), cfg)
+				}
+				if !shadow.Equal(ev.Graph) {
+					t.Fatalf("%s Workers=%d round %d: accumulated deltas diverge from the live graph",
+						proc.Name(), workers, d.Round)
+				}
+			}))
 			if !res.Converged {
 				t.Fatalf("%s Workers=%d did not converge", proc.Name(), workers)
 			}
@@ -99,24 +95,18 @@ func TestDeltaReconstructsObserverSnapshotsDirected(t *testing.T) {
 		g := gen.RandomStronglyConnected(90, 30, rng.New(8))
 		shadow := g.Clone()
 		lastRemaining := -1
-		cfg := DirectedConfig{
-			Workers: workers,
-			DeltaObserver: func(g *graph.Directed, d *DirectedRoundDelta) {
-				for _, a := range d.NewArcs {
-					if !shadow.AddArc(a.U, a.V) {
-						t.Fatalf("round %d: delta arc %v already in shadow graph", d.Round, a)
-					}
+		res := runDirectedWith(g, core.DirectedTwoHop{}, rng.New(17), DirectedConfig{Workers: workers}, stream.SubscriberFunc(func(e *stream.Event) {
+			d := e.DirectedDelta
+			for _, a := range d.NewArcs {
+				if !shadow.AddArc(a.U, a.V) {
+					t.Fatalf("round %d: delta arc %v already in shadow graph", d.Round, a)
 				}
-				lastRemaining = d.ClosureArcsRemaining
-			},
-			Observer: func(round int, g *graph.Directed) {
-				if !shadow.Equal(g) {
-					t.Fatalf("Workers=%d round %d: accumulated deltas diverge from observer snapshot",
-						workers, round)
-				}
-			},
-		}
-		res := RunDirected(g, core.DirectedTwoHop{}, rng.New(17), cfg)
+			}
+			lastRemaining = d.ClosureArcsRemaining
+			if !shadow.Equal(e.Digraph) {
+				t.Fatalf("Workers=%d round %d: accumulated deltas diverge from the live graph", workers, d.Round)
+			}
+		}))
 		if !res.Converged {
 			t.Fatalf("Workers=%d did not converge", workers)
 		}
@@ -144,21 +134,19 @@ type flatDelta struct {
 func recordDeltas(workers int) []flatDelta {
 	var out []flatDelta
 	g := gen.Cycle(140)
-	Run(g, core.Push{}, rng.New(12), Config{
-		Workers: workers,
-		DeltaObserver: func(g *graph.Undirected, d *RoundDelta) {
-			f := flatDelta{
-				Round:     d.Round,
-				NewEdges:  append([]graph.Edge(nil), d.NewEdges...),
-				Touched:   append([]int32(nil), d.Touched...),
-				Remaining: d.EdgesRemaining,
-			}
-			for _, u := range d.Touched {
-				f.Incs = append(f.Incs, d.DegreeInc[u])
-			}
-			out = append(out, f)
-		},
-	})
+	runWith(g, core.Push{}, rng.New(12), Config{Workers: workers}, stream.SubscriberFunc(func(e *stream.Event) {
+		d := e.Delta
+		f := flatDelta{
+			Round:     d.Round,
+			NewEdges:  append([]graph.Edge(nil), d.NewEdges...),
+			Touched:   append([]int32(nil), d.Touched...),
+			Remaining: d.EdgesRemaining,
+		}
+		for _, u := range d.Touched {
+			f.Incs = append(f.Incs, d.DegreeInc[u])
+		}
+		out = append(out, f)
+	}))
 	return out
 }
 
@@ -184,18 +172,16 @@ func TestDeltaEagerMode(t *testing.T) {
 	g := gen.Cycle(48)
 	shadow := g.Clone()
 	total := 0
-	res := Run(g, core.Push{}, rng.New(3), Config{
-		Mode: CommitEager,
-		DeltaObserver: func(g *graph.Undirected, d *RoundDelta) {
-			checkDeltaConsistency(t, g, d)
-			for _, e := range d.NewEdges {
-				if !shadow.AddEdge(e.U, e.V) {
-					t.Fatalf("eager delta edge %v duplicated", e)
-				}
+	res := runWith(g, core.Push{}, rng.New(3), Config{Mode: CommitEager}, stream.SubscriberFunc(func(ev *stream.Event) {
+		d := ev.Delta
+		checkDeltaConsistency(t, ev.Graph, d)
+		for _, e := range d.NewEdges {
+			if !shadow.AddEdge(e.U, e.V) {
+				t.Fatalf("eager delta edge %v duplicated", e)
 			}
-			total += len(d.NewEdges)
-		},
-	})
+		}
+		total += len(d.NewEdges)
+	}))
 	if !res.Converged || total != res.NewEdges || !shadow.Equal(g) {
 		t.Fatalf("eager delta stream inconsistent: %+v total=%d", res, total)
 	}
@@ -208,20 +194,21 @@ func TestDeltaAsync(t *testing.T) {
 	g := gen.Cycle(40)
 	shadow := g.Clone()
 	total, emits := 0, 0
-	res := RunAsync(g, core.Push{}, rng.New(21), AsyncConfig{
-		DeltaObserver: func(g *graph.Undirected, d *RoundDelta) {
-			emits++
-			if d.Round != emits {
-				t.Fatalf("async delta round %d, want %d", d.Round, emits)
+	s := NewAsyncSession(g, core.Push{}, rng.New(21), AsyncConfig{})
+	s.Subscribe(stream.SubscriberFunc(func(ev *stream.Event) {
+		d := ev.Delta
+		emits++
+		if d.Round != emits {
+			t.Fatalf("async delta round %d, want %d", d.Round, emits)
+		}
+		for _, e := range d.NewEdges {
+			if !shadow.AddEdge(e.U, e.V) {
+				t.Fatalf("async delta edge %v duplicated", e)
 			}
-			for _, e := range d.NewEdges {
-				if !shadow.AddEdge(e.U, e.V) {
-					t.Fatalf("async delta edge %v duplicated", e)
-				}
-			}
-			total += len(d.NewEdges)
-		},
-	})
+		}
+		total += len(d.NewEdges)
+	}))
+	res := s.Run()
 	if !res.Converged {
 		t.Fatalf("async run did not converge: %+v", res)
 	}
@@ -242,13 +229,10 @@ func TestDeltaSteadyStateAllocs(t *testing.T) {
 		allocs := func(rounds int) float64 {
 			return testing.AllocsPerRun(5, func() {
 				g := gen.Star(64)
-				Run(g, fixedProbe{}, rng.New(1), Config{
-					Workers:   workers,
-					MaxRounds: rounds,
-					DeltaObserver: func(g *graph.Undirected, d *RoundDelta) {
-						sink += len(d.NewEdges) + d.EdgesRemaining
-					},
-				})
+				runWith(g, fixedProbe{}, rng.New(1), Config{Workers: workers, MaxRounds: rounds},
+					stream.SubscriberFunc(func(e *stream.Event) {
+						sink += len(e.Delta.NewEdges) + e.Delta.EdgesRemaining
+					}))
 			})
 		}
 		short, long := allocs(50), allocs(1050)

@@ -25,16 +25,16 @@ func TestDenseSessionStepRunEquivalence(t *testing.T) {
 	for _, workers := range []int{0, 1, 4} {
 		var oneShot []capturedDelta
 		g1 := gen.RandomTree(150, rng.New(77))
-		cfg := Config{Workers: workers, DensePhase: 0.3, DeltaObserver: captureUndirected(&oneShot)}
-		wantRes := Run(g1, core.Push{}, rng.New(42), cfg)
+		cfg := Config{Workers: workers, DensePhase: 0.3}
+		wantRes := runWith(g1, core.Push{}, rng.New(42), cfg, captureUndirected(&oneShot))
 		if !wantRes.Converged {
 			t.Fatalf("workers=%d: one-shot dense run did not converge", workers)
 		}
 
 		var stepped []capturedDelta
 		g2 := gen.RandomTree(150, rng.New(77))
-		cfg.DeltaObserver = captureUndirected(&stepped)
 		s := NewSession(g2, core.Push{}, rng.New(42), cfg)
+		s.Subscribe(captureUndirected(&stepped))
 		defer s.Close()
 		for i := 0; i < 3; i++ {
 			if d, _ := s.Step(); d == nil || d.Round != i+1 {
@@ -116,8 +116,8 @@ func TestDenseDeltaStreamDeterministicAcrossWorkers(t *testing.T) {
 	capture := func(workers int) []capturedDelta {
 		var out []capturedDelta
 		g := gen.Cycle(150)
-		res := Run(g, core.Pull{}, rng.New(5),
-			Config{Workers: workers, DensePhase: 0.3, DeltaObserver: captureUndirected(&out)})
+		res := runWith(g, core.Pull{}, rng.New(5),
+			Config{Workers: workers, DensePhase: 0.3}, captureUndirected(&out))
 		if !res.Converged {
 			t.Fatalf("workers=%d dense pull run did not converge", workers)
 		}

@@ -29,11 +29,9 @@ type DirectedSession struct {
 	remaining  int
 	missingRow []int32
 
-	// Observation bus and delta state, mirroring Session: the legacy
-	// DirectedConfig.DeltaObserver is subscribed first at construction;
-	// Subscribe attaches further consumers.
+	// Observation bus and delta accumulator, mirroring Session.
 	bus stream.Bus
-	ds  *directedDeltaState
+	acc *stream.DirectedDeltaAccumulator
 }
 
 // NewDirectedSession constructs a resumable directed session over g. The
@@ -56,14 +54,9 @@ func NewDirectedSession(g *graph.Directed, p core.DirectedProcess, r *rng.Rand, 
 	}
 	s.round = round[*graph.Directed, graph.Arc]{
 		g: g, n: n, p: p, r: r, sub: s,
-		mode: cfg.Mode, workers: cfg.Workers, maxRounds: cfg.MaxRounds, observer: cfg.Observer,
+		mode: cfg.Mode, workers: cfg.Workers, maxRounds: cfg.MaxRounds,
 	}
 	s.setup("DirectedConfig.Workers", DefaultDirectedMaxRounds(n), cfg.DensePhase, s.targetArcs)
-	if cfg.DeltaObserver != nil {
-		// The legacy observer rides the bus as its first subscriber, exactly
-		// as Session treats Config.DeltaObserver.
-		s.Subscribe(stream.DirectedRoundObserver(cfg.DeltaObserver))
-	}
 	return s
 }
 
@@ -74,15 +67,15 @@ func NewDirectedSession(g *graph.Directed, p core.DirectedProcess, r *rng.Rand, 
 // across rounds — copy anything retained.
 func (s *DirectedSession) Subscribe(sub stream.Subscriber) {
 	s.bus.Subscribe(sub)
-	s.ensureDeltaState()
+	s.ensureAcc()
 }
 
-// ensureDeltaState allocates the delta state and performs the one-time
+// ensureAcc allocates the delta accumulator and performs the one-time
 // MissingClosureDegree bind.
-func (s *DirectedSession) ensureDeltaState() {
-	if s.ds == nil {
-		s.ds = newDirectedDeltaState(s.g.N(), &s.bus)
-		s.ds.d().MissingClosureDegree = s.MissingClosureDegree
+func (s *DirectedSession) ensureAcc() {
+	if s.acc == nil {
+		s.acc = stream.NewDirectedDeltaAccumulator(s.n)
+		s.acc.D.MissingClosureDegree = s.MissingClosureDegree
 	}
 }
 
@@ -130,16 +123,17 @@ func (s *DirectedSession) commitEager(a, b int) bool {
 	}
 	arc := graph.Arc{U: a, V: b}
 	s.settle(arc)
-	if s.ds != nil {
+	if s.acc != nil {
 		s.accepted = append(s.accepted, arc)
 	}
 	return true
 }
 
 func (s *DirectedSession) publish(round, actWorkers int, accepted []graph.Arc) {
-	if s.ds != nil {
-		s.ds.d().ActiveWorkers = actWorkers
-		s.ds.emit(round, s.g, accepted, s.remaining)
+	if s.acc != nil {
+		s.acc.Fill(round, accepted, s.remaining)
+		s.acc.D.ActiveWorkers = actWorkers
+		s.bus.EmitDirectedRound(s.g, &s.acc.D, float64(round))
 	}
 }
 
@@ -148,13 +142,13 @@ func (s *DirectedSession) publish(round, actWorkers int, accepted []graph.Arc) {
 // ok == false; a Step after that returns (nil, false). The delta and its
 // slices are reused across rounds — copy anything retained.
 func (s *DirectedSession) Step() (d *DirectedRoundDelta, ok bool) {
-	s.ensureDeltaState()
+	s.ensureAcc()
 	before := s.res.Rounds
 	ok = s.step()
 	if s.res.Rounds == before {
 		return nil, false
 	}
-	return s.ds.d(), ok
+	return &s.acc.D, ok
 }
 
 // Run drives the session to termination or the round budget and returns

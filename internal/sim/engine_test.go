@@ -8,6 +8,7 @@ import (
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
+	"gossipdisc/internal/stream"
 )
 
 // runShardedPush executes one sharded push run on a fixed workload and
@@ -191,19 +192,18 @@ func TestParallelEngineInvariants(t *testing.T) {
 	d.CheckInvariants()
 }
 
-// TestParallelObserverAndDone: Observer and a custom Done predicate run on
-// the committing goroutine between rounds, exactly as in the sequential
+// TestParallelObserverAndDone: subscribers and a custom Done predicate run
+// on the committing goroutine between rounds, exactly as in the sequential
 // engine.
 func TestParallelObserverAndDone(t *testing.T) {
 	g := gen.Path(80)
 	var rounds []int
-	res := Run(g, core.Push{}, rng.New(31), Config{
+	res := runWith(g, core.Push{}, rng.New(31), Config{
 		Workers: 4,
 		Done:    func(g *graph.Undirected) bool { return g.MinDegree() >= 3 },
-		Observer: func(round int, g *graph.Undirected) {
-			rounds = append(rounds, round)
-		},
-	})
+	}, stream.SubscriberFunc(func(e *stream.Event) {
+		rounds = append(rounds, e.Delta.Round)
+	}))
 	if !res.Converged || g.MinDegree() < 3 {
 		t.Fatalf("custom done not reached: %+v", res)
 	}

@@ -22,11 +22,10 @@ import (
 func populationFingerprint(p core.Process, b graph.Backend, n, workers int, densePhase float64) (Result, uint64) {
 	g := gen.Cycle(n, b)
 	dh := newDeltaHash()
-	res := Run(g, p, rng.New(uint64(3000+n)), Config{
-		Workers:       workers,
-		DensePhase:    densePhase,
-		DeltaObserver: dh.observe,
-	})
+	res := runWith(g, p, rng.New(uint64(3000+n)), Config{
+		Workers:    workers,
+		DensePhase: densePhase,
+	}, dh)
 	return res, dh.h
 }
 
@@ -119,12 +118,11 @@ func TestPopulationBitReplay(t *testing.T) {
 		}
 		g := gen.Cycle(n)
 		dh := newDeltaHash()
-		res := Run(g, pop, rng.New(99), Config{
-			Workers:       workers,
-			MaxRounds:     200,
-			Done:          func(*graph.Undirected) bool { return false },
-			DeltaObserver: dh.observe,
-		})
+		res := runWith(g, pop, rng.New(99), Config{
+			Workers:   workers,
+			MaxRounds: 200,
+			Done:      func(*graph.Undirected) bool { return false },
+		}, dh)
 		return res, dh.h
 	}
 	wantRes, wantHash := mixed(1)
@@ -145,11 +143,10 @@ func TestPopulationBitReplay(t *testing.T) {
 	// The roles actually bite: the uniform trajectory must differ.
 	g := gen.Cycle(n)
 	dh := newDeltaHash()
-	Run(g, core.Push{}, rng.New(99), Config{
+	runWith(g, core.Push{}, rng.New(99), Config{
 		Workers: 1, MaxRounds: 200,
-		Done:          func(*graph.Undirected) bool { return false },
-		DeltaObserver: dh.observe,
-	})
+		Done: func(*graph.Undirected) bool { return false },
+	}, dh)
 	if dh.h == wantHash {
 		t.Fatal("mixed population produced the uniform trajectory — roles had no effect")
 	}

@@ -60,8 +60,8 @@ type substrate[P pair] interface {
 	// new; the substrate appends it to the round's accepted list itself, if
 	// anything will read it.
 	commitEager(a, b int) bool
-	// publish closes the round on the session's side — accounting over the
-	// accepted list, the delta, the bus — before the Observer runs.
+	// publish closes the round on the session's side: accounting over the
+	// accepted list, the delta, the bus.
 	publish(round, actWorkers int, accepted []P)
 }
 
@@ -104,7 +104,6 @@ type round[G any, P pair] struct {
 	mode      CommitMode
 	workers   int
 	maxRounds int
-	observer  func(round int, g G)
 
 	started  bool
 	finished bool
@@ -285,9 +284,6 @@ func (r *round[G, P]) step() bool {
 	r.res.Rounds = num
 
 	r.sub.publish(num, actWorkers, r.accepted)
-	if r.observer != nil {
-		r.observer(num, r.g)
-	}
 	if r.sub.converged() {
 		r.res.Converged = true
 		r.finished = true

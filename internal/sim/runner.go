@@ -72,23 +72,21 @@
 // so a steady-state round — equivalently, a steady-state Session.Step —
 // performs zero allocations.
 //
-// # The delta observer pipeline
+// # Observing a run
 //
 // Synchronous commits go through the grouped graph commit paths
 // (graph.Undirected.AddEdgesGrouped / graph.Directed.AddArcsGrouped), which
 // probe each proposal's bit in its graph row once (test, then set only if
-// it was new) and return the newly inserted edges. That
-// accepted list is the round's *delta*, and Config.DeltaObserver /
-// DirectedConfig.DeltaObserver (and AsyncConfig.DeltaObserver, per parallel
-// round) stream it to consumers as a RoundDelta / DirectedRoundDelta: new
-// edges, per-node degree increments, and the O(1) progress counter (edges
-// remaining, or closure arcs remaining). Session.Step returns the same
-// delta directly, so stepped consumers need no observer at all. Incremental
-// consumers such as metrics.Trajectory.ObserveDelta rebuild every snapshot
-// quantity from the stream, so trajectory recording costs O(new edges) per
-// round instead of a full O(n + m) graph inspection. Deltas are emitted
-// before Observer runs and obey the same determinism contract as Result:
-// bit-identical for every Workers >= 1. See delta.go.
+// it was new) and return the newly inserted edges. That accepted list is
+// the round's *delta*: new edges, per-node degree increments, and the O(1)
+// progress counter (edges remaining, or closure arcs remaining). Step
+// returns it, and every session publishes it on its observation bus, which
+// Subscribe attaches consumers to (internal/stream) — the one way to watch
+// a run on every runtime. Incremental consumers such as metrics.Trajectory
+// rebuild every snapshot quantity from the stream, so trajectory recording
+// costs O(new edges) per round instead of a full O(n + m) graph inspection.
+// Deltas obey the same determinism contract as Result: bit-identical for
+// every Workers >= 1.
 //
 // CommitEager is inherently sequential — its semantics *are* the node
 // order — so eager runs always use the sequential engine and ignore
@@ -220,23 +218,6 @@ type Config struct {
 	// Done, if non-nil, overrides the convergence predicate (default:
 	// graph is complete). It is evaluated after every round.
 	Done func(g *graph.Undirected) bool
-	// Observer, if non-nil, is called after every committed round with the
-	// 1-based round number. Observe round 0 by inspecting the graph before
-	// Run.
-	Observer func(round int, g *graph.Undirected)
-	// DeltaObserver, if non-nil, receives the round's streaming delta (new
-	// edges, degree increments, edges remaining) after every committed
-	// round, before Observer runs. The delta and its slices are reused
-	// across rounds — copy anything retained. See delta.go for the
-	// determinism contract; incremental consumers such as
-	// metrics.Trajectory.ObserveDelta plug in directly.
-	//
-	// Deprecated: this field is a thin adapter over the session's
-	// observation bus — it is subscribed (first) via stream.RoundObserver
-	// at construction. New consumers should implement stream.Subscriber
-	// and attach through Session.Subscribe, which also carries membership
-	// events and works identically on every runtime.
-	DeltaObserver func(g *graph.Undirected, d *RoundDelta)
 }
 
 // Result reports a single run.
@@ -277,6 +258,18 @@ func DefaultMaxRounds(n int) int {
 	}
 	lg := bits.Len(uint(n))
 	return 500 * n * (lg + 1) * (lg + 1)
+}
+
+// ActivationBudget returns the activation budget of rounds parallel rounds
+// on n nodes — rounds × n ticks or events — saturating at math.MaxInt
+// instead of wrapping: the default budget n × DefaultMaxRounds(n) passes
+// MaxInt from n = 5 659 117, and a wrapped product would stop a run at
+// activation 0.
+func ActivationBudget(rounds, n int) int {
+	if n > 0 && rounds > math.MaxInt/n {
+		return math.MaxInt
+	}
+	return rounds * n
 }
 
 // Run executes p on g (mutating g) until convergence or the round budget is
@@ -322,17 +315,6 @@ type DirectedConfig struct {
 	// evaluated after every round and honored by both engine families,
 	// mirroring Config.Done.
 	Done func(g *graph.Directed) bool
-	// Observer, if non-nil, is called after every committed round.
-	Observer func(round int, g *graph.Directed)
-	// DeltaObserver, if non-nil, receives the round's streaming delta (new
-	// arcs, in/out-degree increments, closure arcs remaining) after every
-	// committed round, before Observer runs. The delta and its slices are
-	// reused across rounds — copy anything retained.
-	//
-	// Deprecated: a thin adapter over the session's observation bus (see
-	// Config.DeltaObserver); new consumers should attach through
-	// DirectedSession.Subscribe.
-	DeltaObserver func(g *graph.Directed, d *DirectedRoundDelta)
 }
 
 // DirectedResult reports a directed run.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -8,7 +9,29 @@ import (
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
+	"gossipdisc/internal/stream"
 )
+
+// runWith drives a fresh session over g to completion with subs on its bus:
+// Run, observed.
+func runWith(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Config, subs ...stream.Subscriber) Result {
+	s := NewSession(g, p, r, cfg)
+	defer s.Close()
+	for _, sub := range subs {
+		s.Subscribe(sub)
+	}
+	return s.Run()
+}
+
+// runDirectedWith is runWith for a directed session.
+func runDirectedWith(g *graph.Directed, p core.DirectedProcess, r *rng.Rand, cfg DirectedConfig, subs ...stream.Subscriber) DirectedResult {
+	s := NewDirectedSession(g, p, r, cfg)
+	defer s.Close()
+	for _, sub := range subs {
+		s.Subscribe(sub)
+	}
+	return s.Run()
+}
 
 func TestRunPushPathToComplete(t *testing.T) {
 	g := gen.Path(8)
@@ -72,15 +95,13 @@ func TestObserverSeesEveryRound(t *testing.T) {
 	var rounds []int
 	lastM := g.M()
 	monotone := true
-	res := Run(g, core.Push{}, rng.New(6), Config{
-		Observer: func(round int, g *graph.Undirected) {
-			rounds = append(rounds, round)
-			if g.M() < lastM {
-				monotone = false
-			}
-			lastM = g.M()
-		},
-	})
+	res := runWith(g, core.Push{}, rng.New(6), Config{}, stream.SubscriberFunc(func(e *stream.Event) {
+		rounds = append(rounds, e.Delta.Round)
+		if e.Graph.M() < lastM {
+			monotone = false
+		}
+		lastM = e.Graph.M()
+	}))
 	if len(rounds) != res.Rounds {
 		t.Fatalf("observer called %d times for %d rounds", len(rounds), res.Rounds)
 	}
@@ -208,6 +229,25 @@ func TestDefaultMaxRoundsBitLength(t *testing.T) {
 	}
 }
 
+// TestActivationBudgetSaturates: the default tick/event budget
+// n × DefaultMaxRounds(n) passes MaxInt from n = 5 659 117, where the plain
+// product wrapped negative and stopped default-budget runs at activation 0.
+// The helper saturates there and is the exact product below it.
+func TestActivationBudgetSaturates(t *testing.T) {
+	const n = 6_000_000 // no graph is built
+	if got := ActivationBudget(DefaultMaxRounds(n), n); got != math.MaxInt {
+		t.Fatalf("ActivationBudget(DefaultMaxRounds(%d), %d) = %d, want MaxInt", n, n, got)
+	}
+	if got := ActivationBudget(1<<62+1, 4); got != math.MaxInt {
+		t.Fatalf("ActivationBudget(1<<62+1, 4) = %d, want MaxInt", got)
+	}
+	for _, c := range [][2]int{{0, n}, {7, 0}, {DefaultMaxRounds(5_000_000), 5_000_000}, {math.MaxInt, 1}} {
+		if got := ActivationBudget(c[0], c[1]); got != c[0]*c[1] {
+			t.Fatalf("ActivationBudget(%d, %d) = %d, want %d", c[0], c[1], got, c[0]*c[1])
+		}
+	}
+}
+
 // TestRunDirectedCustomDone: the new DirectedConfig.Done override (API
 // parity with Config.Done) stops the run at 90% closure, on both engine
 // families.
@@ -308,8 +348,8 @@ func TestRunDirectedEagerMode(t *testing.T) {
 func TestRunDirectedObserverAndAbort(t *testing.T) {
 	g := gen.Thm14WeakLowerBound(16)
 	calls := 0
-	res := RunDirected(g, core.WrapDirected(core.DirectedTwoHop{}, core.Fail(1)),
-		rng.New(14), DirectedConfig{MaxRounds: 7, Observer: func(round int, g *graph.Directed) { calls++ }})
+	res := runDirectedWith(g, core.WrapDirected(core.DirectedTwoHop{}, core.Fail(1)),
+		rng.New(14), DirectedConfig{MaxRounds: 7}, stream.SubscriberFunc(func(*stream.Event) { calls++ }))
 	if res.Converged || res.Rounds != 7 || calls != 7 {
 		t.Fatalf("aborted directed run: %+v calls=%d", res, calls)
 	}
@@ -324,14 +364,12 @@ func TestQuickClosureInvariant(t *testing.T) {
 		g := gen.RandomStronglyConnected(n, r.Intn(n), r)
 		before := g.ClosureArcCount()
 		ok := true
-		RunDirected(g, core.DirectedTwoHop{}, r, DirectedConfig{
-			MaxRounds: 20,
-			Observer: func(round int, g *graph.Directed) {
-				if g.ClosureArcCount() != before {
+		runDirectedWith(g, core.DirectedTwoHop{}, r, DirectedConfig{MaxRounds: 20},
+			stream.SubscriberFunc(func(e *stream.Event) {
+				if e.Digraph.ClosureArcCount() != before {
 					ok = false
 				}
-			},
-		})
+			}))
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -45,15 +45,12 @@ type Session struct {
 	round[*graph.Undirected, graph.Edge]
 	done func(*graph.Undirected) bool
 
-	// Observation bus and delta state. Every round publishes through bus
-	// (a cheap no-op while nothing is subscribed); the legacy
-	// Config.DeltaObserver is subscribed at construction as the first
-	// subscriber, so its callbacks keep their historical position in the
-	// round sequence. ds is allocated at construction when the bus starts
-	// active, lazily by the first Step call (Step always returns a filled
-	// delta), or by Subscribe.
+	// Observation bus and delta accumulator. Every round publishes through
+	// bus (a cheap no-op while nothing is subscribed). acc is allocated by
+	// the first Subscribe or Step call (Step always returns a filled delta);
+	// while it is nil no delta is filled.
 	bus stream.Bus
-	ds  *deltaState
+	acc *stream.DeltaAccumulator
 
 	// Membership state (nil alive ⇒ membership tracking disabled).
 	alive        []bool
@@ -88,15 +85,9 @@ func NewSession(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Config) *S
 	}
 	s.round = round[*graph.Undirected, graph.Edge]{
 		g: g, n: n, p: p, r: r, sub: s,
-		mode: cfg.Mode, workers: cfg.Workers, maxRounds: cfg.MaxRounds, observer: cfg.Observer,
+		mode: cfg.Mode, workers: cfg.Workers, maxRounds: cfg.MaxRounds,
 	}
 	s.setup("Config.Workers", DefaultMaxRounds(n), cfg.DensePhase, n*(n-1)/2)
-	if cfg.DeltaObserver != nil {
-		// The legacy observer rides the bus as its first subscriber, so it
-		// sees every round exactly as before and anything Subscribe attaches
-		// later fires after it.
-		s.Subscribe(stream.RoundObserver(cfg.DeltaObserver))
-	}
 	return s
 }
 
@@ -109,8 +100,8 @@ func NewSession(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Config) *S
 // reused across rounds — copy anything retained.
 func (s *Session) Subscribe(sub stream.Subscriber) {
 	s.bus.Subscribe(sub)
-	if s.ds == nil {
-		s.ds = newDeltaState(s.g.N(), &s.bus)
+	if s.acc == nil {
+		s.acc = stream.NewDeltaAccumulator(s.n)
 	}
 }
 
@@ -138,7 +129,7 @@ func (s *Session) commitEager(a, b int) bool {
 	if !s.g.AddEdge(a, b) {
 		return false
 	}
-	if s.ds != nil || s.alive != nil {
+	if s.acc != nil || s.alive != nil {
 		s.accepted = append(s.accepted, graph.Edge{U: a, V: b}.Norm())
 	}
 	return true
@@ -154,15 +145,15 @@ func (s *Session) publish(round, actWorkers int, accepted []graph.Edge) {
 			}
 		}
 	}
-	if s.ds != nil {
+	if s.acc != nil {
 		// Edges injected between steps (AddEdge) lead the round's delta so
 		// the stream accounts for every insertion the graph saw.
 		if len(s.injected) > 0 {
 			s.combined = append(append(s.combined[:0], s.injected...), accepted...)
 			accepted = s.combined
 		}
-		s.ds.fill(round, s.g, accepted)
-		d := s.ds.d()
+		s.acc.Fill(round, s.g, accepted)
+		d := &s.acc.D
 		d.ActiveWorkers = actWorkers
 		d.Joined = append(d.Joined[:0], s.joined...)
 		d.Left = append(d.Left[:0], s.left...)
@@ -174,7 +165,7 @@ func (s *Session) publish(round, actWorkers int, accepted []graph.Edge) {
 			// see them as "remaining" (they used to — see MemberEdgesRemaining).
 			d.EdgesRemaining = s.memberPairsMissing()
 		}
-		s.ds.notify(s.g)
+		s.bus.EmitRound(s.g, d, float64(round))
 	}
 	s.joined, s.left = s.joined[:0], s.left[:0]
 	s.injected = s.injected[:0]
@@ -187,15 +178,15 @@ func (s *Session) publish(round, actWorkers int, accepted []graph.Edge) {
 // session and reused across rounds — copy anything retained. Steady-state
 // steps allocate nothing once the buffers are warm.
 func (s *Session) Step() (d *RoundDelta, ok bool) {
-	if s.ds == nil {
-		s.ds = newDeltaState(s.g.N(), &s.bus)
+	if s.acc == nil {
+		s.acc = stream.NewDeltaAccumulator(s.n)
 	}
 	before := s.res.Rounds
 	ok = s.step()
 	if s.res.Rounds == before {
 		return nil, false
 	}
-	return s.ds.d(), ok
+	return &s.acc.D, ok
 }
 
 // Run drives the session to the Done predicate or the round budget and

@@ -8,6 +8,7 @@ import (
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
+	"gossipdisc/internal/stream"
 )
 
 // capturedDelta is a deep copy of the fields a RoundDelta emits per round,
@@ -19,15 +20,17 @@ type capturedDelta struct {
 	remaining int
 }
 
-func captureUndirected(dst *[]capturedDelta) func(g *graph.Undirected, d *RoundDelta) {
-	return func(g *graph.Undirected, d *RoundDelta) {
+// captureUndirected subscribes a deep copy of every round delta to dst.
+func captureUndirected(dst *[]capturedDelta) stream.Subscriber {
+	return stream.SubscriberFunc(func(e *stream.Event) {
+		d := e.Delta
 		*dst = append(*dst, capturedDelta{
 			round:     d.Round,
 			edges:     append([]graph.Edge(nil), d.NewEdges...),
 			touched:   append([]int32(nil), d.Touched...),
 			remaining: d.EdgesRemaining,
 		})
-	}
+	})
 }
 
 func deltasEqual(a, b []capturedDelta) bool {
@@ -66,16 +69,16 @@ func TestSessionStepRunEquivalence(t *testing.T) {
 			}
 			var oneShot []capturedDelta
 			g1 := gen.RandomTree(150, rng.New(77))
-			cfg := Config{Workers: workers, Mode: mode, DeltaObserver: captureUndirected(&oneShot)}
-			wantRes := Run(g1, core.Push{}, rng.New(42), cfg)
+			cfg := Config{Workers: workers, Mode: mode}
+			wantRes := runWith(g1, core.Push{}, rng.New(42), cfg, captureUndirected(&oneShot))
 			if !wantRes.Converged {
 				t.Fatalf("workers=%d mode=%v: one-shot did not converge", workers, mode)
 			}
 
 			var stepped []capturedDelta
 			g2 := gen.RandomTree(150, rng.New(77))
-			cfg.DeltaObserver = captureUndirected(&stepped)
 			s := NewSession(g2, core.Push{}, rng.New(42), cfg)
+			s.Subscribe(captureUndirected(&stepped))
 			defer s.Close()
 			// Interleave all three driving styles.
 			for i := 0; i < 3; i++ {
@@ -116,28 +119,29 @@ func TestDirectedSessionStepRunEquivalence(t *testing.T) {
 		round, remaining int
 		arcs             []graph.Arc
 	}
-	capture := func(dst *[]captured) func(g *graph.Directed, d *DirectedRoundDelta) {
-		return func(g *graph.Directed, d *DirectedRoundDelta) {
+	capture := func(dst *[]captured) stream.Subscriber {
+		return stream.SubscriberFunc(func(e *stream.Event) {
+			d := e.DirectedDelta
 			*dst = append(*dst, captured{
 				round:     d.Round,
 				remaining: d.ClosureArcsRemaining,
 				arcs:      append([]graph.Arc(nil), d.NewArcs...),
 			})
-		}
+		})
 	}
 	for _, workers := range []int{0, 1, 4} {
 		var oneShot []captured
 		g1 := gen.RandomStronglyConnected(96, 32, rng.New(9))
-		cfg := DirectedConfig{Workers: workers, DeltaObserver: capture(&oneShot)}
-		wantRes := RunDirected(g1, core.DirectedTwoHop{}, rng.New(43), cfg)
+		cfg := DirectedConfig{Workers: workers}
+		wantRes := runDirectedWith(g1, core.DirectedTwoHop{}, rng.New(43), cfg, capture(&oneShot))
 		if !wantRes.Converged {
 			t.Fatalf("workers=%d: one-shot directed run did not converge", workers)
 		}
 
 		var stepped []captured
 		g2 := gen.RandomStronglyConnected(96, 32, rng.New(9))
-		cfg.DeltaObserver = capture(&stepped)
 		s := NewDirectedSession(g2, core.DirectedTwoHop{}, rng.New(43), cfg)
+		s.Subscribe(capture(&stepped))
 		defer s.Close()
 		if s.Stats().TargetArcs != wantRes.TargetArcs {
 			t.Fatalf("workers=%d: session target arcs %d != %d", workers, s.Stats().TargetArcs, wantRes.TargetArcs)
@@ -183,16 +187,20 @@ func TestDirectedSessionStepRunEquivalence(t *testing.T) {
 func TestAsyncSessionStepRunEquivalence(t *testing.T) {
 	var oneShot []capturedDelta
 	g1 := gen.Cycle(48)
-	cfg := AsyncConfig{DeltaObserver: captureUndirected(&oneShot)}
-	wantRes := RunAsync(g1, core.Push{}, rng.New(5), cfg)
+	one := NewAsyncSession(g1, core.Push{}, rng.New(5), AsyncConfig{})
+	one.Subscribe(captureUndirected(&oneShot))
+	wantRes := one.Run()
 	if !wantRes.Converged {
 		t.Fatal("one-shot async run did not converge")
+	}
+	if facade := RunAsync(gen.Cycle(48), core.Push{}, rng.New(5), AsyncConfig{}); facade != wantRes {
+		t.Fatalf("subscribed run %+v != RunAsync %+v", wantRes, facade)
 	}
 
 	var stepped []capturedDelta
 	g2 := gen.Cycle(48)
-	cfg.DeltaObserver = captureUndirected(&stepped)
-	s := NewAsyncSession(g2, core.Push{}, rng.New(5), cfg)
+	s := NewAsyncSession(g2, core.Push{}, rng.New(5), AsyncConfig{})
+	s.Subscribe(captureUndirected(&stepped))
 	steps := 0
 	for {
 		d, more := s.Step()
@@ -218,7 +226,7 @@ func TestAsyncSessionStepRunEquivalence(t *testing.T) {
 }
 
 // TestSessionStepWithoutObserver: Step must hand back a correct delta even
-// when no DeltaObserver was configured.
+// when nothing is subscribed.
 func TestSessionStepWithoutObserver(t *testing.T) {
 	g := gen.Path(32)
 	s := NewSession(g, core.Push{}, rng.New(8), Config{})

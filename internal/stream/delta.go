@@ -7,7 +7,7 @@ import (
 // This file holds the round-delta payload types and the shared accumulators
 // that fill them. The commit path already knows exactly which proposals
 // survived a round — the grouped graph commits return the accepted list —
-// so instead of forcing observers to re-scan the graph (O(n + m) per
+// so instead of forcing consumers to re-scan the graph (O(n + m) per
 // round), the engines emit the round's *changes* directly: the new edges,
 // the per-node degree increments they imply, and the O(1) edges-remaining
 // counter. Incremental consumers (metrics trajectories, the analyze pack)
@@ -29,9 +29,9 @@ import (
 
 // RoundDelta describes everything that changed in one committed synchronous
 // round of an undirected run. The engine reuses the delta and its slices
-// across rounds: observers must copy anything they retain.
+// across rounds: subscribers must copy anything they retain.
 type RoundDelta struct {
-	// Round is the 1-based round number, matching Observer's argument.
+	// Round is the 1-based round number.
 	Round int
 	// NewEdges lists the edges inserted this round, normalized U < V, in
 	// deterministic commit order. For membership-mutated sessions, edges
@@ -52,8 +52,8 @@ type RoundDelta struct {
 	EdgesRemaining int
 	// MissingDegree reports, in O(1), how many nodes u is not yet adjacent
 	// to (excluding u itself) — the per-node complement view, bound to the
-	// run's live graph at the first emitted round. Like the graph the
-	// observer receives, it reflects the post-commit state.
+	// run's live graph at the first emitted round. Like the event's Graph,
+	// it reflects the post-commit state.
 	MissingDegree func(u int) int
 	// Joined / Left list the membership events applied through
 	// Session.InsertNode / Session.RemoveNode since the previous committed

@@ -4,15 +4,10 @@
 // membership joins and leaves, activation-rate retunes, and wire-level
 // traffic snapshots.
 //
-// Before this package, every runtime carried its own observer plumbing
-// (sim.Config.DeltaObserver, DirectedConfig.DeltaObserver,
-// AsyncConfig.DeltaObserver, eventsim's private delta filler), and every
-// new consumer had to be written once per runtime. Now each runtime owns a
-// Bus, publishes its events into it, and any consumer — a metrics
-// trajectory, a health analyzer, a Prometheus exporter — is a single
-// Subscriber that works identically on all of them. The legacy
-// DeltaObserver config fields survive as thin adapters subscribed to the
-// same bus.
+// Each runtime owns a Bus and publishes its events into it; any consumer —
+// a metrics trajectory, a health analyzer, a Prometheus exporter — is a
+// single Subscriber that works identically on all of them, attached through
+// the session's Subscribe. It is the only way to observe a run.
 //
 // # Ordering and determinism contract
 //
@@ -24,7 +19,7 @@
 // internal/eventsim pin Result + fnv delta-stream hash across subscriber
 // counts, worker counts, and engine families. Events and their payload
 // slices are owned by the publisher and reused across rounds: subscribers
-// must copy anything they retain, exactly the old DeltaObserver contract.
+// must copy anything they retain.
 //
 // A Bus is not safe for concurrent use; each session publishes from its own
 // stepping goroutine, which is the only goroutine that may touch the bus.
@@ -142,27 +137,6 @@ type SubscriberFunc func(e *Event)
 
 // OnEvent implements Subscriber.
 func (f SubscriberFunc) OnEvent(e *Event) { f(e) }
-
-// RoundObserver adapts a legacy undirected delta-observer callback
-// (the sim.Config.DeltaObserver signature) to a Subscriber that fires on
-// KindRound events only.
-func RoundObserver(fn func(g *graph.Undirected, d *RoundDelta)) Subscriber {
-	return SubscriberFunc(func(e *Event) {
-		if e.Kind == KindRound {
-			fn(e.Graph, e.Delta)
-		}
-	})
-}
-
-// DirectedRoundObserver adapts a legacy directed delta-observer callback to
-// a Subscriber that fires on KindDirectedRound events only.
-func DirectedRoundObserver(fn func(g *graph.Directed, d *DirectedRoundDelta)) Subscriber {
-	return SubscriberFunc(func(e *Event) {
-		if e.Kind == KindDirectedRound {
-			fn(e.Digraph, e.DirectedDelta)
-		}
-	})
-}
 
 // Bus fans events out to its subscribers in subscription order. The zero
 // value is ready to use (and publishing on an empty bus is a cheap no-op,

@@ -108,22 +108,6 @@ func TestBusSubscribeNilPanics(t *testing.T) {
 	b.Subscribe(nil)
 }
 
-// TestRoundObserverFilters checks the legacy-callback adapters fire only on
-// their kind.
-func TestRoundObserverFilters(t *testing.T) {
-	var b Bus
-	rounds, directed := 0, 0
-	b.Subscribe(RoundObserver(func(g *graph.Undirected, d *RoundDelta) { rounds++ }))
-	b.Subscribe(DirectedRoundObserver(func(g *graph.Directed, d *DirectedRoundDelta) { directed++ }))
-	b.EmitRound(nil, &RoundDelta{}, 1)
-	b.EmitMembership(KindJoin, nil, 0, 1)
-	b.EmitDirectedRound(nil, &DirectedRoundDelta{}, 1)
-	b.EmitRateChange(0, "", 1, 1)
-	if rounds != 1 || directed != 1 {
-		t.Fatalf("adapters fired rounds=%d directed=%d, want 1/1", rounds, directed)
-	}
-}
-
 // TestBusPublishZeroAlloc pins the allocation-free dispatch contract: a
 // warm bus publishing round events to multiple subscribers allocates
 // nothing.

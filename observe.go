@@ -7,7 +7,7 @@ package gossipdisc
 // Session.Subscribe (every session family has one) or at construction with
 // WithAnalyzers; subscribers never perturb results — the bus dispatches
 // synchronously on the stepping goroutine and draws no randomness (see
-// DESIGN.md "Streaming analyzer bus").
+// DESIGN.md "Observing a run").
 
 import (
 	"io"

@@ -1,12 +1,12 @@
 package gossipdisc
 
 // This file is the root package's resumable-session surface: re-exports of
-// the engine sessions plus a functional-options constructor, so callers can
-// write
+// the engine sessions plus a functional-options constructor — the one way
+// to configure a run from this package:
 //
 //	sess := gossipdisc.NewSession(g,
 //	    gossipdisc.WithWorkers(8),
-//	    gossipdisc.WithDeltaObserver(traj.ObserveDelta),
+//	    gossipdisc.WithAnalyzers(traj),
 //	    gossipdisc.WithMaxRounds(10_000),
 //	)
 //	defer sess.Close()
@@ -18,9 +18,8 @@ package gossipdisc
 //	    }
 //	}
 //
-// instead of threading a Config struct through. The fire-and-forget Run*
-// helpers remain and are thin wrappers over the same sessions, bit-identical
-// to driving a session manually (see DESIGN.md "Session lifecycle").
+// Run and RunDirected are two conveniences over it, bit-identical to
+// driving a session manually (see DESIGN.md "Session lifecycle").
 
 import (
 	"gossipdisc/internal/core"
@@ -82,6 +81,7 @@ type SessionOption func(*sessionOptions)
 
 type sessionOptions struct {
 	r     *rng.Rand
+	seed  uint64
 	proc  Process
 	dproc DirectedProcess
 	cfg   sim.Config
@@ -102,11 +102,11 @@ func WithDirectedProcess(p DirectedProcess) SessionOption {
 
 // WithSeed seeds the session's deterministic generator (default seed 1).
 func WithSeed(seed uint64) SessionOption {
-	return func(o *sessionOptions) { o.r = rng.New(seed) }
+	return func(o *sessionOptions) { o.seed = seed }
 }
 
 // WithRand hands the session an existing generator — e.g. a Split child —
-// overriding WithSeed.
+// overriding WithSeed in either order.
 func WithRand(r *Rand) SessionOption {
 	return func(o *sessionOptions) { o.r = r }
 }
@@ -187,39 +187,19 @@ func WithDirectedDone(pred func(g *Digraph) bool) SessionOption {
 	return func(o *sessionOptions) { o.dcfg.Done = pred }
 }
 
-// WithObserver attaches a legacy per-round snapshot observer.
-func WithObserver(fn func(round int, g *Graph)) SessionOption {
-	return func(o *sessionOptions) { o.cfg.Observer = fn }
-}
-
-// WithDirectedObserver attaches a directed per-round snapshot observer.
-func WithDirectedObserver(fn func(round int, g *Digraph)) SessionOption {
-	return func(o *sessionOptions) { o.dcfg.Observer = fn }
-}
-
-// WithDeltaObserver attaches a streaming delta observer (the delta and its
-// slices are reused across rounds — copy anything retained).
-func WithDeltaObserver(fn func(g *Graph, d *RoundDelta)) SessionOption {
-	return func(o *sessionOptions) { o.cfg.DeltaObserver = fn }
-}
-
-// WithDirectedDeltaObserver attaches a directed streaming delta observer.
-func WithDirectedDeltaObserver(fn func(g *Digraph, d *DirectedRoundDelta)) SessionOption {
-	return func(o *sessionOptions) { o.dcfg.DeltaObserver = fn }
-}
-
 // WithAnalyzers subscribes analyzers (or any event Subscribers — a *Health
-// pack, a Prometheus exporter, a metrics Trajectory) to the session's event
-// bus at construction, in argument order after any legacy observer options.
-// Applies to every session family; subscribers never change results (the
-// bus dispatches synchronously on the stepping goroutine and draws no
-// randomness — see DESIGN.md "Streaming analyzer bus").
+// pack, a Prometheus exporter, a metrics Trajectory, a SubscriberFunc) to
+// the session's event bus at construction, in argument order. Applies to
+// every session family; subscribers never change results (the bus
+// dispatches synchronously on the stepping goroutine and draws no
+// randomness — see DESIGN.md "Observing a run").
 func WithAnalyzers(subs ...Subscriber) SessionOption {
 	return func(o *sessionOptions) { o.subs = append(o.subs, subs...) }
 }
 
 func applyOptions(opts []SessionOption) *sessionOptions {
 	o := &sessionOptions{
+		seed:  1,
 		proc:  core.Push{},
 		dproc: core.DirectedTwoHop{},
 	}
@@ -227,13 +207,22 @@ func applyOptions(opts []SessionOption) *sessionOptions {
 		opt(o)
 	}
 	if o.r == nil {
-		o.r = rng.New(1)
+		o.r = rng.New(o.seed)
 	}
 	return o
 }
 
+// activations converts the WithMaxRounds budget to ticks or events on n
+// nodes: 0 keeps the runtime's default, negative stays unbounded.
+func (o *sessionOptions) activations(n int) int {
+	if o.cfg.MaxRounds < 0 {
+		return -1
+	}
+	return sim.ActivationBudget(o.cfg.MaxRounds, n)
+}
+
 // NewSession constructs a resumable session over g with the given options
-// (process, seed, engine, observers, budget). The zero-option call runs
+// (process, seed, engine, subscribers, budget). The zero-option call runs
 // Push from seed 1 on the sequential engine. Callers that set
 // WithWorkers(w) with w > 1 should defer sess.Close() to release the
 // parked worker goroutines.
@@ -258,21 +247,12 @@ func NewDirectedSession(g *Digraph, opts ...SessionOption) *DirectedSession {
 }
 
 // NewAsyncSession constructs a resumable asynchronous session over g. Only
-// the process, seed/rand, Done, and delta-observer options apply; the tick
-// budget follows MaxRounds × n when WithMaxRounds is set (negative keeps
-// meaning unbounded).
+// the process, seed/rand, Done, and analyzer options apply; the tick budget
+// follows MaxRounds × n when WithMaxRounds is set (negative keeps meaning
+// unbounded).
 func NewAsyncSession(g *Graph, opts ...SessionOption) *AsyncSession {
 	o := applyOptions(opts)
-	acfg := sim.AsyncConfig{
-		Done:          o.cfg.Done,
-		DeltaObserver: o.cfg.DeltaObserver,
-	}
-	if o.cfg.MaxRounds > 0 {
-		acfg.MaxTicks = o.cfg.MaxRounds * g.N()
-	} else if o.cfg.MaxRounds < 0 {
-		acfg.MaxTicks = -1
-	}
-	s := sim.NewAsyncSession(g, o.proc, o.r, acfg)
+	s := sim.NewAsyncSession(g, o.proc, o.r, sim.AsyncConfig{MaxTicks: o.activations(g.N()), Done: o.cfg.Done})
 	for _, sub := range o.subs {
 		s.Subscribe(sub)
 	}
@@ -282,32 +262,22 @@ func NewAsyncSession(g *Graph, opts ...SessionOption) *AsyncSession {
 // NewEventSession constructs a resumable event-driven session over g: per-
 // node Poisson clocks (WithRates; uniform rate 1 by default), Step to the
 // next unit-time boundary, exact AoI accessors, and mid-run rate mutation.
-// Only the process, seed/rand, rates, Done, and delta-observer options
-// apply; the event budget follows MaxRounds × n when WithMaxRounds is set
-// (negative keeps meaning unbounded). Runs are bit-replayable from
-// (seed, rates) at any GOMAXPROCS setting.
+// Only the process, seed/rand, rates, Done, and analyzer options apply; the
+// event budget follows MaxRounds × n when WithMaxRounds is set (negative
+// keeps meaning unbounded). Runs are bit-replayable from (seed, rates) at
+// any GOMAXPROCS setting.
 func NewEventSession(g *Graph, opts ...SessionOption) *EventSession {
 	o := applyOptions(opts)
-	ecfg := eventsim.Config{
-		Rates:         o.rates,
-		Done:          o.cfg.Done,
-		DeltaObserver: o.cfg.DeltaObserver,
-	}
-	if o.cfg.MaxRounds > 0 {
-		ecfg.MaxEvents = o.cfg.MaxRounds * g.N()
-	} else if o.cfg.MaxRounds < 0 {
-		ecfg.MaxEvents = -1
-	}
-	s := eventsim.New(g, o.proc, o.r, ecfg)
+	s := eventsim.New(g, o.proc, o.r, eventsim.Config{Rates: o.rates, MaxEvents: o.activations(g.N()), Done: o.cfg.Done})
 	for _, sub := range o.subs {
 		s.Subscribe(sub)
 	}
 	return s
 }
 
-// WorkersAuto is the Config.Workers / DirectedConfig.Workers sentinel for
-// adaptive worker autoscaling; WithAutoWorkers sets it for option-built
-// sessions. See sim.WorkersAuto for the contract.
+// WorkersAuto is the worker-count sentinel for adaptive worker
+// autoscaling, as WithWorkers(WorkersAuto) or WithAutoWorkers. See
+// sim.WorkersAuto for the contract.
 const WorkersAuto = sim.WorkersAuto
 
 // EngineStats is the schedule telemetry returned by Session.EngineStats and
@@ -318,7 +288,7 @@ type EngineStats = sim.EngineStats
 
 // Cross-trial aggregation (see internal/sim/aggregate.go): TrialsAggregate
 // runs trials exactly as Trials does while streaming per-round cross-trial
-// aggregates from the delta pipeline.
+// aggregates from each trial's delta stream.
 type RoundAggregate = sim.RoundAggregate
 
 // TrialsAggregate runs numTrials independent deterministic trials of p and

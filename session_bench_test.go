@@ -6,7 +6,7 @@ package gossipdisc_test
 //
 //   - run:        the fire-and-forget facade, no delta materialization —
 //                 the pre-session hot path.
-//   - run+delta:  the facade with a DeltaObserver attached — the facade's
+//   - run+delta:  a run with a no-op subscriber attached — the facade's
 //                 cost when the per-round delta is materialized.
 //   - step:       a manual Step loop, which always materializes the delta
 //                 it returns — the apples-to-apples comparison is against
@@ -23,9 +23,9 @@ import (
 	"gossipdisc/internal/churn"
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/gen"
-	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
+	"gossipdisc/internal/stream"
 )
 
 func benchScaleSession(b *testing.B, n, workers int) {
@@ -46,9 +46,7 @@ func benchScaleSession(b *testing.B, n, workers int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			g := gen.Cycle(n)
-			cfg := sim.Config{Workers: workers,
-				DeltaObserver: func(g *graph.Undirected, d *sim.RoundDelta) {}}
-			res := sim.Run(g, core.Push{}, r.Split(), cfg)
+			res := runObserved(g, r.Split(), workers, stream.SubscriberFunc(func(*stream.Event) {}))
 			if !res.Converged {
 				b.Fatal("run did not converge")
 			}

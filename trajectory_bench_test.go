@@ -2,19 +2,19 @@ package gossipdisc_test
 
 // Trajectory-recording benchmarks for the streaming delta pipeline
 // (BENCH_pr2.json). Each iteration runs one full push convergence on the
-// n=1024 cycle — the E9/E17 recording shape — under three observer
+// n=1024 cycle — the E9/E17 recording shape — under three subscriber
 // configurations:
 //
 //   - none: the engine alone, no observation (lower bound).
-//   - snapshot: the legacy path. metrics.Trajectory.Observe scans the graph
+//   - snapshot: the scanning path. metrics.Trajectory.Observe scans the graph
 //     every round (min/max degree), and the per-round edge delta — what
 //     dissemination-rate consumers such as E17's evolution tracker need —
 //     must be re-derived from full-graph state: a degree re-scan plus an
 //     Edges() materialization whenever the edge set grew, O(n + m) per
 //     round on the commit goroutine.
 //   - delta: the streaming path. The commit emits the per-round delta it
-//     already knows (new edges, degree increments, edges remaining), and
-//     metrics.Trajectory.ObserveDelta maintains the same trajectory
+//     already knows (new edges, degree increments, edges remaining), and a
+//     subscribed metrics.Trajectory maintains the same trajectory
 //     incrementally in O(new edges) per round, allocation-flat.
 //
 // CI runs these with -benchtime=1x as a smoke test alongside the scale
@@ -29,7 +29,16 @@ import (
 	"gossipdisc/internal/metrics"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
+	"gossipdisc/internal/stream"
 )
+
+// runObserved is one push convergence of g with sub on the session's bus.
+func runObserved(g *graph.Undirected, r *rng.Rand, workers int, sub stream.Subscriber) sim.Result {
+	s := sim.NewSession(g, core.Push{}, r, sim.Config{Workers: workers})
+	defer s.Close()
+	s.Subscribe(sub)
+	return s.Run()
+}
 
 func benchScaleTrajectory(b *testing.B, n, workers int) {
 	check := func(b *testing.B, res sim.Result, traj *metrics.Trajectory) {
@@ -63,26 +72,23 @@ func benchScaleTrajectory(b *testing.B, n, workers int) {
 			traj := &metrics.Trajectory{}
 			prevDeg := make([]int, n)
 			newEdges := 0
-			res := sim.Run(g, core.Push{}, r.Split(), sim.Config{
-				Workers: workers,
-				Observer: func(round int, g *graph.Undirected) {
-					traj.Observe(round, g)
-					// Recover this round's delta from snapshots alone:
-					// degree increments by re-scanning all degrees, new
-					// edges by materializing the edge set when it grew.
-					grew := false
-					for u := 0; u < n; u++ {
-						d := g.Degree(u)
-						if d != prevDeg[u] {
-							grew = true
-							prevDeg[u] = d
-						}
+			res := runObserved(g, r.Split(), workers, stream.SubscriberFunc(func(e *stream.Event) {
+				traj.Observe(e.Delta.Round, e.Graph)
+				// Recover this round's delta from snapshots alone:
+				// degree increments by re-scanning all degrees, new
+				// edges by materializing the edge set when it grew.
+				grew := false
+				for u := 0; u < n; u++ {
+					d := e.Graph.Degree(u)
+					if d != prevDeg[u] {
+						grew = true
+						prevDeg[u] = d
 					}
-					if grew {
-						newEdges = len(g.Edges())
-					}
-				},
-			})
+				}
+				if grew {
+					newEdges = len(e.Graph.Edges())
+				}
+			}))
 			check(b, res, traj)
 			if newEdges != n*(n-1)/2 {
 				b.Fatal("snapshot delta recovery failed")
@@ -97,13 +103,10 @@ func benchScaleTrajectory(b *testing.B, n, workers int) {
 			g := gen.Cycle(n)
 			traj := &metrics.Trajectory{}
 			newEdges := 0
-			res := sim.Run(g, core.Push{}, r.Split(), sim.Config{
-				Workers: workers,
-				DeltaObserver: func(g *graph.Undirected, d *sim.RoundDelta) {
-					traj.ObserveDelta(g, d)
-					newEdges += len(d.NewEdges)
-				},
-			})
+			res := runObserved(g, r.Split(), workers, stream.SubscriberFunc(func(e *stream.Event) {
+				traj.OnEvent(e)
+				newEdges += len(e.Delta.NewEdges)
+			}))
 			check(b, res, traj)
 			if newEdges != res.NewEdges {
 				b.Fatal("delta stream incomplete")
