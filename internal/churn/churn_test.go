@@ -1,8 +1,12 @@
 package churn
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
+	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
 )
 
@@ -49,6 +53,46 @@ func TestBadConfigPanics(t *testing.T) {
 			}()
 			NewSession(cfg, rng.New(1))
 		}()
+	}
+}
+
+// TestChurnSeriesGolden pins the draws of a churned run: an fnv-64 hash over
+// every round's coverage bits, accepted-edge count and the ids it reports
+// joined and left, for both processes on both backends. 600 slots are 18
+// full 32-node blocks and a ragged one, most of them dead or not yet
+// joined, so the act's liveness gating is on every path the hash covers.
+// The constants were recorded before the churn round had a block form and
+// must not move with it.
+func TestChurnSeriesGolden(t *testing.T) {
+	want := map[string]uint64{
+		"push/dense":  0x8aa09f24770b2b9,
+		"push/sparse": 0x8aa09f24770b2b9,
+		"pull/dense":  0xd1103baedfd3883c,
+		"pull/sparse": 0xd1103baedfd3883c,
+	}
+	for _, pull := range []bool{false, true} {
+		for _, b := range []graph.Backend{graph.BackendDense, graph.BackendSparse} {
+			cfg := base()
+			cfg.Capacity, cfg.Rate, cfg.Pull, cfg.Backend = 600, 1.5, pull, b
+			s := NewSession(cfg, rng.New(13))
+			h := fnv.New64a()
+			word := func(x uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, x)) }
+			for range 400 {
+				d := s.Step()
+				word(math.Float64bits(s.Coverage()))
+				word(uint64(len(d.NewEdges)))
+				for _, ids := range [][]int32{d.Joined, d.Left} {
+					word(uint64(len(ids)))
+					for _, u := range ids {
+						word(uint64(u))
+					}
+				}
+			}
+			name := map[bool]string{false: "push/", true: "pull/"}[pull] + b.String()
+			if got := h.Sum64(); got != want[name] {
+				t.Errorf("%s: series hash %#x, want %#x", name, got, want[name])
+			}
+		}
 	}
 }
 
