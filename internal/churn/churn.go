@@ -44,7 +44,7 @@ type Config struct {
 	SeedDegree int
 	// Rate is the expected number of churn events per round; each event
 	// removes one uniform member and admits one fresh joiner, keeping the
-	// population stationary.
+	// population stationary. It must be finite and non-negative.
 	Rate float64
 	// Pull selects the two-hop-walk process; default is push.
 	Pull bool
@@ -66,9 +66,12 @@ type Session struct {
 	joinsDropped int
 }
 
-// NewSession builds a session; it panics on nonsensical configuration.
+// NewSession builds a session; it panics on nonsensical configuration,
+// including a Rate that is NaN, negative or at least 2^53 — past which
+// Step's one-event-at-a-time countdown no longer moves, and would never
+// return.
 func NewSession(cfg Config, r *rng.Rand) *Session {
-	if cfg.InitialMembers < 2 || cfg.Capacity < cfg.InitialMembers {
+	if cfg.InitialMembers < 2 || cfg.Capacity < cfg.InitialMembers || !(cfg.Rate >= 0 && cfg.Rate < 1<<53) {
 		panic(fmt.Sprintf("churn: bad config %+v", cfg))
 	}
 	if cfg.SeedDegree < 1 {

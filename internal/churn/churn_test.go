@@ -44,6 +44,11 @@ func TestBadConfigPanics(t *testing.T) {
 	for _, cfg := range []Config{
 		{Capacity: 8, InitialMembers: 1},
 		{Capacity: 4, InitialMembers: 8},
+		// Accepted, these Rates would hang the first Step (+Inf) or run
+		// silently churn-free (NaN, -3).
+		{Capacity: 8, InitialMembers: 4, Rate: math.Inf(1)},
+		{Capacity: 8, InitialMembers: 4, Rate: math.NaN()},
+		{Capacity: 8, InitialMembers: 4, Rate: -3},
 	} {
 		func() {
 			defer func() {

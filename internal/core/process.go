@@ -76,12 +76,19 @@ const actBlock = 32
 // graph.Undirected.RandomNeighborPairs). It panics like Act on a node
 // outside the graph.
 func (Push) ActRange(g *graph.Undirected, lo, hi int, r *rng.Rand, edges []graph.Edge) []graph.Edge {
+	return pushRange(g, lo, hi, nil, r, edges)
+}
+
+// pushRange is Push.ActRange under a liveness mask, nil for none: a dead
+// node makes no draw, and a pair is kept only if both its ends are alive
+// (Crashed.ActRange).
+func pushRange(g *graph.Undirected, lo, hi int, alive []bool, r *rng.Rand, edges []graph.Edge) []graph.Edge {
 	var vs, ws [actBlock]int32
 	for ; lo < hi; lo += actBlock {
 		b := min(actBlock, hi-lo)
-		g.RandomNeighborPairs(lo, r, vs[:b], ws[:b])
+		g.RandomNeighborPairs(lo, alive, r, vs[:b], ws[:b])
 		for k, v := range vs[:b] {
-			if w := ws[k]; v >= 0 && v != w {
+			if w := ws[k]; v >= 0 && v != w && (alive == nil || alive[v] && alive[w]) {
 				edges = append(edges, graph.Edge{U: int(v), V: int(w)})
 			}
 		}
@@ -128,12 +135,19 @@ func (Pull) ActRelay(g *graph.Undirected, u int, r *rng.Rand, relay func(v int) 
 // ActRelay → two RandomNeighbor → relay → propose per node. It panics like
 // Act on a node outside the graph.
 func (Pull) ActRange(g *graph.Undirected, lo, hi int, r *rng.Rand, edges []graph.Edge) []graph.Edge {
+	return pullRange(g, lo, hi, nil, r, edges)
+}
+
+// pullRange is Pull.ActRange under a liveness mask, nil for none: a dead
+// node makes no draw, a dead relay no second draw, and a walk is kept only
+// if the node it reached is alive (CrashedPull.ActRange).
+func pullRange(g *graph.Undirected, lo, hi int, alive []bool, r *rng.Rand, edges []graph.Edge) []graph.Edge {
 	var ws [actBlock]int32
 	for ; lo < hi; lo += actBlock {
 		b := min(actBlock, hi-lo)
-		g.TwoHopWalks(lo, r, ws[:b])
+		g.TwoHopWalks(lo, alive, r, ws[:b])
 		for k, w := range ws[:b] {
-			if u := lo + k; w >= 0 && int(w) != u {
+			if u := lo + k; w >= 0 && int(w) != u && (alive == nil || alive[w]) {
 				edges = append(edges, graph.Edge{U: u, V: int(w)})
 			}
 		}

@@ -45,11 +45,34 @@ const actRangeN = 140
 var actRangeHoles = map[int]bool{0: true, 3: true, 20: true, 33: true, 34: true, 35: true, 102: true, actRangeN - 1: true}
 
 // actRangeMatchesAct holds a block form to its definition on a graph g of
-// actRangeN nodes: over any range, actRange appends exactly what per-node
-// act proposes, in order, and leaves the stream in the same state; on a
-// node outside the graph it panics as act does. Widths straddle the 32-node
-// block. E is graph.Edge or graph.Arc, built by mk.
+// actRangeN nodes: actRangeProposesAsAct, and on a node outside the graph
+// it panics as act does. E is graph.Edge or graph.Arc, built by mk.
 func actRangeMatchesAct[G any, E comparable](t *testing.T, label string, g G,
+	act func(g G, u int, r *rng.Rand, propose func(a, b int)),
+	actRange func(g G, lo, hi int, r *rng.Rand, out []E) []E,
+	mk func(a, b int) E) {
+	t.Helper()
+	actRangeProposesAsAct(t, label, g, act, actRange, mk)
+	panicOf := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
+	}
+	const n = actRangeN
+	for _, bad := range []struct{ lo, hi, node int }{{-1, 5, -1}, {n - 2, n + 1, n}, {n, n + 1, n}} {
+		want := panicOf(func() { act(g, bad.node, rng.New(1), func(int, int) {}) })
+		got := panicOf(func() { actRange(g, bad.lo, bad.hi, rng.New(1), nil) })
+		if got == nil || got != want {
+			t.Fatalf("%s ActRange(%d, %d) panicked with %v, Act(%d) with %v", label, bad.lo, bad.hi, got, bad.node, want)
+		}
+	}
+}
+
+// actRangeProposesAsAct: over any range, actRange appends exactly what
+// per-node act proposes, in order, and leaves the stream in the same state.
+// Widths straddle the 32-node block; the ranges at 63 lie in
+// actRangeMask's dead run.
+func actRangeProposesAsAct[G any, E comparable](t *testing.T, label string, g G,
 	act func(g G, u int, r *rng.Rand, propose func(a, b int)),
 	actRange func(g G, lo, hi int, r *rng.Rand, out []E) []E,
 	mk func(a, b int) E) {
@@ -57,7 +80,7 @@ func actRangeMatchesAct[G any, E comparable](t *testing.T, label string, g G,
 	const n = actRangeN
 	ranges := [][2]int{{0, n}, {0, 0}, {n, n}}
 	for _, width := range []int{1, 31, 32, 33, 100} {
-		ranges = append(ranges, [2]int{3, 3 + width})
+		ranges = append(ranges, [2]int{3, 3 + width}, [2]int{63, min(63+width, n)})
 	}
 	for _, rg := range ranges {
 		lo, hi := rg[0], rg[1]
@@ -80,28 +103,17 @@ func actRangeMatchesAct[G any, E comparable](t *testing.T, label string, g G,
 		if *a != c {
 			t.Fatalf("%s [%d,%d): stream state differs from the per-node loop's", label, lo, hi)
 		}
-		if hi-lo > 1 && len(want) == 0 {
+		if hi-lo > 1 && len(want) == 0 && lo != 63 {
 			t.Fatalf("%s [%d,%d): nothing proposed, so nothing compared", label, lo, hi)
-		}
-	}
-	panicOf := func(f func()) (msg any) {
-		defer func() { msg = recover() }()
-		f()
-		return nil
-	}
-	for _, bad := range []struct{ lo, hi, node int }{{-1, 5, -1}, {n - 2, n + 1, n}, {n, n + 1, n}} {
-		want := panicOf(func() { act(g, bad.node, rng.New(1), func(int, int) {}) })
-		got := panicOf(func() { actRange(g, bad.lo, bad.hi, rng.New(1), nil) })
-		if got == nil || got != want {
-			t.Fatalf("%s ActRange(%d, %d) panicked with %v, Act(%d) with %v", label, bad.lo, bad.hi, got, bad.node, want)
 		}
 	}
 }
 
-// undirectedActRangeMatchesAct runs actRangeMatchesAct on both backends, on
-// a graph with isolated nodes (actRangeHoles) and degrees on both sides of 1.
-func undirectedActRangeMatchesAct(t *testing.T, p Process, actRange func(g *graph.Undirected, lo, hi int, r *rng.Rand, edges []graph.Edge) []graph.Edge) {
+// actRangeGraphs are the undirected ActRange tests' graphs, one per backend:
+// isolated nodes (actRangeHoles) and degrees on both sides of 1.
+func actRangeGraphs(t *testing.T) []*graph.Undirected {
 	const n = actRangeN
+	var gs []*graph.Undirected
 	for _, b := range []graph.Backend{graph.BackendDense, graph.BackendSparse} {
 		g := graph.NewUndirectedOn(n, b)
 		build := rng.New(7)
@@ -115,7 +127,27 @@ func undirectedActRangeMatchesAct(t *testing.T, p Process, actRange func(g *grap
 				t.Fatalf("node %d should be isolated", u)
 			}
 		}
-		actRangeMatchesAct(t, b.String(), g, p.Act, actRange, func(a, b int) graph.Edge { return graph.Edge{U: a, V: b} })
+		gs = append(gs, g)
+	}
+	return gs
+}
+
+// actRangeMask is the crash tests' liveness mask: every fourth node dead,
+// and the run [63, 98) all dead, so ranges at 63 hold whole dead blocks.
+func actRangeMask() []bool {
+	alive := make([]bool, actRangeN)
+	for u := range alive {
+		alive[u] = u%4 != 1 && (u < 63 || u >= 98)
+	}
+	return alive
+}
+
+func mkEdge(a, b int) graph.Edge { return graph.Edge{U: a, V: b} }
+
+// undirectedActRangeMatchesAct runs actRangeMatchesAct on actRangeGraphs.
+func undirectedActRangeMatchesAct(t *testing.T, p Process, actRange func(g *graph.Undirected, lo, hi int, r *rng.Rand, edges []graph.Edge) []graph.Edge) {
+	for _, g := range actRangeGraphs(t) {
+		actRangeMatchesAct(t, g.Backend().String(), g, p.Act, actRange, mkEdge)
 	}
 }
 
@@ -127,6 +159,28 @@ func TestPushActRangeMatchesAct(t *testing.T) {
 // TestPullActRangeMatchesAct is the same pin for the two-hop walk.
 func TestPullActRangeMatchesAct(t *testing.T) {
 	undirectedActRangeMatchesAct(t, Pull{}, Pull{}.ActRange)
+}
+
+// TestCrashedActRangeMatchesAct holds Crashed's block form to per-node Act
+// under actRangeMask: over Push, the masked pairs; over Pull, the per-node
+// fallback. (A node outside the graph panics in both, but Act indexes the
+// mask first, so the messages differ.)
+func TestCrashedActRangeMatchesAct(t *testing.T) {
+	alive := actRangeMask()
+	for _, g := range actRangeGraphs(t) {
+		for _, p := range []Crashed{{Inner: Push{}, Alive: alive}, {Inner: Pull{}, Alive: alive}} {
+			actRangeProposesAsAct(t, g.Backend().String()+"/"+p.Name(), g, p.Act, p.ActRange, mkEdge)
+		}
+	}
+}
+
+// TestCrashedPullActRangeMatchesAct is the same pin for the masked walks:
+// dead starts, dead relays and dead contacts.
+func TestCrashedPullActRangeMatchesAct(t *testing.T) {
+	p := CrashedPull{Alive: actRangeMask()}
+	for _, g := range actRangeGraphs(t) {
+		actRangeProposesAsAct(t, g.Backend().String(), g, p.Act, p.ActRange, mkEdge)
+	}
 }
 
 // TestDirectedTwoHopActRangeMatchesAct is the same pin for the directed walk.

@@ -14,7 +14,7 @@ import (
 // The variants are one composable middleware chain — see behavior.go
 // (Behavior, Fail, Participation, Crash, Wrap, WrapDirected). Two wrapper
 // structs remain beside it, Crashed and CrashedPull: the churn runtime's
-// processes, kept for their allocation-free Acts.
+// processes, kept for their allocation-free Acts and their block forms.
 
 // Crashed wraps a process with a static liveness mask, modeling fail-stop
 // crashes: dead nodes take no action, and any proposal naming a dead
@@ -32,12 +32,13 @@ import (
 //
 // Wrap(inner, Crash(alive)) is the chain's form of the same mask, and the
 // one to compose with other behaviors. Crashed stays beside it because it is
-// the churn runtime's process, once per member per round, and its Act
-// allocates nothing (TestCrashedPushActDoesNotAllocate) where the chain
-// builds a closure per Act; because cmd/bench's layer ladder names
-// Crashed{Inner:, Alive:}; and because the chain gates relays on relay-aware
-// inners, so Wrap(Pull{}, Crash(alive)) matches CrashedPull, not
-// Crashed{Inner: Pull{}}.
+// the churn runtime's process, once per member per round: over Push it acts
+// a block at a time (ActRange, the masked RandomNeighborPairs) and its Act
+// allocates nothing (TestCrashedPushActDoesNotAllocate), where the chain
+// acts node by node and builds a closure per Act; because cmd/bench's layer
+// ladder names Crashed{Inner:, Alive:}; and because the chain gates relays
+// on relay-aware inners, so Wrap(Pull{}, Crash(alive)) matches CrashedPull,
+// not Crashed{Inner: Pull{}}.
 type Crashed struct {
 	Inner Process
 	Alive []bool
@@ -72,13 +73,38 @@ func (c Crashed) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b 
 	})
 }
 
+// ActRange performs Act for every node of [lo, hi) in increasing order on
+// the one stream r, appending the proposals to edges — the same proposals
+// in the same order, and r left in the same state, as per-node Act
+// (TestCrashedActRangeMatchesAct). Over Push it is Push.ActRange with the
+// mask handed to the graph, so dead nodes make no draw; over any other
+// inner it is the loop over Act, which stays the definition.
+func (c Crashed) ActRange(g *graph.Undirected, lo, hi int, r *rng.Rand, edges []graph.Edge) []graph.Edge {
+	if _, ok := c.Inner.(Push); ok {
+		return pushRange(g, lo, hi, c.Alive, r, edges)
+	}
+	return c.actEach(g, lo, hi, r, edges)
+}
+
+// actEach is Crashed.ActRange's per-node loop. It is a function of its own
+// because its propose closure, escaping through the inner's Act, moves the
+// slice it appends to onto the heap — here, not in the block path.
+func (c Crashed) actEach(g *graph.Undirected, lo, hi int, r *rng.Rand, edges []graph.Edge) []graph.Edge {
+	propose := func(a, b int) { edges = append(edges, graph.Edge{U: a, V: b}) }
+	for u := lo; u < hi; u++ {
+		c.Act(g, u, r, propose)
+	}
+	return edges
+}
+
 // CrashedPull is the two-hop walk under fail-stop crashes: a dead node
 // never initiates a pull, a pull whose relay v is dead goes unanswered, and
 // a pulled contact w that is dead is useless.
 //
 // Wrap(Pull{}, Crash(alive)) is draw-for-draw identical (the chain's relay
 // gate reproduces the unanswered dead relay); CrashedPull stays as the pull
-// process of churn sessions, with the two closures of its Act on the stack.
+// process of churn sessions: its Act keeps its two closures on the stack,
+// and its ActRange walks a block at a time.
 type CrashedPull struct {
 	Alive []bool
 }
@@ -96,6 +122,13 @@ func (c CrashedPull) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a
 			propose(a, b)
 		}
 	})
+}
+
+// ActRange is Pull.ActRange with the mask handed to the graph's walks: Act
+// for every node of [lo, hi) in increasing order on the one stream r, same
+// proposals, same order, same final r (TestCrashedPullActRangeMatchesAct).
+func (c CrashedPull) ActRange(g *graph.Undirected, lo, hi int, r *rng.Rand, edges []graph.Edge) []graph.Edge {
+	return pullRange(g, lo, hi, c.Alive, r, edges)
 }
 
 // PushPull alternates both actions at every node every round, the natural

@@ -257,17 +257,19 @@ func (g *Undirected) RandomNeighborPair(u int, r *rng.Rand) (int, int) {
 
 // RandomNeighborPairs is RandomNeighborPair for the block of consecutive
 // nodes lo, lo+1, …, lo+len(vs)-1 on the one stream r: node lo+k's pair
-// lands in vs[k], ws[k] (both -1 if it is isolated). len(ws) must be at
-// least len(vs). The values, and the state r is left in, are exactly those
-// of calling RandomNeighborPair on each node in increasing order
-// (TestRandomNeighborPairsMatchesPair); what differs is the order of the
-// memory reads. A pair draw needs only the length of a node's list, and
-// the list headers of consecutive nodes are consecutive memory — so the
-// first pass makes every node's draw, in node order, without touching a
-// list, and only the second reads the 2·len(vs) drawn entries, back to
-// back with nothing between them, so their cache misses overlap instead
-// of each waiting behind the next node's draw.
-func (g *Undirected) RandomNeighborPairs(lo int, r *rng.Rand, vs, ws []int32) {
+// lands in vs[k], ws[k] (both -1 if it is isolated). alive, when not nil,
+// is a liveness mask covering the graph: a node with alive[u] false makes
+// no draw and gets -1s, as if isolated; nil means every node draws.
+// len(ws) must be at least len(vs). The values, and the state r is left
+// in, are exactly those of calling RandomNeighborPair on each (live) node
+// in increasing order (TestRandomNeighborPairsMatchesPair); what differs is
+// the order of the memory reads. A pair draw needs only the length of a
+// node's list, and the list headers of consecutive nodes are consecutive
+// memory — so the first pass makes every node's draw, in node order,
+// without touching a list, and only the second reads the 2·len(vs) drawn
+// entries, back to back with nothing between them, so their cache misses
+// overlap instead of each waiting behind the next node's draw.
+func (g *Undirected) RandomNeighborPairs(lo int, alive []bool, r *rng.Rand, vs, ws []int32) {
 	if len(ws) < len(vs) {
 		panic(fmt.Sprintf("graph: RandomNeighborPairs buffer of %d for a block of %d nodes", len(ws), len(vs)))
 	}
@@ -276,15 +278,29 @@ func (g *Undirected) RandomNeighborPairs(lo int, r *rng.Rand, vs, ws []int32) {
 	}
 	g.checkNode(lo)
 	g.checkNode(lo + len(vs) - 1)
+	g.checkMask(alive)
 	lists := g.adj[lo : lo+len(vs)]
 	ws = ws[:len(lists)]
-	for k, list := range lists {
-		if d := len(list); d == 0 {
-			vs[k], ws[k] = -1, -1
-		} else {
-			// A list holds distinct int32 nodes, so its indices fit too.
-			i, j := r.Sample2(d)
-			vs[k], ws[k] = int32(i), int32(j)
+	if alive == nil {
+		// The unmasked loop stays its own, so bare processes pay nothing.
+		for k, list := range lists {
+			if d := len(list); d == 0 {
+				vs[k], ws[k] = -1, -1
+			} else {
+				// A list holds distinct int32 nodes, so its indices fit too.
+				i, j := r.Sample2(d)
+				vs[k], ws[k] = int32(i), int32(j)
+			}
+		}
+	} else {
+		alive = alive[lo : lo+len(lists)]
+		for k, list := range lists {
+			if d := len(list); d == 0 || !alive[k] {
+				vs[k], ws[k] = -1, -1
+			} else {
+				i, j := r.Sample2(d)
+				vs[k], ws[k] = int32(i), int32(j)
+			}
 		}
 	}
 	for k, list := range lists {
@@ -297,27 +313,55 @@ func (g *Undirected) RandomNeighborPairs(lo int, r *rng.Rand, vs, ws []int32) {
 // TwoHopWalks takes the pull process's two-hop walk from each of the
 // consecutive nodes lo, lo+1, …, lo+len(ws)-1 on the one stream r: node
 // lo+k's walk u → v → w leaves w in ws[k], or -1 if u is isolated (no draw
-// is made). The values, and the state r is left in, are exactly those of
-// RandomNeighbor(u, r) followed — when it found a v — by RandomNeighbor(v, r),
-// node after node (TestTwoHopWalksMatchesRandomNeighbor). Unlike
-// RandomNeighborPairs this is one loop, not two passes: the second draw's
-// bound is the length of the list the first draw picks, so no draw can be
-// made ahead of the read before it. What the block saves is the calls — the
-// per-node form goes through eight to make a proposal, this through the two
-// draws.
-func (g *Undirected) TwoHopWalks(lo int, r *rng.Rand, ws []int32) {
+// is made). alive, when not nil, is a liveness mask covering the graph: a
+// dead u makes no draw and a dead relay v no second draw, both leaving -1;
+// nil means every node walks and every relay answers. The values, and the
+// state r is left in, are exactly those of RandomNeighbor(u, r) followed —
+// when it found a (live) v — by RandomNeighbor(v, r), node after (live)
+// node (TestTwoHopWalksMatchesRandomNeighbor). Unlike RandomNeighborPairs
+// this is one loop, not two passes: the second draw's bound is the length
+// of the list the first draw picks, so no draw can be made ahead of the
+// read before it. What the block saves is the calls — the per-node form
+// goes through eight to make a proposal, this through the two draws.
+func (g *Undirected) TwoHopWalks(lo int, alive []bool, r *rng.Rand, ws []int32) {
 	if len(ws) == 0 {
 		return
 	}
 	g.checkNode(lo)
 	g.checkNode(lo + len(ws) - 1)
-	twoHopWalks(g.adj, lo, r, ws)
+	if alive == nil {
+		twoHopWalks(g.adj, lo, r, ws)
+		return
+	}
+	g.checkMask(alive)
+	adj := g.adj
+	for k, list := range adj[lo : lo+len(ws)] {
+		w := int32(-1)
+		if d := len(list); d != 0 && alive[lo+k] {
+			if v := list[r.Intn(d)]; alive[v] {
+				if next := adj[v]; len(next) != 0 {
+					w = next[r.Intn(len(next))]
+				}
+			}
+		}
+		ws[k] = w
+	}
 }
 
-// twoHopWalks is the walk loop shared by Undirected.TwoHopWalks (on adj) and
-// Directed.TwoHopWalks (on out); the callers have checked that lo and
-// lo+len(ws)-1 are nodes. An empty first list makes no draw; an empty
-// second list — a directed sink as middle hop — makes no second draw.
+// checkMask panics unless alive is nil or covers every node.
+func (g *Undirected) checkMask(alive []bool) {
+	if alive != nil && len(alive) < g.n {
+		panic(fmt.Sprintf("graph: liveness mask of %d for %d nodes", len(alive), g.n))
+	}
+}
+
+// twoHopWalks is the unmasked walk loop shared by Undirected.TwoHopWalks
+// (on adj) and Directed.TwoHopWalks (on out); the callers have checked that
+// lo and lo+len(ws)-1 are nodes. An empty first list makes no draw; an
+// empty second list — a directed sink as middle hop — makes no second
+// draw. The masked walks are a loop of their own in Undirected.TwoHopWalks:
+// a mask parameter here, nil for the bare walks, measurably slowed the
+// directed-512 benchmark workload (DESIGN.md "Masked blocks").
 func twoHopWalks(lists [][]int32, lo int, r *rng.Rand, ws []int32) {
 	for k, list := range lists[lo : lo+len(ws)] {
 		w := int32(-1)

@@ -152,52 +152,83 @@ func TestRandomNeighborPairWithReplacement(t *testing.T) {
 	}
 }
 
-// TestRandomNeighborPairsMatchesPair: the block draw is the per-node draw —
-// same pairs, -1s for isolated nodes included, same stream state — at every
-// block position, and it checks both ends of the block against the graph.
-// (core's TestPushActRangeMatchesAct holds the act built on it to Push.Act.)
+// blockTestMasks are the liveness masks the block primitives' tests run
+// under, on graphs of n = 140 nodes: none; all alive; and one with every
+// fourth node dead plus the all-dead run [63, 98), which holds whole
+// blocks of every tested width starting at lo = 63.
+func blockTestMasks(n int) map[string][]bool {
+	all, some := make([]bool, n), make([]bool, n)
+	for u := range n {
+		all[u] = true
+		some[u] = u%4 != 1 && (u < 63 || u >= 98)
+	}
+	return map[string][]bool{"nil": nil, "all-alive": all, "some-dead": some}
+}
+
+// TestRandomNeighborPairsMatchesPair: the block draw is the per-node draw
+// gated by the mask — same pairs, -1s for isolated and dead nodes included,
+// same stream state — at every block position, on both backends, and it
+// checks both ends of the block and the mask against the graph. (core's
+// TestPushActRangeMatchesAct and TestCrashedActRangeMatchesAct hold the
+// acts built on it to Push.Act and Crashed.Act.)
 func TestRandomNeighborPairsMatchesPair(t *testing.T) {
-	const n = 50
-	g := NewUndirected(n)
-	build := rng.New(3)
-	for k := 0; k < 3*n; k++ {
-		if u, v := build.Intn(n), build.Intn(n); u%9 != 0 && v%9 != 0 {
-			g.AddEdge(u, v) // nodes 0, 9, …, 45 stay isolated
-		}
-	}
-	for lo := 0; lo < n; lo += 7 {
-		for _, width := range []int{0, 1, min(8, n-lo), n - lo} {
-			a := rng.New(uint64(lo))
-			b := *a
-			vs, ws := make([]int32, width), make([]int32, width+2)
-			g.RandomNeighborPairs(lo, a, vs, ws)
-			for k := 0; k < width; k++ {
-				v, w := g.RandomNeighborPair(lo+k, &b)
-				if int(vs[k]) != v || int(ws[k]) != w {
-					t.Fatalf("block at %d: node %d drew (%d, %d), per-node (%d, %d)", lo, lo+k, vs[k], ws[k], v, w)
-				}
-				if (v == -1) != (g.Degree(lo+k) == 0) {
-					t.Fatalf("node %d of degree %d drew %d", lo+k, g.Degree(lo+k), v)
-				}
-			}
-			if *a != b {
-				t.Fatalf("block [%d,%d): stream state differs from the per-node loop's", lo, lo+width)
+	const n = 140
+	for _, backend := range []Backend{BackendDense, BackendSparse} {
+		g := NewUndirectedOn(n, backend)
+		build := rng.New(3)
+		for k := 0; k < 3*n; k++ {
+			if u, v := build.Intn(n), build.Intn(n); u%9 != 0 && v%9 != 0 {
+				g.AddEdge(u, v) // nodes 0, 9, …, 135 stay isolated
 			}
 		}
-	}
-	for _, bad := range []struct{ lo, width, node int }{{-1, 2, -1}, {n - 1, 2, n}, {n, 1, n}} {
-		want := panicMessage(func() { g.RandomNeighborPair(bad.node, rng.New(1)) })
-		got := panicMessage(func() {
-			g.RandomNeighborPairs(bad.lo, rng.New(1), make([]int32, bad.width), make([]int32, bad.width))
-		})
-		if got == nil || got != want {
-			t.Fatalf("block of %d at %d panicked with %v, want %v", bad.width, bad.lo, got, want)
+		for name, alive := range blockTestMasks(n) {
+			deadDrawers := 0
+			for lo := 0; lo < n; lo += 7 {
+				for _, width := range []int{0, 1, 31, 32, 33, 100, n - lo} {
+					width = min(width, n-lo)
+					a := rng.New(uint64(lo + width))
+					b := *a
+					vs, ws := make([]int32, width), make([]int32, width+2)
+					g.RandomNeighborPairs(lo, alive, a, vs, ws)
+					for k := 0; k < width; k++ {
+						u, v, w := lo+k, -1, -1
+						if alive == nil || alive[u] {
+							v, w = g.RandomNeighborPair(u, &b)
+						} else if g.Degree(u) > 0 {
+							deadDrawers++
+						}
+						if int(vs[k]) != v || int(ws[k]) != w {
+							t.Fatalf("%s/%s block at %d: node %d drew (%d, %d), per-node (%d, %d)", backend, name, lo, u, vs[k], ws[k], v, w)
+						}
+					}
+					if *a != b {
+						t.Fatalf("%s/%s block [%d,%d): stream state differs from the per-node loop's", backend, name, lo, lo+width)
+					}
+				}
+			}
+			if name == "some-dead" && deadDrawers == 0 {
+				t.Fatalf("%s: no dead node had a list, so the mask was not compared", backend)
+			}
 		}
-	}
-	// A second buffer shorter than the block is the caller's bug, named as such.
-	short := panicMessage(func() { g.RandomNeighborPairs(1, rng.New(1), make([]int32, 4), make([]int32, 3)) })
-	if msg, ok := short.(string); !ok || !strings.HasPrefix(msg, "graph: RandomNeighborPairs buffer") {
-		t.Fatalf("short ws buffer panicked with %v, want a graph: message", short)
+		for _, bad := range []struct{ lo, width, node int }{{-1, 2, -1}, {n - 1, 2, n}, {n, 1, n}} {
+			want := panicMessage(func() { g.RandomNeighborPair(bad.node, rng.New(1)) })
+			got := panicMessage(func() {
+				g.RandomNeighborPairs(bad.lo, nil, rng.New(1), make([]int32, bad.width), make([]int32, bad.width))
+			})
+			if got == nil || got != want {
+				t.Fatalf("block of %d at %d panicked with %v, want %v", bad.width, bad.lo, got, want)
+			}
+		}
+		// A second buffer shorter than the block, or a mask short of the
+		// graph, is the caller's bug, named as such.
+		short := panicMessage(func() { g.RandomNeighborPairs(1, nil, rng.New(1), make([]int32, 4), make([]int32, 3)) })
+		if msg, ok := short.(string); !ok || !strings.HasPrefix(msg, "graph: RandomNeighborPairs buffer") {
+			t.Fatalf("short ws buffer panicked with %v, want a graph: message", short)
+		}
+		short = panicMessage(func() { g.RandomNeighborPairs(1, make([]bool, n-1), rng.New(1), make([]int32, 4), make([]int32, 4)) })
+		if msg, ok := short.(string); !ok || !strings.HasPrefix(msg, "graph: liveness mask") {
+			t.Fatalf("short mask panicked with %v, want a graph: message", short)
+		}
 	}
 }
 

@@ -72,12 +72,14 @@ type substrate[P pair] interface {
 // final state of r — so taking it changes no result; it exists because a
 // process that sees the whole range can overlap its nodes' memory reads
 // (core.Push.ActRange) or make a block's draws in one call
-// (core.Pull.ActRange, core.DirectedTwoHop.ActRange). dispatch asks for it
-// once, on the process exactly as configured: a wrapper (a population,
-// core.Crashed, core.Wrap / WrapDirected with a behavior chain) does not
-// have it and acts node by node, as do eager commits, the dense phase,
-// AsyncSession and eventsim. Wrap(p) with an empty chain returns p itself,
-// so it takes the block path when p does.
+// (core.Pull.ActRange, core.DirectedTwoHop.ActRange). The churn runtime's
+// core.Crashed{Push} and core.CrashedPull do the same with their liveness
+// mask handed to the graph (core.Crashed over another inner loops over its
+// Act). dispatch asks for it once, on the process exactly as configured: any
+// other wrapper (a population, core.Wrap / WrapDirected with a behavior
+// chain) does not have it and acts node by node, as do eager commits, the
+// dense phase, AsyncSession and eventsim. Wrap(p) with an empty chain
+// returns p itself, so it takes the block path when p does.
 type rangeActor[G any, P pair] interface {
 	ActRange(g G, lo, hi int, r *rng.Rand, props []P) []P
 }
@@ -88,7 +90,7 @@ type rangeActor[G any, P pair] interface {
 // TestRangeActorsListed / TestDirectedRangeActorsListed fail on any core
 // process that has the method and is not on its list.
 var (
-	rangeActors         = []rangeActor[*graph.Undirected, graph.Edge]{core.Push{}, core.Pull{}}
+	rangeActors         = []rangeActor[*graph.Undirected, graph.Edge]{core.Push{}, core.Pull{}, core.Crashed{}, core.CrashedPull{}}
 	directedRangeActors = []rangeActor[*graph.Directed, graph.Arc]{core.DirectedTwoHop{}}
 )
 

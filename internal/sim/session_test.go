@@ -263,25 +263,37 @@ func TestSessionStepWithoutObserver(t *testing.T) {
 // allocations on every engine family — including a bare Push or Pull on
 // Workers 0 and 1, where the act is the process's ActRange and its block
 // buffers must stay on the stack (K_70: two full blocks and a ragged one,
-// every proposal a duplicate, so the lists have stopped growing). Skipped
-// under -race, which instruments allocations.
+// every proposal a duplicate, so the lists have stopped growing) — and the
+// churn runtime's Crashed{Push} and CrashedPull on a membership-tracked
+// session, whose acts are the masked block forms. Skipped under -race,
+// which instruments allocations.
 func TestSessionZeroAllocStep(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
 	}
 	never := func(*graph.Undirected) bool { return false }
+	alive := make([]bool, 70)
+	for u := range alive {
+		alive[u] = u%4 != 1
+	}
 	for _, tc := range []struct {
 		name    string
 		g       *graph.Undirected
 		p       core.Process
 		workers []int
+		members []bool // the TrackMembership mask, if any
 	}{
-		{"fixed-probe", gen.Star(64), fixedProbe{}, []int{0, 1, 4}},
-		{"push", gen.Complete(70), core.Push{}, []int{0, 1}},
-		{"pull", gen.Complete(70), core.Pull{}, []int{0, 1}},
+		{"fixed-probe", gen.Star(64), fixedProbe{}, []int{0, 1, 4}, nil},
+		{"push", gen.Complete(70), core.Push{}, []int{0, 1}, nil},
+		{"pull", gen.Complete(70), core.Pull{}, []int{0, 1}, nil},
+		{"crashed-push", gen.Complete(70), core.Crashed{Inner: core.Push{}, Alive: alive}, []int{0, 1}, alive},
+		{"crashed-pull", gen.Complete(70), core.CrashedPull{Alive: alive}, []int{0, 1}, alive},
 	} {
 		for _, workers := range tc.workers {
 			s := NewSession(tc.g.Clone(), tc.p, rng.New(1), Config{Workers: workers, MaxRounds: -1, Done: never})
+			if tc.members != nil {
+				s.TrackMembership(tc.members)
+			}
 			for i := 0; i < 50; i++ { // warm the buffers and the delta state
 				s.Step()
 			}
@@ -347,7 +359,8 @@ func rangeActorsListed[G any, P pair](t *testing.T, list []rangeActor[G, P], pro
 }
 
 // TestRangeActorsListed covers core's undirected processes against round.go's
-// rangeActors.
+// rangeActors: Push, Pull and the churn runtime's Crashed (over any inner)
+// and CrashedPull have the block form; every other wrapper does not.
 func TestRangeActorsListed(t *testing.T) {
 	alive := []bool{true, true}
 	rangeActorsListed(t, rangeActors, []core.Process{
