@@ -237,7 +237,7 @@ func ExampleNewEventSession() {
 	// Output:
 	// converged: true
 	// complete: true
-	// time: 32.4
-	// events: 980
-	// time-avg mean age: 2.98
+	// time: 40.5
+	// events: 1163
+	// time-avg mean age: 5.32
 }

@@ -12,11 +12,11 @@ import (
 )
 
 // The EventThroughput benchmarks pin the acceptance bar for the event
-// runtime: events/sec through the pending-event queue on the sparse backend
-// (BENCH_pr8.json records them; the 100k figure must clear 1M events/sec).
-// Like the ScaleSparse pair, they drive a fixed event budget on a cycle far
-// from completion — the steady-state regime where each event is one queue
-// replaceTop, one exponential draw, and one Act.
+// runtime: events/sec on the sparse backend (BENCH_pr8.json records them;
+// the 100k figure must clear 1M events/sec). Like the ScaleSparse pair,
+// they drive a fixed event budget on a cycle far from completion — the
+// steady-state regime where each event is one exponential gap, one member
+// pick, and one Act.
 
 func benchEventThroughput(b *testing.B, n, events int) {
 	var g *graph.Undirected
@@ -47,7 +47,7 @@ func BenchmarkEventThroughput100k(b *testing.B) { benchEventThroughput(b, 100_00
 // BenchmarkEventVsTickUniform is the head-to-head at uniform rates: the
 // same seed family, the same cycle, run to completion under each async
 // runtime. The pair quantifies the constant-factor price of continuous
-// time (queue + exponential draws vs one Intn per tick).
+// time (one exponential gap per activation on top of the tick's Intn).
 func BenchmarkEventVsTickUniform(b *testing.B) {
 	const n = 4096
 	b.Run("event", func(b *testing.B) {

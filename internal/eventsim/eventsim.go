@@ -1,21 +1,20 @@
-// Package eventsim is the event-driven asynchronous runtime: a
-// priority-queue discrete-event simulator for the discovery processes in
-// which every node activates on its own Poisson clock with its own rate.
+// Package eventsim is the event-driven asynchronous runtime for the
+// discovery processes in which every node activates on its own Poisson
+// clock with its own rate.
 //
 // The tick scheduler in internal/sim/async.go discretizes homogeneous
 // rate-1 Poisson clocks — one uniform node per tick, n ticks ≈ one parallel
-// round. That approximation cannot express the workloads the heterogeneous
-// gossip literature studies (fast/slow/mobile nodes, rate allocation under
-// a total budget, age-of-information staleness after Bastopcu et al., see
-// PAPERS.md): this package makes the schedule itself first-class. Pending
-// activations live in a calendar queue that pops in (time, node) order —
-// continuous event times with the node id as the deterministic tie-break —
-// and each node's exponential inter-activation gaps — and its action
-// randomness — are drawn from the node's own split generator stream, so no
-// node ever consumes another node's draws and a run is a pure function of
+// round. That cannot express the workloads the heterogeneous gossip
+// literature studies (fast/slow/mobile nodes, rate allocation under a total
+// budget, age-of-information staleness after Bastopcu et al., see
+// PAPERS.md): this package makes the schedule itself first-class. It
+// samples the superposition of the n clocks as one jump chain — activations
+// at rate Λ = Σ rates in continuous time, each landing on node u with
+// probability Rate(u)/Λ (chain.go) — from two split generator streams, one
+// for the clock and one for the actions, so a run is a pure function of
 // (seed, rates): bit-replayable for any GOMAXPROCS setting and under -race.
-// The queue's bucket width is derived from the rates and changes speed,
-// never order (queue.go).
+// At uniform rates the action stream sees exactly the tick scheduler's
+// draws, so the two runtimes make the same activations.
 //
 // # Time, rounds, and the session contract
 //
@@ -55,8 +54,8 @@ import (
 type Config struct {
 	// Rates assigns per-node activation rates (nil = Uniform(n), every node
 	// at rate 1). The session adopts the map: mutate it through
-	// Session.SetNodeRate / Session.SetClassRate so pending activations are
-	// rescheduled. Rates.N() must equal the graph's node count.
+	// Session.SetNodeRate / Session.SetClassRate so the sampler follows.
+	// Rates.N() must equal the graph's node count.
 	Rates *RateMap
 	// MaxEvents bounds the run, mirroring AsyncConfig.MaxTicks event for
 	// tick: 0 selects the default budget of n × sim.DefaultMaxRounds(n)
@@ -118,11 +117,12 @@ type Session struct {
 	now    float64
 	rounds int // completed parallel-round boundaries
 
-	// Per-node state: streams[u] drives both node u's clock gaps and its
-	// process randomness, so the activation sequence and every action are
-	// functions of (seed, rates) alone.
-	streams []*rng.Rand
-	queue   *pending
+	// The jump chain and its two streams: clock draws the gaps, the group
+	// choices and the thinning variates, act the member picks and every Act
+	// draw.
+	chain *chain
+	clock *rng.Rand
+	act   *rng.Rand
 
 	// Age-of-information state, maintained at exact event times.
 	lastUpdate  []float64
@@ -151,9 +151,9 @@ type Session struct {
 }
 
 // New constructs a resumable event-driven session over g. Nothing is
-// consumed from r until the first step; at that point r is split into one
-// stream per node (r itself is not used afterwards). It panics if
-// cfg.Rates covers a different node count than g.
+// consumed from r until the first step; at that point r is split twice, the
+// clock stream first and the act stream second (r itself is not used
+// afterwards). It panics if cfg.Rates covers a different node count than g.
 func New(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Config) *Session {
 	n := g.N()
 	rates := cfg.Rates
@@ -200,8 +200,8 @@ func (s *Session) Subscribe(sub stream.Subscriber) {
 	}
 }
 
-// start lazily initializes the run: the done-at-entry check, the per-node
-// streams, the initial clock draws, and the hoisted propose closure.
+// start lazily initializes the run: the done-at-entry check, the two
+// streams, the rate groups, and the hoisted propose closure.
 func (s *Session) start() {
 	s.started = true
 	if s.done(s.g) {
@@ -213,13 +213,9 @@ func (s *Session) start() {
 		s.finished = true
 		return
 	}
-	s.streams = s.r.SplitN(s.n)
-	s.queue = newPending(s.n, s.rates.TotalRate())
-	for u := 0; u < s.n; u++ {
-		if rate := s.rates.Rate(u); rate > 0 {
-			s.queue.push(int32(u), s.streams[u].Exp()/rate)
-		}
-	}
+	s.clock = s.r.Split()
+	s.act = s.r.Split()
+	s.chain = newChain(s.rates)
 	s.lastUpdate = make([]float64, s.n)
 	// The propose closure is hoisted so steady-state events allocate
 	// nothing. Commits are eager (asynchronous semantics), and every
@@ -287,18 +283,23 @@ func (s *Session) step() bool {
 			return false
 		}
 	}
+	if s.chain.total == 0 {
+		// No node has a positive rate: the run can never progress.
+		s.finished = true
+		s.res.Stalled = true
+		s.flushPartial()
+		return false
+	}
 	target := float64(s.rounds + 1)
-	for {
-		if s.queue.Len() == 0 {
-			// No node has a positive rate: the run can never progress.
-			s.finished = true
-			s.res.Stalled = true
-			s.flushPartial()
-			return false
-		}
-		u, t := s.queue.top()
-		if t > target {
+	for t := s.now; ; {
+		// A candidate past the boundary is dropped: the next step draws a
+		// fresh gap, which memorylessness makes exact.
+		if t += s.clock.Exp() / s.chain.total; t > target {
 			break
+		}
+		u := s.chain.candidate(s.clock, s.act, s.rates.rates)
+		if u < 0 {
+			continue // thinned: time passes, nobody acts
 		}
 		if s.res.Events >= s.maxEvents {
 			s.finished = true
@@ -310,13 +311,10 @@ func (s *Session) step() bool {
 		s.res.Events++
 		s.eventsInRound++
 		if s.hook != nil {
-			s.hook(int(u), t)
+			s.hook(u, t)
 		}
 		prevEdges := s.res.NewEdges
-		s.p.Act(s.g, int(u), s.streams[u], s.propose)
-		// The clock draw follows the action draw on the same per-node
-		// stream; the next gap depends only on u's stream and u's rate.
-		s.queue.replaceTop(t + s.streams[u].Exp()/s.rates.Rate(int(u)))
+		s.p.Act(s.g, u, s.act, s.propose)
 		if s.res.NewEdges > prevEdges && s.done(s.g) {
 			s.res.Converged = true
 			s.finished = true
@@ -400,7 +398,7 @@ func (s *Session) Converged() bool { return s.res.Converged }
 func (s *Session) Graph() *graph.Undirected { return s.g }
 
 // Rates exposes the session's rate map. Read freely; mutate only through
-// SetNodeRate / SetClassRate so pending activations are rescheduled.
+// SetNodeRate / SetClassRate so the sampler follows.
 func (s *Session) Rates() *RateMap { return s.rates }
 
 // LastUpdate returns the simulated time node u last gained an edge (0 if
@@ -440,42 +438,35 @@ func (s *Session) TimeAvgMeanAge() float64 {
 }
 
 // SetNodeRate retunes node u's activation rate between steps (a per-node
-// override, detaching u from any class) and reschedules u's pending
-// activation: the exponential distribution is memoryless, so redrawing the
-// remaining gap at the new rate from u's own stream is both statistically
-// correct and deterministic. Rate 0 parks the node. A session that stalled
-// because every rate hit zero is reopened by giving any node a positive
-// rate again.
+// override, detaching u from any class) and moves u to its new rate group
+// in O(1): the chain holds no per-node pending event, so the next candidate
+// already samples the new rates. Rate 0 parks the node. A session that
+// stalled because every rate hit zero is reopened by giving any node a
+// positive rate again.
 func (s *Session) SetNodeRate(u int, rate float64) {
 	s.rates.SetNodeRate(u, rate)
-	s.reschedule(u)
+	s.refile(u)
 	s.bus.EmitRateChange(u, "", rate, s.now)
 }
 
-// SetClassRate retunes a whole named class between steps, rescheduling
-// every member's pending activation (see SetNodeRate). O(n).
+// SetClassRate retunes a whole named class between steps, moving every
+// member to its new rate group (see SetNodeRate). O(n).
 func (s *Session) SetClassRate(name string, rate float64) {
-	for _, u := range s.rates.SetClassRate(name, rate) {
-		s.reschedule(u)
-	}
+	s.refile(s.rates.SetClassRate(name, rate)...)
 	// One event for the whole class (Node == -1), not one per member.
 	s.bus.EmitRateChange(-1, name, rate, s.now)
 }
 
-func (s *Session) reschedule(u int) {
-	if !s.started {
-		return // start() schedules from the map's then-current rates
+// refile moves the given nodes to the groups of their current rates.
+func (s *Session) refile(nodes ...int) {
+	if s.chain == nil {
+		return // start() files from the map's then-current rates
 	}
-	// The bucket width follows the total rate; inside its band this is a
-	// comparison, so a class retune re-files once and a node retune rarely.
-	s.queue.tune(s.rates.TotalRate())
-	rate := s.rates.Rate(u)
-	if rate <= 0 {
-		s.queue.remove(int32(u))
-		return
+	for _, u := range nodes {
+		s.chain.file(u, s.rates.Rate(u))
 	}
-	s.queue.update(int32(u), s.now+s.streams[u].Exp()/rate)
-	if s.finished && s.res.Stalled {
+	s.chain.retotal()
+	if s.finished && s.res.Stalled && s.chain.total > 0 {
 		s.finished = false
 		s.res.Stalled = false
 	}

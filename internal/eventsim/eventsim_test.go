@@ -1,8 +1,10 @@
 package eventsim
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"gossipdisc/internal/core"
@@ -150,8 +152,8 @@ func skewed() *RateMap {
 // criteria name: the same (seed, rates) must reproduce the identical
 // activation sequence — node by node, time by time, bit for bit — and the
 // identical Result, for any GOMAXPROCS setting (the runtime is
-// single-goroutine; per-node streams make the sequence independent of
-// anything but the inputs). CI runs it under -race.
+// single-goroutine, and its two streams are split from the seed alone). CI
+// runs it under -race.
 func TestEventDeterminismReplay(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -330,40 +332,59 @@ func TestEventAoIAccounting(t *testing.T) {
 	}
 }
 
-// TestEventVsTickUniform is the statistical half of the E15 port: at
-// uniform rate 1 the event runtime and the tick scheduler discretize the
-// same homogeneous Poisson model, so their mean parallel-round convergence
-// times must agree up to a small constant (the documented shift comes from
-// tick's exactly-n-activations-per-round vs event's Poisson(n)). CI runs
-// this under -race next to the queue fuzz smoke.
-func TestEventVsTickUniform(t *testing.T) {
-	const trials = 12
-	for _, n := range []int{32, 64} {
-		root := rng.New(uint64(100 + n))
-		eventMean, tickMean := 0.0, 0.0
-		for i := 0; i < trials; i++ {
-			r := root.Split()
-			g := gen.Cycle(n)
-			er := Run(g, core.Push{}, r, Config{})
-			if !er.Converged {
-				t.Fatalf("event trial %d (n=%d) failed: %+v", i, n, er)
-			}
-			eventMean += er.ParallelRounds
+// TestEventMatchesTickExactly is the exact fence between the two
+// asynchronous runtimes. At uniform rates the jump chain has one group
+// whose members are in node order, so its act stream sees exactly the tick
+// scheduler's loop (u := r.Intn(n); p.Act(g, u, r, …)): a run of K events
+// must equal sim.RunAsync for K ticks on the derived act stream — the same
+// adjacency lists in insertion order, proposals and new edges — whether it
+// is driven by Run or by Step. The small cycles run to convergence, the
+// large one stops on the budget.
+func TestEventMatchesTickExactly(t *testing.T) {
+	procs := []struct {
+		name string
+		p    core.Process
+	}{{"push", core.Push{}}, {"pull", core.Pull{}}}
+	for _, pc := range procs {
+		for _, n := range []int{16, 64, 1000} {
+			for _, stepped := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/n=%d/stepped=%v", pc.name, n, stepped), func(t *testing.T) {
+					seed := uint64(n) + 7
+					maxEvents := 0
+					if n == 1000 {
+						maxEvents = 30_000
+					}
+					g := gen.Cycle(n)
+					s := New(g, pc.p, rng.New(seed), Config{MaxEvents: maxEvents})
+					if stepped {
+						for _, ok := s.Step(); ok; _, ok = s.Step() {
+						}
+					} else {
+						s.Run()
+					}
+					er := s.Stats()
 
-			r2 := root.Split()
-			h := gen.Cycle(n)
-			tr := sim.RunAsync(h, core.Push{}, r2, sim.AsyncConfig{})
-			if !tr.Converged {
-				t.Fatalf("tick trial %d (n=%d) failed", i, n)
+					r := rng.New(seed)
+					r.Split() // the clock stream
+					h := gen.Cycle(n)
+					tr := sim.RunAsync(h, pc.p, r.Split(), sim.AsyncConfig{MaxTicks: maxEvents})
+
+					if er.Events != tr.Ticks || er.Proposals != tr.Proposals || er.NewEdges != tr.NewEdges ||
+						er.Converged != tr.Converged || er.BudgetExhausted != tr.BudgetExhausted {
+						t.Fatalf("event %+v, tick %+v", er, tr)
+					}
+					if (n < 1000) != er.Converged {
+						t.Fatalf("converged = %v at n = %d: %+v", er.Converged, n, er)
+					}
+					var a, b []int
+					for u := 0; u < n; u++ {
+						a, b = g.Neighbors(u, a[:0]), h.Neighbors(u, b[:0])
+						if !slices.Equal(a, b) {
+							t.Fatalf("node %d: event adjacency %v, tick adjacency %v", u, a, b)
+						}
+					}
+				})
 			}
-			tickMean += tr.ParallelRounds
-		}
-		eventMean /= trials
-		tickMean /= trials
-		ratio := eventMean / tickMean
-		if ratio < 0.5 || ratio > 2 {
-			t.Fatalf("n=%d: event/tick parallel-round ratio %.3f outside [0.5, 2] (event %.1f tick %.1f)",
-				n, ratio, eventMean, tickMean)
 		}
 	}
 }

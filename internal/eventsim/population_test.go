@@ -8,10 +8,10 @@ import (
 	"gossipdisc/internal/rng"
 )
 
-// The event-runtime half of the population contract: per-node Poisson
-// clocks draw from per-node split streams, so a uniform Population must
-// reproduce the bare process byte for byte, and a mixed population must
-// replay bit-for-bit from (seed, roles).
+// The event-runtime half of the population contract: the schedule draws
+// from its own clock stream, so a uniform Population must reproduce the
+// bare process byte for byte, and a mixed population must replay
+// bit-for-bit from (seed, roles).
 
 func eventFingerprint(t *testing.T, p core.Process, n int) (Result, uint64) {
 	t.Helper()

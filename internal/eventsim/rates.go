@@ -2,7 +2,6 @@ package eventsim
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -16,11 +15,11 @@ import (
 // connections other nodes propose).
 //
 // A RateMap is mutable between session steps: Session.SetNodeRate and
-// Session.SetClassRate mutate the session's map and reschedule the affected
-// pending activations. Mutating a map shared with a running session
-// directly (not through the session methods) leaves already-scheduled
-// activations at their old rate until each node next fires — go through the
-// session.
+// Session.SetClassRate mutate the session's map and move the affected nodes
+// between the sampler's rate groups. Mutating a map shared with a running
+// session directly (not through the session methods) leaves each node in
+// its old group — a parked node stays parked, and a raised rate is capped
+// at the old group's bound — so go through the session.
 type RateMap struct {
 	rates     []float64 // effective per-node rate
 	classOf   []int32   // node -> class index, -1 = default rate or override
@@ -28,12 +27,17 @@ type RateMap struct {
 	classRate []float64
 	byName    map[string]int
 	def       float64
-	total     float64 // running Σ rates, kept by every mutator
+	total     float64 // Σ rates, kept by every mutator
 }
+
+// maxRate bounds every rate, so that the sum over any number of int32 node
+// ids, and the sampler's bound below twice that sum, stay finite. The
+// largest rate in the tree is 800.
+const maxRate = 1 << 32
 
 // NewRateMap returns a map assigning every one of the n nodes the default
 // rate def. It panics on a negative n or an invalid rate (negative, NaN or
-// infinite — zero is allowed and means "never activates").
+// above 2^32 — zero is allowed and means "never activates").
 func NewRateMap(n int, def float64) *RateMap {
 	if n < 0 {
 		panic(fmt.Sprintf("eventsim: NewRateMap with negative n %d", n))
@@ -48,21 +52,24 @@ func NewRateMap(n int, def float64) *RateMap {
 	for i := range m.rates {
 		m.rates[i] = def
 		m.classOf[i] = -1
-		m.total += def
 	}
+	m.resum()
 	return m
 }
 
 // Uniform returns the homogeneous rate-1 map on n nodes — the population
-// under which the event runtime is statistically interchangeable with the
-// tick scheduler.
+// under which the event runtime reproduces the tick scheduler's activations
+// exactly.
 func Uniform(n int) *RateMap { return NewRateMap(n, 1) }
 
 func validRate(rate float64, what string) {
-	if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-		panic(fmt.Sprintf("eventsim: invalid %s rate %v (want a finite rate >= 0)", what, rate))
+	if !inRange(rate) {
+		panic(fmt.Sprintf("eventsim: invalid %s rate %v (want a rate in [0, 2^32])", what, rate))
 	}
 }
+
+// inRange reports whether rate is in [0, maxRate]; NaN is not.
+func inRange(rate float64) bool { return rate >= 0 && rate <= maxRate }
 
 // N returns the number of nodes the map covers.
 func (m *RateMap) N() int { return len(m.rates) }
@@ -71,11 +78,19 @@ func (m *RateMap) N() int { return len(m.rates) }
 func (m *RateMap) Rate(u int) float64 { return m.rates[u] }
 
 // TotalRate returns the sum of all node rates — the expected number of
-// activations per unit of simulated time. O(1): a running sum, which
-// SetNodeRate and AssignClass adjust by the difference and SetClassRate
-// re-adds from scratch, so it can differ from a fresh summation in the last
-// bits. The session derives its queue's bucket width from it.
+// activations per unit of simulated time. O(1): AssignClass and
+// SetClassRate re-add it from scratch and SetNodeRate adjusts it by the
+// difference, so after node retunes it can differ from a fresh summation in
+// the last bits.
 func (m *RateMap) TotalRate() float64 { return m.total }
+
+// resum re-adds the total from scratch, in node order.
+func (m *RateMap) resum() {
+	m.total = 0
+	for _, r := range m.rates {
+		m.total += r
+	}
+}
 
 // DefineClass registers a named rate class. It panics if the name is empty,
 // already defined, or the rate invalid.
@@ -104,9 +119,9 @@ func (m *RateMap) AssignClass(name string, lo, hi int) {
 	}
 	for u := lo; u < hi; u++ {
 		m.classOf[u] = int32(c)
-		m.total += m.classRate[c] - m.rates[u]
 		m.rates[u] = m.classRate[c]
 	}
+	m.resum()
 }
 
 // SetNodeRate gives node u a per-node override, detaching it from its class.
@@ -137,14 +152,13 @@ func (m *RateMap) SetClassRate(name string, rate float64) []int {
 	validRate(rate, "class "+name)
 	m.classRate[c] = rate
 	var members []int
-	m.total = 0
 	for u := range m.classOf {
 		if m.classOf[u] == int32(c) {
 			m.rates[u] = rate
 			members = append(members, u)
 		}
-		m.total += m.rates[u]
 	}
+	m.resum()
 	return members
 }
 
@@ -166,7 +180,7 @@ type rateEntry struct {
 //	name=R:lo-hi  define class name with rate R, assign nodes lo..hi (incl.)
 //	name=R:u      single-node form of the above
 //
-// Rates are nonnegative finite decimals (0 = never activates). Later
+// Rates are decimals in [0, 2^32] (0 = never activates). Later
 // assignments win on overlap. Examples: "1", "fast=8:0-63",
 // "0.5,fast=8:0-15,mobile=0:16-31".
 func parseRateEntries(spec string) ([]rateEntry, error) {
@@ -229,8 +243,8 @@ func parseRateEntries(spec string) ([]rateEntry, error) {
 }
 
 func checkRate(rate float64, seg string) error {
-	if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-		return fmt.Errorf("rates: segment %q has rate %v (want a finite rate >= 0)", seg, rate)
+	if !inRange(rate) {
+		return fmt.Errorf("rates: segment %q has rate %v (want a rate in [0, 2^32])", seg, rate)
 	}
 	return nil
 }

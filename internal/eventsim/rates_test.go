@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -69,6 +70,12 @@ func TestRateMapPanics(t *testing.T) {
 	mustPanic("unknown class rate", func() { m.ClassRate("nope") })
 	mustPanic("unknown class retune", func() { m.SetClassRate("nope", 1) })
 	mustPanic("negative node rate", func() { m.SetNodeRate(0, -2) })
+	// Rates above 2^32 could sum to +Inf over the population.
+	mustPanic("huge default rate", func() { NewRateMap(4, 1e308) })
+	mustPanic("huge class rate", func() { m.DefineClass("b", math.Inf(1)) })
+	mustPanic("node rate above 2^32", func() { m.SetNodeRate(0, maxRate*2) })
+	mustPanic("NaN class retune", func() { m.SetClassRate("a", math.NaN()) })
+	m.SetNodeRate(0, maxRate) // the bound itself is a valid rate
 }
 
 func TestParseRateSpec(t *testing.T) {
@@ -128,6 +135,9 @@ func TestParseRateSpecErrors(t *testing.T) {
 		{"bad range", "fast=2:b-c", "malformed node range"},
 		{"inverted range", "fast=2:5-3", "invalid node range"},
 		{"negative lo", "fast=2:-1-3", "malformed node range"},
+		{"rates summing to infinity", "x=1e308:0-3,y=1e308:4-7", "want a rate in [0, 2^32]"},
+		{"default above 2^32", "4294967297", "want a rate in [0, 2^32]"},
+		{"infinite rate", "fast=Inf:0-1", "want a rate in [0, 2^32]"},
 	}
 	for _, tc := range syntax {
 		t.Run(tc.name, func(t *testing.T) {

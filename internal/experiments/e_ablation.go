@@ -36,9 +36,10 @@ func init() {
 // shifts, confirming that the reproduction's conclusions do not hinge on
 // scheduler minutiae; the tick and event columns in particular discretize
 // the same homogeneous Poisson model, so they must agree up to a small
-// constant (eventsim's TestEventVsTickUniform pins that statistically —
-// this table makes the agreement visible). cfg.Sched selects which of the
-// two asynchronous columns ride along.
+// constant (eventsim's TestEventMatchesTickExactly pins that the two make
+// the same activations on the same act stream; the columns here draw from
+// different seeds — this table makes the agreement visible). cfg.Sched
+// selects which of the two asynchronous columns ride along.
 func runAblation(cfg Config, w io.Writer) error {
 	cfg = cfg.normalized()
 	ns := cfg.sizes(32, 64, 128, 256)

@@ -93,7 +93,7 @@ func (r *Rand) split() Rand {
 // property the sharded round engine's determinism contract is built on:
 // shard i always receives the same stream no matter how many workers
 // consume the shards. The children share one backing array (two
-// allocations, not n + 1: the event runtime splits one stream per node).
+// allocations, not n + 1).
 func (r *Rand) SplitN(n int) []*Rand {
 	kids := make([]Rand, n)
 	out := make([]*Rand, n)
@@ -213,9 +213,8 @@ func (r *Rand) Sample2(n int) (int, int) {
 
 // Exp returns a standard exponential variate (rate 1, mean 1) by inverse
 // CDF: -ln(1-U) with U uniform in [0, 1). Divide by a rate λ to draw an
-// Exp(λ) inter-arrival gap. The event-driven simulator draws every per-node
-// clock gap through this method on the node's own split stream, which is
-// what makes heterogeneous-rate schedules bit-replayable from (seed, rates).
+// Exp(λ) inter-arrival gap. The event-driven simulator draws every gap of
+// its superposed clock through this method on its clock stream.
 func (r *Rand) Exp() float64 {
 	return -math.Log(1 - r.Float64())
 }

@@ -135,6 +135,52 @@ func (s Summary) String() string {
 	return fmt.Sprintf("%.1f ± %.1f [%.0f, %.0f]", s.Mean, s.CI95, s.Min, s.Max)
 }
 
+// KSTwoSample returns the two-sample Kolmogorov–Smirnov statistic D — the
+// largest gap between the two empirical distribution functions — and its
+// asymptotic p-value Q(√(nm/(n+m))·D), where Q is the Kolmogorov
+// distribution's tail. Ties within and across the samples are handled
+// exactly; on discrete data the p-value is conservative. It panics if
+// either sample is empty.
+func KSTwoSample(a, b []float64) (d, p float64) {
+	if len(a) == 0 || len(b) == 0 {
+		panic("stats: KSTwoSample needs two non-empty samples")
+	}
+	x := append([]float64(nil), a...)
+	y := append([]float64(nil), b...)
+	sort.Float64s(x)
+	sort.Float64s(y)
+	n, m := float64(len(x)), float64(len(y))
+	for i, j := 0, 0; i < len(x) && j < len(y); {
+		v := min(x[i], y[j])
+		for i < len(x) && x[i] == v {
+			i++
+		}
+		for j < len(y) && y[j] == v {
+			j++
+		}
+		d = max(d, math.Abs(float64(i)/n-float64(j)/m))
+	}
+	return d, kolmogorovQ(math.Sqrt(n*m/(n+m)) * d)
+}
+
+// kolmogorovQ returns P(K > lambda) for the Kolmogorov distribution:
+// 2 Σ_{j≥1} (−1)^(j−1) exp(−2j²λ²), which is 1 at λ = 0.
+func kolmogorovQ(lambda float64) float64 {
+	if lambda < 0.2 {
+		return 1 // the series converges slowly here; Q > 1 − 1e-12
+	}
+	q, sign := 0.0, 1.0
+	for j := 1.0; j <= 100; j++ {
+		term := sign * 2 * math.Exp(-2*j*j*lambda*lambda)
+		q += term
+		if math.Abs(term) < 1e-16 {
+			break
+		}
+		sign = -sign
+	}
+	return min(max(q, 0), 1)
+}
+
 // LinearFit returns the least-squares slope and intercept of y against x,
 // plus the coefficient of determination R². It panics if the lengths differ
 // or fewer than 2 points are given.

@@ -224,3 +224,54 @@ func TestQuickLinearFitRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKSTwoSample checks the statistic on hand-computed samples (disjoint,
+// interleaved, identical, ties within and across samples) and the p-value
+// against the Kolmogorov distribution's tabulated quantiles and values.
+func TestKSTwoSample(t *testing.T) {
+	cases := []struct {
+		name string
+		a, b []float64
+		d    float64
+	}{
+		{"disjoint", []float64{1, 2, 3, 4}, []float64{5, 6, 7, 8}, 1},
+		{"interleaved", []float64{1, 3, 5, 7}, []float64{2, 4, 6, 8}, 0.25},
+		{"identical", []float64{3, 1, 2}, []float64{1, 2, 3}, 0},
+		{"ties across", []float64{1, 1, 2}, []float64{1, 2, 2}, 1.0 / 3},
+		{"unequal sizes", []float64{0.5}, []float64{0, 1, 2, 3}, 0.75},
+	}
+	for _, c := range cases {
+		d, p := KSTwoSample(c.a, c.b)
+		n, m := float64(len(c.a)), float64(len(c.b))
+		if !close(d, c.d, 1e-15) || !close(p, kolmogorovQ(math.Sqrt(n*m/(n+m))*c.d), 1e-15) {
+			t.Errorf("%s: D = %v, p = %v; want D = %v", c.name, d, p, c.d)
+		}
+	}
+	if _, p := KSTwoSample([]float64{1, 2}, []float64{1, 2}); p != 1 {
+		t.Errorf("identical samples: p = %v, want 1", p)
+	}
+
+	// Upper-tail quantiles of the Kolmogorov distribution (the classic
+	// 1.2238 / 1.3581 / 1.6276 critical values) and two CDF values,
+	// P(K ≤ 0.5) = 0.036055 and P(K ≤ 1) = 0.730000.
+	for _, c := range []struct{ lambda, q, eps float64 }{
+		{0.1, 1, 0},
+		{0.5, 1 - 0.0360547563, 1e-9},
+		{1, 1 - 0.7300003283, 1e-9},
+		{1.2238, 0.10, 5e-5},
+		{1.3581, 0.05, 5e-5},
+		{1.6276, 0.01, 5e-5},
+		{10, 0, 1e-15},
+	} {
+		if q := kolmogorovQ(c.lambda); !close(q, c.q, c.eps) {
+			t.Errorf("Q(%v) = %.10f, want %.10f ± %g", c.lambda, q, c.q, c.eps)
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("KSTwoSample accepted an empty sample")
+		}
+	}()
+	KSTwoSample(nil, []float64{1})
+}

@@ -46,7 +46,8 @@ type (
 	// EventSession steps the event-driven runtime (continuous per-node
 	// Poisson clocks, internal/eventsim) one unit of simulated time at a
 	// time, with exact age-of-information accessors and mid-run rate
-	// mutation (SetNodeRate / SetClassRate).
+	// mutation (SetNodeRate / SetClassRate). At uniform rates it reproduces
+	// the tick scheduler's activations exactly.
 	EventSession = eventsim.Session
 	// EventResult reports an event-driven run (time, events, AoI-bearing
 	// convergence and budget flags).
@@ -62,8 +63,7 @@ type (
 func NewRateMap(n int, def float64) *RateMap { return eventsim.NewRateMap(n, def) }
 
 // UniformRates returns the homogeneous rate-1 map on n nodes, under which
-// the event runtime is statistically interchangeable with the tick
-// scheduler.
+// the event runtime reproduces the tick scheduler's activations exactly.
 func UniformRates(n int) *RateMap { return eventsim.Uniform(n) }
 
 // ParseRateSpec resolves a textual rate spec ("R" default rate,
@@ -156,8 +156,7 @@ func WithDensePhase(frac float64) SessionOption {
 // WithRates hands an event session its per-node activation rates (default:
 // uniform rate 1). Applies to NewEventSession only; the tick-based
 // sessions ignore it. The session takes ownership of the map: mutate it
-// through EventSession.SetNodeRate / SetClassRate so pending activations
-// are rescheduled.
+// through EventSession.SetNodeRate / SetClassRate so the session follows.
 func WithRates(m *RateMap) SessionOption {
 	return func(o *sessionOptions) { o.rates = m }
 }
@@ -265,7 +264,9 @@ func NewAsyncSession(g *Graph, opts ...SessionOption) *AsyncSession {
 // Only the process, seed/rand, rates, Done, and analyzer options apply; the
 // event budget follows MaxRounds × n when WithMaxRounds is set (negative
 // keeps meaning unbounded). Runs are bit-replayable from (seed, rates) at
-// any GOMAXPROCS setting.
+// any GOMAXPROCS setting, and at uniform rates the session reproduces the
+// tick scheduler's activations exactly: the same nodes act with the same
+// draws, on the generator's second Split.
 func NewEventSession(g *Graph, opts ...SessionOption) *EventSession {
 	o := applyOptions(opts)
 	s := eventsim.New(g, o.proc, o.r, eventsim.Config{Rates: o.rates, MaxEvents: o.activations(g.N()), Done: o.cfg.Done})
