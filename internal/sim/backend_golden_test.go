@@ -201,6 +201,59 @@ func TestBackendDirectedRunGoldens(t *testing.T) {
 	}
 }
 
+// TestDirectedComponentsGolden pins directed runs on inputs with many
+// strongly connected components — sinks, sources and DAG layers — where
+// every node's closure row differs from its neighbors'. The strongly
+// connected goldens above all have one component, so only this test fences
+// the closure target's per-component bookkeeping (the counters, the dense
+// phase's sampling order, TargetArcs). Both backends must reproduce the
+// same pinned DirectedResult and delta-stream hash.
+func TestDirectedComponentsGolden(t *testing.T) {
+	inputs := map[string]func(graph.Backend) *graph.Directed{
+		"thm14":   func(b graph.Backend) *graph.Directed { return gen.Thm14WeakLowerBound(64, b) },
+		"weak":    func(b graph.Backend) *graph.Directed { return gen.RandomWeaklyConnected(64, 32, rng.New(29), b) },
+		"layered": func(b graph.Backend) *graph.Directed { return gen.LayeredDAG(4, 16, b) },
+	}
+	goldens := []struct {
+		input   string
+		workers int
+		dense   float64
+		want    DirectedResult
+		hash    uint64
+	}{
+		{"thm14", 0, 0, DirectedResult{Rounds: 829, Converged: true, Proposals: 787, NewArcs: 16, DuplicateProposals: 771, TargetArcs: 560}, 0xa31ebef36db49f95},
+		{"thm14", 0, 0.5, DirectedResult{Rounds: 4, Converged: true, Proposals: 27, NewArcs: 16, DuplicateProposals: 11, TargetArcs: 560}, 0xf4492b37e006f526},
+		{"thm14", 1, 0, DirectedResult{Rounds: 1658, Converged: true, Proposals: 1517, NewArcs: 16, DuplicateProposals: 1501, TargetArcs: 560}, 0x8a3eb5d5979ce113},
+		{"thm14", 1, 0.5, DirectedResult{Rounds: 3, Converged: true, Proposals: 23, NewArcs: 16, DuplicateProposals: 7, TargetArcs: 560}, 0x908d0f426c5c116a},
+		{"weak", 0, 0, DirectedResult{Rounds: 3334, Converged: true, Proposals: 99176, NewArcs: 1169, DuplicateProposals: 98007, TargetArcs: 1264}, 0x1661fab00c45dd2a},
+		{"weak", 0, 0.5, DirectedResult{Rounds: 69, Converged: true, Proposals: 2298, NewArcs: 1169, DuplicateProposals: 1129, TargetArcs: 1264}, 0x58b3ca272fd2c2bd},
+		{"weak", 1, 0, DirectedResult{Rounds: 2886, Converged: true, Proposals: 86258, NewArcs: 1169, DuplicateProposals: 85089, TargetArcs: 1264}, 0xe74769fd0aab5b3d},
+		{"weak", 1, 0.5, DirectedResult{Rounds: 76, Converged: true, Proposals: 2614, NewArcs: 1169, DuplicateProposals: 1445, TargetArcs: 1264}, 0x4b0d73432a8a187},
+		{"layered", 0, 0, DirectedResult{Rounds: 393, Converged: true, Proposals: 7477, NewArcs: 768, DuplicateProposals: 6709, TargetArcs: 1536}, 0x4440e63b5f4ec2af},
+		{"layered", 0, 0.5, DirectedResult{Rounds: 18, Converged: true, Proposals: 902, NewArcs: 768, DuplicateProposals: 134, TargetArcs: 1536}, 0x445da61d3d7084d6},
+		{"layered", 1, 0, DirectedResult{Rounds: 417, Converged: true, Proposals: 7948, NewArcs: 768, DuplicateProposals: 7180, TargetArcs: 1536}, 0xd4bc05f4f94b89c1},
+		{"layered", 1, 0.5, DirectedResult{Rounds: 29, Converged: true, Proposals: 837, NewArcs: 768, DuplicateProposals: 69, TargetArcs: 1536}, 0xfaaa8b2dc79d9f49},
+	}
+	for _, gd := range goldens {
+		for _, b := range []graph.Backend{graph.BackendDense, graph.BackendSparse} {
+			t.Run(fmt.Sprintf("%s/w=%d/dense=%v/%v", gd.input, gd.workers, gd.dense, b), func(t *testing.T) {
+				g := inputs[gd.input](b)
+				dh := newDeltaHash()
+				res := runDirectedWith(g, core.DirectedTwoHop{}, rng.New(3), DirectedConfig{
+					Workers:    gd.workers,
+					DensePhase: gd.dense,
+				}, dh)
+				if res != gd.want || dh.h != gd.hash {
+					t.Fatalf("golden moved:\n got  %+v %#x\n want %+v %#x", res, dh.h, gd.want, gd.hash)
+				}
+				if !g.IsClosed() {
+					t.Fatal("converged run is not at closure")
+				}
+			})
+		}
+	}
+}
+
 // TestBackendSessionMembershipLockstep drives two membership-tracked
 // sessions — dense and sparse — through the same leave/rejoin/inject/step
 // schedule and asserts the coverage counters and graphs agree after every
