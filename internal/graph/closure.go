@@ -5,7 +5,9 @@ import "gossipdisc/internal/bitset"
 // This file implements reachability and transitive closure on directed
 // graphs. The directed two-hop process terminates when G_t contains the arc
 // (u, v) for every ordered pair with a u→v path in G₀ (Section 5 of the
-// paper); the closure of G₀ is therefore the termination target.
+// paper); the closure of G₀ is therefore the termination target. All but
+// ReachableFrom, the tests' per-node reference, read one Tarjan pass: a row
+// per strongly connected component, built in its finishing order.
 
 // ReachableFrom returns the set of nodes reachable from src by directed
 // paths, including src itself.
@@ -28,15 +30,95 @@ func (g *Directed) ReachableFrom(src int) *bitset.Set {
 	return seen
 }
 
+// condense runs Tarjan's algorithm over the out-lists with an explicit call
+// stack. It writes each node's component into comp (len N()), numbered in
+// the order they finish, calls done (if non-nil) with each component's
+// members as it finishes, and returns the number of components.
+func (g *Directed) condense(comp []int32, done func(c int32, members []int32)) int {
+	index := make([]int32, g.n) // preorder number + 1; 0 while unvisited
+	low := make([]int32, g.n)
+	var stack []int32 // visited nodes whose component is still open
+	type frame struct{ u, ci int32 }
+	var calls []frame // the DFS path: node and out-list cursor
+	var next, count int32
+	for s := range g.n {
+		if index[s] != 0 {
+			continue
+		}
+		calls = append(calls, frame{int32(s), 0})
+		for len(calls) > 0 {
+			f := &calls[len(calls)-1]
+			u := f.u
+			if f.ci == 0 { // first visit; comp < 0 marks "on the stack"
+				next++
+				index[u], low[u], comp[u] = next, next, -1
+				stack = append(stack, u)
+			}
+			if out := g.out[u]; int(f.ci) < len(out) {
+				v := out[f.ci]
+				f.ci++
+				if index[v] == 0 {
+					calls = append(calls, frame{v, 0})
+				} else if comp[v] < 0 {
+					low[u] = min(low[u], index[v])
+				}
+				continue
+			}
+			calls = calls[:len(calls)-1]
+			if len(calls) > 0 {
+				p := calls[len(calls)-1].u
+				low[p] = min(low[p], low[u])
+			}
+			if low[u] == index[u] {
+				i := len(stack) - 1
+				for stack[i] != u {
+					i--
+				}
+				for _, w := range stack[i:] {
+					comp[w] = count
+				}
+				if done != nil {
+					done(count, stack[i:])
+				}
+				stack = stack[:i]
+				count++
+			}
+		}
+	}
+	return int(count)
+}
+
+// Condensation returns g's strongly connected components and their reach:
+// comp[u] is u's component, numbered in reverse topological order (no arc
+// enters a larger number), and reach[c], shared by c's members, is the set
+// of nodes they reach — themselves included, so u's closure row plus u.
+func (g *Directed) Condensation() (comp []int32, reach []*bitset.Set) {
+	comp = make([]int32, g.n)
+	g.condense(comp, func(c int32, members []int32) {
+		row := bitset.New(g.n)
+		for _, u := range members {
+			row.Set(int(u))
+			for _, v := range g.out[u] {
+				// Merged rows are reach-closed: a head in row adds nothing.
+				if comp[v] != c && !row.Test(int(v)) {
+					row.UnionWith(reach[comp[v]])
+				}
+			}
+		}
+		reach = append(reach, row)
+	})
+	return comp, reach
+}
+
 // TransitiveClosure returns rows where rows[u] is the set of nodes v != u
-// reachable from u. These rows are exactly the out-neighbor sets the
-// directed two-hop process must converge to.
+// reachable from u: the out-neighbor sets the directed two-hop process must
+// converge to, one copy per node.
 func (g *Directed) TransitiveClosure() []*bitset.Set {
+	comp, reach := g.Condensation()
 	rows := make([]*bitset.Set, g.n)
-	for u := 0; u < g.n; u++ {
-		r := g.ReachableFrom(u)
-		r.Clear(u)
-		rows[u] = r
+	for u, c := range comp {
+		rows[u] = reach[c].Clone()
+		rows[u].Clear(u)
 	}
 	return rows
 }
@@ -44,46 +126,25 @@ func (g *Directed) TransitiveClosure() []*bitset.Set {
 // ClosureArcCount returns the total number of arcs in the transitive
 // closure of g (the termination target size for the two-hop process).
 func (g *Directed) ClosureArcCount() int {
+	comp, reach := g.Condensation()
 	total := 0
-	for _, row := range g.TransitiveClosure() {
-		total += row.Count()
+	for _, c := range comp {
+		total += reach[c].Count() - 1
 	}
 	return total
 }
 
 // IsClosed reports whether g already equals its own transitive closure,
-// i.e. whether the directed two-hop process has terminated.
+// i.e. whether the directed two-hop process has terminated. Every out-row
+// is a subset of its closure row, so equal totals mean equal rows.
 func (g *Directed) IsClosed() bool {
-	for u := 0; u < g.n; u++ {
-		r := g.ReachableFrom(u)
-		r.Clear(u)
-		// Row u always ⊆ reachable(u); equal counts ⇒ equal sets, on any
-		// backend.
-		if r.Count() != len(g.out[u]) {
-			return false
-		}
-	}
-	return true
+	return g.ClosureArcCount() == g.m
 }
 
 // IsStronglyConnected reports whether every node reaches every other node.
 // For n <= 1 it returns true.
 func (g *Directed) IsStronglyConnected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	if g.ReachableFrom(0).Count() != g.n {
-		return false
-	}
-	// Check the reverse direction: every node must reach node 0. Build the
-	// reverse graph once and BFS from 0.
-	rev := NewDirected(g.n)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.out[u] {
-			rev.AddArc(int(v), u)
-		}
-	}
-	return rev.ReachableFrom(0).Count() == g.n
+	return g.n <= 1 || g.CondensationSize() == 1
 }
 
 // IsWeaklyConnected reports whether the underlying undirected graph is
@@ -92,70 +153,7 @@ func (g *Directed) IsWeaklyConnected() bool {
 	return g.Underlying().IsConnected()
 }
 
-// CondensationSize returns the number of strongly connected components
-// (Tarjan's algorithm, iterative).
+// CondensationSize returns the number of strongly connected components.
 func (g *Directed) CondensationSize() int {
-	const unvisited = -1
-	index := make([]int, g.n)
-	low := make([]int, g.n)
-	onStack := make([]bool, g.n)
-	for i := range index {
-		index[i] = unvisited
-	}
-	var stack []int
-	next := 0
-	sccs := 0
-
-	// Iterative Tarjan with an explicit call stack of (node, child cursor).
-	type frame struct{ u, ci int }
-	for s := 0; s < g.n; s++ {
-		if index[s] != unvisited {
-			continue
-		}
-		callStack := []frame{{s, 0}}
-		index[s] = next
-		low[s] = next
-		next++
-		stack = append(stack, s)
-		onStack[s] = true
-		for len(callStack) > 0 {
-			f := &callStack[len(callStack)-1]
-			if f.ci < len(g.out[f.u]) {
-				v := int(g.out[f.u][f.ci])
-				f.ci++
-				if index[v] == unvisited {
-					index[v] = next
-					low[v] = next
-					next++
-					stack = append(stack, v)
-					onStack[v] = true
-					callStack = append(callStack, frame{v, 0})
-				} else if onStack[v] && index[v] < low[f.u] {
-					low[f.u] = index[v]
-				}
-				continue
-			}
-			// Post-order: pop frame, propagate lowlink, emit SCC roots.
-			u := f.u
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				p := &callStack[len(callStack)-1]
-				if low[u] < low[p.u] {
-					low[p.u] = low[u]
-				}
-			}
-			if low[u] == index[u] {
-				sccs++
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					if w == u {
-						break
-					}
-				}
-			}
-		}
-	}
-	return sccs
+	return g.condense(make([]int32, g.n), nil)
 }

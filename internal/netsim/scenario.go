@@ -39,6 +39,13 @@ func (im Impairment) IsZero() bool {
 	return im.Loss == 0 && im.Delay == 0 && im.Jitter == 0 && im.Reorder == 0 && im.Duplicate == 0
 }
 
+// maxDelay caps Delay + Jitter, in rounds. A copy is keyed by its delivery
+// round, round+1+Delay+jitter, and the jitter draw is Intn(Jitter+1): near
+// MaxInt either sum wraps, to a negative round that never arrives or to a
+// non-positive Intn bound that panics. 2^30 rounds is far past any run
+// while keeping every such sum far from overflow.
+const maxDelay = 1 << 30
+
 func (im Impairment) validate(ctx string) error {
 	for _, p := range []struct {
 		name string
@@ -53,6 +60,9 @@ func (im Impairment) validate(ctx string) error {
 	}
 	if im.Jitter < 0 {
 		return fmt.Errorf("%s: negative jitter %d", ctx, im.Jitter)
+	}
+	if im.Delay > maxDelay || im.Jitter > maxDelay-im.Delay {
+		return fmt.Errorf("%s: delay %d + jitter %d above %d rounds", ctx, im.Delay, im.Jitter, maxDelay)
 	}
 	return nil
 }

@@ -66,6 +66,14 @@ func TestScenarioValidate(t *testing.T) {
 			{Links: []LinkRule{{Impairment: Impairment{Delay: -1}}}}}}, "negative delay"},
 		{"negative jitter", Scenario{Phases: []Phase{
 			{All: &Impairment{Jitter: -3}}}}, "negative jitter"},
+		{"delay plus jitter at cap", Scenario{Phases: []Phase{
+			{All: &Impairment{Delay: maxDelay - 5, Jitter: 5}}}}, ""},
+		{"delay plus jitter above cap", Scenario{Phases: []Phase{
+			{All: &Impairment{Delay: maxDelay - 5, Jitter: 6}}}}, "above"},
+		{"max jitter", Scenario{Phases: []Phase{
+			{All: &Impairment{Jitter: math.MaxInt}}}}, "above"},
+		{"max link delay", Scenario{Phases: []Phase{
+			{Links: []LinkRule{{Impairment: Impairment{Delay: math.MaxInt, Jitter: math.MaxInt}}}}}}, "above"},
 		{"duplicate above one", Scenario{Phases: []Phase{
 			{All: &Impairment{Duplicate: 2}}}}, "duplicate"},
 		{"link endpoint range", Scenario{Phases: []Phase{
@@ -127,6 +135,14 @@ func TestParseScenario(t *testing.T) {
 	}
 	if _, err := ParseScenario([]byte(`{not json`)); err == nil {
 		t.Fatal("bad JSON accepted")
+	}
+	for _, spec := range []string{
+		`{"phases":[{"all":{"jitter":9223372036854775807}}]}`,
+		`{"phases":[{"links":[{"delay":9223372036854775807}]}]}`,
+	} {
+		if _, err := ParseScenario([]byte(spec)); err == nil || !strings.Contains(err.Error(), "above") {
+			t.Fatalf("overflowing delay accepted: %s (err %v)", spec, err)
+		}
 	}
 }
 

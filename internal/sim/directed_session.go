@@ -11,20 +11,25 @@ import (
 // DirectedSession is the directed counterpart of Session: a resumable run
 // of a directed process toward the transitive closure of the initial
 // graph. Construction computes the closure target once (Section 5's
-// invariant: the two-hop walk can never escape it), after which
-// ClosureArcsRemaining is an O(1) progress read at every step. The
-// RunDirected facade is a thin wrapper over a DirectedSession, so stepped
-// and fire-and-forget runs are bit-identical for every engine family.
+// invariant: the two-hop walk can never escape it) by one condensation
+// pass — a reach row per strongly connected component, shared by its
+// members — after which ClosureArcsRemaining is an O(1) progress read at
+// every step. The RunDirected facade is a thin wrapper over a
+// DirectedSession, so stepped and fire-and-forget runs are bit-identical
+// for every engine family.
 type DirectedSession struct {
 	round[*graph.Directed, graph.Arc]
 	done func(*graph.Directed) bool // nil ⇒ closure reached
 
 	// Closure target of the *initial* graph, its arc count, and the count of
 	// its arcs still missing — the engine's own O(1) termination/progress
-	// counter. missingRow[u] is the per-node share (arcs of target[u] not
-	// yet in u's out-row); both counters are maintained by the commit paths,
-	// and the dense phase samples from missingRow.
-	target     []*bitset.Set
+	// counter. Node u's target row is reach[comp[u]] without u (u is in its
+	// own reach row, never in its out-row). missingRow[u] is the per-node
+	// share (target arcs of u not yet in u's out-row); both counters are
+	// maintained by the commit paths, and the dense phase samples from
+	// missingRow.
+	comp       []int32
+	reach      []*bitset.Set
 	targetArcs int
 	remaining  int
 	missingRow []int32
@@ -41,14 +46,16 @@ type DirectedSession struct {
 // configuration panics here with a clear message (see round.setup).
 func NewDirectedSession(g *graph.Directed, p core.DirectedProcess, r *rng.Rand, cfg DirectedConfig) *DirectedSession {
 	n := g.N()
+	comp, reach := g.Condensation()
 	s := &DirectedSession{
 		done:       cfg.Done,
-		target:     g.TransitiveClosure(),
+		comp:       comp,
+		reach:      reach,
 		missingRow: make([]int32, n),
 	}
-	for u, row := range s.target {
-		s.targetArcs += row.Count()
-		miss := g.RowDiffCount(u, row)
+	for u, c := range comp {
+		s.targetArcs += reach[c].Count() - 1
+		miss := g.RowDiffCount(u, reach[c]) - 1
 		s.missingRow[u] = int32(miss)
 		s.remaining += miss
 	}
@@ -81,10 +88,10 @@ func (s *DirectedSession) ensureAcc() {
 
 // The substrate of a directed round: done is the Done override or "no
 // closure arc is missing", the dense phase samples the missing closure arcs
-// (target[u] &^ out[u], selected by RowSelectDiff without materializing the
-// difference — every dense proposal is an arc of the initial graph's closure,
-// so the invariant the termination counter is built on holds), and the
-// commit paths settle the closure counters.
+// (reach[comp[u]] &^ out[u] without u, selected by RowSelectDiff without
+// materializing the difference — every dense proposal is an arc of the
+// initial graph's closure, so the invariant the termination counter is built
+// on holds), and the commit paths settle the closure counters.
 
 func (s *DirectedSession) converged() bool {
 	if s.done != nil {
@@ -96,13 +103,21 @@ func (s *DirectedSession) converged() bool {
 func (s *DirectedSession) missing() int            { return s.remaining }
 func (s *DirectedSession) missingDegree(u int) int { return int(s.missingRow[u]) }
 
+// missingPick skips u itself, the one bit of the shared row's difference
+// that is not a closure arc: the t-th of the rest is the t-th of the whole
+// below u and the (t+1)-th from u up.
 func (s *DirectedSession) missingPick(u, t int) (int, bool) {
-	return s.g.RowSelectDiff(u, s.target[u], t), true
+	row := s.reach[s.comp[u]]
+	if w := s.g.RowSelectDiff(u, row, t); w < u {
+		return w, true
+	}
+	return s.g.RowSelectDiff(u, row, t+1), true
 }
 
-// settle takes a newly inserted arc off the closure counters.
+// settle takes a newly inserted arc off the closure counters. An arc is
+// never a self-arc, so the shared row needs no per-node self bit cleared.
 func (s *DirectedSession) settle(a graph.Arc) {
-	if s.target[a.U].Test(a.V) {
+	if s.reach[s.comp[a.U]].Test(a.V) {
 		s.remaining--
 		s.missingRow[a.U]--
 	}
