@@ -217,6 +217,45 @@ func TestCondensationSize(t *testing.T) {
 	}
 }
 
+// Property: strong connectivity is equivalent to a single SCC.
+func TestQuickStrongConnectivityMatchesTarjan(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		n := 2 + r.Intn(12)
+		g := NewDirected(n)
+		arcs := n + r.Intn(2*n)
+		for i := 0; i < arcs; i++ {
+			g.AddArc(r.Intn(n), r.Intn(n))
+		}
+		return g.IsStronglyConnected() == (g.CondensationSize() == 1)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: transitive closure is idempotent — the graph whose arcs are the
+// closure rows is itself closed.
+func TestQuickClosureIdempotent(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		n := 2 + r.Intn(10)
+		g := NewDirected(n)
+		for i := 0; i < n+r.Intn(n*2); i++ {
+			g.AddArc(r.Intn(n), r.Intn(n))
+		}
+		rows := g.TransitiveClosure()
+		h := NewDirected(n)
+		for u, row := range rows {
+			row.ForEach(func(v int) { h.AddArc(u, v) })
+		}
+		return h.IsClosed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: reachability includes the out-neighborhood and is transitive.
 func TestQuickReachabilityContainsArcs(t *testing.T) {
 	f := func(seed uint64) bool {
