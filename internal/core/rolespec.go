@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"gossipdisc/internal/classmap"
 )
 
 // This file is the textual role-spec grammar behind the binaries' -roles
@@ -11,20 +13,19 @@ import (
 // parseRoleEntries / ValidateRoleSpec work without a population size (so
 // flag validation runs before n is known), ParseRoleSpec resolves against n.
 //
-// The grammar, comma-separated:
+// The grammar, over classmap's comma-separated segments:
 //
-//	role              default role for every unassigned node (at most once)
-//	role=K            K nodes of the whole population take the role
-//	role=P%           P percent of the whole population (rounded)
-//	role=K:lo-hi      K nodes out of the inclusive id range lo..hi
-//	role=P%:lo-hi     P percent of the range
-//	role=K:u          single-node range form
+//	role        default role for every unassigned node (at most once)
+//	role=K      K nodes take the role
+//	role=P%     P percent of the nodes (rounded)
 //
-// Quantified nodes are placed evenly across their range — a deterministic,
-// seed-independent layout, so a run replays from (seed, roles) alone. Later
-// segments win on overlap; a role name may appear at most once as a
-// quantified segment. Examples: "honest,byzantine=5%",
-// "byzantine=10:0-99,eavesdropper=8", "silent,selfish=25%:0-499".
+// A quantity counts over the whole population, or over the inclusive id
+// range of a ":lo-hi" (or single-node ":u") suffix. Quantified nodes are
+// placed evenly across their range — a deterministic, seed-independent
+// layout, so a run replays from (seed, roles) alone. Later segments win on
+// overlap; a role name may appear at most once as a quantified segment.
+// Examples: "honest,byzantine=5%", "byzantine=10:0-99,eavesdropper=8",
+// "silent,selfish=25%:0-499".
 //
 // Built-in roles (ParseRoleSpec resolves them against a base process):
 //
@@ -44,19 +45,9 @@ type roleEntry struct {
 	lo, hi int     // inclusive node range; -1, -1 = whole population
 }
 
-// roleNames is the built-in role registry shared by the undirected and
-// directed resolvers; the bool marks roles with an undirected process only.
-var roleNames = map[string]bool{
-	"honest":       false,
-	"byzantine":    false,
-	"selfish":      true, // no directed counterpart
-	"silent":       false,
-	"eavesdropper": false,
-}
-
 // KnownRole reports whether name is a built-in role usable in a role spec.
 func KnownRole(name string) bool {
-	_, ok := roleNames[name]
+	_, ok := roleProcess(name, nil)
 	return ok
 }
 
@@ -66,17 +57,15 @@ func parseRoleEntries(spec string) ([]roleEntry, error) {
 	var entries []roleEntry
 	haveDefault := false
 	seen := make(map[string]bool)
-	for _, seg := range strings.Split(spec, ",") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
-			return nil, fmt.Errorf("roles: empty segment in %q", spec)
+	for seg, err := range classmap.Segments("roles", spec) {
+		if err != nil {
+			return nil, err
 		}
-		name, rest, quantified := strings.Cut(seg, "=")
-		name = strings.TrimSpace(name)
+		name := seg.Head
 		if !KnownRole(name) {
-			return nil, fmt.Errorf("roles: unknown role %q in segment %q", name, seg)
+			return nil, fmt.Errorf("roles: unknown role %q in segment %q", name, seg.Text)
 		}
-		if !quantified {
+		if !seg.HasValue {
 			if haveDefault {
 				return nil, fmt.Errorf("roles: more than one default-role segment in %q", spec)
 			}
@@ -88,39 +77,23 @@ func parseRoleEntries(spec string) ([]roleEntry, error) {
 			return nil, fmt.Errorf("roles: role %q assigned twice", name)
 		}
 		seen[name] = true
-		e := roleEntry{name: name, count: -1, lo: -1, hi: -1}
-		quantStr, rangeStr, haveRange := strings.Cut(rest, ":")
-		quantStr = strings.TrimSpace(quantStr)
+		e := roleEntry{name: name, count: -1}
+		quantStr := strings.TrimSpace(seg.Value)
 		if pctStr, isPct := strings.CutSuffix(quantStr, "%"); isPct {
 			pct, err := strconv.ParseFloat(strings.TrimSpace(pctStr), 64)
 			if err != nil || !(pct >= 0 && pct <= 100) { // rejects NaN too
-				return nil, fmt.Errorf("roles: segment %q has an invalid percentage %q (want 0-100)", seg, quantStr)
+				return nil, fmt.Errorf("roles: segment %q has an invalid percentage %q (want 0-100)", seg.Text, quantStr)
 			}
 			e.pct = pct
 		} else {
 			count, err := strconv.Atoi(quantStr)
 			if err != nil || count < 0 {
-				return nil, fmt.Errorf("roles: segment %q has an invalid count %q", seg, quantStr)
+				return nil, fmt.Errorf("roles: segment %q has an invalid count %q", seg.Text, quantStr)
 			}
 			e.count = count
 		}
-		if haveRange {
-			loStr, hiStr, isRange := strings.Cut(strings.TrimSpace(rangeStr), "-")
-			if !isRange {
-				hiStr = loStr
-			}
-			lo, err := strconv.Atoi(strings.TrimSpace(loStr))
-			if err != nil {
-				return nil, fmt.Errorf("roles: segment %q has a malformed node range %q", seg, rangeStr)
-			}
-			hi, err := strconv.Atoi(strings.TrimSpace(hiStr))
-			if err != nil {
-				return nil, fmt.Errorf("roles: segment %q has a malformed node range %q", seg, rangeStr)
-			}
-			if lo < 0 || hi < lo {
-				return nil, fmt.Errorf("roles: segment %q has an invalid node range %d-%d", seg, lo, hi)
-			}
-			e.lo, e.hi = lo, hi
+		if e.lo, e.hi, err = seg.Range(); err != nil {
+			return nil, err
 		}
 		entries = append(entries, e)
 	}
@@ -148,19 +121,6 @@ func spreadNodes(lo, hi, k int) []int {
 		out = append(out, lo+i*span/k)
 	}
 	return out
-}
-
-// resolveQuantity turns a segment's count-or-percent into a node count over
-// a range of span nodes.
-func resolveQuantity(e roleEntry, span int) (int, error) {
-	k := e.count
-	if k == -1 {
-		k = int(e.pct*float64(span)/100 + 0.5)
-	}
-	if k > span {
-		return 0, fmt.Errorf("roles: role %q wants %d nodes out of a %d-node range", e.name, k, span)
-	}
-	return k, nil
 }
 
 // ParseRoleSpec resolves a -roles flag value against a population of n
@@ -223,14 +183,15 @@ func parseRoleSpec[G any](kind, substrate, spec string, n int, base ProcessOn[G]
 		if hi >= n {
 			return nil, fmt.Errorf("roles: role %q range %d-%d outside the %d-node population", e.name, lo, hi, n)
 		}
-		k, err := resolveQuantity(e, hi-lo+1)
-		if err != nil {
-			return nil, err
+		span, k := hi-lo+1, e.count
+		if k == -1 {
+			k = int(e.pct*float64(span)/100 + 0.5)
+		}
+		if k > span {
+			return nil, fmt.Errorf("roles: role %q wants %d nodes out of a %d-node range", e.name, k, span)
 		}
 		pop.DefineRole(e.name, proc)
-		if k > 0 {
-			pop.AssignRoleNodes(e.name, spreadNodes(lo, hi, k)...)
-		}
+		pop.AssignRoleNodes(e.name, spreadNodes(lo, hi, k)...)
 	}
 	return pop, nil
 }

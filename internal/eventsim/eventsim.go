@@ -297,7 +297,7 @@ func (s *Session) step() bool {
 		if t += s.clock.Exp() / s.chain.total; t > target {
 			break
 		}
-		u := s.chain.candidate(s.clock, s.act, s.rates.rates)
+		u := s.chain.candidate(s.clock, s.act, s.rates.table.Values())
 		if u < 0 {
 			continue // thinned: time passes, nobody acts
 		}

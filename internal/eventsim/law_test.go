@@ -143,7 +143,7 @@ func referenceRun(seed uint64, m *RateMap, retune retuneFunc) (float64, int) {
 	for step := 0; ; step++ {
 		now := float64(step)
 		if retune != nil {
-			before := slices.Clone(m.rates)
+			before := slices.Clone(m.table.Values())
 			retune(step, m.SetNodeRate, func(name string, rate float64) { m.SetClassRate(name, rate) })
 			for u := range before {
 				if m.Rate(u) != before[u] {

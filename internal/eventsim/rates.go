@@ -2,8 +2,11 @@ package eventsim
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+
+	"gossipdisc/internal/classmap"
 )
 
 // A RateMap assigns every node an activation rate: node u's clock fires as
@@ -19,15 +22,12 @@ import (
 // between the sampler's rate groups. Mutating a map shared with a running
 // session directly (not through the session methods) leaves each node in
 // its old group — a parked node stays parked, and a raised rate is capped
-// at the old group's bound — so go through the session.
+// at the old group's bound — so go through the session. The table is a
+// named field, not embedded: its mutators would bypass rate validation and
+// the running total.
 type RateMap struct {
-	rates     []float64 // effective per-node rate
-	classOf   []int32   // node -> class index, -1 = default rate or override
-	classes   []string
-	classRate []float64
-	byName    map[string]int
-	def       float64
-	total     float64 // Σ rates, kept by every mutator
+	table classmap.Table[float64]
+	total float64 // Σ rates, kept by every mutator
 }
 
 // maxRate bounds every rate, so that the sum over any number of int32 node
@@ -39,20 +39,8 @@ const maxRate = 1 << 32
 // rate def. It panics on a negative n or an invalid rate (negative, NaN or
 // above 2^32 — zero is allowed and means "never activates").
 func NewRateMap(n int, def float64) *RateMap {
-	if n < 0 {
-		panic(fmt.Sprintf("eventsim: NewRateMap with negative n %d", n))
-	}
-	validRate(def, "default")
-	m := &RateMap{
-		rates:   make([]float64, n),
-		classOf: make([]int32, n),
-		byName:  make(map[string]int),
-		def:     def,
-	}
-	for i := range m.rates {
-		m.rates[i] = def
-		m.classOf[i] = -1
-	}
+	m := &RateMap{table: classmap.New("eventsim", "RateMap", n, def)}
+	m.validRate("NewRateMap", def)
 	m.resum()
 	return m
 }
@@ -62,9 +50,9 @@ func NewRateMap(n int, def float64) *RateMap {
 // exactly.
 func Uniform(n int) *RateMap { return NewRateMap(n, 1) }
 
-func validRate(rate float64, what string) {
+func (m *RateMap) validRate(op string, rate float64) {
 	if !inRange(rate) {
-		panic(fmt.Sprintf("eventsim: invalid %s rate %v (want a rate in [0, 2^32])", what, rate))
+		m.table.Panicf(op, "with rate %v (want a rate in [0, 2^32])", rate)
 	}
 }
 
@@ -72,10 +60,10 @@ func validRate(rate float64, what string) {
 func inRange(rate float64) bool { return rate >= 0 && rate <= maxRate }
 
 // N returns the number of nodes the map covers.
-func (m *RateMap) N() int { return len(m.rates) }
+func (m *RateMap) N() int { return len(m.table.Values()) }
 
 // Rate returns node u's current activation rate. O(1).
-func (m *RateMap) Rate(u int) float64 { return m.rates[u] }
+func (m *RateMap) Rate(u int) float64 { return m.table.Values()[u] }
 
 // TotalRate returns the sum of all node rates — the expected number of
 // activations per unit of simulated time. O(1): AssignClass and
@@ -87,83 +75,48 @@ func (m *RateMap) TotalRate() float64 { return m.total }
 // resum re-adds the total from scratch, in node order.
 func (m *RateMap) resum() {
 	m.total = 0
-	for _, r := range m.rates {
+	for _, r := range m.table.Values() {
 		m.total += r
 	}
 }
 
-// DefineClass registers a named rate class. It panics if the name is empty,
-// already defined, or the rate invalid.
+// DefineClass registers a named rate class. It panics if the rate is
+// invalid or the name empty or already defined.
 func (m *RateMap) DefineClass(name string, rate float64) {
-	if name == "" {
-		panic("eventsim: DefineClass with empty name")
-	}
-	if _, dup := m.byName[name]; dup {
-		panic(fmt.Sprintf("eventsim: class %q already defined", name))
-	}
-	validRate(rate, "class "+name)
-	m.byName[name] = len(m.classes)
-	m.classes = append(m.classes, name)
-	m.classRate = append(m.classRate, rate)
+	m.validRate("DefineClass", rate)
+	m.table.Define("DefineClass", name, rate)
 }
 
 // AssignClass puts nodes [lo, hi) into the named class (last assignment
 // wins). It panics on an unknown class or an out-of-range interval.
 func (m *RateMap) AssignClass(name string, lo, hi int) {
-	c, ok := m.byName[name]
-	if !ok {
-		panic(fmt.Sprintf("eventsim: AssignClass to unknown class %q", name))
-	}
-	if lo < 0 || hi > len(m.rates) || lo > hi {
-		panic(fmt.Sprintf("eventsim: AssignClass range [%d, %d) outside [0, %d)", lo, hi, len(m.rates)))
-	}
-	for u := lo; u < hi; u++ {
-		m.classOf[u] = int32(c)
-		m.rates[u] = m.classRate[c]
-	}
+	m.table.Assign("AssignClass", name, lo, hi)
 	m.resum()
 }
 
 // SetNodeRate gives node u a per-node override, detaching it from its class.
+// It panics on an invalid rate or a node outside the map.
 func (m *RateMap) SetNodeRate(u int, rate float64) {
-	validRate(rate, fmt.Sprintf("node %d", u))
-	m.classOf[u] = -1
-	m.total += rate - m.rates[u]
-	m.rates[u] = rate
+	m.validRate("SetNodeRate", rate)
+	old := m.table.Override("SetNodeRate", u, rate)
+	m.total += rate - old
 }
 
 // ClassRate returns the named class's rate. It panics on an unknown class.
-func (m *RateMap) ClassRate(name string) float64 {
-	c, ok := m.byName[name]
-	if !ok {
-		panic(fmt.Sprintf("eventsim: ClassRate of unknown class %q", name))
-	}
-	return m.classRate[c]
-}
+func (m *RateMap) ClassRate(name string) float64 { return m.table.ClassValue("ClassRate", name) }
 
 // SetClassRate retunes the named class and returns the nodes whose rate
 // changed (its current members), so a session can reschedule exactly those
 // clocks. O(n).
 func (m *RateMap) SetClassRate(name string, rate float64) []int {
-	c, ok := m.byName[name]
-	if !ok {
-		panic(fmt.Sprintf("eventsim: SetClassRate of unknown class %q", name))
-	}
-	validRate(rate, "class "+name)
-	m.classRate[c] = rate
-	var members []int
-	for u := range m.classOf {
-		if m.classOf[u] == int32(c) {
-			m.rates[u] = rate
-			members = append(members, u)
-		}
-	}
+	m.validRate("SetClassRate", rate)
+	members := m.table.SetClass("SetClassRate", name, rate)
 	m.resum()
 	return members
 }
 
 // Classes returns the defined class names in definition order.
-func (m *RateMap) Classes() []string { return append([]string(nil), m.classes...) }
+func (m *RateMap) Classes() []string { return m.table.Names() }
 
 // rateEntry is one parsed -rates spec segment.
 type rateEntry struct {
@@ -174,7 +127,8 @@ type rateEntry struct {
 
 // parseRateEntries parses the textual rate-spec grammar shared by both
 // binaries without resolving node ranges against a population size, so flag
-// validation can run before n is known. The grammar, comma-separated:
+// validation can run before n is known. Over classmap's segment grammar,
+// comma-separated:
 //
 //	R             default rate for every unassigned node (at most once)
 //	name=R:lo-hi  define class name with rate R, assign nodes lo..hi (incl.)
@@ -186,67 +140,39 @@ type rateEntry struct {
 func parseRateEntries(spec string) ([]rateEntry, error) {
 	var entries []rateEntry
 	haveDefault := false
-	for _, seg := range strings.Split(spec, ",") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
-			return nil, fmt.Errorf("rates: empty segment in %q", spec)
+	for seg, err := range classmap.Segments("rates", spec) {
+		if err != nil {
+			return nil, err
 		}
-		name, rest, isClass := strings.Cut(seg, "=")
-		if !isClass {
-			rate, err := strconv.ParseFloat(seg, 64)
-			if err != nil {
-				return nil, fmt.Errorf("rates: %q is neither a default rate nor a name=rate:range segment", seg)
-			}
-			if err := checkRate(rate, seg); err != nil {
-				return nil, err
-			}
+		e := rateEntry{name: seg.Head, lo: -1, hi: -1}
+		rateStr := seg.Value
+		if !seg.HasValue {
+			e.name, rateStr = "", seg.Text
+		} else if seg.Head == "" {
+			return nil, fmt.Errorf("rates: segment %q has an empty class name", seg.Text)
+		} else if !seg.HasNodes {
+			return nil, fmt.Errorf("rates: segment %q is missing its :lo-hi node range", seg.Text)
+		}
+		e.rate, err = strconv.ParseFloat(strings.TrimSpace(rateStr), 64)
+		switch {
+		case err != nil && e.name == "":
+			return nil, fmt.Errorf("rates: %q is neither a default rate nor a name=rate:range segment", seg.Text)
+		case err != nil:
+			return nil, fmt.Errorf("rates: segment %q has a malformed rate %q", seg.Text, rateStr)
+		case !inRange(e.rate):
+			return nil, fmt.Errorf("rates: segment %q has rate %v (want a rate in [0, 2^32])", seg.Text, e.rate)
+		}
+		if e.name == "" {
 			if haveDefault {
 				return nil, fmt.Errorf("rates: more than one default-rate segment in %q", spec)
 			}
 			haveDefault = true
-			entries = append(entries, rateEntry{rate: rate, lo: -1, hi: -1})
-			continue
-		}
-		name = strings.TrimSpace(name)
-		if name == "" {
-			return nil, fmt.Errorf("rates: segment %q has an empty class name", seg)
-		}
-		rateStr, rangeStr, haveRange := strings.Cut(rest, ":")
-		if !haveRange {
-			return nil, fmt.Errorf("rates: segment %q is missing its :lo-hi node range", seg)
-		}
-		rate, err := strconv.ParseFloat(strings.TrimSpace(rateStr), 64)
-		if err != nil {
-			return nil, fmt.Errorf("rates: segment %q has a malformed rate %q", seg, rateStr)
-		}
-		if err := checkRate(rate, seg); err != nil {
+		} else if e.lo, e.hi, err = seg.Range(); err != nil {
 			return nil, err
 		}
-		loStr, hiStr, isRange := strings.Cut(strings.TrimSpace(rangeStr), "-")
-		if !isRange {
-			hiStr = loStr
-		}
-		lo, err := strconv.Atoi(strings.TrimSpace(loStr))
-		if err != nil {
-			return nil, fmt.Errorf("rates: segment %q has a malformed node range %q", seg, rangeStr)
-		}
-		hi, err := strconv.Atoi(strings.TrimSpace(hiStr))
-		if err != nil {
-			return nil, fmt.Errorf("rates: segment %q has a malformed node range %q", seg, rangeStr)
-		}
-		if lo < 0 || hi < lo {
-			return nil, fmt.Errorf("rates: segment %q has an invalid node range %d-%d", seg, lo, hi)
-		}
-		entries = append(entries, rateEntry{name: name, rate: rate, lo: lo, hi: hi})
+		entries = append(entries, e)
 	}
 	return entries, nil
-}
-
-func checkRate(rate float64, seg string) error {
-	if !inRange(rate) {
-		return fmt.Errorf("rates: segment %q has rate %v (want a rate in [0, 2^32])", seg, rate)
-	}
-	return nil
 }
 
 // ValidateRateSpec checks a -rates flag value for grammatical sense without
@@ -285,7 +211,7 @@ func ParseRateSpec(spec string, n int) (*RateMap, error) {
 		if e.name == "" {
 			continue
 		}
-		if _, dup := m.byName[e.name]; dup {
+		if slices.Contains(m.Classes(), e.name) {
 			return nil, fmt.Errorf("rates: class %q defined twice", e.name)
 		}
 		if e.hi >= n {

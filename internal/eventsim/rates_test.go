@@ -1,9 +1,14 @@
 package eventsim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"gossipdisc/internal/core"
+	"gossipdisc/internal/gen"
+	"gossipdisc/internal/rng"
 )
 
 func TestRateMapOps(t *testing.T) {
@@ -76,6 +81,32 @@ func TestRateMapPanics(t *testing.T) {
 	mustPanic("node rate above 2^32", func() { m.SetNodeRate(0, maxRate*2) })
 	mustPanic("NaN class retune", func() { m.SetClassRate("a", math.NaN()) })
 	m.SetNodeRate(0, maxRate) // the bound itself is a valid rate
+
+	// A node outside the map panics naming the operation and the range, on
+	// the map and through a session, before anything is mutated.
+	setters := []struct {
+		name string
+		set  func(u int, rate float64)
+	}{
+		{"RateMap", m.SetNodeRate},
+		{"Session", New(gen.Cycle(4), core.Push{}, rng.New(1), Config{}).SetNodeRate},
+	}
+	for _, c := range setters {
+		for _, u := range []int{-1, 4} {
+			want := fmt.Sprintf("SetNodeRate node %d outside [0, 4)", u)
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "eventsim: ") || !strings.Contains(msg, want) {
+						t.Fatalf("%s.SetNodeRate(%d, 1): panic %q, want an eventsim panic containing %q", c.name, u, msg, want)
+					}
+				}()
+				c.set(u, 1)
+			}()
+		}
+	}
+	if total := m.TotalRate(); total != maxRate+3 {
+		t.Fatalf("TotalRate %v after rejected SetNodeRate calls, want %v", total, maxRate+3.0)
+	}
 }
 
 func TestParseRateSpec(t *testing.T) {
