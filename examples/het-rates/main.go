@@ -20,11 +20,16 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"gossipdisc"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run executes the example and writes its report to w.
+func run(w io.Writer) {
 	const (
 		n        = 256
 		phones   = 64 // nodes [192, 256): parked until t = 30
@@ -43,9 +48,9 @@ func main() {
 		gossipdisc.WithRates(rates),
 	)
 
-	fmt.Printf("%6s  %8s  %10s  %9s  %9s\n", "time", "events", "missing", "mean AoI", "max AoI")
+	fmt.Fprintf(w, "%6s  %8s  %10s  %9s  %9s\n", "time", "events", "missing", "mean AoI", "max AoI")
 	report := func() {
-		fmt.Printf("%6.0f  %8d  %10d  %9.2f  %9.1f\n",
+		fmt.Fprintf(w, "%6.0f  %8d  %10d  %9.2f  %9.1f\n",
 			sess.Time(), sess.Events(), sess.EdgesRemaining(),
 			sess.MeanAge(), sess.MaxAge())
 	}
@@ -60,7 +65,7 @@ func main() {
 			// the replayed trajectory depends only on (seed, schedule).
 			sess.SetClassRate("phone", 2)
 			woke = true
-			fmt.Println("--- phones wake at rate 2 ---")
+			fmt.Fprintln(w, "--- phones wake at rate 2 ---")
 		}
 		if sess.Round()%10 == 0 || !more {
 			report()
@@ -71,7 +76,7 @@ func main() {
 	}
 
 	res := sess.Stats()
-	fmt.Printf("\nconverged=%v in %.1f time units, %d events (%.1f per node)\n",
+	fmt.Fprintf(w, "\nconverged=%v in %.1f time units, %d events (%.1f per node)\n",
 		res.Converged, res.Time, res.Events, float64(res.Events)/n)
-	fmt.Printf("time-averaged mean age of information: %.2f\n", sess.TimeAvgMeanAge())
+	fmt.Fprintf(w, "time-averaged mean age of information: %.2f\n", sess.TimeAvgMeanAge())
 }
