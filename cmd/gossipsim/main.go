@@ -17,6 +17,7 @@ import (
 	"os"
 	"runtime"
 
+	"gossipdisc/internal/analyze"
 	"gossipdisc/internal/cliflag"
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/eventsim"
@@ -369,6 +370,8 @@ func runEvent(proc core.Process, fam gen.Family, n, trials int, seed uint64, bud
 			cfg.MaxEvents = budget * n
 		}
 		s := eventsim.New(g, proc, r, cfg)
+		age := &analyze.Age{}
+		s.Subscribe(age)
 		if t == 0 && obs.active() {
 			obs.attach(s.Subscribe)
 			defer obs.finish(g)
@@ -384,9 +387,10 @@ func runEvent(proc core.Process, fam gen.Family, n, trials int, seed uint64, bud
 			stopped++
 		}
 		rounds = append(rounds, res.ParallelRounds)
+		maxAge, _ := age.MaxAge()
 		tbl.AddRow(trace.I(t), trace.F(res.Time, 1), trace.I(res.Events),
 			trace.I(res.Proposals), trace.I(res.NewEdges),
-			trace.F(s.TimeAvgMeanAge(), 2), trace.F(s.MaxAge(), 1))
+			trace.F(age.TimeAvgMeanAge(), 2), trace.F(maxAge, 1))
 	}
 	if stopped > 0 {
 		fmt.Printf("note: %d/%d trials stopped at the -rounds event budget before converging\n", stopped, trials)

@@ -216,24 +216,26 @@ func ExampleWithAutoWorkers() {
 // ExampleNewEventSession runs the event-driven runtime: continuous
 // per-node Poisson clocks instead of synchronous rounds, with a fast
 // quarter of the population activating at four times the base rate. Time
-// is measured in parallel-round units, and the session tracks each node's
-// age of information (time since it last learned a new peer) exactly at
-// event times. Runs are bit-replayable from (seed, rates).
+// is measured in parallel-round units, and a subscribed Age tracks each
+// node's age of information (time since it last learned a new peer) exactly
+// at event times. Runs are bit-replayable from (seed, rates).
 func ExampleNewEventSession() {
 	g := gossipdisc.Path(16)
 	rates := gossipdisc.NewRateMap(16, 1)
 	rates.DefineClass("fast", 4)
 	rates.AssignClass("fast", 0, 4)
+	age := &gossipdisc.Age{}
 	sess := gossipdisc.NewEventSession(g,
 		gossipdisc.WithSeed(7),
 		gossipdisc.WithRates(rates),
+		gossipdisc.WithAnalyzers(age),
 	)
 	res := sess.Run()
 	fmt.Println("converged:", res.Converged)
 	fmt.Println("complete:", g.IsComplete())
 	fmt.Printf("time: %.1f\n", res.Time)
 	fmt.Printf("events: %d\n", res.Events)
-	fmt.Printf("time-avg mean age: %.2f\n", sess.TimeAvgMeanAge())
+	fmt.Printf("time-avg mean age: %.2f\n", age.TimeAvgMeanAge())
 	// Output:
 	// converged: true
 	// complete: true

@@ -43,16 +43,19 @@ func run(w io.Writer) {
 	rates.AssignClass("server", 0, 32)
 	rates.AssignClass("phone", n-phones, n)
 
+	age := &gossipdisc.Age{}
 	sess := gossipdisc.NewEventSession(g,
 		gossipdisc.WithSeed(42),
 		gossipdisc.WithRates(rates),
+		gossipdisc.WithAnalyzers(age),
 	)
 
 	fmt.Fprintf(w, "%6s  %8s  %10s  %9s  %9s\n", "time", "events", "missing", "mean AoI", "max AoI")
 	report := func() {
+		maxAge, _ := age.MaxAge()
 		fmt.Fprintf(w, "%6.0f  %8d  %10d  %9.2f  %9.1f\n",
 			sess.Time(), sess.Events(), sess.EdgesRemaining(),
-			sess.MeanAge(), sess.MaxAge())
+			age.MeanAge(), maxAge)
 	}
 
 	woke := false
@@ -60,9 +63,11 @@ func run(w io.Writer) {
 		_, more := sess.Step()
 		if sess.Round() == wakeTime && !woke {
 			// The phones wake at double the base rate. SetClassRate
-			// reschedules every phone's pending activation from the
-			// current instant — the exponential clock is memoryless, so
-			// the replayed trajectory depends only on (seed, schedule).
+			// refiles every phone into the rate group of its new rate;
+			// the sampler holds no pending activation, and the clock is
+			// memoryless, so the next activation already follows the new
+			// rates and the replayed trajectory depends only on (seed,
+			// schedule).
 			sess.SetClassRate("phone", 2)
 			woke = true
 			fmt.Fprintln(w, "--- phones wake at rate 2 ---")
@@ -78,5 +83,5 @@ func run(w io.Writer) {
 	res := sess.Stats()
 	fmt.Fprintf(w, "\nconverged=%v in %.1f time units, %d events (%.1f per node)\n",
 		res.Converged, res.Time, res.Events, float64(res.Events)/n)
-	fmt.Fprintf(w, "time-averaged mean age of information: %.2f\n", sess.TimeAvgMeanAge())
+	fmt.Fprintf(w, "time-averaged mean age of information: %.2f\n", age.TimeAvgMeanAge())
 }

@@ -110,7 +110,7 @@ func main() {
 		}
 		mu.Unlock()
 		fmt.Printf("t=%6.1f  events=%9d  new edges=%9d  mean age=%6.2f\n",
-			sess.Time(), sess.Events(), sess.Stats().NewEdges, sess.MeanAge())
+			sess.Time(), sess.Events(), sess.Stats().NewEdges, health.Age.MeanAge())
 		if !more {
 			break
 		}

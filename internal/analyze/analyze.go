@@ -1,6 +1,6 @@
 // Package analyze is the incremental health-analyzer pack riding the
 // observation bus (internal/stream): connectivity and isolation risk,
-// degree-profile drift, and stall/age-of-information health. Each analyzer
+// degree-profile drift, stall, and age of information. Each analyzer
 // is a stream.Subscriber whose per-event work is O(delta) — it never
 // rescans the graph — so the pack can watch a million-node churn run in
 // flight without perturbing it. Analyzers work identically on every
@@ -84,7 +84,7 @@ func sortFindings(fs []Finding) {
 }
 
 // Health bundles the standard analyzer pack — Connectivity, DegreeDrift,
-// and Stall — behind one subscriber, for one-line session wiring:
+// Stall and Age — behind one subscriber, for one-line session wiring:
 //
 //	h := analyze.NewHealth()
 //	sess.Subscribe(h)
@@ -94,6 +94,7 @@ type Health struct {
 	Connectivity *Connectivity
 	Drift        *DegreeDrift
 	Stall        *Stall
+	Age          *Age
 }
 
 // NewHealth returns the standard pack with default thresholds.
@@ -102,6 +103,7 @@ func NewHealth() *Health {
 		Connectivity: NewConnectivity(1),
 		Drift:        NewDegreeDrift(0),
 		Stall:        NewStall(0),
+		Age:          &Age{},
 	}
 }
 
@@ -111,6 +113,7 @@ func (h *Health) OnEvent(e *stream.Event) {
 	h.Connectivity.OnEvent(e)
 	h.Drift.OnEvent(e)
 	h.Stall.OnEvent(e)
+	h.Age.OnEvent(e)
 }
 
 // Findings collects the pack's current findings, most severe first.
@@ -119,6 +122,7 @@ func (h *Health) Findings() []Finding {
 	fs = append(fs, h.Connectivity.Findings()...)
 	fs = append(fs, h.Drift.Findings()...)
 	fs = append(fs, h.Stall.Findings()...)
+	fs = append(fs, h.Age.Findings()...)
 	sortFindings(fs)
 	return fs
 }

@@ -202,7 +202,8 @@ func TestDegreeDriftSkewFinding(t *testing.T) {
 
 func TestStall(t *testing.T) {
 	s := NewStall(3)
-	e := newEmitter(3, s)
+	a := &Age{}
+	e := newEmitter(3, s, a)
 
 	e.roundOf(edge(0, 1))
 	for i := 0; i < 3; i++ {
@@ -216,10 +217,10 @@ func TestStall(t *testing.T) {
 	}
 
 	// Ages: nodes 0,1 touched at time 1, node 2 never; now = 4.
-	if mean := s.MeanAge(); math.Abs(mean-(4-2.0/3)) > 1e-12 {
+	if mean := a.MeanAge(); math.Abs(mean-(4-2.0/3)) > 1e-12 {
 		t.Fatalf("mean age = %v, want %v", mean, 4-2.0/3)
 	}
-	if age, node := s.MaxAge(); age != 4 || node != 2 {
+	if age, node := a.MaxAge(); age != 4 || node != 2 {
 		t.Fatalf("max age = (%v, node %d), want (4, node 2)", age, node)
 	}
 
@@ -234,11 +235,10 @@ func TestStall(t *testing.T) {
 	if got := s.Stalled(); got != 0 {
 		t.Fatalf("stalled after progress = %d, want 0", got)
 	}
-	fs := s.Findings()
-	if hasRule(fs, "stall", SevWarning) || hasRule(fs, "stall", SevCritical) {
+	if fs := s.Findings(); len(fs) != 0 {
 		t.Fatalf("stall finding after progress: %v", fs)
 	}
-	if !hasRule(fs, "age-of-information", SevInfo) {
+	if fs := a.Findings(); !hasRule(fs, "age-of-information", SevInfo) {
 		t.Fatalf("expected age-of-information info finding, got %v", fs)
 	}
 }

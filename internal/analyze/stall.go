@@ -10,30 +10,21 @@ import (
 const defaultPatience = 50
 
 // Stall watches dissemination liveness: how many rounds have passed since
-// the last accepted edge while pairs are still outstanding, and the
-// age-of-information profile — per node, how long since it last learned
-// anything, measured in the runtime's own time unit (rounds on the round
-// runtimes, simulated seconds on the event-driven one). Per-round work is
-// O(touched nodes); ages are maintained as last-touch stamps so MeanAge is
-// O(1) and MaxAge an on-demand O(n) scan.
+// the last accepted edge while pairs are still outstanding. Per-round work
+// is O(1).
 type Stall struct {
 	// Patience is the number of progress-free rounds tolerated before a
 	// stall warning fires; 4×Patience escalates to critical.
 	Patience int
 
 	inited bool
-	n      int
 	round  int
-	now    float64
 
 	lastProgress int // round of the last accepted edge
 	remaining    int // EdgesRemaining as of the last delta
-
-	lastTouch []float64 // per-node time of last delta touch
-	sumLast   float64   // Σ lastTouch, for O(1) MeanAge
 }
 
-// NewStall returns a stall/AoI analyzer firing after patience progress-free
+// NewStall returns a stall analyzer firing after patience progress-free
 // rounds (values < 1 select the default of 50).
 func NewStall(patience int) *Stall {
 	if patience < 1 {
@@ -49,19 +40,12 @@ func (s *Stall) OnEvent(e *stream.Event) {
 	}
 	if !s.inited {
 		s.inited = true
-		s.n = e.Graph.N()
-		s.lastTouch = make([]float64, s.n)
 		s.lastProgress = e.Delta.Round
 	}
 	s.round = e.Delta.Round
-	s.now = e.Time
 	s.remaining = e.Delta.EdgesRemaining
 	if len(e.Delta.NewEdges) > 0 {
 		s.lastProgress = e.Delta.Round
-	}
-	for _, u := range e.Delta.Touched {
-		s.sumLast += e.Time - s.lastTouch[u]
-		s.lastTouch[u] = e.Time
 	}
 }
 
@@ -71,55 +55,22 @@ func (s *Stall) Stalled() int { return s.round - s.lastProgress }
 // Remaining returns the outstanding pair count as of the last delta. O(1).
 func (s *Stall) Remaining() int { return s.remaining }
 
-// MeanAge returns the mean age of information — average time since each
-// node last learned something, in the runtime's time unit. O(1).
-func (s *Stall) MeanAge() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.now - s.sumLast/float64(s.n)
-}
-
-// MaxAge returns the largest per-node age and the node holding it
-// (-1 when empty). O(n).
-func (s *Stall) MaxAge() (age float64, node int) {
-	node = -1
-	for u := 0; u < s.n; u++ {
-		if a := s.now - s.lastTouch[u]; node == -1 || a > age {
-			age, node = a, u
-		}
-	}
-	return age, node
-}
-
-// Findings reports liveness health: a stall warning (critical past
-// 4×Patience) while pairs are outstanding with no progress, plus the AoI
-// gauges as an info line.
+// Findings reports a stall warning (critical past 4×Patience) while pairs
+// are outstanding with no progress.
 func (s *Stall) Findings() []Finding {
-	if !s.inited {
+	stalled := s.Stalled()
+	if !s.inited || s.remaining <= 0 || stalled < s.Patience {
 		return nil
 	}
-	var fs []Finding
-	if stalled := s.Stalled(); s.remaining > 0 && stalled >= s.Patience {
-		sev := SevWarning
-		if stalled >= 4*s.Patience {
-			sev = SevCritical
-		}
-		fs = append(fs, Finding{
-			Rule:     "stall",
-			Severity: sev,
-			Round:    s.round,
-			Node:     -1,
-			Message:  fmt.Sprintf("no new edges for %d rounds with %d pairs outstanding", stalled, s.remaining),
-		})
+	sev := SevWarning
+	if stalled >= 4*s.Patience {
+		sev = SevCritical
 	}
-	maxAge, maxNode := s.MaxAge()
-	fs = append(fs, Finding{
-		Rule:     "age-of-information",
-		Severity: SevInfo,
+	return []Finding{{
+		Rule:     "stall",
+		Severity: sev,
 		Round:    s.round,
-		Node:     maxNode,
-		Message:  fmt.Sprintf("mean age %.2f, max age %.2f", s.MeanAge(), maxAge),
-	})
-	return fs
+		Node:     -1,
+		Message:  fmt.Sprintf("no new edges for %d rounds with %d pairs outstanding", stalled, s.remaining),
+	}}
 }

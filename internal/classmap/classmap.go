@@ -152,7 +152,7 @@ func (t *Table[T]) SetClass(op, name string, v T) []int {
 // ClassOf returns node u's class name, or "" for a node at the default, an
 // overridden node, or one beyond the table.
 func (t *Table[T]) ClassOf(u int) string {
-	if u < len(t.slot) && t.slot[u] >= 0 {
+	if uint(u) < uint(len(t.slot)) && t.slot[u] >= 0 {
 		return t.names[t.slot[u]]
 	}
 	return ""

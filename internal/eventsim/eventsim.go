@@ -28,15 +28,9 @@
 // sim.RoundDelta, Run and RunUntil drive it, and Round/Time/Events/
 // EdgesRemaining/Stats read progress in O(1). Commit semantics are the
 // asynchronous ones: an activated node immediately observes every
-// previously accepted edge.
-//
-// # Age of information
-//
-// The session tracks, at exact event times, when each node last learned
-// something new (gained an edge endpoint): LastUpdate, MeanAge (O(1)),
-// MaxAge, and the time-averaged mean age TimeAvgMeanAge — the canonical
-// AoI objective. metrics.AoITrajectory layers mean/max age *trajectories*
-// on the per-round delta stream.
+// previously accepted edge. A subscribed session's deltas carry each new
+// edge's exact event time in EdgeTimes, from which analyze.Age computes
+// age of information.
 package eventsim
 
 import (
@@ -124,15 +118,11 @@ type Session struct {
 	clock *rng.Rand
 	act   *rng.Rand
 
-	// Age-of-information state, maintained at exact event times.
-	lastUpdate  []float64
-	sumLast     float64 // Σ lastUpdate — MeanAge = now - sumLast/n
-	ageIntegral float64 // ∫ MeanAge dt over [0, now]
-
 	eventsInRound int // activations since the last emitted boundary
 	emits         int // deltas emitted (full + partial), Step's progress marker
 
 	accepted []graph.Edge
+	times    []float64 // event time of each accepted edge
 	propose  func(a, b int)
 
 	// Observation bus and delta state: the runtime publishes a KindRound
@@ -216,38 +206,19 @@ func (s *Session) start() {
 	s.clock = s.r.Split()
 	s.act = s.r.Split()
 	s.chain = newChain(s.rates)
-	s.lastUpdate = make([]float64, s.n)
 	// The propose closure is hoisted so steady-state events allocate
-	// nothing. Commits are eager (asynchronous semantics), and every
-	// accepted edge stamps both endpoints' last-update times at the exact
-	// event time.
+	// nothing. Commits are eager (asynchronous semantics); an observed
+	// session records each accepted edge with its exact event time.
 	s.propose = func(a, b int) {
 		s.res.Proposals++
 		if s.g.AddEdge(a, b) {
 			s.res.NewEdges++
-			s.touch(a)
-			s.touch(b)
 			if s.acc != nil {
 				s.accepted = append(s.accepted, graph.Edge{U: a, V: b}.Norm())
+				s.times = append(s.times, s.now)
 			}
 		}
 	}
-}
-
-// touch stamps node u's last-update time to the current event time.
-func (s *Session) touch(u int) {
-	s.sumLast += s.now - s.lastUpdate[u]
-	s.lastUpdate[u] = s.now
-}
-
-// advanceTo moves simulated time to t, accruing the mean-age integral over
-// [now, t] (sumLast is constant between touches, so the area is exact).
-func (s *Session) advanceTo(t float64) {
-	if t <= s.now {
-		return
-	}
-	s.ageIntegral += (t*t-s.now*s.now)/2 - (t-s.now)*s.sumLast/float64(s.n)
-	s.now = t
 }
 
 // emitRound fills and publishes the accumulated delta for the given
@@ -258,9 +229,11 @@ func (s *Session) emitRound(round int) {
 	s.emits++
 	if s.acc != nil {
 		s.acc.Fill(round, s.g, s.accepted)
+		s.acc.D.EdgeTimes = s.times
 		s.bus.EmitRound(s.g, &s.acc.D, s.now)
 	}
 	s.accepted = s.accepted[:0]
+	s.times = s.times[:0]
 	s.eventsInRound = 0
 }
 
@@ -307,7 +280,7 @@ func (s *Session) step() bool {
 			s.flushPartial()
 			return false
 		}
-		s.advanceTo(t)
+		s.now = t
 		s.res.Events++
 		s.eventsInRound++
 		if s.hook != nil {
@@ -322,7 +295,7 @@ func (s *Session) step() bool {
 			return false
 		}
 	}
-	s.advanceTo(target)
+	s.now = target
 	s.rounds++
 	s.emitRound(s.rounds)
 	if s.res.Events >= s.maxEvents {
@@ -400,42 +373,6 @@ func (s *Session) Graph() *graph.Undirected { return s.g }
 // Rates exposes the session's rate map. Read freely; mutate only through
 // SetNodeRate / SetClassRate so the sampler follows.
 func (s *Session) Rates() *RateMap { return s.rates }
-
-// LastUpdate returns the simulated time node u last gained an edge (0 if
-// never). O(1).
-func (s *Session) LastUpdate(u int) float64 { return s.lastUpdate[u] }
-
-// MeanAge returns the mean age of information at the current time: the
-// average over nodes of now − LastUpdate(u). O(1).
-func (s *Session) MeanAge() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.now - s.sumLast/float64(s.n)
-}
-
-// MaxAge returns the maximum per-node age at the current time. O(n).
-func (s *Session) MaxAge() float64 {
-	if !s.started || s.n == 0 {
-		return 0
-	}
-	minLast := s.lastUpdate[0]
-	for _, t := range s.lastUpdate[1:] {
-		if t < minLast {
-			minLast = t
-		}
-	}
-	return s.now - minLast
-}
-
-// TimeAvgMeanAge returns the time average of MeanAge over [0, Time] — the
-// canonical age-of-information objective. O(1); 0 before any time passed.
-func (s *Session) TimeAvgMeanAge() float64 {
-	if s.now == 0 {
-		return 0
-	}
-	return s.ageIntegral / s.now
-}
 
 // SetNodeRate retunes node u's activation rate between steps (a per-node
 // override, detaching u from any class) and moves u to its new rate group

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"gossipdisc/internal/analyze"
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
@@ -245,6 +246,8 @@ func TestEventStalledAndReopen(t *testing.T) {
 
 func TestEventEmptyRoundsAdvanceTime(t *testing.T) {
 	s := New(gen.Path(3), core.Push{}, rng.New(1), Config{Rates: NewRateMap(3, 1e-9)})
+	age := &analyze.Age{}
+	s.Subscribe(age)
 	d, ok := s.Step()
 	if d == nil || !ok {
 		t.Fatalf("Step over an empty round returned (%v, %v)", d, ok)
@@ -255,15 +258,15 @@ func TestEventEmptyRoundsAdvanceTime(t *testing.T) {
 	if s.Time() != 1 || s.Round() != 1 || s.Events() != 0 {
 		t.Fatalf("after one empty round: time %v round %d events %d", s.Time(), s.Round(), s.Events())
 	}
-	if age := s.MeanAge(); age != 1 {
-		t.Fatalf("mean age after one silent round = %v, want 1", age)
+	if got := age.MeanAge(); got != 1 {
+		t.Fatalf("mean age after one silent round = %v, want 1", got)
 	}
 }
 
 func TestEventDeltaStreamConsistency(t *testing.T) {
 	g := gen.Cycle(32)
 	traj := &metrics.Trajectory{}
-	aoi := &metrics.AoITrajectory{}
+	age := &analyze.Age{}
 	streamed := 0
 	s := New(g, core.Push{}, rng.New(8), Config{
 		Rates: func() *RateMap {
@@ -273,13 +276,25 @@ func TestEventDeltaStreamConsistency(t *testing.T) {
 			return m
 		}(),
 	})
+	s.Subscribe(traj)
+	s.Subscribe(age)
 	s.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
-		if e.Kind == stream.KindRound {
-			streamed += len(e.Delta.NewEdges)
+		if e.Kind != stream.KindRound {
+			return
+		}
+		streamed += len(e.Delta.NewEdges)
+		if len(e.Delta.EdgeTimes) != len(e.Delta.NewEdges) {
+			t.Fatalf("round %d: %d edge times for %d edges", e.Delta.Round, len(e.Delta.EdgeTimes), len(e.Delta.NewEdges))
+		}
+		for i, et := range e.Delta.EdgeTimes {
+			if et > e.Time || et <= e.Time-1 || (i > 0 && et < e.Delta.EdgeTimes[i-1]) {
+				t.Fatalf("round %d at time %v: edge times %v", e.Delta.Round, e.Time, e.Delta.EdgeTimes)
+			}
+		}
+		if max, _ := age.MaxAge(); age.MeanAge() < 0 || max < age.MeanAge() {
+			t.Fatalf("round %d: mean age %v, max age %v", e.Delta.Round, age.MeanAge(), max)
 		}
 	}))
-	s.Subscribe(traj)
-	s.Subscribe(aoi)
 	res := s.Run()
 	if !res.Converged {
 		t.Fatalf("run did not converge: %+v", res)
@@ -292,17 +307,13 @@ func TestEventDeltaStreamConsistency(t *testing.T) {
 	if last.Missing != 0 || last.MinDegree != 31 {
 		t.Fatalf("trajectory final snapshot: %+v", last)
 	}
-	aoi.Finalize()
-	for _, smp := range aoi.Samples {
-		if smp.MeanAge < 0 || smp.MaxAge < smp.MeanAge {
-			t.Fatalf("inconsistent AoI sample: %+v", smp)
-		}
-	}
 }
 
 func TestEventAoIAccounting(t *testing.T) {
 	g := gen.Cycle(24)
 	s := New(g, core.Push{}, rng.New(11), Config{})
+	age := &analyze.Age{}
+	s.Subscribe(age)
 	res := s.Run()
 	if !res.Converged {
 		t.Fatalf("run did not converge: %+v", res)
@@ -311,7 +322,7 @@ func TestEventAoIAccounting(t *testing.T) {
 	sum := 0.0
 	minLast := math.Inf(1)
 	for u := 0; u < 24; u++ {
-		lu := s.LastUpdate(u)
+		lu := age.LastUpdate(u)
 		if lu < 0 || lu > s.Time() {
 			t.Fatalf("LastUpdate(%d) = %v outside [0, %v]", u, lu, s.Time())
 		}
@@ -321,13 +332,13 @@ func TestEventAoIAccounting(t *testing.T) {
 		}
 	}
 	wantMean := s.Time() - sum/24
-	if got := s.MeanAge(); math.Abs(got-wantMean) > 1e-9 {
+	if got := age.MeanAge(); math.Abs(got-wantMean) > 1e-9 {
 		t.Fatalf("MeanAge %v, want %v", got, wantMean)
 	}
-	if got, want := s.MaxAge(), s.Time()-minLast; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("MaxAge %v, want %v", got, want)
+	if got, _ := age.MaxAge(); math.Abs(got-(s.Time()-minLast)) > 1e-9 {
+		t.Fatalf("MaxAge %v, want %v", got, s.Time()-minLast)
 	}
-	if avg := s.TimeAvgMeanAge(); avg <= 0 || avg > s.Time() {
+	if avg := age.TimeAvgMeanAge(); avg <= 0 || avg > s.Time() {
 		t.Fatalf("TimeAvgMeanAge %v outside (0, %v]", avg, s.Time())
 	}
 }

@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"io"
 
+	"gossipdisc/internal/analyze"
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/eventsim"
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
-	"gossipdisc/internal/metrics"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/stats"
+	"gossipdisc/internal/stream"
 	"gossipdisc/internal/trace"
 )
 
@@ -109,29 +110,32 @@ type eventAgg struct {
 // eventTrials runs `trials` independent event-runtime pushes on the
 // n-cycle under rate maps built fresh per trial (the map is mutable state).
 // Each trial records convergence time, events per node, the time-averaged
-// mean AoI, and the trajectory peak of the max AoI.
+// mean AoI, and the peak of the max AoI over the round boundaries.
 func eventTrials(trials int, seed uint64, n int, backend graph.Backend, build func() *eventsim.RateMap) (eventAgg, error) {
 	root := rng.New(seed)
 	var times, events, avgs, peaks []float64
 	for t := 0; t < trials; t++ {
 		r := root.Split()
 		g := gen.Cycle(n, backend)
-		aoi := &metrics.AoITrajectory{}
+		age := &analyze.Age{}
+		peak := 0.0
 		s := eventsim.New(g, core.Push{}, r, eventsim.Config{Rates: build()})
-		s.Subscribe(aoi)
+		s.Subscribe(age)
+		s.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
+			if e.Kind != stream.KindRound {
+				return
+			}
+			if m, _ := age.MaxAge(); m > peak {
+				peak = m
+			}
+		}))
 		res := s.Run()
 		if !res.Converged {
 			return eventAgg{}, fmt.Errorf("trial %d did not converge (%+v)", t, res)
 		}
-		peak := 0.0
-		for _, m := range aoi.MaxAges() {
-			if m > peak {
-				peak = m
-			}
-		}
 		times = append(times, res.Time)
 		events = append(events, float64(res.Events)/float64(n))
-		avgs = append(avgs, s.TimeAvgMeanAge())
+		avgs = append(avgs, age.TimeAvgMeanAge())
 		peaks = append(peaks, peak)
 	}
 	return eventAgg{

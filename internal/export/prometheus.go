@@ -146,7 +146,7 @@ func (p *Prometheus) Attach(h *analyze.Health) {
 	p.Gauge("gossip_stall_rounds", "Rounds since the last accepted edge.", func() float64 {
 		return float64(h.Stall.Stalled())
 	})
-	p.Gauge("gossip_age_mean", "Mean age of information, in runtime time units.", h.Stall.MeanAge)
+	p.Gauge("gossip_age_mean", "Mean age of information, in runtime time units.", h.Age.MeanAge)
 	p.BridgeFindings(h)
 }
 

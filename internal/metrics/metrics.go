@@ -3,12 +3,12 @@
 // degree histograms, neighborhood structure, and per-round trajectories.
 //
 // Trajectories are bus subscribers: handed to a session's Subscribe, they
-// consume the per-round deltas the commit path emits (delta mode,
-// ObserveDelta) and maintain all per-node state incrementally, which keeps
-// trajectory recording O(new edges) per round and allocation-flat.
-// Snapshot mode (Observe) summarizes a graph by scanning it. Both modes
-// always record the final committed round even under subsampling
-// (Every > 1) — see Trajectory.Finalize.
+// consume the per-round deltas the commit path emits (ObserveDelta) and
+// maintain all per-node state incrementally, which keeps trajectory
+// recording O(new edges) per round and allocation-flat. Every trajectory
+// records the final committed round even under subsampling (Every > 1) —
+// see Trajectory.Finalize. Take summarizes a graph by scanning it; tests
+// use it as the reference the incremental state must match.
 //
 // Stepped sessions need no subscription at all: sim.Session.Step returns
 // the same delta the bus carries, so a driver loop can feed a trajectory
@@ -53,35 +53,20 @@ func Take(round int, g *graph.Undirected) Snapshot {
 	}
 }
 
-// Trajectory records a time series of snapshots. It has two observation
-// modes sharing the same Snapshots output:
-//
-//   - Snapshot mode: Observe(round, g) summarizes the graph by scanning it
-//     (O(n) per recorded round).
-//   - Delta mode: ObserveDelta — what OnEvent feeds from the bus —
-//     maintains degrees, the degree histogram, and the min/max degree
-//     incrementally from the round's edge delta (O(new edges) per round, no
-//     graph scans after the first round).
-//
-// Use one mode per Trajectory, not both. Pass Every > 1 to subsample
-// rounds; the final committed round is always recorded regardless of
-// subsampling — it is held pending and appended by Finalize, which every
-// accessor calls, so `traj.Snapshots` readers should call Finalize() after
-// the run (the accessor methods do it automatically).
+// Trajectory records a time series of snapshots. ObserveDelta — what
+// OnEvent feeds from the bus — maintains degrees, the degree histogram, and
+// the min/max degree incrementally from the round's edge delta (O(new
+// edges) per round, no graph scans after the first round). Pass Every > 1
+// to subsample rounds; the final committed round is always recorded
+// regardless of subsampling — it is held pending and appended by Finalize,
+// which every accessor calls, so `traj.Snapshots` readers should call
+// Finalize() after the run (the accessor methods do it automatically).
 type Trajectory struct {
 	Every     int
 	Snapshots []Snapshot
 
-	// Pending final round (see Finalize). In snapshot mode the graph
-	// pointer is retained and summarized lazily — it is the live run graph,
-	// so at Finalize time it holds exactly the state of the last observed
-	// round. In delta mode the snapshot is materialized immediately (O(1))
-	// and held by the shared recorder.
-	pendingRound int
-	pendingG     *graph.Undirected
-	rec          recorder[Snapshot]
+	rec recorder[Snapshot]
 
-	// Incremental state (delta mode only).
 	inited bool
 	m      int
 	minDeg int
@@ -90,23 +75,11 @@ type Trajectory struct {
 	hist   []int32 // hist[d] = number of nodes with degree d
 }
 
-// Observe records round from a scan of g (snapshot mode). Skipped
-// rounds are held as a graph pointer, not a snapshot, so subsampled rounds
-// cost nothing until Finalize — this lazy path deliberately bypasses the
-// shared recorder.
-func (t *Trajectory) Observe(round int, g *graph.Undirected) {
-	if round%t.every() == 0 || g.IsComplete() {
-		t.Snapshots = append(t.Snapshots, Take(round, g))
-		t.pendingG, t.rec.have = nil, false
-		return
-	}
-	t.pendingRound, t.pendingG, t.rec.have = round, g, true
-}
-
-// ObserveDelta records one round's delta (delta mode). It consumes the per-round edge delta the commit path emits, so trajectory
-// recording never re-scans the graph: state is initialized once from the
-// first delta (rewinding that round's increments) and advanced by O(new
-// edges) work per round afterwards.
+// ObserveDelta records one round's delta. It consumes the per-round edge
+// delta the commit path emits, so trajectory recording never re-scans the
+// graph: state is initialized once from the first delta (rewinding that
+// round's increments) and advanced by O(new edges) work per round
+// afterwards.
 func (t *Trajectory) ObserveDelta(g *graph.Undirected, d *sim.RoundDelta) {
 	if !t.inited {
 		t.init(g, d)
@@ -164,33 +137,17 @@ func (t *Trajectory) init(g *graph.Undirected, d *sim.RoundDelta) {
 	t.inited = true
 }
 
-func (t *Trajectory) every() int {
-	if t.Every <= 0 {
-		return 1
-	}
-	return t.Every
-}
-
 // Finalize appends the last observed round if subsampling skipped it, so
 // the trajectory always ends at the final committed round. It is idempotent
 // and called automatically by the accessor methods; call it explicitly
-// before reading Snapshots directly. In snapshot mode the pending round is
-// summarized from the run's live graph at this point, so Finalize (or the
-// first accessor) must run before the graph is mutated again — e.g. before
-// reusing it for another run. Delta mode materializes pending snapshots
-// eagerly and has no such constraint.
+// before reading Snapshots directly.
 func (t *Trajectory) Finalize() {
-	if t.pendingG != nil && t.rec.have {
-		t.Snapshots = append(t.Snapshots, Take(t.pendingRound, t.pendingG))
-		t.pendingG, t.rec.have = nil, false
-		return
-	}
 	t.rec.finalize(&t.Snapshots)
 }
 
-// DegreeHistogram returns the current degree histogram maintained in delta
-// mode, shaped like graph.Undirected.DegreeHistogram (length MaxDegree+1).
-// It returns nil before the first delta or in snapshot mode.
+// DegreeHistogram returns the current degree histogram, shaped like
+// graph.Undirected.DegreeHistogram (length MaxDegree+1). It returns nil
+// before the first delta.
 func (t *Trajectory) DegreeHistogram() []int {
 	if !t.inited {
 		return nil
@@ -289,28 +246,21 @@ type DirectedSnapshot struct {
 	Arcs  int
 }
 
-// DirectedTrajectory records directed snapshots, by scanning (Observe) or
-// from the delta stream (ObserveDelta, fed by OnEvent); use one mode per
-// trajectory. As with
-// Trajectory, the final committed round is always recorded regardless of
-// Every — call Finalize before reading Snapshots directly.
+// DirectedTrajectory records directed snapshots from the delta stream
+// (ObserveDelta, fed by OnEvent). As with Trajectory, the final committed
+// round is always recorded regardless of Every — call Finalize before
+// reading Snapshots directly.
 type DirectedTrajectory struct {
 	Every     int
 	Snapshots []DirectedSnapshot
 
 	rec recorder[DirectedSnapshot]
 
-	// Incremental arc count (delta mode only).
 	inited bool
 	arcs   int
 }
 
-// Observe records round from g's arc count (snapshot mode).
-func (t *DirectedTrajectory) Observe(round int, g *graph.Directed) {
-	t.record(DirectedSnapshot{Round: round, Arcs: g.M()}, false)
-}
-
-// ObserveDelta records one round's directed delta (delta mode). After
+// ObserveDelta records one round's directed delta. After
 // initializing from the first delta (rewinding that round's arcs), the arc
 // count is tracked from the delta stream alone; recording terminates
 // exactly at closure because the delta carries the engine's own
@@ -321,11 +271,8 @@ func (t *DirectedTrajectory) ObserveDelta(g *graph.Directed, d *sim.DirectedRoun
 		t.inited = true
 	}
 	t.arcs += len(d.NewArcs)
-	t.record(DirectedSnapshot{Round: d.Round, Arcs: t.arcs}, d.ClosureArcsRemaining == 0)
-}
-
-func (t *DirectedTrajectory) record(s DirectedSnapshot, terminal bool) {
-	t.rec.observe(&t.Snapshots, t.Every, s.Round, terminal, s)
+	t.rec.observe(&t.Snapshots, t.Every, d.Round, d.ClosureArcsRemaining == 0,
+		DirectedSnapshot{Round: d.Round, Arcs: t.arcs})
 }
 
 // Finalize appends the last observed round if subsampling skipped it. It is

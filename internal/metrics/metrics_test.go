@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"testing"
 
 	"gossipdisc/internal/core"
@@ -31,15 +32,37 @@ func runDirected(g *graph.Directed, seed uint64, subs ...stream.Subscriber) sim.
 	return s.Run()
 }
 
-// snapshots feeds t's snapshot mode from the bus: Observe scans the live
-// graph the round event carries.
-func snapshots(t *Trajectory) stream.Subscriber {
-	return stream.SubscriberFunc(func(e *stream.Event) { t.Observe(e.Delta.Round, e.Graph) })
+// takes records Take of the live graph at every round: the scanning
+// reference the incremental Trajectory must match.
+func takes(dst *[]Snapshot) stream.Subscriber {
+	return stream.SubscriberFunc(func(e *stream.Event) {
+		if e.Kind == stream.KindRound {
+			*dst = append(*dst, Take(e.Delta.Round, e.Graph))
+		}
+	})
 }
 
-// directedSnapshots is snapshots for a DirectedTrajectory.
-func directedSnapshots(t *DirectedTrajectory) stream.Subscriber {
-	return stream.SubscriberFunc(func(e *stream.Event) { t.Observe(e.DirectedDelta.Round, e.Digraph) })
+// arcCounts records the live digraph's arc count at every round: the
+// scanning reference for DirectedTrajectory.
+func arcCounts(dst *[]DirectedSnapshot) stream.Subscriber {
+	return stream.SubscriberFunc(func(e *stream.Event) {
+		if e.Kind == stream.KindDirectedRound {
+			*dst = append(*dst, DirectedSnapshot{Round: e.DirectedDelta.Round, Arcs: e.Digraph.M()})
+		}
+	})
+}
+
+// onCadence returns the records a trajectory with the given Every keeps
+// from a converged run's full per-round series: every round divisible by
+// Every, plus the final (terminal) round.
+func onCadence[S any](all []S, every int, round func(S) int) []S {
+	var out []S
+	for i, s := range all {
+		if round(s)%every == 0 || i == len(all)-1 {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 func TestTakeSnapshot(t *testing.T) {
@@ -53,7 +76,7 @@ func TestTakeSnapshot(t *testing.T) {
 func TestTrajectoryRecordsMonotoneMinDegree(t *testing.T) {
 	g := gen.Cycle(10)
 	traj := &Trajectory{}
-	res := run(g, core.Push{}, 1, sim.Config{}, snapshots(traj))
+	res := run(g, core.Push{}, 1, sim.Config{}, traj)
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -74,7 +97,7 @@ func TestTrajectoryRecordsMonotoneMinDegree(t *testing.T) {
 func TestTrajectorySubsampling(t *testing.T) {
 	g := gen.Path(12)
 	traj := &Trajectory{Every: 5}
-	res := run(g, core.Push{}, 2, sim.Config{}, snapshots(traj))
+	res := run(g, core.Push{}, 2, sim.Config{}, traj)
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -109,7 +132,7 @@ func TestRoundsToMinDegree(t *testing.T) {
 func TestGrowthEpochs(t *testing.T) {
 	g := gen.Cycle(16)
 	traj := &Trajectory{}
-	run(g, core.Push{}, 3, sim.Config{}, snapshots(traj))
+	run(g, core.Push{}, 3, sim.Config{}, traj)
 	epochs := traj.GrowthEpochs(2, 16)
 	if len(epochs) == 0 {
 		t.Fatal("no epochs")
@@ -165,7 +188,7 @@ func TestAliveComplete(t *testing.T) {
 func TestDirectedTrajectory(t *testing.T) {
 	g := gen.DirectedCycle(6)
 	traj := &DirectedTrajectory{}
-	res := runDirected(g, 4, directedSnapshots(traj))
+	res := runDirected(g, 4, traj)
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -180,29 +203,29 @@ func TestDirectedTrajectory(t *testing.T) {
 }
 
 // TestTrajectoryDeltaMatchesSnapshotMode: for every engine family, a
-// delta-mode trajectory must record exactly the snapshots the full-scan
-// Observe records — same rounds, edges, missing counts, and
-// min/max degrees.
+// delta-mode trajectory must record exactly the snapshots Take computes by
+// scanning the graph — same rounds, edges, missing counts, and min/max
+// degrees — on the rounds its Every cadence keeps.
 func TestTrajectoryDeltaMatchesSnapshotMode(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 8} {
 		for _, every := range []int{1, 5} {
-			snapTraj := &Trajectory{Every: every}
+			var all []Snapshot
 			deltaTraj := &Trajectory{Every: every}
 			res := run(gen.RandomTree(90, rng.New(4)), core.Push{}, 6, sim.Config{Workers: workers},
-				snapshots(snapTraj), deltaTraj)
+				takes(&all), deltaTraj)
 			if !res.Converged {
 				t.Fatalf("Workers=%d did not converge", workers)
 			}
-			snapTraj.Finalize()
 			deltaTraj.Finalize()
-			if len(snapTraj.Snapshots) != len(deltaTraj.Snapshots) {
-				t.Fatalf("Workers=%d Every=%d: %d snapshot-mode records vs %d delta-mode",
-					workers, every, len(snapTraj.Snapshots), len(deltaTraj.Snapshots))
+			want := onCadence(all, every, func(s Snapshot) int { return s.Round })
+			if len(want) != len(deltaTraj.Snapshots) {
+				t.Fatalf("Workers=%d Every=%d: %d scanned records vs %d delta-mode",
+					workers, every, len(want), len(deltaTraj.Snapshots))
 			}
-			for i := range snapTraj.Snapshots {
-				if snapTraj.Snapshots[i] != deltaTraj.Snapshots[i] {
-					t.Fatalf("Workers=%d Every=%d record %d: snapshot %+v vs delta %+v",
-						workers, every, i, snapTraj.Snapshots[i], deltaTraj.Snapshots[i])
+			for i := range want {
+				if want[i] != deltaTraj.Snapshots[i] {
+					t.Fatalf("Workers=%d Every=%d record %d: scanned %+v vs delta %+v",
+						workers, every, i, want[i], deltaTraj.Snapshots[i])
 				}
 			}
 		}
@@ -233,51 +256,45 @@ func TestTrajectoryDeltaDegreeHistogram(t *testing.T) {
 // TestTrajectorySubsamplingRecordsFinalRound is the regression test for the
 // Every > 1 bug: with a custom Done predicate the final committed round is
 // not a multiple of Every and the graph never completes, so the old Observe
-// dropped it. Both observation modes must now always record it.
+// dropped it. The trajectory must always record it.
 func TestTrajectorySubsamplingRecordsFinalRound(t *testing.T) {
-	for name, attach := range map[string]func(*Trajectory) stream.Subscriber{
-		"snapshot": snapshots,
-		"delta":    func(tr *Trajectory) stream.Subscriber { return tr },
-	} {
-		traj := &Trajectory{Every: 7}
-		cfg := sim.Config{
-			Done: func(g *graph.Undirected) bool { return g.MinDegree() >= 4 },
-		}
-		res := run(gen.Path(32), core.Push{}, 9, cfg, attach(traj))
-		if !res.Converged {
-			t.Fatalf("%s: did not converge", name)
-		}
-		traj.Finalize()
-		if len(traj.Snapshots) == 0 {
-			t.Fatalf("%s: no snapshots", name)
-		}
-		last := traj.Snapshots[len(traj.Snapshots)-1]
-		if last.Round != res.Rounds {
-			t.Fatalf("%s: final snapshot round %d, want final committed round %d (Every=7)",
-				name, last.Round, res.Rounds)
-		}
-		if last.MinDegree < 4 {
-			t.Fatalf("%s: final snapshot min degree %d", name, last.MinDegree)
-		}
-		// Finalize must be idempotent and not duplicate the final round.
-		traj.Finalize()
-		if n := len(traj.Snapshots); n >= 2 && traj.Snapshots[n-2].Round == last.Round {
-			t.Fatalf("%s: final round recorded twice", name)
-		}
+	traj := &Trajectory{Every: 7}
+	cfg := sim.Config{
+		Done: func(g *graph.Undirected) bool { return g.MinDegree() >= 4 },
 	}
-}
-
-// TestDirectedTrajectoryDeltaAndFinalize: the directed trajectory's delta
-// mode matches snapshot mode and always captures the terminal round.
-func TestDirectedTrajectoryDeltaAndFinalize(t *testing.T) {
-	snapTraj := &DirectedTrajectory{Every: 3}
-	deltaTraj := &DirectedTrajectory{Every: 3}
-	g := gen.DirectedCycle(14)
-	res := runDirected(g, 2, directedSnapshots(snapTraj), deltaTraj)
+	res := run(gen.Path(32), core.Push{}, 9, cfg, traj)
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
-	snapTraj.Finalize()
+	traj.Finalize()
+	if len(traj.Snapshots) == 0 {
+		t.Fatal("no snapshots")
+	}
+	last := traj.Snapshots[len(traj.Snapshots)-1]
+	if last.Round != res.Rounds {
+		t.Fatalf("final snapshot round %d, want final committed round %d (Every=7)", last.Round, res.Rounds)
+	}
+	if last.MinDegree < 4 {
+		t.Fatalf("final snapshot min degree %d", last.MinDegree)
+	}
+	// Finalize must be idempotent and not duplicate the final round.
+	traj.Finalize()
+	if n := len(traj.Snapshots); n >= 2 && traj.Snapshots[n-2].Round == last.Round {
+		t.Fatal("final round recorded twice")
+	}
+}
+
+// TestDirectedTrajectoryDeltaAndFinalize: the directed trajectory matches
+// the scanned arc counts g.M() on its cadence and always captures the
+// terminal round.
+func TestDirectedTrajectoryDeltaAndFinalize(t *testing.T) {
+	var all []DirectedSnapshot
+	deltaTraj := &DirectedTrajectory{Every: 3}
+	g := gen.DirectedCycle(14)
+	res := runDirected(g, 2, arcCounts(&all), deltaTraj)
+	if !res.Converged {
+		t.Fatal("did not converge")
+	}
 	deltaTraj.Finalize()
 	if len(deltaTraj.Snapshots) == 0 {
 		t.Fatal("no delta snapshots")
@@ -286,12 +303,8 @@ func TestDirectedTrajectoryDeltaAndFinalize(t *testing.T) {
 	if last.Round != res.Rounds || last.Arcs != g.M() {
 		t.Fatalf("terminal snapshot %+v, want round %d arcs %d", last, res.Rounds, g.M())
 	}
-	if len(snapTraj.Snapshots) != len(deltaTraj.Snapshots) {
-		t.Fatalf("%d snapshot-mode records vs %d delta-mode", len(snapTraj.Snapshots), len(deltaTraj.Snapshots))
-	}
-	for i := range snapTraj.Snapshots {
-		if snapTraj.Snapshots[i] != deltaTraj.Snapshots[i] {
-			t.Fatalf("record %d differs: %+v vs %+v", i, snapTraj.Snapshots[i], deltaTraj.Snapshots[i])
-		}
+	want := onCadence(all, 3, func(s DirectedSnapshot) int { return s.Round })
+	if !slices.Equal(want, deltaTraj.Snapshots) {
+		t.Fatalf("delta records %+v, scanned %+v", deltaTraj.Snapshots, want)
 	}
 }

@@ -53,13 +53,6 @@ func (t *Trajectory) OnEvent(e *stream.Event) {
 	}
 }
 
-// OnEvent implements stream.Subscriber, as Trajectory.OnEvent.
-func (t *AoITrajectory) OnEvent(e *stream.Event) {
-	if e.Kind == stream.KindRound {
-		t.ObserveDelta(e.Graph, e.Delta)
-	}
-}
-
 // OnEvent implements stream.Subscriber for directed runs.
 func (t *DirectedTrajectory) OnEvent(e *stream.Event) {
 	if e.Kind == stream.KindDirectedRound {

@@ -15,19 +15,15 @@ import (
 // Step returns records: OnEvent is a pure kind-filter over ObserveDelta.
 func TestTrajectorySubscriberEquivalence(t *testing.T) {
 	steppedTraj := &Trajectory{Every: 2}
-	steppedAoI := &AoITrajectory{Every: 2}
 	stepped := sim.NewSession(gen.Path(10), core.Push{}, rng.New(11), sim.Config{})
 	for d, _ := stepped.Step(); d != nil; d, _ = stepped.Step() {
 		steppedTraj.ObserveDelta(stepped.Graph(), d)
-		steppedAoI.ObserveDelta(stepped.Graph(), d)
 	}
 	steppedRes := stepped.Stats()
 
 	busTraj := &Trajectory{Every: 2}
-	busAoI := &AoITrajectory{Every: 2}
 	bus := sim.NewSession(gen.Path(10), core.Push{}, rng.New(11), sim.Config{})
 	bus.Subscribe(busTraj)
-	bus.Subscribe(busAoI)
 	busRes := bus.Run()
 
 	if steppedRes != busRes {
@@ -37,11 +33,6 @@ func TestTrajectorySubscriberEquivalence(t *testing.T) {
 	busTraj.Finalize()
 	if !reflect.DeepEqual(steppedTraj.Snapshots, busTraj.Snapshots) {
 		t.Errorf("snapshots diverged:\nstepped: %v\nbus:    %v", steppedTraj.Snapshots, busTraj.Snapshots)
-	}
-	steppedAoI.Finalize()
-	busAoI.Finalize()
-	if !reflect.DeepEqual(steppedAoI.Samples, busAoI.Samples) {
-		t.Errorf("AoI samples diverged:\nstepped: %v\nbus:    %v", steppedAoI.Samples, busAoI.Samples)
 	}
 }
 

@@ -38,6 +38,11 @@ type RoundDelta struct {
 	// injected between steps via Session.AddEdge lead the list, so the
 	// stream accounts for every insertion the graph saw.
 	NewEdges []graph.Edge
+	// EdgeTimes holds the exact simulated time at which each NewEdges
+	// entry was accepted, index for index. The event-driven runtime sets
+	// it; nil, as on the synchronous, tick and churn runtimes, means every
+	// edge landed at the event's Time.
+	EdgeTimes []float64
 	// Touched lists the nodes whose degree changed this round, in first-
 	// touch order of NewEdges.
 	Touched []int32

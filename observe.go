@@ -57,7 +57,7 @@ const (
 // size.
 type (
 	// Health bundles the standard analyzer pack — connectivity/isolation
-	// risk, degree-profile drift, stall/age-of-information — behind one
+	// risk, degree-profile drift, stall, age of information — behind one
 	// Subscriber; Findings() merges and sorts the rule findings.
 	Health = analyze.Health
 	// Connectivity tracks components and low-degree isolation risk among
@@ -66,9 +66,13 @@ type (
 	// DegreeDrift tracks the degree profile (mean, CV) and its drift over
 	// a sliding window of rounds.
 	DegreeDrift = analyze.DegreeDrift
-	// Stall watches for rounds without progress and per-node age of
-	// information.
+	// Stall watches for rounds without progress.
 	Stall = analyze.Stall
+	// Age tracks each node's age of information — the time since it last
+	// gained an edge — exactly at event times on the event-driven runtime
+	// and at round boundaries elsewhere. Its zero value is ready to
+	// subscribe.
+	Age = analyze.Age
 	// Finding is one rule-style health observation.
 	Finding = analyze.Finding
 	// Severity grades a Finding.
@@ -98,7 +102,7 @@ func NewConnectivity(riskDegree int) *Connectivity { return analyze.NewConnectiv
 // window in rounds (0 selects the default 64).
 func NewDegreeDrift(window int) *DegreeDrift { return analyze.NewDegreeDrift(window) }
 
-// NewStall returns a stall/AoI analyzer warning after patience rounds
+// NewStall returns a stall analyzer warning after patience rounds
 // without a new edge (0 selects the default 50).
 func NewStall(patience int) *Stall { return analyze.NewStall(patience) }
 

@@ -45,12 +45,12 @@ type (
 	AsyncSession = sim.AsyncSession
 	// EventSession steps the event-driven runtime (continuous per-node
 	// Poisson clocks, internal/eventsim) one unit of simulated time at a
-	// time, with exact age-of-information accessors and mid-run rate
-	// mutation (SetNodeRate / SetClassRate). At uniform rates it reproduces
-	// the tick scheduler's activations exactly.
+	// time, with exact event times on its deltas and mid-run rate mutation
+	// (SetNodeRate / SetClassRate). At uniform rates it reproduces the tick
+	// scheduler's activations exactly.
 	EventSession = eventsim.Session
-	// EventResult reports an event-driven run (time, events, AoI-bearing
-	// convergence and budget flags).
+	// EventResult reports an event-driven run (time, events, convergence
+	// and budget flags).
 	EventResult = eventsim.Result
 	// RateMap assigns per-node activation rates for the event-driven
 	// runtime: named classes plus per-node overrides, mutable between
@@ -260,7 +260,8 @@ func NewAsyncSession(g *Graph, opts ...SessionOption) *AsyncSession {
 
 // NewEventSession constructs a resumable event-driven session over g: per-
 // node Poisson clocks (WithRates; uniform rate 1 by default), Step to the
-// next unit-time boundary, exact AoI accessors, and mid-run rate mutation.
+// next unit-time boundary, and mid-run rate mutation; subscribe an Age for
+// its exact age of information.
 // Only the process, seed/rand, rates, Done, and analyzer options apply; the
 // event budget follows MaxRounds × n when WithMaxRounds is set (negative
 // keeps meaning unbounded). Runs are bit-replayable from (seed, rates) at

@@ -2,16 +2,10 @@ package gossipdisc_test
 
 // Trajectory-recording benchmarks for the streaming delta pipeline
 // (BENCH_pr2.json). Each iteration runs one full push convergence on the
-// n=1024 cycle — the E9/E17 recording shape — under three subscriber
+// n=1024 cycle — the E9/E17 recording shape — under two subscriber
 // configurations:
 //
 //   - none: the engine alone, no observation (lower bound).
-//   - snapshot: the scanning path. metrics.Trajectory.Observe scans the graph
-//     every round (min/max degree), and the per-round edge delta — what
-//     dissemination-rate consumers such as E17's evolution tracker need —
-//     must be re-derived from full-graph state: a degree re-scan plus an
-//     Edges() materialization whenever the edge set grew, O(n + m) per
-//     round on the commit goroutine.
 //   - delta: the streaming path. The commit emits the per-round delta it
 //     already knows (new edges, degree increments, edges remaining), and a
 //     subscribed metrics.Trajectory maintains the same trajectory
@@ -61,38 +55,6 @@ func benchScaleTrajectory(b *testing.B, n, workers int) {
 			g := gen.Cycle(n)
 			res := sim.Run(g, core.Push{}, r.Split(), sim.Config{Workers: workers})
 			check(b, res, nil)
-		}
-	})
-
-	b.Run("snapshot", func(b *testing.B) {
-		r := rng.New(uint64(n))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g := gen.Cycle(n)
-			traj := &metrics.Trajectory{}
-			prevDeg := make([]int, n)
-			newEdges := 0
-			res := runObserved(g, r.Split(), workers, stream.SubscriberFunc(func(e *stream.Event) {
-				traj.Observe(e.Delta.Round, e.Graph)
-				// Recover this round's delta from snapshots alone:
-				// degree increments by re-scanning all degrees, new
-				// edges by materializing the edge set when it grew.
-				grew := false
-				for u := 0; u < n; u++ {
-					d := e.Graph.Degree(u)
-					if d != prevDeg[u] {
-						grew = true
-						prevDeg[u] = d
-					}
-				}
-				if grew {
-					newEdges = len(e.Graph.Edges())
-				}
-			}))
-			check(b, res, traj)
-			if newEdges != n*(n-1)/2 {
-				b.Fatal("snapshot delta recovery failed")
-			}
 		}
 	})
 
