@@ -1,6 +1,7 @@
-// Command experiments regenerates the paper-reproduction tables recorded in
-// EXPERIMENTS.md. Each experiment (E1–E13, see DESIGN.md) reproduces one
-// theorem or figure of "Discovery through Gossip" (SPAA 2012).
+// Command experiments regenerates the paper-reproduction tables. Each
+// experiment (E1–E22, listed in README's experiment catalog) reproduces one
+// theorem or figure of "Discovery through Gossip" (SPAA 2012) or measures
+// an extension.
 //
 // Examples:
 //
@@ -19,7 +20,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -29,7 +29,6 @@ import (
 	"gossipdisc/internal/export"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/profile"
-	"gossipdisc/internal/sim"
 )
 
 func main() {
@@ -39,7 +38,7 @@ func main() {
 		trials         = flag.Int("trials", 0, "per-point trial override (0 = experiment default)")
 		scale          = flag.Float64("scale", 1, "sweep-size scale factor in (0, 1]")
 		csv            = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		workers        = flag.String("workers", "0", "per-run round-engine workers: 0 = classic sequential engine, k >= 1 = sharded deterministic engine, -1 = GOMAXPROCS, auto = adaptive autoscaling")
+		workers        = flag.String("workers", "0", "per-run round engine: 0 = classic sequential engine, k >= 1 = sharded deterministic engine (identical output for every k; -1 = same as 1)")
 		trialsParallel = flag.Int("trials-parallel", 0, "concurrent trials per sweep point (0 = GOMAXPROCS, 1 = strictly sequential; outputs are byte-identical for every value)")
 		backendName    = flag.String("backend", "dense", "graph row-storage backend for workload generation: dense | sparse | auto (outputs are byte-identical)")
 		sched          = flag.String("sched", "both", "async runtimes the scheduler experiments (E15) tabulate: both | tick | event")
@@ -102,16 +101,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: serving metrics at http://%s/metrics\n", ln.Addr())
 		go http.Serve(ln, exp)
 	}
-	// Resolve -workers exactly as gossipsim does: "auto" selects the
-	// autoscaling sentinel, -1 resolves to GOMAXPROCS (validate already
+	// Resolve -workers exactly as gossipsim does (validate already
 	// rejected everything else).
-	wcount, wauto, _ := cliflag.WorkerCount(opts.workers)
-	engineWorkers := wcount
-	if wauto {
-		engineWorkers = sim.WorkersAuto
-	} else if wcount < 0 {
-		engineWorkers = runtime.GOMAXPROCS(0)
-	}
+	engineWorkers, _ := cliflag.WorkerCount(opts.workers)
 	backend, _ := graph.ParseBackend(*backendName)
 	cfg := experiments.Config{
 		Seed: *seed, Trials: *trials, Scale: *scale, CSV: *csv,

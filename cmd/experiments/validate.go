@@ -14,8 +14,8 @@ import (
 // input validation is one pure function table-driven tests can drive
 // directly — the same pattern as gossipsim's options.validate (the checks
 // used to live inline in main, each with its own os.Exit).
-// workers is the raw flag string: "auto" selects the adaptive engine,
-// anything else must parse as an integer >= -1.
+// workers is the raw flag string, an integer >= -1 (see
+// cliflag.WorkerCount).
 type options struct {
 	workers        string
 	trialsParallel int
@@ -32,7 +32,7 @@ type options struct {
 // existence is checked against the registry, and -rates node ranges are
 // resolved against the sweep size inside E20.
 func (o *options) validate() error {
-	if _, _, err := cliflag.WorkerCount(o.workers); err != nil {
+	if _, err := cliflag.WorkerCount(o.workers); err != nil {
 		return err
 	}
 	if o.trialsParallel < 0 {

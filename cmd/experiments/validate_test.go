@@ -21,7 +21,7 @@ func TestValidateOptions(t *testing.T) {
 		{"defaults", func(o *options) {}, ""},
 		{"workers GOMAXPROCS sentinel", func(o *options) { o.workers = "-1" }, ""},
 		{"workers sharded", func(o *options) { o.workers = "8" }, ""},
-		{"workers auto", func(o *options) { o.workers = "auto" }, ""},
+		{"workers auto", func(o *options) { o.workers = "auto" }, "-workers 1"},
 		{"trials parallel sequential", func(o *options) { o.trialsParallel = 1 }, ""},
 		{"backend sparse", func(o *options) { o.backend = "sparse" }, ""},
 		{"backend auto", func(o *options) { o.backend = "auto" }, ""},

@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"gossipdisc/internal/analyze"
 	"gossipdisc/internal/cliflag"
@@ -45,7 +44,7 @@ func main() {
 		sched        = flag.String("sched", "tick", "async runtime: tick (discretized uniform activations) | event (continuous per-node Poisson clocks; enables -rates)")
 		ratesSpec    = flag.String("rates", "", "event-runtime rate spec: \"R\" sets the default rate, \"name=R:lo-hi\" defines a class over nodes lo..hi inclusive, comma-separated (empty = uniform rate 1; requires -sched event)")
 		rolesSpec    = flag.String("roles", "", "role spec assigning per-node behaviors: \"role\" sets the default, \"role=K\" or \"role=P%\" quantifies with an optional \":lo-hi\" node range, comma-separated — e.g. \"honest,byzantine=5%,selfish=10:0-99\" (roles: honest, byzantine, selfish, silent, eavesdropper)")
-		workers      = flag.String("workers", "0", "round-engine workers: 0 = classic sequential engine, k >= 1 = sharded deterministic engine, -1 = GOMAXPROCS, auto = adaptive autoscaling")
+		workers      = flag.String("workers", "0", "round engine: 0 = classic sequential engine, k >= 1 = sharded deterministic engine (identical output for every k; -1 = same as 1)")
 		roundsBudget = flag.Int("rounds", 0, "stop each trial after this many rounds even if not converged (0 = run to convergence)")
 		traceAt      = flag.Int("trace", 0, "print a min-degree trajectory snapshot every K rounds (0 = off; trial 0 is driven step-wise through the session API)")
 		failProb     = flag.Float64("fail", 0, "connection failure probability (0..1)")
@@ -109,16 +108,9 @@ func main() {
 		async = true
 	}
 
-	// Resolve -workers to the sim.Config value: "auto" selects the
-	// autoscaling sentinel, -1 resolves to GOMAXPROCS here (validate
-	// already rejected everything else).
-	wcount, wauto, _ := cliflag.WorkerCount(opts.workers)
-	engineWorkers := wcount
-	if wauto {
-		engineWorkers = sim.WorkersAuto
-	} else if wcount < 0 {
-		engineWorkers = runtime.GOMAXPROCS(0)
-	}
+	// Resolve -workers to the sim.Config value (validate already rejected
+	// everything else).
+	engineWorkers, _ := cliflag.WorkerCount(opts.workers)
 	if engineWorkers != 0 && *mode != "sync" {
 		fmt.Fprintf(os.Stderr, "gossipsim: note: -workers applies only to -mode sync; the %s scheduler is inherently sequential\n", *mode)
 		engineWorkers = 0

@@ -15,8 +15,8 @@ import (
 // of relying on incidental downstream behavior (a negative -rounds used to
 // silently select the default budget, a negative -workers silently meant
 // GOMAXPROCS for every value, and bad -fail probabilities sailed through).
-// workers is the raw flag string: "auto" selects the adaptive engine,
-// anything else must parse as an integer >= -1.
+// workers is the raw flag string, an integer >= -1 (see
+// cliflag.WorkerCount).
 type options struct {
 	process  string
 	family   string
@@ -92,7 +92,7 @@ func (o *options) validate() error {
 	if o.trials < 1 {
 		return fmt.Errorf("-trials must be at least 1 (got %d)", o.trials)
 	}
-	if _, _, err := cliflag.WorkerCount(o.workers); err != nil {
+	if _, err := cliflag.WorkerCount(o.workers); err != nil {
 		return err
 	}
 	if _, err := graph.ParseBackend(o.backend); err != nil {

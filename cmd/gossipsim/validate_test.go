@@ -29,7 +29,7 @@ func TestValidateOptions(t *testing.T) {
 		{"async undirected", func(o *options) { o.mode = "async" }, ""},
 		{"workers GOMAXPROCS sentinel", func(o *options) { o.workers = "-1" }, ""},
 		{"workers sharded", func(o *options) { o.workers = "8" }, ""},
-		{"workers auto", func(o *options) { o.workers = "auto" }, ""},
+		{"workers auto", func(o *options) { o.workers = "auto" }, "-workers 1"},
 		{"dense fraction", func(o *options) { o.dense = 0.25 }, ""},
 		{"dense full", func(o *options) { o.dense = 1 }, ""},
 		{"fail probability", func(o *options) { o.fail = 0.5 }, ""},
@@ -130,18 +130,16 @@ func TestValidateOptions(t *testing.T) {
 		{"roles with scenario", func(o *options) { o.roles = "byzantine=2"; o.scenario = "chaos.json" }, "-scenario"},
 	}
 	t.Run("worker count resolution", func(t *testing.T) {
-		o := good()
-		o.workers = "auto"
-		if _, auto, err := cliflag.WorkerCount(o.workers); err != nil || !auto {
-			t.Fatalf("auto: auto=%v err=%v", auto, err)
+		for _, tc := range []struct {
+			flag string
+			want int
+		}{{"0", 0}, {"-1", 1}, {"1", 1}, {"6", 6}} {
+			if n, err := cliflag.WorkerCount(tc.flag); err != nil || n != tc.want {
+				t.Fatalf("%s: n=%d err=%v, want %d", tc.flag, n, err, tc.want)
+			}
 		}
-		o.workers = "-1"
-		if n, auto, err := cliflag.WorkerCount(o.workers); err != nil || auto || n != -1 {
-			t.Fatalf("-1: n=%d auto=%v err=%v", n, auto, err)
-		}
-		o.workers = "6"
-		if n, auto, err := cliflag.WorkerCount(o.workers); err != nil || auto || n != 6 {
-			t.Fatalf("6: n=%d auto=%v err=%v", n, auto, err)
+		if _, err := cliflag.WorkerCount("auto"); err == nil {
+			t.Fatal("auto: no error")
 		}
 	})
 	for _, tc := range cases {

@@ -59,13 +59,13 @@ func ExampleTrials() {
 	// trial 2 converged: true
 }
 
-// ExampleWithWorkers runs the sharded deterministic engine: results are
-// bit-identical for every worker count >= 1, so the worker count is purely
-// a performance knob.
+// ExampleWithWorkers runs the sharded deterministic engine: the fixed
+// shard layout and its per-shard streams define the run, so results are
+// bit-identical for every worker count >= 1.
 func ExampleWithWorkers() {
 	run := func(g *gossipdisc.Graph, workers int) gossipdisc.Result {
 		sess := gossipdisc.NewSession(g, gossipdisc.WithSeed(9), gossipdisc.WithWorkers(workers))
-		defer sess.Close() // releases the parked worker goroutines
+		defer sess.Close()
 		return sess.Run()
 	}
 	a := gossipdisc.Cycle(64)
@@ -191,26 +191,6 @@ func ExampleWithDone() {
 	// converged: true
 	// min degree >= 3: true
 	// still incomplete: true
-}
-
-// ExampleWithAutoWorkers shows the autoscaled engine honoring the
-// determinism contract: the schedule adapts, the results do not — an
-// autoscaled run is bit-identical to any fixed worker count >= 1, and the
-// chosen schedule is read separately through EngineStats.
-func ExampleWithAutoWorkers() {
-	g := gossipdisc.Cycle(64)
-	sess := gossipdisc.NewSession(g, gossipdisc.WithAutoWorkers(), gossipdisc.WithSeed(7))
-	defer sess.Close()
-	res := sess.Run()
-
-	fixed := gossipdisc.NewSession(gossipdisc.Cycle(64), gossipdisc.WithWorkers(1), gossipdisc.WithSeed(7)).Run()
-	fmt.Println("converged:", res.Converged)
-	fmt.Println("matches fixed Workers=1:", res == fixed)
-	fmt.Println("schedule was autoscaling's to pick:", sess.EngineStats().ConfiguredWorkers == gossipdisc.WorkersAuto)
-	// Output:
-	// converged: true
-	// matches fixed Workers=1: true
-	// schedule was autoscaling's to pick: true
 }
 
 // ExampleNewEventSession runs the event-driven runtime: continuous

@@ -41,7 +41,7 @@
 // the membership mid-flight — the shape long-running gossip deployments
 // need:
 //
-//	sess := gossipdisc.NewSession(g, gossipdisc.WithWorkers(8))
+//	sess := gossipdisc.NewSession(g, gossipdisc.WithWorkers(1))
 //	defer sess.Close()
 //	for {
 //	    delta, more := sess.Step()

@@ -2,6 +2,7 @@ package gossipdisc_test
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"gossipdisc"
@@ -223,12 +224,12 @@ func TestWithRandOverridesWithSeed(t *testing.T) {
 }
 
 // TestWithMaxRoundsActivationBudgetSaturates: the tick and event sessions
-// turn WithMaxRounds into MaxRounds × n activations. At 1<<62 + 1 rounds on
-// 4 nodes the plain product wraps to a 4-activation budget; saturated, it
-// is effectively unbounded.
+// turn WithMaxRounds into MaxRounds × n activations. At MaxInt/2 + 2 rounds
+// (1<<62 + 1 on a 64-bit int) on 4 nodes the plain product wraps to a
+// 4-activation budget; saturated, it is effectively unbounded.
 func TestWithMaxRoundsActivationBudgetSaturates(t *testing.T) {
 	opts := []gossipdisc.SessionOption{
-		gossipdisc.WithMaxRounds(1<<62 + 1),
+		gossipdisc.WithMaxRounds(1<<(bits.UintSize-2) + 1),
 		gossipdisc.WithDone(func(*gossipdisc.Graph) bool { return false }),
 	}
 	async := gossipdisc.NewAsyncSession(gossipdisc.Path(4), opts...)

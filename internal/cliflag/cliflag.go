@@ -28,19 +28,24 @@ func ValidateMetricsAddr(addr string) error {
 	return nil
 }
 
-// WorkerCount resolves a raw -workers value: "auto" selects the adaptive
-// engine (n is then meaningless); anything else must parse as an integer
-// >= -1, with -1 still meaning GOMAXPROCS (resolved by the caller).
-func WorkerCount(workers string) (n int, auto bool, err error) {
+// WorkerCount resolves a raw -workers value to its sim.Config.Workers
+// value: an integer >= -1, where 0 selects the sequential engine and every
+// other value the sharded one. -1 (once GOMAXPROCS) and every k >= 1 run
+// the same inline schedule, so -1 resolves to 1. "auto" named the retired
+// autoscaler and is an error.
+func WorkerCount(workers string) (int, error) {
 	if workers == "auto" {
-		return 0, true, nil
+		return 0, fmt.Errorf("-workers auto is gone: every sharded run acts inline, so use -workers 1")
 	}
-	n, perr := strconv.Atoi(workers)
-	if perr != nil {
-		return 0, false, fmt.Errorf("-workers must be an integer or \"auto\" (got %q)", workers)
+	n, err := strconv.Atoi(workers)
+	if err != nil {
+		return 0, fmt.Errorf("-workers must be an integer (got %q)", workers)
 	}
 	if n < -1 {
-		return 0, false, fmt.Errorf("-workers must be >= -1 (-1 = GOMAXPROCS, 0 = sequential engine, auto = autoscaled; got %d)", n)
+		return 0, fmt.Errorf("-workers must be >= -1 (0 = sequential engine, >= 1 or -1 = sharded; got %d)", n)
 	}
-	return n, false, nil
+	if n == -1 {
+		n = 1
+	}
+	return n, nil
 }

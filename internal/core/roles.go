@@ -30,8 +30,7 @@ import (
 // internal/eventsim pin this).
 //
 // Mutate a Population only between session steps (AssignRole /
-// SetNodeProcess / SetRoleProcess); the dispatch table is read concurrently
-// by the sharded engines during a step.
+// SetNodeProcess / SetRoleProcess): the table is read throughout a step.
 //
 // Nodes beyond the population's size (members admitted later via
 // Session.InsertNode) run the default process. The table is a named field,

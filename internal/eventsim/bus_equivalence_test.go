@@ -26,9 +26,14 @@ func newEventDeltaHash() *eventDeltaHash { return &eventDeltaHash{h: 14695981039
 
 func (d *eventDeltaHash) ints(vs ...int) {
 	for _, v := range vs {
-		d.h ^= uint64(v)
-		d.h *= 1099511628211
+		d.word(uint64(v))
 	}
+}
+
+// word folds one 64-bit word, whatever the width of int.
+func (d *eventDeltaHash) word(v uint64) {
+	d.h ^= v
+	d.h *= 1099511628211
 }
 
 func (d *eventDeltaHash) observe(g *graph.Undirected, rd *sim.RoundDelta) {

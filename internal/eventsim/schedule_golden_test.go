@@ -16,7 +16,7 @@ import (
 func scheduleDigest(seed uint64, rates *RateMap, maxEvents int, mutate func(step int, s *Session)) (digest uint64, events int) {
 	s := New(gen.Cycle(rates.N()), core.Push{}, rng.New(seed), Config{Rates: rates, MaxEvents: maxEvents})
 	h := newEventDeltaHash()
-	s.hook = func(u int, tt float64) { h.ints(u, int(math.Float64bits(tt))) }
+	s.hook = func(u int, tt float64) { h.ints(u); h.word(math.Float64bits(tt)) }
 	for step := 0; ; step++ {
 		if mutate != nil {
 			mutate(step, s)

@@ -1,7 +1,7 @@
 // Package experiments registers one runnable experiment per theorem and
-// figure of the paper (see DESIGN.md's per-experiment index, E1–E13). Each
-// experiment sweeps a workload, runs trials in parallel, and renders the
-// tables EXPERIMENTS.md records.
+// figure of the paper, E1–E22 (README's experiment catalog lists them). Each
+// experiment sweeps a workload, runs trials in parallel, and renders its
+// tables.
 package experiments
 
 import (
@@ -28,11 +28,9 @@ type Config struct {
 	// CSV selects CSV output instead of aligned text.
 	CSV bool
 	// Workers selects the per-run round engine (sim.Config.Workers):
-	// 0 keeps the classic sequential engine, w >= 1 shards each round
-	// over w goroutines, sim.WorkersAuto autoscales the count per run.
-	// Trial batches already saturate GOMAXPROCS, so fixed Workers > 1
-	// mainly pays off for large-n single-run sweeps; WorkersAuto composes
-	// with trial-level parallelism (each trial's engine scales itself).
+	// 0 keeps the classic sequential engine, every w >= 1 the sharded one
+	// (identical tables for every w >= 1). A run steps on one goroutine;
+	// the parallelism is TrialWorkers'.
 	Workers int
 	// TrialWorkers bounds how many trials of a sweep point run
 	// concurrently (sim.TrialsOn / sim.TrialsAggregateOn): 0 = GOMAXPROCS,

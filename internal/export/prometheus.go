@@ -54,7 +54,6 @@ type Prometheus struct {
 	joins      int64
 	leaves     int64
 	rateChgs   int64
-	workers    int
 
 	hasWire bool
 	wire    stream.WireStats
@@ -81,14 +80,12 @@ func (p *Prometheus) OnEvent(e *stream.Event) {
 		p.remaining = e.Delta.EdgesRemaining
 		p.members = e.Delta.Members
 		p.memberEdge = e.Delta.MemberEdges
-		p.workers = e.Delta.ActiveWorkers
 	case stream.KindDirectedRound:
 		p.rounds++
 		p.round = e.DirectedDelta.Round
 		p.now = e.Time
 		p.edges += int64(len(e.DirectedDelta.NewArcs))
 		p.remaining = e.DirectedDelta.ClosureArcsRemaining
-		p.workers = e.DirectedDelta.ActiveWorkers
 	case stream.KindJoin:
 		p.joins++
 		p.now = e.Time
@@ -194,7 +191,6 @@ func (p *Prometheus) WriteTo(w io.Writer) (int64, error) {
 	write("gossip_joins_total", "Membership joins observed.", "counter", strconv.FormatInt(p.joins, 10))
 	write("gossip_leaves_total", "Membership leaves observed.", "counter", strconv.FormatInt(p.leaves, 10))
 	write("gossip_rate_changes_total", "Clock-rate changes observed.", "counter", strconv.FormatInt(p.rateChgs, 10))
-	write("gossip_active_workers", "Workers that executed the latest round.", "gauge", strconv.Itoa(p.workers))
 	if p.hasWire {
 		write("gossip_wire_rounds_total", "Wire rounds executed.", "counter", strconv.Itoa(p.wire.Rounds))
 		write("gossip_wire_sent_total", "Messages handed to the wire.", "counter", strconv.FormatInt(p.wire.Sent, 10))

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -136,9 +137,10 @@ func TestParseScenario(t *testing.T) {
 	if _, err := ParseScenario([]byte(`{not json`)); err == nil {
 		t.Fatal("bad JSON accepted")
 	}
+	maxInt := strconv.Itoa(math.MaxInt)
 	for _, spec := range []string{
-		`{"phases":[{"all":{"jitter":9223372036854775807}}]}`,
-		`{"phases":[{"links":[{"delay":9223372036854775807}]}]}`,
+		`{"phases":[{"all":{"jitter":` + maxInt + `}}]}`,
+		`{"phases":[{"links":[{"delay":` + maxInt + `}]}]}`,
 	} {
 		if _, err := ParseScenario([]byte(spec)); err == nil || !strings.Contains(err.Error(), "above") {
 			t.Fatalf("overflowing delay accepted: %s (err %v)", spec, err)

@@ -250,11 +250,12 @@ func refUint64n(r *Rand, n uint64) uint64 {
 
 // TestSample2MatchesIntn pins Sample2(n) to Intn(n), Intn(n) — and both to
 // the reference loop — on cloned streams: same values, same generator state
-// afterwards. At n = 1<<62+1 a quarter of the draws enter the slow method
-// and most of those redraw; at math.MaxInt (the nearest an int gets to the
-// 1<<63+1 that Uint64n is checked at below) about every other draw enters it.
+// afterwards. At n = 1<<62+1 (on a 64-bit int) a quarter of the draws enter
+// the slow method and most of those redraw; at math.MaxInt (the nearest an
+// int gets to the 1<<63+1 that Uint64n is checked at below) about every
+// other draw enters it.
 func TestSample2MatchesIntn(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 2047, 1<<31 - 1, 1<<62 + 1, math.MaxInt} {
+	for _, n := range []int{1, 2, 3, 2047, 1<<31 - 1, 1<<(bits.UintSize-2) + 1, math.MaxInt} {
 		a := New(uint64(n))
 		b, c := *a, *a
 		for k := 0; k < 4000; k++ {

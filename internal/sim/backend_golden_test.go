@@ -19,9 +19,8 @@ import (
 // divergence here means a row backend changed an observable it must not.
 
 // deltaHash folds a RoundDelta's data fields into a running fnv-1a hash.
-// The func field (MissingDegree) cannot be hashed; ActiveWorkers is
-// schedule telemetry explicitly outside the determinism contract. Every
-// other field participates.
+// The func field (MissingDegree) cannot be hashed; every other field
+// participates.
 type deltaHash struct{ h uint64 }
 
 func newDeltaHash() *deltaHash { return &deltaHash{h: 14695981039346656037} }

@@ -236,13 +236,7 @@ func TestDeltaSteadyStateAllocs(t *testing.T) {
 			})
 		}
 		short, long := allocs(50), allocs(1050)
-		// Workers > 1 tolerates a little extra: parked-worker wakeups can
-		// grow goroutine stacks, which the allocation counter sees.
-		limit := 2.0
-		if workers > 1 {
-			limit = 4
-		}
-		if extra := long - short; extra > limit {
+		if extra := long - short; extra > 2 {
 			t.Errorf("Workers=%d: %v allocations across 1000 steady-state delta rounds (short=%v long=%v)",
 				workers, extra, short, long)
 		}

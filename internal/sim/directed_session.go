@@ -144,10 +144,9 @@ func (s *DirectedSession) commitEager(a, b int) bool {
 	return true
 }
 
-func (s *DirectedSession) publish(round, actWorkers int, accepted []graph.Arc) {
+func (s *DirectedSession) publish(round int, accepted []graph.Arc) {
 	if s.acc != nil {
 		s.acc.Fill(round, accepted, s.remaining)
-		s.acc.D.ActiveWorkers = actWorkers
 		s.bus.EmitDirectedRound(s.g, &s.acc.D, float64(round))
 	}
 }
@@ -196,8 +195,7 @@ func (s *DirectedSession) MissingClosureDegree(u int) int {
 
 // Stats returns a snapshot of the cumulative run statistics: the round
 // core's counters under their directed names, plus the closure target. O(1).
-// DirectedResult is bit-identical across worker schedules by contract; the
-// schedule itself is read through EngineStats.
+// DirectedResult is bit-identical for every Workers >= 1 by contract.
 func (s *DirectedSession) Stats() DirectedResult {
 	return DirectedResult{
 		Rounds:             s.res.Rounds,

@@ -272,10 +272,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
 	}
-	// WorkersAuto rides along: the tuner and its wall-time probe must stay
-	// allocation-free too (on a single-core box it degenerates to the
-	// inline engine, which is equally worth pinning).
-	for _, workers := range []int{0, 1, 4, WorkersAuto} {
+	for _, workers := range []int{0, 1, 4} {
 		allocs := func(rounds int) float64 {
 			return testing.AllocsPerRun(5, func() {
 				g := gen.Star(64)
@@ -283,9 +280,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			})
 		}
 		short, long := allocs(50), allocs(1050)
-		// A real per-round leak shows ~1000 extra allocations; a handful is
-		// scheduler noise from the parked worker goroutines (this flaked at
-		// tolerance 2 even before the session refactor).
+		// A real per-round leak shows ~1000 extra allocations.
 		if extra := long - short; extra > 8 {
 			t.Errorf("Workers=%d: %v allocations across 1000 steady-state rounds (short=%v long=%v)",
 				workers, extra, short, long)
@@ -315,50 +310,63 @@ func TestEngineSteadyStateAllocsDirected(t *testing.T) {
 	}
 }
 
-// TestNewEngineLayout is the satellite table for degenerate engine inputs:
-// n smaller than one shard (including 0 and 1) must yield a single shard
-// covering exactly [0, n), worker counts outside [1, numShards] must clamp
-// (with the effective count in active and only truly-parallel pools
-// spawning goroutines), and a negative n must panic instead of building a
-// nonsense layout.
+// TestActMayKeepState: every round acts on the stepping goroutine, so a
+// process may keep plain, unsynchronized state in Act. Under -race a
+// counter bumped on every call must count the same calls, and the run
+// must give the same Result, at Workers 4 as at Workers 1.
+func TestActMayKeepState(t *testing.T) {
+	run := func(workers int) (Result, int) {
+		p := &countingPush{}
+		res := Run(gen.Cycle(256), p, rng.New(5), Config{Workers: workers, MaxRounds: 40})
+		return res, p.calls
+	}
+	res1, calls1 := run(1)
+	res4, calls4 := run(4)
+	if res1 != res4 || calls1 != calls4 {
+		t.Fatalf("Workers 4: %+v after %d calls; Workers 1: %+v after %d calls", res4, calls4, res1, calls1)
+	}
+	if calls1 != 256*res1.Rounds {
+		t.Fatalf("%d calls over %d rounds of 256 nodes", calls1, res1.Rounds)
+	}
+}
+
+// countingPush is Push with a plain per-call counter.
+type countingPush struct{ calls int }
+
+func (*countingPush) Name() string { return "counting-push" }
+func (c *countingPush) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b int)) {
+	c.calls++
+	core.Push{}.Act(g, u, r, propose)
+}
+
+// TestNewEngineLayout is the table for degenerate layout inputs: n smaller
+// than one shard (including 0 and 1) must yield a single shard covering
+// exactly [0, n), every layout must partition [0, n) and act each node
+// exactly once, the worker count must not shape it, and a negative n must
+// panic instead of building a nonsensical layout.
 func TestNewEngineLayout(t *testing.T) {
 	cases := []struct {
-		name        string
-		n, workers  int
-		wantShards  int
-		wantActive  int // effective per-round worker count
-		wantSpawned int // started goroutines (0 = rounds run inline)
+		name       string
+		n          int
+		wantShards int
 	}{
-		{"empty graph", 0, 4, 1, 1, 0},
-		{"single node", 1, 4, 1, 1, 0},
-		{"below one shard", 3, 16, 1, 1, 0},
-		{"exactly one shard", 32, 2, 1, 1, 0},
-		{"one past a shard", 33, 2, 2, 2, 2},
-		{"many shards few workers", 256, 3, 8, 3, 3},
-		{"workers above shards", 64, 100, 2, 2, 2},
-		{"zero workers clamp", 96, 0, 3, 1, 0},
-		{"negative workers clamp", 96, -7, 3, 1, 0},
+		{"empty graph", 0, 1},
+		{"single node", 1, 1},
+		{"below one shard", 3, 1},
+		{"exactly one shard", 32, 1},
+		{"one past a shard", 33, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newEngine[graph.Edge](tc.n, tc.workers, rng.New(1))
-			defer e.stop()
-			if len(e.shards) != tc.wantShards {
-				t.Fatalf("n=%d: %d shards want %d", tc.n, len(e.shards), tc.wantShards)
-			}
-			if e.active != tc.wantActive {
-				t.Fatalf("n=%d workers=%d: active workers %d want %d",
-					tc.n, tc.workers, e.active, tc.wantActive)
-			}
-			if e.workers != tc.wantSpawned {
-				t.Fatalf("n=%d workers=%d: spawned workers %d want %d",
-					tc.n, tc.workers, e.workers, tc.wantSpawned)
+			shards := newShards[graph.Edge](tc.n, rng.New(1))
+			if len(shards) != tc.wantShards {
+				t.Fatalf("n=%d: %d shards want %d", tc.n, len(shards), tc.wantShards)
 			}
 			// The shards partition [0, n) exactly: contiguous, non-overlapping,
 			// clamped to n, never negative-width.
 			next := 0
-			for i := range e.shards {
-				sh := &e.shards[i]
+			for i := range shards {
+				sh := &shards[i]
 				if sh.lo != next || sh.hi < sh.lo || sh.hi > tc.n && tc.n > 0 {
 					t.Fatalf("shard %d range [%d,%d) breaks the partition at %d", i, sh.lo, sh.hi, next)
 				}
@@ -370,17 +378,16 @@ func TestNewEngineLayout(t *testing.T) {
 			if tc.n > 0 && next != tc.n {
 				t.Fatalf("shards cover [0,%d) want [0,%d)", next, tc.n)
 			}
-			if tc.n == 0 && (e.shards[0].lo != 0 || e.shards[0].hi != 0) {
-				t.Fatalf("empty graph shard is [%d,%d) want [0,0)", e.shards[0].lo, e.shards[0].hi)
+			if tc.n == 0 && (shards[0].lo != 0 || shards[0].hi != 0) {
+				t.Fatalf("empty graph shard is [%d,%d) want [0,0)", shards[0].lo, shards[0].hi)
 			}
-			// The layout acts cleanly: an act over the engine touches every
-			// node exactly once even on degenerate layouts.
+			// The layout acts cleanly: the round core's act over the shards
+			// touches every node exactly once even on degenerate layouts.
 			seen := make([]int, tc.n)
-			e.actRound(func(sh *shard[graph.Edge]) {
-				for u := sh.lo; u < sh.hi; u++ {
-					seen[u]++
-				}
-			})
+			r := &round[*graph.Undirected, graph.Edge]{p: nodeCounter{seen}, shards: shards}
+			for i := range shards {
+				r.actShard(&shards[i])
+			}
 			for u, c := range seen {
 				if c != 1 {
 					t.Fatalf("node %d acted %d times", u, c)
@@ -388,12 +395,44 @@ func TestNewEngineLayout(t *testing.T) {
 			}
 		})
 	}
+	// A session's worker count, below or above the shard count, leaves the
+	// layout at ceil(n/32) shards, and a round acts every node once.
+	for _, tc := range []struct {
+		name                   string
+		n, workers, wantShards int
+	}{
+		{"many shards few workers", 256, 3, 8},
+		{"workers above shards", 64, 100, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seen := make([]int, tc.n)
+			s := NewSession(gen.Cycle(tc.n), nodeCounter{seen}, rng.New(1), Config{Workers: tc.workers})
+			defer s.Close()
+			s.Step()
+			if len(s.shards) != tc.wantShards {
+				t.Fatalf("n=%d workers=%d: %d shards want %d", tc.n, tc.workers, len(s.shards), tc.wantShards)
+			}
+			for u, c := range seen {
+				if c != 1 {
+					t.Fatalf("node %d acted %d times in one round", u, c)
+				}
+			}
+		})
+	}
 	t.Run("negative n panics", func(t *testing.T) {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("newEngine(-1, ...) did not panic")
+				t.Fatal("newShards(-1, ...) did not panic")
 			}
 		}()
-		newEngine[graph.Edge](-1, 2, rng.New(1))
+		newShards[graph.Edge](-1, rng.New(1))
 	})
+}
+
+// nodeCounter counts each node's Act calls and proposes nothing.
+type nodeCounter struct{ seen []int }
+
+func (nodeCounter) Name() string { return "node-counter" }
+func (c nodeCounter) Act(_ *graph.Undirected, u int, _ *rng.Rand, _ func(a, b int)) {
+	c.seen[u]++
 }

@@ -22,15 +22,12 @@ import (
 // A round moves through three states:
 //
 //	ready    — constructed; no generator output consumed yet
-//	running  — at least one round executed; the sharded engine (if any) is
-//	           live with its worker goroutines parked between steps
+//	running  — at least one round executed
 //	finished — the termination predicate fired, or the budget is exhausted
 //
 // The engine is created lazily on the first step, so a session whose graph
 // is done at entry consumes no generator output at all — exactly as the Run
-// facades behaved. Close releases the parked worker goroutines; it is
-// idempotent, and sessions constructed with Workers <= 1 need it only for
-// symmetry.
+// facades behaved. Close ends the session; it is idempotent.
 
 // pair is the shape of a proposal: graph.Edge and graph.Arc are both
 // struct{ U, V int }, so the one propose closure builds either as
@@ -62,7 +59,7 @@ type substrate[P pair] interface {
 	commitEager(a, b int) bool
 	// publish closes the round on the session's side: accounting over the
 	// accepted list, the delta, the bus.
-	publish(round, actWorkers int, accepted []P)
+	publish(round int, accepted []P)
 }
 
 // rangeActor is the block form of a synchronous act: the process performs
@@ -118,20 +115,16 @@ type round[G any, P pair] struct {
 	// Dense-phase state. denseThreshold < 0 means the mode is disarmed;
 	// otherwise, once sub.missing() drops to the threshold, dense flips
 	// true and the act phase samples proposals from the missing set instead
-	// of scanning all nodes (see Config.DensePhase). The flag is written
-	// only on the committing goroutine between rounds; workers observe it
-	// through the round fan-out's channel synchronization. densePrefix is
-	// the sequential engine's reusable prefix-sum scratch (never touched by
-	// shard calls, which run concurrently and scan their <= shardNodes
-	// range linearly).
+	// of scanning all nodes (see Config.DensePhase). densePrefix is the
+	// sequential engine's reusable prefix-sum scratch (shard calls scan
+	// their <= shardNodes range linearly).
 	denseThreshold int
 	dense          bool
 	densePrefix    []int
 
-	// Engine state. eng is non-nil only for sharded sessions (synchronous
-	// mode with Workers >= 1); engAct is the hoisted per-round shard action.
-	eng    *engine[P]
-	engAct func(s *shard[P])
+	// shards is the sharded engine's fixed layout (engine.go), non-nil only
+	// for sharded sessions (synchronous mode with Workers >= 1).
+	shards []shard[P]
 
 	// ranged is the process's block form, set by dispatch when a synchronous
 	// session's process has one (see rangeActor); nil means every act goes
@@ -147,10 +140,9 @@ type round[G any, P pair] struct {
 
 // setup runs the constructor checks both sessions share, on a round whose
 // configuration fields the session has filled in. Junk fails fast here rather
-// than misbehaving downstream: a negative workers other than WorkersAuto
-// (field names it in the panic), a mode that is no CommitMode and a
-// densePhase outside [0, 1] — NaN included — panic
-// (TestNewSessionRejectsJunkConfig). maxRounds == 0 selects defaultRounds,
+// than misbehaving downstream: a negative workers (field names it in the
+// panic), a mode that is no CommitMode and a densePhase outside [0, 1] —
+// NaN included — panic (TestNewSessionRejectsJunkConfig). maxRounds == 0 selects defaultRounds,
 // any negative value means unbounded. A densePhase in (0, 1] arms the dense
 // phase at densePhase × denseTotal missing units, under CommitSynchronous
 // only.
@@ -197,17 +189,20 @@ func (r *round[G, P]) dispatch() {
 		}
 		return
 	}
-	r.eng = newEngine[P](r.n, r.workers, r.r)
-	r.engAct = func(sh *shard[P]) {
-		switch {
-		case r.dense:
-			r.denseAct(sh.lo, sh.hi, sh.r, sh.propose)
-		case r.ranged != nil:
-			sh.props = r.ranged.ActRange(r.g, sh.lo, sh.hi, sh.r, sh.props)
-		default:
-			for u := sh.lo; u < sh.hi; u++ {
-				r.p.Act(r.g, u, sh.r, sh.propose)
-			}
+	r.shards = newShards[P](r.n, r.r)
+}
+
+// actShard runs one shard's act phase on the shard's own stream, appending
+// its proposals to the shard's buffer.
+func (r *round[G, P]) actShard(sh *shard[P]) {
+	switch {
+	case r.dense:
+		r.denseAct(sh.lo, sh.hi, sh.r, sh.propose)
+	case r.ranged != nil:
+		sh.props = r.ranged.ActRange(r.g, sh.lo, sh.hi, sh.r, sh.props)
+	default:
+		for u := sh.lo; u < sh.hi; u++ {
+			r.p.Act(r.g, u, sh.r, sh.propose)
 		}
 	}
 }
@@ -231,7 +226,7 @@ func (r *round[G, P]) step() bool {
 		r.finished = true
 		return false
 	}
-	if r.eng == nil && r.propose == nil {
+	if r.shards == nil && r.propose == nil {
 		r.dispatch()
 	}
 	if r.denseThreshold >= 0 && !r.dense && r.sub.missing() <= r.denseThreshold {
@@ -241,17 +236,19 @@ func (r *round[G, P]) step() bool {
 	}
 	num := r.res.Rounds + 1
 	r.buf, r.accepted = r.buf[:0], r.accepted[:0]
-	actWorkers := 0
 
-	if r.eng != nil {
-		// Sharded act phase, then commit the shard buffers in shard order
-		// through the grouped path — state-identical to per-edge commits,
-		// and the accepted list doubles as the round's delta.
-		r.eng.actRound(r.engAct)
+	if r.shards != nil {
+		// Sharded act phase — every shard acts on G_t before any commits —
+		// then commit the shard buffers in shard order through the grouped
+		// path: state-identical to per-edge commits, and the accepted list
+		// doubles as the round's delta.
+		for i := range r.shards {
+			r.actShard(&r.shards[i])
+		}
 		proposals := 0
 		acc := r.accepted
-		for i := range r.eng.shards {
-			sh := &r.eng.shards[i]
+		for i := range r.shards {
+			sh := &r.shards[i]
 			proposals += len(sh.props)
 			acc = r.sub.commit(sh.props, acc)
 			sh.props = sh.props[:0]
@@ -260,10 +257,6 @@ func (r *round[G, P]) step() bool {
 		r.res.Proposals += proposals
 		r.res.NewEdges += len(acc)
 		r.res.DuplicateProposals += proposals - len(acc)
-		// Snapshot the count that served this round for the delta's
-		// telemetry before tune moves it for the next one.
-		actWorkers = r.eng.active
-		r.eng.tune(proposals, len(acc))
 	} else {
 		switch {
 		case r.dense:
@@ -285,7 +278,7 @@ func (r *round[G, P]) step() bool {
 	}
 	r.res.Rounds = num
 
-	r.sub.publish(num, actWorkers, r.accepted)
+	r.sub.publish(num, r.accepted)
 	if r.sub.converged() {
 		r.res.Converged = true
 		r.finished = true
@@ -308,8 +301,8 @@ func (r *round[G, P]) step() bool {
 // probability proportional to u's missing work and on u's t'-th missing
 // partner w uniformly within it, and proposes exactly the missing (u, w).
 // Every draw reads only the committed graph, so the act phase stays
-// read-only and scheduling-independent. Ranges (and whole rounds) with no
-// missing work consume no generator output.
+// read-only. Ranges (and whole rounds) with no missing work consume no
+// generator output.
 func (r *round[G, P]) denseAct(lo, hi int, gen *rng.Rand, propose func(a, b int)) {
 	// Locating a draw's node: shard calls cover at most shardNodes nodes
 	// and scan their missing degrees linearly; the sequential engine's
@@ -398,31 +391,6 @@ func (r *round[G, P]) Converged() bool { return r.res.Converged }
 // the membership accounting stays consistent.
 func (r *round[G, P]) Graph() G { return r.g }
 
-// EngineStats returns the session's schedule telemetry: the configured and
-// effective worker counts (newEngine clamps fixed requests onto
-// [1, shards]), the shard count, and — for WorkersAuto sessions — the
-// autoscaler's current active count and grow/shrink decision counts. O(1).
-// Before the first step the values describe the schedule the engine will
-// start with.
-func (r *round[G, P]) EngineStats() EngineStats {
-	if r.mode != CommitSynchronous || r.workers == 0 {
-		return EngineStats{ConfiguredWorkers: r.workers}
-	}
-	if r.eng != nil {
-		return r.eng.stats(r.workers)
-	}
-	return prospectiveEngineStats(r.workers, r.n)
-}
-
-// Close releases the parked worker goroutines of a sharded session. It is
-// idempotent; the session must not be stepped afterwards. Sessions with
-// Workers <= 1 hold no goroutines, but calling Close is always safe.
-func (r *round[G, P]) Close() {
-	if r.closed {
-		return
-	}
-	r.closed = true
-	if r.eng != nil {
-		r.eng.stop()
-	}
-}
+// Close ends the session: every later step reports that the session cannot
+// continue. It is idempotent.
+func (r *round[G, P]) Close() { r.closed = true }

@@ -39,20 +39,10 @@
 //     committed in shard order through the batched graph commit paths.
 //     Because the shard layout and streams depend only on n and the root
 //     generator, results are bit-identical for every Workers >= 1 and any
-//     GOMAXPROCS; Workers == 1 simply runs the shards inline without
-//     goroutines, and Workers > 1 spreads them over worker goroutines that
-//     stay parked between rounds (and between session steps) with two
-//     synchronization points per round.
-//   - Workers == WorkersAuto runs the sharded engine with an adaptive
-//     worker count: a per-round cost probe (act-phase wall time, proposals
-//     buffered, edges committed) drives a hill-climbing tuner that grows or
-//     shrinks the number of goroutines signaled each round within
-//     [1, min(GOMAXPROCS, shards)]. The shard layout and streams are the
-//     same fixed ones, so every autoscaled run is bit-identical to every
-//     fixed Workers >= 1 run — only the wall-clock schedule adapts. The
-//     chosen schedule is observable through Session.EngineStats and
-//     RoundDelta.ActiveWorkers, which are telemetry and deliberately NOT
-//     part of Result (Result is schedule-free by contract).
+//     GOMAXPROCS. Every Workers >= 1 runs the same schedule: the shards act
+//     inline, in shard order, on the stepping goroutine. Spreading them
+//     over goroutines was measured not to pay (DESIGN.md, "Parallel trial
+//     pools").
 //
 // # The parallel trial harness
 //
@@ -64,8 +54,8 @@
 // TrialsAggregate merges per-round aggregates in trial order after the pool
 // drains, so every output — results and aggregate series — is byte-identical
 // for every pool size, including the strictly sequential pool of one.
-// Autoscaled engines inside concurrently running trials compose: each
-// trial's tuner sees that trial's own rounds.
+// Trial-level parallelism is the only concurrency in this package: a round
+// runs on one goroutine.
 //
 // Both engines allocate only at session start: propose closures are hoisted
 // out of the per-node loop, and proposal buffers are reused across rounds,
@@ -90,10 +80,7 @@
 //
 // CommitEager is inherently sequential — its semantics *are* the node
 // order — so eager runs always use the sequential engine and ignore
-// Workers. Processes must not mutate shared state in Act when Workers > 1
-// (the paper's processes are stateless; stateful instrumented processes
-// such as the baselines' ID meters should run with Workers <= 1 or guard
-// their state).
+// Workers.
 package sim
 
 import (
@@ -129,55 +116,6 @@ func (m CommitMode) String() string {
 	}
 }
 
-// WorkersAuto is the Config.Workers / DirectedConfig.Workers sentinel that
-// selects the sharded engine with adaptive worker autoscaling: the engine
-// measures each round's cost and grows or shrinks the active worker count
-// within [1, min(GOMAXPROCS, shards)] between rounds. Results are
-// bit-identical to every fixed Workers >= 1 run — the shard layout and
-// per-shard streams are the same — so autoscaling is purely a wall-clock
-// decision; the chosen schedule is observable through Session.EngineStats
-// and RoundDelta.ActiveWorkers.
-//
-// The sentinel is deliberately NOT -1: every negative worker count used to
-// fall through to the sequential engine (and -1 means GOMAXPROCS in the
-// CLIs), so a stale caller passing -1 must hit validateWorkers' fail-fast
-// panic rather than silently switch engine families. Always spell it
-// WorkersAuto.
-const WorkersAuto = math.MinInt
-
-// EngineStats is schedule telemetry for a session's round engine, read
-// through Session.EngineStats / DirectedSession.EngineStats. It is kept off
-// Result on purpose: Result is bit-identical across worker schedules by
-// contract, while EngineStats describes the schedule itself.
-type EngineStats struct {
-	// ConfiguredWorkers echoes Config.Workers as given (WorkersAuto when
-	// autoscaling was requested).
-	ConfiguredWorkers int
-	// EffectiveWorkers is the worker count the next act phase will use:
-	// the post-clamp fixed count (newEngine clamps requests onto
-	// [1, Shards] — a request above the shard count cannot do more work
-	// than one goroutine per shard), or the autoscaler's current active
-	// count. 0 under the sequential (Workers == 0) engine and for eager
-	// sessions, which have no sharded act phase.
-	EffectiveWorkers int
-	// SpawnedWorkers is the number of worker goroutines backing the engine
-	// — the autoscaler's ceiling. 0 when every round runs inline
-	// (effective count 1, or no sharded engine at all).
-	SpawnedWorkers int
-	// Shards is the number of fixed 32-node shards of the layout (0 when
-	// no sharded engine applies).
-	Shards int
-	// Autoscaled reports whether the worker count adapts between rounds.
-	// It is false — even under WorkersAuto — when the pool degenerated to
-	// a single worker (GOMAXPROCS 1, or a graph of at most one shard):
-	// there is nothing to adapt, and rounds run inline.
-	Autoscaled bool
-	// ScaleUps / ScaleDowns count the autoscaler's grow and shrink
-	// decisions so far. Both 0 for fixed schedules.
-	ScaleUps   int
-	ScaleDowns int
-}
-
 // Config controls a single run or session.
 type Config struct {
 	// MaxRounds aborts the run after this many rounds. 0 means a generous
@@ -189,12 +127,10 @@ type Config struct {
 	// Mode selects the commit semantics (default CommitSynchronous).
 	Mode CommitMode
 	// Workers selects the round engine. 0 (default) is the classic
-	// sequential engine; w >= 1 shards each round over w goroutines with
-	// results identical for every w >= 1 (see the package comment for the
-	// determinism contract); WorkersAuto autoscales the active worker
-	// count round to round with the same bit-identical results. Any other
-	// negative value is junk and panics at session construction. Ignored
-	// under CommitEager.
+	// sequential engine; every w >= 1 selects the sharded engine, whose
+	// results are identical for every w >= 1 (see the package comment for
+	// the determinism contract). A negative value is junk and panics at
+	// session construction. Ignored under CommitEager.
 	Workers int
 	// DensePhase, when in (0, 1], arms the dense-phase engine mode: once
 	// the number of missing node pairs drops to DensePhase × n(n-1)/2, the
@@ -239,25 +175,26 @@ type Result struct {
 // validateWorkers rejects junk worker counts with a clear panic at session
 // construction, so library callers fail fast instead of tripping over
 // incidental downstream behavior (cmd/gossipsim's flag validation used to
-// be the only gate). 0, every positive count, and WorkersAuto are valid;
-// every other negative value is a caller bug.
+// be the only gate). 0 and every positive count are valid; every negative
+// value is a caller bug.
 func validateWorkers(workers int, field string) {
-	if workers < 0 && workers != WorkersAuto {
+	if workers < 0 {
 		panic(fmt.Sprintf(
-			"sim: %s = %d is not a worker count (0 = sequential engine, >= 1 = sharded, WorkersAuto = autoscaled)",
+			"sim: %s = %d is not a worker count (0 = sequential engine, >= 1 = sharded)",
 			field, workers))
 	}
 }
 
 // DefaultMaxRounds returns the default round budget for an n-node graph:
 // 500·n·(log₂n+1)² with log₂ rounded up to the bit length, comfortably
-// above the paper's O(n log² n) w.h.p. bound.
+// above the paper's O(n log² n) w.h.p. bound. It saturates at math.MaxInt
+// instead of wrapping, as a 32-bit int would from n = 20 000.
 func DefaultMaxRounds(n int) int {
 	if n < 2 {
 		return 1
 	}
 	lg := bits.Len(uint(n))
-	return 500 * n * (lg + 1) * (lg + 1)
+	return mulSat(500*(lg+1)*(lg+1), n)
 }
 
 // ActivationBudget returns the activation budget of rounds parallel rounds
@@ -265,11 +202,14 @@ func DefaultMaxRounds(n int) int {
 // instead of wrapping: the default budget n × DefaultMaxRounds(n) passes
 // MaxInt from n = 5 659 117, and a wrapped product would stop a run at
 // activation 0.
-func ActivationBudget(rounds, n int) int {
-	if n > 0 && rounds > math.MaxInt/n {
+func ActivationBudget(rounds, n int) int { return mulSat(rounds, n) }
+
+// mulSat returns a·b for a, b >= 0, saturating at math.MaxInt.
+func mulSat(a, b int) int {
+	if b > 0 && a > math.MaxInt/b {
 		return math.MaxInt
 	}
-	return rounds * n
+	return a * b
 }
 
 // Run executes p on g (mutating g) until convergence or the round budget is
@@ -296,8 +236,7 @@ type DirectedConfig struct {
 	// Mode selects commit semantics (default CommitSynchronous).
 	Mode CommitMode
 	// Workers selects the round engine, exactly as Config.Workers
-	// (including the WorkersAuto autoscaling sentinel and the junk-value
-	// panic at session construction).
+	// (including the junk-value panic at session construction).
 	Workers int
 	// DensePhase, when in (0, 1], arms the directed dense-phase mode: once
 	// the number of still-missing transitive-closure arcs drops to
@@ -330,13 +269,14 @@ type DirectedResult struct {
 }
 
 // DefaultDirectedMaxRounds returns the default directed round budget,
-// 500·n²·(log₂n+1) with log₂ rounded up to the bit length.
+// 500·n²·(log₂n+1) with log₂ rounded up to the bit length, saturating at
+// math.MaxInt like DefaultMaxRounds.
 func DefaultDirectedMaxRounds(n int) int {
 	if n < 2 {
 		return 1
 	}
 	lg := bits.Len(uint(n))
-	return 500 * n * n * (lg + 1)
+	return mulSat(mulSat(500*(lg+1), n), n)
 }
 
 // RunDirected executes p on g until g contains the transitive closure of the

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/big"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -205,9 +207,28 @@ func TestDefaultMaxRounds(t *testing.T) {
 	}
 }
 
+// budgetFormula is 500·n^nPow·(lg+1)^lgPow, computed without overflow and
+// clamped to math.MaxInt: the default round budgets' formula.
+func budgetFormula(n, lg, nPow, lgPow int) int {
+	v := big.NewInt(500)
+	for range nPow {
+		v.Mul(v, big.NewInt(int64(n)))
+	}
+	for range lgPow {
+		v.Mul(v, big.NewInt(int64(lg+1)))
+	}
+	if !v.IsInt64() || v.Int64() > math.MaxInt {
+		return math.MaxInt
+	}
+	return int(v.Int64())
+}
+
 // TestDefaultMaxRoundsBitLength pins the bits.Len-based budgets to the
 // hand-rolled shift loop they replaced: returned budgets must be identical
-// for every n, since MaxRounds feeds seeded runs.
+// for every n, since MaxRounds feeds seeded runs. Past math.MaxInt both
+// saturate instead of wrapping: a 32-bit int wraps the undirected budget
+// from n = 20 000 and the directed one from n = 1000, a 64-bit int the
+// directed one from about n = 2.6e7.
 func TestDefaultMaxRoundsBitLength(t *testing.T) {
 	legacyLg := func(n int) int {
 		lg := 0
@@ -217,13 +238,14 @@ func TestDefaultMaxRoundsBitLength(t *testing.T) {
 		return lg
 	}
 	ns := []int{2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 100,
-		127, 128, 129, 255, 256, 257, 511, 512, 1023, 1024, 1 << 16, 1<<20 - 1, 1 << 20}
+		127, 128, 129, 255, 256, 257, 511, 512, 1023, 1024, 1 << 16, 1<<20 - 1, 1 << 20,
+		20_000, 6_000_000, 1 << 25, 1<<31 - 1, math.MaxInt}
 	for _, n := range ns {
 		lg := legacyLg(n)
-		if got, want := DefaultMaxRounds(n), 500*n*(lg+1)*(lg+1); got != want {
+		if got, want := DefaultMaxRounds(n), budgetFormula(n, lg, 1, 2); got != want {
 			t.Fatalf("DefaultMaxRounds(%d) = %d, legacy loop gives %d", n, got, want)
 		}
-		if got, want := DefaultDirectedMaxRounds(n), 500*n*n*(lg+1); got != want {
+		if got, want := DefaultDirectedMaxRounds(n), budgetFormula(n, lg, 2, 1); got != want {
 			t.Fatalf("DefaultDirectedMaxRounds(%d) = %d, legacy loop gives %d", n, got, want)
 		}
 	}
@@ -238,13 +260,30 @@ func TestActivationBudgetSaturates(t *testing.T) {
 	if got := ActivationBudget(DefaultMaxRounds(n), n); got != math.MaxInt {
 		t.Fatalf("ActivationBudget(DefaultMaxRounds(%d), %d) = %d, want MaxInt", n, n, got)
 	}
-	if got := ActivationBudget(1<<62+1, 4); got != math.MaxInt {
-		t.Fatalf("ActivationBudget(1<<62+1, 4) = %d, want MaxInt", got)
+	if got := ActivationBudget(1<<(bits.UintSize-2)+1, 4); got != math.MaxInt {
+		t.Fatalf("ActivationBudget(MaxInt/2+2, 4) = %d, want MaxInt", got)
 	}
-	for _, c := range [][2]int{{0, n}, {7, 0}, {DefaultMaxRounds(5_000_000), 5_000_000}, {math.MaxInt, 1}} {
+	// The largest default budget below saturation here: n = 5 000 000 on a
+	// 64-bit int, n = 200 on a 32-bit one.
+	fits := 5_000_000
+	if bits.UintSize == 32 {
+		fits = 200
+	}
+	for _, c := range [][2]int{{0, n}, {7, 0}, {DefaultMaxRounds(fits), fits}, {math.MaxInt, 1}} {
 		if got := ActivationBudget(c[0], c[1]); got != c[0]*c[1] {
 			t.Fatalf("ActivationBudget(%d, %d) = %d, want %d", c[0], c[1], got, c[0]*c[1])
 		}
+	}
+}
+
+// TestDefaultBudgetsSaturate: a default budget on a 20 000-node cycle runs
+// its first round. With a 32-bit int the budget used to wrap negative, and
+// the session stopped before round 1.
+func TestDefaultBudgetsSaturate(t *testing.T) {
+	s := NewSession(gen.Cycle(20_000, graph.BackendSparse), core.Push{}, rng.New(1), Config{})
+	defer s.Close()
+	if _, ok := s.Step(); !ok || s.Round() != 1 {
+		t.Fatalf("default-budget session on a 20 000-cycle: ok=%v after %d rounds", ok, s.Round())
 	}
 }
 

@@ -68,15 +68,15 @@ type Session struct {
 
 // NewSession constructs a resumable session over g. The session owns the
 // run exactly as Run does: p acts on g under cfg's commit semantics and
-// engine family, drawing every random choice from r (or, for Workers >= 1
-// and WorkersAuto, from r's sequential splits). Nothing is consumed from r
+// engine family, drawing every random choice from r (or, for Workers >= 1,
+// from r's sequential splits). Nothing is consumed from r
 // until the first step. cfg.MaxRounds keeps its Run semantics (0 selects
 // the default budget) with one session-only extension: any negative
 // MaxRounds means unbounded, for open-ended stepping under churn.
 //
 // Junk configuration fails fast here rather than misbehaving downstream: a
-// negative Workers other than WorkersAuto, an unknown Mode and a DensePhase
-// outside [0, 1] panic with a clear message (see round.setup).
+// negative Workers, an unknown Mode and a DensePhase outside [0, 1] panic
+// with a clear message (see round.setup).
 func NewSession(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Config) *Session {
 	n := g.N()
 	s := &Session{done: cfg.Done}
@@ -137,7 +137,7 @@ func (s *Session) commitEager(a, b int) bool {
 
 // publish settles the member-edge count over the round's accepted edges,
 // then fills and publishes the delta.
-func (s *Session) publish(round, actWorkers int, accepted []graph.Edge) {
+func (s *Session) publish(round int, accepted []graph.Edge) {
 	if s.alive != nil {
 		for _, e := range accepted {
 			if s.alive[e.U] && s.alive[e.V] {
@@ -154,7 +154,6 @@ func (s *Session) publish(round, actWorkers int, accepted []graph.Edge) {
 		}
 		s.acc.Fill(round, s.g, accepted)
 		d := &s.acc.D
-		d.ActiveWorkers = actWorkers
 		d.Joined = append(d.Joined[:0], s.joined...)
 		d.Left = append(d.Left[:0], s.left...)
 		d.Members = s.members
@@ -244,9 +243,7 @@ func (s *Session) memberPairsMissing() int {
 func (s *Session) MissingDegree(u int) int { return s.g.MissingDegree(u) }
 
 // Stats returns a snapshot of the cumulative run statistics. O(1). Result
-// is bit-identical across worker schedules by contract; the schedule
-// itself — effective worker count, autoscaling decisions — is read through
-// EngineStats.
+// is bit-identical for every Workers >= 1 by contract.
 func (s *Session) Stats() Result { return s.res }
 
 // TrackMembership enables membership tracking over the given liveness mask

@@ -28,11 +28,8 @@ import (
 // consumption) then drives the process, so a trial is one deterministic
 // function of (seed, trial index) — including cfg.Workers: the sharded
 // engine is deterministic per run, so its results stay reproducible here.
-// Note that the default pool already saturates GOMAXPROCS, so fixed
-// cfg.Workers > 1 inside a large batch oversubscribes the machine;
-// WorkersAuto sidesteps the tradeoff (each trial's engine scales itself to
-// whatever the box has to spare), while fixed per-run workers pay off for
-// a few large-n runs and trial-level parallelism for many small ones.
+// Each run steps on its trial's goroutine; the trial pool is where a batch
+// gets its parallelism.
 func Trials(numTrials int, seed uint64, build func(trial int, r *rng.Rand) *graph.Undirected,
 	p core.Process, cfg Config) []Result {
 	return TrialsOn(0, numTrials, seed, build, p, cfg)

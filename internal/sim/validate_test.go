@@ -33,8 +33,8 @@ func mustPanic(t *testing.T, fn func()) (msg string) {
 	return
 }
 
-// TestNewSessionRejectsJunkConfig: negative worker counts other than
-// WorkersAuto panic at construction, for all three session families'
+// TestNewSessionRejectsJunkConfig: negative worker counts panic at
+// construction, for all three session families'
 // constructors that take workers, with messages naming the field; so do a
 // NaN DensePhase and an unknown Mode, for both round substrates.
 func TestNewSessionRejectsJunkConfig(t *testing.T) {
@@ -43,12 +43,13 @@ func TestNewSessionRejectsJunkConfig(t *testing.T) {
 		workers int
 	}{
 		// -1 is deliberately junk at the library surface: it used to fall
-		// through to the sequential engine (and means GOMAXPROCS in the
-		// CLIs), so WorkersAuto lives at math.MinInt and a stale -1 caller
-		// fails fast instead of silently switching engine families.
+		// through to the sequential engine (and is accepted by the CLIs), so
+		// a stale -1 caller fails fast instead of silently switching engine
+		// families. math.MinInt was the retired autoscaler's sentinel.
 		{"minus one", -1},
 		{"minus two", -2},
 		{"large negative", -99},
+		{"min int", math.MinInt},
 	}
 	for _, tc := range cases {
 		t.Run("undirected "+tc.name, func(t *testing.T) {
@@ -113,7 +114,7 @@ func TestNewSessionRejectsJunkConfig(t *testing.T) {
 	})
 
 	t.Run("valid worker counts construct", func(t *testing.T) {
-		for _, w := range []int{0, 1, 7, WorkersAuto} {
+		for _, w := range []int{0, 1, 7} {
 			s := NewSession(gen.Cycle(8), core.Push{}, rng.New(1), Config{Workers: w})
 			s.Close()
 			d := NewDirectedSession(gen.DirectedCycle(8), core.DirectedTwoHop{}, rng.New(1),

@@ -71,13 +71,6 @@ type RoundDelta struct {
 	// edges joining two members. Both are 0 when membership tracking is off.
 	Members     int
 	MemberEdges int
-	// ActiveWorkers is the worker count that executed this round's act
-	// phase — schedule telemetry, most useful for watching a WorkersAuto
-	// session adapt. It is deliberately OUTSIDE the determinism contract
-	// (every other field is bit-identical for every Workers >= 1; this one
-	// describes the schedule itself) and is 0 under the sequential,
-	// eager, and asynchronous engines.
-	ActiveWorkers int
 }
 
 // DirectedRoundDelta is the directed counterpart of RoundDelta. As there,
@@ -105,10 +98,6 @@ type DirectedRoundDelta struct {
 	// is bound to the emitting session at the first emitted round and
 	// reflects the post-commit state.
 	MissingClosureDegree func(u int) int
-	// ActiveWorkers is the worker count that executed this round's act
-	// phase — schedule telemetry outside the determinism contract, exactly
-	// as RoundDelta.ActiveWorkers. 0 under the sequential engine.
-	ActiveWorkers int
 }
 
 // DeltaAccumulator owns one run's reusable RoundDelta and fills it from
@@ -127,8 +116,8 @@ func NewDeltaAccumulator(n int) *DeltaAccumulator {
 
 // Fill populates the delta's commit-derived fields — NewEdges, Touched,
 // DegreeInc, Round, EdgesRemaining, and the one-time MissingDegree bind —
-// from the round's accepted edges. Session-level fields (membership,
-// ActiveWorkers) are the caller's to set between Fill and publish.
+// from the round's accepted edges. Session-level fields (membership) are
+// the caller's to set between Fill and publish.
 func (a *DeltaAccumulator) Fill(round int, g *graph.Undirected, accepted []graph.Edge) {
 	d := &a.D
 	if d.MissingDegree == nil {
@@ -167,8 +156,8 @@ func NewDirectedDeltaAccumulator(n int) *DirectedDeltaAccumulator {
 }
 
 // Fill populates the delta from the round's accepted arcs and the engine's
-// missing-closure counter. ActiveWorkers and the one-time
-// MissingClosureDegree bind are the caller's.
+// missing-closure counter. The one-time MissingClosureDegree bind is the
+// caller's.
 func (a *DirectedDeltaAccumulator) Fill(round int, accepted []graph.Arc, closureRemaining int) {
 	d := &a.D
 	for _, u := range d.OutTouched {

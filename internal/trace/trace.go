@@ -1,5 +1,5 @@
 // Package trace renders experiment results as aligned text tables (the
-// format EXPERIMENTS.md embeds) and as CSV for downstream plotting.
+// format cmd/experiments prints) and as CSV for downstream plotting.
 package trace
 
 import (

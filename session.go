@@ -5,7 +5,7 @@ package gossipdisc
 // to configure a run from this package:
 //
 //	sess := gossipdisc.NewSession(g,
-//	    gossipdisc.WithWorkers(8),
+//	    gossipdisc.WithWorkers(1),
 //	    gossipdisc.WithAnalyzers(traj),
 //	    gossipdisc.WithMaxRounds(10_000),
 //	)
@@ -112,27 +112,11 @@ func WithRand(r *Rand) SessionOption {
 }
 
 // WithWorkers selects the round engine: 0 (default) the classic sequential
-// engine, w >= 1 the sharded engine with results bit-identical for every
-// w >= 1 (WorkersAuto — equivalently WithAutoWorkers — autoscales the
-// count with the same results; any other negative w panics at
-// construction). Sessions with w > 1 park worker goroutines between steps —
-// Close releases them.
+// engine, w >= 1 the sharded engine, whose fixed 32-node shards act inline
+// on their own generator streams, so results are bit-identical for every
+// w >= 1. A negative w panics at construction.
 func WithWorkers(w int) SessionOption {
 	return func(o *sessionOptions) { o.cfg.Workers = w; o.dcfg.Workers = w }
-}
-
-// WithAutoWorkers selects the sharded engine with adaptive worker
-// autoscaling: the engine probes each round's cost (act-phase wall time,
-// proposals, commits) and grows or shrinks the active worker count within
-// [1, min(GOMAXPROCS, shards)] between rounds — early sparse rounds run
-// inline, late dense rounds fan out. Results are bit-identical to every
-// fixed WithWorkers(w >= 1) run: the shard layout and per-shard generator
-// streams are fixed, so only the wall-clock schedule adapts. Observe the
-// schedule through Session.EngineStats and RoundDelta.ActiveWorkers.
-// Sessions created with this option park worker goroutines between steps —
-// defer Close.
-func WithAutoWorkers() SessionOption {
-	return func(o *sessionOptions) { o.cfg.Workers = sim.WorkersAuto; o.dcfg.Workers = sim.WorkersAuto }
 }
 
 // WithDensePhase arms the dense-phase engine mode with the given
@@ -222,9 +206,7 @@ func (o *sessionOptions) activations(n int) int {
 
 // NewSession constructs a resumable session over g with the given options
 // (process, seed, engine, subscribers, budget). The zero-option call runs
-// Push from seed 1 on the sequential engine. Callers that set
-// WithWorkers(w) with w > 1 should defer sess.Close() to release the
-// parked worker goroutines.
+// Push from seed 1 on the sequential engine.
 func NewSession(g *Graph, opts ...SessionOption) *Session {
 	o := applyOptions(opts)
 	s := sim.NewSession(g, o.proc, o.r, o.cfg)
@@ -276,17 +258,6 @@ func NewEventSession(g *Graph, opts ...SessionOption) *EventSession {
 	}
 	return s
 }
-
-// WorkersAuto is the worker-count sentinel for adaptive worker
-// autoscaling, as WithWorkers(WorkersAuto) or WithAutoWorkers. See
-// sim.WorkersAuto for the contract.
-const WorkersAuto = sim.WorkersAuto
-
-// EngineStats is the schedule telemetry returned by Session.EngineStats and
-// DirectedSession.EngineStats: configured vs effective worker count, shard
-// count, and the autoscaler's decisions. It is deliberately separate from
-// Result, which stays bit-identical across worker schedules.
-type EngineStats = sim.EngineStats
 
 // Cross-trial aggregation (see internal/sim/aggregate.go): TrialsAggregate
 // runs trials exactly as Trials does while streaming per-round cross-trial
