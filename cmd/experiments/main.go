@@ -60,7 +60,7 @@ func main() {
 	}
 
 	opts := &options{
-		workers: *workers, trialsParallel: *trialsParallel,
+		scale: *scale, trials: *trials, workers: *workers, trialsParallel: *trialsParallel,
 		backend: *backendName, sched: *sched, rates: *ratesSpec, roles: *rolesSpec,
 		metricsAddr: *metricsAddr, profile: prof,
 	}

@@ -17,6 +17,8 @@ import (
 // workers is the raw flag string, an integer >= -1 (see
 // cliflag.WorkerCount).
 type options struct {
+	scale          float64
+	trials         int
 	workers        string
 	trialsParallel int
 	backend        string
@@ -32,6 +34,12 @@ type options struct {
 // existence is checked against the registry, and -rates node ranges are
 // resolved against the sweep size inside E20.
 func (o *options) validate() error {
+	if !(o.scale > 0 && o.scale <= 1) { // NaN included
+		return fmt.Errorf("-scale must be in (0, 1] (got %v)", o.scale)
+	}
+	if o.trials < 0 {
+		return fmt.Errorf("-trials must be >= 0 (0 = experiment default; got %d)", o.trials)
+	}
 	if _, err := cliflag.WorkerCount(o.workers); err != nil {
 		return err
 	}

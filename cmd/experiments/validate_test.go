@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 // good returns a fully valid option set; cases mutate one field at a time.
 func good() options {
-	return options{workers: "0", trialsParallel: 0, backend: "dense", sched: "both"}
+	return options{scale: 1, workers: "0", trialsParallel: 0, backend: "dense", sched: "both"}
 }
 
 func TestValidateOptions(t *testing.T) {
@@ -19,6 +20,8 @@ func TestValidateOptions(t *testing.T) {
 		wantErr string // empty = must pass
 	}{
 		{"defaults", func(o *options) {}, ""},
+		{"scale truncates", func(o *options) { o.scale = 0.25 }, ""},
+		{"trials override", func(o *options) { o.trials = 3 }, ""},
 		{"workers GOMAXPROCS sentinel", func(o *options) { o.workers = "-1" }, ""},
 		{"workers sharded", func(o *options) { o.workers = "8" }, ""},
 		{"workers auto", func(o *options) { o.workers = "auto" }, "-workers 1"},
@@ -37,6 +40,12 @@ func TestValidateOptions(t *testing.T) {
 		{"metrics addr bare port", func(o *options) { o.metricsAddr = ":8080" }, ""},
 		{"profiles to two files", func(o *options) { o.profile = profile.Flags{CPU: "cpu.prof", Mem: "mem.prof"} }, ""},
 
+		{"scale zero", func(o *options) { o.scale = 0 }, "-scale"},
+		{"scale negative", func(o *options) { o.scale = -2 }, "-scale"},
+		{"scale above one", func(o *options) { o.scale = 5 }, "-scale"},
+		{"scale NaN", func(o *options) { o.scale = math.NaN() }, "-scale"},
+		{"scale +Inf", func(o *options) { o.scale = math.Inf(1) }, "-scale"},
+		{"negative trials", func(o *options) { o.trials = -2 }, "-trials must"},
 		{"profiles to one file", func(o *options) { o.profile = profile.Flags{CPU: "p.prof", Mem: "p.prof"} }, "-memprofile"},
 		{"workers below sentinel", func(o *options) { o.workers = "-2" }, "-workers"},
 		{"workers gibberish", func(o *options) { o.workers = "many" }, "-workers"},

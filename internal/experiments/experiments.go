@@ -23,7 +23,7 @@ type Config struct {
 	// Trials overrides the per-point trial count (0 = experiment default).
 	Trials int
 	// Scale in (0, 1] shrinks the problem-size sweep for quick runs; 1 is
-	// the full ladder.
+	// the full ladder, as is any value outside (0, 1], NaN included.
 	Scale float64
 	// CSV selects CSV output instead of aligned text.
 	CSV bool
@@ -78,7 +78,7 @@ func (c Config) normalized() Config {
 	if c.Seed == 0 {
 		c.Seed = 0x9d15c0ffee
 	}
-	if c.Scale <= 0 || c.Scale > 1 {
+	if !(c.Scale > 0 && c.Scale <= 1) { // NaN included
 		c.Scale = 1
 	}
 	return c

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -35,6 +36,12 @@ func TestConfigNormalization(t *testing.T) {
 	c := Config{}.normalized()
 	if c.Seed == 0 || c.Scale != 1 {
 		t.Fatalf("normalized config %+v", c)
+	}
+	// Every scale outside (0, 1] — NaN included — means the full ladder.
+	for _, scale := range []float64{math.NaN(), 0, -1, 2} {
+		if got := (Config{Scale: scale}).normalized().Scale; got != 1 {
+			t.Fatalf("Scale %v normalized to %v, want 1", scale, got)
+		}
 	}
 	if (Config{Trials: 5}).trials(10) != 5 {
 		t.Fatal("trials override broken")

@@ -43,12 +43,14 @@ func (p *storePair) insert(u, v int) {
 	}
 }
 
-// sparseForm names the rung of the sparse ladder row u of store stands on.
+// sparseForm names the rung of the sparse ladder row u of store stands on,
+// read as the store reads it: through the row's length.
 func sparseForm(store rowStore, u int) string {
-	switch r := store.(*sparseRows).rows[u]; {
-	case r == nil:
+	s := store.(*sparseRows)
+	switch {
+	case s.short(u):
 		return "list"
-	case r.bits != nil:
+	case s.rows[u].bits != nil:
 		return "bitset"
 	default:
 		return "sorted"

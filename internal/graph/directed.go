@@ -107,10 +107,10 @@ func (g *Directed) AddArcs(arcs []Arc, accepted []Arc) []Arc {
 // delta. On the dense backend each proposal is one test of its tail row's
 // bit on the flat bit matrix, and only an accepted arc stores; the sparse
 // backend goes through its store's fused insert with identical accepted
-// lists and final state. Pass a reused buffer (resliced
-// to [:0]) to keep the commit allocation-free in steady state. See
-// AddEdgesGrouped for why batch order beats counting-sort row grouping
-// here.
+// lists and final state. Pass a reused buffer (resliced to [:0]) to keep
+// the commit allocation-free in steady state; accepted may be arcs[:0],
+// filtering the batch in place as AddEdgesGrouped does. See AddEdgesGrouped
+// for why batch order beats counting-sort row grouping here.
 func (g *Directed) AddArcsGrouped(arcs []Arc, accepted []Arc) []Arc {
 	n := g.n
 	out := g.out

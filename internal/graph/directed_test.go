@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -356,54 +357,56 @@ func TestAddArcsOutOfRangePanics(t *testing.T) {
 // calls (same matrix, same out-list insertion order, same in-degrees) and
 // must accept the same arcs in the same order.
 func TestAddArcsGroupedEquivalence(t *testing.T) {
-	f := func(seed uint64, raw []uint16) bool {
-		r := rng.New(seed)
-		const n = 50
-		base := NewDirected(n)
-		for i := 0; i < 30; i++ {
-			base.AddArc(r.Intn(n), r.Intn(n))
-		}
-		var batch []Arc
-		for _, x := range raw {
-			batch = append(batch, Arc{U: int(x) % n, V: int(x/50) % n})
-		}
-		a, b := base.Clone(), base.Clone()
-		var acceptedA []Arc
-		for _, x := range batch {
-			if a.AddArc(x.U, x.V) {
-				acceptedA = append(acceptedA, x)
-			}
-		}
-		acceptedB := b.AddArcsGrouped(batch, nil)
-		if len(acceptedA) != len(acceptedB) {
-			return false
-		}
-		// Both variants report accepted arcs in batch order.
-		for i := range acceptedA {
-			if acceptedA[i] != acceptedB[i] {
-				return false
-			}
-		}
-		if !a.Equal(b) || a.M() != b.M() {
-			return false
-		}
-		for u := 0; u < n; u++ {
-			if a.OutDegree(u) != b.OutDegree(u) || a.InDegree(u) != b.InDegree(u) {
-				return false
-			}
-			oa, ob := a.OutNeighbors(u, nil), b.OutNeighbors(u, nil)
-			for i := range oa {
-				if oa[i] != ob[i] {
-					t.Logf("out-list order differs at node %d index %d", u, i)
+	for _, backend := range []Backend{BackendDense, BackendSparse} {
+		t.Run(backend.String(), func(t *testing.T) {
+			f := func(seed uint64, raw []uint16) bool {
+				r := rng.New(seed)
+				const n = 50
+				base := NewDirectedOn(n, backend)
+				for i := 0; i < 30; i++ {
+					base.AddArc(r.Intn(n), r.Intn(n))
+				}
+				var batch []Arc
+				for _, x := range raw {
+					batch = append(batch, Arc{U: int(x) % n, V: int(x/50) % n})
+				}
+				a, b, c := base.Clone(), base.Clone(), base.Clone()
+				var acceptedA []Arc
+				for _, x := range batch {
+					if a.AddArc(x.U, x.V) {
+						acceptedA = append(acceptedA, x)
+					}
+				}
+				acceptedB := b.AddArcsGrouped(batch, nil)
+				// In place: a copy of the batch committed into its own front.
+				acceptedC := slices.Clone(batch)
+				acceptedC = c.AddArcsGrouped(acceptedC, acceptedC[:0])
+				// Every variant reports accepted arcs in batch order.
+				if !slices.Equal(acceptedA, acceptedB) || !slices.Equal(acceptedB, acceptedC) {
 					return false
 				}
+				for _, g := range []*Directed{b, c} {
+					if !a.Equal(g) || a.M() != g.M() {
+						return false
+					}
+					for u := 0; u < n; u++ {
+						if a.OutDegree(u) != g.OutDegree(u) || a.InDegree(u) != g.InDegree(u) {
+							return false
+						}
+						oa, og := a.OutNeighbors(u, nil), g.OutNeighbors(u, nil)
+						if !slices.Equal(oa, og) {
+							t.Logf("out-list order differs at node %d", u)
+							return false
+						}
+					}
+					g.CheckInvariants()
+				}
+				return true
 			}
-		}
-		b.CheckInvariants()
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
+			if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

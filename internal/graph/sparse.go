@@ -31,7 +31,7 @@ type sparseRows struct {
 	universe  int
 	promoteAt int
 	lists     [][]int32    // the owning graph's neighbor lists, shared, never written here
-	rows      []*sparseRow // nil while row u is short
+	rows      []*sparseRow // rows[u] holds row u once it is long; nil until a row is
 }
 
 // sparseRow is the storage of a row that outgrew its list: sorted entries,
@@ -61,17 +61,20 @@ func promoteThreshold(n int) int {
 
 // newSparseRows builds an empty store over lists, the owning graph's n
 // neighbor lists. The graph must append v to lists[u] after every
-// insert(u, v) that returns true, before the next call on row u.
+// insert(u, v) that returns true, before the next call on row u. The first
+// row to outgrow its list allocates the row index, so a graph whose rows all
+// stay short keeps no slot per node.
 func newSparseRows(n int, lists [][]int32) *sparseRows {
 	if n > math.MaxInt32 {
 		panic(fmt.Sprintf("graph: sparse backend supports at most %d nodes, got %d", math.MaxInt32, n))
 	}
-	return &sparseRows{
-		universe:  n,
-		promoteAt: promoteThreshold(n),
-		lists:     lists,
-		rows:      make([]*sparseRow, n),
-	}
+	return &sparseRows{universe: n, promoteAt: promoteThreshold(n), lists: lists}
+}
+
+// short reports whether row u is still its list, which is exactly when its
+// length is below the ladder's first step; otherwise rows[u] holds it.
+func (s *sparseRows) short(u int) bool {
+	return len(s.lists[u]) < min(shortRow, s.promoteAt)
 }
 
 func (s *sparseRows) backend() Backend { return BackendSparse }
@@ -95,19 +98,19 @@ func find(sorted []int32, v int) (int, bool) {
 
 // promoted returns row u's bitset, or nil while the row is unpromoted.
 func (s *sparseRows) promoted(u int) *bitset.Set {
-	if r := s.rows[u]; r != nil {
-		return r.bits
+	if s.short(u) {
+		return nil
 	}
-	return nil
+	return s.rows[u].bits
 }
 
 // ordered returns the entries of an unpromoted row u in increasing order:
 // its sorted copy, or a short row's list sorted into buf. buf is the
-// caller's stack array, never a field of the store — the sharded engine's
-// dense phase reads rows from several workers at once.
+// caller's stack array, never a field of the store, so that reads stay
+// read-only and safe from several goroutines at once.
 func (s *sparseRows) ordered(u int, buf *[shortRow]int32) []int32 {
-	if r := s.rows[u]; r != nil {
-		return r.sorted
+	if !s.short(u) {
+		return s.rows[u].sorted
 	}
 	sorted := buf[:copy(buf[:], s.lists[u])]
 	slices.Sort(sorted)
@@ -115,10 +118,10 @@ func (s *sparseRows) ordered(u int, buf *[shortRow]int32) []int32 {
 }
 
 func (s *sparseRows) test(u, v int) bool {
-	r := s.rows[u]
-	if r == nil {
+	if s.short(u) {
 		return slices.Contains(s.lists[u], int32(v))
 	}
+	r := s.rows[u]
 	if r.bits != nil {
 		return r.bits.Test(v)
 	}
@@ -127,8 +130,7 @@ func (s *sparseRows) test(u, v int) bool {
 }
 
 func (s *sparseRows) insert(u, v int) bool {
-	r := s.rows[u]
-	if r == nil {
+	if s.short(u) {
 		list := s.lists[u]
 		if slices.Contains(list, int32(v)) {
 			return false
@@ -136,10 +138,13 @@ func (s *sparseRows) insert(u, v int) bool {
 		if len(list)+1 < min(shortRow, s.promoteAt) {
 			return true // the graph's append is the insert
 		}
-		r = &sparseRow{sorted: slices.Clone(list)}
-		slices.Sort(r.sorted)
-		s.rows[u] = r
+		if s.rows == nil {
+			s.rows = make([]*sparseRow, s.universe)
+		}
+		s.rows[u] = &sparseRow{sorted: slices.Clone(list)}
+		slices.Sort(s.rows[u].sorted)
 	}
+	r := s.rows[u]
 	if r.bits != nil {
 		if r.bits.OrWord(v>>6, 1<<(uint(v)&63)) == 0 {
 			return false
@@ -169,22 +174,21 @@ func (s *sparseRows) insert(u, v int) bool {
 // the mirror half of a symmetric insert whose first half was accepted — so a
 // short row that stays short skips the scan of its list.
 func (s *sparseRows) insertAbsent(u, v int) {
-	if s.rows[u] == nil && len(s.lists[u])+1 < min(shortRow, s.promoteAt) {
+	if len(s.lists[u])+1 < min(shortRow, s.promoteAt) {
 		return // the graph's append is the insert
 	}
 	s.insert(u, v)
 }
 
 func (s *sparseRows) count(u int) int {
-	r := s.rows[u]
-	switch {
-	case r == nil:
+	if s.short(u) {
 		return len(s.lists[u])
-	case r.bits != nil:
-		return r.cnt
-	default:
-		return len(r.sorted)
 	}
+	r := s.rows[u]
+	if r.bits != nil {
+		return r.cnt
+	}
+	return len(r.sorted)
 }
 
 func (s *sparseRows) forEach(u int, fn func(v int)) {
@@ -199,8 +203,7 @@ func (s *sparseRows) forEach(u int, fn func(v int)) {
 }
 
 func (s *sparseRows) rank(u, v int) int {
-	r := s.rows[u]
-	if r == nil {
+	if s.short(u) {
 		below := 0
 		for _, w := range s.lists[u] {
 			if int(w) < v {
@@ -209,6 +212,7 @@ func (s *sparseRows) rank(u, v int) int {
 		}
 		return below
 	}
+	r := s.rows[u]
 	if r.bits != nil {
 		return r.bits.Rank(v)
 	}
@@ -327,7 +331,8 @@ func (s *sparseRows) row(u int) *bitset.Set {
 
 func (s *sparseRows) clone(lists [][]int32) rowStore {
 	c := newSparseRows(s.universe, lists)
-	for u, r := range s.rows {
+	c.rows = slices.Clone(s.rows) // nil stays nil; the rows are deep-copied below
+	for u, r := range c.rows {
 		if r == nil {
 			continue
 		}

@@ -90,13 +90,17 @@ func FuzzSparseRow(f *testing.F) {
 			if s.count(0) != cnt {
 				t.Fatalf("count = %d after %d net inserts", s.count(0), cnt)
 			}
-			// Ladder invariant: the row's form is a function of its length.
-			r := s.rows[0]
-			if long := cnt >= min(shortRow, s.promoteAt); (r != nil) != long {
-				t.Fatalf("row has own storage = %v with cnt=%d (shortRow %d, promoteAt %d)", r != nil, cnt, shortRow, s.promoteAt)
+			// Ladder invariant: the row's form is a function of its length,
+			// and the store reads the form through that length alone.
+			long := cnt >= min(shortRow, s.promoteAt)
+			if s.short(0) == long {
+				t.Fatalf("short = %v with cnt=%d (shortRow %d, promoteAt %d)", s.short(0), cnt, shortRow, s.promoteAt)
 			}
-			if r != nil && (r.bits != nil) != (cnt >= s.promoteAt) {
-				t.Fatalf("row promoted = %v with cnt=%d at threshold %d", r.bits != nil, cnt, s.promoteAt)
+			if (s.rows != nil) != long || long && s.rows[0] == nil {
+				t.Fatalf("row storage allocated = %v with cnt=%d (shortRow %d, promoteAt %d)", s.rows != nil && s.rows[0] != nil, cnt, shortRow, s.promoteAt)
+			}
+			if long && (s.rows[0].bits != nil) != (cnt >= s.promoteAt) {
+				t.Fatalf("row promoted = %v with cnt=%d at threshold %d", s.rows[0].bits != nil, cnt, s.promoteAt)
 			}
 		}
 		// Final exhaustive sweep: the row, its complement, and a snapshot

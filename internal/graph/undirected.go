@@ -123,6 +123,14 @@ func (g *Undirected) AddEdge(u, v int) bool {
 	} else {
 		g.rows.insert(v, u)
 	}
+	// A list's first entry allocates it at append's capacity, skipping
+	// growslice: a million-node build makes a million of these.
+	if g.adj[u] == nil {
+		g.adj[u] = make([]int32, 0, 2)
+	}
+	if g.adj[v] == nil {
+		g.adj[v] = make([]int32, 0, 2)
+	}
 	g.adj[u] = append(g.adj[u], int32(v))
 	g.adj[v] = append(g.adj[v], int32(u))
 	g.m++
@@ -158,7 +166,9 @@ func (g *Undirected) AddEdges(edges []Edge) int {
 // final state are identical either way.
 //
 // Pass a reused buffer (resliced to [:0]) to keep the commit
-// allocation-free in steady state.
+// allocation-free in steady state. accepted may be edges[:0]: each edge is
+// read before any append can reach its slot, so the batch is filtered in
+// place — the round engines' one round buffer.
 func (g *Undirected) AddEdgesGrouped(edges []Edge, accepted []Edge) []Edge {
 	n := g.n
 	adj := g.adj

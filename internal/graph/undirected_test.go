@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -585,63 +586,77 @@ func BenchmarkAddEdgesBatchDense(b *testing.B) {
 // neighbor sampling indexes into), same new-edge count — while also
 // returning the accepted edges normalized and deduplicated.
 func TestAddEdgesGroupedEquivalence(t *testing.T) {
-	f := func(seed uint64, raw []uint16) bool {
-		r := rng.New(seed)
-		const n = 60
-		// Random batches over a random base graph, with duplicates, reversed
-		// duplicates, and self-loops mixed in.
-		base := NewUndirected(n)
-		for i := 0; i < 40; i++ {
-			base.AddEdge(r.Intn(n), r.Intn(n))
-		}
-		var batch []Edge
-		for _, x := range raw {
-			u, v := int(x)%n, int(x/60)%n
-			batch = append(batch, Edge{U: u, V: v})
-			if u != v && len(batch)%3 == 0 {
-				batch = append(batch, Edge{U: v, V: u}) // reversed duplicate
-			}
-		}
-		a, b := base.Clone(), base.Clone()
-		added := 0
-		for _, e := range batch {
-			if a.AddEdge(e.U, e.V) {
-				added++
-			}
-		}
-		accepted := b.AddEdgesGrouped(batch, nil)
-		if len(accepted) != added {
-			t.Logf("accepted %d, AddEdge added %d", len(accepted), added)
-			return false
-		}
-		if !a.Equal(b) || a.M() != b.M() {
-			return false
-		}
-		// Adjacency insertion order must match exactly.
-		for u := 0; u < n; u++ {
-			if a.Degree(u) != b.Degree(u) {
-				return false
-			}
-			for i := 0; i < a.Degree(u); i++ {
-				if a.Neighbor(u, i) != b.Neighbor(u, i) {
-					t.Logf("adj order differs at node %d index %d", u, i)
+	for _, backend := range []Backend{BackendDense, BackendSparse} {
+		t.Run(backend.String(), func(t *testing.T) {
+			f := func(seed uint64, raw []uint16) bool {
+				r := rng.New(seed)
+				const n = 60
+				// Random batches over a random base graph, with duplicates,
+				// reversed duplicates, and self-loops mixed in.
+				base := NewUndirectedOn(n, backend)
+				for i := 0; i < 40; i++ {
+					base.AddEdge(r.Intn(n), r.Intn(n))
+				}
+				var batch []Edge
+				for _, x := range raw {
+					u, v := int(x)%n, int(x/60)%n
+					batch = append(batch, Edge{U: u, V: v})
+					if u != v && len(batch)%3 == 0 {
+						batch = append(batch, Edge{U: v, V: u}) // reversed duplicate
+					}
+				}
+				a, b, c := base.Clone(), base.Clone(), base.Clone()
+				added := 0
+				for _, e := range batch {
+					if a.AddEdge(e.U, e.V) {
+						added++
+					}
+				}
+				accepted := b.AddEdgesGrouped(batch, nil)
+				if len(accepted) != added {
+					t.Logf("accepted %d, AddEdge added %d", len(accepted), added)
 					return false
 				}
+				// In place: a copy of the batch committed into its own front
+				// accepts the same edges in the same order.
+				inPlace := slices.Clone(batch)
+				inPlace = c.AddEdgesGrouped(inPlace, inPlace[:0])
+				if !slices.Equal(inPlace, accepted) {
+					t.Logf("in-place accepted %v, separate buffer %v", inPlace, accepted)
+					return false
+				}
+				for _, g := range []*Undirected{b, c} {
+					if !a.Equal(g) || a.M() != g.M() {
+						return false
+					}
+					// Adjacency insertion order must match exactly.
+					for u := 0; u < n; u++ {
+						if a.Degree(u) != g.Degree(u) {
+							return false
+						}
+						for i := 0; i < a.Degree(u); i++ {
+							if a.Neighbor(u, i) != g.Neighbor(u, i) {
+								t.Logf("adj order differs at node %d index %d", u, i)
+								return false
+							}
+						}
+					}
+					g.CheckInvariants()
+				}
+				// Accepted edges: normalized, unique, and actually new w.r.t. base.
+				seen := map[Edge]bool{}
+				for _, e := range accepted {
+					if e.U >= e.V || seen[e] || base.HasEdge(e.U, e.V) {
+						return false
+					}
+					seen[e] = true
+				}
+				return true
 			}
-		}
-		// Accepted edges: normalized, unique, and actually new w.r.t. base.
-		seen := map[Edge]bool{}
-		for _, e := range accepted {
-			if e.U >= e.V || seen[e] || base.HasEdge(e.U, e.V) {
-				return false
+			if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+				t.Fatal(err)
 			}
-			seen[e] = true
-		}
-		b.CheckInvariants()
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 

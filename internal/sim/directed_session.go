@@ -123,10 +123,9 @@ func (s *DirectedSession) settle(a graph.Arc) {
 	}
 }
 
-func (s *DirectedSession) commit(props, accepted []graph.Arc) []graph.Arc {
-	from := len(accepted)
-	accepted = s.g.AddArcsGrouped(props, accepted)
-	for _, a := range accepted[from:] {
+func (s *DirectedSession) commit(props []graph.Arc) []graph.Arc {
+	accepted := s.g.AddArcsGrouped(props, props[:0])
+	for _, a := range accepted {
 		s.settle(a)
 	}
 	return accepted
@@ -139,7 +138,7 @@ func (s *DirectedSession) commitEager(a, b int) bool {
 	arc := graph.Arc{U: a, V: b}
 	s.settle(arc)
 	if s.acc != nil {
-		s.accepted = append(s.accepted, arc)
+		s.buf = append(s.buf, arc)
 	}
 	return true
 }

@@ -164,8 +164,8 @@ func TestParallelSynchronousSemantics(t *testing.T) {
 	}
 }
 
-// TestParallelDuplicateAccounting: duplicates across shard buffers are
-// counted exactly as the sequential engine counts them.
+// TestParallelDuplicateAccounting: duplicates across shards are counted
+// exactly as the sequential engine counts them.
 func TestParallelDuplicateAccounting(t *testing.T) {
 	g := gen.Star(100)
 	res := Run(g, fixedProbe{}, rng.New(9), Config{MaxRounds: 1, Workers: 4})
@@ -358,7 +358,7 @@ func TestNewEngineLayout(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			shards := newShards[graph.Edge](tc.n, rng.New(1))
+			shards := newShards(tc.n, rng.New(1))
 			if len(shards) != tc.wantShards {
 				t.Fatalf("n=%d: %d shards want %d", tc.n, len(shards), tc.wantShards)
 			}
@@ -385,8 +385,8 @@ func TestNewEngineLayout(t *testing.T) {
 			// touches every node exactly once even on degenerate layouts.
 			seen := make([]int, tc.n)
 			r := &round[*graph.Undirected, graph.Edge]{p: nodeCounter{seen}, shards: shards}
-			for i := range shards {
-				r.actShard(&shards[i])
+			for _, sh := range shards {
+				r.act(sh.lo, sh.hi, sh.r)
 			}
 			for u, c := range seen {
 				if c != 1 {
@@ -425,7 +425,7 @@ func TestNewEngineLayout(t *testing.T) {
 				t.Fatal("newShards(-1, ...) did not panic")
 			}
 		}()
-		newShards[graph.Edge](-1, rng.New(1))
+		newShards(-1, rng.New(1))
 	})
 }
 

@@ -35,9 +35,9 @@ import (
 type pair interface{ ~struct{ U, V int } }
 
 // substrate is what a round asks of the session that embeds it. It is
-// called per round, per shard commit and per dense-phase draw — never per
-// node of a normal round, whose calls stay p.Act / ActRange through the
-// process interface and propose through a hoisted func value.
+// called per round and per dense-phase draw — never per node of a normal
+// round, whose calls stay p.Act / ActRange through the process interface and
+// propose through a hoisted func value.
 type substrate[P pair] interface {
 	// converged evaluates the termination predicate.
 	converged() bool
@@ -49,12 +49,12 @@ type substrate[P pair] interface {
 	// missingPick returns the t-th missing partner of u, t in
 	// [0, missingDegree(u)); ok == false discards the draw.
 	missingPick(u, t int) (w int, ok bool)
-	// commit inserts a synchronous round's (or one shard's) proposals
-	// through the grouped graph path, appending the newly inserted ones to
-	// accepted.
-	commit(props, accepted []P) []P
+	// commit inserts a synchronous round's proposals, in node order,
+	// through the grouped graph path and returns the newly inserted ones,
+	// filtered in place into the front of props.
+	commit(props []P) []P
 	// commitEager inserts one proposal at once and reports whether it was
-	// new; the substrate appends it to the round's accepted list itself, if
+	// new; the substrate appends it to the round's buffer itself, if
 	// anything will read it.
 	commitEager(a, b int) bool
 	// publish closes the round on the session's side: accounting over the
@@ -122,20 +122,21 @@ type round[G any, P pair] struct {
 	dense          bool
 	densePrefix    []int
 
-	// shards is the sharded engine's fixed layout (engine.go), non-nil only
-	// for sharded sessions (synchronous mode with Workers >= 1).
-	shards []shard[P]
+	// shards is the act phase's node ranges and their streams, set by
+	// dispatch: the sharded engine's fixed layout (engine.go) under
+	// synchronous mode with Workers >= 1, else [0, n) on the session's r.
+	shards []shard
 
 	// ranged is the process's block form, set by dispatch when a synchronous
 	// session's process has one (see rangeActor); nil means every act goes
 	// node by node through p.Act.
 	ranged rangeActor[G, P]
 
-	// Sequential state: the hoisted propose closure and the reused round
-	// buffers (buf holds synchronous proposals, accepted the round's delta).
-	propose  func(a, b int)
-	buf      []P
-	accepted []P
+	// propose is the hoisted closure per-node acts propose through. buf is
+	// the one reused round buffer: the round's proposals, then the accepted
+	// ones its commit filters into the front (eager rounds append only those).
+	propose func(a, b int)
+	buf     []P
 }
 
 // setup runs the constructor checks both sessions share, on a round whose
@@ -170,6 +171,7 @@ func (r *round[G, P]) setup(field string, defaultRounds int, densePhase float64,
 // (or never stepped) consumes no generator output. A session resumed by a
 // membership mutation after finishing at entry dispatches here too.
 func (r *round[G, P]) dispatch() {
+	r.shards = []shard{{hi: r.n, r: r.r}}
 	if r.mode == CommitEager {
 		r.propose = func(a, b int) {
 			r.res.Proposals++
@@ -182,27 +184,23 @@ func (r *round[G, P]) dispatch() {
 		return
 	}
 	r.ranged, _ = r.p.(rangeActor[G, P])
-	if r.workers == 0 {
-		r.propose = func(a, b int) {
-			r.res.Proposals++
-			r.buf = append(r.buf, P{U: a, V: b})
-		}
-		return
+	r.propose = func(a, b int) { r.buf = append(r.buf, P{U: a, V: b}) }
+	if r.workers != 0 {
+		r.shards = newShards(r.n, r.r)
 	}
-	r.shards = newShards[P](r.n, r.r)
 }
 
-// actShard runs one shard's act phase on the shard's own stream, appending
-// its proposals to the shard's buffer.
-func (r *round[G, P]) actShard(sh *shard[P]) {
+// act runs the act phase of the nodes [lo, hi) on the stream gen, appending
+// their proposals to buf (or, under eager commits, committing them).
+func (r *round[G, P]) act(lo, hi int, gen *rng.Rand) {
 	switch {
 	case r.dense:
-		r.denseAct(sh.lo, sh.hi, sh.r, sh.propose)
+		r.denseAct(lo, hi, gen)
 	case r.ranged != nil:
-		sh.props = r.ranged.ActRange(r.g, sh.lo, sh.hi, sh.r, sh.props)
+		r.buf = r.ranged.ActRange(r.g, lo, hi, gen, r.buf)
 	default:
-		for u := sh.lo; u < sh.hi; u++ {
-			r.p.Act(r.g, u, sh.r, sh.propose)
+		for u := lo; u < hi; u++ {
+			r.p.Act(r.g, u, gen, r.propose)
 		}
 	}
 }
@@ -226,7 +224,7 @@ func (r *round[G, P]) step() bool {
 		r.finished = true
 		return false
 	}
-	if r.shards == nil && r.propose == nil {
+	if r.propose == nil {
 		r.dispatch()
 	}
 	if r.denseThreshold >= 0 && !r.dense && r.sub.missing() <= r.denseThreshold {
@@ -235,50 +233,26 @@ func (r *round[G, P]) step() bool {
 		r.dense = true
 	}
 	num := r.res.Rounds + 1
-	r.buf, r.accepted = r.buf[:0], r.accepted[:0]
+	r.buf = r.buf[:0]
 
-	if r.shards != nil {
-		// Sharded act phase — every shard acts on G_t before any commits —
-		// then commit the shard buffers in shard order through the grouped
-		// path: state-identical to per-edge commits, and the accepted list
-		// doubles as the round's delta.
-		for i := range r.shards {
-			r.actShard(&r.shards[i])
-		}
-		proposals := 0
-		acc := r.accepted
-		for i := range r.shards {
-			sh := &r.shards[i]
-			proposals += len(sh.props)
-			acc = r.sub.commit(sh.props, acc)
-			sh.props = sh.props[:0]
-		}
-		r.accepted = acc
+	// Act phase: every node acts on G_t before anything commits, shard by
+	// shard; shards are contiguous, so buf ends in node order.
+	for _, sh := range r.shards {
+		r.act(sh.lo, sh.hi, sh.r)
+	}
+	if r.mode == CommitSynchronous {
+		// One grouped commit filters the accepted proposals into the front
+		// of buf: state-identical to per-edge commits in node order, and the
+		// accepted list doubles as the round's delta.
+		proposals := len(r.buf)
+		r.buf = r.sub.commit(r.buf)
 		r.res.Proposals += proposals
-		r.res.NewEdges += len(acc)
-		r.res.DuplicateProposals += proposals - len(acc)
-	} else {
-		switch {
-		case r.dense:
-			r.denseAct(0, r.n, r.r, r.propose)
-		case r.ranged != nil:
-			// buf was emptied above, so its length is the round's proposals.
-			r.buf = r.ranged.ActRange(r.g, 0, r.n, r.r, r.buf)
-			r.res.Proposals += len(r.buf)
-		default:
-			for u := 0; u < r.n; u++ {
-				r.p.Act(r.g, u, r.r, r.propose)
-			}
-		}
-		if r.mode == CommitSynchronous {
-			r.accepted = r.sub.commit(r.buf, r.accepted)
-			r.res.NewEdges += len(r.accepted)
-			r.res.DuplicateProposals += len(r.buf) - len(r.accepted)
-		}
+		r.res.NewEdges += len(r.buf)
+		r.res.DuplicateProposals += proposals - len(r.buf)
 	}
 	r.res.Rounds = num
 
-	r.sub.publish(num, r.accepted)
+	r.sub.publish(num, r.buf)
 	if r.sub.converged() {
 		r.res.Converged = true
 		r.finished = true
@@ -303,7 +277,7 @@ func (r *round[G, P]) step() bool {
 // Every draw reads only the committed graph, so the act phase stays
 // read-only. Ranges (and whole rounds) with no missing work consume no
 // generator output.
-func (r *round[G, P]) denseAct(lo, hi int, gen *rng.Rand, propose func(a, b int)) {
+func (r *round[G, P]) denseAct(lo, hi int, gen *rng.Rand) {
 	// Locating a draw's node: shard calls cover at most shardNodes nodes
 	// and scan their missing degrees linearly; the sequential engine's
 	// whole-graph call builds prefix sums once per round and binary-
@@ -352,7 +326,7 @@ func (r *round[G, P]) denseAct(lo, hi int, gen *rng.Rand, propose func(a, b int)
 			}
 		}
 		if w, ok := sub.missingPick(u, t); ok {
-			propose(u, w)
+			r.buf = append(r.buf, P{U: u, V: w})
 		}
 	}
 }

@@ -35,8 +35,9 @@
 //     pairs are unchanged.
 //   - Workers >= 1 runs the sharded engine (engine.go): the node set is
 //     partitioned into fixed 32-node shards, shard i acts with the i-th
-//     sequential split of the run's generator, and shard buffers are
-//     committed in shard order through the batched graph commit paths.
+//     sequential split of the run's generator, and the round's proposals,
+//     in node order, are committed once through the batched graph commit
+//     paths.
 //     Because the shard layout and streams depend only on n and the root
 //     generator, results are bit-identical for every Workers >= 1 and any
 //     GOMAXPROCS. Every Workers >= 1 runs the same schedule: the shards act
@@ -57,8 +58,8 @@
 // Trial-level parallelism is the only concurrency in this package: a round
 // runs on one goroutine.
 //
-// Both engines allocate only at session start: propose closures are hoisted
-// out of the per-node loop, and proposal buffers are reused across rounds,
+// Both engines allocate only at session start: the propose closure is hoisted
+// out of the per-node loop, and the round buffer is reused across rounds,
 // so a steady-state round — equivalently, a steady-state Session.Step —
 // performs zero allocations.
 //

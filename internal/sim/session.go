@@ -121,8 +121,8 @@ func (s *Session) missingPick(u, t int) (int, bool) {
 	return w, s.alive == nil || s.alive[u] && s.alive[w]
 }
 
-func (s *Session) commit(props, accepted []graph.Edge) []graph.Edge {
-	return s.g.AddEdgesGrouped(props, accepted)
+func (s *Session) commit(props []graph.Edge) []graph.Edge {
+	return s.g.AddEdgesGrouped(props, props[:0])
 }
 
 func (s *Session) commitEager(a, b int) bool {
@@ -130,7 +130,7 @@ func (s *Session) commitEager(a, b int) bool {
 		return false
 	}
 	if s.acc != nil || s.alive != nil {
-		s.accepted = append(s.accepted, graph.Edge{U: a, V: b}.Norm())
+		s.buf = append(s.buf, graph.Edge{U: a, V: b}.Norm())
 	}
 	return true
 }
