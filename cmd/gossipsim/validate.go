@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 
 	"gossipdisc/internal/cliflag"
 	"gossipdisc/internal/core"
@@ -86,8 +87,8 @@ func (o *options) validate() error {
 			return fmt.Errorf("-roles cannot be combined with -scenario: the wire stack runs its own per-node protocol handlers")
 		}
 	}
-	if o.n < 1 {
-		return fmt.Errorf("-n must be at least 1 (got %d)", o.n)
+	if o.n < 1 || o.n > math.MaxInt32 { // a graph holds at most math.MaxInt32 nodes
+		return fmt.Errorf("-n must be in [1, %d] (got %d)", math.MaxInt32, o.n)
 	}
 	if o.trials < 1 {
 		return fmt.Errorf("-trials must be at least 1 (got %d)", o.trials)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -18,12 +19,14 @@ func good() options {
 	}
 }
 
+type validateCase struct {
+	name    string
+	mutate  func(*options)
+	wantErr string // empty = must pass
+}
+
 func TestValidateOptions(t *testing.T) {
-	cases := []struct {
-		name    string
-		mutate  func(*options)
-		wantErr string // empty = must pass
-	}{
+	cases := []validateCase{
 		{"defaults", func(o *options) {}, ""},
 		{"directed sync", func(o *options) { o.process = "directed" }, ""},
 		{"async undirected", func(o *options) { o.mode = "async" }, ""},
@@ -128,6 +131,12 @@ func TestValidateOptions(t *testing.T) {
 		{"roles bad range", func(o *options) { o.roles = "byzantine=1:9-2" }, "-roles"},
 		{"roles with dense", func(o *options) { o.roles = "byzantine=2"; o.dense = 0.2 }, "-dense"},
 		{"roles with scenario", func(o *options) { o.roles = "byzantine=2"; o.scenario = "chaos.json" }, "-scenario"},
+	}
+	if strconv.IntSize == 64 { // a 32-bit int cannot exceed math.MaxInt32
+		cases = append(cases, validateCase{"n above MaxInt32", func(o *options) {
+			o.n = math.MaxInt32
+			o.n++
+		}, "-n must be in"})
 	}
 	t.Run("worker count resolution", func(t *testing.T) {
 		for _, tc := range []struct {

@@ -23,8 +23,9 @@ const (
 	BackendDense Backend = iota
 
 	// BackendSparse stores nothing for a row of fewer than 128 entries —
-	// the row is the graph's own neighbor list, scanned for membership —
-	// then a sorted copy (4 bytes/entry), and promotes to a bitset row once
+	// the row is the graph's own neighbor list, scanned for membership,
+	// and such a list is a block of pooled pages, not a Go slice — then a
+	// sorted copy (4 bytes/entry), and promotes to a bitset row once
 	// a row holds >= max(16, n/32) entries — the point where a sorted
 	// row's memory crosses the n-bit row's. Complement views flip meaning
 	// at the same threshold: promoted rows use the dense inverted-bitset
@@ -89,12 +90,11 @@ func (b Backend) resolve(n int) Backend {
 // adjacency lists, edge counts, and symmetry; a rowStore answers membership
 // and the complement/diff views derived from it.
 //
-// A store is built over its graph's neighbor lists (lists[u] is what the
-// graph appends to) and may read them instead of keeping entries of its own
-// — the sparse store does, for short rows. That makes the mutation order
-// part of the contract: after insert(u, v) returns true the graph appends v
-// to lists[u] before it calls the store on row u again, and it never
-// replaces the outer slice. A store never writes the lists, and rows only
+// A store is built over its graph's neighbor lists and may read them
+// instead of keeping entries of its own — the sparse store does, for short
+// rows. That makes the mutation order part of the contract: after
+// insert(u, v) returns true the graph appends v to list u before it calls
+// the store on row u again. A store never writes the lists, and rows only
 // grow — graphs are insert-only.
 //
 // Ordering contract: forEach and forEachClear visit in increasing node
@@ -134,18 +134,7 @@ type rowStore interface {
 	row(u int) *bitset.Set
 	// clone returns a deep copy on the same backend, built over lists —
 	// the cloned graph's copy of the neighbor lists.
-	clone(lists [][]int32) rowStore
-}
-
-// newRowStore builds an empty store on the resolved backend over lists, the
-// n empty neighbor lists of the graph it will serve.
-func newRowStore(n int, b Backend, lists [][]int32) rowStore {
-	switch b.resolve(n) {
-	case BackendSparse:
-		return newSparseRows(n, lists)
-	default:
-		return newDenseRows(n)
-	}
+	clone(lists *lists) rowStore
 }
 
 // denseRows is the golden reference store: one flat bit matrix. slab holds
@@ -198,7 +187,7 @@ func (s *denseRows) selectDiff(u int, target *bitset.Set, k int) int {
 
 func (s *denseRows) row(u int) *bitset.Set { return &s.rows[u] }
 
-func (s *denseRows) clone([][]int32) rowStore {
+func (s *denseRows) clone(*lists) rowStore {
 	c := newDenseRows(len(s.rows))
 	copy(c.slab, s.slab)
 	return c

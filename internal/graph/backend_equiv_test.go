@@ -23,13 +23,13 @@ type storePair struct {
 	t      *testing.T
 	n      int
 	dense  rowStore
-	lists  [][]int32
+	lists  *lists
 	sparse rowStore
 }
 
 func newStorePair(t *testing.T, n int) *storePair {
-	lists := make([][]int32, n)
-	return &storePair{t: t, n: n, dense: newDenseRows(n), lists: lists, sparse: newSparseRows(n, lists)}
+	adj, sparse := newLists(n, BackendSparse)
+	return &storePair{t: t, n: n, dense: newDenseRows(n), lists: adj, sparse: sparse}
 }
 
 func (p *storePair) insert(u, v int) {
@@ -39,7 +39,7 @@ func (p *storePair) insert(u, v int) {
 		p.t.Fatalf("n=%d insert(%d,%d): dense %v sparse %v", p.n, u, v, d, s)
 	}
 	if s {
-		p.lists[u] = append(p.lists[u], int32(v))
+		p.lists.add(u, int32(v))
 	}
 }
 
@@ -179,11 +179,7 @@ func TestRowStoreEquivalence(t *testing.T) {
 				t.Fatalf("sorted rows reached: %v, want %v", seen["sorted"], want)
 			}
 			// Clones must be independent deep copies over their own lists.
-			lists := make([][]int32, n)
-			for u := range lists {
-				lists[u] = append([]int32(nil), p.lists[u]...)
-			}
-			dc, sc := p.dense.clone(nil), p.sparse.clone(lists)
+			dc, sc := p.dense.clone(nil), p.sparse.clone(p.lists.clone())
 			before := p.dense.count(0)
 			for p.dense.count(0) == before && before < n {
 				p.insert(0, r.Intn(n))
@@ -218,7 +214,7 @@ func TestRowStorePromotionBoundary(t *testing.T) {
 			t.Fatalf("rows 0 and 1 diverged: %d already in row 1", v)
 		}
 		sp.insertAbsent(1, v)
-		p.lists[1] = append(p.lists[1], int32(v))
+		p.lists.add(1, int32(v))
 		want := "list"
 		if size >= sp.promoteAt {
 			want = "bitset"
@@ -487,32 +483,33 @@ func TestBackendAutoResolution(t *testing.T) {
 	}
 }
 
-// TestSparseShortRowAddEdgeAllocs pins what a short row costs: below
-// shortRow entries the sparse store keeps nothing of its own, so an AddEdge
-// allocates exactly when a neighbor list grows — the hub's at powers of two,
-// the fresh leaf's always — and never for the row.
+// TestSparseShortRowAddEdgeAllocs pins what a short list costs: below
+// shortRow entries the sparse store keeps nothing of its own and the list
+// is a block of the pool, so an AddEdge allocates nothing unless the pool
+// adds a page — not when the hub's list moves to a bigger block, nor for a
+// fresh leaf's first entry — and never for the row.
 func TestSparseShortRowAddEdgeAllocs(t *testing.T) {
 	g := NewUndirectedOn(ladderN, BackendSparse)
-	next, grew := 1, 0
+	next, added := 1, 0
 	add := func() {
-		hub, leaf := cap(g.adj[0]), cap(g.adj[next])
+		before := len(g.adj.pages)
 		if !g.AddEdge(0, next) {
 			t.Fatalf("AddEdge(0,%d) not new", next)
 		}
-		grew = 0
-		if cap(g.adj[0]) != hub {
-			grew++
-		}
-		if cap(g.adj[next]) != leaf {
-			grew++
-		}
+		added = len(g.adj.pages) - before
 		next++
 	}
-	// AllocsPerRun(1, add) adds two edges and measures the second.
+	// AllocsPerRun(1, add) adds two edges and measures the second. No page
+	// is released here, so len(pages) counts the pages made; making one may
+	// also grow the page index.
 	for next+2 < shortRow {
-		if allocs := testing.AllocsPerRun(1, add); int(allocs) != grew {
-			t.Fatalf("AddEdge at %d entries: %v allocations, %d lists grew", next-2, allocs, grew)
+		allocs := int(testing.AllocsPerRun(1, add))
+		if added == 0 && allocs != 0 || allocs > 2*added {
+			t.Fatalf("AddEdge at %d entries: %d allocations, %d pages added", next-2, allocs, added)
 		}
+	}
+	if len(g.adj.idle) != 0 {
+		t.Fatalf("%d pages released", len(g.adj.idle))
 	}
 	if f := sparseForm(g.rows, 0); f != "list" {
 		t.Fatalf("hub row with %d entries is a %s row", g.Degree(0), f)

@@ -18,7 +18,7 @@ func (g *Undirected) BFSDistances(src int) []int {
 	for head := 0; head < len(queue); head++ {
 		u := int(queue[head])
 		du := dist[u]
-		for _, v32 := range g.adj[u] {
+		for _, v32 := range g.adj.list(u) {
 			v := int(v32)
 			if dist[v] == -1 {
 				dist[v] = du + 1
@@ -99,7 +99,7 @@ func (g *Undirected) ConnectedComponents() [][]int {
 		queue := []int{s}
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
-			for _, v32 := range g.adj[u] {
+			for _, v32 := range g.adj.list(u) {
 				v := int(v32)
 				if comp[v] == -1 {
 					comp[v] = id

@@ -19,7 +19,7 @@ func (g *Directed) ReachableFrom(src int) *bitset.Set {
 	queue = append(queue, int32(src))
 	for head := 0; head < len(queue); head++ {
 		u := int(queue[head])
-		for _, v32 := range g.out[u] {
+		for _, v32 := range g.out.list(u) {
 			v := int(v32)
 			if !seen.Test(v) {
 				seen.Set(v)
@@ -54,7 +54,7 @@ func (g *Directed) condense(comp []int32, done func(c int32, members []int32)) i
 				index[u], low[u], comp[u] = next, next, -1
 				stack = append(stack, u)
 			}
-			if out := g.out[u]; int(f.ci) < len(out) {
+			if out := g.out.list(int(u)); int(f.ci) < len(out) {
 				v := out[f.ci]
 				f.ci++
 				if index[v] == 0 {
@@ -98,7 +98,7 @@ func (g *Directed) Condensation() (comp []int32, reach []*bitset.Set) {
 		row := bitset.New(g.n)
 		for _, u := range members {
 			row.Set(int(u))
-			for _, v := range g.out[u] {
+			for _, v := range g.out.list(int(u)) {
 				// Merged rows are reach-closed: a head in row adds nothing.
 				if comp[v] != c && !row.Test(int(v)) {
 					row.UnionWith(reach[comp[v]])

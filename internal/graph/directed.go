@@ -16,10 +16,10 @@ type Arc struct {
 // insertion. As with Undirected, the discovery processes only add arcs.
 type Directed struct {
 	n    int
-	out  [][]int32 // out-adjacency lists
-	rows rowStore  // row u = out-neighbor set of u
-	in   []int     // in-degrees (maintained for metrics)
-	m    int       // number of arcs
+	out  *lists   // out-adjacency lists in insertion order
+	rows rowStore // row u = out-neighbor set of u
+	in   []int    // in-degrees (maintained for metrics)
+	m    int      // number of arcs
 }
 
 // NewDirected returns an empty directed graph on n nodes, on the dense
@@ -30,13 +30,10 @@ func NewDirected(n int) *Directed {
 
 // NewDirectedOn returns an empty directed graph on n nodes with the given
 // row-storage backend. BackendAuto resolves to dense or sparse at
-// construction time based on n.
+// construction time based on n. n may not exceed math.MaxInt32.
 func NewDirectedOn(n int, b Backend) *Directed {
-	if n < 0 {
-		panic("graph: negative node count")
-	}
-	out := make([][]int32, n)
-	return &Directed{n: n, out: out, rows: newRowStore(n, b, out), in: make([]int, n)}
+	out, rows := newLists(n, b)
+	return &Directed{n: n, out: out, rows: rows, in: make([]int, n)}
 }
 
 // Backend returns the concrete row-storage backend of the graph (never
@@ -50,17 +47,7 @@ func (g *Directed) OnBackend(b Backend) *Directed {
 	c := NewDirectedOn(g.n, b)
 	c.m = g.m
 	copy(c.in, g.in)
-	for u := range g.out {
-		if len(g.out[u]) == 0 {
-			continue
-		}
-		// Insert-then-append, as in Undirected.OnBackend.
-		c.out[u] = make([]int32, 0, len(g.out[u]))
-		for _, v := range g.out[u] {
-			c.rows.insert(u, int(v))
-			c.out[u] = append(c.out[u], v)
-		}
-	}
+	g.out.copyTo(g.n, c.out, c.rows)
 	return c
 }
 
@@ -84,7 +71,7 @@ func (g *Directed) AddArc(u, v int) bool {
 	if u == v || !g.rows.insert(u, v) {
 		return false
 	}
-	g.out[u] = append(g.out[u], int32(v))
+	g.out.add(u, int32(v))
 	g.in[v]++
 	g.m++
 	return true
@@ -113,11 +100,10 @@ func (g *Directed) AddArcs(arcs []Arc, accepted []Arc) []Arc {
 // for why batch order beats counting-sort row grouping here.
 func (g *Directed) AddArcsGrouped(arcs []Arc, accepted []Arc) []Arc {
 	n := g.n
-	out := g.out
 	added := 0
 	if dr, ok := g.rows.(*denseRows); ok {
 		// Dense fast path: test-then-set straight on the slab.
-		slab, stride := dr.slab, dr.stride
+		slab, stride, out := dr.slab, dr.stride, g.out.long
 		for _, a := range arcs {
 			u, v := a.U, a.V
 			if uint(u) >= uint(n) || uint(v) >= uint(n) {
@@ -150,7 +136,7 @@ func (g *Directed) AddArcsGrouped(arcs []Arc, accepted []Arc) []Arc {
 		if !g.rows.insert(u, v) {
 			continue
 		}
-		out[u] = append(out[u], int32(v))
+		g.out.add(u, int32(v))
 		g.in[v]++
 		accepted = append(accepted, a)
 		added++
@@ -169,7 +155,7 @@ func (g *Directed) HasArc(u, v int) bool {
 // OutDegree returns the number of out-neighbors of u.
 func (g *Directed) OutDegree(u int) int {
 	g.checkNode(u)
-	return len(g.out[u])
+	return g.out.size(u)
 }
 
 // InDegree returns the number of in-neighbors of u.
@@ -184,7 +170,7 @@ func (g *Directed) InDegree(u int) int {
 // so the missing count is n-1-OutDegree(u) at all times.
 func (g *Directed) MissingOutDegree(u int) int {
 	g.checkNode(u)
-	return g.n - 1 - len(g.out[u])
+	return g.n - 1 - g.out.size(u)
 }
 
 // MissingOutNeighbor returns the k-th (0-based, increasing node order) node
@@ -238,11 +224,11 @@ func (g *Directed) RowSelectDiff(u int, target *bitset.Set, k int) int {
 // has no out-neighbors.
 func (g *Directed) RandomOutNeighbor(u int, r *rng.Rand) int {
 	g.checkNode(u)
-	d := len(g.out[u])
-	if d == 0 {
+	list := g.out.list(u)
+	if len(list) == 0 {
 		return -1
 	}
-	return int(g.out[u][r.Intn(d)])
+	return int(list[r.Intn(len(list))])
 }
 
 // TwoHopWalks takes the directed two-hop walk from each of the consecutive
@@ -259,13 +245,13 @@ func (g *Directed) TwoHopWalks(lo int, r *rng.Rand, ws []int32) {
 	}
 	g.checkNode(lo)
 	g.checkNode(lo + len(ws) - 1)
-	twoHopWalks(g.out, lo, r, ws)
+	twoHopWalks(g.out, lo, nil, r, ws)
 }
 
 // OutNeighbors appends the out-neighbors of u to dst and returns the result.
 func (g *Directed) OutNeighbors(u int, dst []int) []int {
 	g.checkNode(u)
-	for _, v := range g.out[u] {
+	for _, v := range g.out.list(u) {
 		dst = append(dst, int(v))
 	}
 	return dst
@@ -294,10 +280,7 @@ func (g *Directed) Arcs() []Arc {
 
 // Clone returns a deep copy of the graph on the same backend.
 func (g *Directed) Clone() *Directed {
-	out := make([][]int32, g.n)
-	for u := range out {
-		out[u] = append([]int32(nil), g.out[u]...)
-	}
+	out := g.out.clone()
 	return &Directed{n: g.n, out: out, rows: g.rows.clone(out), in: append([]int(nil), g.in...), m: g.m}
 }
 
@@ -308,10 +291,10 @@ func (g *Directed) Equal(h *Directed) bool {
 		return false
 	}
 	for u := 0; u < g.n; u++ {
-		if len(g.out[u]) != len(h.out[u]) {
+		if g.out.size(u) != h.out.size(u) {
 			return false
 		}
-		for _, v := range g.out[u] {
+		for _, v := range g.out.list(u) {
 			if !h.rows.test(u, int(v)) {
 				return false
 			}
@@ -345,14 +328,14 @@ func (g *Directed) CheckInvariants() {
 		if g.rows.test(u, u) {
 			panic(fmt.Sprintf("graph: self-arc at %d", u))
 		}
-		if len(g.out[u]) != g.rows.count(u) {
+		if g.out.size(u) != g.rows.count(u) {
 			panic(fmt.Sprintf("graph: node %d out list %d != row %d",
-				u, len(g.out[u]), g.rows.count(u)))
+				u, g.out.size(u), g.rows.count(u)))
 		}
-		for _, v := range g.out[u] {
+		for _, v := range g.out.list(u) {
 			inCount[int(v)]++
 		}
-		total += len(g.out[u])
+		total += g.out.size(u)
 	}
 	for v := 0; v < g.n; v++ {
 		if inCount[v] != g.in[v] {

@@ -50,22 +50,38 @@ func TestAddArcBasics(t *testing.T) {
 	g.CheckInvariants()
 }
 
+// TestDirectedRangePanics is TestNodeRangePanics for the out-lists, read
+// through the accessor every Directed method reads them by.
 func TestDirectedRangePanics(t *testing.T) {
-	g := NewDirected(2)
-	for _, f := range []func(){
-		func() { g.AddArc(0, 2) },
-		func() { g.HasArc(-1, 0) },
-		func() { g.OutDegree(2) },
-		func() { g.InDegree(-1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
+	for _, b := range []Backend{BackendDense, BackendSparse} {
+		g := NewDirectedOn(2, b)
+		g.AddArc(0, 1)
+		g.AddArc(1, 0)
+		if b == BackendSparse {
+			if s0, s1 := g.out.spans[0], g.out.spans[1]; s1.at != s0.at+1<<minOrder {
+				t.Fatalf("out-list 1 at %d is not directly behind out-list 0 at %d", s1.at, s0.at)
+			}
+			if l := g.out.list(0); len(l) != 1 || cap(l) != 1 {
+				t.Fatalf("out-list 0 has len %d cap %d, want 1 and 1", len(l), cap(l))
+			}
+		}
+		for _, f := range []func(){
+			func() { g.AddArc(0, 2) },
+			func() { g.HasArc(-1, 0) },
+			func() { g.OutDegree(2) },
+			func() { g.InDegree(-1) },
+			func() { _ = g.out.list(0)[g.OutDegree(0)] },
+			func() { _ = g.out.list(1)[g.OutDegree(1)] },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%v: expected panic", b)
+					}
+				}()
+				f()
 			}()
-			f()
-		}()
+		}
 	}
 }
 

@@ -50,3 +50,16 @@ func TestSparseRowIndexIsLazy(t *testing.T) {
 	}
 	g.CheckInvariants()
 }
+
+// TestSparseCycleBuildAllocs: a sparse build allocates per page of the
+// list pool, not per node — a 100 000-node cycle once allocated one list
+// per node.
+func TestSparseCycleBuildAllocs(t *testing.T) {
+	var g *graph.Undirected
+	allocs := testing.AllocsPerRun(1, func() { g = gen.Cycle(100_000, graph.BackendSparse) })
+	pages := graph.Pages(g)
+	if pages == 0 || allocs > float64(2*pages+16) {
+		t.Fatalf("building the cycle made %v allocations over %d pages", allocs, pages)
+	}
+	g.CheckInvariants()
+}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -13,7 +12,7 @@ import (
 // ladder, each step chosen by the row's own length:
 //
 //   - list: with fewer than shortRow entries a row has no storage of its
-//     own — it is the owning graph's neighbor list lists[u], which the graph
+//     own — it is the owning graph's neighbor list of u, which the graph
 //     appends to after every accepted insert. Membership is a linear scan of
 //     a list the act phase reads anyway; the ordered views sort the entries
 //     into a stack buffer on demand.
@@ -30,7 +29,7 @@ import (
 type sparseRows struct {
 	universe  int
 	promoteAt int
-	lists     [][]int32    // the owning graph's neighbor lists, shared, never written here
+	lists     *lists       // the owning graph's neighbor lists, shared, never written here
 	rows      []*sparseRow // rows[u] holds row u once it is long; nil until a row is
 }
 
@@ -60,21 +59,18 @@ func promoteThreshold(n int) int {
 }
 
 // newSparseRows builds an empty store over lists, the owning graph's n
-// neighbor lists. The graph must append v to lists[u] after every
+// neighbor lists. The graph must append v to list u after every
 // insert(u, v) that returns true, before the next call on row u. The first
 // row to outgrow its list allocates the row index, so a graph whose rows all
 // stay short keeps no slot per node.
-func newSparseRows(n int, lists [][]int32) *sparseRows {
-	if n > math.MaxInt32 {
-		panic(fmt.Sprintf("graph: sparse backend supports at most %d nodes, got %d", math.MaxInt32, n))
-	}
+func newSparseRows(n int, lists *lists) *sparseRows {
 	return &sparseRows{universe: n, promoteAt: promoteThreshold(n), lists: lists}
 }
 
 // short reports whether row u is still its list, which is exactly when its
 // length is below the ladder's first step; otherwise rows[u] holds it.
 func (s *sparseRows) short(u int) bool {
-	return len(s.lists[u]) < min(shortRow, s.promoteAt)
+	return s.lists.size(u) < min(shortRow, s.promoteAt)
 }
 
 func (s *sparseRows) backend() Backend { return BackendSparse }
@@ -112,14 +108,14 @@ func (s *sparseRows) ordered(u int, buf *[shortRow]int32) []int32 {
 	if !s.short(u) {
 		return s.rows[u].sorted
 	}
-	sorted := buf[:copy(buf[:], s.lists[u])]
+	sorted := buf[:copy(buf[:], s.lists.list(u))]
 	slices.Sort(sorted)
 	return sorted
 }
 
 func (s *sparseRows) test(u, v int) bool {
 	if s.short(u) {
-		return slices.Contains(s.lists[u], int32(v))
+		return slices.Contains(s.lists.list(u), int32(v))
 	}
 	r := s.rows[u]
 	if r.bits != nil {
@@ -131,7 +127,7 @@ func (s *sparseRows) test(u, v int) bool {
 
 func (s *sparseRows) insert(u, v int) bool {
 	if s.short(u) {
-		list := s.lists[u]
+		list := s.lists.list(u)
 		if slices.Contains(list, int32(v)) {
 			return false
 		}
@@ -174,7 +170,7 @@ func (s *sparseRows) insert(u, v int) bool {
 // the mirror half of a symmetric insert whose first half was accepted — so a
 // short row that stays short skips the scan of its list.
 func (s *sparseRows) insertAbsent(u, v int) {
-	if len(s.lists[u])+1 < min(shortRow, s.promoteAt) {
+	if s.lists.size(u)+1 < min(shortRow, s.promoteAt) {
 		return // the graph's append is the insert
 	}
 	s.insert(u, v)
@@ -182,7 +178,7 @@ func (s *sparseRows) insertAbsent(u, v int) {
 
 func (s *sparseRows) count(u int) int {
 	if s.short(u) {
-		return len(s.lists[u])
+		return s.lists.size(u)
 	}
 	r := s.rows[u]
 	if r.bits != nil {
@@ -205,7 +201,7 @@ func (s *sparseRows) forEach(u int, fn func(v int)) {
 func (s *sparseRows) rank(u, v int) int {
 	if s.short(u) {
 		below := 0
-		for _, w := range s.lists[u] {
+		for _, w := range s.lists.list(u) {
 			if int(w) < v {
 				below++
 			}
@@ -277,7 +273,7 @@ func (s *sparseRows) diffCount(u int, target *bitset.Set) int {
 	}
 	s.checkTarget(target)
 	c := target.Count()
-	for _, v := range s.lists[u] { // any order will do
+	for _, v := range s.lists.list(u) { // any order will do
 		if target.Test(int(v)) {
 			c--
 		}
@@ -323,13 +319,13 @@ func (s *sparseRows) row(u int) *bitset.Set {
 		return b
 	}
 	b := bitset.New(s.universe)
-	for _, v := range s.lists[u] {
+	for _, v := range s.lists.list(u) {
 		b.Set(int(v))
 	}
 	return b
 }
 
-func (s *sparseRows) clone(lists [][]int32) rowStore {
+func (s *sparseRows) clone(lists *lists) rowStore {
 	c := newSparseRows(s.universe, lists)
 	c.rows = slices.Clone(s.rows) // nil stays nil; the rows are deep-copied below
 	for u, r := range c.rows {

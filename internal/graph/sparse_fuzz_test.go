@@ -37,8 +37,8 @@ func FuzzSparseRow(f *testing.F) {
 			// which the byte-sized arguments can build a sorted row.
 			n *= 8
 		}
-		lists := make([][]int32, 1)
-		s := newSparseRows(n, lists)
+		adj, rows := newLists(n, BackendSparse)
+		s := rows.(*sparseRows)
 		oracle := bitset.New(n)
 		target := bitset.New(n)
 		for i := 0; i < n; i += 3 {
@@ -58,7 +58,7 @@ func FuzzSparseRow(f *testing.F) {
 					t.Fatalf("insert(%d) returned %v with oracle %v", v, ins, oracle.Test(v))
 				}
 				if ins {
-					lists[0] = append(lists[0], int32(v))
+					adj.add(0, int32(v))
 					oracle.Set(v)
 					cnt++
 				}

@@ -6,16 +6,17 @@
 // (directed). The representation is tuned for the two hot operations in the
 // inner simulation loop:
 //
-//   - uniform random neighbor sampling: O(1) via per-node adjacency slices;
+//   - uniform random neighbor sampling: O(1) via per-node adjacency lists;
 //   - edge-membership tests: O(1) via per-node row sets.
 //
 // Row sets are pluggable (see Backend): the dense backend keeps an n-bit
 // row per node in one flat bit matrix — the golden reference — while the
-// sparse backend reads short rows straight from the adjacency slices and
-// keeps sorted rows that promote to bitsets past a density threshold,
-// taking graphs to n = 100k–1M. All random sampling reads only the
-// insertion-ordered adjacency slices, which every backend maintains
-// identically, so simulation results are byte-identical across backends.
+// sparse backend pools short adjacency lists in pages, reads short rows
+// straight from them and keeps sorted rows that promote to bitsets past a
+// density threshold, taking graphs to n = 100k–1M. All random sampling
+// reads only the insertion-ordered adjacency lists, which every backend
+// maintains identically, so simulation results are byte-identical across
+// backends.
 //
 // Node identifiers are dense integers in [0, N()). Self-loops and parallel
 // edges are never stored; AddEdge reports whether an edge was new, which is
@@ -49,9 +50,9 @@ func (e Edge) Norm() Edge {
 // graph as stale entries in its neighbors' lists.
 type Undirected struct {
 	n    int
-	adj  [][]int32 // adjacency lists; adj[u] holds the neighbors of u
-	rows rowStore  // per-node row sets for O(1) membership + complement views
-	m    int       // number of edges
+	adj  *lists   // adjacency lists in insertion order
+	rows rowStore // per-node row sets for O(1) membership + complement views
+	m    int      // number of edges
 }
 
 // NewUndirected returns an empty undirected graph on n nodes, on the dense
@@ -62,13 +63,10 @@ func NewUndirected(n int) *Undirected {
 
 // NewUndirectedOn returns an empty undirected graph on n nodes with the
 // given row-storage backend. BackendAuto resolves to dense or sparse at
-// construction time based on n.
+// construction time based on n. n may not exceed math.MaxInt32.
 func NewUndirectedOn(n int, b Backend) *Undirected {
-	if n < 0 {
-		panic("graph: negative node count")
-	}
-	adj := make([][]int32, n)
-	return &Undirected{n: n, adj: adj, rows: newRowStore(n, b, adj)}
+	adj, rows := newLists(n, b)
+	return &Undirected{n: n, adj: adj, rows: rows}
 }
 
 // Backend returns the concrete row-storage backend of the graph (never
@@ -81,18 +79,7 @@ func (g *Undirected) Backend() Backend { return g.rows.backend() }
 func (g *Undirected) OnBackend(b Backend) *Undirected {
 	c := NewUndirectedOn(g.n, b)
 	c.m = g.m
-	for u := range g.adj {
-		if len(g.adj[u]) == 0 {
-			continue
-		}
-		// Insert, then append, one entry at a time: a store that reads the
-		// lists must not find an entry there before it is inserted.
-		c.adj[u] = make([]int32, 0, len(g.adj[u]))
-		for _, v := range g.adj[u] {
-			c.rows.insert(u, int(v))
-			c.adj[u] = append(c.adj[u], v)
-		}
-	}
+	g.adj.copyTo(g.n, c.adj, c.rows)
 	return c
 }
 
@@ -123,16 +110,8 @@ func (g *Undirected) AddEdge(u, v int) bool {
 	} else {
 		g.rows.insert(v, u)
 	}
-	// A list's first entry allocates it at append's capacity, skipping
-	// growslice: a million-node build makes a million of these.
-	if g.adj[u] == nil {
-		g.adj[u] = make([]int32, 0, 2)
-	}
-	if g.adj[v] == nil {
-		g.adj[v] = make([]int32, 0, 2)
-	}
-	g.adj[u] = append(g.adj[u], int32(v))
-	g.adj[v] = append(g.adj[v], int32(u))
+	g.adj.add(u, int32(v))
+	g.adj.add(v, int32(u))
 	g.m++
 	return true
 }
@@ -171,11 +150,10 @@ func (g *Undirected) AddEdges(edges []Edge) int {
 // place — the round engines' one round buffer.
 func (g *Undirected) AddEdgesGrouped(edges []Edge, accepted []Edge) []Edge {
 	n := g.n
-	adj := g.adj
 	added := 0
 	if dr, ok := g.rows.(*denseRows); ok {
 		// Dense fast path: test-then-set straight on the slab.
-		slab, stride := dr.slab, dr.stride
+		slab, stride, adj := dr.slab, dr.stride, g.adj.long
 		for _, e := range edges {
 			u, v := e.U, e.V
 			if uint(u) >= uint(n) || uint(v) >= uint(n) {
@@ -213,8 +191,8 @@ func (g *Undirected) AddEdgesGrouped(edges []Edge, accepted []Edge) []Edge {
 			continue
 		}
 		sr.insertAbsent(v, u)
-		adj[u] = append(adj[u], int32(v))
-		adj[v] = append(adj[v], int32(u))
+		g.adj.add(u, int32(v))
+		g.adj.add(v, int32(u))
 		accepted = append(accepted, e.Norm())
 		added++
 	}
@@ -232,24 +210,24 @@ func (g *Undirected) HasEdge(u, v int) bool {
 // Degree returns the number of neighbors of u.
 func (g *Undirected) Degree(u int) int {
 	g.checkNode(u)
-	return len(g.adj[u])
+	return g.adj.size(u)
 }
 
 // Neighbor returns the i-th neighbor of u in insertion order.
 func (g *Undirected) Neighbor(u, i int) int {
 	g.checkNode(u)
-	return int(g.adj[u][i])
+	return int(g.adj.list(u)[i])
 }
 
 // RandomNeighbor returns a uniformly random neighbor of u, or -1 if u is
 // isolated.
 func (g *Undirected) RandomNeighbor(u int, r *rng.Rand) int {
 	g.checkNode(u)
-	d := len(g.adj[u])
-	if d == 0 {
+	list := g.adj.list(u)
+	if len(list) == 0 {
 		return -1
 	}
-	return int(g.adj[u][r.Intn(d)])
+	return int(list[r.Intn(len(list))])
 }
 
 // RandomNeighborPair returns two independent uniform samples from N(u),
@@ -257,12 +235,12 @@ func (g *Undirected) RandomNeighbor(u int, r *rng.Rand) int {
 // Both are -1 if u is isolated.
 func (g *Undirected) RandomNeighborPair(u int, r *rng.Rand) (int, int) {
 	g.checkNode(u)
-	d := len(g.adj[u])
-	if d == 0 {
+	list := g.adj.list(u)
+	if len(list) == 0 {
 		return -1, -1
 	}
-	i, j := r.Sample2(d)
-	return int(g.adj[u][i]), int(g.adj[u][j])
+	i, j := r.Sample2(len(list))
+	return int(list[i]), int(list[j])
 }
 
 // RandomNeighborPairs is RandomNeighborPair for the block of consecutive
@@ -274,7 +252,7 @@ func (g *Undirected) RandomNeighborPair(u int, r *rng.Rand) (int, int) {
 // in, are exactly those of calling RandomNeighborPair on each (live) node
 // in increasing order (TestRandomNeighborPairsMatchesPair); what differs is
 // the order of the memory reads. A pair draw needs only the length of a
-// node's list, and the list headers of consecutive nodes are consecutive
+// node's list, and the lengths of consecutive nodes are consecutive
 // memory — so the first pass makes every node's draw, in node order,
 // without touching a list, and only the second reads the 2·len(vs) drawn
 // entries, back to back with nothing between them, so their cache misses
@@ -289,32 +267,36 @@ func (g *Undirected) RandomNeighborPairs(lo int, alive []bool, r *rng.Rand, vs, 
 	g.checkNode(lo)
 	g.checkNode(lo + len(vs) - 1)
 	g.checkMask(alive)
-	lists := g.adj[lo : lo+len(vs)]
-	ws = ws[:len(lists)]
-	if alive == nil {
-		// The unmasked loop stays its own, so bare processes pay nothing.
-		for k, list := range lists {
-			if d := len(list); d == 0 {
-				vs[k], ws[k] = -1, -1
-			} else {
-				// A list holds distinct int32 nodes, so its indices fit too.
-				i, j := r.Sample2(d)
-				vs[k], ws[k] = int32(i), int32(j)
-			}
-		}
-	} else {
-		alive = alive[lo : lo+len(lists)]
-		for k, list := range lists {
-			if d := len(list); d == 0 || !alive[k] {
-				vs[k], ws[k] = -1, -1
-			} else {
-				i, j := r.Sample2(d)
-				vs[k], ws[k] = int32(i), int32(j)
+	adj := g.adj
+	ws = ws[:len(vs)]
+	adj.sizes(lo, vs)
+	if alive != nil { // a dead node makes no draw, as if isolated
+		for k, live := range alive[lo : lo+len(vs)] {
+			if !live {
+				vs[k] = 0
 			}
 		}
 	}
-	for k, list := range lists {
+	for k, d := range vs {
+		if d == 0 {
+			vs[k], ws[k] = -1, -1
+		} else {
+			// A list holds distinct int32 nodes, so its indices fit too.
+			i, j := r.Sample2(int(d))
+			vs[k], ws[k] = int32(i), int32(j)
+		}
+	}
+	if adj.spans == nil { // Go slices: range over them, as a loop of list(u) is slower
+		for k, list := range adj.long[lo : lo+len(vs)] {
+			if i := vs[k]; i >= 0 {
+				vs[k], ws[k] = list[i], list[ws[k]]
+			}
+		}
+		return
+	}
+	for k := range vs {
 		if i := vs[k]; i >= 0 {
+			list := adj.list(lo + k)
 			vs[k], ws[k] = list[i], list[ws[k]]
 		}
 	}
@@ -339,23 +321,8 @@ func (g *Undirected) TwoHopWalks(lo int, alive []bool, r *rng.Rand, ws []int32) 
 	}
 	g.checkNode(lo)
 	g.checkNode(lo + len(ws) - 1)
-	if alive == nil {
-		twoHopWalks(g.adj, lo, r, ws)
-		return
-	}
 	g.checkMask(alive)
-	adj := g.adj
-	for k, list := range adj[lo : lo+len(ws)] {
-		w := int32(-1)
-		if d := len(list); d != 0 && alive[lo+k] {
-			if v := list[r.Intn(d)]; alive[v] {
-				if next := adj[v]; len(next) != 0 {
-					w = next[r.Intn(len(next))]
-				}
-			}
-		}
-		ws[k] = w
-	}
+	twoHopWalks(g.adj, lo, alive, r, ws)
 }
 
 // checkMask panics unless alive is nil or covers every node.
@@ -365,19 +332,32 @@ func (g *Undirected) checkMask(alive []bool) {
 	}
 }
 
-// twoHopWalks is the unmasked walk loop shared by Undirected.TwoHopWalks
-// (on adj) and Directed.TwoHopWalks (on out); the callers have checked that
-// lo and lo+len(ws)-1 are nodes. An empty first list makes no draw; an
-// empty second list — a directed sink as middle hop — makes no second
-// draw. The masked walks are a loop of their own in Undirected.TwoHopWalks:
-// a mask parameter here, nil for the bare walks, measurably slowed the
-// directed-512 benchmark workload (DESIGN.md "Masked blocks").
-func twoHopWalks(lists [][]int32, lo int, r *rng.Rand, ws []int32) {
-	for k, list := range lists[lo : lo+len(ws)] {
+// twoHopWalks is the walk loop of both TwoHopWalks (alive nil for
+// Directed), whose callers have checked lo, lo+len(ws)-1 and alive. An
+// empty first list makes no draw, an empty second one (a directed sink as
+// middle hop) no second draw. Unmasked walks over Go-slice lists have a
+// loop of their own, as a loop of list(u) or a mask test there slows the
+// dense workloads (DESIGN.md "Masked blocks").
+func twoHopWalks(adj *lists, lo int, alive []bool, r *rng.Rand, ws []int32) {
+	if lists := adj.long; adj.spans == nil && alive == nil {
+		for k, list := range lists[lo : lo+len(ws)] {
+			w := int32(-1)
+			if d := len(list); d != 0 {
+				if next := lists[list[r.Intn(d)]]; len(next) != 0 {
+					w = next[r.Intn(len(next))]
+				}
+			}
+			ws[k] = w
+		}
+		return
+	}
+	for k := range ws {
 		w := int32(-1)
-		if d := len(list); d != 0 {
-			if next := lists[list[r.Intn(d)]]; len(next) != 0 {
-				w = next[r.Intn(len(next))]
+		if list := adj.list(lo + k); len(list) != 0 && (alive == nil || alive[lo+k]) {
+			if v := list[r.Intn(len(list))]; alive == nil || alive[v] {
+				if next := adj.list(int(v)); len(next) != 0 {
+					w = next[r.Intn(len(next))]
+				}
 			}
 		}
 		ws[k] = w
@@ -388,7 +368,7 @@ func twoHopWalks(lists [][]int32, lo int, r *rng.Rand, ws []int32) {
 // Pass nil to allocate. The returned order is insertion order.
 func (g *Undirected) Neighbors(u int, dst []int) []int {
 	g.checkNode(u)
-	for _, v := range g.adj[u] {
+	for _, v := range g.adj.list(u) {
 		dst = append(dst, int(v))
 	}
 	return dst
@@ -424,7 +404,7 @@ func (g *Undirected) MinDegree() int {
 	}
 	min := g.n
 	for u := 0; u < g.n; u++ {
-		if d := len(g.adj[u]); d < min {
+		if d := g.adj.size(u); d < min {
 			min = d
 		}
 	}
@@ -435,7 +415,7 @@ func (g *Undirected) MinDegree() int {
 func (g *Undirected) MaxDegree() int {
 	max := 0
 	for u := 0; u < g.n; u++ {
-		if d := len(g.adj[u]); d > max {
+		if d := g.adj.size(u); d > max {
 			max = d
 		}
 	}
@@ -460,7 +440,7 @@ func (g *Undirected) MissingEdges() int {
 // "how far is u from knowing everyone" read.
 func (g *Undirected) MissingDegree(u int) int {
 	g.checkNode(u)
-	return g.n - 1 - len(g.adj[u])
+	return g.n - 1 - g.adj.size(u)
 }
 
 // MissingNeighbor returns the k-th (0-based, increasing node order)
@@ -512,10 +492,7 @@ func (g *Undirected) ForEachMissing(u int, fn func(v int)) {
 
 // Clone returns a deep copy of the graph on the same backend.
 func (g *Undirected) Clone() *Undirected {
-	adj := make([][]int32, g.n)
-	for u := range adj {
-		adj[u] = append([]int32(nil), g.adj[u]...)
-	}
+	adj := g.adj.clone()
 	return &Undirected{n: g.n, adj: adj, rows: g.rows.clone(adj), m: g.m}
 }
 
@@ -527,11 +504,11 @@ func (g *Undirected) Equal(h *Undirected) bool {
 		return false
 	}
 	for u := 0; u < g.n; u++ {
-		if len(g.adj[u]) != len(h.adj[u]) {
+		if g.adj.size(u) != h.adj.size(u) {
 			return false
 		}
 		// Same degree and g's row ⊆ h's row ⇒ identical rows.
-		for _, v := range g.adj[u] {
+		for _, v := range g.adj.list(u) {
 			if !h.rows.test(u, int(v)) {
 				return false
 			}
@@ -545,7 +522,7 @@ func (g *Undirected) Equal(h *Undirected) bool {
 func (g *Undirected) DegreeHistogram() []int {
 	hist := make([]int, g.MaxDegree()+1)
 	for u := 0; u < g.n; u++ {
-		hist[len(g.adj[u])]++
+		hist[g.adj.size(u)]++
 	}
 	return hist
 }
@@ -564,7 +541,7 @@ func (g *Undirected) InducedSubgraph(nodes []int) *Undirected {
 	}
 	s := NewUndirectedOn(len(nodes), g.Backend())
 	for i, u := range nodes {
-		for _, v32 := range g.adj[u] {
+		for _, v32 := range g.adj.list(u) {
 			if j, ok := idx[int(v32)]; ok && i < j {
 				s.AddEdge(i, j)
 			}
@@ -587,16 +564,16 @@ func (g *Undirected) CheckInvariants() {
 		if g.rows.test(u, u) {
 			panic(fmt.Sprintf("graph: self-loop at %d", u))
 		}
-		if len(g.adj[u]) != g.rows.count(u) {
+		if g.adj.size(u) != g.rows.count(u) {
 			panic(fmt.Sprintf("graph: node %d adj list %d != row %d",
-				u, len(g.adj[u]), g.rows.count(u)))
+				u, g.adj.size(u), g.rows.count(u)))
 		}
-		for _, v := range g.adj[u] {
+		for _, v := range g.adj.list(u) {
 			if !g.rows.test(int(v), u) {
 				panic(fmt.Sprintf("graph: asymmetric edge %d-%d", u, v))
 			}
 		}
-		total += len(g.adj[u])
+		total += g.adj.size(u)
 	}
 	if total != 2*g.m {
 		panic(fmt.Sprintf("graph: degree sum %d != 2m %d", total, 2*g.m))

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"fmt"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -53,22 +56,69 @@ func TestAddEdgeBasics(t *testing.T) {
 	g.CheckInvariants()
 }
 
+// TestNodeRangePanics: node ids and list indices are fenced on both
+// backends. Node 0's list is a pooled block with spare slots on the sparse
+// backend, and node 1's list sits directly behind it in the same page, so a
+// read one past the end must panic rather than return either.
 func TestNodeRangePanics(t *testing.T) {
-	g := NewUndirected(3)
-	for _, f := range []func(){
-		func() { g.AddEdge(0, 3) },
-		func() { g.AddEdge(-1, 0) },
-		func() { g.HasEdge(3, 0) },
-		func() { g.Degree(3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
+	for _, b := range []Backend{BackendDense, BackendSparse} {
+		g := NewUndirectedOn(3, b)
+		g.AddEdge(0, 1)
+		g.AddEdge(1, 2)
+		if b == BackendSparse {
+			s0, s1 := g.adj.spans[0], g.adj.spans[1]
+			if s1.at != s0.at+1<<minOrder || s0.at>>pageBits != s1.at>>pageBits {
+				t.Fatalf("list 1 at %d is not directly behind list 0 at %d", s1.at, s0.at)
+			}
+			if l := g.adj.list(0); len(l) != 1 || cap(l) != 1 {
+				t.Fatalf("list 0 has len %d cap %d, want 1 and 1", len(l), cap(l))
+			}
+		}
+		for _, f := range []func(){
+			func() { g.AddEdge(0, 3) },
+			func() { g.AddEdge(-1, 0) },
+			func() { g.HasEdge(3, 0) },
+			func() { g.Degree(3) },
+			func() { g.Neighbor(0, g.Degree(0)) },
+			func() { g.Neighbor(1, g.Degree(1)) },
+			func() { g.Neighbor(2, -1) },
+			func() { g.Neighbor(3, 0) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%v: expected panic", b)
+					}
+				}()
+				f()
 			}()
-			f()
-		}()
+		}
+	}
+}
+
+// TestNodeCountLimit: a graph of more than math.MaxInt32 nodes is refused
+// before anything is allocated for it — 72 GB of list headers used to come
+// first.
+func TestNodeCountLimit(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("a 32-bit int cannot exceed math.MaxInt32")
+	}
+	n := math.MaxInt32
+	n++
+	for _, b := range []Backend{BackendDense, BackendSparse, BackendAuto} {
+		for _, build := range []func(){
+			func() { NewUndirectedOn(n, b) },
+			func() { NewDirectedOn(n, b) },
+		} {
+			func() {
+				defer func() {
+					if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "node count") {
+						t.Fatalf("%v: got panic %v, want the node limit", b, p)
+					}
+				}()
+				build()
+			}()
+		}
 	}
 }
 
