@@ -52,8 +52,7 @@ func TestSparseRowIndexIsLazy(t *testing.T) {
 }
 
 // TestSparseCycleBuildAllocs: a sparse build allocates per page of the
-// list pool, not per node — a 100 000-node cycle once allocated one list
-// per node.
+// list pool, not per node.
 func TestSparseCycleBuildAllocs(t *testing.T) {
 	var g *graph.Undirected
 	allocs := testing.AllocsPerRun(1, func() { g = gen.Cycle(100_000, graph.BackendSparse) })

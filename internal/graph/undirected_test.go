@@ -97,8 +97,7 @@ func TestNodeRangePanics(t *testing.T) {
 }
 
 // TestNodeCountLimit: a graph of more than math.MaxInt32 nodes is refused
-// before anything is allocated for it — 72 GB of list headers used to come
-// first.
+// before anything is allocated for it, on every backend.
 func TestNodeCountLimit(t *testing.T) {
 	if strconv.IntSize < 64 {
 		t.Skip("a 32-bit int cannot exceed math.MaxInt32")
