@@ -26,25 +26,30 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"os"
 
 	"gossipdisc"
 )
 
-func main() {
-	censorshipAct()
-	anonymityAct()
+func main() { run(os.Stdout) }
+
+// run executes both acts and writes their report to w.
+func run(w io.Writer) {
+	censorshipAct(w)
+	anonymityAct(w)
 }
 
 // censorshipAct is Act 1: Byzantine cut vertices stall discovery; a live
 // role retune releases it.
-func censorshipAct() {
+func censorshipAct(w io.Writer) {
 	const n = 48
 	pop, err := gossipdisc.ParseRoleSpec("byzantine=5%", n, gossipdisc.Push{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("adversary-lab: %s on the %d-cycle, byzantines at %v (the cut vertices)\n\n",
+	fmt.Fprintf(w, "adversary-lab: %s on the %d-cycle, byzantines at %v (the cut vertices)\n\n",
 		pop.Name(), n, pop.Nodes("byzantine"))
 
 	g := gossipdisc.Cycle(n)
@@ -57,10 +62,10 @@ func censorshipAct() {
 	coverage := func() float64 {
 		return 1 - float64(s.EdgesRemaining())/float64(pairs)
 	}
-	fmt.Println("round  stage      coverage")
-	fmt.Println("---------------------------")
+	fmt.Fprintln(w, "round  stage      coverage")
+	fmt.Fprintln(w, "---------------------------")
 	report := func(stage string) {
-		fmt.Printf("%5d  %-9s  %.3f\n", s.Round(), stage, coverage())
+		fmt.Fprintf(w, "%5d  %-9s  %.3f\n", s.Round(), stage, coverage())
 	}
 	for s.Round() < 600 && !s.Converged() {
 		s.Step()
@@ -81,13 +86,13 @@ func censorshipAct() {
 		}
 	}
 	report("patched")
-	fmt.Printf("\ncensored plateau held %.0f%% of pairs; patched run completed at round %d\n\n",
+	fmt.Fprintf(w, "\ncensored plateau held %.0f%% of pairs; patched run completed at round %d\n\n",
 		100*plateau, s.Round())
 }
 
 // anonymityAct is Act 2: what did the eavesdropper coalition learn about
 // the rumor's entry node?
-func anonymityAct() {
+func anonymityAct(w io.Writer) {
 	const n = 96
 	pop, err := gossipdisc.ParseRoleSpec(fmt.Sprintf("eavesdropper=8:1-%d", n-1), n, gossipdisc.Push{})
 	if err != nil {
@@ -102,15 +107,15 @@ func anonymityAct() {
 		gossipdisc.WithAnalyzers(anon))
 	res := s.Run()
 
-	fmt.Printf("adversary-lab: rumor entered at node 0; coalition %v watched %d rounds\n",
+	fmt.Fprintf(w, "adversary-lab: rumor entered at node 0; coalition %v watched %d rounds\n",
 		coalition, res.Rounds)
-	fmt.Printf("  posterior entropy   %.2f bits (prior: log2(n) = %.2f)\n",
+	fmt.Fprintf(w, "  posterior entropy   %.2f bits (prior: log2(n) = %.2f)\n",
 		anon.PosteriorEntropy(), math.Log2(n))
-	fmt.Printf("  source probability  %.4f (prior: 1/n = %.4f)\n",
+	fmt.Fprintf(w, "  source probability  %.4f (prior: 1/n = %.4f)\n",
 		anon.SourceProbability(), 1.0/n)
-	fmt.Printf("  source rank         %d of %d witnessed suspects\n",
+	fmt.Fprintf(w, "  source rank         %d of %d witnessed suspects\n",
 		anon.SourceRank(), anon.Witnesses())
 	for _, f := range anon.Findings() {
-		fmt.Printf("  finding: %s\n", f)
+		fmt.Fprintf(w, "  finding: %s\n", f)
 	}
 }

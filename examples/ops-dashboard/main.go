@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -42,10 +43,33 @@ func main() {
 	)
 	flag.Parse()
 
+	d := newDashboard(*n)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ops-dashboard: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("serving http://%s/metrics and /snapshot.mmd\n", ln.Addr())
+	go http.Serve(ln, d.handler())
+	run(os.Stdout, d, *simTime, *churnGap)
+}
+
+// dashboard is the observed swarm: an event session over a ring, the
+// observability stack riding its bus, and the lock its step loop shares
+// with the snapshot handler.
+type dashboard struct {
+	g        *gossipdisc.Graph
+	sess     *gossipdisc.EventSession
+	health   *gossipdisc.Health
+	exporter *gossipdisc.PrometheusExporter
+	mu       sync.Mutex
+}
+
+func newDashboard(n int) *dashboard {
 	// Seed overlay: a ring, so discovery starts from the hardest diameter.
-	g := gossipdisc.NewGraphOn(*n, gossipdisc.BackendSparse)
-	for u := 0; u < *n; u++ {
-		g.AddEdge(u, (u+1)%*n)
+	g := gossipdisc.NewGraphOn(n, gossipdisc.BackendSparse)
+	for u := 0; u < n; u++ {
+		g.AddEdge(u, (u+1)%n)
 	}
 
 	// The observability stack rides the session's event bus: the health
@@ -54,35 +78,38 @@ func main() {
 	exporter := gossipdisc.NewPrometheusExporter()
 	exporter.Attach(health)
 
-	rates := gossipdisc.NewRateMap(*n, 1)
+	rates := gossipdisc.NewRateMap(n, 1)
 	sess := gossipdisc.NewEventSession(g,
 		gossipdisc.WithSeed(1),
 		gossipdisc.WithRates(rates),
 		gossipdisc.WithMaxRounds(-1), // open-ended: the dashboard decides when to stop
 		gossipdisc.WithAnalyzers(health, exporter),
 	)
+	return &dashboard{g: g, sess: sess, health: health, exporter: exporter}
+}
 
-	// The session steps on this goroutine; the snapshot handler reads the
-	// live graph, so it takes the same lock the step loop holds. /metrics
-	// needs no lock here — the exporter is internally synchronized.
-	var mu sync.Mutex
+// handler serves /metrics and /snapshot.mmd. The session steps on run's
+// goroutine; the snapshot handler reads the live graph, so it takes the
+// same lock the step loop holds. /metrics needs no lock here — the
+// exporter is internally synchronized.
+func (d *dashboard) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", exporter)
+	mux.Handle("/metrics", d.exporter)
 	mux.HandleFunc("/snapshot.mmd", func(w http.ResponseWriter, _ *http.Request) {
-		mu.Lock()
-		defer mu.Unlock()
+		d.mu.Lock()
+		defer d.mu.Unlock()
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := gossipdisc.WriteGraphMermaid(w, g, gossipdisc.SnapshotOptions{MaxNodes: 64}); err != nil {
+		if err := gossipdisc.WriteGraphMermaid(w, d.g, gossipdisc.SnapshotOptions{MaxNodes: 64}); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ops-dashboard: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("serving http://%s/metrics and /snapshot.mmd\n", ln.Addr())
-	go http.Serve(ln, mux)
+	return mux
+}
+
+// run steps d's session for simTime units of simulated time with a churn
+// wave every churnGap units, and writes its report to w.
+func run(w io.Writer, d *dashboard, simTime, churnGap float64) {
+	n, sess := d.g.N(), d.sess
 
 	// Churn waves: park a contiguous slice of the population (rate 0 —
 	// they stop gossiping entirely) and wake the slice parked last wave.
@@ -90,10 +117,10 @@ func main() {
 	// exporter's gossip_rate_changes_total counts each wave.
 	const waveSize = 1000
 	parkedAt := -1
-	nextWave := *churnGap
+	nextWave := churnGap
 	wave := 0
-	for sess.Time() < *simTime {
-		mu.Lock()
+	for sess.Time() < simTime {
+		d.mu.Lock()
 		_, more := sess.Step() // one unit of simulated time
 		if sess.Time() >= nextWave {
 			if parkedAt >= 0 {
@@ -101,25 +128,25 @@ func main() {
 					sess.SetNodeRate(u, 1)
 				}
 			}
-			parkedAt = (wave * waveSize * 7) % (*n - waveSize)
+			parkedAt = (wave * waveSize * 7) % (n - waveSize)
 			for u := parkedAt; u < parkedAt+waveSize; u++ {
 				sess.SetNodeRate(u, 0)
 			}
 			wave++
-			nextWave += *churnGap
+			nextWave += churnGap
 		}
-		mu.Unlock()
-		fmt.Printf("t=%6.1f  events=%9d  new edges=%9d  mean age=%6.2f\n",
-			sess.Time(), sess.Events(), sess.Stats().NewEdges, health.Age.MeanAge())
+		d.mu.Unlock()
+		fmt.Fprintf(w, "t=%6.1f  events=%9d  new edges=%9d  mean age=%6.2f\n",
+			sess.Time(), sess.Events(), sess.Stats().NewEdges, d.health.Age.MeanAge())
 		if !more {
 			break
 		}
 	}
 
-	fmt.Printf("\nstopped at t=%.1f after %d events and %d churn waves\n",
+	fmt.Fprintf(w, "\nstopped at t=%.1f after %d events and %d churn waves\n",
 		sess.Time(), sess.Events(), wave)
-	fmt.Println("health findings:")
-	for _, f := range health.Findings() {
-		fmt.Println(" ", f)
+	fmt.Fprintln(w, "health findings:")
+	for _, f := range d.health.Findings() {
+		fmt.Fprintln(w, " ", f)
 	}
 }

@@ -6,30 +6,35 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"os"
 
 	"gossipdisc"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run executes the walkthrough and writes its report to w.
+func run(w io.Writer) {
 	const n = 64
 
 	// Push discovery (triangulation): every round, every node introduces
 	// two random neighbors to each other.
 	g := gossipdisc.Cycle(n)
 	res := gossipdisc.Run(g, gossipdisc.Push{}, 42)
-	fmt.Printf("push: %d-node cycle became complete after %d rounds (%d introductions, %d of them redundant)\n",
+	fmt.Fprintf(w, "push: %d-node cycle became complete after %d rounds (%d introductions, %d of them redundant)\n",
 		n, res.Rounds, res.Proposals, res.DuplicateProposals)
 
 	// Pull discovery (two-hop walk): every round, every node pulls a random
 	// contact of a random neighbor.
 	h := gossipdisc.Cycle(n)
 	res = gossipdisc.Run(h, gossipdisc.Pull{}, 42)
-	fmt.Printf("pull: %d-node cycle became complete after %d rounds\n", n, res.Rounds)
+	fmt.Fprintf(w, "pull: %d-node cycle became complete after %d rounds\n", n, res.Rounds)
 
 	// The paper's Theorem 8/12 bound is O(n log² n); normalize to see it.
 	lnN := math.Log(float64(n))
-	fmt.Printf("for scale: n·ln²n = %.0f\n", float64(n)*lnN*lnN)
+	fmt.Fprintf(w, "for scale: n·ln²n = %.0f\n", float64(n)*lnN*lnN)
 
 	// Watch discovery happen. The session publishes a delta from its commit
 	// path after every round (new edges, degree increments, edges left);
@@ -41,15 +46,15 @@ func main() {
 	sess.Run()
 	sess.Close()
 	traj.Finalize()
-	fmt.Print("min degree every 10 rounds: ")
+	fmt.Fprint(w, "min degree every 10 rounds: ")
 	for _, s := range traj.Snapshots {
-		fmt.Printf("%d ", s.MinDegree)
+		fmt.Fprintf(w, "%d ", s.MinDegree)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// For tiny graphs the library can compute expected times *exactly*
 	// (absorbing Markov chain over edge subsets).
 	p3 := gossipdisc.Path(3)
-	fmt.Printf("exact: E[rounds] for push on the 3-path = %.4f (theory: 2)\n",
+	fmt.Fprintf(w, "exact: E[rounds] for push on the 3-path = %.4f (theory: 2)\n",
 		gossipdisc.ExactExpectedRounds(p3, "push"))
 }
