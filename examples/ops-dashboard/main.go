@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -42,6 +43,10 @@ func main() {
 		churnGap = flag.Float64("churn", 5, "units of simulated time between churn waves")
 	)
 	flag.Parse()
+	if err := validate(*n, *simTime, *churnGap); err != nil {
+		fmt.Fprintf(os.Stderr, "ops-dashboard: %v\n", err)
+		os.Exit(1)
+	}
 
 	d := newDashboard(*n)
 	ln, err := net.Listen("tcp", *addr)
@@ -52,6 +57,25 @@ func main() {
 	fmt.Printf("serving http://%s/metrics and /snapshot.mmd\n", ln.Addr())
 	go http.Serve(ln, d.handler())
 	run(os.Stdout, d, *simTime, *churnGap)
+}
+
+// waveSize is the number of nodes each churn wave parks.
+const waveSize = 1000
+
+// validate reports the first flag value the run cannot use, or nil: a
+// wave parks waveSize nodes inside the ring and leaves the rest running,
+// and the run and its churn schedule need positive, finite time spans.
+func validate(n int, simTime, churnGap float64) error {
+	if n <= waveSize || n > math.MaxInt32 {
+		return fmt.Errorf("-n must be in [%d, %d]: each churn wave parks %d nodes", waveSize+1, math.MaxInt32, waveSize)
+	}
+	if !(simTime > 0) || math.IsInf(simTime, 1) {
+		return fmt.Errorf("-time must be positive and finite, got %v", simTime)
+	}
+	if !(churnGap > 0) || math.IsInf(churnGap, 1) {
+		return fmt.Errorf("-churn must be positive and finite, got %v", churnGap)
+	}
+	return nil
 }
 
 // dashboard is the observed swarm: an event session over a ring, the
@@ -115,7 +139,6 @@ func run(w io.Writer, d *dashboard, simTime, churnGap float64) {
 	// they stop gossiping entirely) and wake the slice parked last wave.
 	// Rate retunes flow through the bus as rate-change events, so the
 	// exporter's gossip_rate_changes_total counts each wave.
-	const waveSize = 1000
 	parkedAt := -1
 	nextWave := churnGap
 	wave := 0
