@@ -49,7 +49,7 @@ func main() {
 		traceAt      = flag.Int("trace", 0, "print a min-degree trajectory snapshot every K rounds (0 = off; trial 0 is driven step-wise through the session API)")
 		failProb     = flag.Float64("fail", 0, "connection failure probability (0..1)")
 		dense        = flag.Float64("dense", 0, "dense-phase threshold fraction in (0,1]: sample missing edges once remaining work drops below this fraction (0 = off; -mode sync only)")
-		scenarioPath = flag.String("scenario", "", "JSON chaos-scenario file: runs the wire-level message-passing stack under the scenario's impairments (-process push|pull; see examples/chaos-lab)")
+		scenarioPath = flag.String("scenario", "", "JSON chaos-scenario file: runs the wire-level message-passing stack under the scenario's impairments (-process push|pull; see internal/netsim/testdata/scenario.json)")
 		backendName  = flag.String("backend", "dense", "graph row-storage backend: dense | sparse | auto (results are byte-identical; sparse fits n = 100k-1M)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve Prometheus text-format metrics at this host:port for the duration of the run (trial 0 carries the analyzer pack; attaching does not change results)")
 		snapshotFmt  = flag.String("snapshot", "none", "print a topology snapshot of trial 0's final contact graph: dot | mermaid | none")

@@ -128,6 +128,21 @@ func TestParseScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The scenario that README's gossipsim -scenario command runs.
+	doc, err := LoadScenario("testdata/scenario.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Name != "flaky-backbone" || len(doc.Phases) != 5 {
+		t.Fatalf("documented scenario parsed as %+v", doc)
+	}
+	if crash := doc.Phases[2].Crash; len(crash) != 2 || crash[0] != 3 || crash[1] != 12 {
+		t.Fatalf("documented crash phase %+v", doc.Phases[2])
+	}
+	if err := doc.Validate(64); err != nil {
+		t.Fatal(err)
+	}
+
 	if _, err := ParseScenario([]byte(`{"phases": [{"dealy": 3}]}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
