@@ -223,3 +223,65 @@ func ExampleNewEventSession() {
 	// events: 1163
 	// time-avg mean age: 5.32
 }
+
+// ExampleSession_TrackMembership drives a fail-stop spike between steps,
+// the paper's Section 6 setting: a 64-member swarm converges, then a third
+// of it crashes and as many joiners arrive, each knowing three bootstrap
+// contacts. The session keeps coverage — the share of member pairs that
+// know each other — incrementally, so each read is O(1), and the crash
+// layer shares the session's liveness mask, so dead members stop gossiping
+// the moment they leave.
+func ExampleSession_TrackMembership() {
+	const members, spike = 64, 21
+	alive := make([]bool, members+spike)
+	for u := 0; u < members; u++ {
+		alive[u] = true
+	}
+	// The joiner slots exist from the start; they stay unwired until they
+	// are admitted.
+	g := gossipdisc.NewGraph(members + spike)
+	for _, e := range gossipdisc.ConnectedER(members, 3.0/members, gossipdisc.NewRand(99)).Edges() {
+		g.AddEdge(e.U, e.V)
+	}
+	sess := gossipdisc.NewSession(g,
+		gossipdisc.WithProcess(gossipdisc.Wrap(gossipdisc.Push{}, gossipdisc.Crash(alive))),
+		gossipdisc.WithSeed(100),
+		gossipdisc.WithMaxRounds(-1), // open-ended: the spike run is stepped, never "done"
+	)
+	defer sess.Close()
+	sess.TrackMembership(alive)
+
+	covered := func(*gossipdisc.Graph) bool { return sess.Coverage() == 1 }
+	sess.RunUntil(covered)
+	fmt.Printf("round %d: coverage %.3f, converged\n", sess.Round(), sess.Coverage())
+
+	r := gossipdisc.NewRand(7)
+	for crashed := 0; crashed < spike; {
+		if u := r.Intn(members); alive[u] {
+			sess.RemoveNode(u)
+			crashed++
+		}
+	}
+	var survivors []int
+	for u := 0; u < members; u++ {
+		if alive[u] {
+			survivors = append(survivors, u)
+		}
+	}
+	for joiner := members; joiner < members+spike; joiner++ {
+		sess.InsertNode(joiner)
+		for k := 0; k < 3; k++ {
+			sess.AddEdge(joiner, survivors[r.Intn(len(survivors))])
+		}
+	}
+	fmt.Printf("round %d: coverage %.3f after the spike\n", sess.Round(), sess.Coverage())
+
+	spikeAt := sess.Round()
+	sess.RunUntil(covered)
+	fmt.Printf("round %d: coverage %.3f, %d rounds after the spike\n",
+		sess.Round(), sess.Coverage(), sess.Round()-spikeAt)
+	// Output:
+	// round 294: coverage 1.000, converged
+	// round 294: coverage 0.479 after the spike
+	// round 793: coverage 1.000, 499 rounds after the spike
+}

@@ -54,7 +54,7 @@ func censorshipAct(w io.Writer) {
 
 	g := gossipdisc.Cycle(n)
 	s := gossipdisc.NewSession(g,
-		gossipdisc.WithRoles(pop),
+		gossipdisc.WithProcess(pop),
 		gossipdisc.WithSeed(11),
 		gossipdisc.WithMaxRounds(-1))
 
@@ -102,7 +102,7 @@ func anonymityAct(w io.Writer) {
 	anon := gossipdisc.NewAnonymity(0, coalition)
 
 	s := gossipdisc.NewSession(gossipdisc.Cycle(n),
-		gossipdisc.WithRoles(pop),
+		gossipdisc.WithProcess(pop),
 		gossipdisc.WithSeed(7),
 		gossipdisc.WithAnalyzers(anon))
 	res := s.Run()
