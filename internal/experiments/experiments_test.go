@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGoldens = flag.Bool("update", false, "rewrite testdata/E<k>.golden from current behavior")
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
@@ -85,21 +90,39 @@ func TestHashNameDistinguishes(t *testing.T) {
 }
 
 // Every registered experiment must run end-to-end at a reduced scale and
-// produce non-empty tabular output mentioning its own ID.
+// produce non-empty tabular output mentioning its own ID. The output is
+// byte-identical on a sequential trial pool and the GOMAXPROCS default,
+// and equal to testdata/<ID>.golden.
 func TestAllExperimentsRunSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
-	cfg := Config{Seed: 1, Trials: 3, Scale: 0.4}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			var sb strings.Builder
-			if err := e.Run(cfg, &sb); err != nil {
-				t.Fatalf("%s failed: %v", e.ID, err)
+			var outs [2]string
+			for i, pool := range []int{1, 0} {
+				var sb strings.Builder
+				if err := e.Run(Config{Seed: 1, Trials: 3, Scale: 0.4, TrialWorkers: pool}, &sb); err != nil {
+					t.Fatalf("%s failed: %v", e.ID, err)
+				}
+				outs[i] = sb.String()
 			}
-			out := sb.String()
+			out := outs[0]
+			if outs[1] != out {
+				t.Fatalf("%s output differs between trial pools 1 and 0:\n%s\n---\n%s", e.ID, out, outs[1])
+			}
+			path := filepath.Join("testdata", e.ID+".golden")
+			if *updateGoldens {
+				if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else if want, err := os.ReadFile(path); err != nil {
+				t.Fatalf("missing golden %s (run with -update): %v", path, err)
+			} else if out != string(want) {
+				t.Errorf("%s drifted from %s:\n got:\n%s\nwant:\n%s", e.ID, path, out, want)
+			}
 			if len(out) == 0 {
 				t.Fatalf("%s produced no output", e.ID)
 			}
