@@ -193,11 +193,13 @@ func BenchmarkE15Ablation(b *testing.B) {
 func BenchmarkE16Concentration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		results := sim.Trials(20, uint64(i)+1, func(trial int, r *rng.Rand) *gossipdisc.Graph {
+		results := sim.Trials(0, 20, uint64(i)+1, func(trial int, r *rng.Rand) *gossipdisc.Graph {
 			return gen.Cycle(64)
-		}, core.Push{}, sim.Config{})
-		if !sim.AllConverged(results) {
-			b.Fatal("trial batch failed")
+		}, func(g *gossipdisc.Graph, r *rng.Rand) sim.Result { return sim.Run(g, core.Push{}, r, sim.Config{}) })
+		for _, res := range results {
+			if !res.Converged {
+				b.Fatal("trial batch failed")
+			}
 		}
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"gossipdisc/internal/cliflag"
 	"gossipdisc/internal/experiments"
 	"gossipdisc/internal/export"
-	"gossipdisc/internal/graph"
 	"gossipdisc/internal/profile"
 )
 
@@ -40,7 +39,6 @@ func main() {
 		csv            = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		workers        = flag.String("workers", "0", "per-run round engine: 0 = classic sequential engine, k >= 1 = sharded deterministic engine (identical output for every k; -1 = same as 1)")
 		trialsParallel = flag.Int("trials-parallel", 0, "concurrent trials per sweep point (0 = GOMAXPROCS, 1 = strictly sequential; outputs are byte-identical for every value)")
-		backendName    = flag.String("backend", "dense", "graph row-storage backend for workload generation: dense | sparse | auto (outputs are byte-identical)")
 		sched          = flag.String("sched", "both", "async runtimes the scheduler experiments (E15) tabulate: both | tick | event")
 		ratesSpec      = flag.String("rates", "", "eventsim rate spec adding a custom-population table to E20, e.g. \"0.5,fast=8:0-15\" (resolved against the sweep's largest n)")
 		rolesSpec      = flag.String("roles", "", "role spec adding a custom-population table to E21, e.g. \"honest,byzantine=5%,selfish=10:0-47\" (resolved against the sweep's largest n)")
@@ -61,7 +59,7 @@ func main() {
 
 	opts := &options{
 		scale: *scale, trials: *trials, workers: *workers, trialsParallel: *trialsParallel,
-		backend: *backendName, sched: *sched, rates: *ratesSpec, roles: *rolesSpec,
+		sched: *sched, rates: *ratesSpec, roles: *rolesSpec,
 		metricsAddr: *metricsAddr, profile: prof,
 	}
 	if err := opts.validate(); err != nil {
@@ -104,10 +102,9 @@ func main() {
 	// Resolve -workers exactly as gossipsim does (validate already
 	// rejected everything else).
 	engineWorkers, _ := cliflag.WorkerCount(opts.workers)
-	backend, _ := graph.ParseBackend(*backendName)
 	cfg := experiments.Config{
 		Seed: *seed, Trials: *trials, Scale: *scale, CSV: *csv,
-		Workers: engineWorkers, TrialWorkers: *trialsParallel, Backend: backend,
+		Workers: engineWorkers, TrialWorkers: *trialsParallel,
 		Sched: *sched, RateSpec: *ratesSpec, RoleSpec: *rolesSpec,
 	}
 

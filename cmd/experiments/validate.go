@@ -6,7 +6,6 @@ import (
 	"gossipdisc/internal/cliflag"
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/eventsim"
-	"gossipdisc/internal/graph"
 	"gossipdisc/internal/profile"
 )
 
@@ -21,7 +20,6 @@ type options struct {
 	trials         int
 	workers        string
 	trialsParallel int
-	backend        string
 	sched          string
 	rates          string
 	roles          string
@@ -45,9 +43,6 @@ func (o *options) validate() error {
 	}
 	if o.trialsParallel < 0 {
 		return fmt.Errorf("-trials-parallel must be >= 0 (0 = GOMAXPROCS, 1 = sequential; got %d)", o.trialsParallel)
-	}
-	if _, err := graph.ParseBackend(o.backend); err != nil {
-		return fmt.Errorf("-backend must be dense, sparse, or auto (got %q)", o.backend)
 	}
 	switch o.sched {
 	case "", "both", "tick", "event":

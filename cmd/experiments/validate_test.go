@@ -10,7 +10,7 @@ import (
 
 // good returns a fully valid option set; cases mutate one field at a time.
 func good() options {
-	return options{scale: 1, workers: "0", trialsParallel: 0, backend: "dense", sched: "both"}
+	return options{scale: 1, workers: "0", trialsParallel: 0, sched: "both"}
 }
 
 func TestValidateOptions(t *testing.T) {
@@ -26,8 +26,6 @@ func TestValidateOptions(t *testing.T) {
 		{"workers sharded", func(o *options) { o.workers = "8" }, ""},
 		{"workers auto", func(o *options) { o.workers = "auto" }, "-workers 1"},
 		{"trials parallel sequential", func(o *options) { o.trialsParallel = 1 }, ""},
-		{"backend sparse", func(o *options) { o.backend = "sparse" }, ""},
-		{"backend auto", func(o *options) { o.backend = "auto" }, ""},
 		{"sched empty means both", func(o *options) { o.sched = "" }, ""},
 		{"sched tick", func(o *options) { o.sched = "tick" }, ""},
 		{"sched event", func(o *options) { o.sched = "event" }, ""},
@@ -51,7 +49,6 @@ func TestValidateOptions(t *testing.T) {
 		{"workers gibberish", func(o *options) { o.workers = "many" }, "-workers"},
 		{"workers empty", func(o *options) { o.workers = "" }, "-workers"},
 		{"negative trials parallel", func(o *options) { o.trialsParallel = -1 }, "-trials-parallel"},
-		{"unknown backend", func(o *options) { o.backend = "hologram" }, "-backend"},
 		{"unknown sched", func(o *options) { o.sched = "fifo" }, "-sched"},
 		{"malformed rates", func(o *options) { o.rates = "fast=oops:0-3" }, "-rates"},
 		{"negative rate", func(o *options) { o.rates = "-1" }, "-rates"},

@@ -155,7 +155,9 @@ func RunDirected(g *Digraph, seed uint64) DirectedResult {
 // Trials runs numTrials independent deterministic trials of p in parallel;
 // build receives the trial index and a trial-private generator.
 func Trials(numTrials int, seed uint64, build func(trial int, r *Rand) *Graph, p Process) []Result {
-	return sim.Trials(numTrials, seed, build, p, sim.Config{})
+	return sim.Trials(0, numTrials, seed, build, func(g *Graph, r *Rand) Result {
+		return sim.Run(g, p, r, sim.Config{})
+	})
 }
 
 // ExactExpectedRounds returns the exact expected number of rounds for the

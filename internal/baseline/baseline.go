@@ -121,29 +121,3 @@ func (m MeteredGossip) Act(g *graph.Undirected, u int, r *rng.Rand, propose func
 	}
 	m.Inner.Act(g, u, r, propose)
 }
-
-// DirectedNameDropper is Name Dropper on directed knowledge graphs as in
-// [16]: u sends its out-list to a random out-neighbor v, who then points at
-// everything u pointed at (plus u itself).
-type DirectedNameDropper struct {
-	Meter *IDMeter
-}
-
-// Name implements core.DirectedProcess.
-func (DirectedNameDropper) Name() string { return "name-dropper-directed" }
-
-// Act implements core.DirectedProcess.
-func (nd DirectedNameDropper) Act(g *graph.Directed, u int, r *rng.Rand, propose func(a, b int)) {
-	v := g.RandomOutNeighbor(u, r)
-	if v < 0 {
-		return
-	}
-	outs := g.OutNeighbors(u, nil)
-	nd.Meter.Add(len(outs) + 1)
-	for _, w := range outs {
-		if w != v {
-			propose(v, w)
-		}
-	}
-	propose(v, u)
-}

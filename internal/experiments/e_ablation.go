@@ -7,6 +7,7 @@ import (
 	"gossipdisc/internal/eventsim"
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
+	"gossipdisc/internal/metrics"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
 	"gossipdisc/internal/stats"
@@ -69,14 +70,12 @@ func runAblation(cfg Config, w io.Writer) error {
 		for ni, n := range ns {
 			seed := pointSeed(cfg.Seed, uint64(ni), hashName(procName))
 
-			syncRes := sim.TrialsOn(cfg.TrialWorkers, trials, seed, cycleBuilder(n), proc, cfg.engine())
-			syncSum, err := summarizeRounds(syncRes)
+			syncSum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(proc, cfg.engine()))
 			if err != nil {
 				return fmt.Errorf("E15 sync n=%d: %w", n, err)
 			}
-			eagerRes := sim.TrialsOn(cfg.TrialWorkers, trials, seed, cycleBuilder(n), proc,
-				sim.Config{Mode: sim.CommitEager})
-			eagerSum, err := summarizeRounds(eagerRes)
+			eagerSum, err := pointRounds(cfg, trials, seed, cycleBuilder(n),
+				undirected(proc, sim.Config{Mode: sim.CommitEager}))
 			if err != nil {
 				return fmt.Errorf("E15 eager n=%d: %w", n, err)
 			}
@@ -86,30 +85,23 @@ func runAblation(cfg Config, w io.Writer) error {
 				// The tick trials keep the pre-event-runtime seed
 				// derivation, so the tick column is unperturbed by the
 				// event column's existence.
-				root := rng.New(seed)
-				var rounds []float64
-				for t := 0; t < trials; t++ {
-					r := root.Split()
-					res := sim.RunAsync(gen.Cycle(n), proc, r, sim.AsyncConfig{})
-					if !res.Converged {
-						return fmt.Errorf("E15 tick n=%d: did not converge", n)
-					}
-					rounds = append(rounds, res.ParallelRounds)
+				tickSum, err = pointRounds(cfg, trials, seed, cycleBuilder(n), func(g *graph.Undirected, r *rng.Rand) outcome {
+					res := sim.RunAsync(g, proc, r, sim.AsyncConfig{})
+					return outcome{res.ParallelRounds, res.Converged}
+				})
+				if err != nil {
+					return fmt.Errorf("E15 tick n=%d: %w", n, err)
 				}
-				tickSum = stats.Summarize(rounds)
 			}
 			if event {
-				root := rng.New(pointSeed(cfg.Seed, uint64(ni), hashName(procName), hashName("event")))
-				var rounds []float64
-				for t := 0; t < trials; t++ {
-					r := root.Split()
-					res := eventsim.Run(gen.Cycle(n), proc, r, eventsim.Config{})
-					if !res.Converged {
-						return fmt.Errorf("E15 event n=%d: did not converge (%+v)", n, res)
-					}
-					rounds = append(rounds, res.ParallelRounds)
+				eventSeed := pointSeed(cfg.Seed, uint64(ni), hashName(procName), hashName("event"))
+				eventSum, err = pointRounds(cfg, trials, eventSeed, cycleBuilder(n), func(g *graph.Undirected, r *rng.Rand) outcome {
+					res := eventsim.Run(g, proc, r, eventsim.Config{})
+					return outcome{res.ParallelRounds, res.Converged}
+				})
+				if err != nil {
+					return fmt.Errorf("E15 event n=%d: %w", n, err)
 				}
-				eventSum = stats.Summarize(rounds)
 			}
 
 			row := []string{trace.I(n), trace.F(syncSum.Mean, 1), trace.F(eagerSum.Mean, 1)}
@@ -154,20 +146,16 @@ func runConcentration(cfg Config, w io.Writer) error {
 			"n", "median", "p10", "p90", "max", "p90/median", "max/median", "r90 edges")
 		for ni, n := range ns {
 			seed := pointSeed(cfg.Seed, uint64(ni), hashName(procName), 161616)
-			// Streamed per-round aggregates ride along with the same trial
-			// results (sim.TrialsAggregate); r90 — the first round at which
+			// Per-round aggregates ride along with the same trial results
+			// (metrics.TrialsAggregate); r90 — the first round at which
 			// the trials hold 90% of all pairs on average — concentrates
 			// even tighter than the convergence time, because the w.h.p.
 			// tail is spent on the last few missing pairs.
-			// E16's 100-trial distribution sweep is the experiment suite's
-			// heaviest batch — exactly the shape the bounded parallel
-			// harness exists for (cfg.TrialWorkers = 1 reproduces the old
-			// strictly sequential behavior byte for byte).
-			results, agg := sim.TrialsAggregateOn(cfg.TrialWorkers, trials, seed, cycleBuilder(n), proc, cfg.engine())
-			if !sim.AllConverged(results) {
-				return fmt.Errorf("E16 n=%d: non-converged trial", n)
+			results, agg := metrics.TrialsAggregate(cfg.TrialWorkers, trials, seed, cycleBuilder(n), proc, cfg.engine())
+			rounds, err := resultRounds(results)
+			if err != nil {
+				return fmt.Errorf("E16 n=%d: %w", n, err)
 			}
-			rounds := sim.Rounds(results)
 			med := stats.Median(rounds)
 			p10 := stats.Quantile(rounds, 0.10)
 			p90 := stats.Quantile(rounds, 0.90)
@@ -175,7 +163,7 @@ func runConcentration(cfg Config, w io.Writer) error {
 			tbl.AddRow(trace.I(n),
 				trace.F(med, 0), trace.F(p10, 0), trace.F(p90, 0), trace.F(max, 0),
 				trace.F(p90/med, 3), trace.F(max/med, 3),
-				trace.I(sim.RoundAtEdgeFraction(agg, 0.9)))
+				trace.I(metrics.RoundAtEdgeFraction(agg, 0.9)))
 		}
 		if err := render(cfg, w, tbl); err != nil {
 			return err

@@ -76,10 +76,9 @@ func runByzantine(cfg Config, w io.Writer) error {
 				byz = pop.Nodes("byzantine")
 			}
 			seed := pointSeed(cfg.Seed, uint64(ni), uint64(fi), hashName("e21"))
-			results := sim.Trials(trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
-				return buildByzantineWorkload(n, byz, r, cfg.Backend)
-			}, pop, cfg.engine())
-			sum, err := summarizeRounds(results)
+			sum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
+				return buildByzantineWorkload(n, byz, r)
+			}, undirected(pop, cfg.engine()))
 			if err != nil {
 				return fmt.Errorf("E21 n=%d f=%d%%: %w", n, f, err)
 			}
@@ -111,10 +110,9 @@ func runByzantine(cfg Config, w io.Writer) error {
 		pop.SetRoleProcess("byzantine", core.Byzantine{Target: 0})
 		byz := pop.Nodes("byzantine")
 		seed := pointSeed(cfg.Seed, 500+uint64(fi), hashName("e21-hub"))
-		results := sim.Trials(trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
-			return buildByzantineWorkload(n, byz, r, cfg.Backend)
-		}, pop, cfg.engine())
-		sum, err := summarizeRounds(results)
+		sum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
+			return buildByzantineWorkload(n, byz, r)
+		}, undirected(pop, cfg.engine()))
 		if err != nil {
 			return fmt.Errorf("E21 hub f=%d%%: %w", f, err)
 		}
@@ -142,10 +140,9 @@ func runByzantine(cfg Config, w io.Writer) error {
 		}
 	}
 	seed := pointSeed(cfg.Seed, uint64(n), hashName("e21-custom"))
-	results := sim.Trials(trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
-		return buildByzantineWorkload(n, byz, r, cfg.Backend)
-	}, pop, cfg.engine())
-	sum, err := summarizeRounds(results)
+	sum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
+		return buildByzantineWorkload(n, byz, r)
+	}, undirected(pop, cfg.engine()))
 	if err != nil {
 		return fmt.Errorf("E21 custom population %q (not every population completes discovery — silent or selfish cut sets censor introductions forever): %w", cfg.RoleSpec, err)
 	}
@@ -161,7 +158,7 @@ func runByzantine(cfg Config, w io.Writer) error {
 // conditions guarantee push completes: the honest nodes discover each
 // other through honest introducers alone, after which every Byzantine
 // node's honest neighbors sweep it into the complete graph.
-func buildByzantineWorkload(n int, byz []int, r *rng.Rand, backend graph.Backend) *graph.Undirected {
+func buildByzantineWorkload(n int, byz []int, r *rng.Rand) *graph.Undirected {
 	isByz := make([]bool, n)
 	for _, b := range byz {
 		isByz[b] = true
@@ -174,7 +171,7 @@ func buildByzantineWorkload(n int, byz []int, r *rng.Rand, backend graph.Backend
 	}
 	var nbuf []int
 	for {
-		g := gen.ConnectedER(n, 8.0/float64(n), r, backend)
+		g := gen.ConnectedER(n, 8.0/float64(n), r)
 		if len(byz) == 0 {
 			return g
 		}
@@ -234,21 +231,28 @@ func runAnonymity(cfg Config, w io.Writer) error {
 			return fmt.Errorf("E22 k=%d: %w", k, err)
 		}
 		coalition := pop.Nodes("eavesdropper")
-		root := rng.New(pointSeed(cfg.Seed, uint64(ki), hashName("e22")))
+		type trial struct {
+			anon      *analyze.Anonymity
+			converged bool
+		}
+		results := sim.Trials(cfg.TrialWorkers, trials, pointSeed(cfg.Seed, uint64(ki), hashName("e22")), cycleBuilder(n),
+			func(g *graph.Undirected, r *rng.Rand) trial {
+				anon := analyze.NewAnonymity(0, coalition)
+				s := sim.NewSession(g, pop, r, cfg.engine())
+				defer s.Close()
+				s.Subscribe(anon)
+				converged := s.Run().Converged
+				return trial{anon, converged}
+			})
 		var ents, probs, ranks, wits []float64
-		for t := 0; t < trials; t++ {
-			r := root.Split()
-			anon := analyze.NewAnonymity(0, coalition)
-			s := sim.NewSession(gen.Cycle(n, cfg.Backend), pop, r, cfg.engine())
-			s.Subscribe(anon)
-			res := s.Run()
-			if !res.Converged {
+		for t, res := range results {
+			if !res.converged {
 				return fmt.Errorf("E22 k=%d trial %d did not converge", k, t)
 			}
-			ents = append(ents, anon.PosteriorEntropy())
-			probs = append(probs, anon.SourceProbability())
-			ranks = append(ranks, float64(anon.SourceRank()))
-			wits = append(wits, float64(anon.Witnesses()))
+			ents = append(ents, res.anon.PosteriorEntropy())
+			probs = append(probs, res.anon.SourceProbability())
+			ranks = append(ranks, float64(res.anon.SourceRank()))
+			wits = append(wits, float64(res.anon.Witnesses()))
 		}
 		ent, prob := stats.Summarize(ents), stats.Summarize(probs)
 		rank, wit := stats.Summarize(ranks), stats.Summarize(wits)

@@ -7,9 +7,6 @@ import (
 
 	"gossipdisc/internal/baseline"
 	"gossipdisc/internal/core"
-	"gossipdisc/internal/gen"
-	"gossipdisc/internal/graph"
-	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
 	"gossipdisc/internal/trace"
 )
@@ -63,10 +60,7 @@ func runBaselines(cfg Config, w io.Writer) error {
 			proc := c.make(meter)
 			seed := pointSeed(cfg.Seed, uint64(n), uint64(ci))
 			// Meters are shared across trials; divide totals by trial count.
-			results := sim.Trials(trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
-				return gen.Cycle(n)
-			}, proc, sim.Config{})
-			sum, err := summarizeRounds(results)
+			sum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(proc, sim.Config{}))
 			if err != nil {
 				return fmt.Errorf("E11 %s n=%d: %w", c.name, n, err)
 			}

@@ -26,23 +26,14 @@ func init() {
 // stack and summarizes the discovery round counts across trials. Each
 // trial is an independent (seed, scenario) pair, so every number in the
 // tables is replayable bit-for-bit.
-func chaosPoint(proto protocol.Protocol, n, trials int, seed uint64, scn *netsim.Scenario, maxRounds int) (stats.Summary, error) {
-	root := rng.New(seed)
-	var rounds []float64
-	for trial := 0; trial < trials; trial++ {
-		r := root.Split()
-		cl := protocol.NewCluster(gen.Cycle(n), proto, netsim.Config{
-			Seed:     r.Uint64(),
-			Scenario: scn,
-		})
-		got, done := cl.Run(maxRounds)
-		cl.Close()
-		if !done {
-			return stats.Summary{}, fmt.Errorf("trial %d did not discover everyone in %d rounds", trial, maxRounds)
-		}
-		rounds = append(rounds, float64(got))
-	}
-	return stats.Summarize(rounds), nil
+func chaosPoint(cfg Config, proto protocol.Protocol, n, trials int, seed uint64, scn *netsim.Scenario, maxRounds int) (stats.Summary, error) {
+	return pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) *protocol.Cluster {
+		return protocol.NewCluster(gen.Cycle(n), proto, netsim.Config{Seed: r.Uint64(), Scenario: scn})
+	}, func(cl *protocol.Cluster, r *rng.Rand) outcome {
+		defer cl.Close()
+		rounds, done := cl.Run(maxRounds)
+		return outcome{float64(rounds), done}
+	})
 }
 
 // runChaos implements E19: discovery-time degradation curves for the
@@ -72,7 +63,7 @@ func runChaos(cfg Config, w io.Writer) error {
 			if p > 0 {
 				scn = netsim.DropScenario(p)
 			}
-			sum, err := chaosPoint(pr.proto, n, trials,
+			sum, err := chaosPoint(cfg, pr.proto, n, trials,
 				pointSeed(cfg.Seed, hashName(pr.name), 1900+uint64(pi)), scn, budget)
 			if err != nil {
 				return fmt.Errorf("E19 %s loss p=%.1f: %w", pr.name, p, err)
@@ -102,7 +93,7 @@ func runChaos(cfg Config, w io.Writer) error {
 					Phases: []netsim.Phase{{All: &netsim.Impairment{Delay: d, Jitter: d}}},
 				}
 			}
-			sum, err := chaosPoint(pr.proto, n, trials,
+			sum, err := chaosPoint(cfg, pr.proto, n, trials,
 				pointSeed(cfg.Seed, hashName(pr.name), 2900+uint64(di)), scn, budget)
 			if err != nil {
 				return fmt.Errorf("E19 %s delay d=%d: %w", pr.name, d, err)
@@ -135,7 +126,7 @@ func runChaos(cfg Config, w io.Writer) error {
 			if !s.imp.IsZero() {
 				scn = &netsim.Scenario{Name: s.name, Phases: []netsim.Phase{{All: &s.imp}}}
 			}
-			sum, err := chaosPoint(pr.proto, n, trials,
+			sum, err := chaosPoint(cfg, pr.proto, n, trials,
 				pointSeed(cfg.Seed, hashName(pr.name), 3900+uint64(si)), scn, budget)
 			if err != nil {
 				return fmt.Errorf("E19 %s %s: %w", pr.name, s.name, err)
@@ -172,7 +163,7 @@ func runChaos(cfg Config, w io.Writer) error {
 					Phases: []netsim.Phase{{Until: 20, Links: links}},
 				}
 			}
-			sum, err := chaosPoint(pr.proto, n, trials,
+			sum, err := chaosPoint(cfg, pr.proto, n, trials,
 				pointSeed(cfg.Seed, hashName(pr.name), 4900+uint64(ki)), scn, budget)
 			if err != nil {
 				return fmt.Errorf("E19 %s deaf k=%d: %w", pr.name, k, err)
@@ -205,7 +196,7 @@ func runChaos(cfg Config, w io.Writer) error {
 					Phases: []netsim.Phase{{Until: h, Partition: [][]int{half}}},
 				}
 			}
-			sum, err := chaosPoint(pr.proto, n, trials,
+			sum, err := chaosPoint(cfg, pr.proto, n, trials,
 				pointSeed(cfg.Seed, hashName(pr.name), 5900+uint64(hi)), scn, budget)
 			if err != nil {
 				return fmt.Errorf("E19 %s heal H=%d: %w", pr.name, h, err)

@@ -6,6 +6,7 @@ import (
 
 	"gossipdisc/internal/churn"
 	"gossipdisc/internal/rng"
+	"gossipdisc/internal/sim"
 	"gossipdisc/internal/stats"
 	"gossipdisc/internal/trace"
 )
@@ -42,17 +43,18 @@ func runChurn(cfg Config, w io.Writer) error {
 				name, members, rounds, tail, trials),
 			"churn rate/round", "mean coverage", "min coverage", "rounds to 90% (cold start)")
 		for ri, rate := range []float64{0, 0.1, 0.5, 1.0, 2.0} {
+			coverage := sim.Trials(cfg.TrialWorkers, trials, pointSeed(cfg.Seed, uint64(ri), hashName(name)),
+				func(trial int, r *rng.Rand) *churn.Session {
+					return churn.NewSession(churn.Config{
+						Capacity:       members + int(rate*float64(rounds)) + 16,
+						InitialMembers: members,
+						SeedDegree:     3,
+						Rate:           rate,
+						Pull:           pull,
+					}, r)
+				}, func(s *churn.Session, r *rng.Rand) []float64 { return s.Run(rounds) })
 			var covs, mins, warmups []float64
-			root := rng.New(pointSeed(cfg.Seed, uint64(ri), hashName(name)))
-			for trial := 0; trial < trials; trial++ {
-				s := churn.NewSession(churn.Config{
-					Capacity:       members + int(rate*float64(rounds)) + 16,
-					InitialMembers: members,
-					SeedDegree:     3,
-					Rate:           rate,
-					Pull:           pull,
-				}, root.Split())
-				series := s.Run(rounds)
+			for _, series := range coverage {
 				warm := float64(rounds)
 				for i, c := range series {
 					if c >= 0.9 {

@@ -61,10 +61,9 @@ func runDirectedUpper(cfg Config, w io.Writer) error {
 	for _, fam := range families {
 		for ni, n := range ns {
 			seed := pointSeed(cfg.Seed, uint64(ni), hashName(fam.name))
-			results := sim.DirectedTrials(trials, seed, func(trial int, r *rng.Rand) *graph.Directed {
+			sum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) *graph.Directed {
 				return fam.build(n, r)
-			}, core.DirectedTwoHop{}, cfg.directedEngine())
-			sum, err := summarizeDirectedRounds(results)
+			}, cfg.twoHop())
 			if err != nil {
 				return fmt.Errorf("E5 %s n=%d: %w", fam.name, n, err)
 			}
@@ -112,10 +111,9 @@ func runWeakLower(cfg Config, w io.Writer) error {
 	ys := make([]float64, 0, len(ns))
 	for ni, n := range ns {
 		seed := pointSeed(cfg.Seed, uint64(ni))
-		results := sim.DirectedTrials(trials, seed, func(trial int, r *rng.Rand) *graph.Directed {
+		sum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) *graph.Directed {
 			return gen.Thm14WeakLowerBound(n)
-		}, core.DirectedTwoHop{}, cfg.directedEngine())
-		sum, err := summarizeDirectedRounds(results)
+		}, cfg.twoHop())
 		if err != nil {
 			return fmt.Errorf("E6 n=%d: %w", n, err)
 		}
@@ -153,17 +151,13 @@ func runStrongLower(cfg Config, w io.Writer) error {
 	ys := make([]float64, 0, len(ns))
 	for ni, n := range ns {
 		seed := pointSeed(cfg.Seed, uint64(ni))
-		hard := sim.DirectedTrials(trials, seed, func(trial int, r *rng.Rand) *graph.Directed {
-			return gen.Thm15StrongLowerBound(n)
-		}, core.DirectedTwoHop{}, cfg.directedEngine())
-		hardSum, err := summarizeDirectedRounds(hard)
+		hardSum, err := pointRounds(cfg, trials, seed, thm15Builder(n), cfg.twoHop())
 		if err != nil {
 			return fmt.Errorf("E7 n=%d: %w", n, err)
 		}
-		easy := sim.DirectedTrials(trials, seed+1, func(trial int, r *rng.Rand) *graph.Directed {
+		easySum, err := pointRounds(cfg, trials, seed+1, func(trial int, r *rng.Rand) *graph.Directed {
 			return gen.RandomStronglyConnected(n, n/2, r)
-		}, core.DirectedTwoHop{}, cfg.directedEngine())
-		easySum, err := summarizeDirectedRounds(easy)
+		}, cfg.twoHop())
 		if err != nil {
 			return fmt.Errorf("E7 control n=%d: %w", n, err)
 		}
@@ -200,20 +194,25 @@ func runThm15CutPhases(cfg Config, w io.Writer, trials int) error {
 		fmt.Sprintf("E7: Thm 15 proof mechanics — untouched-cut phases (%d trials)", trials),
 		"n", "phases", "mean phase len", "phase len/n", "phases/n")
 	for ni, n := range ns {
-		root := rng.New(pointSeed(cfg.Seed, uint64(ni), 715))
+		type trial struct {
+			phases    []int
+			converged bool
+		}
+		results := sim.Trials(cfg.TrialWorkers, trials, pointSeed(cfg.Seed, uint64(ni), 715), thm15Builder(n),
+			func(g *graph.Directed, r *rng.Rand) trial {
+				s := sim.NewDirectedSession(g, core.DirectedTwoHop{}, r, cfg.directedEngine())
+				defer s.Close()
+				tracker := &cutTracker{}
+				s.Subscribe(tracker)
+				converged := s.Run().Converged
+				return trial{tracker.phases(), converged}
+			})
 		var phaseCount, phaseLenSum, runs float64
-		for trial := 0; trial < trials; trial++ {
-			r := root.Split()
-			g := gen.Thm15StrongLowerBound(n)
-			s := sim.NewDirectedSession(g, core.DirectedTwoHop{}, r, cfg.directedEngine())
-			tracker := &cutTracker{}
-			s.Subscribe(tracker)
-			res := s.Run()
-			s.Close()
-			if !res.Converged {
+		for _, t := range results {
+			if !t.converged {
 				return fmt.Errorf("E7 phases n=%d: did not converge", n)
 			}
-			phases := tracker.phases()
+			phases := t.phases
 			if len(phases) == 0 {
 				continue
 			}
@@ -232,6 +231,10 @@ func runThm15CutPhases(cfg Config, w io.Writer, trials int) error {
 			trace.F(meanPhases/float64(n), 3))
 	}
 	return render(cfg, w, tbl)
+}
+
+func thm15Builder(n int) func(trial int, r *rng.Rand) *graph.Directed {
+	return func(trial int, r *rng.Rand) *graph.Directed { return gen.Thm15StrongLowerBound(n) }
 }
 
 // cutTracker records X_t — the smallest x whose cut is untouched — after

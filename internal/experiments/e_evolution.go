@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"gossipdisc/internal/gen"
+	"gossipdisc/internal/graph"
 	"gossipdisc/internal/metrics"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
@@ -42,44 +43,62 @@ func runEvolution(cfg Config, w io.Writer) error {
 				procName, n, trials),
 			"t/T", "diameter", "clustering", "mean |N¹|", "mean |N²|", "mean |N³|")
 
+		// A trial returns its snapshot at each checkpoint it hit, keyed by
+		// fraction index.
+		type checkpoints struct {
+			at        map[int]metrics.EvolutionSnapshot
+			converged bool
+		}
+		results := sim.Trials(cfg.TrialWorkers, trials, pointSeed(cfg.Seed, hashName(procName), 1717),
+			func(trial int, r *rng.Rand) *graph.Undirected {
+				return gen.TwoClustersBridge(n, 6.0/float64(n), r)
+			}, func(g *graph.Undirected, r *rng.Rand) checkpoints {
+				runSeed := r.Uint64()
+
+				// First pass: measure this trial's convergence time on a
+				// clone, then replay the *identical* trajectory (same seed)
+				// snapshotting at fixed fractions of it.
+				probe := g.Clone()
+				probeRes := sim.Run(probe, proc, rng.New(runSeed), cfg.engine())
+				if !probeRes.Converged {
+					return checkpoints{}
+				}
+				total := probeRes.Rounds
+
+				marks := make(map[int]int) // round -> fraction index
+				for fi, f := range fractions {
+					marks[int(f*float64(total)+0.5)] = fi
+				}
+				at := make(map[int]metrics.EvolutionSnapshot)
+				if fi, ok := marks[0]; ok {
+					at[fi] = metrics.TakeEvolution(0, g)
+					delete(marks, 0)
+				}
+				// The replay must use the same engine (and so the same rng
+				// discipline) as the probe, or the trajectory would differ.
+				// Off-checkpoint rounds cost the subscriber a map lookup;
+				// the expensive evolution snapshot runs only at the marks.
+				replay := sim.NewSession(g, proc, rng.New(runSeed), cfg.engine())
+				defer replay.Close()
+				replay.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
+					if fi, ok := marks[e.Delta.Round]; ok {
+						at[fi] = metrics.TakeEvolution(e.Delta.Round, e.Graph)
+					}
+				}))
+				replay.Run()
+				return checkpoints{at, true}
+			})
 		agg := make([]metrics.EvolutionSnapshot, len(fractions))
 		counts := make([]int, len(fractions))
-		root := rng.New(pointSeed(cfg.Seed, hashName(procName), 1717))
-		for trial := 0; trial < trials; trial++ {
-			r := root.Split()
-			g := gen.TwoClustersBridge(n, 6.0/float64(n), r)
-			runSeed := r.Uint64()
-
-			// First pass: measure this trial's convergence time on a clone,
-			// then replay the *identical* trajectory (same seed) snapshotting
-			// at fixed fractions of it.
-			probe := g.Clone()
-			probeRes := sim.Run(probe, proc, rng.New(runSeed), cfg.engine())
-			if !probeRes.Converged {
+		for _, t := range results {
+			if !t.converged {
 				return fmt.Errorf("E17 %s: probe did not converge", procName)
 			}
-			total := probeRes.Rounds
-
-			marks := make(map[int]int) // round -> fraction index
-			for fi, f := range fractions {
-				marks[int(f*float64(total)+0.5)] = fi
-			}
-			if fi, ok := marks[0]; ok {
-				addSnapshot(&agg[fi], &counts[fi], metrics.TakeEvolution(0, g))
-				delete(marks, 0)
-			}
-			// The replay must use the same engine (and so the same rng
-			// discipline) as the probe, or the trajectory would differ.
-			// Off-checkpoint rounds cost the subscriber a map lookup; the
-			// expensive evolution snapshot runs only at the marks.
-			replay := sim.NewSession(g, proc, rng.New(runSeed), cfg.engine())
-			replay.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
-				if fi, ok := marks[e.Delta.Round]; ok {
-					addSnapshot(&agg[fi], &counts[fi], metrics.TakeEvolution(e.Delta.Round, e.Graph))
+			for fi := range fractions {
+				if s, ok := t.at[fi]; ok {
+					addSnapshot(&agg[fi], &counts[fi], s)
 				}
-			}))
-			replay.Run()
-			replay.Close()
+			}
 		}
 		for fi, f := range fractions {
 			c := float64(counts[fi])

@@ -10,7 +10,6 @@ import (
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/markov"
 	"gossipdisc/internal/rng"
-	"gossipdisc/internal/sim"
 	"gossipdisc/internal/trace"
 )
 
@@ -62,10 +61,9 @@ func runNonMonotonicity(cfg Config, w io.Writer) error {
 			exact := moments.Mean
 			sigma := math.Sqrt(moments.Variance)
 			seed := pointSeed(cfg.Seed, hashName(row.name), hashName(k.kern.Name()))
-			results := sim.Trials(trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
+			sum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
 				return row.build()
-			}, k.proc, cfg.engine())
-			sum, err := summarizeRounds(results)
+			}, undirected(k.proc, cfg.engine()))
 			if err != nil {
 				return fmt.Errorf("E8 %s/%s: %w", row.name, k.kern.Name(), err)
 			}

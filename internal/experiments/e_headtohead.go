@@ -8,7 +8,6 @@ import (
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
-	"gossipdisc/internal/sim"
 	"gossipdisc/internal/trace"
 )
 
@@ -45,10 +44,9 @@ func runHeadToHead(cfg Config, w io.Writer) error {
 		means := map[string]float64{}
 		for pi, proc := range []core.Process{core.Push{}, core.Pull{}, core.PushPull{}} {
 			seed := pointSeed(cfg.Seed, uint64(fi), uint64(pi), 1818)
-			results := sim.Trials(trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
-				return fam.Generate(n, r, cfg.Backend)
-			}, proc, cfg.engine())
-			sum, err := summarizeRounds(results)
+			sum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
+				return fam.Generate(n, r)
+			}, undirected(proc, cfg.engine()))
 			if err != nil {
 				return fmt.Errorf("E18 %s/%s: %w", famName, proc.Name(), err)
 			}

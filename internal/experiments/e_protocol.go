@@ -46,29 +46,34 @@ func runProtocol(cfg Config, w io.Writer) error {
 		{protocol.ProtoPull, core.Pull{}},
 	} {
 		seed := pointSeed(cfg.Seed, hashName(pr.proto.String()))
-		simResults := sim.Trials(trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
-			return gen.Cycle(n)
-		}, pr.proc, cfg.engine())
-		simSum, err := summarizeRounds(simResults)
+		simSum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(pr.proc, cfg.engine()))
 		if err != nil {
 			return fmt.Errorf("E13 sim %s: %w", pr.proto, err)
 		}
 
+		// The wire trials seed their networks from the trial index, not
+		// from the harness generator.
+		type protoTrial struct {
+			rounds int
+			done   bool
+			stats  netsim.Stats
+		}
+		protoTrials := sim.Trials(cfg.TrialWorkers, trials, seed, func(trial int, r *rng.Rand) *protocol.Cluster {
+			return protocol.NewCluster(gen.Cycle(n), pr.proto, netsim.Config{Seed: seed + uint64(trial) + 1})
+		}, func(cl *protocol.Cluster, r *rng.Rand) protoTrial {
+			defer cl.Close()
+			rounds, done := cl.Run(sim.DefaultMaxRounds(n))
+			return protoTrial{rounds, done, cl.Net.Stats()}
+		})
 		var protoRounds []float64
 		var msgsPerRoundPerNode, bitsPerMsg float64
-		for trial := 0; trial < trials; trial++ {
-			cl := protocol.NewCluster(gen.Cycle(n), pr.proto, netsim.Config{
-				Seed: seed + uint64(trial) + 1,
-			})
-			rounds, done := cl.Run(sim.DefaultMaxRounds(n))
-			cl.Close()
-			if !done {
+		for trial, t := range protoTrials {
+			if !t.done {
 				return fmt.Errorf("E13 proto %s trial %d: did not converge", pr.proto, trial)
 			}
-			protoRounds = append(protoRounds, float64(rounds))
-			st := cl.Net.Stats()
-			msgsPerRoundPerNode += float64(st.Sent) / float64(st.Rounds) / float64(n)
-			bitsPerMsg += float64(st.IDBits) / float64(st.Sent)
+			protoRounds = append(protoRounds, float64(t.rounds))
+			msgsPerRoundPerNode += float64(t.stats.Sent) / float64(t.stats.Rounds) / float64(n)
+			bitsPerMsg += float64(t.stats.IDBits) / float64(t.stats.Sent)
 		}
 		protoSum := stats.Summarize(protoRounds)
 		msgsPerRoundPerNode /= float64(trials)
@@ -90,14 +95,15 @@ func runProtocol(cfg Config, w io.Writer) error {
 
 	// Lemma 1: |∪_{i=1..4} Nⁱ(u)| >= min{2δ, n−1}, checked at every node of
 	// every round-10 snapshot of push runs on random trees.
-	checked, violations := 0, 0
-	root := rng.New(pointSeed(cfg.Seed, 424242))
-	for trial := 0; trial < trials; trial++ {
-		r := root.Split()
-		g := gen.RandomTree(24, r)
+	type lemmaCount struct{ checked, violations int }
+	counts := sim.Trials(cfg.TrialWorkers, trials, pointSeed(cfg.Seed, 424242), func(trial int, r *rng.Rand) *graph.Undirected {
+		return gen.RandomTree(24, r)
+	}, func(g *graph.Undirected, r *rng.Rand) lemmaCount {
+		var lc lemmaCount
 		c := cfg.engine()
 		c.MaxRounds = 10
 		s := sim.NewSession(g, core.Push{}, r, c)
+		defer s.Close()
 		s.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
 			g := e.Graph
 			delta := g.MinDegree()
@@ -106,14 +112,19 @@ func runProtocol(cfg Config, w io.Writer) error {
 				if g.N()-1 < bound {
 					bound = g.N() - 1
 				}
-				checked++
+				lc.checked++
 				if len(g.Ball(u, 4)) < bound {
-					violations++
+					lc.violations++
 				}
 			}
 		}))
 		s.Run()
-		s.Close()
+		return lc
+	})
+	checked, violations := 0, 0
+	for _, lc := range counts {
+		checked += lc.checked
+		violations += lc.violations
 	}
 	lem := trace.NewTable("E13: Lemma 1 checks along push trajectories on random trees",
 		"node-rounds checked", "violations")

@@ -7,9 +7,9 @@ import (
 	"gossipdisc/internal/analyze"
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/eventsim"
-	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
+	"gossipdisc/internal/sim"
 	"gossipdisc/internal/stats"
 	"gossipdisc/internal/stream"
 	"gossipdisc/internal/trace"
@@ -58,7 +58,7 @@ func runRateSkew(cfg Config, w io.Writer) error {
 				return m
 			}
 			seed := pointSeed(cfg.Seed, uint64(ni), uint64(ri), hashName("e20"))
-			agg, err := eventTrials(trials, seed, n, cfg.Backend, build)
+			agg, err := eventTrials(cfg, trials, seed, n, build)
 			if err != nil {
 				return fmt.Errorf("E20 n=%d R=%v: %w", n, R, err)
 			}
@@ -84,7 +84,7 @@ func runRateSkew(cfg Config, w io.Writer) error {
 		fmt.Sprintf("E20: custom population %q at n=%d (%d trials)", cfg.RateSpec, n, trials),
 		"n", "time", "events/n", "avg AoI", "peak max AoI")
 	seed := pointSeed(cfg.Seed, uint64(n), hashName("e20-custom"))
-	agg, err := eventTrials(trials, seed, n, cfg.Backend, func() *eventsim.RateMap {
+	agg, err := eventTrials(cfg, trials, seed, n, func() *eventsim.RateMap {
 		m, err := eventsim.ParseRateSpec(cfg.RateSpec, n)
 		if err != nil {
 			panic(err) // validated above
@@ -111,32 +111,36 @@ type eventAgg struct {
 // n-cycle under rate maps built fresh per trial (the map is mutable state).
 // Each trial records convergence time, events per node, the time-averaged
 // mean AoI, and the peak of the max AoI over the round boundaries.
-func eventTrials(trials int, seed uint64, n int, backend graph.Backend, build func() *eventsim.RateMap) (eventAgg, error) {
-	root := rng.New(seed)
-	var times, events, avgs, peaks []float64
-	for t := 0; t < trials; t++ {
-		r := root.Split()
-		g := gen.Cycle(n, backend)
-		age := &analyze.Age{}
-		peak := 0.0
+func eventTrials(cfg Config, trials int, seed uint64, n int, build func() *eventsim.RateMap) (eventAgg, error) {
+	type trial struct {
+		res  eventsim.Result
+		age  *analyze.Age
+		peak float64
+	}
+	results := sim.Trials(cfg.TrialWorkers, trials, seed, cycleBuilder(n), func(g *graph.Undirected, r *rng.Rand) trial {
+		t := trial{age: &analyze.Age{}}
 		s := eventsim.New(g, core.Push{}, r, eventsim.Config{Rates: build()})
-		s.Subscribe(age)
+		s.Subscribe(t.age)
 		s.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
 			if e.Kind != stream.KindRound {
 				return
 			}
-			if m, _ := age.MaxAge(); m > peak {
-				peak = m
+			if m, _ := t.age.MaxAge(); m > t.peak {
+				t.peak = m
 			}
 		}))
-		res := s.Run()
-		if !res.Converged {
-			return eventAgg{}, fmt.Errorf("trial %d did not converge (%+v)", t, res)
+		t.res = s.Run()
+		return t
+	})
+	var times, events, avgs, peaks []float64
+	for i, t := range results {
+		if !t.res.Converged {
+			return eventAgg{}, fmt.Errorf("trial %d did not converge (%+v)", i, t.res)
 		}
-		times = append(times, res.Time)
-		events = append(events, float64(res.Events)/float64(n))
-		avgs = append(avgs, age.TimeAvgMeanAge())
-		peaks = append(peaks, peak)
+		times = append(times, t.res.Time)
+		events = append(events, float64(t.res.Events)/float64(n))
+		avgs = append(avgs, t.age.TimeAvgMeanAge())
+		peaks = append(peaks, t.peak)
 	}
 	return eventAgg{
 		time:       stats.Summarize(times),

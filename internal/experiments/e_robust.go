@@ -9,8 +9,6 @@ import (
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/metrics"
 	"gossipdisc/internal/rng"
-	"gossipdisc/internal/sim"
-	"gossipdisc/internal/stats"
 	"gossipdisc/internal/trace"
 )
 
@@ -53,10 +51,7 @@ func runRobustness(cfg Config, w io.Writer) error {
 				proc = core.Wrap(inner, core.Fail(p))
 			}
 			seed := pointSeed(cfg.Seed, hashName(procName), uint64(pi))
-			results := sim.Trials(trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
-				return gen.Cycle(n)
-			}, proc, cfg.engine())
-			sum, err := summarizeRounds(results)
+			sum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(proc, cfg.engine()))
 			if err != nil {
 				return fmt.Errorf("E12 fail p=%.1f: %w", p, err)
 			}
@@ -81,10 +76,7 @@ func runRobustness(cfg Config, w io.Writer) error {
 				proc = core.Wrap(inner, core.Participation(q))
 			}
 			seed := pointSeed(cfg.Seed, hashName(procName), 100+uint64(qi))
-			results := sim.Trials(trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
-				return gen.Cycle(n)
-			}, proc, cfg.engine())
-			sum, err := summarizeRounds(results)
+			sum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(proc, cfg.engine()))
 			if err != nil {
 				return fmt.Errorf("E12 part q=%.2f: %w", q, err)
 			}
@@ -106,29 +98,24 @@ func runRobustness(cfg Config, w io.Writer) error {
 	for pi, procName := range []string{"push", "pull"} {
 		seed := pointSeed(cfg.Seed, 7777, uint64(pi))
 		// The alive mask must be shared between the process and the Done
-		// predicate, so these runs are driven manually per trial.
-		root := rng.New(seed)
-		var rounds []float64
-		for trial := 0; trial < trials; trial++ {
-			r := root.Split()
-			g, alive := buildCrashWorkload(n, r)
+		// predicate, so each trial builds both from its workload.
+		crashSum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) crashWorkload {
+			return buildCrashWorkload(n, r)
+		}, func(w crashWorkload, r *rng.Rand) outcome {
 			c := cfg.engine()
-			c.Done = metrics.AliveComplete(alive)
-			res := sim.Run(g, crashProcByName(procName, alive), r, c)
-			if !res.Converged {
-				return fmt.Errorf("E12 crash %s: run did not converge", procName)
-			}
-			rounds = append(rounds, float64(res.Rounds))
+			c.Done = metrics.AliveComplete(w.alive)
+			return undirected(crashProcByName(procName, w.alive), c)(w.g, r)
+		})
+		if err != nil {
+			return fmt.Errorf("E12 crash %s: %w", procName, err)
 		}
-		crashSum := stats.Summarize(rounds)
 
 		// Fair control: a healthy network with as many nodes as survive the
 		// crash (the crashed runs only need the 3n/4 living pairs covered).
 		aliveN := n - n/4
-		healthy := sim.Trials(trials, seed+1, func(trial int, r *rng.Rand) *graph.Undirected {
+		healthySum, err := pointRounds(cfg, trials, seed+1, func(trial int, r *rng.Rand) *graph.Undirected {
 			return gen.ConnectedER(aliveN, 8.0/float64(aliveN), r)
-		}, plainProcByName(procName), cfg.engine())
-		healthySum, err := summarizeRounds(healthy)
+		}, undirected(plainProcByName(procName), cfg.engine()))
 		if err != nil {
 			return fmt.Errorf("E12 healthy %s: %w", procName, err)
 		}
@@ -140,10 +127,16 @@ func runRobustness(cfg Config, w io.Writer) error {
 	return render(cfg, w, crashTbl)
 }
 
+// crashWorkload is a start graph and its alive mask.
+type crashWorkload struct {
+	g     *graph.Undirected
+	alive []bool
+}
+
 // buildCrashWorkload samples a dense connected random graph and a 25% dead
 // mask whose alive-induced subgraph is connected (resampling the mask until
 // it is).
-func buildCrashWorkload(n int, r *rng.Rand) (*graph.Undirected, []bool) {
+func buildCrashWorkload(n int, r *rng.Rand) crashWorkload {
 	for {
 		g := gen.ConnectedER(n, 8.0/float64(n), r)
 		alive := make([]bool, n)
@@ -160,7 +153,7 @@ func buildCrashWorkload(n int, r *rng.Rand) (*graph.Undirected, []bool) {
 			}
 		}
 		if g.InducedSubgraph(living).IsConnected() {
-			return g, alive
+			return crashWorkload{g, alive}
 		}
 	}
 }

@@ -89,10 +89,9 @@ func runUpperBoundSweep(cfg Config, w io.Writer, id string, proc core.Process) e
 				continue
 			}
 			seed := pointSeed(cfg.Seed, uint64(fi), uint64(len(famName)), hashName(famName))
-			results := sim.TrialsOn(cfg.TrialWorkers, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
-				return fam.Generate(n, r, cfg.Backend)
-			}, proc, cfg.engine())
-			sum, err := summarizeRounds(results)
+			sum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
+				return fam.Generate(n, r)
+			}, undirected(proc, cfg.engine()))
 			if err != nil {
 				return fmt.Errorf("%s %s n=%d: %w", id, famName, n, err)
 			}
@@ -144,10 +143,9 @@ func runLowerBoundSweep(cfg Config, w io.Writer, id string, proc core.Process) e
 				continue
 			}
 			seed := pointSeed(cfg.Seed, uint64(ni), uint64(ki))
-			results := sim.TrialsOn(cfg.TrialWorkers, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
+			sum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
 				return gen.NearComplete(n, k, r)
-			}, proc, cfg.engine())
-			sum, err := summarizeRounds(results)
+			}, undirected(proc, cfg.engine()))
 			if err != nil {
 				return fmt.Errorf("%s n=%d k=%d: %w", id, n, k, err)
 			}
@@ -179,21 +177,24 @@ func runMinDegreeGrowth(cfg Config, w io.Writer) error {
 			"n", "epochs", "max epoch rounds", "mean epoch rounds", "max/(n ln n)")
 		for ni, n := range ns {
 			seed := pointSeed(cfg.Seed, uint64(ni), hashName(procName))
-			root := rng.New(seed)
-			var maxEpoch, sumEpoch, epochCount float64
-			var epochsLen int
-			for trial := 0; trial < trials; trial++ {
-				r := root.Split()
-				g := gen.Cycle(n)
+			// Each trial returns its growth epochs, or nil if it did not
+			// converge (GrowthEpochs is never empty).
+			epochsByTrial := sim.Trials(cfg.TrialWorkers, trials, seed, cycleBuilder(n), func(g *graph.Undirected, r *rng.Rand) []int {
 				traj := &metrics.Trajectory{}
 				s := sim.NewSession(g, proc, r, cfg.engine())
+				defer s.Close()
 				s.Subscribe(traj)
-				res := s.Run()
-				s.Close()
-				if !res.Converged {
+				if !s.Run().Converged {
+					return nil
+				}
+				return traj.GrowthEpochs(2, n)
+			})
+			var maxEpoch, sumEpoch, epochCount float64
+			var epochsLen int
+			for _, epochs := range epochsByTrial {
+				if epochs == nil {
 					return fmt.Errorf("E9 n=%d: run did not converge", n)
 				}
-				epochs := traj.GrowthEpochs(2, n)
 				epochsLen = len(epochs)
 				prev := 0
 				for _, e := range epochs {
@@ -242,21 +243,22 @@ func runSubgroup(cfg Config, w io.Writer) error {
 			"k", "rounds", "ci95", "r/(k ln k)", "r/(k ln² k)", "r90 edges", "r90/rounds")
 		for ki, k := range ks {
 			seed := pointSeed(cfg.Seed, uint64(ki), hashName(procName))
-			// TrialsAggregate yields the same per-trial Results as
-			// sim.Trials plus the streamed cross-trial per-round aggregates
-			// — no per-trial snapshot series is ever stored. The r90 column
+			// TrialsAggregate yields the same per-trial Results as a plain
+			// sim.Run per trial plus the cross-trial per-round aggregates of
+			// the trials' trajectories. The r90 column
 			// (first round with 90% of all pairs known, on average) shows
 			// the coupon-collector tail: the bulk of discovery finishes in
 			// a small fraction of the convergence time.
-			results, agg := sim.TrialsAggregateOn(cfg.TrialWorkers, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
+			results, agg := metrics.TrialsAggregate(cfg.TrialWorkers, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
 				host := gen.TwoClustersBridge(hostN, 6.0/float64(hostN), r)
 				return inducedConnectedSubset(host, k, r)
 			}, proc, cfg.engine())
-			sum, err := summarizeRounds(results)
+			rounds, err := resultRounds(results)
 			if err != nil {
 				return fmt.Errorf("E10 k=%d: %w", k, err)
 			}
-			r90 := sim.RoundAtEdgeFraction(agg, 0.9)
+			sum := stats.Summarize(rounds)
+			r90 := metrics.RoundAtEdgeFraction(agg, 0.9)
 			fk := float64(k)
 			tbl.AddRow(trace.I(k),
 				trace.F(sum.Mean, 1), trace.F(sum.CI95, 1),

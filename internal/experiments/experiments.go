@@ -1,7 +1,7 @@
 // Package experiments registers one runnable experiment per theorem and
 // figure of the paper, E1–E22 (README's experiment catalog lists them). Each
-// experiment sweeps a workload, runs trials in parallel, and renders its
-// tables.
+// experiment sweeps a workload, runs every sweep point's trials on
+// sim.Trials' pool, bounded by Config.TrialWorkers, and renders its tables.
 package experiments
 
 import (
@@ -9,7 +9,9 @@ import (
 	"io"
 	"sort"
 
+	"gossipdisc/internal/core"
 	"gossipdisc/internal/graph"
+	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
 	"gossipdisc/internal/stats"
 	"gossipdisc/internal/trace"
@@ -33,13 +35,10 @@ type Config struct {
 	// the parallelism is TrialWorkers'.
 	Workers int
 	// TrialWorkers bounds how many trials of a sweep point run
-	// concurrently (sim.TrialsOn / sim.TrialsAggregateOn): 0 = GOMAXPROCS,
-	// 1 = strictly sequential. Outputs are byte-identical for every value.
+	// concurrently (the pool of sim.Trials, under every experiment): 0 =
+	// GOMAXPROCS, 1 = strictly sequential. Outputs are byte-identical for
+	// every value.
 	TrialWorkers int
-	// Backend selects the graph row-storage backend every sweep point's
-	// workload is generated on (graph.BackendDense, the zero value, by
-	// default). Outputs are byte-identical for every backend.
-	Backend graph.Backend
 	// Sched selects which asynchronous runtimes the scheduler-sensitive
 	// experiments (E15) tabulate: "" or "both" runs the tick scheduler and
 	// the event-driven runtime side by side, "tick" or "event" runs just
@@ -168,19 +167,54 @@ func render(cfg Config, w io.Writer, t *trace.Table) error {
 	return err
 }
 
-// summarizeRounds converts trial results into a Summary of round counts,
-// returning an error if any trial failed to converge.
-func summarizeRounds(results []sim.Result) (stats.Summary, error) {
-	if !sim.AllConverged(results) {
-		return stats.Summary{}, fmt.Errorf("experiments: %d-trial batch had non-converged runs", len(results))
-	}
-	return stats.Summarize(sim.Rounds(results)), nil
+// outcome is one trial as pointRounds summarizes it: its rounds to
+// convergence (a parallel time on the asynchronous runtimes) and whether it
+// converged.
+type outcome struct {
+	rounds    float64
+	converged bool
 }
 
-// summarizeDirectedRounds is the directed analogue of summarizeRounds.
-func summarizeDirectedRounds(results []sim.DirectedResult) (stats.Summary, error) {
-	if !sim.AllDirectedConverged(results) {
-		return stats.Summary{}, fmt.Errorf("experiments: %d-trial batch had non-converged runs", len(results))
+// pointRounds runs one sweep point's trials on cfg's trial pool and
+// summarizes their rounds to convergence, returning an error if any trial
+// failed to converge.
+func pointRounds[G any](cfg Config, trials int, seed uint64, build func(trial int, r *rng.Rand) G,
+	run func(G, *rng.Rand) outcome) (stats.Summary, error) {
+	rounds := make([]float64, trials)
+	for i, o := range sim.Trials(cfg.TrialWorkers, trials, seed, build, run) {
+		if !o.converged {
+			return stats.Summary{}, fmt.Errorf("experiments: %d-trial batch had non-converged runs", trials)
+		}
+		rounds[i] = o.rounds
 	}
-	return stats.Summarize(sim.DirectedRounds(results)), nil
+	return stats.Summarize(rounds), nil
+}
+
+// undirected is pointRounds' run for process p on engine c.
+func undirected(p core.Process, c sim.Config) func(*graph.Undirected, *rng.Rand) outcome {
+	return func(g *graph.Undirected, r *rng.Rand) outcome {
+		res := sim.Run(g, p, r, c)
+		return outcome{float64(res.Rounds), res.Converged}
+	}
+}
+
+// twoHop is pointRounds' run for the directed two-hop walk on c's engine.
+func (c Config) twoHop() func(*graph.Directed, *rng.Rand) outcome {
+	return func(g *graph.Directed, r *rng.Rand) outcome {
+		res := sim.RunDirected(g, core.DirectedTwoHop{}, r, c.directedEngine())
+		return outcome{float64(res.Rounds), res.Converged}
+	}
+}
+
+// resultRounds returns the trials' round counts, or an error if any trial
+// failed to converge.
+func resultRounds(results []sim.Result) ([]float64, error) {
+	rounds := make([]float64, len(results))
+	for i, res := range results {
+		if !res.Converged {
+			return nil, fmt.Errorf("experiments: %d-trial batch had non-converged runs", len(results))
+		}
+		rounds[i] = float64(res.Rounds)
+	}
+	return rounds, nil
 }

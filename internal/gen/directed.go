@@ -98,19 +98,6 @@ func Thm14WeakLowerBound(n int, backend ...graph.Backend) *graph.Directed {
 	return g
 }
 
-// MissingThm14Arcs returns the arcs the two-hop process must add on the
-// Theorem 14 construction: (3i → 3i+2) for 0 <= i < n/4. Everything else is
-// already transitively closed... for the chain heads; the full closure also
-// includes arcs from the 3i+2 nodes (which are sinks) — they have no
-// outgoing requirement.
-func MissingThm14Arcs(n int) []graph.Arc {
-	arcs := make([]graph.Arc, 0, n/4)
-	for i := 0; i < n/4; i++ {
-		arcs = append(arcs, graph.Arc{U: 3 * i, V: 3*i + 2})
-	}
-	return arcs
-}
-
 // Thm15StrongLowerBound returns the strongly connected construction of
 // Theorem 15 (Figures 3–4), on which the directed two-hop walk needs Ω(n²)
 // expected rounds. n must be even and >= 4.

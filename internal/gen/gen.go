@@ -67,17 +67,6 @@ func Complete(n int, backend ...graph.Backend) *graph.Undirected {
 	return g
 }
 
-// CompleteBipartite returns K_{a,b} with parts {0..a-1} and {a..a+b-1}.
-func CompleteBipartite(a, b int, backend ...graph.Backend) *graph.Undirected {
-	g := graph.NewUndirectedOn(a+b, pick(backend))
-	for i := 0; i < a; i++ {
-		for j := 0; j < b; j++ {
-			g.AddEdge(i, a+j)
-		}
-	}
-	return g
-}
-
 // BinaryTree returns the complete-ish binary tree on n nodes where node i's
 // children are 2i+1 and 2i+2.
 func BinaryTree(n int, backend ...graph.Backend) *graph.Undirected {
@@ -193,50 +182,6 @@ func ConnectedER(n int, p float64, r *rng.Rand, backend ...graph.Backend) *graph
 		g.AddEdge(u, v)
 	}
 	return g
-}
-
-// RandomRegular returns a random d-regular simple graph on n nodes via the
-// pairing (configuration) model with restarts. n*d must be even and d < n.
-func RandomRegular(n, d int, r *rng.Rand, backend ...graph.Backend) *graph.Undirected {
-	if n*d%2 != 0 {
-		panic(fmt.Sprintf("gen: RandomRegular(%d, %d): n*d must be even", n, d))
-	}
-	if d >= n {
-		panic(fmt.Sprintf("gen: RandomRegular(%d, %d): need d < n", n, d))
-	}
-	if d == 0 {
-		return graph.NewUndirectedOn(n, pick(backend))
-	}
-	// The rejection rate of the pairing model explodes as d approaches n;
-	// dense regular graphs are generated as complements of sparse ones
-	// (the complement of a simple d'-regular graph is (n-1-d')-regular, and
-	// n(n-1-d) keeps the required parity because n(n-1) is even).
-	if d > (n-1)/2 {
-		return complement(RandomRegular(n, n-1-d, r, backend...), backend...)
-	}
-	for attempt := 0; ; attempt++ {
-		if g, ok := tryPairing(n, d, r, backend...); ok {
-			return g
-		}
-		if attempt > 10000 {
-			panic(fmt.Sprintf("gen: RandomRegular(%d, %d) failed to converge", n, d))
-		}
-	}
-}
-
-// complement returns the graph on the same nodes whose edges are exactly
-// the non-edges of g.
-func complement(g *graph.Undirected, backend ...graph.Backend) *graph.Undirected {
-	n := g.N()
-	c := graph.NewUndirectedOn(n, pick(backend))
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if !g.HasEdge(u, v) {
-				c.AddEdge(u, v)
-			}
-		}
-	}
-	return c
 }
 
 func tryPairing(n, d int, r *rng.Rand, backend ...graph.Backend) (*graph.Undirected, bool) {

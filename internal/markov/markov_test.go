@@ -172,9 +172,9 @@ func TestExactMatchesMonteCarlo(t *testing.T) {
 	} {
 		for _, tc := range cases {
 			exact := ExpectedTime(tc.build(), k.kern)
-			results := sim.Trials(trials, 12345, func(trial int, r *rng.Rand) *graph.Undirected {
+			results := sim.Trials(0, trials, 12345, func(trial int, r *rng.Rand) *graph.Undirected {
 				return tc.build()
-			}, k.proc, sim.Config{})
+			}, func(g *graph.Undirected, r *rng.Rand) sim.Result { return sim.Run(g, k.proc, r, sim.Config{}) })
 			mc := 0.0
 			for _, res := range results {
 				if !res.Converged {

@@ -78,9 +78,9 @@ func TestMomentsVarianceMatchesMonteCarlo(t *testing.T) {
 	g := gen.Cycle(5)
 	m := ExpectedMoments(g, PushKernel{})
 	const trials = 6000
-	results := sim.Trials(trials, 777, func(trial int, r *rng.Rand) *graph.Undirected {
+	results := sim.Trials(0, trials, 777, func(trial int, r *rng.Rand) *graph.Undirected {
 		return gen.Cycle(5)
-	}, core.Push{}, sim.Config{})
+	}, func(g *graph.Undirected, r *rng.Rand) sim.Result { return sim.Run(g, core.Push{}, r, sim.Config{}) })
 	var sum, sum2 float64
 	for _, res := range results {
 		x := float64(res.Rounds)

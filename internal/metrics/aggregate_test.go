@@ -1,4 +1,4 @@
-package sim
+package metrics
 
 import (
 	"math"
@@ -9,15 +9,21 @@ import (
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
+	"gossipdisc/internal/sim"
 	"gossipdisc/internal/stream"
 )
 
+// runs is sim.Trials' run for process p on engine cfg.
+func runs(p core.Process, cfg sim.Config) func(*graph.Undirected, *rng.Rand) sim.Result {
+	return func(g *graph.Undirected, r *rng.Rand) sim.Result { return sim.Run(g, p, r, cfg) }
+}
+
 // TestTrialsAggregateResultsMatchTrials: tapping the delta streams must not
-// perturb the trials — same seed ⇒ the exact Results Trials produces.
+// perturb the trials — same seed ⇒ the exact Results sim.Trials produces.
 func TestTrialsAggregateResultsMatchTrials(t *testing.T) {
 	build := func(trial int, r *rng.Rand) *graph.Undirected { return gen.Cycle(48 + 8*trial) }
-	want := Trials(5, 99, build, core.Push{}, Config{})
-	got, agg := TrialsAggregate(5, 99, build, core.Push{}, Config{})
+	want := sim.Trials(0, 5, 99, build, runs(core.Push{}, sim.Config{}))
+	got, agg := TrialsAggregate(0, 5, 99, build, core.Push{}, sim.Config{})
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("trial %d: aggregate run %+v != plain run %+v", i, got[i], want[i])
@@ -28,13 +34,12 @@ func TestTrialsAggregateResultsMatchTrials(t *testing.T) {
 	}
 }
 
-// TestTrialsAggregateDeterministic: integer-sum folding makes the whole
-// aggregate series bit-identical across invocations despite the parallel,
-// scheduler-ordered merge.
+// TestTrialsAggregateDeterministic: the trial-order merge makes the whole
+// aggregate series bit-identical across invocations on a parallel pool.
 func TestTrialsAggregateDeterministic(t *testing.T) {
 	build := func(trial int, r *rng.Rand) *graph.Undirected { return gen.RandomTree(64, r) }
-	_, a := TrialsAggregate(8, 7, build, core.Pull{}, Config{})
-	_, b := TrialsAggregate(8, 7, build, core.Pull{}, Config{})
+	_, a := TrialsAggregate(0, 8, 7, build, core.Pull{}, sim.Config{})
+	_, b := TrialsAggregate(0, 8, 7, build, core.Pull{}, sim.Config{})
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -46,18 +51,21 @@ func TestTrialsAggregateDeterministic(t *testing.T) {
 }
 
 // TestTrialsAggregateSingleTrialMatchesTrajectory: with one trial the
-// aggregate min-degree series must equal the trajectory the delta consumer
-// in metrics would record (recomputed here by a graph-scanning subscriber
-// on a replay of trial 0: its generator is the root's first split).
+// aggregate min-degree series must equal the run's own trajectory,
+// recomputed here by a graph-scanning subscriber on a replay of trial 0
+// (its generator is the root's first split).
 func TestTrialsAggregateSingleTrialMatchesTrajectory(t *testing.T) {
 	build := func(trial int, r *rng.Rand) *graph.Undirected { return gen.Path(40) }
 	var mins []int
 	var edges []int
-	runWith(gen.Path(40), core.Push{}, rng.New(5).Split(), Config{}, stream.SubscriberFunc(func(e *stream.Event) {
+	s := sim.NewSession(gen.Path(40), core.Push{}, rng.New(5).Split(), sim.Config{})
+	s.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
 		mins = append(mins, e.Graph.MinDegree())
 		edges = append(edges, e.Graph.M())
 	}))
-	results, agg := TrialsAggregate(1, 5, build, core.Push{}, Config{})
+	s.Run()
+	s.Close()
+	results, agg := TrialsAggregate(0, 1, 5, build, core.Push{}, sim.Config{})
 	if !results[0].Converged {
 		t.Fatal("trial did not converge")
 	}
@@ -90,7 +98,7 @@ func TestTrialsAggregateSingleTrialMatchesTrajectory(t *testing.T) {
 func TestTrialsAggregateTerminalFill(t *testing.T) {
 	// Mixed sizes so trials converge at different rounds.
 	build := func(trial int, r *rng.Rand) *graph.Undirected { return gen.Cycle(24 + 24*trial) }
-	results, agg := TrialsAggregate(3, 3, build, core.Push{}, Config{})
+	results, agg := TrialsAggregate(0, 3, 3, build, core.Push{}, sim.Config{})
 	shortest, longest := results[0].Rounds, results[0].Rounds
 	for _, res := range results {
 		if !res.Converged {
@@ -139,9 +147,9 @@ func TestTrialsAggregatePoolByteIdentical(t *testing.T) {
 	}
 	for _, seed := range []uint64{3, 99, 12345} {
 		for _, numTrials := range []int{1, 5, 16} {
-			seqRes, seqAgg := TrialsAggregateOn(1, numTrials, seed, build, core.Push{}, Config{})
+			seqRes, seqAgg := TrialsAggregate(1, numTrials, seed, build, core.Push{}, sim.Config{})
 			for _, pool := range []int{3, 0} {
-				res, agg := TrialsAggregateOn(pool, numTrials, seed, build, core.Push{}, Config{})
+				res, agg := TrialsAggregate(pool, numTrials, seed, build, core.Push{}, sim.Config{})
 				if !reflect.DeepEqual(res, seqRes) {
 					t.Fatalf("seed=%d trials=%d pool=%d: results differ from sequential", seed, numTrials, pool)
 				}
@@ -189,7 +197,7 @@ func TestTrialsAggregateCustomDoneTerminalFill(t *testing.T) {
 		}
 		return g.IsComplete()
 	}
-	results, agg := TrialsAggregate(2, 9, build, core.Push{}, Config{Done: done})
+	results, agg := TrialsAggregate(0, 2, 9, build, core.Push{}, sim.Config{Done: done})
 	if !results[0].Converged || !results[1].Converged {
 		t.Fatalf("trials did not converge: %+v", results)
 	}

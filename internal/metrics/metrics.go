@@ -9,6 +9,8 @@
 // records the final committed round even under subsampling (Every > 1) —
 // see Trajectory.Finalize. Take summarizes a graph by scanning it; tests
 // use it as the reference the incremental state must match.
+// TrialsAggregate runs a batch of trials on sim.Trials with one Trajectory
+// per trial and merges their series into per-round cross-trial means.
 //
 // Stepped sessions need no subscription at all: sim.Session.Step returns
 // the same delta the bus carries, so a driver loop can feed a trajectory
@@ -206,21 +208,6 @@ func (t *Trajectory) GrowthEpochs(delta0, n int) []int {
 	}
 }
 
-// SubsetComplete returns a sim Done predicate that fires when the subgraph
-// induced by nodes is complete — the paper's subgroup-discovery criterion.
-func SubsetComplete(nodes []int) func(*graph.Undirected) bool {
-	return func(g *graph.Undirected) bool {
-		for i, u := range nodes {
-			for _, v := range nodes[i+1:] {
-				if u != v && !g.HasEdge(u, v) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-}
-
 // AliveComplete returns a sim Done predicate that fires when all pairs of
 // alive nodes are adjacent (the convergence target under crash failures).
 func AliveComplete(alive []bool) func(*graph.Undirected) bool {
@@ -238,45 +225,4 @@ func AliveComplete(alive []bool) func(*graph.Undirected) bool {
 		}
 		return true
 	}
-}
-
-// DirectedSnapshot is a per-round summary of a directed graph's state.
-type DirectedSnapshot struct {
-	Round int
-	Arcs  int
-}
-
-// DirectedTrajectory records directed snapshots from the delta stream
-// (ObserveDelta, fed by OnEvent). As with Trajectory, the final committed
-// round is always recorded regardless of Every — call Finalize before
-// reading Snapshots directly.
-type DirectedTrajectory struct {
-	Every     int
-	Snapshots []DirectedSnapshot
-
-	rec recorder[DirectedSnapshot]
-
-	inited bool
-	arcs   int
-}
-
-// ObserveDelta records one round's directed delta. After
-// initializing from the first delta (rewinding that round's arcs), the arc
-// count is tracked from the delta stream alone; recording terminates
-// exactly at closure because the delta carries the engine's own
-// closure-arcs-remaining counter.
-func (t *DirectedTrajectory) ObserveDelta(g *graph.Directed, d *sim.DirectedRoundDelta) {
-	if !t.inited {
-		t.arcs = g.M() - len(d.NewArcs)
-		t.inited = true
-	}
-	t.arcs += len(d.NewArcs)
-	t.rec.observe(&t.Snapshots, t.Every, d.Round, d.ClosureArcsRemaining == 0,
-		DirectedSnapshot{Round: d.Round, Arcs: t.arcs})
-}
-
-// Finalize appends the last observed round if subsampling skipped it. It is
-// idempotent.
-func (t *DirectedTrajectory) Finalize() {
-	t.rec.finalize(&t.Snapshots)
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"slices"
 	"testing"
 
 	"gossipdisc/internal/core"
@@ -22,32 +21,12 @@ func run(g *graph.Undirected, p core.Process, seed uint64, cfg sim.Config, subs 
 	return s.Run()
 }
 
-// runDirected is run for a directed session.
-func runDirected(g *graph.Directed, seed uint64, subs ...stream.Subscriber) sim.DirectedResult {
-	s := sim.NewDirectedSession(g, core.DirectedTwoHop{}, rng.New(seed), sim.DirectedConfig{})
-	defer s.Close()
-	for _, sub := range subs {
-		s.Subscribe(sub)
-	}
-	return s.Run()
-}
-
 // takes records Take of the live graph at every round: the scanning
 // reference the incremental Trajectory must match.
 func takes(dst *[]Snapshot) stream.Subscriber {
 	return stream.SubscriberFunc(func(e *stream.Event) {
 		if e.Kind == stream.KindRound {
 			*dst = append(*dst, Take(e.Delta.Round, e.Graph))
-		}
-	})
-}
-
-// arcCounts records the live digraph's arc count at every round: the
-// scanning reference for DirectedTrajectory.
-func arcCounts(dst *[]DirectedSnapshot) stream.Subscriber {
-	return stream.SubscriberFunc(func(e *stream.Event) {
-		if e.Kind == stream.KindDirectedRound {
-			*dst = append(*dst, DirectedSnapshot{Round: e.DirectedDelta.Round, Arcs: e.Digraph.M()})
 		}
 	})
 }
@@ -151,22 +130,6 @@ func TestGrowthEpochs(t *testing.T) {
 	}
 }
 
-func TestSubsetComplete(t *testing.T) {
-	g := gen.Path(6)
-	done := SubsetComplete([]int{0, 1, 2})
-	if done(g) {
-		t.Fatal("path subset complete")
-	}
-	g.AddEdge(0, 2)
-	if !done(g) {
-		t.Fatal("triangle subset not detected")
-	}
-	// Rest of graph irrelevant.
-	if !SubsetComplete([]int{4})(g) {
-		t.Fatal("singleton subset should always be complete")
-	}
-}
-
 func TestAliveComplete(t *testing.T) {
 	g := gen.Complete(4)
 	alive := []bool{true, true, false, true}
@@ -182,23 +145,6 @@ func TestAliveComplete(t *testing.T) {
 	h.AddEdge(1, 3)
 	if !AliveComplete(alive)(h) {
 		t.Fatal("alive pairs covered but not detected")
-	}
-}
-
-func TestDirectedTrajectory(t *testing.T) {
-	g := gen.DirectedCycle(6)
-	traj := &DirectedTrajectory{}
-	res := runDirected(g, 4, traj)
-	if !res.Converged {
-		t.Fatal("did not converge")
-	}
-	if len(traj.Snapshots) != res.Rounds {
-		t.Fatalf("snapshots %d rounds %d", len(traj.Snapshots), res.Rounds)
-	}
-	for i := 1; i < len(traj.Snapshots); i++ {
-		if traj.Snapshots[i].Arcs < traj.Snapshots[i-1].Arcs {
-			t.Fatal("arc count decreased")
-		}
 	}
 }
 
@@ -281,30 +227,5 @@ func TestTrajectorySubsamplingRecordsFinalRound(t *testing.T) {
 	traj.Finalize()
 	if n := len(traj.Snapshots); n >= 2 && traj.Snapshots[n-2].Round == last.Round {
 		t.Fatal("final round recorded twice")
-	}
-}
-
-// TestDirectedTrajectoryDeltaAndFinalize: the directed trajectory matches
-// the scanned arc counts g.M() on its cadence and always captures the
-// terminal round.
-func TestDirectedTrajectoryDeltaAndFinalize(t *testing.T) {
-	var all []DirectedSnapshot
-	deltaTraj := &DirectedTrajectory{Every: 3}
-	g := gen.DirectedCycle(14)
-	res := runDirected(g, 2, arcCounts(&all), deltaTraj)
-	if !res.Converged {
-		t.Fatal("did not converge")
-	}
-	deltaTraj.Finalize()
-	if len(deltaTraj.Snapshots) == 0 {
-		t.Fatal("no delta snapshots")
-	}
-	last := deltaTraj.Snapshots[len(deltaTraj.Snapshots)-1]
-	if last.Round != res.Rounds || last.Arcs != g.M() {
-		t.Fatalf("terminal snapshot %+v, want round %d arcs %d", last, res.Rounds, g.M())
-	}
-	want := onCadence(all, 3, func(s DirectedSnapshot) int { return s.Round })
-	if !slices.Equal(want, deltaTraj.Snapshots) {
-		t.Fatalf("delta records %+v, scanned %+v", deltaTraj.Snapshots, want)
 	}
 }

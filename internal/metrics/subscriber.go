@@ -4,16 +4,15 @@ import (
 	"gossipdisc/internal/stream"
 )
 
-// This file is the trajectories' bus-facing side: the shared subsampling
-// recorder and the stream.Subscriber implementations. The cadence logic
-// lives in one generic recorder and every trajectory can be handed straight
-// to Session.Subscribe; OnEvent is a kind-filtered delegation to the public
-// ObserveDelta methods, which stepped drivers call directly.
+// This file is the trajectory's bus-facing side: the subsampling recorder
+// and the stream.Subscriber implementation. A Trajectory can be handed
+// straight to Session.Subscribe; OnEvent is a kind-filtered delegation to
+// the public ObserveDelta, which stepped drivers call directly.
 
-// recorder owns the Every-subsampling contract shared by every trajectory
-// type: record rounds on cadence, hold the latest skipped round pending,
-// and flush it at Finalize so the series always ends at the final observed
-// round even under subsampling.
+// recorder owns the Trajectory's Every-subsampling contract: record
+// rounds on cadence, hold the latest skipped round pending, and flush it
+// at Finalize so the series always ends at the final observed round even
+// under subsampling.
 type recorder[S any] struct {
 	pending S
 	have    bool
@@ -50,12 +49,5 @@ func (r *recorder[S]) finalize(dst *[]S) {
 func (t *Trajectory) OnEvent(e *stream.Event) {
 	if e.Kind == stream.KindRound {
 		t.ObserveDelta(e.Graph, e.Delta)
-	}
-}
-
-// OnEvent implements stream.Subscriber for directed runs.
-func (t *DirectedTrajectory) OnEvent(e *stream.Event) {
-	if e.Kind == stream.KindDirectedRound {
-		t.ObserveDelta(e.Digraph, e.DirectedDelta)
 	}
 }

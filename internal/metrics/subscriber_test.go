@@ -35,27 +35,3 @@ func TestTrajectorySubscriberEquivalence(t *testing.T) {
 		t.Errorf("snapshots diverged:\nstepped: %v\nbus:    %v", steppedTraj.Snapshots, busTraj.Snapshots)
 	}
 }
-
-// TestDirectedTrajectorySubscriber pins the directed adapter end to end.
-func TestDirectedTrajectorySubscriber(t *testing.T) {
-	stepped := &DirectedTrajectory{}
-	ls := sim.NewDirectedSession(gen.DirectedCycle(8), core.DirectedTwoHop{}, rng.New(4), sim.DirectedConfig{})
-	for d, _ := ls.Step(); d != nil; d, _ = ls.Step() {
-		stepped.ObserveDelta(ls.Graph(), d)
-	}
-	lres := ls.Stats()
-
-	viaBus := &DirectedTrajectory{}
-	bs := sim.NewDirectedSession(gen.DirectedCycle(8), core.DirectedTwoHop{}, rng.New(4), sim.DirectedConfig{})
-	bs.Subscribe(viaBus)
-	bres := bs.Run()
-
-	if lres != bres {
-		t.Fatalf("results diverged: stepped %+v, bus %+v", lres, bres)
-	}
-	stepped.Finalize()
-	viaBus.Finalize()
-	if !reflect.DeepEqual(stepped.Snapshots, viaBus.Snapshots) {
-		t.Errorf("snapshots diverged:\nstepped: %v\nbus:    %v", stepped.Snapshots, viaBus.Snapshots)
-	}
-}

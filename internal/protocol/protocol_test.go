@@ -112,9 +112,9 @@ func TestPushProtocolMatchesCentralizedSim(t *testing.T) {
 	}
 	protoMean /= trials
 
-	results := sim.Trials(trials, 99, func(trial int, r *rng.Rand) *graph.Undirected {
+	results := sim.Trials(0, trials, 99, func(trial int, r *rng.Rand) *graph.Undirected {
 		return gen.Cycle(n)
-	}, core.Push{}, sim.Config{})
+	}, func(g *graph.Undirected, r *rng.Rand) sim.Result { return sim.Run(g, core.Push{}, r, sim.Config{}) })
 	simMean := 0.0
 	for _, r := range results {
 		simMean += float64(r.Rounds)

@@ -181,11 +181,6 @@ func (r *Rand) Shuffle(p []int) {
 	}
 }
 
-// Pick returns a uniformly random element of s. It panics if s is empty.
-func Pick[T any](r *Rand, s []T) T {
-	return s[r.Intn(len(s))]
-}
-
 // Sample2 returns two indices drawn independently and uniformly from [0, n)
 // *with replacement* — the exact sampling semantics of the paper's push
 // (triangulation) process, where a node picks two random neighbors that may

@@ -203,18 +203,6 @@ func TestPermUniformFirstElement(t *testing.T) {
 	}
 }
 
-func TestPick(t *testing.T) {
-	r := New(23)
-	s := []string{"a", "b", "c"}
-	seen := map[string]bool{}
-	for i := 0; i < 200; i++ {
-		seen[Pick(r, s)] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("Pick did not cover all elements: %v", seen)
-	}
-}
-
 func TestSample2WithReplacement(t *testing.T) {
 	r := New(29)
 	collisions := 0

@@ -241,9 +241,9 @@ func TestParallelTinyGraphs(t *testing.T) {
 // the whole batch a deterministic function of (seed, trial index).
 func TestParallelTrialsDeterministic(t *testing.T) {
 	batch := func() []Result {
-		return Trials(6, 11, func(trial int, r *rng.Rand) *graph.Undirected {
+		return Trials(0, 6, 11, func(trial int, r *rng.Rand) *graph.Undirected {
 			return gen.Cycle(48 + 16*trial)
-		}, core.Push{}, Config{Workers: 2})
+		}, runs(core.Push{}, Config{Workers: 2}))
 	}
 	a, b := batch(), batch()
 	for i := range a {

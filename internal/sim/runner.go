@@ -6,8 +6,8 @@
 // paper's model — every node's random choices in round t read G_t, and all
 // proposed edges are inserted together to form G_{t+1}. CommitEager applies
 // each proposal immediately, so later nodes in the same round observe edges
-// added by earlier ones; it is provided as an ablation (experiment E1/E3
-// report both; the asymptotics are indistinguishable).
+// added by earlier ones; it is provided as an ablation (experiment E15
+// reports both; the asymptotics are indistinguishable).
 //
 // # Sessions
 //
@@ -47,16 +47,14 @@
 //
 // # The parallel trial harness
 //
-// Independent trials are executed on a bounded trial pool (trials.go):
-// Trials / DirectedTrials / TrialsAggregate saturate GOMAXPROCS by default,
-// and the *On variants (TrialsOn, DirectedTrialsOn, TrialsAggregateOn) cap
-// the number of concurrently running trials. Per-trial generators are
-// sequential splits of the root taken before any work is dispatched, and
-// TrialsAggregate merges per-round aggregates in trial order after the pool
-// drains, so every output — results and aggregate series — is byte-identical
-// for every pool size, including the strictly sequential pool of one.
-// Trial-level parallelism is the only concurrency in this package: a round
-// runs on one goroutine.
+// Independent trials are executed by Trials (trials.go), generic over the
+// input a trial builds and the record it returns, on a pool whose size the
+// caller bounds (0 = GOMAXPROCS, 1 = strictly sequential). Per-trial
+// generators are sequential splits of the root taken before any work is
+// dispatched, and results come back in trial order, so a caller that folds
+// them after the pool drains gets byte-identical output for every pool
+// size. Trial-level parallelism is the only concurrency in this package: a
+// round runs on one goroutine.
 //
 // Both engines allocate only at session start: the propose closure is hoisted
 // out of the per-node loop, and the round buffer is reused across rounds,

@@ -9,12 +9,22 @@ import (
 	"gossipdisc/internal/rng"
 )
 
+// runs is Trials' run for process p on engine cfg.
+func runs(p core.Process, cfg Config) func(*graph.Undirected, *rng.Rand) Result {
+	return func(g *graph.Undirected, r *rng.Rand) Result { return Run(g, p, r, cfg) }
+}
+
+// directedRuns is runs for a directed process.
+func directedRuns(p core.DirectedProcess, cfg DirectedConfig) func(*graph.Directed, *rng.Rand) DirectedResult {
+	return func(g *graph.Directed, r *rng.Rand) DirectedResult { return RunDirected(g, p, r, cfg) }
+}
+
 func TestTrialsDeterministic(t *testing.T) {
 	build := func(trial int, r *rng.Rand) *graph.Undirected {
 		return gen.RandomTree(12, r)
 	}
-	a := Trials(8, 42, build, core.Push{}, Config{})
-	b := Trials(8, 42, build, core.Push{}, Config{})
+	a := Trials(0, 8, 42, build, runs(core.Push{}, Config{}))
+	b := Trials(0, 8, 42, build, runs(core.Push{}, Config{}))
 	if len(a) != 8 || len(b) != 8 {
 		t.Fatalf("trial counts %d %d", len(a), len(b))
 	}
@@ -22,9 +32,9 @@ func TestTrialsDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("trial %d differs: %+v vs %+v", i, a[i], b[i])
 		}
-	}
-	if !AllConverged(a) {
-		t.Fatal("not all trials converged")
+		if !a[i].Converged {
+			t.Fatalf("trial %d did not converge", i)
+		}
 	}
 }
 
@@ -32,8 +42,8 @@ func TestTrialsDifferentSeedsDiffer(t *testing.T) {
 	build := func(trial int, r *rng.Rand) *graph.Undirected {
 		return gen.RandomTree(16, r)
 	}
-	a := Trials(6, 1, build, core.Push{}, Config{})
-	b := Trials(6, 2, build, core.Push{}, Config{})
+	a := Trials(0, 6, 1, build, runs(core.Push{}, Config{}))
+	b := Trials(0, 6, 2, build, runs(core.Push{}, Config{}))
 	same := 0
 	for i := range a {
 		if a[i].Rounds == b[i].Rounds {
@@ -50,7 +60,7 @@ func TestTrialsAreIndependent(t *testing.T) {
 	build := func(trial int, r *rng.Rand) *graph.Undirected {
 		return gen.Path(14)
 	}
-	res := Trials(10, 7, build, core.Pull{}, Config{})
+	res := Trials(0, 10, 7, build, runs(core.Pull{}, Config{}))
 	distinct := map[int]bool{}
 	for _, r := range res {
 		distinct[r.Rounds] = true
@@ -64,35 +74,46 @@ func TestDirectedTrialsDeterministic(t *testing.T) {
 	build := func(trial int, r *rng.Rand) *graph.Directed {
 		return gen.RandomStronglyConnected(8, 4, r)
 	}
-	a := DirectedTrials(6, 9, build, core.DirectedTwoHop{}, DirectedConfig{})
-	b := DirectedTrials(6, 9, build, core.DirectedTwoHop{}, DirectedConfig{})
+	a := Trials(0, 6, 9, build, directedRuns(core.DirectedTwoHop{}, DirectedConfig{}))
+	b := Trials(0, 6, 9, build, directedRuns(core.DirectedTwoHop{}, DirectedConfig{}))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("directed trial %d differs", i)
 		}
-	}
-	if !AllDirectedConverged(a) {
-		t.Fatal("not all directed trials converged")
+		if !a[i].Converged {
+			t.Fatalf("directed trial %d did not converge", i)
+		}
 	}
 }
 
+// TestRoundsExtraction: Trials returns run's value for trial i at index i,
+// whatever its type, and hands build the trial index.
 func TestRoundsExtraction(t *testing.T) {
-	rs := Rounds([]Result{{Rounds: 3}, {Rounds: 7}})
-	if len(rs) != 2 || rs[0] != 3 || rs[1] != 7 {
-		t.Fatalf("Rounds %v", rs)
-	}
-	ds := DirectedRounds([]DirectedResult{{Rounds: 5}})
-	if len(ds) != 1 || ds[0] != 5 {
-		t.Fatalf("DirectedRounds %v", ds)
+	build := func(trial int, r *rng.Rand) *graph.Undirected { return gen.Path(4 + trial) }
+	rs := Trials(0, 5, 3, build, func(g *graph.Undirected, r *rng.Rand) float64 {
+		return float64(g.N())
+	})
+	for i, n := range rs {
+		if n != float64(4+i) {
+			t.Fatalf("trial %d: got %v, want %d", i, n, 4+i)
+		}
 	}
 }
 
+// TestAllConvergedFalse: a trial that exhausts its round budget comes back
+// unconverged through the harness rather than being dropped.
 func TestAllConvergedFalse(t *testing.T) {
-	if AllConverged([]Result{{Converged: true}, {Converged: false}}) {
-		t.Fatal("AllConverged wrong")
+	build := func(trial int, r *rng.Rand) *graph.Undirected {
+		if trial == 1 {
+			return gen.Path(64)
+		}
+		return gen.Complete(4)
 	}
-	if AllDirectedConverged([]DirectedResult{{Converged: false}}) {
-		t.Fatal("AllDirectedConverged wrong")
+	res := Trials(0, 3, 1, build, runs(core.Push{}, Config{MaxRounds: 2}))
+	for i, want := range []bool{true, false, true} {
+		if res[i].Converged != want {
+			t.Fatalf("trial %d converged = %v, want %v", i, res[i].Converged, want)
+		}
 	}
 }
 
@@ -121,15 +142,15 @@ func TestParallelForRejectsNegativePool(t *testing.T) {
 
 // TestTrialsOnPoolInvariance: per-trial generators are split before any
 // work is dispatched, so the pool size — sequential, bounded, or the
-// GOMAXPROCS default — cannot influence any trial's result. The directed
-// harness shares the contract.
+// GOMAXPROCS default — cannot influence any trial's result, undirected or
+// directed.
 func TestTrialsOnPoolInvariance(t *testing.T) {
 	build := func(trial int, r *rng.Rand) *graph.Undirected {
 		return gen.RandomTree(40, r)
 	}
-	seq := TrialsOn(1, 7, 21, build, core.Push{}, Config{})
+	seq := Trials(1, 7, 21, build, runs(core.Push{}, Config{}))
 	for _, pool := range []int{2, 0} {
-		got := TrialsOn(pool, 7, 21, build, core.Push{}, Config{})
+		got := Trials(pool, 7, 21, build, runs(core.Push{}, Config{}))
 		for i := range seq {
 			if got[i] != seq[i] {
 				t.Fatalf("pool=%d trial %d: %+v != sequential %+v", pool, i, got[i], seq[i])
@@ -140,9 +161,9 @@ func TestTrialsOnPoolInvariance(t *testing.T) {
 	dbuild := func(trial int, r *rng.Rand) *graph.Directed {
 		return gen.RandomStronglyConnected(24, 8, r)
 	}
-	dseq := DirectedTrialsOn(1, 5, 9, dbuild, core.DirectedTwoHop{}, DirectedConfig{})
+	dseq := Trials(1, 5, 9, dbuild, directedRuns(core.DirectedTwoHop{}, DirectedConfig{}))
 	for _, pool := range []int{2, 0} {
-		got := DirectedTrialsOn(pool, 5, 9, dbuild, core.DirectedTwoHop{}, DirectedConfig{})
+		got := Trials(pool, 5, 9, dbuild, directedRuns(core.DirectedTwoHop{}, DirectedConfig{}))
 		for i := range dseq {
 			if got[i] != dseq[i] {
 				t.Fatalf("directed pool=%d trial %d differs", pool, i)
@@ -159,15 +180,15 @@ func TestTrialsOnRejectsNegativePool(t *testing.T) {
 			t.Fatal("expected panic for a negative trial pool")
 		}
 	}()
-	TrialsOn(-1, 2, 1, func(trial int, r *rng.Rand) *graph.Undirected {
+	Trials(-1, 2, 1, func(trial int, r *rng.Rand) *graph.Undirected {
 		return gen.Cycle(6)
-	}, core.Push{}, Config{})
+	}, runs(core.Push{}, Config{}))
 }
 
 func TestTrialsSingleTrial(t *testing.T) {
-	res := Trials(1, 5, func(trial int, r *rng.Rand) *graph.Undirected {
+	res := Trials(0, 1, 5, func(trial int, r *rng.Rand) *graph.Undirected {
 		return gen.Cycle(6)
-	}, core.Push{}, Config{})
+	}, runs(core.Push{}, Config{}))
 	if len(res) != 1 || !res[0].Converged {
 		t.Fatalf("single trial: %+v", res)
 	}

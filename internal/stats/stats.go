@@ -230,24 +230,6 @@ func LogLogSlope(x, y []float64) (exponent, r2 float64) {
 	return slope, r2
 }
 
-// NormalizedRatios returns y[i] / f(x[i]) for a scaling function f. Flat
-// ratios across a sweep indicate y = Θ(f(x)); the experiment tables print
-// these for f = n·ln n and f = n·ln² n per the paper's bounds.
-func NormalizedRatios(x, y []float64, f func(float64) float64) []float64 {
-	if len(x) != len(y) {
-		panic("stats: NormalizedRatios length mismatch")
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		d := f(x[i])
-		if d == 0 {
-			panic("stats: NormalizedRatios division by zero")
-		}
-		out[i] = y[i] / d
-	}
-	return out
-}
-
 // NLogN is the scaling function n·ln n (ln clamped below at 1).
 func NLogN(n float64) float64 { return n * clampLog(n) }
 

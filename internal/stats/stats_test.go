@@ -156,15 +156,6 @@ func TestLogLogSlopePanics(t *testing.T) {
 	LogLogSlope([]float64{1, -2}, []float64{1, 2})
 }
 
-func TestNormalizedRatios(t *testing.T) {
-	x := []float64{4, 8}
-	y := []float64{NLogN(4) * 3, NLogN(8) * 3}
-	rs := NormalizedRatios(x, y, NLogN)
-	if !close(rs[0], 3, 1e-12) || !close(rs[1], 3, 1e-12) {
-		t.Fatalf("ratios %v", rs)
-	}
-}
-
 func TestScalingFunctions(t *testing.T) {
 	if NLogN(math.E) != math.E {
 		t.Fatalf("NLogN(e) = %v", NLogN(math.E))

@@ -99,6 +99,3 @@ func F(x float64, prec int) string { return strconv.FormatFloat(x, 'f', prec, 64
 
 // I formats an int.
 func I(x int) string { return strconv.Itoa(x) }
-
-// I64 formats an int64.
-func I64(x int64) string { return strconv.FormatInt(x, 10) }

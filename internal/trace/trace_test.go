@@ -82,7 +82,4 @@ func TestFormatters(t *testing.T) {
 	if I(42) != "42" {
 		t.Fatalf("I: %q", I(42))
 	}
-	if I64(1<<40) != "1099511627776" {
-		t.Fatalf("I64: %q", I64(1<<40))
-	}
 }

@@ -1,10 +1,10 @@
 package gossipdisc_test
 
-// BenchmarkTrialsParallel* compares the multi-trial aggregate harness on a
-// strictly sequential trial pool (TrialsAggregateOn(1, ...)) against the
-// default GOMAXPROCS pool — byte-identical outputs, so the gap is pure
-// trial-level parallelism. This is the experiment suite's dominant shape
-// (E10/E16 run 12–100 trials per sweep point).
+// BenchmarkTrialsParallel* compares the multi-trial aggregate harness
+// (metrics.TrialsAggregate over sim.Trials) on a strictly sequential trial
+// pool against the default GOMAXPROCS pool — byte-identical outputs, so the
+// gap is pure trial-level parallelism. This is the experiment suite's
+// dominant shape (E10/E16 run 12–100 trials per sweep point).
 
 import (
 	"testing"
@@ -12,6 +12,7 @@ import (
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
+	"gossipdisc/internal/metrics"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
 )
@@ -28,10 +29,15 @@ func benchTrialsParallel(b *testing.B, numTrials, n int) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				results, agg := sim.TrialsAggregateOn(bc.pool, numTrials, uint64(n)+uint64(i),
+				results, agg := metrics.TrialsAggregate(bc.pool, numTrials, uint64(n)+uint64(i),
 					build, core.Push{}, sim.Config{})
-				if !sim.AllConverged(results) || len(agg) == 0 {
-					b.Fatal("trial batch did not converge")
+				if len(agg) == 0 {
+					b.Fatal("no rounds aggregated")
+				}
+				for _, res := range results {
+					if !res.Converged {
+						b.Fatal("trial batch did not converge")
+					}
 				}
 			}
 		})
