@@ -107,40 +107,51 @@ func skewedSessions(t *testing.T) []ageCase {
 // event sessions, including the final partial round.
 func TestAgeMatchesOracle(t *testing.T) {
 	for _, tc := range skewedSessions(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			s := tc.s
-			age := &analyze.Age{}
-			s.Subscribe(age)
-			o := newAgeOracle(s)
-			for round := 1; ; round++ {
-				d, ok := s.Step()
-				if d == nil {
-					break
-				}
-				mean, max, node, avg := o.at(s.Time())
-				gotMax, gotNode := age.MaxAge()
-				if math.Abs(age.MeanAge()-mean) > 1e-9 || math.Abs(gotMax-max) > 1e-9 || gotNode != node ||
-					math.Abs(age.TimeAvgMeanAge()-avg) > 1e-9 {
-					t.Fatalf("t=%v: Age (mean %v, max %v at %d, avg %v), oracle (%v, %v at %d, %v)",
-						s.Time(), age.MeanAge(), gotMax, gotNode, age.TimeAvgMeanAge(), mean, max, node, avg)
-				}
-				for u, l := range o.last {
-					if age.LastUpdate(u) != l {
-						t.Fatalf("t=%v: LastUpdate(%d) = %v, oracle %v", s.Time(), u, age.LastUpdate(u), l)
-					}
-				}
-				if !ok {
-					break
-				}
-				if tc.wake != nil {
-					tc.wake(round, s)
-				}
-			}
-			if res := s.Stats(); !res.Converged && !res.BudgetExhausted {
-				t.Fatalf("run neither converged nor exhausted its budget: %+v", res)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkAge(t, tc) })
 	}
+}
+
+// stepOracle steps tc's session to its end with an oracle attached and
+// hands check the oracle and the time at every round boundary.
+func stepOracle(t *testing.T, tc ageCase, check func(o *ageOracle, now float64)) {
+	s := tc.s
+	o := newAgeOracle(s)
+	for round := 1; ; round++ {
+		d, ok := s.Step()
+		if d == nil {
+			break
+		}
+		check(o, s.Time())
+		if !ok {
+			break
+		}
+		if tc.wake != nil {
+			tc.wake(round, s)
+		}
+	}
+	if res := s.Stats(); !res.Converged && !res.BudgetExhausted {
+		t.Fatalf("run neither converged nor exhausted its budget: %+v", res)
+	}
+}
+
+// checkAge compares analyze.Age with the oracle after every round.
+func checkAge(t *testing.T, tc ageCase) {
+	age := &analyze.Age{}
+	tc.s.Subscribe(age)
+	stepOracle(t, tc, func(o *ageOracle, now float64) {
+		mean, max, node, avg := o.at(now)
+		gotMax, gotNode := age.MaxAge()
+		if math.Abs(age.MeanAge()-mean) > 1e-9 || math.Abs(gotMax-max) > 1e-9 || gotNode != node ||
+			math.Abs(age.TimeAvgMeanAge()-avg) > 1e-9 {
+			t.Fatalf("t=%v: Age (mean %v, max %v at %d, avg %v), oracle (%v, %v at %d, %v)",
+				now, age.MeanAge(), gotMax, gotNode, age.TimeAvgMeanAge(), mean, max, node, avg)
+		}
+		for u, l := range o.last {
+			if age.LastUpdate(u) != l {
+				t.Fatalf("t=%v: LastUpdate(%d) = %v, oracle %v", now, u, age.LastUpdate(u), l)
+			}
+		}
+	})
 }
 
 // TestHealthAgeMeanIsExact scrapes gossip_age_mean from an exporter wired
@@ -149,47 +160,18 @@ func TestAgeMatchesOracle(t *testing.T) {
 func TestHealthAgeMeanIsExact(t *testing.T) {
 	for _, tc := range skewedSessions(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			s := tc.s
 			h := analyze.NewHealth()
 			exp := export.NewPrometheus()
 			exp.Attach(h)
-			s.Subscribe(h)
-			s.Subscribe(exp)
-			o := newAgeOracle(s)
-			for round := 1; ; round++ {
-				d, ok := s.Step()
-				if d == nil {
-					break
-				}
-				want, _, _, _ := o.at(s.Time())
+			tc.s.Subscribe(h)
+			tc.s.Subscribe(exp)
+			stepOracle(t, tc, func(o *ageOracle, now float64) {
+				want, _, _, _ := o.at(now)
 				if got := scrapeGauge(t, exp, "gossip_age_mean"); math.Abs(got-want) > 1e-9 {
-					t.Fatalf("t=%v: gossip_age_mean %v, exact mean age %v", s.Time(), got, want)
+					t.Fatalf("t=%v: gossip_age_mean %v, exact mean age %v", now, got, want)
 				}
-				if !ok {
-					break
-				}
-				if tc.wake != nil {
-					tc.wake(round, s)
-				}
-			}
+			})
 		})
-	}
-}
-
-// TestEventStepZeroAllocWithHealth: with the full analyzer pack (Age
-// included) subscribed, a steady-state Step allocates nothing — the edge
-// times ride a reused scratch slice.
-func TestEventStepZeroAllocWithHealth(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation accounting differs under -race")
-	}
-	s := New(gen.Cycle(64), core.Push{}, rng.New(1), Config{MaxEvents: -1, Done: never})
-	s.Subscribe(analyze.NewHealth())
-	for i := 0; i < 50; i++ { // warm the scratch slices, delta state, analyzers
-		s.Step()
-	}
-	if extra := testing.AllocsPerRun(200, func() { s.Step() }); extra > 0 {
-		t.Errorf("steady-state Step with analyzers allocates %v", extra)
 	}
 }
 

@@ -2,8 +2,6 @@ package eventsim
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -14,6 +12,7 @@ import (
 	"gossipdisc/internal/metrics"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
+	"gossipdisc/internal/simtest"
 	"gossipdisc/internal/stream"
 )
 
@@ -62,13 +61,15 @@ func TestNewRejectsMismatchedRates(t *testing.T) {
 func TestEventBudgetContract(t *testing.T) {
 	const n = 4
 	defaultBudget := n * sim.DefaultMaxRounds(n)
+	exhausted := func(t *testing.T, res Result, events int) {
+		t.Helper()
+		if res.Converged || res.Events != events || !res.BudgetExhausted {
+			t.Fatalf("got %d events (converged=%v exhausted=%v), want %d exhausted", res.Events, res.Converged, res.BudgetExhausted, events)
+		}
+	}
 
 	t.Run("zero selects the default budget", func(t *testing.T) {
-		res := Run(gen.Complete(n), core.Push{}, rng.New(1), Config{Done: never})
-		if res.Converged || res.Events != defaultBudget || !res.BudgetExhausted {
-			t.Fatalf("got %d events (converged=%v exhausted=%v), want the default budget %d exhausted",
-				res.Events, res.Converged, res.BudgetExhausted, defaultBudget)
-		}
+		exhausted(t, Run(gen.Complete(n), core.Push{}, rng.New(1), Config{Done: never}), defaultBudget)
 	})
 
 	t.Run("negative means unbounded for sessions", func(t *testing.T) {
@@ -81,64 +82,31 @@ func TestEventBudgetContract(t *testing.T) {
 				}
 			}
 			if res := s.Stats(); res.BudgetExhausted || res.Converged {
-				t.Fatalf("MaxEvents=%d: %+v after %d events, want neither exhausted nor converged",
-					maxEvents, res, s.Events())
+				t.Fatalf("MaxEvents=%d: %+v, want neither exhausted nor converged", maxEvents, res)
 			}
 		}
 	})
 
 	t.Run("facade folds negatives to the default budget", func(t *testing.T) {
-		res := Run(gen.Complete(n), core.Push{}, rng.New(1), Config{MaxEvents: -5, Done: never})
-		if res.Converged || res.Events != defaultBudget || !res.BudgetExhausted {
-			t.Fatalf("got %d events (converged=%v exhausted=%v), want the default budget %d exhausted",
-				res.Events, res.Converged, res.BudgetExhausted, defaultBudget)
-		}
+		exhausted(t, Run(gen.Complete(n), core.Push{}, rng.New(1), Config{MaxEvents: -5, Done: never}), defaultBudget)
 	})
 
 	t.Run("exhausted budget stops exactly at MaxEvents", func(t *testing.T) {
 		s := New(gen.Complete(n), core.Push{}, rng.New(1), Config{MaxEvents: 37, Done: never})
-		res := s.Run()
-		if res.Converged || res.Events != 37 || !res.BudgetExhausted {
-			t.Fatalf("got %d events (converged=%v exhausted=%v), want exactly 37 exhausted",
-				res.Events, res.Converged, res.BudgetExhausted)
-		}
+		exhausted(t, s.Run(), 37)
 		if d, ok := s.Step(); d != nil || ok {
 			t.Fatalf("Step after exhaustion returned (%v, %v), want (nil, false)", d, ok)
 		}
 	})
 
 	t.Run("convergence wins over exhaustion", func(t *testing.T) {
-		res := Run(gen.Path(16), core.Push{}, rng.New(1), Config{})
-		if !res.Converged || res.BudgetExhausted {
+		if res := Run(gen.Path(16), core.Push{}, rng.New(1), Config{}); !res.Converged || res.BudgetExhausted {
 			t.Fatalf("converged run: %+v", res)
 		}
 	})
 }
 
-// activationTrace records the (node, time) activation sequence of one run.
-func activationTrace(t *testing.T, seed uint64, build func() *RateMap, mutate func(step int, s *Session)) ([]int, []float64, Result) {
-	t.Helper()
-	g := gen.Cycle(64)
-	s := New(g, core.Push{}, rng.New(seed), Config{Rates: build()})
-	var nodes []int
-	var times []float64
-	s.hook = func(u int, tt float64) {
-		nodes = append(nodes, u)
-		times = append(times, tt)
-	}
-	step := 0
-	for {
-		if mutate != nil {
-			mutate(step, s)
-		}
-		if _, ok := s.Step(); !ok {
-			break
-		}
-		step++
-	}
-	return nodes, times, s.Stats()
-}
-
+// skewed is a 64-node map with a fast class, a slow class and an override.
 func skewed() *RateMap {
 	m := NewRateMap(64, 1)
 	m.DefineClass("fast", 8)
@@ -149,47 +117,10 @@ func skewed() *RateMap {
 	return m
 }
 
-// TestEventDeterminismReplay is the determinism property the acceptance
-// criteria name: the same (seed, rates) must reproduce the identical
-// activation sequence — node by node, time by time, bit for bit — and the
-// identical Result, for any GOMAXPROCS setting (the runtime is
-// single-goroutine, and its two streams are split from the seed alone). CI
-// runs it under -race.
-func TestEventDeterminismReplay(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	var refNodes []int
-	var refTimes []float64
-	var refRes Result
-	for i, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		nodes, times, res := activationTrace(t, 99, skewed, nil)
-		if len(nodes) == 0 {
-			t.Fatal("no activations recorded")
-		}
-		if i == 0 {
-			refNodes, refTimes, refRes = nodes, times, res
-			continue
-		}
-		if len(nodes) != len(refNodes) {
-			t.Fatalf("GOMAXPROCS=%d: %d activations, want %d", procs, len(nodes), len(refNodes))
-		}
-		for k := range nodes {
-			if nodes[k] != refNodes[k] || times[k] != refTimes[k] {
-				t.Fatalf("GOMAXPROCS=%d: activation %d = (%d, %v), want (%d, %v)",
-					procs, k, nodes[k], times[k], refNodes[k], refTimes[k])
-			}
-		}
-		if res != refRes {
-			t.Fatalf("GOMAXPROCS=%d: result %+v, want %+v", procs, res, refRes)
-		}
-	}
-}
-
 // TestEventRateChangeDeterminism extends the replay property across mid-run
 // rate mutations: two sessions applying the same mutation schedule at the
-// same step boundaries replay identically.
+// same step boundaries replay identically, and the mutations do alter the
+// activation sequence (they are not lost).
 func TestEventRateChangeDeterminism(t *testing.T) {
 	mutate := func(step int, s *Session) {
 		switch step {
@@ -201,29 +132,12 @@ func TestEventRateChangeDeterminism(t *testing.T) {
 			s.SetClassRate("slow", 4)
 		}
 	}
-	n1, t1, r1 := activationTrace(t, 4242, skewed, mutate)
-	n2, t2, r2 := activationTrace(t, 4242, skewed, mutate)
-	if len(n1) != len(n2) || r1 != r2 {
-		t.Fatalf("replay diverged: %d vs %d activations, %+v vs %+v", len(n1), len(n2), r1, r2)
+	d1, n1 := scheduleDigest(4242, skewed(), 0, mutate)
+	d2, n2 := scheduleDigest(4242, skewed(), 0, mutate)
+	if d1 != d2 || n1 != n2 {
+		t.Fatalf("replay diverged: %#x over %d events vs %#x over %d", d1, n1, d2, n2)
 	}
-	for k := range n1 {
-		if n1[k] != n2[k] || t1[k] != t2[k] {
-			t.Fatalf("activation %d diverged: (%d, %v) vs (%d, %v)", k, n1[k], t1[k], n2[k], t2[k])
-		}
-	}
-	// And the mutation schedule must actually change the trajectory
-	// relative to the unmutated run (guards against mutations being lost).
-	n3, _, _ := activationTrace(t, 4242, skewed, nil)
-	same := len(n1) == len(n3)
-	if same {
-		for k := range n1 {
-			if n1[k] != n3[k] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
+	if d3, _ := scheduleDigest(4242, skewed(), 0, nil); d3 == d1 {
 		t.Fatal("rate mutations did not alter the activation sequence")
 	}
 }
@@ -264,30 +178,23 @@ func TestEventEmptyRoundsAdvanceTime(t *testing.T) {
 }
 
 func TestEventDeltaStreamConsistency(t *testing.T) {
-	g := gen.Cycle(32)
 	traj := &metrics.Trajectory{}
 	age := &analyze.Age{}
 	streamed := 0
-	s := New(g, core.Push{}, rng.New(8), Config{
-		Rates: func() *RateMap {
-			m := NewRateMap(32, 1)
-			m.DefineClass("fast", 4)
-			m.AssignClass("fast", 0, 8)
-			return m
-		}(),
+	fast := row("fast", func() *Session {
+		m := NewRateMap(32, 1)
+		m.DefineClass("fast", 4)
+		m.AssignClass("fast", 0, 8)
+		return New(gen.Cycle(32), core.Push{}, rng.New(8), Config{Rates: m})
 	})
-	s.Subscribe(traj)
-	s.Subscribe(age)
-	s.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
+	// Invariants rides the run: edge times are aligned and non-decreasing.
+	out := simtest.Run(t, fast, traj, age, stream.SubscriberFunc(func(e *stream.Event) {
 		if e.Kind != stream.KindRound {
 			return
 		}
 		streamed += len(e.Delta.NewEdges)
-		if len(e.Delta.EdgeTimes) != len(e.Delta.NewEdges) {
-			t.Fatalf("round %d: %d edge times for %d edges", e.Delta.Round, len(e.Delta.EdgeTimes), len(e.Delta.NewEdges))
-		}
-		for i, et := range e.Delta.EdgeTimes {
-			if et > e.Time || et <= e.Time-1 || (i > 0 && et < e.Delta.EdgeTimes[i-1]) {
+		for _, et := range e.Delta.EdgeTimes {
+			if et > e.Time || et <= e.Time-1 {
 				t.Fatalf("round %d at time %v: edge times %v", e.Delta.Round, e.Time, e.Delta.EdgeTimes)
 			}
 		}
@@ -295,12 +202,8 @@ func TestEventDeltaStreamConsistency(t *testing.T) {
 			t.Fatalf("round %d: mean age %v, max age %v", e.Delta.Round, age.MeanAge(), max)
 		}
 	}))
-	res := s.Run()
-	if !res.Converged {
-		t.Fatalf("run did not converge: %+v", res)
-	}
-	if streamed != res.NewEdges {
-		t.Fatalf("delta stream carried %d edges, result says %d", streamed, res.NewEdges)
+	if res := out.Result.(scheduled); !res.Converged || streamed != res.NewEdges {
+		t.Fatalf("delta stream carried %d edges for %+v", streamed, res)
 	}
 	traj.Finalize()
 	last := traj.Snapshots[len(traj.Snapshots)-1]
@@ -309,38 +212,10 @@ func TestEventDeltaStreamConsistency(t *testing.T) {
 	}
 }
 
+// TestEventAoIAccounting checks analyze.Age against the hook-and-diff
+// oracle at every round boundary of a uniform-rate run.
 func TestEventAoIAccounting(t *testing.T) {
-	g := gen.Cycle(24)
-	s := New(g, core.Push{}, rng.New(11), Config{})
-	age := &analyze.Age{}
-	s.Subscribe(age)
-	res := s.Run()
-	if !res.Converged {
-		t.Fatalf("run did not converge: %+v", res)
-	}
-	// MeanAge must agree with a direct scan over LastUpdate.
-	sum := 0.0
-	minLast := math.Inf(1)
-	for u := 0; u < 24; u++ {
-		lu := age.LastUpdate(u)
-		if lu < 0 || lu > s.Time() {
-			t.Fatalf("LastUpdate(%d) = %v outside [0, %v]", u, lu, s.Time())
-		}
-		sum += lu
-		if lu < minLast {
-			minLast = lu
-		}
-	}
-	wantMean := s.Time() - sum/24
-	if got := age.MeanAge(); math.Abs(got-wantMean) > 1e-9 {
-		t.Fatalf("MeanAge %v, want %v", got, wantMean)
-	}
-	if got, _ := age.MaxAge(); math.Abs(got-(s.Time()-minLast)) > 1e-9 {
-		t.Fatalf("MaxAge %v, want %v", got, s.Time()-minLast)
-	}
-	if avg := age.TimeAvgMeanAge(); avg <= 0 || avg > s.Time() {
-		t.Fatalf("TimeAvgMeanAge %v outside (0, %v]", avg, s.Time())
-	}
+	checkAge(t, ageCase{"uniform", New(gen.Cycle(24), core.Push{}, rng.New(11), Config{}), nil})
 }
 
 // TestEventMatchesTickExactly is the exact fence between the two
@@ -404,23 +279,20 @@ func TestEventMatchesTickExactly(t *testing.T) {
 // they say: doubling every clock should roughly halve convergence time.
 func TestEventFasterRatesConvergeFaster(t *testing.T) {
 	const n = 48
-	const trials = 8
 	mean := func(rate float64) float64 {
-		root := rng.New(7)
+		times := sim.Trials(0, 8, 7, func(int, *rng.Rand) *graph.Undirected { return gen.Cycle(n) },
+			func(g *graph.Undirected, r *rng.Rand) Result { return Run(g, core.Push{}, r, Config{Rates: NewRateMap(n, rate)}) })
 		total := 0.0
-		for i := 0; i < trials; i++ {
-			r := root.Split()
-			res := Run(gen.Cycle(n), core.Push{}, r, Config{Rates: NewRateMap(n, rate)})
+		for i, res := range times {
 			if !res.Converged {
 				t.Fatalf("rate %v trial %d failed: %+v", rate, i, res)
 			}
 			total += res.Time
 		}
-		return total / trials
+		return total / float64(len(times))
 	}
 	t1, t4 := mean(1), mean(4)
-	speedup := t1 / t4
-	if speedup < 2.5 || speedup > 6 {
+	if speedup := t1 / t4; speedup < 2.5 || speedup > 6 {
 		t.Fatalf("4x rates gave %.2fx speedup (t1=%.1f t4=%.1f), want ~4x", speedup, t1, t4)
 	}
 }

@@ -1,7 +1,6 @@
 package eventsim
 
 import (
-	"math"
 	"testing"
 
 	"gossipdisc/internal/core"
@@ -9,14 +8,12 @@ import (
 	"gossipdisc/internal/rng"
 )
 
-// scheduleDigest runs push on a cycle under the given rates and folds the
-// activation sequence — (node, bits of the event time), in firing order,
-// taken through the hook tap — into the fnv-1a fingerprint the delta goldens
-// use. mutate, if non-nil, runs before every Step.
+// scheduleDigest runs push on a cycle under the given rates and returns the
+// tap's fingerprint of its activation sequence and its event count. mutate,
+// if non-nil, runs before every Step.
 func scheduleDigest(seed uint64, rates *RateMap, maxEvents int, mutate func(step int, s *Session)) (digest uint64, events int) {
 	s := New(gen.Cycle(rates.N()), core.Push{}, rng.New(seed), Config{Rates: rates, MaxEvents: maxEvents})
-	h := newEventDeltaHash()
-	s.hook = func(u int, tt float64) { h.ints(u); h.word(math.Float64bits(tt)) }
+	h := tap(s)
 	for step := 0; ; step++ {
 		if mutate != nil {
 			mutate(step, s)
@@ -25,7 +22,7 @@ func scheduleDigest(seed uint64, rates *RateMap, maxEvents int, mutate func(step
 			break
 		}
 	}
-	return h.h, s.Events()
+	return h.Sum, s.Events()
 }
 
 // TestEventScheduleGolden pins the schedule itself: which node fires at

@@ -62,13 +62,15 @@ func TestAsyncMaxTicksBudgetContract(t *testing.T) {
 	const n = 4
 	defaultBudget := n * DefaultMaxRounds(n)
 	never := func(g *graph.Undirected) bool { return false }
+	exhausted := func(t *testing.T, res AsyncResult, ticks int) {
+		t.Helper()
+		if res.Converged || res.Ticks != ticks || !res.BudgetExhausted {
+			t.Fatalf("got %d ticks (converged=%v exhausted=%v), want %d exhausted", res.Ticks, res.Converged, res.BudgetExhausted, ticks)
+		}
+	}
 
 	t.Run("zero selects the default budget", func(t *testing.T) {
-		res := RunAsync(gen.Complete(n), core.Push{}, rng.New(1), AsyncConfig{Done: never})
-		if res.Converged || res.Ticks != defaultBudget || !res.BudgetExhausted {
-			t.Fatalf("got %d ticks (converged=%v exhausted=%v), want the default budget %d exhausted",
-				res.Ticks, res.Converged, res.BudgetExhausted, defaultBudget)
-		}
+		exhausted(t, RunAsync(gen.Complete(n), core.Push{}, rng.New(1), AsyncConfig{Done: never}), defaultBudget)
 	})
 
 	t.Run("negative means unbounded for sessions", func(t *testing.T) {
@@ -77,41 +79,27 @@ func TestAsyncMaxTicksBudgetContract(t *testing.T) {
 		// normalizes the same way.
 		for _, maxTicks := range []int{-1, -9} {
 			calls := 0
-			s := NewAsyncSession(gen.Complete(n), core.Push{}, rng.New(1), AsyncConfig{
+			res := NewAsyncSession(gen.Complete(n), core.Push{}, rng.New(1), AsyncConfig{
 				MaxTicks: maxTicks,
 				Done: func(g *graph.Undirected) bool {
 					calls++
 					return calls > defaultBudget+999
 				},
-			})
-			res := s.Run()
-			if !res.Converged || res.Ticks <= defaultBudget {
-				t.Fatalf("MaxTicks=%d: %d ticks (converged=%v), want convergence beyond %d",
-					maxTicks, res.Ticks, res.Converged, defaultBudget)
-			}
-			if res.BudgetExhausted {
-				t.Fatalf("MaxTicks=%d: unbounded session reported BudgetExhausted", maxTicks)
+			}).Run()
+			if !res.Converged || res.Ticks <= defaultBudget || res.BudgetExhausted {
+				t.Fatalf("MaxTicks=%d: %+v, want convergence beyond %d ticks", maxTicks, res, defaultBudget)
 			}
 		}
 	})
 
 	t.Run("facade folds negatives to the default budget", func(t *testing.T) {
-		res := RunAsync(gen.Complete(n), core.Push{}, rng.New(1),
-			AsyncConfig{MaxTicks: -5, Done: never})
-		if res.Converged || res.Ticks != defaultBudget || !res.BudgetExhausted {
-			t.Fatalf("got %d ticks (converged=%v exhausted=%v), want the default budget %d exhausted",
-				res.Ticks, res.Converged, res.BudgetExhausted, defaultBudget)
-		}
+		exhausted(t, RunAsync(gen.Complete(n), core.Push{}, rng.New(1), AsyncConfig{MaxTicks: -5, Done: never}), defaultBudget)
 	})
 
 	t.Run("exhausted budget stops exactly at MaxTicks", func(t *testing.T) {
-		s := NewAsyncSession(gen.Complete(n), core.Push{}, rng.New(1),
-			AsyncConfig{MaxTicks: 37, Done: never})
+		s := NewAsyncSession(gen.Complete(n), core.Push{}, rng.New(1), AsyncConfig{MaxTicks: 37, Done: never})
 		res := s.Run()
-		if res.Converged || res.Ticks != 37 || !res.BudgetExhausted {
-			t.Fatalf("got %d ticks (converged=%v exhausted=%v), want exactly 37 exhausted",
-				res.Ticks, res.Converged, res.BudgetExhausted)
-		}
+		exhausted(t, res, 37)
 		if got := res.ParallelRounds; got != 37.0/n {
 			t.Fatalf("ParallelRounds %v, want %v", got, 37.0/n)
 		}
@@ -121,42 +109,33 @@ func TestAsyncMaxTicksBudgetContract(t *testing.T) {
 	})
 
 	t.Run("convergence wins over exhaustion", func(t *testing.T) {
-		res := RunAsync(gen.Path(8), core.Push{}, rng.New(1), AsyncConfig{})
-		if !res.Converged || res.BudgetExhausted {
+		if res := RunAsync(gen.Path(8), core.Push{}, rng.New(1), AsyncConfig{}); !res.Converged || res.BudgetExhausted {
 			t.Fatalf("converged run: %+v", res)
 		}
 	})
 }
 
+// TestAsyncComparableToSync: parallel rounds under the async scheduler
+// land within a small constant factor of synchronous rounds on the same
+// workload.
 func TestAsyncComparableToSync(t *testing.T) {
-	// Parallel rounds under the async scheduler should land within a small
-	// constant factor of synchronous rounds on the same workload.
 	const n = 32
-	const trials = 12
-	root := rng.New(5)
-	asyncMean, syncMean := 0.0, 0.0
-	for i := 0; i < trials; i++ {
-		r := root.Split()
-		g := gen.Cycle(n)
-		ar := RunAsync(g, core.Push{}, r, AsyncConfig{})
-		if !ar.Converged {
-			t.Fatal("async trial failed")
+	cyc := func(int, *rng.Rand) *graph.Undirected { return gen.Cycle(n) }
+	rounds := Trials(0, 12, 5, cyc, func(g *graph.Undirected, r *rng.Rand) [2]float64 {
+		ar, sr := RunAsync(g, core.Push{}, r, AsyncConfig{}), Run(gen.Cycle(n), core.Push{}, r, Config{})
+		if !ar.Converged || !sr.Converged {
+			return [2]float64{-1, -1}
 		}
-		asyncMean += ar.ParallelRounds
-
-		r2 := root.Split()
-		h := gen.Cycle(n)
-		sr := Run(h, core.Push{}, r2, Config{})
-		if !sr.Converged {
-			t.Fatal("sync trial failed")
+		return [2]float64{ar.ParallelRounds, float64(sr.Rounds)}
+	})
+	var async, sync float64
+	for _, r := range rounds {
+		if r[0] < 0 {
+			t.Fatal("a trial did not converge")
 		}
-		syncMean += float64(sr.Rounds)
+		async, sync = async+r[0], sync+r[1]
 	}
-	asyncMean /= trials
-	syncMean /= trials
-	ratio := asyncMean / syncMean
-	if ratio < 0.3 || ratio > 3 {
-		t.Fatalf("async/sync ratio %.2f outside [0.3, 3] (async %.1f sync %.1f)",
-			ratio, asyncMean, syncMean)
+	if ratio := async / sync; ratio < 0.3 || ratio > 3 {
+		t.Fatalf("async/sync ratio %.2f outside [0.3, 3] (async %.1f sync %.1f)", ratio, async/12, sync/12)
 	}
 }

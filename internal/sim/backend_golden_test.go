@@ -8,7 +8,7 @@ import (
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
-	"gossipdisc/internal/stream"
+	"gossipdisc/internal/simtest"
 )
 
 // This file pins the cross-backend determinism contract end to end: a full
@@ -18,80 +18,11 @@ import (
 // lists — which drive all random draws — are backend-independent, so any
 // divergence here means a row backend changed an observable it must not.
 
-// deltaHash folds a RoundDelta's data fields into a running fnv-1a hash.
-// The func field (MissingDegree) cannot be hashed; every other field
-// participates.
-type deltaHash struct{ h uint64 }
-
-func newDeltaHash() *deltaHash { return &deltaHash{h: 14695981039346656037} }
-
-func (d *deltaHash) ints(vs ...int) {
-	for _, v := range vs {
-		d.h ^= uint64(v)
-		d.h *= 1099511628211
-	}
-}
-
-func (d *deltaHash) observe(g *graph.Undirected, rd *RoundDelta) {
-	d.ints(rd.Round, len(rd.NewEdges), rd.EdgesRemaining, rd.Members, rd.MemberEdges)
-	for _, e := range rd.NewEdges {
-		d.ints(e.U, e.V)
-	}
-	for i, u := range rd.Touched {
-		d.ints(int(u), int(rd.DegreeInc[u]), i)
-	}
-	for _, u := range rd.Joined {
-		d.ints(int(u))
-	}
-	for _, u := range rd.Left {
-		d.ints(int(u))
-	}
-	// Spot-check the O(1) complement view against the live graph.
-	if len(rd.Touched) > 0 {
-		u := int(rd.Touched[0])
-		if rd.MissingDegree(u) != g.MissingDegree(u) {
-			panic("delta MissingDegree disagrees with graph")
-		}
-	}
-}
-
-// OnEvent folds the round deltas of either session family into the hash,
-// so one deltaHash subscribes to any run.
-func (d *deltaHash) OnEvent(e *stream.Event) {
-	switch e.Kind {
-	case stream.KindRound:
-		d.observe(e.Graph, e.Delta)
-	case stream.KindDirectedRound:
-		d.observeDirected(e.Digraph, e.DirectedDelta)
-	}
-}
-
-func (d *deltaHash) observeDirected(g *graph.Directed, rd *DirectedRoundDelta) {
-	d.ints(rd.Round, len(rd.NewArcs), rd.ClosureArcsRemaining)
-	for _, a := range rd.NewArcs {
-		d.ints(a.U, a.V)
-	}
-	for i, u := range rd.OutTouched {
-		d.ints(int(u), int(rd.OutDegreeInc[u]), i)
-	}
-	for i, u := range rd.InTouched {
-		d.ints(int(u), int(rd.InDegreeInc[u]), i)
-	}
-}
-
-// runFingerprint executes one full undirected discovery run and returns the
-// Result plus the delta-stream hash.
-func runFingerprint(b graph.Backend, n, workers int, densePhase float64) (Result, uint64) {
-	g := gen.Cycle(n, b)
-	dh := newDeltaHash()
-	res := runWith(g, core.Push{}, rng.New(uint64(1000+n)), Config{
-		Workers:    workers,
-		DensePhase: densePhase,
-	}, dh)
-	if !g.IsComplete() {
-		panic("run did not complete the graph")
-	}
-	return res, dh.h
+// backends is the backend axis of one Session configuration on an n-cycle.
+func backends(n, workers int, dense float64, bs ...graph.Backend) []simtest.Row {
+	return simtest.Axis(bs, func(b graph.Backend) simtest.Row {
+		return session(b.String(), cycle(n, b), core.Push{}, uint64(1000+n), Config{Workers: workers, DensePhase: dense})
+	})
 }
 
 // TestBackendRunGoldens: dense is the golden reference; sparse and auto must
@@ -100,25 +31,15 @@ func runFingerprint(b graph.Backend, n, workers int, densePhase float64) (Result
 // full matrix would dominate CI) — the race job still covers 64 and 256.
 func TestBackendRunGoldens(t *testing.T) {
 	sizes := []int{64, 256}
-	if !raceEnabled && !testing.Short() {
+	if !simtest.Race && !testing.Short() {
 		sizes = append(sizes, 1024)
 	}
 	for _, n := range sizes {
 		for _, workers := range []int{0, 1, 4} {
 			for _, dense := range []float64{0, 0.3} {
-				n, workers, dense := n, workers, dense
-				name := fmt.Sprintf("n=%d/w=%d/dense=%v", n, workers, dense)
-				t.Run(name, func(t *testing.T) {
-					wantRes, wantHash := runFingerprint(graph.BackendDense, n, workers, dense)
-					for _, b := range []graph.Backend{graph.BackendSparse, graph.BackendAuto} {
-						res, h := runFingerprint(b, n, workers, dense)
-						if res != wantRes {
-							t.Fatalf("%v Result diverged:\n dense: %+v\n %v: %+v", b, wantRes, b, res)
-						}
-						if h != wantHash {
-							t.Fatalf("%v delta stream diverged from dense (hash %x vs %x)", b, h, wantHash)
-						}
-					}
+				t.Run(fmt.Sprintf("n=%d/w=%d/dense=%v", n, workers, dense), func(t *testing.T) {
+					converged(t, simtest.Identical(t, backends(n, workers, dense,
+						graph.BackendDense, graph.BackendSparse, graph.BackendAuto)...))
 				})
 			}
 		}
@@ -135,23 +56,16 @@ func TestBackendRunGoldens(t *testing.T) {
 // backend, and CI's race job must see no shared scratch.
 func TestBackendDensePhaseShardedShortRows(t *testing.T) {
 	const n = 6144
-	run := func(b graph.Backend) (Result, uint64, *graph.Undirected) {
-		g := gen.Cycle(n, b)
-		dh := newDeltaHash()
-		res := runWith(g, core.Push{}, rng.New(77), Config{
-			Workers:    4,
-			DensePhase: 1,
-			MaxRounds:  100,
-		}, dh)
-		return res, dh.h, g
-	}
-	wantRes, wantHash, gd := run(graph.BackendDense)
-	res, h, gs := run(graph.BackendSparse)
-	if res != wantRes || h != wantHash {
-		t.Fatalf("sparse diverged from dense:\n dense:  %+v %x\n sparse: %+v %x", wantRes, wantHash, res, h)
-	}
+	graphs := map[graph.Backend]*graph.Undirected{}
+	simtest.Identical(t, simtest.Axis([]graph.Backend{graph.BackendDense, graph.BackendSparse}, func(b graph.Backend) simtest.Row {
+		return session(b.String(), func() *graph.Undirected {
+			graphs[b] = gen.Cycle(n, b)
+			return graphs[b]
+		}, core.Push{}, 77, Config{Workers: 4, DensePhase: 1, MaxRounds: 100})
+	})...)
+	gs := graphs[graph.BackendSparse]
 	gs.CheckInvariants()
-	if !gs.Equal(gd) {
+	if !gs.Equal(graphs[graph.BackendDense]) {
 		t.Fatal("final graphs differ")
 	}
 	// Rows start at 2 entries and gain ~2 per dense round: by the end every
@@ -161,16 +75,50 @@ func TestBackendDensePhaseShardedShortRows(t *testing.T) {
 	}
 }
 
-// runDirectedFingerprint is the directed analogue of runFingerprint, for
-// the given process.
-func runDirectedFingerprint(p core.DirectedProcess, b graph.Backend, n, workers int, densePhase float64) (DirectedResult, uint64) {
-	g := gen.RandomStronglyConnected(n, n/2, rng.New(uint64(7000+n)), b)
-	dh := newDeltaHash()
-	res := runDirectedWith(g, p, rng.New(uint64(2000+n)), DirectedConfig{
-		Workers:    workers,
-		DensePhase: densePhase,
-	}, dh)
-	return res, dh.h
+// hubs is a 10 000-cycle with two hubs: node 0 joined to nodes 2..199
+// (degree 200, a sorted row on the sparse backend: 128 ≤ d < 10 000/32 =
+// 312) and node 5000 to nodes 5002..5399 (degree 400, a bitset row).
+// 10 000 is not a multiple of 32, so the last shard is a partial one.
+func hubs(b graph.Backend) func() *graph.Undirected {
+	return func() *graph.Undirected {
+		g := gen.Cycle(10_000, b)
+		for v := 2; v < 200; v++ {
+			g.AddEdge(0, v)
+		}
+		for v := 5002; v < 5400; v++ {
+			g.AddEdge(5000, v)
+		}
+		return g
+	}
+}
+
+// TestHubRowGolden pins a few bounded push rounds on the hub graph — with
+// the dense phase off and from round 1, at Workers 0 and 1 — to one Result
+// and delta fingerprint that both backends must reproduce: Push's draws on
+// a hub's neighbor list, and the dense phase's complement views of the
+// sorted and bitset rungs, on the dense and the sparse backend.
+func TestHubRowGolden(t *testing.T) {
+	goldens := []struct {
+		workers int
+		dense   float64
+		want    Result
+		hash    uint64
+	}{
+		{0, 0, Result{Rounds: 4, Proposals: 26117, NewEdges: 13860, DuplicateProposals: 12257}, 0x65d40cfef233866e},
+		{0, 1, Result{Rounds: 4, Proposals: 40000, NewEdges: 39999, DuplicateProposals: 1}, 0xeca94ff19670431d},
+		{1, 0, Result{Rounds: 4, Proposals: 25949, NewEdges: 13732, DuplicateProposals: 12217}, 0x7487b9dbc16b46d3},
+		{1, 1, Result{Rounds: 4, Proposals: 40000, NewEdges: 39995, DuplicateProposals: 5}, 0x79457cf44ab7f712},
+	}
+	for _, gd := range goldens {
+		for _, b := range []graph.Backend{graph.BackendDense, graph.BackendSparse} {
+			t.Run(fmt.Sprintf("w=%d/dense=%v/%v", gd.workers, gd.dense, b), func(t *testing.T) {
+				row := session(b.String(), hubs(b), core.Push{}, 10, Config{Workers: gd.workers, DensePhase: gd.dense, MaxRounds: 4})
+				if got, want := simtest.Run(t, row), (simtest.Outcome{Result: gd.want, Hash: gd.hash}); got != want {
+					t.Fatalf("golden moved:\n got  %+v %#x\n want %+v %#x", got.Result, got.Hash, want.Result, want.Hash)
+				}
+			})
+		}
+	}
 }
 
 // TestBackendDirectedRunGoldens is the directed-closure analogue: the
@@ -180,20 +128,11 @@ func TestBackendDirectedRunGoldens(t *testing.T) {
 	for _, n := range []int{48, 96} {
 		for _, workers := range []int{0, 2} {
 			for _, dense := range []float64{0, 0.5} {
-				n, workers, dense := n, workers, dense
-				name := fmt.Sprintf("n=%d/w=%d/dense=%v", n, workers, dense)
-				t.Run(name, func(t *testing.T) {
-					wantRes, wantHash := runDirectedFingerprint(core.DirectedTwoHop{}, graph.BackendDense, n, workers, dense)
-					if !wantRes.Converged {
-						t.Fatal("golden directed run did not converge")
-					}
-					res, h := runDirectedFingerprint(core.DirectedTwoHop{}, graph.BackendSparse, n, workers, dense)
-					if res != wantRes {
-						t.Fatalf("sparse DirectedResult diverged:\n dense:  %+v\n sparse: %+v", wantRes, res)
-					}
-					if h != wantHash {
-						t.Fatalf("sparse delta stream diverged from dense (hash %x vs %x)", h, wantHash)
-					}
+				t.Run(fmt.Sprintf("n=%d/w=%d/dense=%v", n, workers, dense), func(t *testing.T) {
+					converged(t, simtest.Identical(t, simtest.Axis([]graph.Backend{graph.BackendDense, graph.BackendSparse}, func(b graph.Backend) simtest.Row {
+						build := func() *graph.Directed { return gen.RandomStronglyConnected(n, n/2, rng.New(uint64(7000+n)), b) }
+						return directed(b.String(), build, core.DirectedTwoHop{}, uint64(2000+n), DirectedConfig{Workers: workers, DensePhase: dense})
+					})...))
 				})
 			}
 		}
@@ -236,14 +175,11 @@ func TestDirectedComponentsGolden(t *testing.T) {
 	for _, gd := range goldens {
 		for _, b := range []graph.Backend{graph.BackendDense, graph.BackendSparse} {
 			t.Run(fmt.Sprintf("%s/w=%d/dense=%v/%v", gd.input, gd.workers, gd.dense, b), func(t *testing.T) {
-				g := inputs[gd.input](b)
-				dh := newDeltaHash()
-				res := runDirectedWith(g, core.DirectedTwoHop{}, rng.New(3), DirectedConfig{
-					Workers:    gd.workers,
-					DensePhase: gd.dense,
-				}, dh)
-				if res != gd.want || dh.h != gd.hash {
-					t.Fatalf("golden moved:\n got  %+v %#x\n want %+v %#x", res, dh.h, gd.want, gd.hash)
+				var g *graph.Directed
+				row := directed(gd.input, func() *graph.Directed { g = inputs[gd.input](b); return g },
+					core.DirectedTwoHop{}, 3, DirectedConfig{Workers: gd.workers, DensePhase: gd.dense})
+				if got, want := simtest.Run(t, row), (simtest.Outcome{Result: gd.want, Hash: gd.hash}); got != want {
+					t.Fatalf("golden moved:\n got  %+v %#x\n want %+v %#x", got.Result, got.Hash, want.Result, want.Hash)
 				}
 				if !g.IsClosed() {
 					t.Fatal("converged run is not at closure")
@@ -253,76 +189,10 @@ func TestDirectedComponentsGolden(t *testing.T) {
 	}
 }
 
-// TestBackendSessionMembershipLockstep drives two membership-tracked
-// sessions — dense and sparse — through the same leave/rejoin/inject/step
-// schedule and asserts the coverage counters and graphs agree after every
-// step. This is the PR 4 membership-accounting property re-pinned on the
-// sparse substrate.
-func TestBackendSessionMembershipLockstep(t *testing.T) {
-	const n = 96
-	mk := func(b graph.Backend) *Session {
-		g := gen.Cycle(n, b)
-		s := NewSession(g, core.Push{}, rng.New(4242), Config{
-			Workers:   2,
-			MaxRounds: -1,
-			Done:      func(*graph.Undirected) bool { return false },
-		})
-		alive := make([]bool, n)
-		for i := range alive {
-			alive[i] = true
-		}
-		s.TrackMembership(alive)
-		return s
-	}
-	sd, ss := mk(graph.BackendDense), mk(graph.BackendSparse)
-	defer sd.Close()
-	defer ss.Close()
-	r := rng.New(99)
-	member := make([]bool, n)
-	for i := range member {
-		member[i] = true
-	}
-	for step := 0; step < 150; step++ {
-		u := r.Intn(n)
-		switch op := r.Intn(6); {
-		case op == 0 && member[u]:
-			sd.RemoveNode(u)
-			ss.RemoveNode(u)
-			member[u] = false
-		case op == 1 && !member[u]:
-			v := (u + 1 + r.Intn(n-1)) % n
-			sd.InsertNode(u)
-			ss.InsertNode(u)
-			member[u] = true
-			if sd.AddEdge(u, v) != ss.AddEdge(u, v) {
-				t.Fatalf("step %d: AddEdge(%d,%d) accepted differently", step, u, v)
-			}
-		default:
-			sd.Step()
-			ss.Step()
-		}
-		if sd.MemberEdges() != ss.MemberEdges() {
-			t.Fatalf("step %d: MemberEdges %d vs %d", step, sd.MemberEdges(), ss.MemberEdges())
-		}
-		if sd.MemberEdgesRemaining() != ss.MemberEdgesRemaining() {
-			t.Fatalf("step %d: MemberEdgesRemaining %d vs %d",
-				step, sd.MemberEdgesRemaining(), ss.MemberEdgesRemaining())
-		}
-		if sd.EdgesRemaining() != ss.EdgesRemaining() {
-			t.Fatalf("step %d: EdgesRemaining %d vs %d", step, sd.EdgesRemaining(), ss.EdgesRemaining())
-		}
-	}
-	if !sd.Graph().Equal(ss.Graph()) {
-		t.Fatal("graphs diverged after lockstep schedule")
-	}
-}
-
-// TestDeltaHashSensitivity guards the harness itself: the hash must change
-// when the run changes, or the goldens above prove nothing.
+// TestDeltaHashSensitivity guards the harness itself: the fingerprint must
+// change when the run changes, or the goldens above prove nothing.
 func TestDeltaHashSensitivity(t *testing.T) {
-	_, h1 := runFingerprint(graph.BackendDense, 64, 1, 0)
-	_, h2 := runFingerprint(graph.BackendDense, 64, 1, 0.3)
-	if h1 == h2 {
-		t.Fatal("delta hash is insensitive to the dense phase")
+	if simtest.Run(t, backends(64, 1, 0, graph.BackendDense)[0]).Hash == simtest.Run(t, backends(64, 1, 0.3, graph.BackendDense)[0]).Hash {
+		t.Fatal("delta fingerprint is insensitive to the dense phase")
 	}
 }

@@ -1,140 +1,35 @@
 package sim
 
 import (
-	"runtime"
 	"testing"
 
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
-	"gossipdisc/internal/stream"
 )
-
-// runShardedPush executes one sharded push run on a fixed workload and
-// returns the result and final graph.
-func runShardedPush(workers int) (Result, *graph.Undirected) {
-	g := gen.RandomTree(200, rng.New(77))
-	res := Run(g, core.Push{}, rng.New(42), Config{Workers: workers})
-	return res, g
-}
-
-// TestDeterminismAcrossWorkersUndirected: same seed ⇒ byte-identical Result
-// and final graph for every Workers >= 1 (the sharded engine's contract).
-func TestDeterminismAcrossWorkersUndirected(t *testing.T) {
-	baseRes, baseG := runShardedPush(1)
-	if !baseRes.Converged || !baseG.IsComplete() {
-		t.Fatalf("sharded run did not converge: %+v", baseRes)
-	}
-	for _, w := range []int{2, 8} {
-		res, g := runShardedPush(w)
-		if res != baseRes {
-			t.Fatalf("Workers=%d result %+v != Workers=1 result %+v", w, res, baseRes)
-		}
-		if !g.Equal(baseG) {
-			t.Fatalf("Workers=%d final graph differs from Workers=1", w)
-		}
-	}
-}
-
-// TestDeterminismAcrossWorkersPull repeats the contract for the pull
-// process, whose rng consumption per node differs from push.
-func TestDeterminismAcrossWorkersPull(t *testing.T) {
-	run := func(workers int) (Result, *graph.Undirected) {
-		g := gen.Cycle(150)
-		res := Run(g, core.Pull{}, rng.New(5), Config{Workers: workers})
-		return res, g
-	}
-	baseRes, baseG := run(1)
-	if !baseRes.Converged {
-		t.Fatalf("pull run did not converge: %+v", baseRes)
-	}
-	for _, w := range []int{2, 8} {
-		res, g := run(w)
-		if res != baseRes || !g.Equal(baseG) {
-			t.Fatalf("Workers=%d diverged: %+v vs %+v", w, res, baseRes)
-		}
-	}
-}
-
-// TestDeterminismAcrossWorkersDirected: the directed engine obeys the same
-// contract, including the closure-tracking termination counters.
-func TestDeterminismAcrossWorkersDirected(t *testing.T) {
-	run := func(workers int) (DirectedResult, *graph.Directed) {
-		g := gen.RandomStronglyConnected(96, 32, rng.New(9))
-		res := RunDirected(g, core.DirectedTwoHop{}, rng.New(43), DirectedConfig{Workers: workers})
-		return res, g
-	}
-	baseRes, baseG := run(1)
-	if !baseRes.Converged {
-		t.Fatalf("directed run did not converge: %+v", baseRes)
-	}
-	for _, w := range []int{2, 8} {
-		res, g := run(w)
-		if res != baseRes {
-			t.Fatalf("Workers=%d result %+v != Workers=1 result %+v", w, res, baseRes)
-		}
-		if !g.Equal(baseG) {
-			t.Fatalf("Workers=%d final digraph differs from Workers=1", w)
-		}
-	}
-}
-
-// TestDeterminismAcrossGOMAXPROCS: worker scheduling must not influence
-// results — the same run is bit-identical under different GOMAXPROCS.
-func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-
-	runtime.GOMAXPROCS(1)
-	baseRes, baseG := runShardedPush(4)
-	for _, procs := range []int{2, 8} {
-		runtime.GOMAXPROCS(procs)
-		res, g := runShardedPush(4)
-		if res != baseRes || !g.Equal(baseG) {
-			t.Fatalf("GOMAXPROCS=%d diverged: %+v vs %+v", procs, res, baseRes)
-		}
-	}
-}
-
-// TestDeterminismEagerIgnoresWorkers: CommitEager is inherently sequential,
-// so Workers must not change its (seed → Result) function.
-func TestDeterminismEagerIgnoresWorkers(t *testing.T) {
-	run := func(workers int) (Result, *graph.Undirected) {
-		g := gen.Cycle(64)
-		res := Run(g, core.Push{}, rng.New(3), Config{Mode: CommitEager, Workers: workers})
-		return res, g
-	}
-	baseRes, baseG := run(0)
-	for _, w := range []int{1, 8} {
-		res, g := run(w)
-		if res != baseRes || !g.Equal(baseG) {
-			t.Fatalf("eager Workers=%d diverged: %+v vs %+v", w, res, baseRes)
-		}
-	}
-}
 
 // TestDeterminismSequentialPathUnchanged pins the Workers == 0 engine to
 // the pre-sharding behavior: the classic path must keep its exact rng
 // consumption (single stream, node order), so a fixed seed keeps producing
-// the same run statistics release over release. The golden values below
-// were produced by the seed release (commit 20f4a0a) and re-verified
-// against this engine; if this test fails, the sequential path's
-// bit-compatibility contract has been broken.
-func TestDeterminismSequentialPathUnchanged(t *testing.T) {
+// the same run statistics release over release. The golden values were
+// produced by the seed release (commit 20f4a0a); if this test fails, the
+// sequential path's bit-compatibility contract has been broken.
+func TestDeterminismSequentialPathUnchanged(t *testing.T) { checkLegacyGolden(t, Config{}) }
+
+// checkLegacyGolden runs push on the 32-cycle, seed 1, on cfg.
+func checkLegacyGolden(t *testing.T, cfg Config) {
+	t.Helper()
 	g := gen.Cycle(32)
-	res := Run(g, core.Push{}, rng.New(1), Config{})
+	res := Run(g, core.Push{}, rng.New(1), cfg)
 	want := Result{Rounds: 151, Converged: true, Proposals: 4526, NewEdges: 464, DuplicateProposals: 4062}
-	if res != want {
+	if res != want || !g.IsComplete() {
 		t.Fatalf("sequential path diverged from seed release: got %+v want %+v", res, want)
-	}
-	if !g.IsComplete() {
-		t.Fatal("sequential run did not complete the graph")
 	}
 }
 
-// slotProbe records, per node, the edge count observed at Act time. Each
-// node writes its own slot, so it is safe under the parallel engine.
+// slotProbe records, per node, the edge count observed at Act time and
+// proposes the edge to the next node. Each node writes its own slot.
 type slotProbe struct {
 	observedM []int
 }
@@ -145,34 +40,46 @@ func (s *slotProbe) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a,
 	propose(u, (u+1)%g.N())
 }
 
-// TestParallelSynchronousSemantics: under the sharded engine no node may
-// observe another proposal of the same round — the G_t → G_{t+1} contract.
-func TestParallelSynchronousSemantics(t *testing.T) {
-	const n = 97 // not a multiple of the shard size: exercises the tail shard
+// probeRound runs one round of slotProbe on the n-star.
+func probeRound(n int, cfg Config) (*graph.Undirected, []int) {
 	g := gen.Star(n)
 	p := &slotProbe{observedM: make([]int, n)}
-	Run(g, p, rng.New(7), Config{MaxRounds: 1, Workers: 4})
-	for u, m := range p.observedM {
-		if m != n-1 {
-			t.Fatalf("node %d observed mid-round edge count %d (want %d)", u, m, n-1)
+	cfg.MaxRounds = 1
+	Run(g, p, rng.New(7), cfg)
+	return g, p.observedM
+}
+
+// checkSynchronous: in synchronous mode no node may observe another
+// proposal of the same round — the G_t → G_{t+1} contract — and every
+// proposal commits.
+func checkSynchronous(t *testing.T, n int, cfg Config) {
+	t.Helper()
+	g, observed := probeRound(n, cfg)
+	for u, m := range observed {
+		if m != n-1 || !g.HasEdge(u, (u+1)%n) {
+			t.Fatalf("node %d observed mid-round edge count %d (want %d), edge to %d committed: %v",
+				u, m, n-1, (u+1)%n, g.HasEdge(u, (u+1)%n))
 		}
 	}
-	for u := 0; u < n; u++ {
-		if !g.HasEdge(u, (u+1)%n) {
-			t.Fatalf("edge %d-%d missing after parallel commit", u, (u+1)%n)
-		}
+}
+
+// TestParallelSynchronousSemantics: the sharded engine keeps it too; 97 is
+// not a multiple of the shard size, so the tail shard is exercised.
+func TestParallelSynchronousSemantics(t *testing.T) { checkSynchronous(t, 97, Config{Workers: 4}) }
+
+// checkDuplicates: fixedProbe proposes one edge from each of n nodes, so
+// round one has 1 new edge and n-1 duplicates.
+func checkDuplicates(t *testing.T, n int, cfg Config) {
+	t.Helper()
+	cfg.MaxRounds = 1
+	if res := Run(gen.Star(n), fixedProbe{}, rng.New(9), cfg); res.NewEdges != 1 || res.DuplicateProposals != n-1 || res.Proposals != n {
+		t.Fatalf("duplicate accounting: %+v", res)
 	}
 }
 
 // TestParallelDuplicateAccounting: duplicates across shards are counted
 // exactly as the sequential engine counts them.
-func TestParallelDuplicateAccounting(t *testing.T) {
-	g := gen.Star(100)
-	res := Run(g, fixedProbe{}, rng.New(9), Config{MaxRounds: 1, Workers: 4})
-	if res.NewEdges != 1 || res.DuplicateProposals != 99 || res.Proposals != 100 {
-		t.Fatalf("parallel duplicate accounting: %+v", res)
-	}
-}
+func TestParallelDuplicateAccounting(t *testing.T) { checkDuplicates(t, 100, Config{Workers: 4}) }
 
 // TestParallelEngineInvariants: a full parallel run preserves the graph
 // invariants and reaches the same terminal object (the complete graph).
@@ -196,24 +103,9 @@ func TestParallelEngineInvariants(t *testing.T) {
 // on the committing goroutine between rounds, exactly as in the sequential
 // engine.
 func TestParallelObserverAndDone(t *testing.T) {
-	g := gen.Path(80)
-	var rounds []int
-	res := runWith(g, core.Push{}, rng.New(31), Config{
-		Workers: 4,
-		Done:    func(g *graph.Undirected) bool { return g.MinDegree() >= 3 },
-	}, stream.SubscriberFunc(func(e *stream.Event) {
-		rounds = append(rounds, e.Delta.Round)
-	}))
+	g, res := observed(t, 80, 31, Config{Workers: 4, Done: func(g *graph.Undirected) bool { return g.MinDegree() >= 3 }})
 	if !res.Converged || g.MinDegree() < 3 {
 		t.Fatalf("custom done not reached: %+v", res)
-	}
-	if len(rounds) != res.Rounds {
-		t.Fatalf("observer called %d times for %d rounds", len(rounds), res.Rounds)
-	}
-	for i, r := range rounds {
-		if r != i+1 {
-			t.Fatalf("observer rounds %v", rounds)
-		}
 	}
 }
 
@@ -237,25 +129,6 @@ func TestParallelTinyGraphs(t *testing.T) {
 	}
 }
 
-// TestParallelTrialsDeterministic: Workers flows through Trials and keeps
-// the whole batch a deterministic function of (seed, trial index).
-func TestParallelTrialsDeterministic(t *testing.T) {
-	batch := func() []Result {
-		return Trials(0, 6, 11, func(trial int, r *rng.Rand) *graph.Undirected {
-			return gen.Cycle(48 + 16*trial)
-		}, runs(core.Push{}, Config{Workers: 2}))
-	}
-	a, b := batch(), batch()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trial %d not deterministic: %+v vs %+v", i, a[i], b[i])
-		}
-		if !a[i].Converged {
-			t.Fatalf("trial %d did not converge", i)
-		}
-	}
-}
-
 // fixedArcProbe proposes an arc the directed cycle already has, so every
 // round exercises the full propose/commit path without growing the graph.
 type fixedArcProbe struct{}
@@ -263,51 +136,6 @@ type fixedArcProbe struct{}
 func (fixedArcProbe) Name() string { return "fixed-arc-probe" }
 func (fixedArcProbe) Act(g *graph.Directed, u int, r *rng.Rand, propose func(a, b int)) {
 	propose(0, 1)
-}
-
-// TestEngineSteadyStateAllocs: once buffers are warm, a synchronous round
-// allocates nothing — compared by measuring runs that differ only in round
-// count. Skipped under -race, which instruments allocations.
-func TestEngineSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation accounting differs under -race")
-	}
-	for _, workers := range []int{0, 1, 4} {
-		allocs := func(rounds int) float64 {
-			return testing.AllocsPerRun(5, func() {
-				g := gen.Star(64)
-				Run(g, fixedProbe{}, rng.New(1), Config{Workers: workers, MaxRounds: rounds})
-			})
-		}
-		short, long := allocs(50), allocs(1050)
-		// A real per-round leak shows ~1000 extra allocations.
-		if extra := long - short; extra > 8 {
-			t.Errorf("Workers=%d: %v allocations across 1000 steady-state rounds (short=%v long=%v)",
-				workers, extra, short, long)
-		}
-	}
-}
-
-// TestEngineSteadyStateAllocsDirected repeats the zero-alloc check for the
-// directed engine.
-func TestEngineSteadyStateAllocsDirected(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation accounting differs under -race")
-	}
-	for _, workers := range []int{0, 4} {
-		allocs := func(rounds int) float64 {
-			return testing.AllocsPerRun(5, func() {
-				g := gen.DirectedCycle(64)
-				RunDirected(g, fixedArcProbe{}, rng.New(1),
-					DirectedConfig{Workers: workers, MaxRounds: rounds})
-			})
-		}
-		short, long := allocs(50), allocs(1050)
-		if extra := long - short; extra > 8 {
-			t.Errorf("Workers=%d: %v allocations across 1000 steady-state directed rounds (short=%v long=%v)",
-				workers, extra, short, long)
-		}
-	}
 }
 
 // TestActMayKeepState: every round acts on the stepping goroutine, so a
@@ -345,72 +173,49 @@ func (c *countingPush) Act(g *graph.Undirected, u int, r *rng.Rand, propose func
 // exactly once, the worker count must not shape it, and a negative n must
 // panic instead of building a nonsensical layout.
 func TestNewEngineLayout(t *testing.T) {
-	cases := []struct {
-		name       string
-		n          int
-		wantShards int
-	}{
-		{"empty graph", 0, 1},
-		{"single node", 1, 1},
-		{"below one shard", 3, 1},
-		{"exactly one shard", 32, 1},
-		{"one past a shard", 33, 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			shards := newShards(tc.n, rng.New(1))
-			if len(shards) != tc.wantShards {
-				t.Fatalf("n=%d: %d shards want %d", tc.n, len(shards), tc.wantShards)
-			}
-			// The shards partition [0, n) exactly: contiguous, non-overlapping,
-			// clamped to n, never negative-width.
-			next := 0
-			for i := range shards {
-				sh := &shards[i]
-				if sh.lo != next || sh.hi < sh.lo || sh.hi > tc.n && tc.n > 0 {
-					t.Fatalf("shard %d range [%d,%d) breaks the partition at %d", i, sh.lo, sh.hi, next)
-				}
-				if sh.r == nil {
-					t.Fatalf("shard %d has no stream", i)
-				}
-				next = sh.hi
-			}
-			if tc.n > 0 && next != tc.n {
-				t.Fatalf("shards cover [0,%d) want [0,%d)", next, tc.n)
-			}
-			if tc.n == 0 && (shards[0].lo != 0 || shards[0].hi != 0) {
-				t.Fatalf("empty graph shard is [%d,%d) want [0,0)", shards[0].lo, shards[0].hi)
-			}
-			// The layout acts cleanly: the round core's act over the shards
-			// touches every node exactly once even on degenerate layouts.
-			seen := make([]int, tc.n)
-			r := &round[*graph.Undirected, graph.Edge]{p: nodeCounter{seen}, shards: shards}
-			for _, sh := range shards {
-				r.act(sh.lo, sh.hi, sh.r)
-			}
-			for u, c := range seen {
-				if c != 1 {
-					t.Fatalf("node %d acted %d times", u, c)
-				}
-			}
-		})
-	}
-	// A session's worker count, below or above the shard count, leaves the
-	// layout at ceil(n/32) shards, and a round acts every node once.
 	for _, tc := range []struct {
 		name                   string
 		n, workers, wantShards int
 	}{
+		{"empty graph", 0, 0, 1},
+		{"single node", 1, 0, 1},
+		{"below one shard", 3, 0, 1},
+		{"exactly one shard", 32, 0, 1},
+		{"one past a shard", 33, 0, 2},
+		// A session's worker count, below or above the shard count, leaves
+		// the layout at ceil(n/32) shards.
 		{"many shards few workers", 256, 3, 8},
 		{"workers above shards", 64, 100, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			seen := make([]int, tc.n)
-			s := NewSession(gen.Cycle(tc.n), nodeCounter{seen}, rng.New(1), Config{Workers: tc.workers})
-			defer s.Close()
-			s.Step()
-			if len(s.shards) != tc.wantShards {
-				t.Fatalf("n=%d workers=%d: %d shards want %d", tc.n, tc.workers, len(s.shards), tc.wantShards)
+			shards := newShards(tc.n, rng.New(1))
+			if tc.workers > 0 {
+				s := NewSession(gen.Cycle(tc.n), nodeCounter{seen}, rng.New(1), Config{Workers: tc.workers})
+				defer s.Close()
+				s.Step()
+				shards = s.shards
+			} else {
+				// The round core's act over the shards, as a round runs it.
+				r := &round[*graph.Undirected, graph.Edge]{p: nodeCounter{seen}, shards: shards}
+				for _, sh := range shards {
+					r.act(sh.lo, sh.hi, sh.r)
+				}
+			}
+			if len(shards) != tc.wantShards {
+				t.Fatalf("n=%d workers=%d: %d shards want %d", tc.n, tc.workers, len(shards), tc.wantShards)
+			}
+			// The shards partition [0, n) exactly: contiguous, non-overlapping,
+			// clamped to n, each with its own stream.
+			next := 0
+			for i, sh := range shards {
+				if sh.lo != next || sh.hi < sh.lo || sh.hi > max(tc.n, 0) || sh.r == nil {
+					t.Fatalf("shard %d [%d,%d) breaks the partition at %d", i, sh.lo, sh.hi, next)
+				}
+				next = sh.hi
+			}
+			if next != tc.n {
+				t.Fatalf("shards cover [0,%d) want [0,%d)", next, tc.n)
 			}
 			for u, c := range seen {
 				if c != 1 {
@@ -420,12 +225,7 @@ func TestNewEngineLayout(t *testing.T) {
 		})
 	}
 	t.Run("negative n panics", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("newShards(-1, ...) did not panic")
-			}
-		}()
-		newShards(-1, rng.New(1))
+		mustPanic(t, func() { newShards(-1, rng.New(1)) })
 	})
 }
 

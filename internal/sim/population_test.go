@@ -8,26 +8,15 @@ import (
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
+	"gossipdisc/internal/simtest"
 )
 
 // This file pins the population layer's determinism contract on the
 // synchronous engines: a uniform Population is byte-identical to the bare
 // process it wraps (Result and delta stream, for every engine family and
-// dense-phase setting), a mixed population replays bit-for-bit from
-// (seed, roles) on every sharded schedule, and uniform-population
-// dispatch adds no allocations to the steady-state round.
-
-// populationFingerprint runs one full discovery over a cycle graph with
-// the given process and returns the Result plus the delta-stream hash.
-func populationFingerprint(p core.Process, b graph.Backend, n, workers int, densePhase float64) (Result, uint64) {
-	g := gen.Cycle(n, b)
-	dh := newDeltaHash()
-	res := runWith(g, p, rng.New(uint64(3000+n)), Config{
-		Workers:    workers,
-		DensePhase: densePhase,
-	}, dh)
-	return res, dh.h
-}
+// dense-phase setting), and a mixed population replays bit-for-bit from
+// (seed, roles) on every sharded schedule. TestPopulationStepZeroAlloc
+// lives with the table's other allocation checks.
 
 // TestPopulationUniformByteIdentity: a Population with no roles assigned
 // must be indistinguishable from the bare default process — same Result,
@@ -50,28 +39,16 @@ func TestPopulationUniformByteIdentity(t *testing.T) {
 	}
 	for _, workers := range []int{0, 1, 4} {
 		for _, dense := range []float64{0, 0.3} {
-			workers, dense := workers, dense
 			t.Run(fmt.Sprintf("w=%d/dense=%v", workers, dense), func(t *testing.T) {
 				for _, tc := range cases {
-					wantRes, wantHash := populationFingerprint(tc.p, tc.b, n, workers, dense)
-					if !wantRes.Converged {
-						t.Fatalf("%s: bare run did not converge", tc.name)
-					}
-					pop := core.NewPopulation(n, tc.p)
-					res, h := populationFingerprint(pop, tc.b, n, workers, dense)
-					if res != wantRes {
-						t.Fatalf("%s: uniform population diverged:\n bare: %+v\n pop:  %+v", tc.name, wantRes, res)
-					}
-					if h != wantHash {
-						t.Fatalf("%s: uniform population delta stream diverged (hash %x vs %x)", tc.name, h, wantHash)
-					}
 					// Defining (but not assigning) roles must change nothing.
-					pop2 := core.NewPopulation(n, tc.p)
-					pop2.DefineRole("byzantine", core.Byzantine{Target: -1})
-					res2, h2 := populationFingerprint(pop2, tc.b, n, workers, dense)
-					if res2 != wantRes || h2 != wantHash {
-						t.Fatalf("%s: defining an unassigned role perturbed the run", tc.name)
-					}
+					defined := core.NewPopulation(n, tc.p)
+					defined.DefineRole("byzantine", core.Byzantine{Target: -1})
+					cfg := Config{Workers: workers, DensePhase: dense}
+					converged(t, simtest.Identical(t,
+						session(tc.name, cycle(n, tc.b), tc.p, 3000+n, cfg),
+						session(tc.name+"/population", cycle(n, tc.b), core.NewPopulation(n, tc.p), 3000+n, cfg),
+						session(tc.name+"/defined-role", cycle(n, tc.b), defined, 3000+n, cfg)))
 				}
 			})
 		}
@@ -84,21 +61,14 @@ func TestPopulationUniformByteIdentity(t *testing.T) {
 // engine family with the dense phase off and on.
 func TestPopulationUniformByteIdentityDirected(t *testing.T) {
 	const n = 96
+	build := func() *graph.Directed { return gen.RandomStronglyConnected(n, n/2, rng.New(7000+n)) }
 	for _, workers := range []int{0, 1, 4} {
 		for _, dense := range []float64{0, 0.5} {
 			t.Run(fmt.Sprintf("w=%d/dense=%v", workers, dense), func(t *testing.T) {
-				wantRes, wantHash := runDirectedFingerprint(core.DirectedTwoHop{}, graph.BackendDense, n, workers, dense)
-				if !wantRes.Converged {
-					t.Fatal("bare directed run did not converge")
-				}
-				pop := core.NewDirectedPopulation(n, core.DirectedTwoHop{})
-				res, h := runDirectedFingerprint(pop, graph.BackendDense, n, workers, dense)
-				if res != wantRes {
-					t.Fatalf("uniform directed population diverged:\n bare: %+v\n pop:  %+v", wantRes, res)
-				}
-				if h != wantHash {
-					t.Fatalf("uniform directed population delta stream diverged (hash %x vs %x)", h, wantHash)
-				}
+				cfg := DirectedConfig{Workers: workers, DensePhase: dense}
+				converged(t, simtest.Identical(t,
+					directed("bare", build, core.DirectedTwoHop{}, 2000+n, cfg),
+					directed("population", build, core.NewDirectedPopulation(n, core.DirectedTwoHop{}), 2000+n, cfg)))
 			})
 		}
 	}
@@ -107,47 +77,21 @@ func TestPopulationUniformByteIdentityDirected(t *testing.T) {
 // TestPopulationBitReplay: a mixed population replays bit-identically
 // from (seed, roles) at every Workers >= 1 — the sharded engines share
 // one per-shard stream layout, so the schedule cannot leak into the
-// trajectory even when nodes run different behaviors.
+// trajectory even when nodes run different behaviors — and the roles
+// actually bite: the uniform trajectory differs.
 func TestPopulationBitReplay(t *testing.T) {
 	const n = 128
-	const spec = "honest,byzantine=5%,selfish=10:0-99,silent=3"
-	mixed := func(workers int) (Result, uint64) {
-		pop, err := core.ParseRoleSpec(spec, n, core.Push{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := gen.Cycle(n)
-		dh := newDeltaHash()
-		res := runWith(g, pop, rng.New(99), Config{
-			Workers:   workers,
-			MaxRounds: 200,
-			Done:      func(*graph.Undirected) bool { return false },
-		}, dh)
-		return res, dh.h
+	bounded := func(p core.Process, workers int) simtest.Row {
+		return session(fmt.Sprintf("w=%d", workers), cycle(n), p, 99, Config{
+			Workers: workers, MaxRounds: 200, Done: func(*graph.Undirected) bool { return false },
+		})
 	}
-	wantRes, wantHash := mixed(1)
-	for _, workers := range []int{2, 4, 7} {
-		res, h := mixed(workers)
-		if res != wantRes {
-			t.Fatalf("workers=%d mixed Result diverged:\n w1: %+v\n w%d: %+v", workers, wantRes, workers, res)
-		}
-		if h != wantHash {
-			t.Fatalf("workers=%d mixed delta stream diverged (hash %x vs %x)", workers, h, wantHash)
-		}
+	pop, err := core.ParseRoleSpec("honest,byzantine=5%,selfish=10:0-99,silent=3", n, core.Push{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// And the whole thing replays: same (seed, roles), same bytes.
-	res, h := mixed(4)
-	if res != wantRes || h != wantHash {
-		t.Fatal("replay from (seed, roles) diverged")
-	}
-	// The roles actually bite: the uniform trajectory must differ.
-	g := gen.Cycle(n)
-	dh := newDeltaHash()
-	runWith(g, core.Push{}, rng.New(99), Config{
-		Workers: 1, MaxRounds: 200,
-		Done: func(*graph.Undirected) bool { return false },
-	}, dh)
-	if dh.h == wantHash {
+	want := simtest.Identical(t, simtest.Axis([]int{1, 2, 4, 7, 4}, func(w int) simtest.Row { return bounded(pop, w) })...)
+	if simtest.Run(t, bounded(core.Push{}, 1)).Hash == want.Hash {
 		t.Fatal("mixed population produced the uniform trajectory — roles had no effect")
 	}
 }
@@ -159,19 +103,18 @@ func TestPopulationBitReplay(t *testing.T) {
 // determinism contract (mirroring eventsim's RateMap mid-run retuning).
 func TestPopulationMutationDeterministic(t *testing.T) {
 	const n = 96
-	trajectory := func(workers int) (Result, uint64) {
+	trajectory := func(workers int) simtest.Outcome {
 		pop, err := core.ParseRoleSpec("byzantine=8,selfish=4:0-31", n, core.Push{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := gen.Cycle(n)
-		dh := newDeltaHash()
-		s := NewSession(g, pop, rng.New(7), Config{
+		s := NewSession(gen.Cycle(n), pop, rng.New(7), Config{
 			Workers:   workers,
 			MaxRounds: -1,
 			Done:      func(*graph.Undirected) bool { return false },
 		})
 		defer s.Close()
+		rt, fp := simtest.Undirected(s), simtest.NewFingerprint()
 		for step := 0; step < 60; step++ {
 			switch step {
 			case 10:
@@ -184,60 +127,27 @@ func TestPopulationMutationDeterministic(t *testing.T) {
 				pop.SetNodeProcess(40, nil) // back to the default
 				pop.SetRoleProcess("selfish", core.Push{})
 			}
-			d, _ := s.Step()
-			dh.observe(g, d)
+			e, _ := rt.Step()
+			fp.OnEvent(e)
 		}
-		return s.Stats(), dh.h
+		return simtest.Outcome{Result: s.Stats(), Hash: fp.Sum}
 	}
-	wantRes, wantHash := trajectory(1)
+	want := trajectory(1)
 	for _, workers := range []int{2, 4} {
-		res, h := trajectory(workers)
-		if res != wantRes {
-			t.Fatalf("workers=%d mutated Result diverged:\n w1: %+v\n w%d: %+v", workers, wantRes, workers, res)
+		if got := trajectory(workers); got != want {
+			t.Fatalf("workers=%d mutated trajectory diverged:\n w1: %+v %#x\n w%d: %+v %#x",
+				workers, want.Result, want.Hash, workers, got.Result, got.Hash)
 		}
-		if h != wantHash {
-			t.Fatalf("workers=%d mutated trajectory diverged (hash %x vs %x)", workers, h, wantHash)
-		}
-	}
-}
-
-// TestPopulationStepZeroAlloc pins the uniform-dispatch cost: stepping a
-// session whose process is a uniform Population allocates nothing in
-// steady state, exactly like the bare process. Skipped under -race
-// (instrumentation allocates).
-func TestPopulationStepZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are perturbed by the race detector")
-	}
-	g := gen.Complete(64) // complete: rounds propose only duplicates
-	pop := core.NewPopulation(64, core.Push{})
-	s := NewSession(g, pop, rng.New(13), Config{
-		MaxRounds: -1,
-		Done:      func(*graph.Undirected) bool { return false },
-	})
-	defer s.Close()
-	for i := 0; i < 3; i++ {
-		s.Step() // warm the round buffers
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		s.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("uniform-population Step allocates %v per round in steady state, want 0", allocs)
 	}
 }
 
 // BenchmarkPopulationStep compares the steady-state round cost of a bare
 // process against uniform and mixed populations — the dispatch overhead
-// the tentpole promises to keep at one slice index plus an interface call.
+// the population layer keeps at one slice index plus an interface call.
 func BenchmarkPopulationStep(b *testing.B) {
 	const n = 256
 	bench := func(b *testing.B, p core.Process) {
-		g := gen.Complete(n)
-		s := NewSession(g, p, rng.New(17), Config{
-			MaxRounds: -1,
-			Done:      func(*graph.Undirected) bool { return false },
-		})
+		s := steady(gen.Complete(n), p, Config{})
 		defer s.Close()
 		s.Step()
 		b.ReportAllocs()

@@ -11,28 +11,24 @@ import (
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
+	"gossipdisc/internal/simtest"
 	"gossipdisc/internal/stream"
 )
 
-// runWith drives a fresh session over g to completion with subs on its bus:
-// Run, observed.
-func runWith(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Config, subs ...stream.Subscriber) Result {
-	s := NewSession(g, p, r, cfg)
-	defer s.Close()
-	for _, sub := range subs {
-		s.Subscribe(sub)
+// observed runs push on a fresh n-path with a subscriber counting the
+// round events: it must see every round once (Invariants checks that they
+// come in order and that the edge count never falls).
+func observed(t *testing.T, n int, seed uint64, cfg Config) (*graph.Undirected, Result) {
+	t.Helper()
+	var g *graph.Undirected
+	calls := 0
+	out := simtest.Run(t, session("path", func() *graph.Undirected { g = gen.Path(n); return g }, core.Push{}, seed, cfg),
+		stream.SubscriberFunc(func(*stream.Event) { calls++ }))
+	res := out.Result.(Result)
+	if calls != res.Rounds {
+		t.Fatalf("observer called %d times for %d rounds", calls, res.Rounds)
 	}
-	return s.Run()
-}
-
-// runDirectedWith is runWith for a directed session.
-func runDirectedWith(g *graph.Directed, p core.DirectedProcess, r *rng.Rand, cfg DirectedConfig, subs ...stream.Subscriber) DirectedResult {
-	s := NewDirectedSession(g, p, r, cfg)
-	defer s.Close()
-	for _, sub := range subs {
-		s.Subscribe(sub)
-	}
-	return s.Run()
+	return g, res
 }
 
 func TestRunPushPathToComplete(t *testing.T) {
@@ -92,92 +88,19 @@ func TestRunCustomDone(t *testing.T) {
 	}
 }
 
-func TestObserverSeesEveryRound(t *testing.T) {
-	g := gen.Path(6)
-	var rounds []int
-	lastM := g.M()
-	monotone := true
-	res := runWith(g, core.Push{}, rng.New(6), Config{}, stream.SubscriberFunc(func(e *stream.Event) {
-		rounds = append(rounds, e.Delta.Round)
-		if e.Graph.M() < lastM {
-			monotone = false
-		}
-		lastM = e.Graph.M()
-	}))
-	if len(rounds) != res.Rounds {
-		t.Fatalf("observer called %d times for %d rounds", len(rounds), res.Rounds)
-	}
-	for i, r := range rounds {
-		if r != i+1 {
-			t.Fatalf("observer rounds %v", rounds)
-		}
-	}
-	if !monotone {
-		t.Fatal("edge count decreased during run")
-	}
-}
+func TestObserverSeesEveryRound(t *testing.T) { observed(t, 6, 6, Config{}) }
 
-// syncProbe proposes (u, u+1 mod n) and records the graph's edge count at
-// Act time; in synchronous mode no Act within one round may observe another
-// proposal of the same round.
-type syncProbe struct {
-	observedM []int
-}
+func TestSynchronousCommitSemantics(t *testing.T) { checkSynchronous(t, 6, Config{}) }
 
-func (s *syncProbe) Name() string { return "sync-probe" }
-func (s *syncProbe) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b int)) {
-	s.observedM = append(s.observedM, g.M())
-	propose(u, (u+1)%g.N())
-}
-
-func TestSynchronousCommitSemantics(t *testing.T) {
-	// Start from a star; the probe proposes the cycle edges. In sync mode
-	// every node must observe the same round-start edge count.
-	g := gen.Star(6)
-	p := &syncProbe{}
-	Run(g, p, rng.New(7), Config{MaxRounds: 1})
-	if len(p.observedM) != 6 {
-		t.Fatalf("probe acted %d times", len(p.observedM))
-	}
-	for _, m := range p.observedM {
-		if m != 5 {
-			t.Fatalf("sync mode: node observed mid-round edge count %d (want 5): %v", m, p.observedM)
-		}
-	}
-	// All proposed cycle edges must be present afterwards.
-	for u := 0; u < 6; u++ {
-		if !g.HasEdge(u, (u+1)%6) {
-			t.Fatalf("edge %d-%d missing after commit", u, (u+1)%6)
-		}
-	}
-}
-
+// TestEagerCommitSemantics: in eager mode later nodes see earlier
+// insertions.
 func TestEagerCommitSemantics(t *testing.T) {
-	g := gen.Star(6)
-	p := &syncProbe{}
-	Run(g, p, rng.New(8), Config{MaxRounds: 1, Mode: CommitEager})
-	// Later nodes must see earlier insertions: observed counts increase.
-	increased := false
-	for i := 1; i < len(p.observedM); i++ {
-		if p.observedM[i] > p.observedM[i-1] {
-			increased = true
-		}
-	}
-	if !increased {
-		t.Fatalf("eager mode: no mid-round visibility: %v", p.observedM)
+	if _, m := probeRound(6, Config{Mode: CommitEager}); m[5] <= m[0] {
+		t.Fatalf("eager mode: no mid-round visibility: %v", m)
 	}
 }
 
-func TestDuplicateAccounting(t *testing.T) {
-	// probe proposes the same edge from every node: 1 new + n-1 duplicates
-	// in round one.
-	g := gen.Star(4)
-	p := fixedProbe{}
-	res := Run(g, p, rng.New(9), Config{MaxRounds: 1})
-	if res.NewEdges != 1 || res.DuplicateProposals != 3 || res.Proposals != 4 {
-		t.Fatalf("duplicate accounting: %+v", res)
-	}
-}
+func TestDuplicateAccounting(t *testing.T) { checkDuplicates(t, 4, Config{}) }
 
 type fixedProbe struct{}
 
@@ -385,10 +308,10 @@ func TestRunDirectedEagerMode(t *testing.T) {
 }
 
 func TestRunDirectedObserverAndAbort(t *testing.T) {
-	g := gen.Thm14WeakLowerBound(16)
 	calls := 0
-	res := runDirectedWith(g, core.WrapDirected(core.DirectedTwoHop{}, core.Fail(1)),
-		rng.New(14), DirectedConfig{MaxRounds: 7}, stream.SubscriberFunc(func(*stream.Event) { calls++ }))
+	row := directed("failing", func() *graph.Directed { return gen.Thm14WeakLowerBound(16) },
+		core.WrapDirected(core.DirectedTwoHop{}, core.Fail(1)), 14, DirectedConfig{MaxRounds: 7})
+	res := simtest.Run(t, row, stream.SubscriberFunc(func(*stream.Event) { calls++ })).Result.(DirectedResult)
 	if res.Converged || res.Rounds != 7 || calls != 7 {
 		t.Fatalf("aborted directed run: %+v calls=%d", res, calls)
 	}
@@ -403,12 +326,9 @@ func TestQuickClosureInvariant(t *testing.T) {
 		g := gen.RandomStronglyConnected(n, r.Intn(n), r)
 		before := g.ClosureArcCount()
 		ok := true
-		runDirectedWith(g, core.DirectedTwoHop{}, r, DirectedConfig{MaxRounds: 20},
-			stream.SubscriberFunc(func(e *stream.Event) {
-				if e.Digraph.ClosureArcCount() != before {
-					ok = false
-				}
-			}))
+		s := NewDirectedSession(g, core.DirectedTwoHop{}, r, DirectedConfig{MaxRounds: 20})
+		s.Subscribe(stream.SubscriberFunc(func(e *stream.Event) { ok = ok && e.Digraph.ClosureArcCount() == before }))
+		s.Run()
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

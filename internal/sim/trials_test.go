@@ -19,29 +19,38 @@ func directedRuns(p core.DirectedProcess, cfg DirectedConfig) func(*graph.Direct
 	return func(g *graph.Directed, r *rng.Rand) DirectedResult { return RunDirected(g, p, r, cfg) }
 }
 
+// samePools requires batch to return the same results at every trial pool
+// size — sequential, bounded and the GOMAXPROCS default — and twice at
+// each, and every trial to satisfy ok.
+func samePools[R comparable](t *testing.T, batch func(pool int) []R, ok func(R) bool) []R {
+	t.Helper()
+	want := batch(1)
+	for _, pool := range []int{1, 2, 0} {
+		got := batch(pool)
+		for i := range want {
+			if got[i] != want[i] || !ok(got[i]) {
+				t.Fatalf("pool=%d trial %d: %+v, sequential %+v", pool, i, got[i], want[i])
+			}
+		}
+	}
+	return want
+}
+
+func converges(r Result) bool                 { return r.Converged }
+func directedConverges(r DirectedResult) bool { return r.Converged }
+func anyResult[R any](R) bool                 { return true }
+
 func TestTrialsDeterministic(t *testing.T) {
-	build := func(trial int, r *rng.Rand) *graph.Undirected {
-		return gen.RandomTree(12, r)
-	}
-	a := Trials(0, 8, 42, build, runs(core.Push{}, Config{}))
-	b := Trials(0, 8, 42, build, runs(core.Push{}, Config{}))
-	if len(a) != 8 || len(b) != 8 {
-		t.Fatalf("trial counts %d %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trial %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-		if !a[i].Converged {
-			t.Fatalf("trial %d did not converge", i)
-		}
+	res := samePools(t, func(pool int) []Result {
+		return Trials(pool, 8, 42, func(trial int, r *rng.Rand) *graph.Undirected { return gen.RandomTree(12, r) }, runs(core.Push{}, Config{}))
+	}, converges)
+	if len(res) != 8 {
+		t.Fatalf("%d trials, want 8", len(res))
 	}
 }
 
 func TestTrialsDifferentSeedsDiffer(t *testing.T) {
-	build := func(trial int, r *rng.Rand) *graph.Undirected {
-		return gen.RandomTree(16, r)
-	}
+	build := func(trial int, r *rng.Rand) *graph.Undirected { return gen.RandomTree(16, r) }
 	a := Trials(0, 6, 1, build, runs(core.Push{}, Config{}))
 	b := Trials(0, 6, 2, build, runs(core.Push{}, Config{}))
 	same := 0
@@ -55,12 +64,10 @@ func TestTrialsDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestTrialsAreIndependent: each trial gets its own graph and stream, so
+// rounds vary across trials of one input.
 func TestTrialsAreIndependent(t *testing.T) {
-	// Each trial must get its own graph: rounds should vary across trials.
-	build := func(trial int, r *rng.Rand) *graph.Undirected {
-		return gen.Path(14)
-	}
-	res := Trials(0, 10, 7, build, runs(core.Pull{}, Config{}))
+	res := Trials(0, 10, 7, func(trial int, r *rng.Rand) *graph.Undirected { return gen.Path(14) }, runs(core.Pull{}, Config{}))
 	distinct := map[int]bool{}
 	for _, r := range res {
 		distinct[r.Rounds] = true
@@ -71,19 +78,19 @@ func TestTrialsAreIndependent(t *testing.T) {
 }
 
 func TestDirectedTrialsDeterministic(t *testing.T) {
-	build := func(trial int, r *rng.Rand) *graph.Directed {
-		return gen.RandomStronglyConnected(8, 4, r)
-	}
-	a := Trials(0, 6, 9, build, directedRuns(core.DirectedTwoHop{}, DirectedConfig{}))
-	b := Trials(0, 6, 9, build, directedRuns(core.DirectedTwoHop{}, DirectedConfig{}))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("directed trial %d differs", i)
-		}
-		if !a[i].Converged {
-			t.Fatalf("directed trial %d did not converge", i)
-		}
-	}
+	samePools(t, func(pool int) []DirectedResult {
+		return Trials(pool, 6, 9, func(trial int, r *rng.Rand) *graph.Directed { return gen.RandomStronglyConnected(8, 4, r) },
+			directedRuns(core.DirectedTwoHop{}, DirectedConfig{}))
+	}, directedConverges)
+}
+
+// TestParallelTrialsDeterministic: Workers flows through Trials and keeps
+// the whole batch a deterministic function of (seed, trial index).
+func TestParallelTrialsDeterministic(t *testing.T) {
+	samePools(t, func(pool int) []Result {
+		return Trials(pool, 6, 11, func(trial int, r *rng.Rand) *graph.Undirected { return gen.Cycle(48 + 16*trial) },
+			runs(core.Push{}, Config{Workers: 2}))
+	}, converges)
 }
 
 // TestRoundsExtraction: Trials returns run's value for trial i at index i,
@@ -132,63 +139,32 @@ func TestParallelForCoversAll(t *testing.T) {
 }
 
 func TestParallelForRejectsNegativePool(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for a negative trial pool")
-		}
-	}()
-	parallelFor(-2, 4, func(i int) {})
+	mustPanic(t, func() { parallelFor(-2, 4, func(i int) {}) })
 }
 
 // TestTrialsOnPoolInvariance: per-trial generators are split before any
-// work is dispatched, so the pool size — sequential, bounded, or the
-// GOMAXPROCS default — cannot influence any trial's result, undirected or
-// directed.
+// work is dispatched, so the pool size cannot influence any trial's
+// result, undirected or directed.
 func TestTrialsOnPoolInvariance(t *testing.T) {
-	build := func(trial int, r *rng.Rand) *graph.Undirected {
-		return gen.RandomTree(40, r)
-	}
-	seq := Trials(1, 7, 21, build, runs(core.Push{}, Config{}))
-	for _, pool := range []int{2, 0} {
-		got := Trials(pool, 7, 21, build, runs(core.Push{}, Config{}))
-		for i := range seq {
-			if got[i] != seq[i] {
-				t.Fatalf("pool=%d trial %d: %+v != sequential %+v", pool, i, got[i], seq[i])
-			}
-		}
-	}
-
-	dbuild := func(trial int, r *rng.Rand) *graph.Directed {
-		return gen.RandomStronglyConnected(24, 8, r)
-	}
-	dseq := Trials(1, 5, 9, dbuild, directedRuns(core.DirectedTwoHop{}, DirectedConfig{}))
-	for _, pool := range []int{2, 0} {
-		got := Trials(pool, 5, 9, dbuild, directedRuns(core.DirectedTwoHop{}, DirectedConfig{}))
-		for i := range dseq {
-			if got[i] != dseq[i] {
-				t.Fatalf("directed pool=%d trial %d differs", pool, i)
-			}
-		}
-	}
+	samePools(t, func(pool int) []Result {
+		return Trials(pool, 7, 21, func(trial int, r *rng.Rand) *graph.Undirected { return gen.RandomTree(40, r) }, runs(core.Push{}, Config{}))
+	}, anyResult)
+	samePools(t, func(pool int) []DirectedResult {
+		return Trials(pool, 5, 9, func(trial int, r *rng.Rand) *graph.Directed { return gen.RandomStronglyConnected(24, 8, r) },
+			directedRuns(core.DirectedTwoHop{}, DirectedConfig{}))
+	}, anyResult)
 }
 
 // TestTrialsOnRejectsNegativePool: a negative pool bound is always a caller
 // bug, caught at the entry point.
 func TestTrialsOnRejectsNegativePool(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for a negative trial pool")
-		}
-	}()
-	Trials(-1, 2, 1, func(trial int, r *rng.Rand) *graph.Undirected {
-		return gen.Cycle(6)
-	}, runs(core.Push{}, Config{}))
+	mustPanic(t, func() {
+		Trials(-1, 2, 1, func(trial int, r *rng.Rand) *graph.Undirected { return gen.Cycle(6) }, runs(core.Push{}, Config{}))
+	})
 }
 
 func TestTrialsSingleTrial(t *testing.T) {
-	res := Trials(0, 1, 5, func(trial int, r *rng.Rand) *graph.Undirected {
-		return gen.Cycle(6)
-	}, runs(core.Push{}, Config{}))
+	res := Trials(0, 1, 5, func(trial int, r *rng.Rand) *graph.Undirected { return gen.Cycle(6) }, runs(core.Push{}, Config{}))
 	if len(res) != 1 || !res[0].Converged {
 		t.Fatalf("single trial: %+v", res)
 	}

@@ -38,56 +38,29 @@ func mustPanic(t *testing.T, fn func()) (msg string) {
 // constructors that take workers, with messages naming the field; so do a
 // NaN DensePhase and an unknown Mode, for both round substrates.
 func TestNewSessionRejectsJunkConfig(t *testing.T) {
-	cases := []struct {
-		name    string
-		workers int
-	}{
-		// -1 is deliberately junk at the library surface: it used to fall
-		// through to the sequential engine (and is accepted by the CLIs), so
-		// a stale -1 caller fails fast instead of silently switching engine
-		// families. math.MinInt was the retired autoscaler's sentinel.
-		{"minus one", -1},
-		{"minus two", -2},
-		{"large negative", -99},
-		{"min int", math.MinInt},
-	}
-	for _, tc := range cases {
-		t.Run("undirected "+tc.name, func(t *testing.T) {
-			msg := mustPanic(t, func() {
-				NewSession(gen.Cycle(8), core.Push{}, rng.New(1), Config{Workers: tc.workers})
-			})
-			if !strings.Contains(msg, "Config.Workers") {
-				t.Fatalf("panic %q does not name Config.Workers", msg)
-			}
-		})
-		t.Run("directed "+tc.name, func(t *testing.T) {
-			msg := mustPanic(t, func() {
-				NewDirectedSession(gen.DirectedCycle(8), core.DirectedTwoHop{}, rng.New(1),
-					DirectedConfig{Workers: tc.workers})
-			})
-			if !strings.Contains(msg, "DirectedConfig.Workers") {
-				t.Fatalf("panic %q does not name DirectedConfig.Workers", msg)
-			}
-		})
-	}
-
-	// The checks written once in round.setup: a NaN DensePhase (x < 0 ||
-	// x > 1 is false for it, so it used to disarm the mode in silence) and a
-	// mode that is no CommitMode (it used to panic at the first step, or
-	// never, when the graph was done at entry) — both substrates, on a graph
-	// that is done at entry.
-	junk := []struct {
+	// -1 is deliberately junk at the library surface: it used to fall
+	// through to the sequential engine (and is accepted by the CLIs), so a
+	// stale -1 caller fails fast instead of silently switching engine
+	// families. math.MinInt was the retired autoscaler's sentinel. A NaN
+	// DensePhase (x < 0 || x > 1 is false for it) used to disarm the mode
+	// in silence, and a mode that is no CommitMode used to panic at the
+	// first step, or never: each graph here is done at entry.
+	for _, tc := range []struct {
 		name, want string
+		workers    int
 		mode       CommitMode
 		dense      float64
 	}{
-		{"NaN dense phase", "DensePhase NaN outside [0, 1]", CommitSynchronous, math.NaN()},
-		{"unknown commit mode", "sim: unknown commit mode 7", CommitMode(7), 0},
-	}
-	for _, tc := range junk {
+		{"minus one", "Config.Workers", -1, 0, 0},
+		{"minus two", "Config.Workers", -2, 0, 0},
+		{"large negative", "Config.Workers", -99, 0, 0},
+		{"min int", "Config.Workers", math.MinInt, 0, 0},
+		{"NaN dense phase", "DensePhase NaN outside [0, 1]", 0, CommitSynchronous, math.NaN()},
+		{"unknown commit mode", "sim: unknown commit mode 7", 0, CommitMode(7), 0},
+	} {
 		t.Run("undirected "+tc.name, func(t *testing.T) {
 			msg := mustPanic(t, func() {
-				NewSession(gen.Complete(8), core.Push{}, rng.New(1), Config{Mode: tc.mode, DensePhase: tc.dense})
+				NewSession(gen.Complete(8), core.Push{}, rng.New(1), Config{Workers: tc.workers, Mode: tc.mode, DensePhase: tc.dense})
 			})
 			if !strings.Contains(msg, tc.want) {
 				t.Fatalf("panic %q, want %q", msg, tc.want)
@@ -96,9 +69,10 @@ func TestNewSessionRejectsJunkConfig(t *testing.T) {
 		t.Run("directed "+tc.name, func(t *testing.T) {
 			msg := mustPanic(t, func() {
 				NewDirectedSession(gen.CompleteDigraph(8), core.DirectedTwoHop{}, rng.New(1),
-					DirectedConfig{Mode: tc.mode, DensePhase: tc.dense})
+					DirectedConfig{Workers: tc.workers, Mode: tc.mode, DensePhase: tc.dense})
 			})
-			if !strings.Contains(msg, tc.want) {
+			// The directed panic names DirectedConfig.Workers.
+			if !strings.Contains(msg, tc.want) || strings.Contains(tc.want, "Workers") && !strings.Contains(msg, "DirectedConfig.Workers") {
 				t.Fatalf("panic %q, want %q", msg, tc.want)
 			}
 		})
@@ -162,15 +136,17 @@ func TestSessionMaxRoundsNormalization(t *testing.T) {
 }
 
 // TestDensePhaseOutOfRangePanics: the [0, 1] gate lives in the same
-// fail-fast layer (it predates this table; pinned here alongside the rest).
-func TestDensePhaseOutOfRangePanics(t *testing.T) {
-	mustPanic(t, func() {
-		NewSession(gen.Cycle(8), core.Push{}, rng.New(1), Config{DensePhase: 1.5})
-	})
-	mustPanic(t, func() {
-		NewDirectedSession(gen.DirectedCycle(8), core.DirectedTwoHop{}, rng.New(1),
-			DirectedConfig{DensePhase: -0.2})
-	})
+// fail-fast layer, for both session families.
+func TestDensePhaseOutOfRangePanics(t *testing.T) { densePhaseOutOfRange(t, 1.5, -0.2) }
+
+// densePhaseOutOfRange requires each fraction to panic at construction.
+func densePhaseOutOfRange(t *testing.T, fracs ...float64) {
+	for _, frac := range fracs {
+		mustPanic(t, func() { NewSession(gen.Path(8), core.Push{}, rng.New(1), Config{DensePhase: frac}) })
+		mustPanic(t, func() {
+			NewDirectedSession(gen.DirectedCycle(8), core.DirectedTwoHop{}, rng.New(1), DirectedConfig{DensePhase: frac})
+		})
+	}
 }
 
 // TestMembershipNodeOutsideMaskPanics: InsertNode / RemoveNode of a node
