@@ -16,8 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,7 +35,7 @@ func main() {
 		trials         = flag.Int("trials", 0, "per-point trial override (0 = experiment default)")
 		scale          = flag.Float64("scale", 1, "sweep-size scale factor in (0, 1]")
 		csv            = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		workers        = flag.String("workers", "0", "per-run round engine: 0 = classic sequential engine, k >= 1 = sharded deterministic engine (identical output for every k; -1 = same as 1)")
+		workers        = flag.String("workers", "0", "per-run round engine: 0 = classic sequential engine, k >= 1 = sharded deterministic engine (identical output for every k; -1 = same as 1; E15's eager column ignores it)")
 		trialsParallel = flag.Int("trials-parallel", 0, "concurrent trials per sweep point (0 = GOMAXPROCS, 1 = strictly sequential; outputs are byte-identical for every value)")
 		sched          = flag.String("sched", "both", "async runtimes the scheduler experiments (E15) tabulate: both | tick | event")
 		ratesSpec      = flag.String("rates", "", "eventsim rate spec adding a custom-population table to E20, e.g. \"0.5,fast=8:0-15\" (resolved against the sweep's largest n)")
@@ -91,13 +89,13 @@ func main() {
 		exp.Gauge("gossip_experiments_running", "Experiments currently running (0 or 1).", func() float64 {
 			return float64(running.Load())
 		})
-		ln, err := net.Listen("tcp", *metricsAddr)
+		addr, stop, err := export.Serve(*metricsAddr, exp)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: -metrics-addr: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "experiments: serving metrics at http://%s/metrics\n", ln.Addr())
-		go http.Serve(ln, exp)
+		defer stop()
+		fmt.Fprintf(os.Stderr, "experiments: serving metrics at http://%s/metrics\n", addr)
 	}
 	// Resolve -workers exactly as gossipsim does (validate already
 	// rejected everything else).

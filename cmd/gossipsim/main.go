@@ -93,6 +93,7 @@ func main() {
 	}()
 	backend, _ := graph.ParseBackend(*backendName)
 	obs := newObservability(*metricsAddr, *snapshotFmt)
+	defer obs.close()
 
 	if *scenarioPath != "" {
 		runWire(*process, *family, *n, *trials, *seed, *roundsBudget, *scenarioPath, backend, obs)

@@ -2,8 +2,6 @@ package main
 
 import (
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 
 	"gossipdisc/internal/analyze"
@@ -15,15 +13,15 @@ import (
 
 // observability bundles the optional trial-0 observation surfaces:
 // -metrics-addr attaches the standard analyzer pack plus a Prometheus
-// exporter and serves the exposition over HTTP for the duration of the
-// process, and -snapshot renders trial 0's final contact graph. A nil
-// *observability is valid and inert, so run paths call its methods
-// unconditionally.
+// exporter and serves the exposition over HTTP until the run is over, and
+// -snapshot renders trial 0's final contact graph. A nil *observability
+// is valid and inert, so run paths call its methods unconditionally.
 type observability struct {
 	health   *analyze.Health
 	exp      *export.Prometheus
 	anon     *analyze.Anonymity
 	snapshot string // "dot", "mermaid", or "" (off)
+	stop     func() // shuts the metrics endpoint down
 }
 
 // newObservability builds the surfaces the flags ask for, binding and
@@ -38,17 +36,25 @@ func newObservability(metricsAddr, snapshot string) *observability {
 		o.health = analyze.NewHealth()
 		o.exp = export.NewPrometheus()
 		o.exp.Attach(o.health)
-		ln, err := net.Listen("tcp", metricsAddr)
+		addr, stop, err := export.Serve(metricsAddr, o.exp)
 		if err != nil {
 			fatalf("-metrics-addr: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "gossipsim: serving metrics at http://%s/metrics\n", ln.Addr())
-		go http.Serve(ln, o.exp)
+		o.stop = stop
+		fmt.Fprintf(os.Stderr, "gossipsim: serving metrics at http://%s/metrics\n", addr)
 	}
 	if o.health == nil && o.snapshot == "" {
 		return nil
 	}
 	return o
+}
+
+// close stops the metrics endpoint, if one is served, once its requests
+// in flight are answered.
+func (o *observability) close() {
+	if o != nil && o.stop != nil {
+		o.stop()
+	}
 }
 
 // active reports whether trial 0 should run through a session so
@@ -86,11 +92,13 @@ func (o *observability) attach(subscribe func(stream.Subscriber)) {
 	if o == nil {
 		return
 	}
+	// The analyzers back the endpoint's gauges, which scrapes read on
+	// the server's goroutines: they are fed under the exporter's lock.
 	if o.health != nil {
-		subscribe(o.health)
+		subscribe(o.exp.Guard(o.health))
 	}
 	if o.anon != nil {
-		subscribe(o.anon)
+		subscribe(o.exp.Guard(o.anon))
 	}
 	if o.exp != nil {
 		subscribe(o.exp)

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"os"
 	"sync"
@@ -49,13 +48,13 @@ func main() {
 	}
 
 	d := newDashboard(*n)
-	ln, err := net.Listen("tcp", *addr)
+	bound, stop, err := gossipdisc.Serve(*addr, d.handler())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ops-dashboard: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("serving http://%s/metrics and /snapshot.mmd\n", ln.Addr())
-	go http.Serve(ln, d.handler())
+	defer stop()
+	fmt.Printf("serving http://%s/metrics and /snapshot.mmd\n", bound)
 	run(os.Stdout, d, *simTime, *churnGap)
 }
 

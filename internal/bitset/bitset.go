@@ -229,24 +229,6 @@ func (s *Set) Slice() []int {
 	return out
 }
 
-// ForEachClear calls fn for every clear bit in [0, Len()) in increasing
-// order — the inverted-row iterator the dense-phase complement tracking is
-// built on: a graph row's clear bits are exactly the node's missing
-// neighbors (plus the node itself).
-func (s *Set) ForEachClear(fn func(i int)) {
-	for wi, w := range s.words {
-		inv := ^w
-		if wi == len(s.words)-1 && s.n%wordBits != 0 {
-			inv &= (1 << (uint(s.n) % wordBits)) - 1
-		}
-		for inv != 0 {
-			b := bits.TrailingZeros64(inv)
-			fn(wi*wordBits + b)
-			inv &= inv - 1
-		}
-	}
-}
-
 // nthSetBit returns the index (0-63) of the k-th set bit of w. The caller
 // guarantees k < OnesCount64(w).
 func nthSetBit(w uint64, k int) int {
@@ -328,34 +310,6 @@ func (s *Set) DiffCount(other *Set) int {
 		c += bits.OnesCount64(w &^ other.words[wi])
 	}
 	return c
-}
-
-// NextClear returns the index of the first clear bit at or after i in
-// [0, Len()), or -1.
-func (s *Set) NextClear(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := ^s.words[wi] >> (uint(i) % wordBits)
-	if w != 0 {
-		if cand := i + bits.TrailingZeros64(w); cand < s.n {
-			return cand
-		}
-		return -1
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if inv := ^s.words[wi]; inv != 0 {
-			if cand := wi*wordBits + bits.TrailingZeros64(inv); cand < s.n {
-				return cand
-			}
-			return -1
-		}
-	}
-	return -1
 }
 
 // NextSet returns the index of the first set bit at or after i, or -1.

@@ -349,7 +349,7 @@ func clearSlice(s *Set) []int {
 	return out
 }
 
-func TestForEachClearSelectClearNextClear(t *testing.T) {
+func TestSelectClear(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 130, 200} {
 		s := New(n)
 		// A mix of sparse and word-boundary bits.
@@ -359,16 +359,7 @@ func TestForEachClearSelectClearNextClear(t *testing.T) {
 			}
 		}
 		want := clearSlice(s)
-
-		var got []int
-		s.ForEachClear(func(i int) { got = append(got, i) })
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: ForEachClear visited %d bits want %d", n, len(got), len(want))
-		}
 		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("n=%d: ForEachClear[%d] = %d want %d", n, k, got[k], want[k])
-			}
 			if sel := s.SelectClear(k); sel != want[k] {
 				t.Fatalf("n=%d: SelectClear(%d) = %d want %d", n, k, sel, want[k])
 			}
@@ -376,35 +367,14 @@ func TestForEachClearSelectClearNextClear(t *testing.T) {
 		if s.SelectClear(len(want)) != -1 || s.SelectClear(-1) != -1 {
 			t.Fatalf("n=%d: SelectClear out of range did not return -1", n)
 		}
-
-		// NextClear agrees with the brute-force scan from every start.
-		for i := -1; i <= n; i++ {
-			want := -1
-			for j := i; j < n; j++ {
-				if j >= 0 && !s.Test(j) {
-					want = j
-					break
-				}
-			}
-			if got := s.NextClear(i); got != want {
-				t.Fatalf("n=%d: NextClear(%d) = %d want %d", n, i, got, want)
-			}
-		}
 	}
-}
-
-func TestNextClearIgnoresTailBits(t *testing.T) {
 	// A 65-bit universe whose every in-universe bit is set: the clear bits
 	// of the final partial word lie beyond the universe and must be ignored.
 	s := New(65)
 	s.Fill()
-	if got := s.NextClear(0); got != -1 {
-		t.Fatalf("NextClear over a full set = %d want -1", got)
-	}
 	if got := s.SelectClear(0); got != -1 {
 		t.Fatalf("SelectClear over a full set = %d want -1", got)
 	}
-	s.ForEachClear(func(i int) { t.Fatalf("ForEachClear visited %d on a full set", i) })
 }
 
 func TestRank(t *testing.T) {

@@ -281,7 +281,9 @@ func TestEventFasterRatesConvergeFaster(t *testing.T) {
 	const n = 48
 	mean := func(rate float64) float64 {
 		times := sim.Trials(0, 8, 7, func(int, *rng.Rand) *graph.Undirected { return gen.Cycle(n) },
-			func(g *graph.Undirected, r *rng.Rand) Result { return Run(g, core.Push{}, r, Config{Rates: NewRateMap(n, rate)}) })
+			func(g *graph.Undirected, r *rng.Rand) Result {
+				return Run(g, core.Push{}, r, Config{Rates: NewRateMap(n, rate)})
+			})
 		total := 0.0
 		for i, res := range times {
 			if !res.Converged {

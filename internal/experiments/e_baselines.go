@@ -7,7 +7,6 @@ import (
 
 	"gossipdisc/internal/baseline"
 	"gossipdisc/internal/core"
-	"gossipdisc/internal/sim"
 	"gossipdisc/internal/trace"
 )
 
@@ -60,7 +59,7 @@ func runBaselines(cfg Config, w io.Writer) error {
 			proc := c.make(meter)
 			seed := pointSeed(cfg.Seed, uint64(n), uint64(ci))
 			// Meters are shared across trials; divide totals by trial count.
-			sum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(proc, sim.Config{}))
+			sum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(proc, cfg.engine()))
 			if err != nil {
 				return fmt.Errorf("E11 %s n=%d: %w", c.name, n, err)
 			}

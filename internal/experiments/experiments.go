@@ -31,8 +31,9 @@ type Config struct {
 	CSV bool
 	// Workers selects the per-run round engine (sim.Config.Workers):
 	// 0 keeps the classic sequential engine, every w >= 1 the sharded one
-	// (identical tables for every w >= 1). A run steps on one goroutine;
-	// the parallelism is TrialWorkers'.
+	// (identical tables for every w >= 1). E15's eager column ignores it,
+	// as sim.Config.Workers is ignored under CommitEager. A run steps on
+	// one goroutine; the parallelism is TrialWorkers'.
 	Workers int
 	// TrialWorkers bounds how many trials of a sweep point run
 	// concurrently (the pool of sim.Trials, under every experiment): 0 =

@@ -136,6 +136,24 @@ func TestAllExperimentsRunSmall(t *testing.T) {
 	}
 }
 
+// TestWorkersReachE11: -workers selects the engine of E11's runs too, so
+// its table at Workers 1 (the sharded engine) differs from Workers 0's.
+func TestWorkersReachE11(t *testing.T) {
+	e, err := ByID("E11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs [2]strings.Builder
+	for w := range outs {
+		if err := e.Run(Config{Seed: 1, Trials: 3, Scale: 0.4, Workers: w}, &outs[w]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if outs[0].String() == outs[1].String() {
+		t.Fatal("E11 prints the same table at Workers 0 and 1: -workers does not reach it")
+	}
+}
+
 func TestCSVOutput(t *testing.T) {
 	e, err := ByID("E8")
 	if err != nil {

@@ -2,6 +2,9 @@ package export
 
 import (
 	"flag"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -121,6 +124,28 @@ func TestPrometheusAnonymityGolden(t *testing.T) {
 	compareGolden(t, "prometheus_anonymity.golden", b.String())
 }
 
+// TestGuardSerializesScrapes: scrapes that race a run read the attached
+// analyzers only between the events a Guard feeds them (-race checks it).
+func TestGuardSerializesScrapes(t *testing.T) {
+	h := analyze.NewHealth()
+	exp := NewPrometheus()
+	exp.Attach(h)
+	s := sim.NewSession(gen.Cycle(256), core.Push{}, rng.New(1), sim.Config{})
+	s.Subscribe(exp.Guard(h))
+	s.Subscribe(exp)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			exp.WriteTo(io.Discard)
+		}
+	}()
+	if !s.Run().Converged {
+		t.Fatal("run did not converge")
+	}
+	<-done
+}
+
 func TestPrometheusServeHTTP(t *testing.T) {
 	exp := NewPrometheus()
 	var bus stream.Bus
@@ -144,6 +169,34 @@ func TestPrometheusServeHTTP(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestServeStops: Serve answers on the address it bound, and after stop
+// returns the listener is closed.
+func TestServeStops(t *testing.T) {
+	addr, stop, err := Serve("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, "up")
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + addr.String() + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if string(body) != "up" {
+		t.Fatalf("served %q, want \"up\"", body)
+	}
+	stop()
+	if c, err := net.Dial("tcp", addr.String()); err == nil {
+		c.Close()
+		t.Fatal("the listener still accepts after stop")
+	}
+	if _, _, err := Serve(addr.String()+"0", nil); err == nil {
+		t.Fatal("Serve on a bad address did not fail")
 	}
 }
 

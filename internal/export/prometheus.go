@@ -102,6 +102,18 @@ func (p *Prometheus) OnEvent(e *stream.Event) {
 	}
 }
 
+// Guard returns sub with its OnEvent run under the exporter's lock, which
+// scrapes hold too. An analyzer whose accessors back gauges (Attach,
+// AttachAnonymity, Gauge) must be subscribed through it when scrapes can
+// arrive during the run.
+func (p *Prometheus) Guard(sub stream.Subscriber) stream.Subscriber {
+	return stream.SubscriberFunc(func(e *stream.Event) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		sub.OnEvent(e)
+	})
+}
+
 // Gauge registers a custom gauge evaluated at scrape time, e.g. bridging an
 // analyzer accessor:
 //

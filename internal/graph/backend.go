@@ -97,7 +97,7 @@ func (b Backend) resolve(n int) Backend {
 // the store on row u again. A store never writes the lists, and rows only
 // grow — graphs are insert-only.
 //
-// Ordering contract: forEach and forEachClear visit in increasing node
+// Ordering contract: forEach visits in increasing node
 // order; rank/selectClear/selectDiff are defined over that order. Every
 // implementation must agree exactly — the cross-backend equivalence suite
 // pins this.
@@ -118,9 +118,6 @@ type rowStore interface {
 	// selectClear returns the k-th (0-based, increasing order) value of
 	// [0, n) absent from row u, or -1 if fewer than k+1 are absent.
 	selectClear(u, k int) int
-	// forEachClear visits the values of [0, n) absent from row u in
-	// increasing order.
-	forEachClear(u int, fn func(v int))
 	// diffCount returns |target &^ row(u)|: how many of target's bits are
 	// not yet in row u. target must have capacity n.
 	diffCount(u int, target *bitset.Set) int
@@ -173,9 +170,6 @@ func (s *denseRows) count(u int) int               { return s.rows[u].Count() }
 func (s *denseRows) forEach(u int, fn func(v int)) { s.rows[u].ForEach(fn) }
 func (s *denseRows) rank(u, v int) int             { return s.rows[u].Rank(v) }
 func (s *denseRows) selectClear(u, k int) int      { return s.rows[u].SelectClear(k) }
-func (s *denseRows) forEachClear(u int, fn func(v int)) {
-	s.rows[u].ForEachClear(fn)
-}
 
 func (s *denseRows) diffCount(u int, target *bitset.Set) int {
 	return target.DiffCount(&s.rows[u])

@@ -164,44 +164,6 @@ func (g *Directed) InDegree(u int) int {
 	return g.in[u]
 }
 
-// MissingOutDegree returns the number of nodes u has no arc toward
-// (excluding u itself) in O(1). As with Undirected.MissingDegree, the
-// counter rides the commit paths: every accepted arc grows u's out-list,
-// so the missing count is n-1-OutDegree(u) at all times.
-func (g *Directed) MissingOutDegree(u int) int {
-	g.checkNode(u)
-	return g.n - 1 - g.out.size(u)
-}
-
-// MissingOutNeighbor returns the k-th (0-based, increasing node order) node
-// u has no arc toward, excluding u itself. It panics if k is out of
-// [0, MissingOutDegree(u)). Costs are those of Undirected.MissingNeighbor.
-func (g *Directed) MissingOutNeighbor(u, k int) int {
-	g.checkNode(u)
-	if k < 0 || k >= g.MissingOutDegree(u) {
-		panic(fmt.Sprintf("graph: missing-out-neighbor index %d out of range [0,%d) for node %d",
-			k, g.MissingOutDegree(u), u))
-	}
-	clearBelowU := u - g.rows.rank(u, u)
-	if k >= clearBelowU {
-		k++
-	}
-	return g.rows.selectClear(u, k)
-}
-
-// ForEachMissingOut calls fn for every node u has no arc toward (excluding
-// u itself) in increasing node order. The complement of a row has Θ(n)
-// values on sparse graphs; prefer MissingOutDegree/MissingOutNeighbor for
-// sampling.
-func (g *Directed) ForEachMissingOut(u int, fn func(v int)) {
-	g.checkNode(u)
-	g.rows.forEachClear(u, func(v int) {
-		if v != u {
-			fn(v)
-		}
-	})
-}
-
 // RowDiffCount returns |target &^ out-row(u)|: how many of target's bits u
 // has no arc toward yet. target must have capacity N(). This is the
 // directed dense phase's per-node missing-closure counter, computed without

@@ -439,60 +439,3 @@ func TestAddArcsGroupedCommitOrder(t *testing.T) {
 		}
 	}
 }
-
-func TestMissingOutViews(t *testing.T) {
-	r := rng.New(13)
-	for _, n := range []int{1, 2, 64, 90} {
-		g := NewDirected(n)
-		var batch []Arc
-		for i := 0; i < 3*n; i++ {
-			u, v := r.Intn(n), r.Intn(n)
-			if i%2 == 0 {
-				g.AddArc(u, v)
-			} else {
-				batch = append(batch, Arc{u, v})
-			}
-		}
-		g.AddArcs(batch, nil)
-
-		for u := 0; u < n; u++ {
-			want := []int{}
-			for v := 0; v < n; v++ {
-				if v != u && !g.HasArc(u, v) {
-					want = append(want, v)
-				}
-			}
-			if got := g.MissingOutDegree(u); got != len(want) {
-				t.Fatalf("n=%d u=%d: MissingOutDegree %d want %d", n, u, got, len(want))
-			}
-			for k, w := range want {
-				if got := g.MissingOutNeighbor(u, k); got != w {
-					t.Fatalf("n=%d u=%d: MissingOutNeighbor(%d) = %d want %d", n, u, k, got, w)
-				}
-			}
-			var iter []int
-			g.ForEachMissingOut(u, func(v int) { iter = append(iter, v) })
-			if len(iter) != len(want) {
-				t.Fatalf("n=%d u=%d: ForEachMissingOut visited %d want %d", n, u, len(iter), len(want))
-			}
-		}
-	}
-}
-
-func TestMissingOutNeighborPanics(t *testing.T) {
-	g := NewDirected(4)
-	g.AddArc(0, 1)
-	for _, f := range []func(){
-		func() { g.MissingOutNeighbor(0, -1) },
-		func() { g.MissingOutNeighbor(0, g.MissingOutDegree(0)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}

@@ -243,24 +243,6 @@ func (s *sparseRows) selectClear(u, k int) int {
 	return -1
 }
 
-func (s *sparseRows) forEachClear(u int, fn func(v int)) {
-	if b := s.promoted(u); b != nil {
-		b.ForEachClear(fn)
-		return
-	}
-	var buf [shortRow]int32
-	next := 0
-	for _, e := range s.ordered(u, &buf) {
-		for v := next; v < int(e); v++ {
-			fn(v)
-		}
-		next = int(e) + 1
-	}
-	for v := next; v < s.universe; v++ {
-		fn(v)
-	}
-}
-
 func (s *sparseRows) checkTarget(target *bitset.Set) {
 	if target.Len() != s.universe {
 		panic(fmt.Sprintf("graph: target capacity %d != universe %d", target.Len(), s.universe))

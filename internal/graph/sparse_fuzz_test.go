@@ -103,8 +103,8 @@ func FuzzSparseRow(f *testing.F) {
 				t.Fatalf("row promoted = %v with cnt=%d at threshold %d", s.rows[0].bits != nil, cnt, s.promoteAt)
 			}
 		}
-		// Final exhaustive sweep: the row, its complement, and a snapshot
-		// must match the oracle exactly, in increasing order.
+		// Final exhaustive sweep: the row and a snapshot must match the
+		// oracle exactly, in increasing order.
 		last := -1
 		s.forEach(0, func(v int) {
 			if v <= last || !oracle.Test(v) {
@@ -112,18 +112,6 @@ func FuzzSparseRow(f *testing.F) {
 			}
 			last = v
 		})
-		last = -1
-		seen := 0
-		s.forEachClear(0, func(v int) {
-			if v <= last || oracle.Test(v) {
-				t.Fatalf("forEachClear yielded %d (last %d)", v, last)
-			}
-			last = v
-			seen++
-		})
-		if seen != n-cnt {
-			t.Fatalf("forEachClear yielded %d values, want %d", seen, n-cnt)
-		}
 		if !s.row(0).Equal(oracle) {
 			t.Fatal("materialized row differs from oracle")
 		}

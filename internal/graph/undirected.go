@@ -466,30 +466,6 @@ func (g *Undirected) MissingNeighbor(u, k int) int {
 	return g.rows.selectClear(u, k)
 }
 
-// RandomMissingNeighbor returns a uniformly random node u is not adjacent
-// to (never u itself), or -1 if u already knows everyone.
-func (g *Undirected) RandomMissingNeighbor(u int, r *rng.Rand) int {
-	g.checkNode(u)
-	md := g.MissingDegree(u)
-	if md == 0 {
-		return -1
-	}
-	return g.MissingNeighbor(u, r.Intn(md))
-}
-
-// ForEachMissing calls fn for every non-neighbor of u (excluding u itself)
-// in increasing node order — the iterator over u's complement. Note the
-// complement of a row has Θ(n) values on sparse graphs; prefer
-// MissingDegree/MissingNeighbor for sampling.
-func (g *Undirected) ForEachMissing(u int, fn func(v int)) {
-	g.checkNode(u)
-	g.rows.forEachClear(u, func(v int) {
-		if v != u {
-			fn(v)
-		}
-	})
-}
-
 // Clone returns a deep copy of the graph on the same backend.
 func (g *Undirected) Clone() *Undirected {
 	adj := g.adj.clone()

@@ -778,16 +778,6 @@ func TestMissingDegreeAndNeighbor(t *testing.T) {
 					t.Fatalf("n=%d u=%d: MissingNeighbor(%d) = %d want %d", n, u, k, got, w)
 				}
 			}
-			var iter []int
-			g.ForEachMissing(u, func(v int) { iter = append(iter, v) })
-			if len(iter) != len(want) {
-				t.Fatalf("n=%d u=%d: ForEachMissing visited %d want %d", n, u, len(iter), len(want))
-			}
-			for k := range want {
-				if iter[k] != want[k] {
-					t.Fatalf("n=%d u=%d: ForEachMissing[%d] = %d want %d", n, u, k, iter[k], want[k])
-				}
-			}
 		}
 		// Handshake over the complement: each missing pair counted twice.
 		if totalMissing != 2*g.MissingEdges() {
@@ -814,37 +804,12 @@ func TestMissingNeighborPanicsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestRandomMissingNeighborUniform(t *testing.T) {
-	// Star center 0 on 6 nodes: node 1 misses exactly {2,3,4,5}.
-	g := NewUndirected(6)
-	for v := 1; v < 6; v++ {
-		g.AddEdge(0, v)
-	}
-	r := rng.New(3)
-	counts := map[int]int{}
-	for i := 0; i < 4000; i++ {
-		counts[g.RandomMissingNeighbor(1, r)]++
-	}
-	for v := 2; v < 6; v++ {
-		if c := counts[v]; c < 800 || c > 1200 {
-			t.Fatalf("missing neighbor %d drawn %d times out of 4000", v, c)
-		}
-	}
-	if len(counts) != 4 {
-		t.Fatalf("drew unexpected nodes: %v", counts)
-	}
-	if completeGraph(3).RandomMissingNeighbor(0, r) != -1 {
-		t.Fatal("complete graph must have no missing neighbor")
-	}
-}
-
 func TestMissingViewsOnCompleteAndEmpty(t *testing.T) {
 	g := completeGraph(5)
 	for u := 0; u < 5; u++ {
 		if g.MissingDegree(u) != 0 {
 			t.Fatalf("complete graph node %d missing degree %d", u, g.MissingDegree(u))
 		}
-		g.ForEachMissing(u, func(v int) { t.Fatalf("complete graph has missing pair %d-%d", u, v) })
 	}
 	e := NewUndirected(4)
 	for u := 0; u < 4; u++ {

@@ -288,26 +288,26 @@ func converged(t *testing.T, o simtest.Outcome) {
 	}
 }
 
-// TestDeterminismAcrossWorkersUndirected: same seed ⇒ the same Result and
-// delta stream for every Workers >= 1 (the sharded engine's contract).
+// The worker count, GOMAXPROCS and, under CommitEager, the dense phase
+// are performance knobs: same seed ⇒ the same Result and delta stream —
+// the order of NewEdges and Touched included — for every Workers >= 1,
+// on push, on pull (whose rng consumption per node differs), on the
+// directed engine and its closure counters, and with the dense phase
+// armed (its act runs per shard on the shard's own stream). CI runs these
+// under -race.
+
 func TestDeterminismAcrossWorkersUndirected(t *testing.T) {
 	converged(t, simtest.Identical(t, workers([]int{1, 2, 8}, tree(200, 77), core.Push{}, 42, Config{})...))
 }
 
-// TestDeterminismAcrossWorkersPull: the same for pull, whose rng
-// consumption per node differs from push.
 func TestDeterminismAcrossWorkersPull(t *testing.T) {
 	converged(t, simtest.Identical(t, workers([]int{1, 2, 8}, cycle(150), core.Pull{}, 5, Config{})...))
 }
 
-// TestDeterminismAcrossWorkersDirected: the same for the directed engine
-// and its closure counters.
 func TestDeterminismAcrossWorkersDirected(t *testing.T) {
 	converged(t, simtest.Identical(t, directedWorkers([]int{1, 2, 8}, strong(96, 9), 43, DirectedConfig{})...))
 }
 
-// TestDeterminismAcrossGOMAXPROCS: worker scheduling does not reach the
-// run — the same run is bit-identical under GOMAXPROCS 1, 2 and 8.
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	simtest.Identical(t, simtest.Axis([]int{1, 2, 8}, func(procs int) simtest.Row {
 		row := session(fmt.Sprintf("procs=%d", procs), tree(200, 77), core.Push{}, 42, Config{Workers: 4})
@@ -317,41 +317,30 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestDeterminismEagerIgnoresWorkers: CommitEager is sequential, so
-// Workers does not change its run.
+// Workers does not reach its run; TestDenseEagerIgnored: nor does the
+// dense phase.
 func TestDeterminismEagerIgnoresWorkers(t *testing.T) {
 	simtest.Identical(t, workers([]int{0, 1, 8}, cycle(64), core.Push{}, 3, Config{Mode: CommitEager})...)
 }
 
-// TestDenseEagerIgnored: CommitEager ignores the dense phase, exactly as
-// it ignores Workers.
 func TestDenseEagerIgnored(t *testing.T) {
 	simtest.Identical(t, simtest.Axis([]float64{0, 0.5}, func(dense float64) simtest.Row {
 		return session(fmt.Sprintf("dense=%v", dense), cycle(64), core.Push{}, 3, Config{Mode: CommitEager, DensePhase: dense})
 	})...)
 }
 
-// TestDenseDeterminismAcrossWorkers: with the dense phase armed, the run
-// stays bit-identical for every Workers >= 1 — the dense act runs per
-// shard on the shard's own stream.
 func TestDenseDeterminismAcrossWorkers(t *testing.T) {
 	converged(t, simtest.Identical(t, workers([]int{1, 2, 8}, tree(200, 77), core.Push{}, 42, Config{DensePhase: 0.4})...))
 }
 
-// TestDenseDeterminismAcrossWorkersDirected is the same for the directed
-// dense phase.
 func TestDenseDeterminismAcrossWorkersDirected(t *testing.T) {
 	converged(t, simtest.Identical(t, directedWorkers([]int{1, 2, 8}, strong(96, 9), 43, DirectedConfig{DensePhase: 0.5})...))
 }
 
-// TestDenseDeltaStreamDeterministicAcrossWorkers: a dense-phase pull run's
-// delta stream is bit-identical for every Workers >= 1.
 func TestDenseDeltaStreamDeterministicAcrossWorkers(t *testing.T) {
 	converged(t, simtest.Identical(t, workers([]int{1, 2, 8}, cycle(150), core.Pull{}, 5, Config{DensePhase: 0.3})...))
 }
 
-// TestDeltaStreamDeterministicAcrossWorkers: the delta stream — the order
-// of NewEdges and Touched included — is bit-identical for every Workers
-// >= 1. CI runs this under -race.
 func TestDeltaStreamDeterministicAcrossWorkers(t *testing.T) {
 	converged(t, simtest.Identical(t, workers([]int{1, 2, 8}, cycle(140), core.Push{}, 12, Config{})...))
 }

@@ -11,6 +11,8 @@ package gossipdisc
 
 import (
 	"io"
+	"net"
+	"net/http"
 
 	"gossipdisc/internal/analyze"
 	"gossipdisc/internal/export"
@@ -74,3 +76,8 @@ type SnapshotOptions = export.SnapshotOptions
 func WriteGraphMermaid(w io.Writer, g *Graph, opt SnapshotOptions) error {
 	return export.WriteMermaid(w, g, opt)
 }
+
+// Serve listens on addr and serves h — an exporter, a dashboard's mux —
+// in the background. It returns the bound address and a stop func that
+// shuts the server down once its requests in flight are answered.
+func Serve(addr string, h http.Handler) (net.Addr, func(), error) { return export.Serve(addr, h) }
