@@ -163,18 +163,18 @@ func (f *Fingerprint) OnEvent(e *stream.Event) {
 
 // Invariants checks every round delta it is sent against the delta
 // contract and fails the test, naming the row and the round, at the first
-// breach. Subscribe it before the session's first step.
+// breach. Make it before the session's first step.
 type Invariants struct {
 	t         testing.TB
 	name      string
 	rt        Runtime
 	round     int
-	remaining int // the last delta's count; -1 before the first
+	remaining int // the last count seen; -1 after a join
 }
 
 // NewInvariants checks the deltas of rt, a runtime of the row called name.
 func NewInvariants(t testing.TB, name string, rt Runtime) *Invariants {
-	return &Invariants{t: t, name: name, rt: rt, remaining: -1}
+	return &Invariants{t: t, name: name, rt: rt, remaining: rt.Remaining()}
 }
 
 func (v *Invariants) fail(round int, format string, args ...any) {
@@ -185,17 +185,20 @@ func (v *Invariants) fail(round int, format string, args ...any) {
 // OnEvent checks one round delta. Per delta: Round advances by one;
 // NewEdges are normalized (arcs are not loops); the increments sum to
 // 2·|NewEdges| (|NewArcs| per side) and Touched lists exactly the nonzero
-// ones, each once; the remaining count is the session's own and never
+// ones, each once; the remaining count is the session's own, and it falls
+// by exactly the new edges (arcs) — on a membership row it only never
 // rises, except over a delta that reports a join; the complement view
 // agrees with the graph; EdgeTimes is nil or one non-decreasing time per
 // edge.
 func (v *Invariants) OnEvent(e *stream.Event) {
 	v.t.Helper()
-	var round, remaining int
+	var round, remaining, added int
+	members := false
 	switch e.Kind {
 	case stream.KindRound:
 		d := e.Delta
-		round, remaining = d.Round, d.EdgesRemaining
+		round, remaining, added = d.Round, d.EdgesRemaining, len(d.NewEdges)
+		members = d.Members > 0 || len(d.Left) > 0
 		for _, x := range d.NewEdges {
 			if x.U >= x.V {
 				v.fail(round, "edge %v not normalized", x)
@@ -220,7 +223,7 @@ func (v *Invariants) OnEvent(e *stream.Event) {
 		}
 	case stream.KindDirectedRound:
 		d := e.DirectedDelta
-		round, remaining = d.Round, d.ClosureArcsRemaining
+		round, remaining, added = d.Round, d.ClosureArcsRemaining, len(d.NewArcs)
 		for _, a := range d.NewArcs {
 			if a.U == a.V {
 				v.fail(round, "loop arc %v", a)
@@ -237,8 +240,12 @@ func (v *Invariants) OnEvent(e *stream.Event) {
 	if own := v.rt.Remaining(); remaining != own {
 		v.fail(round, "delta counts %d remaining, session %d", remaining, own)
 	}
-	if v.remaining >= 0 && remaining > v.remaining {
+	switch {
+	case v.remaining < 0:
+	case members && remaining > v.remaining:
 		v.fail(round, "remaining rose from %d to %d", v.remaining, remaining)
+	case !members && v.remaining-remaining != added:
+		v.fail(round, "remaining fell from %d to %d over %d new edges", v.remaining, remaining, added)
 	}
 	v.round, v.remaining = round, remaining
 }
