@@ -100,10 +100,8 @@ func TestEventDeterminismReplay(t *testing.T) {
 // roleless Population does not change the event-driven trajectory; the
 // schedule draws from its own clock stream.
 func TestPopulationUniformByteIdentityEvent(t *testing.T) {
-	out := simtest.Identical(t,
-		row("bare", func() *Session { return New(gen.Path(48), core.Push{}, rng.New(548), Config{}) }),
-		table[2])
-	if !out.Result.(scheduled).Converged {
+	bare := row("bare", func() *Session { return New(gen.Path(48), core.Push{}, rng.New(548), Config{}) })
+	if out := simtest.Identical(t, bare, table[2]); !out.Result.(scheduled).Converged {
 		t.Fatalf("run did not converge: %+v", out.Result)
 	}
 }

@@ -21,17 +21,9 @@ func never(g *graph.Undirected) bool { return false }
 func TestEventRunConverges(t *testing.T) {
 	g := gen.Path(16)
 	res := Run(g, core.Push{}, rng.New(1), Config{})
-	if !res.Converged || !g.IsComplete() {
-		t.Fatalf("event push did not converge: %+v", res)
-	}
-	if res.Events <= 0 || res.Time <= 0 {
-		t.Fatalf("bad accounting: %+v", res)
-	}
-	if res.ParallelRounds != res.Time {
-		t.Fatalf("ParallelRounds %v != Time %v", res.ParallelRounds, res.Time)
-	}
-	if res.BudgetExhausted || res.Stalled {
-		t.Fatalf("converged run flagged as budget-exhausted or stalled: %+v", res)
+	if !res.Converged || !g.IsComplete() || res.Events <= 0 || res.Time <= 0 || res.ParallelRounds != res.Time ||
+		res.BudgetExhausted || res.Stalled {
+		t.Fatalf("event push on the 16-path: %+v", res)
 	}
 }
 
@@ -43,12 +35,9 @@ func TestEventAlreadyComplete(t *testing.T) {
 }
 
 func TestNewRejectsMismatchedRates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New accepted a RateMap covering the wrong node count")
-		}
-	}()
-	New(gen.Path(8), core.Push{}, rng.New(1), Config{Rates: Uniform(7)})
+	mustPanic(t, "New with a RateMap covering the wrong node count", func() {
+		New(gen.Path(8), core.Push{}, rng.New(1), Config{Rates: Uniform(7)})
+	})
 }
 
 // TestEventBudgetContract pins Config.MaxEvents against the same budget
@@ -162,18 +151,11 @@ func TestEventEmptyRoundsAdvanceTime(t *testing.T) {
 	s := New(gen.Path(3), core.Push{}, rng.New(1), Config{Rates: NewRateMap(3, 1e-9)})
 	age := &analyze.Age{}
 	s.Subscribe(age)
-	d, ok := s.Step()
-	if d == nil || !ok {
-		t.Fatalf("Step over an empty round returned (%v, %v)", d, ok)
+	if d, ok := s.Step(); d == nil || !ok || d.Round != 1 || len(d.NewEdges) != 0 {
+		t.Fatalf("Step over an empty round returned (%+v, %v)", d, ok)
 	}
-	if d.Round != 1 || len(d.NewEdges) != 0 {
-		t.Fatalf("empty round delta: round %d, %d edges", d.Round, len(d.NewEdges))
-	}
-	if s.Time() != 1 || s.Round() != 1 || s.Events() != 0 {
-		t.Fatalf("after one empty round: time %v round %d events %d", s.Time(), s.Round(), s.Events())
-	}
-	if got := age.MeanAge(); got != 1 {
-		t.Fatalf("mean age after one silent round = %v, want 1", got)
+	if s.Time() != 1 || s.Round() != 1 || s.Events() != 0 || age.MeanAge() != 1 {
+		t.Fatalf("after one empty round: time %v round %d events %d mean age %v", s.Time(), s.Round(), s.Events(), age.MeanAge())
 	}
 }
 
@@ -227,21 +209,16 @@ func TestEventAoIAccounting(t *testing.T) {
 // is driven by Run or by Step. The small cycles run to convergence, the
 // large one stops on the budget.
 func TestEventMatchesTickExactly(t *testing.T) {
-	procs := []struct {
-		name string
-		p    core.Process
-	}{{"push", core.Push{}}, {"pull", core.Pull{}}}
-	for _, pc := range procs {
+	for _, p := range []core.Process{core.Push{}, core.Pull{}} {
 		for _, n := range []int{16, 64, 1000} {
 			for _, stepped := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/n=%d/stepped=%v", pc.name, n, stepped), func(t *testing.T) {
-					seed := uint64(n) + 7
-					maxEvents := 0
+				t.Run(fmt.Sprintf("%s/n=%d/stepped=%v", p.Name(), n, stepped), func(t *testing.T) {
+					seed, maxEvents := uint64(n)+7, 0
 					if n == 1000 {
 						maxEvents = 30_000
 					}
 					g := gen.Cycle(n)
-					s := New(g, pc.p, rng.New(seed), Config{MaxEvents: maxEvents})
+					s := New(g, p, rng.New(seed), Config{MaxEvents: maxEvents})
 					if stepped {
 						for _, ok := s.Step(); ok; _, ok = s.Step() {
 						}
@@ -253,14 +230,10 @@ func TestEventMatchesTickExactly(t *testing.T) {
 					r := rng.New(seed)
 					r.Split() // the clock stream
 					h := gen.Cycle(n)
-					tr := sim.RunAsync(h, pc.p, r.Split(), sim.AsyncConfig{MaxTicks: maxEvents})
-
+					tr := sim.RunAsync(h, p, r.Split(), sim.AsyncConfig{MaxTicks: maxEvents})
 					if er.Events != tr.Ticks || er.Proposals != tr.Proposals || er.NewEdges != tr.NewEdges ||
-						er.Converged != tr.Converged || er.BudgetExhausted != tr.BudgetExhausted {
-						t.Fatalf("event %+v, tick %+v", er, tr)
-					}
-					if (n < 1000) != er.Converged {
-						t.Fatalf("converged = %v at n = %d: %+v", er.Converged, n, er)
+						er.Converged != tr.Converged || er.BudgetExhausted != tr.BudgetExhausted || (n < 1000) != er.Converged {
+						t.Fatalf("n = %d: event %+v, tick %+v", n, er, tr)
 					}
 					var a, b []int
 					for u := 0; u < n; u++ {

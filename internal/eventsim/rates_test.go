@@ -19,15 +19,10 @@ func TestRateMapOps(t *testing.T) {
 
 	m.DefineClass("fast", 4)
 	m.AssignClass("fast", 0, 4)
-	if m.Rate(0) != 4 || m.Rate(3) != 4 || m.Rate(4) != 0.5 {
-		t.Fatalf("after AssignClass: %v %v %v", m.Rate(0), m.Rate(3), m.Rate(4))
-	}
-	if m.ClassRate("fast") != 4 {
-		t.Fatalf("ClassRate = %v", m.ClassRate("fast"))
-	}
 	// TotalRate is a running sum: every mutator must keep it.
-	if m.TotalRate() != 4*4+6*0.5 {
-		t.Fatalf("TotalRate after AssignClass = %v, want 19", m.TotalRate())
+	if m.Rate(0) != 4 || m.Rate(3) != 4 || m.Rate(4) != 0.5 || m.ClassRate("fast") != 4 || m.TotalRate() != 4*4+6*0.5 {
+		t.Fatalf("after AssignClass: rates %v %v %v, class rate %v, total %v (want 19)",
+			m.Rate(0), m.Rate(3), m.Rate(4), m.ClassRate("fast"), m.TotalRate())
 	}
 
 	// A per-node override detaches the node from its class...
@@ -45,25 +40,24 @@ func TestRateMapOps(t *testing.T) {
 			t.Fatalf("member %d at rate %v after SetClassRate", u, m.Rate(u))
 		}
 	}
-	if m.Rate(2) != 9 || m.TotalRate() != 3*8+9+6*0.5 {
-		t.Fatalf("after SetClassRate: override %v, total %v", m.Rate(2), m.TotalRate())
-	}
-
-	if got := m.Classes(); len(got) != 1 || got[0] != "fast" {
-		t.Fatalf("Classes = %v", got)
+	if got := m.Classes(); m.Rate(2) != 9 || m.TotalRate() != 3*8+9+6*0.5 || len(got) != 1 || got[0] != "fast" {
+		t.Fatalf("after SetClassRate: override %v, total %v, classes %v", m.Rate(2), m.TotalRate(), got)
 	}
 }
 
+// mustPanic fails t unless f panics.
+func mustPanic(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", name)
+		}
+	}()
+	f()
+}
+
 func TestRateMapPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
+	mustPanic := func(name string, f func()) { t.Helper(); mustPanic(t, name, f) }
 	mustPanic("negative n", func() { NewRateMap(-1, 1) })
 	mustPanic("negative default rate", func() { NewRateMap(4, -1) })
 	m := NewRateMap(4, 1)

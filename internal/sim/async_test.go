@@ -12,14 +12,8 @@ import (
 func TestRunAsyncConverges(t *testing.T) {
 	g := gen.Path(16)
 	res := RunAsync(g, core.Push{}, rng.New(1), AsyncConfig{})
-	if !res.Converged || !g.IsComplete() {
-		t.Fatalf("async push did not converge: %+v", res)
-	}
-	if res.Ticks <= 0 || res.ParallelRounds <= 0 {
-		t.Fatalf("bad accounting: %+v", res)
-	}
-	if res.ParallelRounds != float64(res.Ticks)/16 {
-		t.Fatalf("parallel rounds mismatch: %+v", res)
+	if !res.Converged || !g.IsComplete() || res.Ticks <= 0 || res.ParallelRounds != float64(res.Ticks)/16 {
+		t.Fatalf("async push on the 16-path: %+v", res)
 	}
 }
 

@@ -11,12 +11,10 @@ import (
 	"gossipdisc/internal/simtest"
 )
 
-// This file pins the cross-backend determinism contract end to end: a full
-// discovery run must produce a byte-identical Result AND a byte-identical
-// round-delta stream on the dense, sparse, and auto backends, for every
-// engine (Workers 0, 1, 4) and with the dense phase on or off. The adjacency
-// lists — which drive all random draws — are backend-independent, so any
-// divergence here means a row backend changed an observable it must not.
+// This file pins the cross-backend contract end to end: a run gives the
+// same Result and delta stream on the dense, sparse and auto backends. The
+// adjacency lists, which drive every draw, are backend-independent, so a
+// divergence means a row backend changed an observable it must not.
 
 // backends is the backend axis of one Session configuration on an n-cycle.
 func backends(n, workers int, dense float64, bs ...graph.Backend) []simtest.Row {

@@ -282,6 +282,8 @@ func converged(t *testing.T, o simtest.Outcome) {
 		ok = r.Converged
 	case DirectedResult:
 		ok = r.Converged
+	case AsyncResult:
+		ok = r.Converged
 	}
 	if !ok {
 		t.Fatalf("run did not converge: %+v", o.Result)

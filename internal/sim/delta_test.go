@@ -7,7 +7,6 @@ import (
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
-	"gossipdisc/internal/rng"
 	"gossipdisc/internal/simtest"
 	"gossipdisc/internal/stream"
 )
@@ -49,10 +48,8 @@ func TestDeltaReconstructsObserverSnapshots(t *testing.T) {
 // counter reaching zero exactly at termination.
 func TestDeltaReconstructsObserverSnapshotsDirected(t *testing.T) {
 	for _, w := range []int{0, 1, 2, 8} {
-		sh := gen.RandomStronglyConnected(90, 30, rng.New(8))
-		lastRemaining := -1
-		row := directed(fmt.Sprintf("w=%d", w), func() *graph.Directed { return gen.RandomStronglyConnected(90, 30, rng.New(8)) },
-			core.DirectedTwoHop{}, 17, DirectedConfig{Workers: w})
+		sh, lastRemaining := strong(90, 8)(), -1
+		row := directed(fmt.Sprintf("w=%d", w), strong(90, 8), core.DirectedTwoHop{}, 17, DirectedConfig{Workers: w})
 		converged(t, simtest.Run(t, row, stream.SubscriberFunc(func(e *stream.Event) {
 			d := e.DirectedDelta
 			for _, a := range d.NewArcs {
@@ -81,10 +78,7 @@ func TestDeltaEagerMode(t *testing.T) {
 // round (n ticks) plus a final partial round, and the stream reconstructs
 // the final graph.
 func TestDeltaAsync(t *testing.T) {
-	row := simtest.Row{Name: "async", New: func() simtest.Runtime {
-		return simtest.Undirected(NewAsyncSession(gen.Cycle(40), core.Push{}, rng.New(21), AsyncConfig{}))
-	}}
-	if res := simtest.Run(t, row, shadow(t, gen.Cycle(40))).Result.(AsyncResult); !res.Converged {
-		t.Fatalf("async run did not converge: %+v", res)
-	}
+	conform(t, func(t *testing.T, row simtest.Row) {
+		converged(t, simtest.Run(t, row, shadow(t, gen.Cycle(48))))
+	}, "async")
 }

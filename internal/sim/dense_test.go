@@ -53,11 +53,8 @@ func TestDenseOffKeepsLegacyGolden(t *testing.T) { checkLegacyGolden(t, Config{D
 func TestDenseConvergesFaster(t *testing.T) {
 	def := Run(gen.Cycle(256), core.Push{}, rng.New(3), Config{Workers: 1})
 	den := Run(gen.Cycle(256), core.Push{}, rng.New(3), Config{Workers: 1, DensePhase: 0.25})
-	if !def.Converged || !den.Converged {
-		t.Fatalf("runs did not converge: default %+v dense %+v", def, den)
-	}
-	if den.Rounds*2 >= def.Rounds {
-		t.Fatalf("dense mode not faster: %d rounds vs default %d", den.Rounds, def.Rounds)
+	if !def.Converged || !den.Converged || den.Rounds*2 >= def.Rounds {
+		t.Fatalf("dense mode not twice as fast: default %+v, dense %+v", def, den)
 	}
 }
 
@@ -72,18 +69,13 @@ func TestDensePhaseValidation(t *testing.T) { densePhaseOutOfRange(t, -0.1, 1.5)
 func TestDenseDirectedStaysInsideClosure(t *testing.T) {
 	g := gen.RandomStronglyConnected(64, 24, rng.New(4))
 	target := g.TransitiveClosure()
-	res := RunDirected(g, core.DirectedTwoHop{}, rng.New(5),
-		DirectedConfig{Workers: 2, DensePhase: 1})
-	if !res.Converged {
-		t.Fatalf("dense-from-round-1 directed run did not converge: %+v", res)
+	if res := RunDirected(g, core.DirectedTwoHop{}, rng.New(5), DirectedConfig{Workers: 2, DensePhase: 1}); !res.Converged || !g.IsClosed() {
+		t.Fatalf("dense-from-round-1 directed run did not reach closure: %+v", res)
 	}
 	for _, a := range g.Arcs() {
 		if !target[a.U].Test(a.V) {
 			t.Fatalf("dense run inserted arc (%d,%d) outside the initial closure", a.U, a.V)
 		}
-	}
-	if !g.IsClosed() {
-		t.Fatal("dense directed run did not reach closure")
 	}
 	g.CheckInvariants()
 }

@@ -85,16 +85,13 @@ func TestParallelDuplicateAccounting(t *testing.T) { checkDuplicates(t, 100, Con
 // invariants and reaches the same terminal object (the complete graph).
 func TestParallelEngineInvariants(t *testing.T) {
 	g := gen.RandomTree(130, rng.New(21))
-	res := Run(g, core.PushPull{}, rng.New(22), Config{Workers: 4})
-	if !res.Converged || !g.IsComplete() {
+	if res := Run(g, core.PushPull{}, rng.New(22), Config{Workers: 4}); !res.Converged || !g.IsComplete() {
 		t.Fatalf("parallel push-pull did not complete: %+v", res)
 	}
 	g.CheckInvariants()
-
 	d := gen.DirectedCycle(40)
-	dres := RunDirected(d, core.DirectedTwoHop{}, rng.New(23), DirectedConfig{Workers: 4})
-	if !dres.Converged || !d.IsClosed() {
-		t.Fatalf("parallel directed run did not close: %+v", dres)
+	if res := RunDirected(d, core.DirectedTwoHop{}, rng.New(23), DirectedConfig{Workers: 4}); !res.Converged || !d.IsClosed() {
+		t.Fatalf("parallel directed run did not close: %+v", res)
 	}
 	d.CheckInvariants()
 }
@@ -112,20 +109,15 @@ func TestParallelObserverAndDone(t *testing.T) {
 // TestParallelTinyGraphs: engine edge cases — n smaller than one shard,
 // n == 0, workers far above the shard count, already-converged entry.
 func TestParallelTinyGraphs(t *testing.T) {
-	g := gen.Path(3)
-	res := Run(g, core.Push{}, rng.New(1), Config{Workers: 16})
-	if !res.Converged || !g.IsComplete() {
-		t.Fatalf("tiny parallel run: %+v", res)
-	}
-	empty := graph.NewUndirected(0)
-	res = Run(empty, core.Push{}, rng.New(1), Config{Workers: 8})
-	if !res.Converged || res.Rounds != 0 {
-		t.Fatalf("empty parallel run: %+v", res)
-	}
-	done := gen.Complete(5)
-	res = Run(done, core.Push{}, rng.New(1), Config{Workers: 8})
-	if !res.Converged || res.Rounds != 0 || res.Proposals != 0 {
-		t.Fatalf("already-complete parallel run: %+v", res)
+	for _, c := range []struct {
+		g       *graph.Undirected
+		workers int
+	}{{gen.Path(3), 16}, {graph.NewUndirected(0), 8}, {gen.Complete(5), 8}} {
+		done := c.g.IsComplete()
+		res := Run(c.g, core.Push{}, rng.New(1), Config{Workers: c.workers})
+		if !res.Converged || !c.g.IsComplete() || done && (res.Rounds != 0 || res.Proposals != 0) {
+			t.Fatalf("n=%d, Workers=%d, complete at entry %v: %+v", c.g.N(), c.workers, done, res)
+		}
 	}
 }
 
@@ -167,11 +159,9 @@ func (c *countingPush) Act(g *graph.Undirected, u int, r *rng.Rand, propose func
 	core.Push{}.Act(g, u, r, propose)
 }
 
-// TestNewEngineLayout is the table for degenerate layout inputs: n smaller
-// than one shard (including 0 and 1) must yield a single shard covering
-// exactly [0, n), every layout must partition [0, n) and act each node
-// exactly once, the worker count must not shape it, and a negative n must
-// panic instead of building a nonsensical layout.
+// TestNewEngineLayout: n below one shard (0 and 1 included) yields one
+// shard over exactly [0, n); every layout partitions [0, n) and acts each
+// node once, whatever the worker count; a negative n panics.
 func TestNewEngineLayout(t *testing.T) {
 	for _, tc := range []struct {
 		name                   string

@@ -242,11 +242,8 @@ func TestSessionUnfinishClearsConverged(t *testing.T) {
 	// An isolated joiner drops coverage below 1 and, with no contacts, can
 	// never be gossiped about: the 2-round budget must run out unconverged.
 	s.InsertNode(6)
-	if s.Converged() {
-		t.Fatal("Converged still true right after mutation")
-	}
-	if res := s.Run(); res.Converged || s.Converged() {
-		t.Fatalf("budget-exhausted resumed run still claims convergence: %+v", res)
+	if claimed, res := s.Converged(), s.Run(); claimed || res.Converged || s.Converged() {
+		t.Fatalf("after the join: Converged %v, then the budget-exhausted run %+v", claimed, res)
 	}
 }
 

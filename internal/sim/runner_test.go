@@ -34,17 +34,8 @@ func observed(t *testing.T, n int, seed uint64, cfg Config) (*graph.Undirected, 
 func TestRunPushPathToComplete(t *testing.T) {
 	g := gen.Path(8)
 	res := Run(g, core.Push{}, rng.New(1), Config{})
-	if !res.Converged {
-		t.Fatalf("push did not converge: %+v", res)
-	}
-	if !g.IsComplete() {
-		t.Fatal("graph not complete after convergence")
-	}
-	if res.NewEdges != 8*7/2-7 {
-		t.Fatalf("NewEdges %d want %d", res.NewEdges, 8*7/2-7)
-	}
-	if res.Proposals < res.NewEdges {
-		t.Fatal("proposals fewer than new edges")
+	if !res.Converged || !g.IsComplete() || res.NewEdges != 8*7/2-7 || res.Proposals < res.NewEdges {
+		t.Fatalf("push on the 8-path: %+v, complete %v, want %d new edges", res, g.IsComplete(), 8*7/2-7)
 	}
 }
 
@@ -77,14 +68,8 @@ func TestRunCustomDone(t *testing.T) {
 	res := Run(g, core.Push{}, rng.New(5), Config{
 		Done: func(g *graph.Undirected) bool { return g.MinDegree() >= 3 },
 	})
-	if !res.Converged {
-		t.Fatalf("custom done not reached: %+v", res)
-	}
-	if g.MinDegree() < 3 {
-		t.Fatal("done predicate violated at exit")
-	}
-	if g.IsComplete() {
-		t.Fatal("run went past custom done")
+	if !res.Converged || g.MinDegree() < 3 || g.IsComplete() {
+		t.Fatalf("custom done: %+v, min degree %d, complete %v", res, g.MinDegree(), g.IsComplete())
 	}
 }
 
@@ -224,17 +209,8 @@ func TestRunDirectedCustomDone(t *testing.T) {
 			Workers: workers,
 			Done:    func(g *graph.Directed) bool { return g.M() >= goal },
 		})
-		if !res.Converged {
-			t.Fatalf("Workers=%d: 90%%-closure run did not converge: %+v", workers, res)
-		}
-		if g.M() < goal {
-			t.Fatalf("Workers=%d: done fired with %d arcs, goal %d", workers, g.M(), goal)
-		}
-		if g.IsClosed() {
-			t.Fatalf("Workers=%d: run went all the way to closure despite Done", workers)
-		}
-		if res.TargetArcs != target {
-			t.Fatalf("Workers=%d: TargetArcs %d want %d", workers, res.TargetArcs, target)
+		if !res.Converged || g.M() < goal || g.IsClosed() || res.TargetArcs != target {
+			t.Fatalf("Workers=%d: %+v with %d arcs, goal %d, closed %v, target %d", workers, res, g.M(), goal, g.IsClosed(), target)
 		}
 	}
 }
@@ -242,35 +218,22 @@ func TestRunDirectedCustomDone(t *testing.T) {
 // TestRunDirectedCustomDoneAtEntry: a Done already satisfied at entry must
 // return without consuming generator output, as the default predicate does.
 func TestRunDirectedCustomDoneAtEntry(t *testing.T) {
-	g := gen.DirectedCycle(8)
 	r := rng.New(3)
 	before := *r
-	res := RunDirected(g, core.DirectedTwoHop{}, r, DirectedConfig{
+	res := RunDirected(gen.DirectedCycle(8), core.DirectedTwoHop{}, r, DirectedConfig{
 		Done: func(g *graph.Directed) bool { return true },
 	})
-	if !res.Converged || res.Rounds != 0 || res.Proposals != 0 {
-		t.Fatalf("entry-done run: %+v", res)
-	}
-	if *r != before {
-		t.Fatal("entry-done run consumed generator output")
+	if !res.Converged || res.Rounds != 0 || res.Proposals != 0 || *r != before {
+		t.Fatalf("entry-done run: %+v, generator untouched %v", res, *r == before)
 	}
 }
 
 func TestRunDirectedCycleToCompleteDigraph(t *testing.T) {
-	n := 8
+	const n = 8
 	g := gen.DirectedCycle(n)
 	res := RunDirected(g, core.DirectedTwoHop{}, rng.New(10), DirectedConfig{})
-	if !res.Converged {
-		t.Fatalf("directed run did not converge: %+v", res)
-	}
-	if res.TargetArcs != n*(n-1) {
-		t.Fatalf("target arcs %d want %d", res.TargetArcs, n*(n-1))
-	}
-	if !g.IsClosed() {
-		t.Fatal("graph not closed after convergence")
-	}
-	if g.M() != n*(n-1) {
-		t.Fatalf("cycle closure should be complete digraph, m=%d", g.M())
+	if !res.Converged || res.TargetArcs != n*(n-1) || !g.IsClosed() || g.M() != n*(n-1) {
+		t.Fatalf("directed cycle: %+v, %d arcs, want the complete digraph's %d", res, g.M(), n*(n-1))
 	}
 }
 

@@ -19,16 +19,14 @@ import (
 // heapMB reports live heap after the run so regressions in per-edge cost
 // show up in the benchmark stream, not just in wall time.
 
-// benchScaleSparse runs `rounds` sync push rounds on a sparse cycle.
-// heapMB is the live heap with the final run's graph still reachable.
-func benchScaleSparse(b *testing.B, n, rounds, workers int) {
+// benchScale runs `rounds` sync push rounds on an n-cycle over backend at
+// Workers 4. heapMB is the live heap with the final run's graph still
+// reachable.
+func benchScale(b *testing.B, backend graph.Backend, n, rounds int) {
 	var g *graph.Undirected
 	for i := 0; i < b.N; i++ {
-		g = gen.Cycle(n, graph.BackendSparse)
-		res := Run(g, core.Push{}, rng.New(uint64(i)+1), Config{
-			MaxRounds: rounds,
-			Workers:   workers,
-		})
+		g = gen.Cycle(n, backend)
+		res := Run(g, core.Push{}, rng.New(uint64(i)+1), Config{MaxRounds: rounds, Workers: 4})
 		if res.Rounds != rounds || res.NewEdges == 0 {
 			b.Fatalf("run stopped after %d rounds with %d new edges", res.Rounds, res.NewEdges)
 		}
@@ -41,36 +39,19 @@ func benchScaleSparse(b *testing.B, n, rounds, workers int) {
 	runtime.KeepAlive(g)
 }
 
-func BenchmarkScaleSparse100k(b *testing.B) { benchScaleSparse(b, 100_000, 16, 4) }
-
-func BenchmarkScaleSparse1M(b *testing.B) { benchScaleSparse(b, 1_000_000, 10, 4) }
+func BenchmarkScaleSparse100k(b *testing.B) { benchScale(b, graph.BackendSparse, 100_000, 16) }
+func BenchmarkScaleSparse1M(b *testing.B)   { benchScale(b, graph.BackendSparse, 1_000_000, 10) }
 
 // BenchmarkScaleDense2k / BenchmarkScaleSparse2k are the head-to-head pair
 // at a size where both substrates fit comfortably, for the dense-vs-sparse
 // cost table (BENCH_pr7.json): same workload, same rounds, backend is the
 // only variable.
-func benchScaleOn(b *testing.B, backend graph.Backend, n, rounds int) {
-	var g *graph.Undirected
-	for i := 0; i < b.N; i++ {
-		g = gen.Cycle(n, backend)
-		res := Run(g, core.Push{}, rng.New(uint64(i)+1), Config{MaxRounds: rounds, Workers: 4})
-		if res.Rounds != rounds {
-			b.Fatalf("run stopped after %d rounds", res.Rounds)
-		}
-	}
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "heapMB")
-	runtime.KeepAlive(g)
-}
-
-func BenchmarkScaleDense2k(b *testing.B)  { benchScaleOn(b, graph.BackendDense, 2048, 16) }
-func BenchmarkScaleSparse2k(b *testing.B) { benchScaleOn(b, graph.BackendSparse, 2048, 16) }
+func BenchmarkScaleDense2k(b *testing.B)  { benchScale(b, graph.BackendDense, 2048, 16) }
+func BenchmarkScaleSparse2k(b *testing.B) { benchScale(b, graph.BackendSparse, 2048, 16) }
 
 // The 100k head-to-head needs ~1.3 GB for the dense substrate alone (10¹⁰
 // row bits); it exists to quantify the crossover, not to run in CI smokes.
-func BenchmarkScaleDense100k(b *testing.B) { benchScaleOn(b, graph.BackendDense, 100_000, 16) }
+func BenchmarkScaleDense100k(b *testing.B) { benchScale(b, graph.BackendDense, 100_000, 16) }
 
 // TestScaleSparseSmoke is the cheap always-on guard that the 1M-node path
 // is actually exercised by `go test` (benchmarks only run when asked): a

@@ -89,20 +89,14 @@ func TestSessionRunUntilBreakpoint(t *testing.T) {
 	g := gen.Path(64)
 	s := NewSession(g, core.Push{}, rng.New(3), Config{})
 	defer s.Close()
-	res := s.RunUntil(func(*graph.Undirected) bool { return true })
-	if res.Rounds != 0 {
+	if res := s.RunUntil(func(*graph.Undirected) bool { return true }); res.Rounds != 0 {
 		t.Fatalf("satisfied pred still ran %d rounds", res.Rounds)
 	}
-	res = s.RunUntil(func(g *graph.Undirected) bool { return g.MinDegree() >= 3 })
-	if res.Converged || g.IsComplete() {
-		t.Fatal("RunUntil ran to completion")
-	}
-	if g.MinDegree() < 3 {
-		t.Fatal("RunUntil stopped before its predicate")
+	if res := s.RunUntil(func(g *graph.Undirected) bool { return g.MinDegree() >= 3 }); res.Converged || g.IsComplete() || g.MinDegree() < 3 {
+		t.Fatalf("RunUntil did not stop at its predicate: %+v, min degree %d", res, g.MinDegree())
 	}
 	// The session is still live: driving on converges normally.
-	final := s.Run()
-	if !final.Converged || !g.IsComplete() {
+	if final := s.Run(); !final.Converged || !g.IsComplete() {
 		t.Fatalf("post-RunUntil Run did not converge: %+v", final)
 	}
 }
@@ -110,14 +104,12 @@ func TestSessionRunUntilBreakpoint(t *testing.T) {
 // TestAsyncSessionUnboundedBudget: MaxTicks < 0 means unbounded, mirroring
 // Config.MaxRounds for open-ended stepping.
 func TestAsyncSessionUnboundedBudget(t *testing.T) {
-	g := gen.Cycle(16)
-	s := NewAsyncSession(g, core.Push{}, rng.New(2), AsyncConfig{
+	s := NewAsyncSession(gen.Cycle(16), core.Push{}, rng.New(2), AsyncConfig{
 		MaxTicks: -1,
 		Done:     func(*graph.Undirected) bool { return false },
 	})
 	// Far beyond the default budget would be too slow to prove; instead
-	// check it steps past a tiny explicit budget's worth of ticks without
-	// finishing.
+	// check it steps past a tiny explicit budget's worth of ticks.
 	for i := 0; i < 50; i++ {
 		if _, more := s.Step(); !more {
 			t.Fatalf("unbounded async session finished at tick %d", s.Stats().Ticks)

@@ -12,11 +12,9 @@ import (
 	"gossipdisc/internal/rng"
 )
 
-// This file is the satellite table for library-level config validation:
-// junk values used to sail into the engines and misbehave downstream
-// (cmd/gossipsim's flag validation was the only gate), so the session
-// constructors now reject them with a clear panic — or normalize them when
-// the contract defines a meaning, as it does for negative budgets.
+// This file tests library-level config validation: the session
+// constructors reject junk with a clear panic, or normalize it where the
+// contract defines a meaning, as it does for negative budgets.
 
 // mustPanic runs fn and returns the recovered panic message, failing the
 // test if fn returns normally.
@@ -33,10 +31,9 @@ func mustPanic(t *testing.T, fn func()) (msg string) {
 	return
 }
 
-// TestNewSessionRejectsJunkConfig: negative worker counts panic at
-// construction, for all three session families'
-// constructors that take workers, with messages naming the field; so do a
-// NaN DensePhase and an unknown Mode, for both round substrates.
+// TestNewSessionRejectsJunkConfig: negative worker counts, a NaN
+// DensePhase and an unknown Mode panic at construction on both round
+// substrates, with messages naming the field.
 func TestNewSessionRejectsJunkConfig(t *testing.T) {
 	// -1 is deliberately junk at the library surface: it used to fall
 	// through to the sequential engine (and is accepted by the CLIs), so a
@@ -103,27 +100,18 @@ func TestNewSessionRejectsJunkConfig(t *testing.T) {
 // back to the default budget. Both are normalizations, not errors, so junk
 // like MaxRounds = -7 behaves identically to -1 instead of misbehaving.
 func TestSessionMaxRoundsNormalization(t *testing.T) {
+	// Unbounded sessions keep stepping; a positive budget stops exactly
+	// there.
 	never := func(g *graph.Undirected) bool { return false }
-	budgetOf := func(maxRounds int) int {
-		s := NewSession(gen.Cycle(16), core.Push{}, rng.New(1),
-			Config{MaxRounds: maxRounds, Done: never})
-		defer s.Close()
+	for _, c := range []struct{ maxRounds, want int }{{-1, 40}, {-7, 40}, {5, 5}} {
+		s := NewSession(gen.Cycle(16), core.Push{}, rng.New(1), Config{MaxRounds: c.maxRounds, Done: never})
 		for i := 0; i < 40 && s.step(); i++ {
 		}
-		return s.Stats().Rounds
+		if r := s.Stats().Rounds; r != c.want {
+			t.Fatalf("MaxRounds=%d ran %d rounds, want %d", c.maxRounds, r, c.want)
+		}
+		s.Close()
 	}
-	// Unbounded sessions keep stepping; a positive budget stops exactly
-	// there. -1 and -7 must behave identically.
-	if r := budgetOf(-1); r != 40 {
-		t.Fatalf("MaxRounds=-1 stopped after %d rounds, want 40 (unbounded)", r)
-	}
-	if r := budgetOf(-7); r != 40 {
-		t.Fatalf("MaxRounds=-7 stopped after %d rounds, want 40 (unbounded)", r)
-	}
-	if r := budgetOf(5); r != 5 {
-		t.Fatalf("MaxRounds=5 ran %d rounds", r)
-	}
-
 	// The directed sessions share the normalization.
 	d := NewDirectedSession(gen.DirectedCycle(12), core.DirectedTwoHop{}, rng.New(1),
 		DirectedConfig{MaxRounds: -7, Done: func(g *graph.Directed) bool { return false }})

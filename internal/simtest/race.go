@@ -2,6 +2,5 @@
 
 package simtest
 
-// Race reports whether the race detector is on; allocation checks skip
-// under it, because its instrumentation allocates.
+// Race reports whether the race detector is on (see norace.go).
 const Race = true
