@@ -112,12 +112,16 @@ func newDashboard(n int) *dashboard {
 }
 
 // handler serves /metrics and /snapshot.mmd. The session steps on run's
-// goroutine; the snapshot handler reads the live graph, so it takes the
-// same lock the step loop holds. /metrics needs no lock here — the
-// exporter is internally synchronized.
+// goroutine, so both take the lock the step loop holds: the snapshot
+// reads the live graph, and the exporter's gauges read the health pack
+// the steps update.
 func (d *dashboard) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", d.exporter)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		d.exporter.ServeHTTP(w, r)
+	})
 	mux.HandleFunc("/snapshot.mmd", func(w http.ResponseWriter, _ *http.Request) {
 		d.mu.Lock()
 		defer d.mu.Unlock()

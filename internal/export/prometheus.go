@@ -105,7 +105,7 @@ func (p *Prometheus) OnEvent(e *stream.Event) {
 // Guard returns sub with its OnEvent run under the exporter's lock, which
 // scrapes hold too. An analyzer whose accessors back gauges (Attach,
 // AttachAnonymity, Gauge) must be subscribed through it when scrapes can
-// arrive during the run.
+// arrive during the run. sub must not call the exporter.
 func (p *Prometheus) Guard(sub stream.Subscriber) stream.Subscriber {
 	return stream.SubscriberFunc(func(e *stream.Event) {
 		p.mu.Lock()

@@ -18,10 +18,13 @@ func Serve(addr string, h http.Handler) (net.Addr, func(), error) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.Serve(ln)
+		// Serve returns ErrServerClosed once stop has run; a failure before
+		// that ends the endpoint only, never the run it reports on.
+		_ = srv.Serve(ln)
 	}()
 	return ln.Addr(), func() {
-		srv.Shutdown(context.Background())
+		// Shutdown's only error is its context's, and Background has none.
+		_ = srv.Shutdown(context.Background())
 		<-done
 	}, nil
 }
