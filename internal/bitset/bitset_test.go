@@ -349,7 +349,9 @@ func clearSlice(s *Set) []int {
 	return out
 }
 
-func TestSelectClear(t *testing.T) {
+// SelectClear is the one clear-bit view left on Set; these two tests keep
+// the names they had when ForEachClear and NextClear were checked beside it.
+func TestForEachClearSelectClearNextClear(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 130, 200} {
 		s := New(n)
 		// A mix of sparse and word-boundary bits.
@@ -368,6 +370,9 @@ func TestSelectClear(t *testing.T) {
 			t.Fatalf("n=%d: SelectClear out of range did not return -1", n)
 		}
 	}
+}
+
+func TestNextClearIgnoresTailBits(t *testing.T) {
 	// A 65-bit universe whose every in-universe bit is set: the clear bits
 	// of the final partial word lie beyond the universe and must be ignored.
 	s := New(65)
