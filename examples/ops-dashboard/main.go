@@ -97,6 +97,8 @@ func newDashboard(n int) *dashboard {
 
 	// The observability stack rides the session's event bus: the health
 	// pack keeps O(1) gauges, the exporter turns them into Prometheus text.
+	// Scrapes read the pack on the server's goroutines, so it is fed
+	// through the exporter's Guard, under the lock the scrapes take.
 	health := gossipdisc.NewHealth()
 	exporter := gossipdisc.NewPrometheusExporter()
 	exporter.Attach(health)
@@ -106,22 +108,17 @@ func newDashboard(n int) *dashboard {
 		gossipdisc.WithSeed(1),
 		gossipdisc.WithRates(rates),
 		gossipdisc.WithMaxRounds(-1), // open-ended: the dashboard decides when to stop
-		gossipdisc.WithAnalyzers(health, exporter),
+		gossipdisc.WithAnalyzers(exporter.Guard(health), exporter),
 	)
 	return &dashboard{g: g, sess: sess, health: health, exporter: exporter}
 }
 
 // handler serves /metrics and /snapshot.mmd. The session steps on run's
-// goroutine, so both take the lock the step loop holds: the snapshot
-// reads the live graph, and the exporter's gauges read the health pack
-// the steps update.
+// goroutine, so the snapshot takes the lock the step loop holds to read
+// the live graph; the exporter locks for itself.
 func (d *dashboard) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		d.exporter.ServeHTTP(w, r)
-	})
+	mux.Handle("/metrics", d.exporter)
 	mux.HandleFunc("/snapshot.mmd", func(w http.ResponseWriter, _ *http.Request) {
 		d.mu.Lock()
 		defer d.mu.Unlock()

@@ -31,7 +31,8 @@ type eventRuntime struct {
 	schedule *simtest.Fingerprint
 }
 
-func (r eventRuntime) Run() any { return scheduled{r.s.Run(), r.schedule.Sum} }
+func (r eventRuntime) Run() any   { return scheduled{r.s.Run(), r.schedule.Sum} }
+func (r eventRuntime) Stats() any { return scheduled{r.s.Stats(), r.schedule.Sum} }
 
 // tap folds every activation of s, as (node, bits of the event time), into
 // a new fingerprint.
@@ -75,11 +76,11 @@ func TestBusEquivalenceEvent(t *testing.T) {
 	}
 }
 
-// TestEventStepRunEquivalence: stepping an event session is a pure
-// re-slicing of Run, schedule included, on every row.
+// TestEventStepRunEquivalence: stepping, RunUntil and Run are a pure
+// re-slicing of an event session's Run, schedule included, on every row.
 func TestEventStepRunEquivalence(t *testing.T) {
 	for _, r := range table {
-		t.Run(r.Name, func(t *testing.T) { simtest.StepRun(t, r) })
+		t.Run(r.Name, func(t *testing.T) { simtest.StepRun(t, r, nil) })
 	}
 }
 

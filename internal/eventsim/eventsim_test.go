@@ -40,13 +40,10 @@ func TestNewRejectsMismatchedRates(t *testing.T) {
 	})
 }
 
-// TestEventBudgetContract pins Config.MaxEvents against the same budget
-// contract AsyncConfig.MaxTicks obeys (TestAsyncMaxTicksBudgetContract pins
-// that runtime; the two tests live in separate packages because eventsim
-// imports sim): 0 selects the default budget, negative means unbounded for
-// stepped sessions while the Run facade folds it back to the default, and
-// an exhausted budget stops at exactly MaxEvents with the explicit
-// BudgetExhausted flag raised — never just Converged == false.
+// TestEventBudgetContract pins Config.MaxEvents to the budget contract
+// sim's TestAsyncMaxTicksBudgetContract pins for MaxTicks: 0 is the
+// default, negative is unbounded for a session and the default for Run,
+// and an exhausted budget stops at exactly MaxEvents with BudgetExhausted.
 func TestEventBudgetContract(t *testing.T) {
 	const n = 4
 	defaultBudget := n * sim.DefaultMaxRounds(n)

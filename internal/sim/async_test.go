@@ -44,14 +44,11 @@ func TestRunAsyncCustomDone(t *testing.T) {
 	}
 }
 
-// TestAsyncMaxTicksBudgetContract is the satellite table pinning
-// AsyncConfig.MaxTicks against Config.MaxRounds's budget contract, tick for
-// round: 0 selects the default budget (n × DefaultMaxRounds(n)), any
-// negative value means unbounded for a stepped session while the RunAsync
-// facade folds it back to the default, and a positive budget that runs out
-// stops the run at exactly MaxTicks with the explicit BudgetExhausted flag
-// raised (and Converged == false). TestEventBudgetContract pins the same
-// contract on the event runtime's Config.MaxEvents.
+// TestAsyncMaxTicksBudgetContract pins AsyncConfig.MaxTicks to the budget
+// contract of Config.MaxRounds, tick for round: 0 selects n ×
+// DefaultMaxRounds(n), a negative value is unbounded for a session and the
+// default for the RunAsync facade, and a budget that runs out stops at
+// exactly MaxTicks with BudgetExhausted raised and Converged false.
 func TestAsyncMaxTicksBudgetContract(t *testing.T) {
 	const n = 4
 	defaultBudget := n * DefaultMaxRounds(n)

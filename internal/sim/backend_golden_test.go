@@ -45,13 +45,11 @@ func TestBackendRunGoldens(t *testing.T) {
 }
 
 // TestBackendDensePhaseShardedShortRows arms the dense phase from round 1
-// on a 6144-cycle, so four workers sample the complement views (rank,
-// selectClear) of rows on every rung of the sparse ladder while it is being
-// climbed: neighbor-list rows sorted on demand into per-call stack buffers,
-// then sorted copies from 128 entries, then bitsets from 6144/32 = 192. The
-// goldens above never get here — at n <= 1024 a row is a bitset long before
-// the dense phase starts. Result and delta stream must match the dense
-// backend, and CI's race job must see no shared scratch.
+// on a 6144-cycle, so four workers sample the complement views of rows on
+// every rung of the sparse ladder as it is climbed: lists, sorted copies
+// from 128 entries, bitsets from 6144/32 = 192 (at n <= 1024 a row is a
+// bitset before the dense phase starts). Result and delta stream must
+// match the dense backend, and CI's race job must see no shared scratch.
 func TestBackendDensePhaseShardedShortRows(t *testing.T) {
 	const n = 6144
 	graphs := map[graph.Backend]*graph.Undirected{}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"gossipdisc/internal/analyze"
@@ -107,46 +108,57 @@ func TestBusEquivalence(t *testing.T) {
 	}
 }
 
-// TestSessionStepRunEquivalence: stepping is a pure re-slicing of Run's
-// round sequence, on the Session rows without the dense phase.
+// stepRun is simtest.StepRun with its default breakpoint, half the work.
+func stepRun(t *testing.T, row simtest.Row) { simtest.StepRun(t, row, nil) }
+
+// TestSessionStepRunEquivalence: stepping, RunUntil and Run are a pure
+// re-slicing of Run's round sequence, on the Session rows without the
+// dense phase.
 func TestSessionStepRunEquivalence(t *testing.T) {
-	conform(t, simtest.StepRun, "w=0/dense=0", "w=1/dense=0", "w=4/dense=0", "eager", "member", "pop")
+	conform(t, stepRun, "w=0/dense=0", "w=1/dense=0", "w=4/dense=0", "eager", "member", "pop")
 }
 
 // TestDenseSessionStepRunEquivalence is the same on the dense-phase rows,
-// whose runs cross the switch to complement sampling.
+// driven by RunUntil up to the switch to complement sampling.
 func TestDenseSessionStepRunEquivalence(t *testing.T) {
-	conform(t, simtest.StepRun, "w=0/dense=0.3", "w=1/dense=0.3", "w=4/dense=0.3")
+	conform(t, func(t *testing.T, row simtest.Row) {
+		simtest.StepRun(t, row, func(rt simtest.Runtime) bool { return simtest.Session(rt).(*Session).InDensePhase() })
+	}, "w=0/dense=0.3", "w=1/dense=0.3", "w=4/dense=0.3")
 }
 
-// TestDirectedSessionStepRunEquivalence is the same on the directed rows.
+// TestDirectedSessionStepRunEquivalence is the same on the directed rows;
+// a session knows its TargetArcs before its first step.
 func TestDirectedSessionStepRunEquivalence(t *testing.T) {
-	conform(t, simtest.StepRun, "directed")
+	conform(t, func(t *testing.T, row simtest.Row) {
+		stepRun(t, row)
+		if got, want := row.New().Stats().(DirectedResult).TargetArcs, simtest.Run(t, row).Result.(DirectedResult).TargetArcs; got != want {
+			t.Fatalf("TargetArcs %d before the first step, %d after the run", got, want)
+		}
+	}, "directed")
 }
 
 // TestAsyncSessionStepRunEquivalence is the same on the asynchronous row,
-// whose last delta is a partial round; the RunAsync facade ends where the
-// session does.
+// whose last delta is a partial round, and stepping it to its end is Run
+// too (BusEquivalence); the RunAsync facade ends where the session does.
 func TestAsyncSessionStepRunEquivalence(t *testing.T) {
-	conform(t, simtest.StepRun, "async")
+	conform(t, stepRun, "async")
+	conform(t, func(t *testing.T, row simtest.Row) { simtest.BusEquivalence(t, row, nil) }, "async")
 	want := NewAsyncSession(gen.Cycle(48), core.Push{}, rng.New(5), AsyncConfig{}).Run()
 	if got := RunAsync(gen.Cycle(48), core.Push{}, rng.New(5), AsyncConfig{}); got != want || !got.Converged {
 		t.Fatalf("RunAsync %+v, session %+v", got, want)
 	}
 }
 
-// steady is a session that never finishes, for the allocation checks.
-func steady(g *graph.Undirected, p core.Process, cfg Config) *Session {
+// steady is a session seeded seed that never finishes (allocation checks).
+func steady(g *graph.Undirected, p core.Process, seed uint64, cfg Config) *Session {
 	cfg.MaxRounds, cfg.Done = -1, func(*graph.Undirected) bool { return false }
-	return NewSession(g, p, rng.New(1), cfg)
+	return NewSession(g, p, rng.New(seed), cfg)
 }
 
 // TestSessionZeroAllocStep: a steady-state Step allocates nothing on every
-// engine family — including a bare Push or Pull on Workers 0 and 1, where
-// the act is the process's ActRange and its block buffers must stay on the
-// stack (K_70: two full blocks and a ragged one, every proposal a
-// duplicate), and the churn runtime's Crashed{Push} and CrashedPull on a
-// membership-tracked session, whose acts are the masked block forms.
+// engine family, including the block acts (ActRange) of a bare Push or
+// Pull on K_70, two full blocks and a ragged one, and the masked ones of
+// Crashed{Push} and CrashedPull on a membership-tracked session.
 func TestSessionZeroAllocStep(t *testing.T) {
 	alive := make([]bool, 70)
 	for u := range alive {
@@ -166,7 +178,7 @@ func TestSessionZeroAllocStep(t *testing.T) {
 		{"crashed-pull", gen.Complete(70), core.CrashedPull{Alive: alive}, []int{0, 1}, alive},
 	} {
 		for _, w := range tc.workers {
-			s := steady(tc.g.Clone(), tc.p, Config{Workers: w})
+			s := steady(tc.g.Clone(), tc.p, 1, Config{Workers: w})
 			if tc.members != nil {
 				s.TrackMembership(tc.members)
 			}
@@ -174,7 +186,6 @@ func TestSessionZeroAllocStep(t *testing.T) {
 			if s.Stats().Proposals == 0 {
 				t.Errorf("%s, Workers=%d: no proposals, so the steps measured nothing", tc.name, w)
 			}
-			s.Close()
 		}
 	}
 }
@@ -189,7 +200,6 @@ func TestDirectedSessionZeroAllocStep(t *testing.T) {
 		if s.Stats().Proposals == 0 {
 			t.Errorf("Workers=%d: no proposals, so the steps measured nothing", w)
 		}
-		s.Close()
 	}
 }
 
@@ -203,7 +213,6 @@ func probeAllocs(t *testing.T, cfg Config, subs ...func() stream.Subscriber) {
 			s.Subscribe(sub())
 		}
 		simtest.ZeroAlloc(t, fmt.Sprintf("w=%d", w), simtest.Undirected(s))
-		s.Close()
 	}
 }
 
@@ -218,20 +227,18 @@ func TestSessionZeroAllocStepWithAnalyzer(t *testing.T) {
 // TestDenseZeroAllocStep: the dense act keeps a steady Step allocation-free.
 func TestDenseZeroAllocStep(t *testing.T) {
 	for _, w := range []int{0, 1, 4} {
-		s := steady(gen.Star(64), core.Push{}, Config{Workers: w, DensePhase: 1})
+		s := steady(gen.Star(64), core.Push{}, 1, Config{Workers: w, DensePhase: 1})
 		simtest.ZeroAlloc(t, fmt.Sprintf("w=%d", w), simtest.Undirected(s))
 		if !s.InDensePhase() {
 			t.Fatalf("Workers=%d: DensePhase=1 session not in dense phase", w)
 		}
-		s.Close()
 	}
 }
 
 // TestPopulationStepZeroAlloc: a uniform Population's dispatch keeps a
 // steady Step allocation-free, exactly like the bare process.
 func TestPopulationStepZeroAlloc(t *testing.T) {
-	s := steady(gen.Complete(64), core.NewPopulation(64, core.Push{}), Config{})
-	defer s.Close()
+	s := steady(gen.Complete(64), core.NewPopulation(64, core.Push{}), 13, Config{})
 	simtest.ZeroAlloc(t, "uniform-population", simtest.Undirected(s))
 }
 
@@ -244,7 +251,6 @@ func TestEngineSteadyStateAllocsDirected(t *testing.T) {
 	for _, w := range []int{0, 4} {
 		s := NewDirectedSession(gen.DirectedCycle(64), fixedArcProbe{}, rng.New(1), DirectedConfig{Workers: w, MaxRounds: 1050})
 		simtest.ZeroAlloc(t, fmt.Sprintf("w=%d", w), simtest.Directed(s))
-		s.Close()
 	}
 }
 
@@ -265,38 +271,18 @@ func workers(ws []int, build func() *graph.Undirected, p core.Process, seed uint
 	})
 }
 
-// directedWorkers is workers for a DirectedSession.
-func directedWorkers(ws []int, build func() *graph.Directed, seed uint64, cfg DirectedConfig) []simtest.Row {
-	return simtest.Axis(ws, func(w int) simtest.Row {
-		cfg.Workers = w
-		return directed(fmt.Sprintf("w=%d", w), build, core.DirectedTwoHop{}, seed, cfg)
-	})
-}
-
 // converged fails t unless the Outcome's run converged.
 func converged(t *testing.T, o simtest.Outcome) {
 	t.Helper()
-	var ok bool
-	switch r := o.Result.(type) {
-	case Result:
-		ok = r.Converged
-	case DirectedResult:
-		ok = r.Converged
-	case AsyncResult:
-		ok = r.Converged
-	}
-	if !ok {
+	if !reflect.ValueOf(o.Result).FieldByName("Converged").Bool() {
 		t.Fatalf("run did not converge: %+v", o.Result)
 	}
 }
 
 // The worker count, GOMAXPROCS and, under CommitEager, the dense phase
-// are performance knobs: same seed ⇒ the same Result and delta stream —
-// the order of NewEdges and Touched included — for every Workers >= 1,
-// on push, on pull (whose rng consumption per node differs), on the
-// directed engine and its closure counters, and with the dense phase
-// armed (its act runs per shard on the shard's own stream). CI runs these
-// under -race.
+// are performance knobs: same seed ⇒ the same Result and delta stream for
+// every Workers >= 1, on push, pull, the directed engine and the dense
+// phase. CI runs these under -race.
 
 func TestDeterminismAcrossWorkersUndirected(t *testing.T) {
 	converged(t, simtest.Identical(t, workers([]int{1, 2, 8}, tree(200, 77), core.Push{}, 42, Config{})...))
@@ -307,7 +293,9 @@ func TestDeterminismAcrossWorkersPull(t *testing.T) {
 }
 
 func TestDeterminismAcrossWorkersDirected(t *testing.T) {
-	converged(t, simtest.Identical(t, directedWorkers([]int{1, 2, 8}, strong(96, 9), 43, DirectedConfig{})...))
+	converged(t, simtest.Identical(t, simtest.Axis([]int{1, 2, 8}, func(w int) simtest.Row {
+		return directed(fmt.Sprintf("w=%d", w), strong(96, 9), core.DirectedTwoHop{}, 43, DirectedConfig{Workers: w})
+	})...))
 }
 
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
@@ -336,7 +324,9 @@ func TestDenseDeterminismAcrossWorkers(t *testing.T) {
 }
 
 func TestDenseDeterminismAcrossWorkersDirected(t *testing.T) {
-	converged(t, simtest.Identical(t, directedWorkers([]int{1, 2, 8}, strong(96, 9), 43, DirectedConfig{DensePhase: 0.5})...))
+	converged(t, simtest.Identical(t, simtest.Axis([]int{1, 2, 8}, func(w int) simtest.Row {
+		return directed(fmt.Sprintf("w=%d", w), strong(96, 9), core.DirectedTwoHop{}, 43, DirectedConfig{Workers: w, DensePhase: 0.5})
+	})...))
 }
 
 func TestDenseDeltaStreamDeterministicAcrossWorkers(t *testing.T) {

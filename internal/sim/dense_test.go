@@ -45,11 +45,9 @@ func TestDenseGoldens(t *testing.T) {
 // logic must not perturb the legacy paths.
 func TestDenseOffKeepsLegacyGolden(t *testing.T) { checkLegacyGolden(t, Config{DensePhase: 0}) }
 
-// TestDenseConvergesFaster: the point of the mode — on a late-phase-heavy
-// workload the dense engine must converge in far fewer rounds than the
-// scan-all-nodes act (the benchmark suite quantifies wall-clock; this
-// pins the round-count collapse so a regression cannot hide behind fast
-// hardware).
+// TestDenseConvergesFaster: on a late-phase-heavy workload the dense phase
+// converges in under half the rounds of the scan-all-nodes act, a collapse
+// that no fast hardware can hide.
 func TestDenseConvergesFaster(t *testing.T) {
 	def := Run(gen.Cycle(256), core.Push{}, rng.New(3), Config{Workers: 1})
 	den := Run(gen.Cycle(256), core.Push{}, rng.New(3), Config{Workers: 1, DensePhase: 0.25})

@@ -9,12 +9,9 @@ import (
 	"gossipdisc/internal/rng"
 )
 
-// TestDeterminismSequentialPathUnchanged pins the Workers == 0 engine to
-// the pre-sharding behavior: the classic path must keep its exact rng
-// consumption (single stream, node order), so a fixed seed keeps producing
-// the same run statistics release over release. The golden values were
-// produced by the seed release (commit 20f4a0a); if this test fails, the
-// sequential path's bit-compatibility contract has been broken.
+// TestDeterminismSequentialPathUnchanged pins the Workers == 0 engine's
+// rng consumption (one stream, node order) to a golden Result: if it
+// fails, the sequential path's bit-compatibility contract is broken.
 func TestDeterminismSequentialPathUnchanged(t *testing.T) { checkLegacyGolden(t, Config{}) }
 
 // checkLegacyGolden runs push on the 32-cycle, seed 1, on cfg.

@@ -104,12 +104,10 @@ func TestSessionMembership(t *testing.T) {
 	checkMembers(t, "after 20 rounds", s, alive)
 }
 
-// TestEdgesRemainingMembershipAware: with membership tracking active,
-// Session.EdgesRemaining and RoundDelta.EdgesRemaining count only
-// current-member pairs — pairs involving departed nodes are not
-// outstanding work, and counting them made churn consumers chase pairs no
-// process could ever close. Without tracking the accessor keeps its
-// graph-wide meaning and MemberEdgesRemaining refuses to answer.
+// TestEdgesRemainingMembershipAware: with membership tracked,
+// EdgesRemaining (session and delta) counts only current-member pairs, as
+// no process can close a pair with a departed node. Without tracking it
+// keeps its graph-wide meaning and MemberEdgesRemaining panics.
 func TestEdgesRemainingMembershipAware(t *testing.T) {
 	s, alive := tracked(gen.Cycle(24), 24, 4, Config{})
 	defer s.Close()

@@ -12,20 +12,14 @@ import (
 )
 
 // This file pins the population layer's determinism contract on the
-// synchronous engines: a uniform Population is byte-identical to the bare
-// process it wraps (Result and delta stream, for every engine family and
-// dense-phase setting), and a mixed population replays bit-for-bit from
-// (seed, roles) on every sharded schedule. TestPopulationStepZeroAlloc
-// lives with the table's other allocation checks.
+// synchronous engines; TestPopulationStepZeroAlloc is in the conformance
+// table's allocation checks.
 
 // TestPopulationUniformByteIdentity: a Population with no roles assigned
-// must be indistinguishable from the bare default process — same Result,
-// same delta stream — under the sequential engine, the sharded engine,
-// and the dense phase. This is the population layer's compatibility pin:
-// wrapping every run in a Population is free. It is also where the block
-// acts meet their definition inside a real session: a bare Push or Pull
-// takes ActRange, a uniform Population has none and acts node by node
-// through the same process, and the two must agree.
+// gives the bare process's Result and delta stream on every engine family
+// and dense-phase setting, so wrapping every run in one is free. A bare
+// Push or Pull takes its block act, ActRange; a uniform Population acts
+// node by node through the same process, and the two must agree.
 func TestPopulationUniformByteIdentity(t *testing.T) {
 	const n = 96
 	cases := []struct {
@@ -108,7 +102,7 @@ func TestPopulationMutationDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := steady(gen.Cycle(n), pop, Config{Workers: workers})
+		s := steady(gen.Cycle(n), pop, 7, Config{Workers: workers})
 		defer s.Close()
 		rt, fp := simtest.Undirected(s), simtest.NewFingerprint()
 		for step := 0; step < 60; step++ {
@@ -142,7 +136,7 @@ func TestPopulationMutationDeterministic(t *testing.T) {
 func BenchmarkPopulationStep(b *testing.B) {
 	const n = 256
 	bench := func(b *testing.B, p core.Process) {
-		s := steady(gen.Complete(n), p, Config{})
+		s := steady(gen.Complete(n), p, 17, Config{})
 		defer s.Close()
 		s.Step()
 		b.ReportAllocs()

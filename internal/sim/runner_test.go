@@ -131,12 +131,10 @@ func budgetFormula(n, lg, nPow, lgPow int) int {
 	return int(v.Int64())
 }
 
-// TestDefaultMaxRoundsBitLength pins the bits.Len-based budgets to the
-// hand-rolled shift loop they replaced: returned budgets must be identical
-// for every n, since MaxRounds feeds seeded runs. Past math.MaxInt both
-// saturate instead of wrapping: a 32-bit int wraps the undirected budget
-// from n = 20 000 and the directed one from n = 1000, a 64-bit int the
-// directed one from about n = 2.6e7.
+// TestDefaultMaxRoundsBitLength pins the default budgets to their formula
+// with a shift-loop bit length, for every n, since MaxRounds feeds seeded
+// runs. Past math.MaxInt both saturate instead of wrapping (on a 32-bit int
+// from n = 20 000 undirected and n = 1000 directed).
 func TestDefaultMaxRoundsBitLength(t *testing.T) {
 	legacyLg := func(n int) int {
 		lg := 0

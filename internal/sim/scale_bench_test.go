@@ -10,14 +10,11 @@ import (
 	"gossipdisc/internal/rng"
 )
 
-// The ScaleSparse benchmarks pin the tentpole claim: discovery runs at
-// n = 100k–1M on the sparse backend, sizes where the dense substrate's
-// n² bits (1.25 GB at 100k, 125 GB at 1M) are out of the question. Full
-// convergence at these sizes means Θ(n²) edges — 5·10¹¹ at 1M — so the
-// benchmarks drive a fixed number of early rounds, the regime the sparse
-// representation is for: Θ(m) memory while the graph is far from complete.
-// heapMB reports live heap after the run so regressions in per-edge cost
-// show up in the benchmark stream, not just in wall time.
+// The ScaleSparse benchmarks run n = 100k–1M on the sparse backend, where
+// the dense substrate's n² bits (125 GB at 1M) are out of the question,
+// for a fixed number of early rounds: Θ(m) memory while the graph is far
+// from complete. heapMB reports the live heap after the run, so per-edge
+// cost regressions show up, not just wall time.
 
 // benchScale runs `rounds` sync push rounds on an n-cycle over backend at
 // Workers 4. heapMB is the live heap with the final run's graph still

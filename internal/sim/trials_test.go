@@ -20,8 +20,8 @@ func directedRuns(p core.DirectedProcess, cfg DirectedConfig) func(*graph.Direct
 }
 
 // samePools requires batch to return the same results at every trial pool
-// size — sequential, bounded and the GOMAXPROCS default — and twice at
-// each, and every trial to satisfy ok.
+// size — sequential (twice), bounded and the GOMAXPROCS default — and every
+// trial to satisfy ok.
 func samePools[R comparable](t *testing.T, batch func(pool int) []R, ok func(R) bool) []R {
 	t.Helper()
 	want := batch(1)

@@ -35,13 +35,9 @@ func mustPanic(t *testing.T, fn func()) (msg string) {
 // DensePhase and an unknown Mode panic at construction on both round
 // substrates, with messages naming the field.
 func TestNewSessionRejectsJunkConfig(t *testing.T) {
-	// -1 is deliberately junk at the library surface: it used to fall
-	// through to the sequential engine (and is accepted by the CLIs), so a
-	// stale -1 caller fails fast instead of silently switching engine
-	// families. math.MinInt was the retired autoscaler's sentinel. A NaN
-	// DensePhase (x < 0 || x > 1 is false for it) used to disarm the mode
-	// in silence, and a mode that is no CommitMode used to panic at the
-	// first step, or never: each graph here is done at entry.
+	// -1 is junk at the library surface (the CLIs accept it), and NaN
+	// passes a plain range check. Each graph is done at entry, so an
+	// unknown mode must panic at construction, not at a first step.
 	for _, tc := range []struct {
 		name, want string
 		workers    int

@@ -25,6 +25,14 @@ type Runtime interface {
 	// Remaining is the session's own count of the work left:
 	// EdgesRemaining, or ClosureArcsRemaining on a directed session.
 	Remaining() int
+	// RunUntil runs the session until pred holds or the run is over: its
+	// own RunUntil, or Step after Step on a runtime that has none.
+	RunUntil(pred func() bool)
+	// Stats, Round and Converged are the session's own accessors: the
+	// result so far, the whole rounds run, and whether the run converged.
+	Stats() any
+	Round() int
+	Converged() bool
 	Subscribe(stream.Subscriber)
 	Close()
 }
@@ -51,6 +59,9 @@ func Axis[V any](vs []V, row func(V) Row) []Row {
 type session[D, R any] interface {
 	Step() (*D, bool)
 	Run() R
+	Stats() R
+	Round() int
+	Converged() bool
 	Subscribe(stream.Subscriber)
 }
 
@@ -60,6 +71,7 @@ type adapter[D, R any] struct {
 	session[D, R]
 	event     func(*D) stream.Event
 	remaining func() int
+	until     func(pred func() bool)
 	ev        stream.Event
 }
 
@@ -72,8 +84,26 @@ func (a *adapter[D, R]) Step() (*stream.Event, bool) {
 	return &a.ev, ok
 }
 
-func (a *adapter[D, R]) Run() any       { return a.session.Run() }
-func (a *adapter[D, R]) Remaining() int { return a.remaining() }
+func (a *adapter[D, R]) Run() any                  { return a.session.Run() }
+func (a *adapter[D, R]) Stats() any                { return a.session.Stats() }
+func (a *adapter[D, R]) Remaining() int            { return a.remaining() }
+func (a *adapter[D, R]) RunUntil(pred func() bool) { a.until(pred) }
+
+// Session returns the session an Undirected or Directed Runtime adapts.
+func Session(rt Runtime) any { return rt.(interface{ base() any }).base() }
+
+func (a *adapter[D, R]) base() any { return a.session }
+
+// until is s's own RunUntil over G predicates, or Step after Step.
+func until[G, D, R any](s session[D, R]) func(pred func() bool) {
+	if u, ok := s.(interface{ RunUntil(func(G) bool) R }); ok {
+		return func(pred func() bool) { u.RunUntil(func(G) bool { return pred() }) }
+	}
+	return func(pred func() bool) {
+		for ok := true; ok && !pred(); _, ok = s.Step() {
+		}
+	}
+}
 
 // Close closes the session if its runtime has a Close.
 func (a *adapter[D, R]) Close() {
@@ -88,7 +118,7 @@ func Undirected[R any](s interface {
 	EdgesRemaining() int
 	Graph() *graph.Undirected
 }) Runtime {
-	return &adapter[stream.RoundDelta, R]{session: s, remaining: s.EdgesRemaining, event: func(d *stream.RoundDelta) stream.Event {
+	return &adapter[stream.RoundDelta, R]{session: s, remaining: s.EdgesRemaining, until: until[*graph.Undirected](s), event: func(d *stream.RoundDelta) stream.Event {
 		return stream.Event{Kind: stream.KindRound, Time: float64(d.Round), Graph: s.Graph(), Delta: d}
 	}}
 }
@@ -99,7 +129,7 @@ func Directed[R any](s interface {
 	ClosureArcsRemaining() int
 	Graph() *graph.Directed
 }) Runtime {
-	return &adapter[stream.DirectedRoundDelta, R]{session: s, remaining: s.ClosureArcsRemaining, event: func(d *stream.DirectedRoundDelta) stream.Event {
+	return &adapter[stream.DirectedRoundDelta, R]{session: s, remaining: s.ClosureArcsRemaining, until: until[*graph.Directed](s), event: func(d *stream.DirectedRoundDelta) stream.Event {
 		return stream.Event{Kind: stream.KindDirectedRound, Time: float64(d.Round), Digraph: s.Graph(), DirectedDelta: d}
 	}}
 }
@@ -205,9 +235,9 @@ func (v *Invariants) OnEvent(e *stream.Event) {
 			}
 		}
 		v.increments(round, "Touched", d.Touched, d.DegreeInc, 2*len(d.NewEdges))
-		if len(d.Touched) > 0 {
-			if u := int(d.Touched[0]); d.MissingDegree(u) != e.Graph.MissingDegree(u) {
-				v.fail(round, "MissingDegree(%d) %d, graph %d", u, d.MissingDegree(u), e.Graph.MissingDegree(u))
+		for _, u := range d.Touched {
+			if got, want := d.MissingDegree(int(u)), e.Graph.MissingDegree(int(u)); got != want {
+				v.fail(round, "MissingDegree(%d) %d, graph %d", u, got, want)
 			}
 		}
 		if d.EdgeTimes != nil && len(d.EdgeTimes) != len(d.NewEdges) {
@@ -311,29 +341,41 @@ func Identical(t testing.TB, rows ...Row) Outcome {
 	return want
 }
 
-// StepRun requires a session stepped k times and then Run to end exactly
-// as a fresh Run does, result and delta stream, for k = 3 and for stepping
-// to the end; a Step after the end returns (nil, false).
-func StepRun(t *testing.T, row Row) {
+// StepRun requires a session driven in pieces — three Steps, RunUntil
+// until holds (nil: half the work left), two Steps, Run — to end as a
+// fresh Run does, result and delta stream, with Stats the result. RunUntil
+// stops where until first holds, at Round the last delta's; after Run,
+// Round is that or one less (a final partial round), Converged holds
+// exactly when no work is left, and Step returns (nil, false).
+func StepRun(t *testing.T, row Row, until func(Runtime) bool) {
 	t.Helper()
 	want := Run(t, row)
-	for _, k := range []int{3, -1} {
-		rt := row.New()
-		fp := NewFingerprint()
-		rt.Subscribe(fp)
-		rt.Subscribe(NewInvariants(t, row.Name, rt))
-		for i := 0; i != k; i++ {
-			if e, ok := rt.Step(); e == nil || !ok {
-				break
-			}
-		}
-		if got := (Outcome{rt.Run(), fp.Sum}); got != want {
-			t.Fatalf("%s: %d steps and Run give %+v %#x, Run gives %+v %#x", row.Name, k, got.Result, got.Hash, want.Result, want.Hash)
-		}
-		if e, ok := rt.Step(); e != nil || ok {
-			t.Fatalf("%s: Step after the end returned (%v, %v)", row.Name, e, ok)
-		}
-		rt.Close()
+	rt := row.New()
+	defer rt.Close()
+	fp, inv := NewFingerprint(), NewInvariants(t, row.Name, rt)
+	rt.Subscribe(fp)
+	rt.Subscribe(inv)
+	for i := 0; i < 3; i++ {
+		rt.Step()
+	}
+	if half := rt.Remaining() / 2; until == nil {
+		until = func(rt Runtime) bool { return rt.Remaining() <= half }
+	}
+	rt.RunUntil(func() bool { return until(rt) })
+	if !until(rt) || rt.Round() != inv.round {
+		t.Fatalf("%s: RunUntil stopped at round %d (last delta %d) short of its predicate", row.Name, rt.Round(), inv.round)
+	}
+	rt.Step()
+	rt.Step()
+	got := Outcome{rt.Run(), fp.Sum}
+	if got != want || rt.Stats() != got.Result {
+		t.Fatalf("%s: driven in pieces %+v %#x (Stats %+v), Run %+v %#x", row.Name, got.Result, got.Hash, rt.Stats(), want.Result, want.Hash)
+	}
+	if r := rt.Round(); r != inv.round && r != inv.round-1 || rt.Converged() != (rt.Remaining() == 0) {
+		t.Fatalf("%s: after Run, Round %d of %d deltas, Converged %v with %d left", row.Name, r, inv.round, rt.Converged(), rt.Remaining())
+	}
+	if e, ok := rt.Step(); e != nil || ok {
+		t.Fatalf("%s: Step after the end returned (%v, %v)", row.Name, e, ok)
 	}
 }
 
@@ -375,11 +417,12 @@ func BusEquivalence(t *testing.T, row Row, extra func() stream.Subscriber) {
 }
 
 // ZeroAlloc requires rt's steady-state Step to allocate nothing once 50
-// warm-up steps have grown its buffers; rt must neither finish nor run out
-// of budget. It is skipped under the race detector, whose instrumentation
-// allocates.
+// warm-up steps have grown its buffers, and closes rt; rt must neither
+// finish nor run out of budget. It is skipped under the race detector,
+// whose instrumentation allocates.
 func ZeroAlloc(t *testing.T, name string, rt Runtime) {
 	t.Helper()
+	defer rt.Close()
 	if Race {
 		t.Skip("allocation accounting differs under -race")
 	}

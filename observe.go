@@ -65,7 +65,8 @@ type PrometheusExporter = export.Prometheus
 
 // NewPrometheusExporter returns an exporter with the built-in run gauges.
 // Call Attach(h) to add the analyzer gauges and findings of a Health pack,
-// then subscribe both and mount the exporter on any http mux (it is an
+// then subscribe both — h through Guard(h) when scrapes can arrive during
+// the run — and mount the exporter on any http mux (it is an
 // http.Handler).
 func NewPrometheusExporter() *PrometheusExporter { return export.NewPrometheus() }
 
