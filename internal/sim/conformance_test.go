@@ -108,8 +108,8 @@ func TestBusEquivalence(t *testing.T) {
 	}
 }
 
-// stepRun is simtest.StepRun with its default breakpoint, half the work.
-func stepRun(t *testing.T, row simtest.Row) { simtest.StepRun(t, row, nil) }
+// stepRun is simtest.StepRun, breaking at half the work, on a converging row.
+func stepRun(t *testing.T, row simtest.Row) { converged(t, simtest.StepRun(t, row, nil)) }
 
 // TestSessionStepRunEquivalence: stepping, RunUntil and Run are a pure
 // re-slicing of Run's round sequence, on the Session rows without the
@@ -122,7 +122,7 @@ func TestSessionStepRunEquivalence(t *testing.T) {
 // driven by RunUntil up to the switch to complement sampling.
 func TestDenseSessionStepRunEquivalence(t *testing.T) {
 	conform(t, func(t *testing.T, row simtest.Row) {
-		simtest.StepRun(t, row, func(rt simtest.Runtime) bool { return simtest.Session(rt).(*Session).InDensePhase() })
+		converged(t, simtest.StepRun(t, row, func(rt simtest.Runtime) bool { return simtest.Session(rt).(*Session).InDensePhase() }))
 	}, "w=0/dense=0.3", "w=1/dense=0.3", "w=4/dense=0.3")
 }
 

@@ -342,12 +342,12 @@ func Identical(t testing.TB, rows ...Row) Outcome {
 }
 
 // StepRun requires a session driven in pieces — three Steps, RunUntil
-// until holds (nil: half the work left), two Steps, Run — to end as a
-// fresh Run does, result and delta stream, with Stats the result. RunUntil
+// until holds (nil: half the work left), two Steps, Run — to end with the
+// Outcome of a fresh Run, which it returns, and Stats the result. RunUntil
 // stops where until first holds, at Round the last delta's; after Run,
 // Round is that or one less (a final partial round), Converged holds
 // exactly when no work is left, and Step returns (nil, false).
-func StepRun(t *testing.T, row Row, until func(Runtime) bool) {
+func StepRun(t *testing.T, row Row, until func(Runtime) bool) Outcome {
 	t.Helper()
 	want := Run(t, row)
 	rt := row.New()
@@ -377,6 +377,7 @@ func StepRun(t *testing.T, row Row, until func(Runtime) bool) {
 	if e, ok := rt.Step(); e != nil || ok {
 		t.Fatalf("%s: Step after the end returned (%v, %v)", row.Name, e, ok)
 	}
+	return want
 }
 
 // BusEquivalence requires the deltas Step hands back to a session with
