@@ -113,16 +113,7 @@ func TestAllExperimentsRunSmall(t *testing.T) {
 			if outs[1] != out {
 				t.Fatalf("%s output differs between trial pools 1 and 0:\n%s\n---\n%s", e.ID, out, outs[1])
 			}
-			path := filepath.Join("testdata", e.ID+".golden")
-			if *updateGoldens {
-				if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			} else if want, err := os.ReadFile(path); err != nil {
-				t.Fatalf("missing golden %s (run with -update): %v", path, err)
-			} else if out != string(want) {
-				t.Errorf("%s drifted from %s:\n got:\n%s\nwant:\n%s", e.ID, path, out, want)
-			}
+			checkGolden(t, e.ID, out)
 			if len(out) == 0 {
 				t.Fatalf("%s produced no output", e.ID)
 			}
@@ -132,6 +123,65 @@ func TestAllExperimentsRunSmall(t *testing.T) {
 			if !strings.Contains(out, "----") {
 				t.Fatalf("%s output has no table rule:\n%s", e.ID, out)
 			}
+		})
+	}
+}
+
+// checkGolden compares out with testdata/<name>.golden, or rewrites the
+// golden under -update.
+func checkGolden(t *testing.T, name, out string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *updateGoldens {
+		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if want, err := os.ReadFile(path); err != nil {
+		t.Fatalf("missing golden %s (run with -update): %v", path, err)
+	} else if out != string(want) {
+		t.Errorf("%s drifted from %s:\n got:\n%s\nwant:\n%s", name, path, out, want)
+	}
+}
+
+// TestExperimentVariantsGolden pins the paths TestAllExperimentsRunSmall
+// does not take: E15 with one asynchronous runtime, E20's and E21's custom
+// populations, CSV output and the sharded engine. Each runs at the small
+// test size on trial pools 1 and 0 against testdata/<name>.golden.
+func TestExperimentVariantsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow")
+	}
+	for _, tc := range []struct {
+		name, id string
+		cfg      Config
+	}{
+		{"E15-tick", "E15", Config{Sched: "tick"}},
+		{"E15-event", "E15", Config{Sched: "event"}},
+		{"E20-rates", "E20", Config{RateSpec: "0.5,fast=8:0-15"}},
+		{"E21-roles", "E21", Config{RoleSpec: "honest,byzantine=5%"}},
+		{"E12-csv", "E12", Config{CSV: true}},
+		{"E7-workers1", "E7", Config{Workers: 1}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			e, err := ByID(tc.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := tc.cfg
+			cfg.Seed, cfg.Trials, cfg.Scale = 1, 3, 0.4
+			var outs [2]strings.Builder
+			for i, pool := range []int{1, 0} {
+				cfg.TrialWorkers = pool
+				if err := e.Run(cfg, &outs[i]); err != nil {
+					t.Fatalf("%s failed: %v", tc.name, err)
+				}
+			}
+			if outs[0].String() != outs[1].String() {
+				t.Fatalf("%s output differs between trial pools 1 and 0", tc.name)
+			}
+			checkGolden(t, tc.name, outs[0].String())
 		})
 	}
 }
