@@ -2,34 +2,17 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"gossipdisc/internal/eventsim"
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
-	"gossipdisc/internal/metrics"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
 	"gossipdisc/internal/stats"
 	"gossipdisc/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E15",
-		Title: "Scheduler/commit ablation: synchronous vs eager vs asynchronous",
-		Paper: "DESIGN.md decision 1: the G_t commit semantics",
-		Run:   runAblation,
-	})
-	register(Experiment{
-		ID:    "E16",
-		Title: "Concentration of convergence time (the \"w.h.p.\" in Thm 8/12)",
-		Paper: "Theorems 8/12: high-probability bounds",
-		Run:   runConcentration,
-	})
-}
-
-// runAblation implements E15: the paper's synchronous commit versus the
+// ablation implements E15: the paper's synchronous commit versus the
 // eager ablation and the asynchronous runtimes — the tick scheduler
 // (discretized uniform activations) and the event-driven runtime at
 // uniform rate 1 (continuous Poisson clocks, internal/eventsim). All
@@ -41,120 +24,96 @@ func init() {
 // the same activations on the same act stream; the columns here draw from
 // different seeds — this table makes the agreement visible). cfg.Sched
 // selects which of the two asynchronous columns ride along.
-func runAblation(cfg Config, w io.Writer) error {
-	cfg = cfg.normalized()
+func ablation(cfg Config) ([]*trace.Table, error) {
 	ns := cfg.sizes(32, 64, 128, 256)
 	trials := cfg.trials(12)
-	tick, event := cfg.scheds()
-
-	cols := []string{"n", "sync", "eager"}
-	if tick {
-		cols = append(cols, "tick")
+	// The runtimes in column order; sync comes first, as every ratio's
+	// denominator.
+	runtimes := []string{"sync", "eager"}
+	if cfg.Sched != "event" {
+		runtimes = append(runtimes, "tick")
 	}
-	if event {
-		cols = append(cols, "event")
+	if cfg.Sched != "tick" {
+		runtimes = append(runtimes, "event")
 	}
-	cols = append(cols, "eager/sync")
-	if tick {
-		cols = append(cols, "tick/sync")
-	}
-	if event {
-		cols = append(cols, "event/sync")
+	cols := append([]string{"n"}, runtimes...)
+	for _, rt := range runtimes[1:] {
+		cols = append(cols, rt+"/sync")
 	}
 
-	for _, procName := range []string{"push", "pull"} {
-		proc := plainProcByName(procName)
+	var out []*trace.Table
+	for _, p := range processes {
 		tbl := trace.NewTable(
-			fmt.Sprintf("E15: %s on the n-cycle across schedulers (%d trials, rounds or parallel time)", procName, trials),
+			fmt.Sprintf("E15: %s on the n-cycle across schedulers (%d trials, rounds or parallel time)", p.name, trials),
 			cols...)
 		for ni, n := range ns {
-			seed := pointSeed(cfg.Seed, uint64(ni), hashName(procName))
-
-			syncSum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(proc, cfg.engine()))
-			if err != nil {
-				return fmt.Errorf("E15 sync n=%d: %w", n, err)
-			}
-			eagerSum, err := pointRounds(cfg, trials, seed, cycleBuilder(n),
-				undirected(proc, sim.Config{Mode: sim.CommitEager}))
-			if err != nil {
-				return fmt.Errorf("E15 eager n=%d: %w", n, err)
-			}
-
-			var tickSum, eventSum stats.Summary
-			if tick {
-				// The tick trials keep the pre-event-runtime seed
-				// derivation, so the tick column is unperturbed by the
+			means := make([]float64, len(runtimes))
+			for i, rt := range runtimes {
+				// Every column but the event runtime's draws from the
+				// point's seed, so the older columns are unperturbed by the
 				// event column's existence.
-				tickSum, err = pointRounds(cfg, trials, seed, cycleBuilder(n), func(g *graph.Undirected, r *rng.Rand) outcome {
-					res := sim.RunAsync(g, proc, r, sim.AsyncConfig{})
-					return outcome{res.ParallelRounds, res.Converged}
-				})
-				if err != nil {
-					return fmt.Errorf("E15 tick n=%d: %w", n, err)
+				seed := pointSeed(cfg.Seed, uint64(ni), hashName(p.name))
+				run := undirected(p.proc, cfg.engine())
+				switch rt {
+				case "eager":
+					run = undirected(p.proc, sim.Config{Mode: sim.CommitEager})
+				case "tick":
+					run = func(g *graph.Undirected, r *rng.Rand) outcome {
+						res := sim.RunAsync(g, p.proc, r, sim.AsyncConfig{})
+						return outcome{rounds: res.ParallelRounds, converged: res.Converged}
+					}
+				case "event":
+					seed = pointSeed(cfg.Seed, uint64(ni), hashName(p.name), hashName("event"))
+					run = func(g *graph.Undirected, r *rng.Rand) outcome {
+						res := eventsim.Run(g, p.proc, r, eventsim.Config{})
+						return outcome{rounds: res.ParallelRounds, converged: res.Converged}
+					}
 				}
-			}
-			if event {
-				eventSeed := pointSeed(cfg.Seed, uint64(ni), hashName(procName), hashName("event"))
-				eventSum, err = pointRounds(cfg, trials, eventSeed, cycleBuilder(n), func(g *graph.Undirected, r *rng.Rand) outcome {
-					res := eventsim.Run(g, proc, r, eventsim.Config{})
-					return outcome{res.ParallelRounds, res.Converged}
-				})
+				sum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), run)
 				if err != nil {
-					return fmt.Errorf("E15 event n=%d: %w", n, err)
+					return out, fmt.Errorf("E15 %s n=%d: %w", rt, n, err)
 				}
+				means[i] = sum.Mean
 			}
-
-			row := []string{trace.I(n), trace.F(syncSum.Mean, 1), trace.F(eagerSum.Mean, 1)}
-			if tick {
-				row = append(row, trace.F(tickSum.Mean, 1))
+			row := []string{trace.I(n)}
+			for _, m := range means {
+				row = append(row, trace.F(m, 1))
 			}
-			if event {
-				row = append(row, trace.F(eventSum.Mean, 1))
-			}
-			row = append(row, trace.F(eagerSum.Mean/syncSum.Mean, 3))
-			if tick {
-				row = append(row, trace.F(tickSum.Mean/syncSum.Mean, 3))
-			}
-			if event {
-				row = append(row, trace.F(eventSum.Mean/syncSum.Mean, 3))
+			for _, m := range means[1:] {
+				row = append(row, trace.F(m/means[0], 3))
 			}
 			tbl.AddRow(row...)
 		}
-		if err := render(cfg, w, tbl); err != nil {
-			return err
-		}
+		out = append(out, tbl)
 	}
-	return nil
+	return out, nil
 }
 
 func cycleBuilder(n int) func(trial int, r *rng.Rand) *graph.Undirected {
 	return func(trial int, r *rng.Rand) *graph.Undirected { return gen.Cycle(n) }
 }
 
-// runConcentration implements E16: Theorems 8/12 are with-high-probability
+// concentration implements E16: Theorems 8/12 are with-high-probability
 // statements, so the convergence time should concentrate: the ratio of
 // extreme quantiles to the median must stay small and shrink-ish with n.
-func runConcentration(cfg Config, w io.Writer) error {
-	cfg = cfg.normalized()
+func concentration(cfg Config) ([]*trace.Table, error) {
 	ns := cfg.sizes(32, 64, 128, 256)
 	trials := cfg.trials(100)
 
-	for _, procName := range []string{"push", "pull"} {
-		proc := plainProcByName(procName)
+	var out []*trace.Table
+	for _, p := range processes {
 		tbl := trace.NewTable(
-			fmt.Sprintf("E16: %s on the n-cycle, distribution over %d trials", procName, trials),
+			fmt.Sprintf("E16: %s on the n-cycle, distribution over %d trials", p.name, trials),
 			"n", "median", "p10", "p90", "max", "p90/median", "max/median", "r90 edges")
 		for ni, n := range ns {
-			seed := pointSeed(cfg.Seed, uint64(ni), hashName(procName), 161616)
-			// Per-round aggregates ride along with the same trial results
-			// (metrics.TrialsAggregate); r90 — the first round at which
-			// the trials hold 90% of all pairs on average — concentrates
-			// even tighter than the convergence time, because the w.h.p.
-			// tail is spent on the last few missing pairs.
-			results, agg := metrics.TrialsAggregate(cfg.TrialWorkers, trials, seed, cycleBuilder(n), proc, cfg.engine())
-			rounds, err := resultRounds(results)
+			seed := pointSeed(cfg.Seed, uint64(ni), hashName(p.name), 161616)
+			// r90 — the first round at which the trials together hold 90%
+			// of all pairs — concentrates even tighter than the
+			// convergence time, because the w.h.p. tail is spent on the
+			// last few missing pairs.
+			rounds, r90, err := edgeRounds(cfg, trials, seed, cycleBuilder(n), p.proc)
 			if err != nil {
-				return fmt.Errorf("E16 n=%d: %w", n, err)
+				return out, fmt.Errorf("E16 n=%d: %w", n, err)
 			}
 			med := stats.Median(rounds)
 			p10 := stats.Quantile(rounds, 0.10)
@@ -163,11 +122,9 @@ func runConcentration(cfg Config, w io.Writer) error {
 			tbl.AddRow(trace.I(n),
 				trace.F(med, 0), trace.F(p10, 0), trace.F(p90, 0), trace.F(max, 0),
 				trace.F(p90/med, 3), trace.F(max/med, 3),
-				trace.I(metrics.RoundAtEdgeFraction(agg, 0.9)))
+				trace.I(r90))
 		}
-		if err := render(cfg, w, tbl); err != nil {
-			return err
-		}
+		out = append(out, tbl)
 	}
-	return nil
+	return out, nil
 }

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
+	"slices"
 
 	"gossipdisc/internal/analyze"
 	"gossipdisc/internal/core"
@@ -15,22 +15,7 @@ import (
 	"gossipdisc/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E21",
-		Title: "Byzantine introducers: discovery degradation vs adversarial fraction",
-		Paper: "Roles pack; Section 6 robustness discussion extended to adversaries",
-		Run:   runByzantine,
-	})
-	register(Experiment{
-		ID:    "E22",
-		Title: "Source anonymity: eavesdropper coalition posterior vs coalition size",
-		Paper: "Roles pack; anonymity of the rumor's entry node under observation",
-		Run:   runAnonymity,
-	})
-}
-
-// runByzantine implements E21. Byzantine introducers perform push-shaped
+// byzantine implements E21. Byzantine introducers perform push-shaped
 // draws but funnel both introductions toward a target instead of
 // introducing their sampled neighbors to each other, so the honest v–w
 // edge is never proposed and the remaining honest nodes must carry
@@ -51,16 +36,13 @@ func init() {
 //
 // With cfg.RoleSpec set (-roles), a third table runs the custom population
 // over a push base, resolved against the sweep's largest size.
-func runByzantine(cfg Config, w io.Writer) error {
-	cfg = cfg.normalized()
+func byzantine(cfg Config) ([]*trace.Table, error) {
 	ns := cfg.sizes(48, 64, 96)
 	trials := cfg.trials(8)
 	fracs := []int{0, 5, 10, 25}
 
 	base := make(map[int]float64)
-	tbl := trace.NewTable(
-		fmt.Sprintf("E21: push on ConnectedER (expected degree 8), self-promoting byzantine fraction (%d trials)", trials),
-		"n", "byz %", "byz nodes", "rounds", "ci95", "slowdown")
+	var points []point
 	for ni, n := range ns {
 		for fi, f := range fracs {
 			spec := ""
@@ -69,87 +51,104 @@ func runByzantine(cfg Config, w io.Writer) error {
 			}
 			pop, err := core.ParseRoleSpec(spec, n, core.Push{})
 			if err != nil {
-				return fmt.Errorf("E21 n=%d f=%d%%: %w", n, f, err)
+				return nil, fmt.Errorf("E21 n=%d f=%d%%: %w", n, f, err)
 			}
-			var byz []int
-			if f > 0 {
-				byz = pop.Nodes("byzantine")
-			}
-			seed := pointSeed(cfg.Seed, uint64(ni), uint64(fi), hashName("e21"))
-			sum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
-				return buildByzantineWorkload(n, byz, r)
-			}, undirected(pop, cfg.engine()))
-			if err != nil {
-				return fmt.Errorf("E21 n=%d f=%d%%: %w", n, f, err)
-			}
-			if f == 0 {
-				base[n] = sum.Mean
-			}
-			tbl.AddRow(trace.I(n), trace.I(f), trace.I(len(byz)),
-				trace.F(sum.Mean, 1), trace.F(sum.CI95, 1),
-				trace.F(sum.Mean/base[n], 2))
+			points = append(points, point{
+				cells:  []string{trace.I(n), trace.I(f), trace.I(len(byzantines(pop)))},
+				rounds: byzantineRounds(cfg, trials, pointSeed(cfg.Seed, uint64(ni), uint64(fi), hashName("e21")), n, pop),
+				tail: func(s stats.Summary) []string {
+					if f == 0 {
+						base[n] = s.Mean
+					}
+					return []string{trace.F(s.Mean/base[n], 2)}
+				},
+			})
 		}
 	}
-	if err := render(cfg, w, tbl); err != nil {
-		return err
+	tbl := trace.NewTable(
+		fmt.Sprintf("E21: push on ConnectedER (expected degree 8), self-promoting byzantine fraction (%d trials)", trials),
+		"n", "byz %", "byz nodes", "rounds", "ci95", "slowdown")
+	if _, err := sweep(tbl, points); err != nil {
+		return nil, err
 	}
+	out := []*trace.Table{tbl}
 
 	// The eclipse coalition: the same fractions, but every Byzantine node
 	// funnels toward node 0 instead of itself — the role is retuned on a
 	// live population via SetRoleProcess, exactly as a session caller
 	// would do mid-run.
 	n := ns[len(ns)-1]
-	hub := trace.NewTable(
-		fmt.Sprintf("E21: eclipse coalition — byzantines funnel toward node 0 (n=%d, %d trials)", n, trials),
-		"byz %", "rounds", "ci95", "slowdown vs honest")
+	points = nil
 	for fi, f := range fracs[1:] {
 		pop, err := core.ParseRoleSpec(fmt.Sprintf("byzantine=%d%%", f), n, core.Push{})
 		if err != nil {
-			return fmt.Errorf("E21 hub f=%d%%: %w", f, err)
+			return out, fmt.Errorf("E21 hub f=%d%%: %w", f, err)
 		}
 		pop.SetRoleProcess("byzantine", core.Byzantine{Target: 0})
-		byz := pop.Nodes("byzantine")
-		seed := pointSeed(cfg.Seed, 500+uint64(fi), hashName("e21-hub"))
-		sum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
-			return buildByzantineWorkload(n, byz, r)
-		}, undirected(pop, cfg.engine()))
-		if err != nil {
-			return fmt.Errorf("E21 hub f=%d%%: %w", f, err)
-		}
-		hub.AddRow(trace.I(f), trace.F(sum.Mean, 1), trace.F(sum.CI95, 1),
-			trace.F(sum.Mean/base[n], 2))
+		points = append(points, point{
+			cells:  []string{trace.I(f)},
+			rounds: byzantineRounds(cfg, trials, pointSeed(cfg.Seed, 500+uint64(fi), hashName("e21-hub")), n, pop),
+		})
 	}
-	if err := render(cfg, w, hub); err != nil {
-		return err
+	hub, _, err := slowdownTable(
+		fmt.Sprintf("E21: eclipse coalition — byzantines funnel toward node 0 (n=%d, %d trials)", n, trials),
+		[]string{"byz %", "rounds", "ci95", "slowdown vs honest"}, base[n], points)
+	if err != nil {
+		return out, err
 	}
+	out = append(out, hub)
 
 	if cfg.RoleSpec == "" {
-		return nil
+		return out, nil
 	}
 	pop, err := core.ParseRoleSpec(cfg.RoleSpec, n, core.Push{})
 	if err != nil {
-		return fmt.Errorf("E21 custom population (resolved at n=%d): %w", n, err)
+		return out, fmt.Errorf("E21 custom population (resolved at n=%d): %w", n, err)
 	}
-	custom := trace.NewTable(
+	custom, _, err := slowdownTable(
 		fmt.Sprintf("E21: custom population %q at n=%d (%d trials)", cfg.RoleSpec, n, trials),
-		"population", "rounds", "ci95", "slowdown vs honest")
-	var byz []int
-	for _, role := range pop.Roles() {
-		if role == "byzantine" {
-			byz = pop.Nodes("byzantine")
-		}
-	}
-	seed := pointSeed(cfg.Seed, uint64(n), hashName("e21-custom"))
-	sum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
-		return buildByzantineWorkload(n, byz, r)
-	}, undirected(pop, cfg.engine()))
+		[]string{"population", "rounds", "ci95", "slowdown vs honest"}, base[n], []point{{
+			cells:  []string{pop.Name()},
+			rounds: byzantineRounds(cfg, trials, pointSeed(cfg.Seed, uint64(n), hashName("e21-custom")), n, pop),
+		}})
 	if err != nil {
-		return fmt.Errorf("E21 custom population %q (not every population completes discovery — silent or selfish cut sets censor introductions forever): %w", cfg.RoleSpec, err)
+		return out, fmt.Errorf("%w (not every population completes discovery — silent or selfish cut sets censor introductions forever)", err)
 	}
-	custom.AddRow(pop.Name(), trace.F(sum.Mean, 1), trace.F(sum.CI95, 1),
-		trace.F(sum.Mean/base[n], 2))
-	return render(cfg, w, custom)
+	return append(out, custom), nil
 }
+
+// byzantines returns pop's Byzantine nodes, if it has that role.
+func byzantines(pop *core.Population) []int {
+	if slices.Contains(pop.Roles(), "byzantine") {
+		return pop.Nodes("byzantine")
+	}
+	return nil
+}
+
+// byzantineRounds measures pop on byzantine workloads of n nodes
+// (buildByzantineWorkload) for one sweep point.
+func byzantineRounds(cfg Config, trials int, seed uint64, n int, pop *core.Population) func() (stats.Summary, error) {
+	type workload struct {
+		g   *graph.Undirected
+		err error
+	}
+	byz := byzantines(pop)
+	return measure(cfg, trials, seed, func(trial int, r *rng.Rand) workload {
+		g, err := buildByzantineWorkload(n, byz, r)
+		return workload{g, err}
+	}, func(w workload, r *rng.Rand) outcome {
+		if w.err != nil {
+			return outcome{err: w.err}
+		}
+		return undirected(pop, cfg.engine())(w.g, r)
+	})
+}
+
+// maxByzantineDraws bounds buildByzantineWorkload's resampling. The sweep's
+// own workloads (at most a quarter Byzantine) take a few draws; a
+// population that needs more is too Byzantine for the conditions to hold
+// in practice.
+const maxByzantineDraws = 1000
 
 // buildByzantineWorkload samples a dense connected random graph whose
 // honest-induced subgraph is connected and in which every Byzantine node
@@ -157,8 +156,9 @@ func runByzantine(cfg Config, w io.Writer) error {
 // conditioning idiom as E12's crash workload). Together the two
 // conditions guarantee push completes: the honest nodes discover each
 // other through honest introducers alone, after which every Byzantine
-// node's honest neighbors sweep it into the complete graph.
-func buildByzantineWorkload(n int, byz []int, r *rng.Rand) *graph.Undirected {
+// node's honest neighbors sweep it into the complete graph. It fails when
+// no node is honest or after maxByzantineDraws draws.
+func buildByzantineWorkload(n int, byz []int, r *rng.Rand) (*graph.Undirected, error) {
 	isByz := make([]bool, n)
 	for _, b := range byz {
 		isByz[b] = true
@@ -169,37 +169,26 @@ func buildByzantineWorkload(n int, byz []int, r *rng.Rand) *graph.Undirected {
 			honest = append(honest, i)
 		}
 	}
+	if len(honest) == 0 {
+		return nil, fmt.Errorf("all %d nodes are byzantine: no honest node to carry discovery", n)
+	}
+	var g *graph.Undirected
 	var nbuf []int
-	for {
-		g := gen.ConnectedER(n, 8.0/float64(n), r)
-		if len(byz) == 0 {
-			return g
-		}
-		if !g.InducedSubgraph(honest).IsConnected() {
-			continue
-		}
-		ok := true
-		for _, b := range byz {
-			hasHonest := false
-			nbuf = g.Neighbors(b, nbuf[:0])
-			for _, v := range nbuf {
-				if !isByz[v] {
-					hasHonest = true
-					break
-				}
-			}
-			if !hasHonest {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return g
+	cutOff := func(b int) bool { // b has no honest neighbor in g
+		nbuf = g.Neighbors(b, nbuf[:0])
+		return !slices.ContainsFunc(nbuf, func(v int) bool { return !isByz[v] })
+	}
+	for range maxByzantineDraws {
+		g = gen.ConnectedER(n, 8.0/float64(n), r)
+		if len(byz) == 0 || g.InducedSubgraph(honest).IsConnected() && !slices.ContainsFunc(byz, cutOff) {
+			return g, nil
 		}
 	}
+	return nil, fmt.Errorf("%d of %d nodes byzantine: no draw in %d had a connected honest subgraph with an honest neighbor for every byzantine node",
+		len(byz), n, maxByzantineDraws)
 }
 
-// runAnonymity implements E22: how well does the rumor's entry node hide
+// anonymity implements E22: how well does the rumor's entry node hide
 // from a passive eavesdropper coalition? The rumor enters at node 0 of an
 // n-cycle running honest push; k eavesdroppers (honest behavior, spread
 // over nodes 1..n-1 so the source never observes itself) replay the
@@ -214,8 +203,7 @@ func buildByzantineWorkload(n int, byz []int, r *rng.Rand) *graph.Undirected {
 // earlier infections but mostly widen the suspect set (entropy and rank
 // grow with k), a structural anonymity that classic epidemic
 // source-identification heuristics do not break.
-func runAnonymity(cfg Config, w io.Writer) error {
-	cfg = cfg.normalized()
+func anonymity(cfg Config) ([]*trace.Table, error) {
 	n := 96
 	trials := cfg.trials(12)
 	coalitions := []int{1, 2, 4, 8, 16}
@@ -228,38 +216,33 @@ func runAnonymity(cfg Config, w io.Writer) error {
 		spec := fmt.Sprintf("eavesdropper=%d:1-%d", k, n-1)
 		pop, err := core.ParseRoleSpec(spec, n, core.Push{})
 		if err != nil {
-			return fmt.Errorf("E22 k=%d: %w", k, err)
+			return nil, fmt.Errorf("E22 k=%d: %w", k, err)
 		}
 		coalition := pop.Nodes("eavesdropper")
-		type trial struct {
-			anon      *analyze.Anonymity
-			converged bool
-		}
+		// Each trial returns its coalition's posterior, or nil if it did
+		// not converge.
 		results := sim.Trials(cfg.TrialWorkers, trials, pointSeed(cfg.Seed, uint64(ki), hashName("e22")), cycleBuilder(n),
-			func(g *graph.Undirected, r *rng.Rand) trial {
+			func(g *graph.Undirected, r *rng.Rand) *analyze.Anonymity {
 				anon := analyze.NewAnonymity(0, coalition)
-				s := sim.NewSession(g, pop, r, cfg.engine())
-				defer s.Close()
-				s.Subscribe(anon)
-				converged := s.Run().Converged
-				return trial{anon, converged}
+				if !observe(g, pop, r, cfg.engine(), anon).Converged {
+					return nil
+				}
+				return anon
 			})
 		var ents, probs, ranks, wits []float64
-		for t, res := range results {
-			if !res.converged {
-				return fmt.Errorf("E22 k=%d trial %d did not converge", k, t)
+		for t, anon := range results {
+			if anon == nil {
+				return nil, fmt.Errorf("E22 k=%d trial %d did not converge", k, t)
 			}
-			ents = append(ents, res.anon.PosteriorEntropy())
-			probs = append(probs, res.anon.SourceProbability())
-			ranks = append(ranks, float64(res.anon.SourceRank()))
-			wits = append(wits, float64(res.anon.Witnesses()))
+			ents = append(ents, anon.PosteriorEntropy())
+			probs = append(probs, anon.SourceProbability())
+			ranks = append(ranks, float64(anon.SourceRank()))
+			wits = append(wits, float64(anon.Witnesses()))
 		}
-		ent, prob := stats.Summarize(ents), stats.Summarize(probs)
-		rank, wit := stats.Summarize(ranks), stats.Summarize(wits)
 		tbl.AddRow(trace.I(k),
-			trace.F(ent.Mean, 2), trace.F(prior, 2),
-			trace.F(prob.Mean, 3), trace.F(1/float64(n), 3),
-			trace.F(rank.Mean, 1), trace.F(wit.Mean, 1))
+			trace.F(stats.Mean(ents), 2), trace.F(prior, 2),
+			trace.F(stats.Mean(probs), 3), trace.F(1/float64(n), 3),
+			trace.F(stats.Mean(ranks), 1), trace.F(stats.Mean(wits), 1))
 	}
-	return render(cfg, w, tbl)
+	return []*trace.Table{tbl}, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"gossipdisc/internal/baseline"
@@ -10,31 +9,20 @@ import (
 	"gossipdisc/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E11",
-		Title: "Rounds-vs-bandwidth trade-off against Name Dropper and Pointer Jump",
-		Paper: "Section 1 (Applications): O(log n)-bit gossip vs Θ(n)-bit discovery",
-		Run:   runBaselines,
-	})
-}
-
-// runBaselines implements E11. The paper motivates its processes as the
+// baselines implements E11. The paper motivates its processes as the
 // bandwidth-frugal end of the resource-discovery spectrum: Name Dropper
 // finishes in polylog rounds but ships whole neighbor lists, while push and
 // pull use O(log n)-bit messages for O(n log² n) rounds. The table shows
 // both axes on shared workloads; "who wins" flips with the metric, exactly
 // as the paper argues.
-func runBaselines(cfg Config, w io.Writer) error {
-	cfg = cfg.normalized()
+func baselines(cfg Config) ([]*trace.Table, error) {
 	ns := cfg.sizes(32, 64, 128)
 	trials := cfg.trials(10)
 
-	type contender struct {
+	contenders := []struct {
 		name string
 		make func(meter *baseline.IDMeter) core.Process
-	}
-	contenders := []contender{
+	}{
 		{"push", func(m *baseline.IDMeter) core.Process {
 			return baseline.MeteredGossip{Inner: core.Push{}, IDsPerAct: 2, Meter: m}
 		}},
@@ -49,6 +37,7 @@ func runBaselines(cfg Config, w io.Writer) error {
 		}},
 	}
 
+	var out []*trace.Table
 	for _, n := range ns {
 		idBits := int(math.Ceil(math.Log2(float64(n))))
 		tbl := trace.NewTable(
@@ -61,7 +50,7 @@ func runBaselines(cfg Config, w io.Writer) error {
 			// Meters are shared across trials; divide totals by trial count.
 			sum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(proc, cfg.engine()))
 			if err != nil {
-				return fmt.Errorf("E11 %s n=%d: %w", c.name, n, err)
+				return out, fmt.Errorf("E11 %s n=%d: %w", c.name, n, err)
 			}
 			idsPerTrial := float64(meter.IDs()) / float64(trials)
 			perRoundPerNode := idsPerTrial / (sum.Mean * float64(n))
@@ -76,9 +65,7 @@ func runBaselines(cfg Config, w io.Writer) error {
 				trace.F(perMsg, 2),
 				trace.F(idsPerTrial*float64(idBits)/1e6, 3))
 		}
-		if err := render(cfg, w, tbl); err != nil {
-			return err
-		}
+		out = append(out, tbl)
 	}
-	return nil
+	return out, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
@@ -13,55 +12,41 @@ import (
 	"gossipdisc/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E17",
-		Title: "Social-network evolution: diameter, clustering, N¹/N²/N³ profiles",
-		Paper: "Section 1: \"how do clusters emerge? how does the diameter change with time?\"",
-		Run:   runEvolution,
-	})
-}
-
-// runEvolution implements E17. The paper's social-network motivation asks
+// evolution implements E17. The paper's social-network motivation asks
 // how the structural observables of a network evolve as its members run
 // the discovery processes: when clusters (triangles) emerge, how the
 // diameter collapses, and how the 1st/2nd/3rd-degree neighborhood sizes —
 // the numbers LinkedIn displays per profile — grow and then drain into the
 // 1st degree. This experiment traces all of them at fixed fractions of the
 // convergence time on a two-community social graph.
-func runEvolution(cfg Config, w io.Writer) error {
-	cfg = cfg.normalized()
+func evolution(cfg Config) ([]*trace.Table, error) {
 	const n = 96
 	trials := cfg.trials(6)
 	// Checkpoints as fractions of each trial's own convergence time.
 	fractions := []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1}
 
-	for _, procName := range []string{"push", "pull"} {
-		proc := plainProcByName(procName)
+	var out []*trace.Table
+	for _, p := range processes {
 		tbl := trace.NewTable(
 			fmt.Sprintf("E17: %s on a 2-community graph (n=%d), observables at fractions of convergence time (%d trials)",
-				procName, n, trials),
+				p.name, n, trials),
 			"t/T", "diameter", "clustering", "mean |N¹|", "mean |N²|", "mean |N³|")
 
 		// A trial returns its snapshot at each checkpoint it hit, keyed by
-		// fraction index.
-		type checkpoints struct {
-			at        map[int]metrics.EvolutionSnapshot
-			converged bool
-		}
-		results := sim.Trials(cfg.TrialWorkers, trials, pointSeed(cfg.Seed, hashName(procName), 1717),
+		// fraction index, or nil if its probe did not converge.
+		results := sim.Trials(cfg.TrialWorkers, trials, pointSeed(cfg.Seed, hashName(p.name), 1717),
 			func(trial int, r *rng.Rand) *graph.Undirected {
 				return gen.TwoClustersBridge(n, 6.0/float64(n), r)
-			}, func(g *graph.Undirected, r *rng.Rand) checkpoints {
+			}, func(g *graph.Undirected, r *rng.Rand) map[int]metrics.EvolutionSnapshot {
 				runSeed := r.Uint64()
 
 				// First pass: measure this trial's convergence time on a
 				// clone, then replay the *identical* trajectory (same seed)
 				// snapshotting at fixed fractions of it.
 				probe := g.Clone()
-				probeRes := sim.Run(probe, proc, rng.New(runSeed), cfg.engine())
+				probeRes := sim.Run(probe, p.proc, rng.New(runSeed), cfg.engine())
 				if !probeRes.Converged {
-					return checkpoints{}
+					return nil
 				}
 				total := probeRes.Rounds
 
@@ -78,25 +63,27 @@ func runEvolution(cfg Config, w io.Writer) error {
 				// discipline) as the probe, or the trajectory would differ.
 				// Off-checkpoint rounds cost the subscriber a map lookup;
 				// the expensive evolution snapshot runs only at the marks.
-				replay := sim.NewSession(g, proc, rng.New(runSeed), cfg.engine())
-				defer replay.Close()
-				replay.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
+				observe(g, p.proc, rng.New(runSeed), cfg.engine(), stream.SubscriberFunc(func(e *stream.Event) {
 					if fi, ok := marks[e.Delta.Round]; ok {
 						at[fi] = metrics.TakeEvolution(e.Delta.Round, e.Graph)
 					}
 				}))
-				replay.Run()
-				return checkpoints{at, true}
+				return at
 			})
 		agg := make([]metrics.EvolutionSnapshot, len(fractions))
 		counts := make([]int, len(fractions))
 		for _, t := range results {
-			if !t.converged {
-				return fmt.Errorf("E17 %s: probe did not converge", procName)
+			if t == nil {
+				return out, fmt.Errorf("E17 %s: probe did not converge", p.name)
 			}
 			for fi := range fractions {
-				if s, ok := t.at[fi]; ok {
-					addSnapshot(&agg[fi], &counts[fi], s)
+				if s, ok := t[fi]; ok {
+					agg[fi].Diameter += s.Diameter
+					agg[fi].Clustering += s.Clustering
+					agg[fi].MeanN1 += s.MeanN1
+					agg[fi].MeanN2 += s.MeanN2
+					agg[fi].MeanN3 += s.MeanN3
+					counts[fi]++
 				}
 			}
 		}
@@ -112,20 +99,7 @@ func runEvolution(cfg Config, w io.Writer) error {
 				trace.F(agg[fi].MeanN2/c, 1),
 				trace.F(agg[fi].MeanN3/c, 1))
 		}
-		if err := render(cfg, w, tbl); err != nil {
-			return err
-		}
+		out = append(out, tbl)
 	}
-	return nil
-}
-
-// addSnapshot accumulates s into agg (diameter summed as float via the
-// int field at render time; counts tracks the divisor).
-func addSnapshot(agg *metrics.EvolutionSnapshot, count *int, s metrics.EvolutionSnapshot) {
-	agg.Diameter += s.Diameter
-	agg.Clustering += s.Clustering
-	agg.MeanN1 += s.MeanN1
-	agg.MeanN2 += s.MeanN2
-	agg.MeanN3 += s.MeanN3
-	*count++
+	return out, nil
 }

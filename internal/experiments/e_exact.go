@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"gossipdisc/internal/core"
@@ -13,16 +12,7 @@ import (
 	"gossipdisc/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E8",
-		Title: "Non-monotonicity of expected convergence time (exact Markov solver)",
-		Paper: "Figure 1(c)",
-		Run:   runNonMonotonicity,
-	})
-}
-
-// runNonMonotonicity implements E8. Three parts:
+// nonMonotonicity implements E8. Three parts:
 //
 //  1. The Figure 1(c) caption pair — the 4-edge paw versus its 3-edge
 //     triangle subgraph — with exact expected times under both kernels.
@@ -31,8 +21,7 @@ func init() {
 //     graph is strictly slower under push.
 //  3. A Monte-Carlo cross-check of every exact number (validating that the
 //     simulator and the exact solver implement the same process).
-func runNonMonotonicity(cfg Config, w io.Writer) error {
-	cfg = cfg.normalized()
+func nonMonotonicity(cfg Config) ([]*trace.Table, error) {
 	trials := cfg.trials(3000)
 
 	g, h := gen.NonMonotonePair()
@@ -65,7 +54,7 @@ func runNonMonotonicity(cfg Config, w io.Writer) error {
 				return row.build()
 			}, undirected(k.proc, cfg.engine()))
 			if err != nil {
-				return fmt.Errorf("E8 %s/%s: %w", row.name, k.kern.Name(), err)
+				return nil, fmt.Errorf("E8 %s/%s: %w", row.name, k.kern.Name(), err)
 			}
 			diff := sum.Mean - exact
 			if diff < 0 {
@@ -74,9 +63,6 @@ func runNonMonotonicity(cfg Config, w io.Writer) error {
 			tbl.AddRow(row.name, k.kern.Name(),
 				trace.F(exact, 4), trace.F(sigma, 4), trace.F(sum.Mean, 4), trace.F(diff, 4))
 		}
-	}
-	if err := render(cfg, w, tbl); err != nil {
-		return err
 	}
 
 	// Exhaustive sweep: count non-monotone (G, G−e) pairs among all
@@ -100,14 +86,12 @@ func runNonMonotonicity(cfg Config, w io.Writer) error {
 			eh := markov.ExpectedTime(hh, markov.PushKernel{})
 			if eg > eh+1e-9 {
 				nonMono++
-				if eg-eh > worstGap {
-					worstGap = eg - eh
-				}
+				worstGap = max(worstGap, eg-eh)
 			}
 		}
 	}
-	sweep := trace.NewTable("E8: exhaustive (G, G−e) sweep on 4 nodes, push kernel",
+	exhaustive := trace.NewTable("E8: exhaustive (G, G−e) sweep on 4 nodes, push kernel",
 		"pairs checked", "non-monotone pairs", "largest E[G]−E[G−e] gap")
-	sweep.AddRow(trace.I(total), trace.I(nonMono), trace.F(worstGap, 4))
-	return render(cfg, w, sweep)
+	exhaustive.AddRow(trace.I(total), trace.I(nonMono), trace.F(worstGap, 4))
+	return []*trace.Table{tbl, exhaustive}, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/gen"
@@ -11,24 +10,14 @@ import (
 	"gossipdisc/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E18",
-		Title: "Push vs pull vs combined: constants head-to-head",
-		Paper: "Sections 3-4: both processes are Θ(n·polylog n); which constant wins where?",
-		Run:   runHeadToHead,
-	})
-}
-
-// runHeadToHead implements E18. Theorems 8 and 12 give push and pull the
+// headToHead implements E18. Theorems 8 and 12 give push and pull the
 // same asymptotic bound; the interesting residual question is the
 // constants: which process is faster on which topology, and what the
 // natural combined protocol (every node does both actions each round) buys.
 // Push degrades on high-degree hubs (the hub's two samples rarely include a
 // given pendant pair) while pull thrives on them (every spoke reaches the
 // hub's whole neighborhood in two hops); trees and cycles are a dead heat.
-func runHeadToHead(cfg Config, w io.Writer) error {
-	cfg = cfg.normalized()
+func headToHead(cfg Config) ([]*trace.Table, error) {
 	n := 128
 	trials := cfg.trials(12)
 	families := []string{"path", "cycle", "star", "bintree", "wheel", "broom", "er-sparse"}
@@ -39,7 +28,7 @@ func runHeadToHead(cfg Config, w io.Writer) error {
 	for fi, famName := range families {
 		fam, err := gen.FamilyByName(famName)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		means := map[string]float64{}
 		for pi, proc := range []core.Process{core.Push{}, core.Pull{}, core.PushPull{}} {
@@ -48,14 +37,11 @@ func runHeadToHead(cfg Config, w io.Writer) error {
 				return fam.Generate(n, r)
 			}, undirected(proc, cfg.engine()))
 			if err != nil {
-				return fmt.Errorf("E18 %s/%s: %w", famName, proc.Name(), err)
+				return nil, fmt.Errorf("E18 %s/%s: %w", famName, proc.Name(), err)
 			}
 			means[proc.Name()] = sum.Mean
 		}
-		best := means["push"]
-		if means["pull"] < best {
-			best = means["pull"]
-		}
+		best := min(means["push"], means["pull"])
 		tbl.AddRow(famName,
 			trace.F(means["push"], 1),
 			trace.F(means["pull"], 1),
@@ -63,5 +49,5 @@ func runHeadToHead(cfg Config, w io.Writer) error {
 			trace.F(means["pull"]/means["push"], 2),
 			trace.F(best/means["push-pull"], 2))
 	}
-	return render(cfg, w, tbl)
+	return []*trace.Table{tbl}, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/gen"
@@ -16,39 +15,23 @@ import (
 	"gossipdisc/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E13",
-		Title: "Message-level protocol realization and Lemma 1 validation",
-		Paper: "Model section: O(log n)-bit messages; Lemma 1",
-		Run:   runProtocol,
-	})
-}
-
-// runProtocol implements E13: it runs the goroutine-per-node message-level
+// protocols implements E13: it runs the goroutine-per-node message-level
 // protocols next to the centralized simulator on identical workloads,
 // checking that (a) round counts are consistent, (b) every message carries
 // at most one ⌈log₂ n⌉-bit identifier — the paper's bandwidth model — and
 // (c) Lemma 1 holds along the trajectory of random graphs.
-func runProtocol(cfg Config, w io.Writer) error {
-	cfg = cfg.normalized()
+func protocols(cfg Config) ([]*trace.Table, error) {
 	n := 32
 	trials := cfg.trials(20)
 
 	tbl := trace.NewTable(
 		fmt.Sprintf("E13: message-level protocol vs centralized simulator, cycle n=%d (%d trials)", n, trials),
 		"process", "sim rounds", "proto rounds", "proto msgs/round/node", "ID bits/msg", "bound ⌈lg n⌉")
-	for _, pr := range []struct {
-		proto protocol.Protocol
-		proc  core.Process
-	}{
-		{protocol.ProtoPush, core.Push{}},
-		{protocol.ProtoPull, core.Pull{}},
-	} {
-		seed := pointSeed(cfg.Seed, hashName(pr.proto.String()))
+	for _, pr := range processes {
+		seed := pointSeed(cfg.Seed, hashName(pr.name))
 		simSum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(pr.proc, cfg.engine()))
 		if err != nil {
-			return fmt.Errorf("E13 sim %s: %w", pr.proto, err)
+			return nil, fmt.Errorf("E13 sim %s: %w", pr.name, err)
 		}
 
 		// The wire trials seed their networks from the trial index, not
@@ -59,7 +42,7 @@ func runProtocol(cfg Config, w io.Writer) error {
 			stats  netsim.Stats
 		}
 		protoTrials := sim.Trials(cfg.TrialWorkers, trials, seed, func(trial int, r *rng.Rand) *protocol.Cluster {
-			return protocol.NewCluster(gen.Cycle(n), pr.proto, netsim.Config{Seed: seed + uint64(trial) + 1})
+			return protocol.NewCluster(gen.Cycle(n), pr.wire, netsim.Config{Seed: seed + uint64(trial) + 1})
 		}, func(cl *protocol.Cluster, r *rng.Rand) protoTrial {
 			defer cl.Close()
 			rounds, done := cl.Run(sim.DefaultMaxRounds(n))
@@ -69,7 +52,7 @@ func runProtocol(cfg Config, w io.Writer) error {
 		var msgsPerRoundPerNode, bitsPerMsg float64
 		for trial, t := range protoTrials {
 			if !t.done {
-				return fmt.Errorf("E13 proto %s trial %d: did not converge", pr.proto, trial)
+				return nil, fmt.Errorf("E13 proto %s trial %d: did not converge", pr.name, trial)
 			}
 			protoRounds = append(protoRounds, float64(t.rounds))
 			msgsPerRoundPerNode += float64(t.stats.Sent) / float64(t.stats.Rounds) / float64(n)
@@ -81,16 +64,13 @@ func runProtocol(cfg Config, w io.Writer) error {
 
 		idBits := netsim.New(n, netsim.Config{}).IDBits()
 		if bitsPerMsg > float64(idBits) {
-			return fmt.Errorf("E13 %s: %.2f ID bits per message exceeds ⌈lg n⌉ = %d",
-				pr.proto, bitsPerMsg, idBits)
+			return nil, fmt.Errorf("E13 %s: %.2f ID bits per message exceeds ⌈lg n⌉ = %d",
+				pr.name, bitsPerMsg, idBits)
 		}
-		tbl.AddRow(pr.proto.String(),
+		tbl.AddRow(pr.name,
 			trace.F(simSum.Mean, 1), trace.F(protoSum.Mean, 1),
 			trace.F(msgsPerRoundPerNode, 2),
 			trace.F(bitsPerMsg, 2), trace.I(idBits))
-	}
-	if err := render(cfg, w, tbl); err != nil {
-		return err
 	}
 
 	// Lemma 1: |∪_{i=1..4} Nⁱ(u)| >= min{2δ, n−1}, checked at every node of
@@ -102,23 +82,16 @@ func runProtocol(cfg Config, w io.Writer) error {
 		var lc lemmaCount
 		c := cfg.engine()
 		c.MaxRounds = 10
-		s := sim.NewSession(g, core.Push{}, r, c)
-		defer s.Close()
-		s.Subscribe(stream.SubscriberFunc(func(e *stream.Event) {
+		observe(g, core.Push{}, r, c, stream.SubscriberFunc(func(e *stream.Event) {
 			g := e.Graph
-			delta := g.MinDegree()
+			bound := min(2*g.MinDegree(), g.N()-1)
 			for u := 0; u < g.N(); u++ {
-				bound := 2 * delta
-				if g.N()-1 < bound {
-					bound = g.N() - 1
-				}
 				lc.checked++
 				if len(g.Ball(u, 4)) < bound {
 					lc.violations++
 				}
 			}
 		}))
-		s.Run()
 		return lc
 	})
 	checked, violations := 0, 0
@@ -130,7 +103,7 @@ func runProtocol(cfg Config, w io.Writer) error {
 		"node-rounds checked", "violations")
 	lem.AddRow(trace.I(checked), trace.I(violations))
 	if violations > 0 {
-		return fmt.Errorf("E13: Lemma 1 violated %d times", violations)
+		return []*trace.Table{tbl}, fmt.Errorf("E13: Lemma 1 violated %d times", violations)
 	}
-	return render(cfg, w, lem)
+	return []*trace.Table{tbl, lem}, nil
 }

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"io"
+	"slices"
 
 	"gossipdisc/internal/analyze"
 	"gossipdisc/internal/core"
@@ -15,16 +15,7 @@ import (
 	"gossipdisc/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E20",
-		Title: "Heterogeneous activation rates: skew vs dissemination time and AoI",
-		Paper: "Event-driven runtime; AoI after Bastopcu et al. (PAPERS.md)",
-		Run:   runRateSkew,
-	})
-}
-
-// runRateSkew implements E20 on the event-driven runtime: a fixed
+// rateSkew implements E20 on the event-driven runtime: a fixed
 // activation budget (total rate n, matching the uniform-rate baseline) is
 // skewed toward a fast eighth of the population — nFast = n/8 nodes at
 // rate R, the rest at the rate that keeps the total budget constant. The
@@ -38,8 +29,7 @@ func init() {
 //
 // With cfg.RateSpec set, a second table runs the custom population
 // (eventsim rate-spec grammar), resolved against the sweep's largest size.
-func runRateSkew(cfg Config, w io.Writer) error {
-	cfg = cfg.normalized()
+func rateSkew(cfg Config) ([]*trace.Table, error) {
 	ns := cfg.sizes(64, 128, 256)
 	trials := cfg.trials(8)
 	skews := []float64{1, 2, 4, 6}
@@ -58,33 +48,26 @@ func runRateSkew(cfg Config, w io.Writer) error {
 				return m
 			}
 			seed := pointSeed(cfg.Seed, uint64(ni), uint64(ri), hashName("e20"))
-			agg, err := eventTrials(cfg, trials, seed, n, build)
+			cells, err := eventCells(cfg, trials, seed, n, build)
 			if err != nil {
-				return fmt.Errorf("E20 n=%d R=%v: %w", n, R, err)
+				return nil, fmt.Errorf("E20 n=%d R=%v: %w", n, R, err)
 			}
-			tbl.AddRow(trace.I(n), trace.F(R, 0), trace.F(slow, 3),
-				trace.F(agg.time.Mean, 1),
-				trace.F(agg.eventsPerN.Mean, 1),
-				trace.F(agg.avgAoI.Mean, 2),
-				trace.F(agg.peakMaxAoI.Mean, 1))
+			tbl.AddRow(slices.Concat([]string{trace.I(n), trace.F(R, 0), trace.F(slow, 3)}, cells)...)
 		}
 	}
-	if err := render(cfg, w, tbl); err != nil {
-		return err
-	}
-
+	out := []*trace.Table{tbl}
 	if cfg.RateSpec == "" {
-		return nil
+		return out, nil
 	}
 	n := ns[len(ns)-1]
 	if _, err := eventsim.ParseRateSpec(cfg.RateSpec, n); err != nil {
-		return fmt.Errorf("E20 custom population (resolved at n=%d): %w", n, err)
+		return out, fmt.Errorf("E20 custom population (resolved at n=%d): %w", n, err)
 	}
 	custom := trace.NewTable(
 		fmt.Sprintf("E20: custom population %q at n=%d (%d trials)", cfg.RateSpec, n, trials),
 		"n", "time", "events/n", "avg AoI", "peak max AoI")
 	seed := pointSeed(cfg.Seed, uint64(n), hashName("e20-custom"))
-	agg, err := eventTrials(cfg, trials, seed, n, func() *eventsim.RateMap {
+	cells, err := eventCells(cfg, trials, seed, n, func() *eventsim.RateMap {
 		m, err := eventsim.ParseRateSpec(cfg.RateSpec, n)
 		if err != nil {
 			panic(err) // validated above
@@ -92,26 +75,18 @@ func runRateSkew(cfg Config, w io.Writer) error {
 		return m
 	})
 	if err != nil {
-		return fmt.Errorf("E20 custom population: %w", err)
+		return out, fmt.Errorf("E20 custom population: %w", err)
 	}
-	custom.AddRow(trace.I(n),
-		trace.F(agg.time.Mean, 1),
-		trace.F(agg.eventsPerN.Mean, 1),
-		trace.F(agg.avgAoI.Mean, 2),
-		trace.F(agg.peakMaxAoI.Mean, 1))
-	return render(cfg, w, custom)
+	custom.AddRow(slices.Concat([]string{trace.I(n)}, cells)...)
+	return append(out, custom), nil
 }
 
-// eventAgg aggregates one sweep point's event-runtime trials.
-type eventAgg struct {
-	time, eventsPerN, avgAoI, peakMaxAoI stats.Summary
-}
-
-// eventTrials runs `trials` independent event-runtime pushes on the
+// eventCells runs `trials` independent event-runtime pushes on the
 // n-cycle under rate maps built fresh per trial (the map is mutable state).
 // Each trial records convergence time, events per node, the time-averaged
-// mean AoI, and the peak of the max AoI over the round boundaries.
-func eventTrials(cfg Config, trials int, seed uint64, n int, build func() *eventsim.RateMap) (eventAgg, error) {
+// mean AoI, and the peak of the max AoI over the round boundaries; the
+// returned cells are their means across trials, in that order.
+func eventCells(cfg Config, trials int, seed uint64, n int, build func() *eventsim.RateMap) ([]string, error) {
 	type trial struct {
 		res  eventsim.Result
 		age  *analyze.Age
@@ -135,17 +110,17 @@ func eventTrials(cfg Config, trials int, seed uint64, n int, build func() *event
 	var times, events, avgs, peaks []float64
 	for i, t := range results {
 		if !t.res.Converged {
-			return eventAgg{}, fmt.Errorf("trial %d did not converge (%+v)", i, t.res)
+			return nil, fmt.Errorf("trial %d did not converge (%+v)", i, t.res)
 		}
 		times = append(times, t.res.Time)
 		events = append(events, float64(t.res.Events)/float64(n))
 		avgs = append(avgs, t.age.TimeAvgMeanAge())
 		peaks = append(peaks, t.peak)
 	}
-	return eventAgg{
-		time:       stats.Summarize(times),
-		eventsPerN: stats.Summarize(events),
-		avgAoI:     stats.Summarize(avgs),
-		peakMaxAoI: stats.Summarize(peaks),
+	return []string{
+		trace.F(stats.Mean(times), 1),
+		trace.F(stats.Mean(events), 1),
+		trace.F(stats.Mean(avgs), 2),
+		trace.F(stats.Mean(peaks), 1),
 	}, nil
 }

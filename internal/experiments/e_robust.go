@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/gen"
@@ -12,81 +11,60 @@ import (
 	"gossipdisc/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E12",
-		Title: "Robustness: connection failures, partial participation, crashes",
-		Paper: "Section 6 (conclusion): proposed process variants",
-		Run:   runRobustness,
-	})
-}
-
-// runRobustness implements E12. Section 6 conjectures the processes
-// tolerate connection failures, partial participation and churn; here we
-// measure the slowdown each perturbation costs. The theory predicts simple
+// robustness implements E12. Section 6 conjectures the processes tolerate
+// connection failures, partial participation and churn; here we measure
+// the slowdown each perturbation costs. The theory predicts simple
 // scaling: a connection that fails with probability p (or a node that
 // participates with probability q) thins each round's progress by a
 // constant factor, so rounds should scale roughly ×1/(1−p) and ×1/q.
-func runRobustness(cfg Config, w io.Writer) error {
-	cfg = cfg.normalized()
+func robustness(cfg Config) ([]*trace.Table, error) {
 	n := 64
 	trials := cfg.trials(12)
 
-	for _, procName := range []string{"push", "pull"} {
-		inner := func() core.Process {
-			if procName == "pull" {
-				return core.Pull{}
+	var out []*trace.Table
+	for _, pr := range processes {
+		// cyclePoint measures proc on the n-cycle at seed coordinate c.
+		cyclePoint := func(c uint64, proc core.Process, cell string, extra float64) point {
+			return point{
+				cells:  []string{cell},
+				rounds: measure(cfg, trials, pointSeed(cfg.Seed, hashName(pr.name), c), cycleBuilder(n), undirected(proc, cfg.engine())),
+				extra:  []string{trace.F(extra, 2)},
 			}
-			return core.Push{}
-		}()
+		}
 
 		// Connection failures.
-		failTbl := trace.NewTable(
-			fmt.Sprintf("E12: %s on cycle n=%d under connection failures (%d trials)", procName, n, trials),
-			"fail prob", "rounds", "ci95", "slowdown", "1/(1-p)")
-		base := 0.0
+		var points []point
 		for pi, p := range []float64{0, 0.1, 0.3, 0.5} {
-			proc := core.Process(inner)
+			proc := pr.proc
 			if p > 0 {
-				proc = core.Wrap(inner, core.Fail(p))
+				proc = core.Wrap(pr.proc, core.Fail(p))
 			}
-			seed := pointSeed(cfg.Seed, hashName(procName), uint64(pi))
-			sum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(proc, cfg.engine()))
-			if err != nil {
-				return fmt.Errorf("E12 fail p=%.1f: %w", p, err)
-			}
-			if p == 0 {
-				base = sum.Mean
-			}
-			failTbl.AddRow(trace.F(p, 1),
-				trace.F(sum.Mean, 1), trace.F(sum.CI95, 1),
-				trace.F(sum.Mean/base, 2), trace.F(1/(1-p), 2))
+			points = append(points, cyclePoint(uint64(pi), proc, trace.F(p, 1), 1/(1-p)))
 		}
-		if err := render(cfg, w, failTbl); err != nil {
-			return err
+		failTbl, base, err := slowdownTable(
+			fmt.Sprintf("E12: %s on cycle n=%d under connection failures (%d trials)", pr.name, n, trials),
+			[]string{"fail prob", "rounds", "ci95", "slowdown", "1/(1-p)"}, 0, points)
+		if err != nil {
+			return out, err
 		}
+		out = append(out, failTbl)
 
-		// Partial participation.
-		partTbl := trace.NewTable(
-			fmt.Sprintf("E12: %s on cycle n=%d under partial participation (%d trials)", procName, n, trials),
-			"participation q", "rounds", "ci95", "slowdown", "1/q")
+		// Partial participation, slowed down against the failure-free run.
+		points = nil
 		for qi, q := range []float64{1, 0.5, 0.25} {
-			proc := core.Process(inner)
+			proc := pr.proc
 			if q < 1 {
-				proc = core.Wrap(inner, core.Participation(q))
+				proc = core.Wrap(pr.proc, core.Participation(q))
 			}
-			seed := pointSeed(cfg.Seed, hashName(procName), 100+uint64(qi))
-			sum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(proc, cfg.engine()))
-			if err != nil {
-				return fmt.Errorf("E12 part q=%.2f: %w", q, err)
-			}
-			partTbl.AddRow(trace.F(q, 2),
-				trace.F(sum.Mean, 1), trace.F(sum.CI95, 1),
-				trace.F(sum.Mean/base, 2), trace.F(1/q, 2))
+			points = append(points, cyclePoint(100+uint64(qi), proc, trace.F(q, 2), 1/q))
 		}
-		if err := render(cfg, w, partTbl); err != nil {
-			return err
+		partTbl, _, err := slowdownTable(
+			fmt.Sprintf("E12: %s on cycle n=%d under partial participation (%d trials)", pr.name, n, trials),
+			[]string{"participation q", "rounds", "ci95", "slowdown", "1/q"}, base, points)
+		if err != nil {
+			return out, err
 		}
+		out = append(out, partTbl)
 	}
 
 	// Crash failures: a random quarter of a dense random graph is dead
@@ -95,7 +73,7 @@ func runRobustness(cfg Config, w io.Writer) error {
 	crashTbl := trace.NewTable(
 		fmt.Sprintf("E12: 25%% fail-stop crashes on ConnectedER(n=%d), rounds to alive-complete (%d trials)", n, trials),
 		"process", "rounds (crashes)", "ci95", "healthy control (3n/4 nodes)", "slowdown")
-	for pi, procName := range []string{"push", "pull"} {
+	for pi, pr := range processes {
 		seed := pointSeed(cfg.Seed, 7777, uint64(pi))
 		// The alive mask must be shared between the process and the Done
 		// predicate, so each trial builds both from its workload.
@@ -104,10 +82,10 @@ func runRobustness(cfg Config, w io.Writer) error {
 		}, func(w crashWorkload, r *rng.Rand) outcome {
 			c := cfg.engine()
 			c.Done = metrics.AliveComplete(w.alive)
-			return undirected(crashProcByName(procName, w.alive), c)(w.g, r)
+			return undirected(pr.crashed(w.alive), c)(w.g, r)
 		})
 		if err != nil {
-			return fmt.Errorf("E12 crash %s: %w", procName, err)
+			return out, fmt.Errorf("E12 crash %s: %w", pr.name, err)
 		}
 
 		// Fair control: a healthy network with as many nodes as survive the
@@ -115,16 +93,16 @@ func runRobustness(cfg Config, w io.Writer) error {
 		aliveN := n - n/4
 		healthySum, err := pointRounds(cfg, trials, seed+1, func(trial int, r *rng.Rand) *graph.Undirected {
 			return gen.ConnectedER(aliveN, 8.0/float64(aliveN), r)
-		}, undirected(plainProcByName(procName), cfg.engine()))
+		}, undirected(pr.proc, cfg.engine()))
 		if err != nil {
-			return fmt.Errorf("E12 healthy %s: %w", procName, err)
+			return out, fmt.Errorf("E12 healthy %s: %w", pr.name, err)
 		}
-		crashTbl.AddRow(procName,
+		crashTbl.AddRow(pr.name,
 			trace.F(crashSum.Mean, 1), trace.F(crashSum.CI95, 1),
 			trace.F(healthySum.Mean, 1),
 			trace.F(crashSum.Mean/healthySum.Mean, 2))
 	}
-	return render(cfg, w, crashTbl)
+	return append(out, crashTbl), nil
 }
 
 // crashWorkload is a start graph and its alive mask.
@@ -156,18 +134,4 @@ func buildCrashWorkload(n int, r *rng.Rand) crashWorkload {
 			return crashWorkload{g, alive}
 		}
 	}
-}
-
-func plainProcByName(name string) core.Process {
-	if name == "pull" {
-		return core.Pull{}
-	}
-	return core.Push{}
-}
-
-func crashProcByName(name string, alive []bool) core.Process {
-	if name == "pull" {
-		return core.CrashedPull{Alive: alive}
-	}
-	return core.Crashed{Inner: core.Push{}, Alive: alive}
 }

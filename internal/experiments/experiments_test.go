@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gossipdisc/internal/core"
+	"gossipdisc/internal/rng"
 )
 
 var updateGoldens = flag.Bool("update", false, "rewrite testdata/E<k>.golden from current behavior")
@@ -219,5 +222,56 @@ func TestCSVOutput(t *testing.T) {
 	}
 	if strings.Contains(out, "----") {
 		t.Fatal("CSV output contains text-table rule")
+	}
+}
+
+// TestRoundAtEdgeFraction folds a hand-computed batch: a 3-node trial that
+// completes in round 1 and a 4-node trial that completes in round 3. The
+// early trial keeps counting its final 3 edges: rounds 1–3 hold 7, 8 and 9
+// of the 9 pairs.
+func TestRoundAtEdgeFraction(t *testing.T) {
+	trials := []edgeTrial{
+		{pairs: 3, edges: []int{2, 3}},
+		{pairs: 6, edges: []int{3, 4, 5, 6}},
+	}
+	for _, tc := range []struct {
+		frac float64
+		want int
+	}{
+		{0.5, 1}, {7.0 / 9, 1}, {0.8, 2}, {8.0 / 9, 2}, {0.9, 3}, {1, 3}, {1.01, -1},
+	} {
+		if got := roundAtEdgeFraction(trials, tc.frac); got != tc.want {
+			t.Errorf("roundAtEdgeFraction(%v) = %d, want %d", tc.frac, got, tc.want)
+		}
+	}
+	// A batch that never runs a round has no round to report.
+	if got := roundAtEdgeFraction([]edgeTrial{{pairs: 3, edges: []int{3}}}, 0.5); got != -1 {
+		t.Errorf("zero-round batch: roundAtEdgeFraction = %d, want -1", got)
+	}
+}
+
+// TestByzantineWorkloadInfeasible: E21's custom table fails, naming the
+// spec, when no node is honest, and buildByzantineWorkload gives up on a
+// population too Byzantine to meet its conditions.
+func TestByzantineWorkloadInfeasible(t *testing.T) {
+	e, err := ByID("E21")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	err = e.Run(Config{Seed: 1, Trials: 2, Scale: 0.4, RoleSpec: "byzantine=100%"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), `"byzantine=100%"`) {
+		t.Fatalf("E21 with an all-Byzantine population: err = %v, want an error naming the spec", err)
+	}
+	if got := strings.Count(sb.String(), "E21:"); got != 2 {
+		t.Fatalf("E21 wrote %d tables before failing, want the 2 it finished:\n%s", got, sb.String())
+	}
+
+	pop, err := core.ParseRoleSpec("byzantine=95%", 48, core.Push{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := buildByzantineWorkload(48, pop.Nodes("byzantine"), rng.New(1)); err == nil {
+		t.Fatal("buildByzantineWorkload met its conditions with 2 honest nodes of 48")
 	}
 }

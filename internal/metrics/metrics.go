@@ -9,8 +9,6 @@
 // records the final committed round even under subsampling (Every > 1) —
 // see Trajectory.Finalize. Take summarizes a graph by scanning it; tests
 // use it as the reference the incremental state must match.
-// TrialsAggregate runs a batch of trials on sim.Trials with one Trajectory
-// per trial and merges their series into per-round cross-trial means.
 //
 // Stepped sessions need no subscription at all: sim.Session.Step returns
 // the same delta the bus carries, so a driver loop can feed a trajectory

@@ -1,10 +1,10 @@
 package gossipdisc_test
 
-// BenchmarkTrialsParallel* compares the multi-trial aggregate harness
-// (metrics.TrialsAggregate over sim.Trials) on a strictly sequential trial
-// pool against the default GOMAXPROCS pool — byte-identical outputs, so the
-// gap is pure trial-level parallelism. This is the experiment suite's
-// dominant shape (E10/E16 run 12–100 trials per sweep point).
+// BenchmarkTrialsParallel* times a batch of sim.Run trials on sim.Trials
+// with a strictly sequential trial pool against the default GOMAXPROCS
+// pool — byte-identical outputs, so the gap is pure trial-level
+// parallelism. This is the experiment suite's dominant shape (E10/E16 run
+// 12–100 trials per sweep point).
 
 import (
 	"testing"
@@ -12,13 +12,13 @@ import (
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
-	"gossipdisc/internal/metrics"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
 )
 
 func benchTrialsParallel(b *testing.B, numTrials, n int) {
 	build := func(trial int, r *rng.Rand) *graph.Undirected { return gen.Cycle(n) }
+	run := func(g *graph.Undirected, r *rng.Rand) sim.Result { return sim.Run(g, core.Push{}, r, sim.Config{}) }
 	for _, bc := range []struct {
 		name string
 		pool int
@@ -29,12 +29,7 @@ func benchTrialsParallel(b *testing.B, numTrials, n int) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				results, agg := metrics.TrialsAggregate(bc.pool, numTrials, uint64(n)+uint64(i),
-					build, core.Push{}, sim.Config{})
-				if len(agg) == 0 {
-					b.Fatal("no rounds aggregated")
-				}
-				for _, res := range results {
+				for _, res := range sim.Trials(bc.pool, numTrials, uint64(n)+uint64(i), build, run) {
 					if !res.Converged {
 						b.Fatal("trial batch did not converge")
 					}
