@@ -14,6 +14,7 @@ import (
 	"gossipdisc/internal/baseline"
 	"gossipdisc/internal/churn"
 	"gossipdisc/internal/core"
+	"gossipdisc/internal/eventsim"
 	"gossipdisc/internal/experiments"
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/markov"
@@ -174,14 +175,14 @@ func BenchmarkE14Churn(b *testing.B) {
 	}
 }
 
-// BenchmarkE15Ablation measures the asynchronous scheduler (ticks) against
-// which E15 compares the synchronous engine.
+// BenchmarkE15Ablation measures the asynchronous runtime against which E15
+// compares the synchronous engine.
 func BenchmarkE15Ablation(b *testing.B) {
 	r := rng.New(3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g := gen.Cycle(128)
-		res := sim.RunAsync(g, core.Push{}, r.Split(), sim.AsyncConfig{})
+		res := eventsim.Run(g, core.Push{}, r.Split(), eventsim.Config{})
 		if !res.Converged {
 			b.Fatal("async run failed")
 		}

@@ -35,9 +35,8 @@ func main() {
 		trials         = flag.Int("trials", 0, "per-point trial override (0 = experiment default)")
 		scale          = flag.Float64("scale", 1, "sweep-size scale factor in (0, 1]")
 		csv            = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		workers        = flag.String("workers", "0", "per-run round engine: 0 = classic sequential engine, k >= 1 = sharded deterministic engine (identical output for every k; -1 = same as 1; E15's eager column ignores it)")
+		workers        = flag.String("workers", "0", "per-run shard layout: 0 = all nodes as one shard on the run's stream, k >= 1 = fixed 32-node shards on split streams (identical output for every k; -1 = same as 1; E15's eager column ignores it)")
 		trialsParallel = flag.Int("trials-parallel", 0, "concurrent trials per sweep point (0 = GOMAXPROCS, 1 = strictly sequential; outputs are byte-identical for every value)")
-		sched          = flag.String("sched", "both", "async runtimes the scheduler experiments (E15) tabulate: both | tick | event")
 		ratesSpec      = flag.String("rates", "", "eventsim rate spec adding a custom-population table to E20, e.g. \"0.5,fast=8:0-15\" (resolved against the sweep's largest n)")
 		rolesSpec      = flag.String("roles", "", "role spec adding a custom-population table to E21, e.g. \"honest,byzantine=5%,selfish=10:0-47\" (resolved against the sweep's largest n)")
 		outDir         = flag.String("out", "", "also write each experiment's output to <out>/E<k>.txt (or .csv)")
@@ -57,7 +56,7 @@ func main() {
 
 	opts := &options{
 		scale: *scale, trials: *trials, workers: *workers, trialsParallel: *trialsParallel,
-		sched: *sched, rates: *ratesSpec, roles: *rolesSpec,
+		rates: *ratesSpec, roles: *rolesSpec,
 		metricsAddr: *metricsAddr, profile: prof,
 	}
 	if err := opts.validate(); err != nil {
@@ -103,7 +102,7 @@ func main() {
 	cfg := experiments.Config{
 		Seed: *seed, Trials: *trials, Scale: *scale, CSV: *csv,
 		Workers: engineWorkers, TrialWorkers: *trialsParallel,
-		Sched: *sched, RateSpec: *ratesSpec, RoleSpec: *rolesSpec,
+		RateSpec: *ratesSpec, RoleSpec: *rolesSpec,
 	}
 
 	var selected []experiments.Experiment

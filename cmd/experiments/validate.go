@@ -20,7 +20,6 @@ type options struct {
 	trials         int
 	workers        string
 	trialsParallel int
-	sched          string
 	rates          string
 	roles          string
 	metricsAddr    string
@@ -43,11 +42,6 @@ func (o *options) validate() error {
 	}
 	if o.trialsParallel < 0 {
 		return fmt.Errorf("-trials-parallel must be >= 0 (0 = GOMAXPROCS, 1 = sequential; got %d)", o.trialsParallel)
-	}
-	switch o.sched {
-	case "", "both", "tick", "event":
-	default:
-		return fmt.Errorf("unknown -sched %q (want both, tick or event)", o.sched)
 	}
 	if o.rates != "" {
 		if err := eventsim.ValidateRateSpec(o.rates); err != nil {

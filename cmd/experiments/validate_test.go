@@ -10,7 +10,7 @@ import (
 
 // good returns a fully valid option set; cases mutate one field at a time.
 func good() options {
-	return options{scale: 1, workers: "0", trialsParallel: 0, sched: "both"}
+	return options{scale: 1, workers: "0", trialsParallel: 0}
 }
 
 func TestValidateOptions(t *testing.T) {
@@ -26,9 +26,6 @@ func TestValidateOptions(t *testing.T) {
 		{"workers sharded", func(o *options) { o.workers = "8" }, ""},
 		{"workers auto", func(o *options) { o.workers = "auto" }, "-workers 1"},
 		{"trials parallel sequential", func(o *options) { o.trialsParallel = 1 }, ""},
-		{"sched empty means both", func(o *options) { o.sched = "" }, ""},
-		{"sched tick", func(o *options) { o.sched = "tick" }, ""},
-		{"sched event", func(o *options) { o.sched = "event" }, ""},
 		{"rates default", func(o *options) { o.rates = "2" }, ""},
 		{"rates classes", func(o *options) { o.rates = "0.5,fast=8:0-15,park=0:16" }, ""},
 		{"roles default only", func(o *options) { o.roles = "silent" }, ""},
@@ -49,7 +46,6 @@ func TestValidateOptions(t *testing.T) {
 		{"workers gibberish", func(o *options) { o.workers = "many" }, "-workers"},
 		{"workers empty", func(o *options) { o.workers = "" }, "-workers"},
 		{"negative trials parallel", func(o *options) { o.trialsParallel = -1 }, "-trials-parallel"},
-		{"unknown sched", func(o *options) { o.sched = "fifo" }, "-sched"},
 		{"malformed rates", func(o *options) { o.rates = "fast=oops:0-3" }, "-rates"},
 		{"negative rate", func(o *options) { o.rates = "-1" }, "-rates"},
 		{"two default rates", func(o *options) { o.rates = "1,2" }, "-rates"},

@@ -40,11 +40,10 @@ func main() {
 		n            = flag.Int("n", 64, "number of nodes")
 		trials       = flag.Int("trials", 1, "independent trials")
 		seed         = flag.Uint64("seed", 1, "root seed")
-		mode         = flag.String("mode", "sync", "scheduler: sync | eager | async")
-		sched        = flag.String("sched", "tick", "async runtime: tick (discretized uniform activations) | event (continuous per-node Poisson clocks; enables -rates)")
-		ratesSpec    = flag.String("rates", "", "event-runtime rate spec: \"R\" sets the default rate, \"name=R:lo-hi\" defines a class over nodes lo..hi inclusive, comma-separated (empty = uniform rate 1; requires -sched event)")
+		mode         = flag.String("mode", "sync", "scheduler: sync | eager | async (per-node Poisson clocks on the event runtime; enables -rates)")
+		ratesSpec    = flag.String("rates", "", "event-runtime rate spec: \"R\" sets the default rate, \"name=R:lo-hi\" defines a class over nodes lo..hi inclusive, comma-separated (empty = uniform rate 1; requires -mode async)")
 		rolesSpec    = flag.String("roles", "", "role spec assigning per-node behaviors: \"role\" sets the default, \"role=K\" or \"role=P%\" quantifies with an optional \":lo-hi\" node range, comma-separated — e.g. \"honest,byzantine=5%,selfish=10:0-99\" (roles: honest, byzantine, selfish, silent, eavesdropper)")
-		workers      = flag.String("workers", "0", "round engine: 0 = classic sequential engine, k >= 1 = sharded deterministic engine (identical output for every k; -1 = same as 1)")
+		workers      = flag.String("workers", "0", "shard layout of a round: 0 = all nodes as one shard on the run's stream, k >= 1 = fixed 32-node shards on split streams (identical output for every k; -1 = same as 1)")
 		roundsBudget = flag.Int("rounds", 0, "stop each trial after this many rounds even if not converged (0 = run to convergence)")
 		traceAt      = flag.Int("trace", 0, "print a min-degree trajectory snapshot every K rounds (0 = off; trial 0 is driven step-wise through the session API)")
 		failProb     = flag.Float64("fail", 0, "connection failure probability (0..1)")
@@ -74,7 +73,7 @@ func main() {
 		n: *n, trials: *trials, seed: *seed, workers: *workers,
 		rounds: *roundsBudget, traceAt: *traceAt, fail: *failProb, dense: *dense,
 		scenario: *scenarioPath, backend: *backendName,
-		sched: *sched, rates: *ratesSpec, roles: *rolesSpec,
+		rates: *ratesSpec, roles: *rolesSpec,
 		metricsAddr: *metricsAddr, snapshot: *snapshotFmt, profile: prof,
 	}
 	if err := opts.validate(); err != nil {
@@ -101,12 +100,8 @@ func main() {
 	}
 
 	commit := sim.CommitSynchronous
-	async := false
-	switch *mode {
-	case "eager":
+	if *mode == "eager" {
 		commit = sim.CommitEager
-	case "async":
-		async = true
 	}
 
 	// Resolve -workers to the sim.Config value (validate already rejected
@@ -159,47 +154,20 @@ func main() {
 		fatalf("family %q needs n >= %d", fam.Name, fam.MinN)
 	}
 
-	if async && *sched == "event" {
+	if *mode == "async" {
 		runEvent(proc, fam, *n, *trials, *seed, *roundsBudget, *ratesSpec, backend, obs)
 		return
 	}
 
 	root := rng.New(*seed)
-	modeName := *mode
 	tbl := trace.NewTable(
-		fmt.Sprintf("%s on %s, n=%d, mode=%s", proc.Name(), fam.Name, *n, modeName),
+		fmt.Sprintf("%s on %s, n=%d, mode=%s", proc.Name(), fam.Name, *n, *mode),
 		"trial", "rounds", "proposals", "new edges", "duplicates")
 	var rounds []float64
 	stopped := 0
 	for t := 0; t < *trials; t++ {
 		r := root.Split()
 		g := fam.Generate(*n, r, backend)
-		if async {
-			acfg := sim.AsyncConfig{}
-			if *roundsBudget > 0 {
-				acfg.MaxTicks = *roundsBudget * *n
-			}
-			var res sim.AsyncResult
-			if t == 0 && obs.active() {
-				sess := sim.NewAsyncSession(g, proc, r, acfg)
-				obs.attach(sess.Subscribe)
-				defer obs.finish(g)
-				res = sess.Run()
-			} else {
-				res = sim.RunAsync(g, proc, r, acfg)
-			}
-			if !res.Converged && *roundsBudget == 0 {
-				fatalf("trial %d did not converge within %d ticks", t, res.Ticks)
-			}
-			if !res.Converged {
-				stopped++
-			}
-			rounds = append(rounds, res.ParallelRounds)
-			tbl.AddRow(trace.I(t), trace.F(res.ParallelRounds, 1),
-				trace.I(res.Proposals), trace.I(res.NewEdges),
-				trace.I(res.Proposals-res.NewEdges))
-			continue
-		}
 		cfg := sim.Config{Mode: commit, Workers: engineWorkers, MaxRounds: *roundsBudget, DensePhase: *dense}
 		var res sim.Result
 		if t == 0 && (*traceAt > 0 || obs.active()) {
@@ -334,12 +302,11 @@ func runWire(process, family string, n, trials int, seed uint64, budget int, pat
 		sum, sum.Mean/stats.NLogN(fn), sum.Mean/stats.NLog2N(fn))
 }
 
-// runEvent executes trials on the event-driven runtime (-mode async
-// -sched event): per-node Poisson clocks at the -rates populations, time
-// measured in parallel-round units, plus the age-of-information profile
-// the tick scheduler cannot see (avg AoI is the time-averaged mean age
-// over the run, max AoI the final maximum age). A -rounds budget maps to
-// rounds × n events, matching the tick scheduler's rounds × n ticks.
+// runEvent executes trials on the event-driven runtime (-mode async):
+// per-node Poisson clocks at the -rates populations, time measured in
+// parallel-round units, plus the age-of-information profile (avg AoI is
+// the time-averaged mean age over the run, max AoI the final maximum age).
+// A -rounds budget maps to rounds × n events, saturating at math.MaxInt.
 func runEvent(proc core.Process, fam gen.Family, n, trials int, seed uint64, budget int, spec string, backend graph.Backend, obs *observability) {
 	rates, err := eventsim.ParseRateSpec(spec, n)
 	if err != nil {
@@ -360,7 +327,7 @@ func runEvent(proc core.Process, fam gen.Family, n, trials int, seed uint64, bud
 		g := fam.Generate(n, r, backend)
 		cfg := eventsim.Config{Rates: rates}
 		if budget > 0 {
-			cfg.MaxEvents = budget * n
+			cfg.MaxEvents = sim.ActivationBudget(budget, n)
 		}
 		s := eventsim.New(g, proc, r, cfg)
 		age := &analyze.Age{}

@@ -2,9 +2,11 @@ package main
 
 import (
 	"flag"
+	"math/bits"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
 
@@ -43,8 +45,10 @@ func TestOutputGolden(t *testing.T) {
 		{"directed", []string{"-process", "directed", "-dfamily", "thm15", "-n", "24"}},
 		{"scenario", []string{"-scenario", "internal/netsim/testdata/scenario.json", "-n", "32", "-trials", "2"}},
 		{"async", []string{"-mode", "async", "-n", "48", "-trials", "3"}},
-		{"async-event", []string{"-mode", "async", "-sched", "event", "-n", "48", "-trials", "3"}},
-		{"async-rates", []string{"-mode", "async", "-sched", "event", "-rates", "0.5,fast=4:0-7", "-n", "48", "-trials", "2"}},
+		{"async-rates", []string{"-mode", "async", "-rates", "0.5,fast=4:0-7", "-n", "48", "-trials", "2"}},
+		// rounds × n passes math.MaxInt and saturates: the run converges
+		// instead of stopping at the wrapped product (8 events).
+		{"async-huge-budget", []string{"-mode", "async", "-rounds", strconv.Itoa(1<<(bits.UintSize-2) + 1), "-n", "8"}},
 	}
 	exe, err := os.Executable()
 	if err != nil {

@@ -33,7 +33,6 @@ type options struct {
 	dense    float64
 	scenario string
 	backend  string
-	sched    string
 	rates    string
 	roles    string
 
@@ -60,17 +59,9 @@ func (o *options) validate() error {
 	if o.process == "directed" && o.mode == "async" {
 		return fmt.Errorf("-mode async is only implemented for undirected processes")
 	}
-	switch o.sched {
-	case "", "tick", "event":
-	default:
-		return fmt.Errorf("unknown -sched %q (want tick or event)", o.sched)
-	}
-	if o.sched == "event" && o.mode != "async" {
-		return fmt.Errorf("-sched event requires -mode async: the event-driven runtime replaces the tick scheduler, not the round engines")
-	}
 	if o.rates != "" {
-		if o.sched != "event" {
-			return fmt.Errorf("-rates requires -sched event: only the event-driven runtime has per-node clocks")
+		if o.mode != "async" {
+			return fmt.Errorf("-rates requires -mode async: only the event-driven runtime has per-node clocks")
 		}
 		if err := eventsim.ValidateRateSpec(o.rates); err != nil {
 			return fmt.Errorf("-rates: %w", err)

@@ -15,7 +15,7 @@ func good() options {
 	return options{
 		process: "push", family: "cycle", dfamily: "strong-random", mode: "sync",
 		n: 64, trials: 1, seed: 1, workers: "0", rounds: 0, traceAt: 0, fail: 0, dense: 0,
-		backend: "dense", sched: "tick",
+		backend: "dense",
 	}
 }
 
@@ -64,22 +64,16 @@ func TestValidateOptions(t *testing.T) {
 		{"negative dense", func(o *options) { o.dense = -0.5 }, "-dense"},
 		{"dense with fail", func(o *options) { o.dense = 0.3; o.fail = 0.4 }, "-dense"},
 
-		{"sched empty means tick", func(o *options) { o.sched = "" }, ""},
-		{"event scheduler", func(o *options) { o.mode = "async"; o.sched = "event" }, ""},
-		{"event with uniform rates", func(o *options) { o.mode = "async"; o.sched = "event"; o.rates = "2" }, ""},
+		{"event with uniform rates", func(o *options) { o.mode = "async"; o.rates = "2" }, ""},
 		{"event with class rates", func(o *options) {
 			o.mode = "async"
-			o.sched = "event"
 			o.rates = "0.5,fast=8:0-15,park=0:16"
 		}, ""},
-		{"unknown sched", func(o *options) { o.sched = "fifo" }, "-sched"},
-		{"event without async", func(o *options) { o.sched = "event" }, "-sched event requires -mode async"},
-		{"event with eager", func(o *options) { o.mode = "eager"; o.sched = "event" }, "-sched event requires -mode async"},
-		{"rates without event", func(o *options) { o.mode = "async"; o.rates = "2" }, "-rates requires -sched event"},
-		{"rates on sync tick", func(o *options) { o.rates = "2" }, "-rates requires -sched event"},
-		{"malformed rates", func(o *options) { o.mode = "async"; o.sched = "event"; o.rates = "fast=oops:0-3" }, "-rates"},
-		{"negative rate", func(o *options) { o.mode = "async"; o.sched = "event"; o.rates = "-2" }, "-rates"},
-		{"two default rates", func(o *options) { o.mode = "async"; o.sched = "event"; o.rates = "1,2" }, "-rates"},
+		{"event without async", func(o *options) { o.rates = "2" }, "-rates requires -mode async"},
+		{"event with eager", func(o *options) { o.mode = "eager"; o.rates = "2" }, "-rates requires -mode async"},
+		{"malformed rates", func(o *options) { o.mode = "async"; o.rates = "fast=oops:0-3" }, "-rates"},
+		{"negative rate", func(o *options) { o.mode = "async"; o.rates = "-2" }, "-rates"},
+		{"two default rates", func(o *options) { o.mode = "async"; o.rates = "1,2" }, "-rates"},
 
 		{"scenario push", func(o *options) { o.scenario = "chaos.json" }, ""},
 		{"scenario pull", func(o *options) { o.scenario = "chaos.json"; o.process = "pull" }, ""},
@@ -121,7 +115,6 @@ func TestValidateOptions(t *testing.T) {
 		{"roles on event runtime", func(o *options) {
 			o.roles = "byzantine=2"
 			o.mode = "async"
-			o.sched = "event"
 			o.rates = "1"
 		}, ""},
 		{"roles unknown role", func(o *options) { o.roles = "wizard=2" }, "-roles"},

@@ -26,7 +26,7 @@
 // session and the event-driven session with their functional options, the
 // health-analyzer pack and Prometheus exporter on the event bus, the role
 // layer, and the exact Markov-chain solver for small graphs. Everything
-// else — directed sessions, the tick scheduler, the wire stack, the paper
+// else — directed sessions, the wire stack, the paper
 // experiments — lives in internal packages, driven by cmd/gossipsim and
 // cmd/experiments (see DESIGN.md for the system inventory).
 //

@@ -4,7 +4,7 @@
 // is a stream.Subscriber whose per-event work is O(delta) — it never
 // rescans the graph — so the pack can watch a million-node churn run in
 // flight without perturbing it. Analyzers work identically on every
-// runtime (synchronous, dense-phase, tick-async, event-driven) because
+// runtime (synchronous, dense-phase, event-driven) because
 // they consume only the runtime-agnostic event model.
 //
 // Analyzers surface problems as Findings — rule-style observations with

@@ -17,8 +17,8 @@ import (
 // mutable between steps, resolvable from a textual spec (ParseRoleSpec).
 //
 // A population implements ProcessOn itself, which is how it threads through
-// the runtimes unchanged: the sequential, sharded, tick-async and
-// event-driven engines call Act(g, u, r, propose) per node, and the
+// the runtimes unchanged: the synchronous engines (one-shard or sharded)
+// and the event-driven runtime call Act(g, u, r, propose) per node, and the
 // Population forwards to node u's own process on node u's existing stream.
 // Dense-phase rounds never call Act (sim.Config.DensePhase samples missing
 // edges directly), so roles stop applying once the phase flips. Determinism

@@ -2,10 +2,10 @@
 // discovery processes in which every node activates on its own Poisson
 // clock with its own rate.
 //
-// The tick scheduler in internal/sim/async.go discretizes homogeneous
-// rate-1 Poisson clocks — one uniform node per tick, n ticks ≈ one parallel
-// round. That cannot express the workloads the heterogeneous gossip
-// literature studies (fast/slow/mobile nodes, rate allocation under a total
+// The uniform model discretizes homogeneous rate-1 Poisson clocks — one
+// uniform node per tick, n ticks ≈ one parallel round — and sim.RunAsync
+// runs it as a plain loop. That cannot express the workloads the
+// heterogeneous gossip literature studies (fast/slow/mobile nodes, rate allocation under a total
 // budget, age-of-information staleness after Bastopcu et al., see
 // PAPERS.md): this package makes the schedule itself first-class. It
 // samples the superposition of the n clocks as one jump chain — activations
@@ -13,16 +13,18 @@
 // probability Rate(u)/Λ (chain.go) — from two split generator streams, one
 // for the clock and one for the actions, so a run is a pure function of
 // (seed, rates): bit-replayable for any GOMAXPROCS setting and under -race.
-// At uniform rates the action stream sees exactly the tick scheduler's
-// draws, so the two runtimes make the same activations.
+// At uniform rates the action stream sees exactly sim.RunAsync's draws, so
+// the two make the same activations (TestEventMatchesTickExactly). This is
+// the one asynchronous runtime: gossipsim -mode async, experiments E15 and
+// E20, and the root package's EventSession all run on it.
 //
 // # Time, rounds, and the session contract
 //
 // Simulated time is continuous; one *parallel round* is one unit of
 // simulated time (a rate-1 node activates once per unit time in
 // expectation, so at uniform rates event-time convergence is directly
-// comparable to both the tick scheduler's ticks/n and the synchronous
-// engine's round count — experiment E15 pins the agreement). Session
+// comparable to the synchronous engine's round count — experiment E15
+// tabulates the two side by side). Session
 // mirrors the resumable-session contract of internal/sim: Step advances to
 // the next parallel-round boundary and hands back the round's
 // sim.RoundDelta, Run and RunUntil drive it, and Round/Time/Events/
@@ -51,8 +53,7 @@ type Config struct {
 	// Session.SetNodeRate / Session.SetClassRate so the sampler follows.
 	// Rates.N() must equal the graph's node count.
 	Rates *RateMap
-	// MaxEvents bounds the run, mirroring AsyncConfig.MaxTicks event for
-	// tick: 0 selects the default budget of n × sim.DefaultMaxRounds(n)
+	// MaxEvents bounds the run: 0 selects the default budget of n × sim.DefaultMaxRounds(n)
 	// events (saturating, see sim.ActivationBudget); any negative value
 	// means unbounded, which is meaningful only for stepped Sessions (the
 	// Run facade normalizes negatives back to the default budget); a
@@ -73,15 +74,14 @@ type Result struct {
 	// mid-round reports the exact (fractional) event time.
 	Time float64
 	// ParallelRounds equals Time — one unit of simulated time is one
-	// parallel round — and exists for symmetry with AsyncResult, so the
-	// schedulers tabulate side by side.
+	// parallel round — and exists for symmetry with sim.AsyncResult.
 	ParallelRounds float64
 	// Converged reports whether the Done predicate was reached.
 	Converged bool
 	// BudgetExhausted reports that the run stopped because the MaxEvents
 	// budget ran out — distinct from Converged == false alone, which also
 	// covers stalled and merely-paused sessions (the budget contract shared
-	// with AsyncResult.BudgetExhausted).
+	// with sim.AsyncResult.BudgetExhausted).
 	BudgetExhausted bool
 	// Stalled reports that no node had a positive rate left to activate:
 	// the run can never progress again.

@@ -40,10 +40,10 @@ func TestNewRejectsMismatchedRates(t *testing.T) {
 	})
 }
 
-// TestEventBudgetContract pins Config.MaxEvents to the budget contract
-// sim's TestAsyncMaxTicksBudgetContract pins for MaxTicks: 0 is the
-// default, negative is unbounded for a session and the default for Run,
-// and an exhausted budget stops at exactly MaxEvents with BudgetExhausted.
+// TestEventBudgetContract pins Config.MaxEvents to its budget contract: 0
+// is the default, negative is unbounded for a session and the default for
+// Run, and an exhausted budget stops at exactly MaxEvents with
+// BudgetExhausted.
 func TestEventBudgetContract(t *testing.T) {
 	const n = 4
 	defaultBudget := n * sim.DefaultMaxRounds(n)

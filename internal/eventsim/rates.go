@@ -46,7 +46,7 @@ func NewRateMap(n int, def float64) *RateMap {
 }
 
 // Uniform returns the homogeneous rate-1 map on n nodes — the population
-// under which the event runtime reproduces the tick scheduler's activations
+// under which the event runtime reproduces sim.RunAsync's activations
 // exactly.
 func Uniform(n int) *RateMap { return NewRateMap(n, 1) }
 

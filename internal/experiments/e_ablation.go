@@ -13,29 +13,16 @@ import (
 )
 
 // ablation implements E15: the paper's synchronous commit versus the
-// eager ablation and the asynchronous runtimes — the tick scheduler
-// (discretized uniform activations) and the event-driven runtime at
-// uniform rate 1 (continuous Poisson clocks, internal/eventsim). All
-// should exhibit the same Θ(n·polylog n) scaling with only constant
-// shifts, confirming that the reproduction's conclusions do not hinge on
-// scheduler minutiae; the tick and event columns in particular discretize
-// the same homogeneous Poisson model, so they must agree up to a small
-// constant (eventsim's TestEventMatchesTickExactly pins that the two make
-// the same activations on the same act stream; the columns here draw from
-// different seeds — this table makes the agreement visible). cfg.Sched
-// selects which of the two asynchronous columns ride along.
+// eager ablation and the asynchronous model — one rate-1 Poisson clock per
+// node on the event-driven runtime (internal/eventsim). All should exhibit
+// the same Θ(n·polylog n) scaling with only constant shifts, confirming
+// that the reproduction's conclusions do not hinge on scheduler minutiae.
 func ablation(cfg Config) ([]*trace.Table, error) {
 	ns := cfg.sizes(32, 64, 128, 256)
 	trials := cfg.trials(12)
 	// The runtimes in column order; sync comes first, as every ratio's
 	// denominator.
-	runtimes := []string{"sync", "eager"}
-	if cfg.Sched != "event" {
-		runtimes = append(runtimes, "tick")
-	}
-	if cfg.Sched != "tick" {
-		runtimes = append(runtimes, "event")
-	}
+	runtimes := []string{"sync", "eager", "event"}
 	cols := append([]string{"n"}, runtimes...)
 	for _, rt := range runtimes[1:] {
 		cols = append(cols, rt+"/sync")
@@ -49,20 +36,13 @@ func ablation(cfg Config) ([]*trace.Table, error) {
 		for ni, n := range ns {
 			means := make([]float64, len(runtimes))
 			for i, rt := range runtimes {
-				// Every column but the event runtime's draws from the
-				// point's seed, so the older columns are unperturbed by the
-				// event column's existence.
 				seed := pointSeed(cfg.Seed, uint64(ni), hashName(p.name))
 				run := undirected(p.proc, cfg.engine())
 				switch rt {
 				case "eager":
 					run = undirected(p.proc, sim.Config{Mode: sim.CommitEager})
-				case "tick":
-					run = func(g *graph.Undirected, r *rng.Rand) outcome {
-						res := sim.RunAsync(g, p.proc, r, sim.AsyncConfig{})
-						return outcome{rounds: res.ParallelRounds, converged: res.Converged}
-					}
 				case "event":
+					// The event column draws from a seed of its own.
 					seed = pointSeed(cfg.Seed, uint64(ni), hashName(p.name), hashName("event"))
 					run = func(g *graph.Undirected, r *rng.Rand) outcome {
 						res := eventsim.Run(g, p.proc, r, eventsim.Config{})

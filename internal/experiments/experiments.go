@@ -32,8 +32,8 @@ type Config struct {
 	Scale float64
 	// CSV selects CSV output instead of aligned text.
 	CSV bool
-	// Workers selects the per-run round engine (sim.Config.Workers):
-	// 0 keeps the classic sequential engine, every w >= 1 the sharded one
+	// Workers selects the per-run shard layout (sim.Config.Workers): 0
+	// acts all nodes as one shard, every w >= 1 uses fixed 32-node shards
 	// (identical tables for every w >= 1). E15's eager column ignores it,
 	// as sim.Config.Workers is ignored under CommitEager. A run steps on
 	// one goroutine; the parallelism is TrialWorkers'.
@@ -43,12 +43,6 @@ type Config struct {
 	// GOMAXPROCS, 1 = strictly sequential. Outputs are byte-identical for
 	// every value.
 	TrialWorkers int
-	// Sched selects which asynchronous runtimes the scheduler-sensitive
-	// experiments (E15) tabulate: "" or "both" runs the tick scheduler and
-	// the event-driven runtime side by side, "tick" or "event" runs just
-	// one. Callers validate the value (cmd layer); experiments treat any
-	// other string as "both".
-	Sched string
 	// RateSpec, when non-empty, is an eventsim rate spec (see
 	// eventsim.ParseRateSpec) adding a custom-population table to E20,
 	// resolved against the sweep's largest problem size.

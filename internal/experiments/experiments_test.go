@@ -147,8 +147,8 @@ func checkGolden(t *testing.T, name, out string) {
 }
 
 // TestExperimentVariantsGolden pins the paths TestAllExperimentsRunSmall
-// does not take: E15 with one asynchronous runtime, E20's and E21's custom
-// populations, CSV output and the sharded engine. Each runs at the small
+// does not take: E20's and E21's custom populations, CSV output and the
+// sharded engine. Each runs at the small
 // test size on trial pools 1 and 0 against testdata/<name>.golden.
 func TestExperimentVariantsGolden(t *testing.T) {
 	if testing.Short() {
@@ -158,8 +158,6 @@ func TestExperimentVariantsGolden(t *testing.T) {
 		name, id string
 		cfg      Config
 	}{
-		{"E15-tick", "E15", Config{Sched: "tick"}},
-		{"E15-event", "E15", Config{Sched: "event"}},
 		{"E20-rates", "E20", Config{RateSpec: "0.5,fast=8:0-15"}},
 		{"E21-roles", "E21", Config{RoleSpec: "honest,byzantine=5%"}},
 		{"E12-csv", "E12", Config{CSV: true}},

@@ -68,16 +68,18 @@ func TestAoITrajectoryHandComputed(t *testing.T) {
 	}
 }
 
-// TestAoITrajectoryMatchesBruteForce replays a real tick run and checks the
-// incremental mean, max and time-averaged mean against a brute-force
-// recompute every round.
+// TestAoITrajectoryMatchesBruteForce replays a real stepped run, whose
+// deltas carry no EdgeTimes (every touched node updates at the round's
+// time), and checks the incremental mean, max and time-averaged mean
+// against a brute-force recompute every round.
 func TestAoITrajectoryMatchesBruteForce(t *testing.T) {
 	const n = 40
 	g := gen.Cycle(n)
 	a := &analyze.Age{}
 	last := make([]float64, n)
 	area := 0.0 // Σ_u of closed sawtooth areas
-	s := sim.NewAsyncSession(g, core.Push{}, rng.New(3), sim.AsyncConfig{})
+	s := sim.NewSession(g, core.Push{}, rng.New(3), sim.Config{})
+	defer s.Close()
 	for {
 		d, ok := s.Step()
 		if d == nil {

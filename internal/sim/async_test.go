@@ -45,10 +45,9 @@ func TestRunAsyncCustomDone(t *testing.T) {
 }
 
 // TestAsyncMaxTicksBudgetContract pins AsyncConfig.MaxTicks to the budget
-// contract of Config.MaxRounds, tick for round: 0 selects n ×
-// DefaultMaxRounds(n), a negative value is unbounded for a session and the
-// default for the RunAsync facade, and a budget that runs out stops at
-// exactly MaxTicks with BudgetExhausted raised and Converged false.
+// contract of Config.MaxRounds, tick for round: a value <= 0 selects n ×
+// DefaultMaxRounds(n), and a budget that runs out stops at exactly
+// MaxTicks with BudgetExhausted raised and Converged false.
 func TestAsyncMaxTicksBudgetContract(t *testing.T) {
 	const n = 4
 	defaultBudget := n * DefaultMaxRounds(n)
@@ -64,38 +63,15 @@ func TestAsyncMaxTicksBudgetContract(t *testing.T) {
 		exhausted(t, RunAsync(gen.Complete(n), core.Push{}, rng.New(1), AsyncConfig{Done: never}), defaultBudget)
 	})
 
-	t.Run("negative means unbounded for sessions", func(t *testing.T) {
-		// Done fires strictly beyond the default budget: only an unbounded
-		// session can get there. Every negative value — not just -1 —
-		// normalizes the same way.
-		for _, maxTicks := range []int{-1, -9} {
-			calls := 0
-			res := NewAsyncSession(gen.Complete(n), core.Push{}, rng.New(1), AsyncConfig{
-				MaxTicks: maxTicks,
-				Done: func(g *graph.Undirected) bool {
-					calls++
-					return calls > defaultBudget+999
-				},
-			}).Run()
-			if !res.Converged || res.Ticks <= defaultBudget || res.BudgetExhausted {
-				t.Fatalf("MaxTicks=%d: %+v, want convergence beyond %d ticks", maxTicks, res, defaultBudget)
-			}
-		}
-	})
-
 	t.Run("facade folds negatives to the default budget", func(t *testing.T) {
 		exhausted(t, RunAsync(gen.Complete(n), core.Push{}, rng.New(1), AsyncConfig{MaxTicks: -5, Done: never}), defaultBudget)
 	})
 
 	t.Run("exhausted budget stops exactly at MaxTicks", func(t *testing.T) {
-		s := NewAsyncSession(gen.Complete(n), core.Push{}, rng.New(1), AsyncConfig{MaxTicks: 37, Done: never})
-		res := s.Run()
+		res := RunAsync(gen.Complete(n), core.Push{}, rng.New(1), AsyncConfig{MaxTicks: 37, Done: never})
 		exhausted(t, res, 37)
 		if got := res.ParallelRounds; got != 37.0/n {
 			t.Fatalf("ParallelRounds %v, want %v", got, 37.0/n)
-		}
-		if d, ok := s.Step(); d != nil || ok {
-			t.Fatalf("Step after exhaustion returned (%v, %v), want (nil, false)", d, ok)
 		}
 	})
 

@@ -48,7 +48,7 @@ func strong(n int, seed uint64, b ...graph.Backend) func() *graph.Directed {
 
 // table has one row per engine family, each run to its end: Session
 // sharded or not, with and without the dense phase, eager, with membership
-// tracked and under a uniform Population; DirectedSession; AsyncSession.
+// tracked and under a uniform Population; DirectedSession.
 // TestBusEquivalence runs every row; the StepRun tests split it by family.
 var table = func() []simtest.Row {
 	var rows []simtest.Row
@@ -67,9 +67,6 @@ var table = func() []simtest.Row {
 		session("pop/w=1", cycle(256), core.NewPopulation(256, core.Pull{}), 7, Config{Workers: 1}),
 		directed("pop/directed", strong(96, 9), core.NewDirectedPopulation(96, core.DirectedTwoHop{}), 43, DirectedConfig{}),
 		simtest.Row{Name: "member", New: membershipRow},
-		simtest.Row{Name: "async", New: func() simtest.Runtime {
-			return simtest.Undirected(NewAsyncSession(gen.Cycle(48), core.Push{}, rng.New(5), AsyncConfig{}))
-		}},
 	)
 }()
 
@@ -135,18 +132,6 @@ func TestDirectedSessionStepRunEquivalence(t *testing.T) {
 			t.Fatalf("TargetArcs %d before the first step, %d after the run", got, want)
 		}
 	}, "directed")
-}
-
-// TestAsyncSessionStepRunEquivalence is the same on the asynchronous row,
-// whose last delta is a partial round, and stepping it to its end is Run
-// too (BusEquivalence); the RunAsync facade ends where the session does.
-func TestAsyncSessionStepRunEquivalence(t *testing.T) {
-	conform(t, stepRun, "async")
-	conform(t, func(t *testing.T, row simtest.Row) { simtest.BusEquivalence(t, row, nil) }, "async")
-	want := NewAsyncSession(gen.Cycle(48), core.Push{}, rng.New(5), AsyncConfig{}).Run()
-	if got := RunAsync(gen.Cycle(48), core.Push{}, rng.New(5), AsyncConfig{}); got != want || !got.Converged {
-		t.Fatalf("RunAsync %+v, session %+v", got, want)
-	}
 }
 
 // steady is a session seeded seed that never finishes (allocation checks).

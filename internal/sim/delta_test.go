@@ -73,12 +73,3 @@ func TestDeltaReconstructsObserverSnapshotsDirected(t *testing.T) {
 func TestDeltaEagerMode(t *testing.T) {
 	converged(t, simtest.Run(t, session("eager", cycle(48), core.Push{}, 3, Config{Mode: CommitEager}), shadow(t, gen.Cycle(48))))
 }
-
-// TestDeltaAsync: the asynchronous scheduler emits one delta per parallel
-// round (n ticks) plus a final partial round, and the stream reconstructs
-// the final graph.
-func TestDeltaAsync(t *testing.T) {
-	conform(t, func(t *testing.T, row simtest.Row) {
-		converged(t, simtest.Run(t, row, shadow(t, gen.Cycle(48))))
-	}, "async")
-}

@@ -75,7 +75,7 @@ type substrate[P pair] interface {
 // Act). dispatch asks for it once, on the process exactly as configured: any
 // other wrapper (a population, core.Wrap / WrapDirected with a behavior
 // chain) does not have it and acts node by node, as do eager commits, the
-// dense phase, AsyncSession and eventsim. Wrap(p) with an empty chain
+// dense phase, RunAsync and eventsim. Wrap(p) with an empty chain
 // returns p itself, so it takes the block path when p does.
 type rangeActor[G any, P pair] interface {
 	ActRange(g G, lo, hi int, r *rng.Rand, props []P) []P

@@ -12,38 +12,38 @@
 // # Sessions
 //
 // The primary surface is the resumable Session (session.go) and its
-// directed and asynchronous counterparts (DirectedSession, AsyncSession):
-// construct once from (graph, process, generator, config), then drive with
-// Step / Run / RunUntil and read progress through O(1) accessors. The
-// fire-and-forget facades in this file — Run, RunDirected, RunAsync — are
-// thin wrappers that construct a session, drive it to completion, and
-// close it; a stepped session consumes exactly the generator stream the
-// facade consumes, so the two are bit-identical round for round. Sessions
-// additionally support between-step mutation (InsertNode / RemoveNode /
-// AddEdge with membership-aware deltas and O(1) coverage), which is what
-// the churn package builds on.
+// directed counterpart (DirectedSession): construct once from (graph,
+// process, generator, config), then drive with Step / Run / RunUntil and
+// read progress through O(1) accessors. The facades Run and RunDirected
+// construct a session, drive it to completion and close it; a stepped
+// session consumes exactly the generator stream the facade consumes, so
+// the two are bit-identical round for round. Sessions additionally support
+// between-step mutation (InsertNode / RemoveNode / AddEdge with
+// membership-aware deltas and O(1) coverage), which is what the churn
+// package builds on. RunAsync (async.go) is not a session: it is the plain
+// loop of the uniform asynchronous model, kept as the reference the event
+// runtime (internal/eventsim) is checked against.
 //
-// # The sharded engine
+// # Shard layouts
 //
 // Synchronous rounds are embarrassingly parallel: during a round the graph
-// is read-only and every node only *proposes* edges. Config.Workers (and
-// DirectedConfig.Workers) selects between two engines:
+// is read-only and every node only *proposes* edges. Every round runs one
+// act loop over a list of shards, each a contiguous node range with its
+// own generator; Config.Workers (and DirectedConfig.Workers) only selects
+// the layout:
 //
-//   - Workers == 0 (the default) runs the classic sequential engine: one
-//     generator stream drives all nodes in node order. This path is
-//     bit-compatible with earlier releases — existing (seed → Result)
-//     pairs are unchanged.
-//   - Workers >= 1 runs the sharded engine (engine.go): the node set is
-//     partitioned into fixed 32-node shards, shard i acts with the i-th
-//     sequential split of the run's generator, and the round's proposals,
-//     in node order, are committed once through the batched graph commit
-//     paths.
-//     Because the shard layout and streams depend only on n and the root
-//     generator, results are bit-identical for every Workers >= 1 and any
-//     GOMAXPROCS. Every Workers >= 1 runs the same schedule: the shards act
-//     inline, in shard order, on the stepping goroutine. Spreading them
-//     over goroutines was measured not to pay (DESIGN.md, "Parallel trial
-//     pools").
+//   - Workers == 0 (the default) is one shard, [0, n), on the session's
+//     own generator, so every node draws from one stream in node order.
+//   - Workers >= 1 partitions the node set into fixed 32-node shards
+//     (engine.go); shard i acts with the i-th sequential split of the
+//     run's generator. Because the layout and streams depend only on n and
+//     the root generator, results are bit-identical for every
+//     Workers >= 1 and any GOMAXPROCS.
+//
+// Either way the shards act inline, in shard order, on the stepping
+// goroutine, and the round's proposals, in node order, are committed once
+// through the batched graph commit paths. Spreading the shards over
+// goroutines was measured not to pay (DESIGN.md, "Parallel trial pools").
 //
 // # The parallel trial harness
 //
@@ -56,7 +56,7 @@
 // size. Trial-level parallelism is the only concurrency in this package: a
 // round runs on one goroutine.
 //
-// Both engines allocate only at session start: the propose closure is hoisted
+// Both layouts allocate only at session start: the propose closure is hoisted
 // out of the per-node loop, and the round buffer is reused across rounds,
 // so a steady-state round — equivalently, a steady-state Session.Step —
 // performs zero allocations.
@@ -78,7 +78,7 @@
 // every Workers >= 1.
 //
 // CommitEager is inherently sequential — its semantics *are* the node
-// order — so eager runs always use the sequential engine and ignore
+// order — so eager runs always use the one-shard layout and ignore
 // Workers.
 package sim
 
@@ -125,11 +125,12 @@ type Config struct {
 	MaxRounds int
 	// Mode selects the commit semantics (default CommitSynchronous).
 	Mode CommitMode
-	// Workers selects the round engine. 0 (default) is the classic
-	// sequential engine; every w >= 1 selects the sharded engine, whose
-	// results are identical for every w >= 1 (see the package comment for
-	// the determinism contract). A negative value is junk and panics at
-	// session construction. Ignored under CommitEager.
+	// Workers selects the shard layout. 0 (default) acts all nodes as one
+	// shard on the session's generator; every w >= 1 uses the fixed
+	// 32-node shards, whose results are identical for every w >= 1 (see
+	// the package comment for the determinism contract). A negative value
+	// is junk and panics at session construction. Ignored under
+	// CommitEager.
 	Workers int
 	// DensePhase, when in (0, 1], arms the dense-phase engine mode: once
 	// the number of missing node pairs drops to DensePhase × n(n-1)/2, the
@@ -234,7 +235,7 @@ type DirectedConfig struct {
 	MaxRounds int
 	// Mode selects commit semantics (default CommitSynchronous).
 	Mode CommitMode
-	// Workers selects the round engine, exactly as Config.Workers
+	// Workers selects the shard layout, exactly as Config.Workers
 	// (including the junk-value panic at session construction).
 	Workers int
 	// DensePhase, when in (0, 1], arms the directed dense-phase mode: once

@@ -101,25 +101,6 @@ func TestSessionRunUntilBreakpoint(t *testing.T) {
 	}
 }
 
-// TestAsyncSessionUnboundedBudget: MaxTicks < 0 means unbounded, mirroring
-// Config.MaxRounds for open-ended stepping.
-func TestAsyncSessionUnboundedBudget(t *testing.T) {
-	s := NewAsyncSession(gen.Cycle(16), core.Push{}, rng.New(2), AsyncConfig{
-		MaxTicks: -1,
-		Done:     func(*graph.Undirected) bool { return false },
-	})
-	// Far beyond the default budget would be too slow to prove; instead
-	// check it steps past a tiny explicit budget's worth of ticks.
-	for i := 0; i < 50; i++ {
-		if _, more := s.Step(); !more {
-			t.Fatalf("unbounded async session finished at tick %d", s.Stats().Ticks)
-		}
-	}
-	if s.Stats().Ticks != 50*16 {
-		t.Fatalf("ticks %d want %d", s.Stats().Ticks, 50*16)
-	}
-}
-
 // TestSessionCloseStopsStepping: Close is idempotent and a closed session
 // refuses to step.
 func TestSessionCloseStopsStepping(t *testing.T) {

@@ -25,8 +25,8 @@ type Runtime interface {
 	// Remaining is the session's own count of the work left:
 	// EdgesRemaining, or ClosureArcsRemaining on a directed session.
 	Remaining() int
-	// RunUntil runs the session until pred holds or the run is over: its
-	// own RunUntil, or Step after Step on a runtime that has none.
+	// RunUntil is the session's own RunUntil: it runs until pred holds or
+	// the run is over.
 	RunUntil(pred func() bool)
 	// Stats, Round and Converged are the session's own accessors: the
 	// result so far, the whole rounds run, and whether the run converged.
@@ -94,17 +94,6 @@ func Session(rt Runtime) any { return rt.(interface{ base() any }).base() }
 
 func (a *adapter[D, R]) base() any { return a.session }
 
-// until is s's own RunUntil over G predicates, or Step after Step.
-func until[G, D, R any](s session[D, R]) func(pred func() bool) {
-	if u, ok := s.(interface{ RunUntil(func(G) bool) R }); ok {
-		return func(pred func() bool) { u.RunUntil(func(G) bool { return pred() }) }
-	}
-	return func(pred func() bool) {
-		for ok := true; ok && !pred(); _, ok = s.Step() {
-		}
-	}
-}
-
 // Close closes the session if its runtime has a Close.
 func (a *adapter[D, R]) Close() {
 	if c, ok := a.session.(interface{ Close() }); ok {
@@ -115,10 +104,12 @@ func (a *adapter[D, R]) Close() {
 // Undirected adapts an undirected session to a Runtime.
 func Undirected[R any](s interface {
 	session[stream.RoundDelta, R]
+	RunUntil(func(*graph.Undirected) bool) R
 	EdgesRemaining() int
 	Graph() *graph.Undirected
 }) Runtime {
-	return &adapter[stream.RoundDelta, R]{session: s, remaining: s.EdgesRemaining, until: until[*graph.Undirected](s), event: func(d *stream.RoundDelta) stream.Event {
+	until := func(pred func() bool) { s.RunUntil(func(*graph.Undirected) bool { return pred() }) }
+	return &adapter[stream.RoundDelta, R]{session: s, remaining: s.EdgesRemaining, until: until, event: func(d *stream.RoundDelta) stream.Event {
 		return stream.Event{Kind: stream.KindRound, Time: float64(d.Round), Graph: s.Graph(), Delta: d}
 	}}
 }
@@ -126,10 +117,12 @@ func Undirected[R any](s interface {
 // Directed adapts a directed session to a Runtime.
 func Directed[R any](s interface {
 	session[stream.DirectedRoundDelta, R]
+	RunUntil(func(*graph.Directed) bool) R
 	ClosureArcsRemaining() int
 	Graph() *graph.Directed
 }) Runtime {
-	return &adapter[stream.DirectedRoundDelta, R]{session: s, remaining: s.ClosureArcsRemaining, until: until[*graph.Directed](s), event: func(d *stream.DirectedRoundDelta) stream.Event {
+	until := func(pred func() bool) { s.RunUntil(func(*graph.Directed) bool { return pred() }) }
+	return &adapter[stream.DirectedRoundDelta, R]{session: s, remaining: s.ClosureArcsRemaining, until: until, event: func(d *stream.DirectedRoundDelta) stream.Event {
 		return stream.Event{Kind: stream.KindDirectedRound, Time: float64(d.Round), Digraph: s.Graph(), DirectedDelta: d}
 	}}
 }

@@ -40,7 +40,7 @@ type RoundDelta struct {
 	NewEdges []graph.Edge
 	// EdgeTimes holds the exact simulated time at which each NewEdges
 	// entry was accepted, index for index. The event-driven runtime sets
-	// it; nil, as on the synchronous, tick and churn runtimes, means every
+	// it; nil, as on the synchronous and churn runtimes, means every
 	// edge landed at the event's Time.
 	EdgeTimes []float64
 	// Touched lists the nodes whose degree changed this round, in first-
@@ -102,8 +102,8 @@ type DirectedRoundDelta struct {
 
 // DeltaAccumulator owns one run's reusable RoundDelta and fills it from
 // each round's accepted-edge list. It is the single fill implementation
-// shared by the synchronous engines, the tick-async scheduler, and the
-// event-driven runtime (which used to carry a verbatim copy). Steady-state
+// shared by the synchronous engines and the event-driven runtime (which
+// used to carry a verbatim copy). Steady-state
 // fills allocate nothing once the slices are warm.
 type DeltaAccumulator struct {
 	D RoundDelta

@@ -77,10 +77,10 @@ func WithSeed(seed uint64) SessionOption {
 	return func(o *sessionOptions) { o.seed = seed }
 }
 
-// WithWorkers selects the round engine: 0 (default) the classic sequential
-// engine, w >= 1 the sharded engine, whose fixed 32-node shards act inline
-// on their own generator streams, so results are bit-identical for every
-// w >= 1. A negative w panics at construction.
+// WithWorkers selects the shard layout of a round: 0 (default) acts every
+// node as one shard on the session's generator, w >= 1 uses fixed 32-node
+// shards that act inline on their own generator streams, so results are
+// bit-identical for every w >= 1. A negative w panics at construction.
 func WithWorkers(w int) SessionOption {
 	return func(o *sessionOptions) { o.cfg.Workers = w }
 }
