@@ -30,8 +30,8 @@ func ValidateMetricsAddr(addr string) error {
 
 // WorkerCount resolves a raw -workers value to its sim.Config.Workers
 // value: an integer >= -1, where 0 acts all nodes as one shard and every
-// other value uses the fixed 32-node shards. -1 (once GOMAXPROCS) and every k >= 1 run
-// the same inline schedule, so -1 resolves to 1. "auto" named the retired
+// other value uses the fixed 32-node shards. -1 (once GOMAXPROCS) and
+// every k >= 1 run the same inline schedule, so -1 resolves to 1. "auto" named the retired
 // autoscaler and is an error.
 func WorkerCount(workers string) (int, error) {
 	if workers == "auto" {

@@ -5,9 +5,9 @@
 // The uniform model discretizes homogeneous rate-1 Poisson clocks — one
 // uniform node per tick, n ticks ≈ one parallel round — and sim.RunAsync
 // runs it as a plain loop. That cannot express the workloads the
-// heterogeneous gossip literature studies (fast/slow/mobile nodes, rate allocation under a total
-// budget, age-of-information staleness after Bastopcu et al., see
-// PAPERS.md): this package makes the schedule itself first-class. It
+// heterogeneous gossip literature studies (fast/slow/mobile nodes, rate
+// allocation under a total budget, age-of-information staleness after
+// Bastopcu et al., see PAPERS.md): this package makes the schedule itself first-class. It
 // samples the superposition of the n clocks as one jump chain — activations
 // at rate Λ = Σ rates in continuous time, each landing on node u with
 // probability Rate(u)/Λ (chain.go) — from two split generator streams, one
@@ -53,12 +53,13 @@ type Config struct {
 	// Session.SetNodeRate / Session.SetClassRate so the sampler follows.
 	// Rates.N() must equal the graph's node count.
 	Rates *RateMap
-	// MaxEvents bounds the run: 0 selects the default budget of n × sim.DefaultMaxRounds(n)
-	// events (saturating, see sim.ActivationBudget); any negative value
-	// means unbounded, which is meaningful only for stepped Sessions (the
-	// Run facade normalizes negatives back to the default budget); a
-	// positive budget that runs out stops the session at exactly MaxEvents
-	// events with BudgetExhausted == true.
+	// MaxEvents bounds the run: 0 selects the default budget of n ×
+	// sim.DefaultMaxRounds(n) events (saturating, see
+	// sim.ActivationBudget); any negative value means unbounded, which is
+	// meaningful only for stepped Sessions (the Run facade normalizes
+	// negatives back to the default budget); a positive budget that runs
+	// out stops the session at exactly MaxEvents events with
+	// BudgetExhausted == true.
 	MaxEvents int
 	// Done overrides the convergence predicate (default: complete graph).
 	// It must be a pure function of the graph: the runtime re-evaluates it

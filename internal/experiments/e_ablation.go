@@ -42,7 +42,8 @@ func ablation(cfg Config) ([]*trace.Table, error) {
 				case "eager":
 					run = undirected(p.proc, sim.Config{Mode: sim.CommitEager})
 				case "event":
-					// The event column draws from a seed of its own.
+					// The event column draws from a seed of its own, so
+					// the sync and eager columns keep theirs.
 					seed = pointSeed(cfg.Seed, uint64(ni), hashName(p.name), hashName("event"))
 					run = func(g *graph.Undirected, r *rng.Rand) outcome {
 						res := eventsim.Run(g, p.proc, r, eventsim.Config{})

@@ -148,8 +148,8 @@ func checkGolden(t *testing.T, name, out string) {
 
 // TestExperimentVariantsGolden pins the paths TestAllExperimentsRunSmall
 // does not take: E20's and E21's custom populations, CSV output and the
-// sharded engine. Each runs at the small
-// test size on trial pools 1 and 0 against testdata/<name>.golden.
+// sharded engine. Each runs at the small test size on trial pools 1 and 0
+// against testdata/<name>.golden.
 func TestExperimentVariantsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
