@@ -102,7 +102,7 @@ func BenchmarkE9MinDegreeGrowth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := gen.Cycle(128)
 		traj := &metrics.Trajectory{}
-		res := runObserved(g, r.Split(), 0, traj)
+		res := runObserved(g, r.Split(), traj)
 		if !res.Converged || len(traj.GrowthEpochs(2, 128)) == 0 {
 			b.Fatal("growth trajectory failed")
 		}

@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gossipdisc/internal/cliflag"
 	"gossipdisc/internal/experiments"
 	"gossipdisc/internal/export"
 	"gossipdisc/internal/profile"
@@ -35,7 +34,6 @@ func main() {
 		trials         = flag.Int("trials", 0, "per-point trial override (0 = experiment default)")
 		scale          = flag.Float64("scale", 1, "sweep-size scale factor in (0, 1]")
 		csv            = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		workers        = flag.String("workers", "0", "per-run shard layout: 0 = all nodes as one shard on the run's stream, k >= 1 = fixed 32-node shards on split streams (identical output for every k; -1 = same as 1; E15's eager column ignores it)")
 		trialsParallel = flag.Int("trials-parallel", 0, "concurrent trials per sweep point (0 = GOMAXPROCS, 1 = strictly sequential; outputs are byte-identical for every value)")
 		ratesSpec      = flag.String("rates", "", "eventsim rate spec adding a custom-population table to E20, e.g. \"0.5,fast=8:0-15\" (resolved against the sweep's largest n)")
 		rolesSpec      = flag.String("roles", "", "role spec adding a custom-population table to E21, e.g. \"honest,byzantine=5%,selfish=10:0-47\" (resolved against the sweep's largest n)")
@@ -55,7 +53,7 @@ func main() {
 	}
 
 	opts := &options{
-		scale: *scale, trials: *trials, workers: *workers, trialsParallel: *trialsParallel,
+		scale: *scale, trials: *trials, trialsParallel: *trialsParallel,
 		rates: *ratesSpec, roles: *rolesSpec,
 		metricsAddr: *metricsAddr, profile: prof,
 	}
@@ -96,13 +94,9 @@ func main() {
 		defer stop()
 		fmt.Fprintf(os.Stderr, "experiments: serving metrics at http://%s/metrics\n", addr)
 	}
-	// Resolve -workers exactly as gossipsim does (validate already
-	// rejected everything else).
-	engineWorkers, _ := cliflag.WorkerCount(opts.workers)
 	cfg := experiments.Config{
 		Seed: *seed, Trials: *trials, Scale: *scale, CSV: *csv,
-		Workers: engineWorkers, TrialWorkers: *trialsParallel,
-		RateSpec: *ratesSpec, RoleSpec: *rolesSpec,
+		TrialWorkers: *trialsParallel, RateSpec: *ratesSpec, RoleSpec: *rolesSpec,
 	}
 
 	var selected []experiments.Experiment

@@ -13,12 +13,9 @@ import (
 // input validation is one pure function table-driven tests can drive
 // directly — the same pattern as gossipsim's options.validate (the checks
 // used to live inline in main, each with its own os.Exit).
-// workers is the raw flag string, an integer >= -1 (see
-// cliflag.WorkerCount).
 type options struct {
 	scale          float64
 	trials         int
-	workers        string
 	trialsParallel int
 	rates          string
 	roles          string
@@ -36,9 +33,6 @@ func (o *options) validate() error {
 	}
 	if o.trials < 0 {
 		return fmt.Errorf("-trials must be >= 0 (0 = experiment default; got %d)", o.trials)
-	}
-	if _, err := cliflag.WorkerCount(o.workers); err != nil {
-		return err
 	}
 	if o.trialsParallel < 0 {
 		return fmt.Errorf("-trials-parallel must be >= 0 (0 = GOMAXPROCS, 1 = sequential; got %d)", o.trialsParallel)

@@ -10,7 +10,7 @@ import (
 
 // good returns a fully valid option set; cases mutate one field at a time.
 func good() options {
-	return options{scale: 1, workers: "0", trialsParallel: 0}
+	return options{scale: 1, trialsParallel: 0}
 }
 
 func TestValidateOptions(t *testing.T) {
@@ -22,9 +22,6 @@ func TestValidateOptions(t *testing.T) {
 		{"defaults", func(o *options) {}, ""},
 		{"scale truncates", func(o *options) { o.scale = 0.25 }, ""},
 		{"trials override", func(o *options) { o.trials = 3 }, ""},
-		{"workers GOMAXPROCS sentinel", func(o *options) { o.workers = "-1" }, ""},
-		{"workers sharded", func(o *options) { o.workers = "8" }, ""},
-		{"workers auto", func(o *options) { o.workers = "auto" }, "-workers 1"},
 		{"trials parallel sequential", func(o *options) { o.trialsParallel = 1 }, ""},
 		{"rates default", func(o *options) { o.rates = "2" }, ""},
 		{"rates classes", func(o *options) { o.rates = "0.5,fast=8:0-15,park=0:16" }, ""},
@@ -42,9 +39,6 @@ func TestValidateOptions(t *testing.T) {
 		{"scale +Inf", func(o *options) { o.scale = math.Inf(1) }, "-scale"},
 		{"negative trials", func(o *options) { o.trials = -2 }, "-trials must"},
 		{"profiles to one file", func(o *options) { o.profile = profile.Flags{CPU: "p.prof", Mem: "p.prof"} }, "-memprofile"},
-		{"workers below sentinel", func(o *options) { o.workers = "-2" }, "-workers"},
-		{"workers gibberish", func(o *options) { o.workers = "many" }, "-workers"},
-		{"workers empty", func(o *options) { o.workers = "" }, "-workers"},
 		{"negative trials parallel", func(o *options) { o.trialsParallel = -1 }, "-trials-parallel"},
 		{"malformed rates", func(o *options) { o.rates = "fast=oops:0-3" }, "-rates"},
 		{"negative rate", func(o *options) { o.rates = "-1" }, "-rates"},

@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"gossipdisc/internal/analyze"
-	"gossipdisc/internal/cliflag"
 	"gossipdisc/internal/core"
 	"gossipdisc/internal/eventsim"
 	"gossipdisc/internal/gen"
@@ -43,9 +42,8 @@ func main() {
 		mode         = flag.String("mode", "sync", "scheduler: sync | eager | async (per-node Poisson clocks on the event runtime; enables -rates)")
 		ratesSpec    = flag.String("rates", "", "event-runtime rate spec: \"R\" sets the default rate, \"name=R:lo-hi\" defines a class over nodes lo..hi inclusive, comma-separated (empty = uniform rate 1; requires -mode async)")
 		rolesSpec    = flag.String("roles", "", "role spec assigning per-node behaviors: \"role\" sets the default, \"role=K\" or \"role=P%\" quantifies with an optional \":lo-hi\" node range, comma-separated — e.g. \"honest,byzantine=5%,selfish=10:0-99\" (roles: honest, byzantine, selfish, silent, eavesdropper)")
-		workers      = flag.String("workers", "0", "shard layout of a round: 0 = all nodes as one shard on the run's stream, k >= 1 = fixed 32-node shards on split streams (identical output for every k; -1 = same as 1)")
 		roundsBudget = flag.Int("rounds", 0, "stop each trial after this many rounds even if not converged (0 = run to convergence)")
-		traceAt      = flag.Int("trace", 0, "print a min-degree trajectory snapshot every K rounds (0 = off; trial 0 is driven step-wise through the session API)")
+		traceAt      = flag.Int("trace", 0, "print a min-degree trajectory snapshot every K rounds (0 = off; trial 0 is driven step-wise through the session API; -mode sync or eager, undirected processes only)")
 		failProb     = flag.Float64("fail", 0, "connection failure probability (0..1)")
 		dense        = flag.Float64("dense", 0, "dense-phase threshold fraction in (0,1]: sample missing edges once remaining work drops below this fraction (0 = off; -mode sync only)")
 		scenarioPath = flag.String("scenario", "", "JSON chaos-scenario file: runs the wire-level message-passing stack under the scenario's impairments (-process push|pull; see internal/netsim/testdata/scenario.json)")
@@ -70,7 +68,7 @@ func main() {
 
 	opts := &options{
 		process: *process, family: *family, dfamily: *dfamily, mode: *mode,
-		n: *n, trials: *trials, seed: *seed, workers: *workers,
+		n: *n, trials: *trials, seed: *seed,
 		rounds: *roundsBudget, traceAt: *traceAt, fail: *failProb, dense: *dense,
 		scenario: *scenarioPath, backend: *backendName,
 		rates: *ratesSpec, roles: *rolesSpec,
@@ -104,20 +102,13 @@ func main() {
 		commit = sim.CommitEager
 	}
 
-	// Resolve -workers to the sim.Config value (validate already rejected
-	// everything else).
-	engineWorkers, _ := cliflag.WorkerCount(opts.workers)
-	if engineWorkers != 0 && *mode != "sync" {
-		fmt.Fprintf(os.Stderr, "gossipsim: note: -workers applies only to -mode sync; the %s scheduler is inherently sequential\n", *mode)
-		engineWorkers = 0
-	}
 	if *dense > 0 && *mode != "sync" {
 		fmt.Fprintf(os.Stderr, "gossipsim: note: -dense applies only to -mode sync\n")
 		*dense = 0
 	}
 
 	if *process == "directed" {
-		runDirected(*dfamily, *n, *trials, *seed, commit, engineWorkers, *roundsBudget, *dense, *rolesSpec, backend, obs)
+		runDirected(*dfamily, *n, *trials, *seed, commit, *roundsBudget, *failProb, *dense, *rolesSpec, backend, obs)
 		return
 	}
 
@@ -168,7 +159,7 @@ func main() {
 	for t := 0; t < *trials; t++ {
 		r := root.Split()
 		g := fam.Generate(*n, r, backend)
-		cfg := sim.Config{Mode: commit, Workers: engineWorkers, MaxRounds: *roundsBudget, DensePhase: *dense}
+		cfg := sim.Config{Mode: commit, MaxRounds: *roundsBudget, DensePhase: *dense}
 		var res sim.Result
 		if t == 0 && (*traceAt > 0 || obs.active()) {
 			// Trial 0 runs through the session API so observers can ride
@@ -364,7 +355,10 @@ func runEvent(proc core.Process, fam gen.Family, n, trials int, seed uint64, bud
 		sum, sum.Mean/stats.NLogN(fn), sum.Mean/stats.NLog2N(fn))
 }
 
-func runDirected(family string, n, trials int, seed uint64, commit sim.CommitMode, workers, budget int, dense float64, roles string, backend graph.Backend, obs *observability) {
+// runDirected executes trials of the two-hop walk on a directed workload,
+// to the transitive closure of the start graph. A -fail probability wraps
+// the walk before the role population, as on the undirected path.
+func runDirected(family string, n, trials int, seed uint64, commit sim.CommitMode, budget int, fail, dense float64, roles string, backend graph.Backend, obs *observability) {
 	fam, err := gen.DirectedFamilyByName(family)
 	if err != nil {
 		fatalf("%v", err)
@@ -373,6 +367,9 @@ func runDirected(family string, n, trials int, seed uint64, commit sim.CommitMod
 		fatalf("directed family %q needs n >= %d", fam.Name, fam.MinN)
 	}
 	var dproc core.DirectedProcess = core.DirectedTwoHop{}
+	if fail > 0 {
+		dproc = core.WrapDirected(dproc, core.Fail(fail))
+	}
 	if roles != "" {
 		dpop, err := core.ParseDirectedRoleSpec(roles, n, dproc)
 		if err != nil {
@@ -389,7 +386,7 @@ func runDirected(family string, n, trials int, seed uint64, commit sim.CommitMod
 	for t := 0; t < trials; t++ {
 		r := root.Split()
 		var g *graph.Directed = fam.Generate(n, r, backend)
-		dcfg := sim.DirectedConfig{Mode: commit, Workers: workers, MaxRounds: budget, DensePhase: dense}
+		dcfg := sim.DirectedConfig{Mode: commit, MaxRounds: budget, DensePhase: dense}
 		var res sim.DirectedResult
 		if t == 0 && obs.active() {
 			sess := sim.NewDirectedSession(g, dproc, r, dcfg)

@@ -43,6 +43,7 @@ func TestOutputGolden(t *testing.T) {
 		{"eager", []string{"-mode", "eager", "-n", "64", "-trials", "2"}},
 		{"roles", []string{"-roles", "honest,byzantine=5%,selfish=10:0-9", "-n", "48", "-trials", "2", "-rounds", "300"}},
 		{"directed", []string{"-process", "directed", "-dfamily", "thm15", "-n", "24"}},
+		{"directed-fail", []string{"-process", "directed", "-dfamily", "thm15", "-n", "16", "-fail", "0.9"}},
 		{"scenario", []string{"-scenario", "internal/netsim/testdata/scenario.json", "-n", "32", "-trials", "2"}},
 		{"async", []string{"-mode", "async", "-n", "48", "-trials", "3"}},
 		{"async-rates", []string{"-mode", "async", "-rates", "0.5,fast=4:0-7", "-n", "48", "-trials", "2"}},

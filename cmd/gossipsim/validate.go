@@ -14,10 +14,8 @@ import (
 // options collects every flag value gossipsim accepts, so input validation
 // is one pure function that table-driven tests can drive directly instead
 // of relying on incidental downstream behavior (a negative -rounds used to
-// silently select the default budget, a negative -workers silently meant
-// GOMAXPROCS for every value, and bad -fail probabilities sailed through).
-// workers is the raw flag string, an integer >= -1 (see
-// cliflag.WorkerCount).
+// silently select the default budget, and bad -fail probabilities sailed
+// through).
 type options struct {
 	process  string
 	family   string
@@ -26,7 +24,6 @@ type options struct {
 	n        int
 	trials   int
 	seed     uint64
-	workers  string
 	rounds   int
 	traceAt  int
 	fail     float64
@@ -84,9 +81,6 @@ func (o *options) validate() error {
 	if o.trials < 1 {
 		return fmt.Errorf("-trials must be at least 1 (got %d)", o.trials)
 	}
-	if _, err := cliflag.WorkerCount(o.workers); err != nil {
-		return err
-	}
 	if _, err := graph.ParseBackend(o.backend); err != nil {
 		return fmt.Errorf("-backend must be dense, sparse, or auto (got %q)", o.backend)
 	}
@@ -95,6 +89,14 @@ func (o *options) validate() error {
 	}
 	if o.traceAt < 0 {
 		return fmt.Errorf("-trace must be >= 0 (0 = off; got %d)", o.traceAt)
+	}
+	// The trajectory steps the round session of an undirected process;
+	// the other paths would drop -trace without a word.
+	if o.traceAt > 0 && o.mode == "async" {
+		return fmt.Errorf("-trace cannot be combined with -mode async: the trajectory steps the synchronous undirected session")
+	}
+	if o.traceAt > 0 && o.process == "directed" {
+		return fmt.Errorf("-trace cannot be combined with -process directed: the trajectory steps the synchronous undirected session")
 	}
 	// Written so that NaN fails too: it compares false both ways, and a NaN
 	// -fail makes Bernoulli never fire, a NaN -dense disarms the mode.
@@ -135,9 +137,6 @@ func (o *options) validate() error {
 		}
 		if o.mode != "sync" {
 			return fmt.Errorf("-scenario requires -mode sync: the wire simulator is inherently round-synchronous (got -mode %s)", o.mode)
-		}
-		if o.workers != "0" {
-			return fmt.Errorf("-scenario cannot be combined with -workers: the wire simulator schedules its own handler pool")
 		}
 		if o.dense > 0 {
 			return fmt.Errorf("-scenario cannot be combined with -dense: dense-phase sampling belongs to the centralized engine")

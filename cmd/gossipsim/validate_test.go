@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"gossipdisc/internal/cliflag"
 	"gossipdisc/internal/profile"
 )
 
@@ -14,7 +13,7 @@ import (
 func good() options {
 	return options{
 		process: "push", family: "cycle", dfamily: "strong-random", mode: "sync",
-		n: 64, trials: 1, seed: 1, workers: "0", rounds: 0, traceAt: 0, fail: 0, dense: 0,
+		n: 64, trials: 1, seed: 1, rounds: 0, traceAt: 0, fail: 0, dense: 0,
 		backend: "dense",
 	}
 }
@@ -30,9 +29,6 @@ func TestValidateOptions(t *testing.T) {
 		{"defaults", func(o *options) {}, ""},
 		{"directed sync", func(o *options) { o.process = "directed" }, ""},
 		{"async undirected", func(o *options) { o.mode = "async" }, ""},
-		{"workers GOMAXPROCS sentinel", func(o *options) { o.workers = "-1" }, ""},
-		{"workers sharded", func(o *options) { o.workers = "8" }, ""},
-		{"workers auto", func(o *options) { o.workers = "auto" }, "-workers 1"},
 		{"dense fraction", func(o *options) { o.dense = 0.25 }, ""},
 		{"dense full", func(o *options) { o.dense = 1 }, ""},
 		{"fail probability", func(o *options) { o.fail = 0.5 }, ""},
@@ -51,11 +47,11 @@ func TestValidateOptions(t *testing.T) {
 		{"negative n", func(o *options) { o.n = -5 }, "-n"},
 		{"zero trials", func(o *options) { o.trials = 0 }, "-trials"},
 		{"negative trials", func(o *options) { o.trials = -1 }, "-trials"},
-		{"workers below sentinel", func(o *options) { o.workers = "-2" }, "-workers"},
-		{"workers gibberish", func(o *options) { o.workers = "many" }, "-workers"},
-		{"workers empty", func(o *options) { o.workers = "" }, "-workers"},
 		{"negative rounds", func(o *options) { o.rounds = -1 }, "-rounds"},
 		{"negative trace", func(o *options) { o.traceAt = -3 }, "-trace"},
+		{"trace on eager", func(o *options) { o.mode = "eager"; o.traceAt = 5 }, ""},
+		{"trace on async", func(o *options) { o.mode = "async"; o.traceAt = 5 }, "-trace cannot be combined with -mode async"},
+		{"trace on directed", func(o *options) { o.process = "directed"; o.traceAt = 5 }, "-trace cannot be combined with -process directed"},
 		{"fail above one", func(o *options) { o.fail = 1.5 }, "-fail"},
 		{"fail NaN", func(o *options) { o.fail = math.NaN() }, "-fail"},
 		{"negative fail", func(o *options) { o.fail = -0.1 }, "-fail"},
@@ -82,8 +78,6 @@ func TestValidateOptions(t *testing.T) {
 		{"scenario push-pull", func(o *options) { o.scenario = "chaos.json"; o.process = "push-pull" }, "-scenario"},
 		{"scenario async", func(o *options) { o.scenario = "chaos.json"; o.mode = "async" }, "-mode sync"},
 		{"scenario eager", func(o *options) { o.scenario = "chaos.json"; o.mode = "eager" }, "-mode sync"},
-		{"scenario with workers", func(o *options) { o.scenario = "chaos.json"; o.workers = "4" }, "-workers"},
-		{"scenario with auto workers", func(o *options) { o.scenario = "chaos.json"; o.workers = "auto" }, "-workers"},
 		{"scenario with dense", func(o *options) { o.scenario = "chaos.json"; o.dense = 0.2 }, "-dense"},
 		{"scenario with fail", func(o *options) { o.scenario = "chaos.json"; o.fail = 0.1 }, "-fail"},
 		{"scenario with trace", func(o *options) { o.scenario = "chaos.json"; o.traceAt = 5 }, "-trace"},
@@ -131,19 +125,6 @@ func TestValidateOptions(t *testing.T) {
 			o.n++
 		}, "-n must be in"})
 	}
-	t.Run("worker count resolution", func(t *testing.T) {
-		for _, tc := range []struct {
-			flag string
-			want int
-		}{{"0", 0}, {"-1", 1}, {"1", 1}, {"6", 6}} {
-			if n, err := cliflag.WorkerCount(tc.flag); err != nil || n != tc.want {
-				t.Fatalf("%s: n=%d err=%v, want %d", tc.flag, n, err, tc.want)
-			}
-		}
-		if _, err := cliflag.WorkerCount("auto"); err == nil {
-			t.Fatal("auto: no error")
-		}
-	})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			o := good()

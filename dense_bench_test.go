@@ -5,15 +5,13 @@ package gossipdisc_test
 // dense-phase engine mode (Config.DensePhase) samples the missing edges
 // directly, so this suite measures exactly that regime: each benchmark
 // pre-builds the graph state at 75% of a reference run's rounds and times
-// driving the *final quartile* to completion, default act vs dense act, on
-// the sequential shard engine ("seq", Workers=1) and the parallel one
-// ("par", Workers=GOMAXPROCS). The default and dense variants start from
-// the identical graph; any ns/op gap is the engine mode. Baselines are
-// recorded in BENCH_pr4.json; CI runs -bench=ScaleDense -benchtime=1x as a
-// smoke test.
+// driving the *final quartile* to completion, default act vs dense act.
+// The two variants start from the identical graph; any ns/op gap is the
+// engine mode. Baselines are recorded in BENCH_pr4.json (timed on a
+// sharded layout that is gone); CI runs -bench=BenchmarkScale
+// -benchtime=1x as a smoke test.
 
 import (
-	"runtime"
 	"testing"
 
 	"gossipdisc/internal/core"
@@ -24,16 +22,16 @@ import (
 )
 
 // lastQuartileState returns a cycle graph advanced to 3/4 of the rounds a
-// default Workers=1 run needs to complete it, ready to be cloned per
-// benchmark iteration.
+// default run needs to complete it, ready to be cloned per benchmark
+// iteration.
 func lastQuartileState(n int) *graph.Undirected {
 	probe := gen.Cycle(n)
-	ref := sim.Run(probe, core.Push{}, rng.New(uint64(n)), sim.Config{Workers: 1})
+	ref := sim.Run(probe, core.Push{}, rng.New(uint64(n)), sim.Config{})
 	if !ref.Converged {
 		panic("dense bench: reference run did not converge")
 	}
 	g := gen.Cycle(n)
-	s := sim.NewSession(g, core.Push{}, rng.New(uint64(n)), sim.Config{Workers: 1, MaxRounds: ref.Rounds * 3 / 4})
+	s := sim.NewSession(g, core.Push{}, rng.New(uint64(n)), sim.Config{MaxRounds: ref.Rounds * 3 / 4})
 	s.Run()
 	s.Close()
 	return g
@@ -42,22 +40,18 @@ func lastQuartileState(n int) *graph.Undirected {
 func benchScaleDense(b *testing.B, n int) {
 	start := lastQuartileState(n)
 	for _, bc := range []struct {
-		name    string
-		workers int
-		dense   float64
+		name  string
+		dense float64
 	}{
-		{"default/seq", 1, 0},
-		{"dense/seq", 1, 1},
-		{"default/par", runtime.GOMAXPROCS(0), 0},
-		{"dense/par", runtime.GOMAXPROCS(0), 1},
+		{"default", 0},
+		{"dense", 1},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			r := rng.New(uint64(n) + 7)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				g := start.Clone()
-				res := sim.Run(g, core.Push{}, r.Split(),
-					sim.Config{Workers: bc.workers, DensePhase: bc.dense})
+				res := sim.Run(g, core.Push{}, r.Split(), sim.Config{DensePhase: bc.dense})
 				if !res.Converged {
 					b.Fatal("final-quartile run did not converge")
 				}

@@ -59,32 +59,6 @@ func ExampleTrials() {
 	// trial 2 converged: true
 }
 
-// ExampleWithWorkers runs the sharded deterministic engine: the fixed
-// shard layout and its per-shard streams define the run, so results are
-// bit-identical for every worker count >= 1.
-func ExampleWithWorkers() {
-	run := func(g *gossipdisc.Graph, workers int) gossipdisc.Result {
-		sess := gossipdisc.NewSession(g, gossipdisc.WithSeed(9), gossipdisc.WithWorkers(workers))
-		defer sess.Close()
-		return sess.Run()
-	}
-	a := gossipdisc.Cycle(64)
-	resA := run(a, 1)
-
-	b := gossipdisc.Cycle(64)
-	resB := run(b, 4)
-
-	fmt.Println("converged:", resA.Converged && resB.Converged)
-	fmt.Println("same rounds:", resA.Rounds == resB.Rounds)
-	fmt.Println("same graph:", a.Equal(b))
-	fmt.Println("same result:", resA == resB)
-	// Output:
-	// converged: true
-	// same rounds: true
-	// same graph: true
-	// same result: true
-}
-
 // ExampleWithAnalyzers_trajectory consumes the streaming delta the engine
 // emits from its commit path each round: the new edges, per-node degree
 // increments, and the edges-remaining counter. A metrics Trajectory

@@ -40,12 +40,12 @@
 //
 // Every run is a resumable session underneath; Run and RunDirected drive
 // one to completion. Construct a Session directly (see NewSession and the
-// functional options in session.go) to choose the engine, step a run round
-// by round, read O(1) progress, subscribe to per-round deltas, or mutate
-// the membership mid-flight — the shape long-running gossip deployments
-// need:
+// functional options in session.go) to choose the process and budget, step
+// a run round by round, read O(1) progress, subscribe to per-round deltas,
+// or mutate the membership mid-flight — the shape long-running gossip
+// deployments need:
 //
-//	sess := gossipdisc.NewSession(g, gossipdisc.WithWorkers(1))
+//	sess := gossipdisc.NewSession(g, gossipdisc.WithSeed(7))
 //	defer sess.Close()
 //	for {
 //	    delta, more := sess.Step()

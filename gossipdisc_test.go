@@ -115,25 +115,8 @@ func TestFaultyAndPartialExported(t *testing.T) {
 	}
 }
 
-func TestWithWorkersInvariant(t *testing.T) {
-	run := func(workers int) (gossipdisc.Result, *gossipdisc.Graph) {
-		g := gossipdisc.Cycle(100)
-		sess := gossipdisc.NewSession(g, gossipdisc.WithSeed(42), gossipdisc.WithWorkers(workers))
-		defer sess.Close()
-		return sess.Run(), g
-	}
-	base, baseG := run(1)
-	if !base.Converged || !baseG.IsComplete() {
-		t.Fatalf("parallel push did not converge: %+v", base)
-	}
-	res, g := run(4)
-	if res != base || !g.Equal(baseG) {
-		t.Fatalf("WithWorkers not worker-count invariant: %+v vs %+v", res, base)
-	}
-}
-
 func TestNewSessionMatchesRunFacades(t *testing.T) {
-	// Zero options: Push from seed 1, sequential engine — exactly Run.
+	// Zero options: Push from seed 1 — exactly Run.
 	g1 := gossipdisc.Cycle(48)
 	want := gossipdisc.Run(g1, gossipdisc.Push{}, 1)
 	g2 := gossipdisc.Cycle(48)
@@ -143,17 +126,16 @@ func TestNewSessionMatchesRunFacades(t *testing.T) {
 		t.Fatalf("default session diverged from Run: %+v vs %+v", got, want)
 	}
 
-	// WithProcess + WithSeed + WithWorkers reproduces the engine's config.
+	// WithProcess + WithSeed reproduces the engine's config.
 	g3 := gossipdisc.Cycle(100)
-	wantPar := sim.Run(g3, core.Pull{}, rng.New(9), sim.Config{Workers: 4})
+	wantPull := sim.Run(g3, core.Pull{}, rng.New(9), sim.Config{})
 	g4 := gossipdisc.Cycle(100)
-	par := gossipdisc.NewSession(g4,
+	pull := gossipdisc.NewSession(g4,
 		gossipdisc.WithProcess(gossipdisc.Pull{}),
-		gossipdisc.WithSeed(9),
-		gossipdisc.WithWorkers(4))
-	defer par.Close()
-	if got := par.Run(); got != wantPar || !g4.Equal(g3) {
-		t.Fatalf("parallel session diverged from sim.Run: %+v vs %+v", got, wantPar)
+		gossipdisc.WithSeed(9))
+	defer pull.Close()
+	if got := pull.Run(); got != wantPull || !g4.Equal(g3) {
+		t.Fatalf("pull session diverged from sim.Run: %+v vs %+v", got, wantPull)
 	}
 }
 

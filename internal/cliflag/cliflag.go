@@ -1,7 +1,7 @@
 // Package cliflag holds the flag rules gossipsim and experiments share word
-// for word — the -workers grammar and the -metrics-addr check — so both
-// commands' validate steps, and their error texts, come from one copy.
-// (The shared -cpuprofile / -memprofile pair is package profile.)
+// for word — the -metrics-addr check — so both commands' validate steps,
+// and their error texts, come from one copy. (The shared -cpuprofile /
+// -memprofile pair is package profile.)
 package cliflag
 
 import (
@@ -26,26 +26,4 @@ func ValidateMetricsAddr(addr string) error {
 		return fmt.Errorf("-metrics-addr port must be an integer in 1-65535 (got %q)", port)
 	}
 	return nil
-}
-
-// WorkerCount resolves a raw -workers value to its sim.Config.Workers
-// value: an integer >= -1, where 0 acts all nodes as one shard and every
-// other value uses the fixed 32-node shards. -1 (once GOMAXPROCS) and
-// every k >= 1 run the same inline schedule, so -1 resolves to 1. "auto" named the retired
-// autoscaler and is an error.
-func WorkerCount(workers string) (int, error) {
-	if workers == "auto" {
-		return 0, fmt.Errorf("-workers auto is gone: every sharded run acts inline, so use -workers 1")
-	}
-	n, err := strconv.Atoi(workers)
-	if err != nil {
-		return 0, fmt.Errorf("-workers must be an integer (got %q)", workers)
-	}
-	if n < -1 {
-		return 0, fmt.Errorf("-workers must be >= -1 (0 = sequential engine, >= 1 or -1 = sharded; got %d)", n)
-	}
-	if n == -1 {
-		n = 1
-	}
-	return n, nil
 }

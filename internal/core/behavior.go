@@ -33,7 +33,7 @@ import (
 //
 // All behavior callbacks draw randomness only from the *r they are handed —
 // the acting node's own stream — so wrapped runs stay bit-replayable at any
-// Workers / GOMAXPROCS, exactly like unwrapped ones.
+// GOMAXPROCS, exactly like unwrapped ones.
 
 // Behavior is one composable per-node middleware layer. Any subset of the
 // hooks may be set; nil hooks are skipped. The same Behavior value works on

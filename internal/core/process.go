@@ -61,9 +61,8 @@ func (Push) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b int))
 // actBlock is how many consecutive nodes an ActRange hands the graph at a
 // time: Push draws for that many before it reads their neighbor lists, the
 // walks take that many two-hop walks per call. Throughput is flat from 16
-// to 256 (DESIGN.md "The round in blocks"), so it is the sharded engine's
-// shard width (sim.shardNodes): a shard is exactly one block, and the
-// buffers are 256 bytes of stack for Push, 128 for a walk.
+// to 256 (DESIGN.md "The round in blocks"), so 32 keeps the buffers at
+// 256 bytes of stack for Push, 128 for a walk.
 const actBlock = 32
 
 // ActRange performs Act for every node of [lo, hi) in increasing order on

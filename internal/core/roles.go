@@ -17,17 +17,17 @@ import (
 // mutable between steps, resolvable from a textual spec (ParseRoleSpec).
 //
 // A population implements ProcessOn itself, which is how it threads through
-// the runtimes unchanged: the synchronous engines (one-shard or sharded)
-// and the event-driven runtime call Act(g, u, r, propose) per node, and the
-// Population forwards to node u's own process on node u's existing stream.
-// Dense-phase rounds never call Act (sim.Config.DensePhase samples missing
-// edges directly), so roles stop applying once the phase flips. Determinism
-// is inherited wholesale — each member process draws only from the *r it is
-// handed, so runs are bit-replayable from (seed, roles) at any Workers /
-// GOMAXPROCS, and a population whose every node runs the default process
-// performs exactly the legacy single-Process call sequence (byte-identical
-// Results and delta streams; the equivalence suites in internal/sim and
-// internal/eventsim pin this).
+// the runtimes unchanged: the synchronous round and the event-driven
+// runtime call Act(g, u, r, propose) per node, and the Population forwards
+// to node u's own process on node u's existing stream. Dense-phase rounds
+// never call Act (sim.Config.DensePhase samples missing edges directly), so
+// roles stop applying once the phase flips. Determinism is inherited
+// wholesale — each member process draws only from the *r it is handed, so
+// runs are bit-replayable from (seed, roles) at any GOMAXPROCS, and a
+// population whose every node runs the default process performs exactly
+// the legacy single-Process call sequence (byte-identical Results and delta
+// streams; the equivalence suites in internal/sim and internal/eventsim pin
+// this).
 //
 // Mutate a Population only between session steps (AssignRole /
 // SetNodeProcess / SetRoleProcess): the table is read throughout a step.

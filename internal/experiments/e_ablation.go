@@ -37,7 +37,7 @@ func ablation(cfg Config) ([]*trace.Table, error) {
 			means := make([]float64, len(runtimes))
 			for i, rt := range runtimes {
 				seed := pointSeed(cfg.Seed, uint64(ni), hashName(p.name))
-				run := undirected(p.proc, cfg.engine())
+				run := undirected(p.proc, sim.Config{})
 				switch rt {
 				case "eager":
 					run = undirected(p.proc, sim.Config{Mode: sim.CommitEager})

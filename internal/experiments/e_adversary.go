@@ -140,7 +140,7 @@ func byzantineRounds(cfg Config, trials int, seed uint64, n int, pop *core.Popul
 		if w.err != nil {
 			return outcome{err: w.err}
 		}
-		return undirected(pop, cfg.engine())(w.g, r)
+		return undirected(pop, sim.Config{})(w.g, r)
 	})
 }
 
@@ -224,7 +224,7 @@ func anonymity(cfg Config) ([]*trace.Table, error) {
 		results := sim.Trials(cfg.TrialWorkers, trials, pointSeed(cfg.Seed, uint64(ki), hashName("e22")), cycleBuilder(n),
 			func(g *graph.Undirected, r *rng.Rand) *analyze.Anonymity {
 				anon := analyze.NewAnonymity(0, coalition)
-				if !observe(g, pop, r, cfg.engine(), anon).Converged {
+				if !observe(g, pop, r, sim.Config{}, anon).Converged {
 					return nil
 				}
 				return anon

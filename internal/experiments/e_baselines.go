@@ -6,6 +6,7 @@ import (
 
 	"gossipdisc/internal/baseline"
 	"gossipdisc/internal/core"
+	"gossipdisc/internal/sim"
 	"gossipdisc/internal/trace"
 )
 
@@ -48,7 +49,7 @@ func baselines(cfg Config) ([]*trace.Table, error) {
 			proc := c.make(meter)
 			seed := pointSeed(cfg.Seed, uint64(n), uint64(ci))
 			// Meters are shared across trials; divide totals by trial count.
-			sum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(proc, cfg.engine()))
+			sum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(proc, sim.Config{}))
 			if err != nil {
 				return out, fmt.Errorf("E11 %s n=%d: %w", c.name, n, err)
 			}

@@ -38,7 +38,7 @@ func directedUpper(cfg Config) ([]*trace.Table, error) {
 				n:     n,
 				rounds: measure(cfg, trials, pointSeed(cfg.Seed, uint64(ni), hashName(fam.name)), func(trial int, r *rng.Rand) *graph.Directed {
 					return fam.build(n, r)
-				}, cfg.twoHop()),
+				}, twoHop),
 				tail: thm14Ratios(n),
 			})
 		}
@@ -73,7 +73,7 @@ func weakLower(cfg Config) ([]*trace.Table, error) {
 			n:     n,
 			rounds: measure(cfg, trials, pointSeed(cfg.Seed, uint64(ni)), func(trial int, r *rng.Rand) *graph.Directed {
 				return gen.Thm14WeakLowerBound(n)
-			}, cfg.twoHop()),
+			}, twoHop),
 			tail: thm14Ratios(n),
 		})
 	}
@@ -99,11 +99,11 @@ func strongLower(cfg Config) ([]*trace.Table, error) {
 			cells: []string{trace.I(n)},
 			n:     n,
 			rounds: func() (stats.Summary, error) {
-				hard, err := pointRounds(cfg, trials, seed, thm15Builder(n), cfg.twoHop())
+				hard, err := pointRounds(cfg, trials, seed, thm15Builder(n), twoHop)
 				if err == nil {
 					easy, err = pointRounds(cfg, trials, seed+1, func(trial int, r *rng.Rand) *graph.Directed {
 						return gen.RandomStronglyConnected(n, n/2, r)
-					}, cfg.twoHop())
+					}, twoHop)
 				}
 				return hard, err
 			},
@@ -143,7 +143,7 @@ func thm15CutPhases(cfg Config, trials int) (*trace.Table, error) {
 		}
 		results := sim.Trials(cfg.TrialWorkers, trials, pointSeed(cfg.Seed, uint64(ni), 715), thm15Builder(n),
 			func(g *graph.Directed, r *rng.Rand) trial {
-				s := sim.NewDirectedSession(g, core.DirectedTwoHop{}, r, sim.DirectedConfig{Workers: cfg.Workers})
+				s := sim.NewDirectedSession(g, core.DirectedTwoHop{}, r, sim.DirectedConfig{})
 				defer s.Close()
 				tracker := &cutTracker{}
 				s.Subscribe(tracker)

@@ -44,7 +44,7 @@ func evolution(cfg Config) ([]*trace.Table, error) {
 				// clone, then replay the *identical* trajectory (same seed)
 				// snapshotting at fixed fractions of it.
 				probe := g.Clone()
-				probeRes := sim.Run(probe, p.proc, rng.New(runSeed), cfg.engine())
+				probeRes := sim.Run(probe, p.proc, rng.New(runSeed), sim.Config{})
 				if !probeRes.Converged {
 					return nil
 				}
@@ -63,7 +63,7 @@ func evolution(cfg Config) ([]*trace.Table, error) {
 				// discipline) as the probe, or the trajectory would differ.
 				// Off-checkpoint rounds cost the subscriber a map lookup;
 				// the expensive evolution snapshot runs only at the marks.
-				observe(g, p.proc, rng.New(runSeed), cfg.engine(), stream.SubscriberFunc(func(e *stream.Event) {
+				observe(g, p.proc, rng.New(runSeed), sim.Config{}, stream.SubscriberFunc(func(e *stream.Event) {
 					if fi, ok := marks[e.Delta.Round]; ok {
 						at[fi] = metrics.TakeEvolution(e.Delta.Round, e.Graph)
 					}

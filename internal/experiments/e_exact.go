@@ -9,6 +9,7 @@ import (
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/markov"
 	"gossipdisc/internal/rng"
+	"gossipdisc/internal/sim"
 	"gossipdisc/internal/trace"
 )
 
@@ -52,7 +53,7 @@ func nonMonotonicity(cfg Config) ([]*trace.Table, error) {
 			seed := pointSeed(cfg.Seed, hashName(row.name), hashName(k.kern.Name()))
 			sum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
 				return row.build()
-			}, undirected(k.proc, cfg.engine()))
+			}, undirected(k.proc, sim.Config{}))
 			if err != nil {
 				return nil, fmt.Errorf("E8 %s/%s: %w", row.name, k.kern.Name(), err)
 			}

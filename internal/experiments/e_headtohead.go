@@ -7,6 +7,7 @@ import (
 	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
+	"gossipdisc/internal/sim"
 	"gossipdisc/internal/trace"
 )
 
@@ -35,7 +36,7 @@ func headToHead(cfg Config) ([]*trace.Table, error) {
 			seed := pointSeed(cfg.Seed, uint64(fi), uint64(pi), 1818)
 			sum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
 				return fam.Generate(n, r)
-			}, undirected(proc, cfg.engine()))
+			}, undirected(proc, sim.Config{}))
 			if err != nil {
 				return nil, fmt.Errorf("E18 %s/%s: %w", famName, proc.Name(), err)
 			}

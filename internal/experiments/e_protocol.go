@@ -29,7 +29,7 @@ func protocols(cfg Config) ([]*trace.Table, error) {
 		"process", "sim rounds", "proto rounds", "proto msgs/round/node", "ID bits/msg", "bound ⌈lg n⌉")
 	for _, pr := range processes {
 		seed := pointSeed(cfg.Seed, hashName(pr.name))
-		simSum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(pr.proc, cfg.engine()))
+		simSum, err := pointRounds(cfg, trials, seed, cycleBuilder(n), undirected(pr.proc, sim.Config{}))
 		if err != nil {
 			return nil, fmt.Errorf("E13 sim %s: %w", pr.name, err)
 		}
@@ -80,9 +80,7 @@ func protocols(cfg Config) ([]*trace.Table, error) {
 		return gen.RandomTree(24, r)
 	}, func(g *graph.Undirected, r *rng.Rand) lemmaCount {
 		var lc lemmaCount
-		c := cfg.engine()
-		c.MaxRounds = 10
-		observe(g, core.Push{}, r, c, stream.SubscriberFunc(func(e *stream.Event) {
+		observe(g, core.Push{}, r, sim.Config{MaxRounds: 10}, stream.SubscriberFunc(func(e *stream.Event) {
 			g := e.Graph
 			bound := min(2*g.MinDegree(), g.N()-1)
 			for u := 0; u < g.N(); u++ {

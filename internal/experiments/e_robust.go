@@ -8,6 +8,7 @@ import (
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/metrics"
 	"gossipdisc/internal/rng"
+	"gossipdisc/internal/sim"
 	"gossipdisc/internal/trace"
 )
 
@@ -27,7 +28,7 @@ func robustness(cfg Config) ([]*trace.Table, error) {
 		cyclePoint := func(c uint64, proc core.Process, cell string, extra float64) point {
 			return point{
 				cells:  []string{cell},
-				rounds: measure(cfg, trials, pointSeed(cfg.Seed, hashName(pr.name), c), cycleBuilder(n), undirected(proc, cfg.engine())),
+				rounds: measure(cfg, trials, pointSeed(cfg.Seed, hashName(pr.name), c), cycleBuilder(n), undirected(proc, sim.Config{})),
 				extra:  []string{trace.F(extra, 2)},
 			}
 		}
@@ -80,9 +81,7 @@ func robustness(cfg Config) ([]*trace.Table, error) {
 		crashSum, err := pointRounds(cfg, trials, seed, func(trial int, r *rng.Rand) crashWorkload {
 			return buildCrashWorkload(n, r)
 		}, func(w crashWorkload, r *rng.Rand) outcome {
-			c := cfg.engine()
-			c.Done = metrics.AliveComplete(w.alive)
-			return undirected(pr.crashed(w.alive), c)(w.g, r)
+			return undirected(pr.crashed(w.alive), sim.Config{Done: metrics.AliveComplete(w.alive)})(w.g, r)
 		})
 		if err != nil {
 			return out, fmt.Errorf("E12 crash %s: %w", pr.name, err)
@@ -93,7 +92,7 @@ func robustness(cfg Config) ([]*trace.Table, error) {
 		aliveN := n - n/4
 		healthySum, err := pointRounds(cfg, trials, seed+1, func(trial int, r *rng.Rand) *graph.Undirected {
 			return gen.ConnectedER(aliveN, 8.0/float64(aliveN), r)
-		}, undirected(pr.proc, cfg.engine()))
+		}, undirected(pr.proc, sim.Config{}))
 		if err != nil {
 			return out, fmt.Errorf("E12 healthy %s: %w", pr.name, err)
 		}

@@ -41,7 +41,7 @@ func upperBoundSweep(id string, proc core.Process) func(Config) ([]*trace.Table,
 					n:     n,
 					rounds: measure(cfg, trials, seed, func(trial int, r *rng.Rand) *graph.Undirected {
 						return fam.Generate(n, r)
-					}, undirected(proc, cfg.engine())),
+					}, undirected(proc, sim.Config{})),
 					tail: func(s stats.Summary) []string {
 						fn := float64(n)
 						return []string{trace.F(s.Mean/stats.NLogN(fn), 3), trace.F(s.Mean/stats.NLog2N(fn), 3)}
@@ -73,7 +73,7 @@ func lowerBoundSweep(id string, proc core.Process) func(Config) ([]*trace.Table,
 					cells: []string{trace.I(n), trace.I(k)},
 					rounds: measure(cfg, trials, pointSeed(cfg.Seed, uint64(ni), uint64(ki)), func(trial int, r *rng.Rand) *graph.Undirected {
 						return gen.NearComplete(n, k, r)
-					}, undirected(proc, cfg.engine())),
+					}, undirected(proc, sim.Config{})),
 					tail: func(s stats.Summary) []string {
 						fn := float64(n)
 						return []string{trace.F(s.Mean/(fn*math.Log(float64(k+1))), 3), trace.F(s.Mean/fn, 3)}
@@ -109,7 +109,7 @@ func minDegreeGrowth(cfg Config) ([]*trace.Table, error) {
 			// converge (GrowthEpochs is never empty).
 			epochsByTrial := sim.Trials(cfg.TrialWorkers, trials, seed, cycleBuilder(n), func(g *graph.Undirected, r *rng.Rand) []int {
 				traj := &metrics.Trajectory{}
-				if !observe(g, p.proc, r, cfg.engine(), traj).Converged {
+				if !observe(g, p.proc, r, sim.Config{}, traj).Converged {
 					return nil
 				}
 				return traj.GrowthEpochs(2, n)

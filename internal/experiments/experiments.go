@@ -32,16 +32,11 @@ type Config struct {
 	Scale float64
 	// CSV selects CSV output instead of aligned text.
 	CSV bool
-	// Workers selects the per-run shard layout (sim.Config.Workers): 0
-	// acts all nodes as one shard, every w >= 1 uses fixed 32-node shards
-	// (identical tables for every w >= 1). E15's eager column ignores it,
-	// as sim.Config.Workers is ignored under CommitEager. A run steps on
-	// one goroutine; the parallelism is TrialWorkers'.
-	Workers int
 	// TrialWorkers bounds how many trials of a sweep point run
 	// concurrently (the pool of sim.Trials, under every experiment): 0 =
 	// GOMAXPROCS, 1 = strictly sequential. Outputs are byte-identical for
-	// every value.
+	// every value. A run steps on one goroutine; this is the only
+	// parallelism.
 	TrialWorkers int
 	// RateSpec, when non-empty, is an eventsim rate spec (see
 	// eventsim.ParseRateSpec) adding a custom-population table to E20,
@@ -52,10 +47,6 @@ type Config struct {
 	// sweep's largest problem size over a push base.
 	RoleSpec string
 }
-
-// engine returns the sim.Config every undirected sweep point shares
-// (sim.DirectedConfig{Workers: c.Workers} is its directed analogue).
-func (c Config) engine() sim.Config { return sim.Config{Workers: c.Workers} }
 
 func (c Config) normalized() Config {
 	if c.Seed == 0 {
@@ -339,12 +330,10 @@ func observe(g *graph.Undirected, p core.Process, r *rng.Rand, c sim.Config, sub
 	return s.Run()
 }
 
-// twoHop is pointRounds' run for the directed two-hop walk on c's engine.
-func (c Config) twoHop() func(*graph.Directed, *rng.Rand) outcome {
-	return func(g *graph.Directed, r *rng.Rand) outcome {
-		res := sim.RunDirected(g, core.DirectedTwoHop{}, r, sim.DirectedConfig{Workers: c.Workers})
-		return outcome{rounds: float64(res.Rounds), converged: res.Converged}
-	}
+// twoHop is pointRounds' run for the directed two-hop walk.
+func twoHop(g *graph.Directed, r *rng.Rand) outcome {
+	res := sim.RunDirected(g, core.DirectedTwoHop{}, r, sim.DirectedConfig{})
+	return outcome{rounds: float64(res.Rounds), converged: res.Converged}
 }
 
 // point is one sweep point: the cells that lead its row, its problem
@@ -449,7 +438,7 @@ func edgeRounds(cfg Config, trials int, seed uint64, build func(trial int, r *rn
 	p core.Process) (rounds []float64, r90 int, err error) {
 	runs := sim.Trials(cfg.TrialWorkers, trials, seed, build, func(g *graph.Undirected, r *rng.Rand) edgeTrial {
 		t := edgeTrial{pairs: g.N() * (g.N() - 1) / 2, edges: []int{g.M()}}
-		t.res = observe(g, p, r, cfg.engine(), stream.SubscriberFunc(func(e *stream.Event) {
+		t.res = observe(g, p, r, sim.Config{}, stream.SubscriberFunc(func(e *stream.Event) {
 			if e.Kind == stream.KindRound {
 				t.edges = append(t.edges, e.Graph.M())
 			}

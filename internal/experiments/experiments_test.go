@@ -147,9 +147,9 @@ func checkGolden(t *testing.T, name, out string) {
 }
 
 // TestExperimentVariantsGolden pins the paths TestAllExperimentsRunSmall
-// does not take: E20's and E21's custom populations, CSV output and the
-// sharded engine. Each runs at the small test size on trial pools 1 and 0
-// against testdata/<name>.golden.
+// does not take: E20's and E21's custom populations and CSV output. Each
+// runs at the small test size on trial pools 1 and 0 against
+// testdata/<name>.golden.
 func TestExperimentVariantsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
@@ -161,7 +161,6 @@ func TestExperimentVariantsGolden(t *testing.T) {
 		{"E20-rates", "E20", Config{RateSpec: "0.5,fast=8:0-15"}},
 		{"E21-roles", "E21", Config{RoleSpec: "honest,byzantine=5%"}},
 		{"E12-csv", "E12", Config{CSV: true}},
-		{"E7-workers1", "E7", Config{Workers: 1}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -184,24 +183,6 @@ func TestExperimentVariantsGolden(t *testing.T) {
 			}
 			checkGolden(t, tc.name, outs[0].String())
 		})
-	}
-}
-
-// TestWorkersReachE11: -workers selects the engine of E11's runs too, so
-// its table at Workers 1 (the sharded engine) differs from Workers 0's.
-func TestWorkersReachE11(t *testing.T) {
-	e, err := ByID("E11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var outs [2]strings.Builder
-	for w := range outs {
-		if err := e.Run(Config{Seed: 1, Trials: 3, Scale: 0.4, Workers: w}, &outs[w]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if outs[0].String() == outs[1].String() {
-		t.Fatal("E11 prints the same table at Workers 0 and 1: -workers does not reach it")
 	}
 }
 

@@ -21,7 +21,7 @@ func TestSparseRowIndexIsLazy(t *testing.T) {
 	if graph.RowIndexed(g) {
 		t.Fatal("cycle allocated the row index")
 	}
-	if res := sim.NewSession(g, core.Push{}, rng.New(1), sim.Config{MaxRounds: 10, Workers: 1}).Run(); res.Rounds != 10 {
+	if res := sim.NewSession(g, core.Push{}, rng.New(1), sim.Config{MaxRounds: 10}).Run(); res.Rounds != 10 {
 		t.Fatalf("push ran %d rounds, want 10", res.Rounds)
 	}
 	maxDeg := 0

@@ -148,31 +148,26 @@ func TestAliveComplete(t *testing.T) {
 	}
 }
 
-// TestTrajectoryDeltaMatchesSnapshotMode: for every engine family, a
-// delta-mode trajectory must record exactly the snapshots Take computes by
-// scanning the graph — same rounds, edges, missing counts, and min/max
-// degrees — on the rounds its Every cadence keeps.
+// TestTrajectoryDeltaMatchesSnapshotMode: a delta-mode trajectory must
+// record exactly the snapshots Take computes by scanning the graph — same
+// rounds, edges, missing counts, and min/max degrees — on the rounds its
+// Every cadence keeps.
 func TestTrajectoryDeltaMatchesSnapshotMode(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 8} {
-		for _, every := range []int{1, 5} {
-			var all []Snapshot
-			deltaTraj := &Trajectory{Every: every}
-			res := run(gen.RandomTree(90, rng.New(4)), core.Push{}, 6, sim.Config{Workers: workers},
-				takes(&all), deltaTraj)
-			if !res.Converged {
-				t.Fatalf("Workers=%d did not converge", workers)
-			}
-			deltaTraj.Finalize()
-			want := onCadence(all, every, func(s Snapshot) int { return s.Round })
-			if len(want) != len(deltaTraj.Snapshots) {
-				t.Fatalf("Workers=%d Every=%d: %d scanned records vs %d delta-mode",
-					workers, every, len(want), len(deltaTraj.Snapshots))
-			}
-			for i := range want {
-				if want[i] != deltaTraj.Snapshots[i] {
-					t.Fatalf("Workers=%d Every=%d record %d: scanned %+v vs delta %+v",
-						workers, every, i, want[i], deltaTraj.Snapshots[i])
-				}
+	for _, every := range []int{1, 5} {
+		var all []Snapshot
+		deltaTraj := &Trajectory{Every: every}
+		res := run(gen.RandomTree(90, rng.New(4)), core.Push{}, 6, sim.Config{}, takes(&all), deltaTraj)
+		if !res.Converged {
+			t.Fatal("run did not converge")
+		}
+		deltaTraj.Finalize()
+		want := onCadence(all, every, func(s Snapshot) int { return s.Round })
+		if len(want) != len(deltaTraj.Snapshots) {
+			t.Fatalf("Every=%d: %d scanned records vs %d delta-mode", every, len(want), len(deltaTraj.Snapshots))
+		}
+		for i := range want {
+			if want[i] != deltaTraj.Snapshots[i] {
+				t.Fatalf("Every=%d record %d: scanned %+v vs delta %+v", every, i, want[i], deltaTraj.Snapshots[i])
 			}
 		}
 	}

@@ -89,11 +89,10 @@ func (r *Rand) split() Rand {
 
 // SplitN returns n child generators derived by n sequential Split calls.
 // Because the derivation is sequential, the i-th child depends only on the
-// parent's state and on i — never on goroutine scheduling — which is the
-// property the sharded round engine's determinism contract is built on:
-// shard i always receives the same stream no matter how many workers
-// consume the shards. The children share one backing array (two
-// allocations, not n + 1).
+// parent's state and on i — never on goroutine scheduling — so child i
+// always receives the same stream no matter how many workers consume the
+// children. The children share one backing array (two allocations, not
+// n + 1).
 func (r *Rand) SplitN(n int) []*Rand {
 	kids := make([]Rand, n)
 	out := make([]*Rand, n)

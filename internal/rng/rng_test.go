@@ -372,8 +372,7 @@ func BenchmarkIntn(b *testing.B) {
 }
 
 // TestSplitNSequentialEquivalence: SplitN(k) must equal k successive Split
-// calls — the sharded engine's per-shard streams depend only on the parent
-// state and the shard index.
+// calls — child i's stream depends only on the parent state and i.
 func TestSplitNSequentialEquivalence(t *testing.T) {
 	a, b := New(99), New(99)
 	kids := a.SplitN(8)

@@ -46,10 +46,12 @@ func strong(n int, seed uint64, b ...graph.Backend) func() *graph.Directed {
 	return func() *graph.Directed { return gen.RandomStronglyConnected(n, n/3, rng.New(seed), b...) }
 }
 
-// table has one row per engine family, each run to its end: Session
-// sharded or not, with and without the dense phase, eager, with membership
-// tracked and under a uniform Population; DirectedSession.
-// TestBusEquivalence runs every row; the StepRun tests split it by family.
+// table has one row per engine family, each run to its end: Session with
+// and without the dense phase, eager, with membership tracked and under a
+// uniform Population; DirectedSession. TestBusEquivalence runs every row;
+// the StepRun tests split it by family. Config.Workers is ignored, so the
+// rows that set it run the same round as w=0; they stay until the field
+// goes (ROADMAP item 1).
 var table = func() []simtest.Row {
 	var rows []simtest.Row
 	for _, w := range []int{0, 1, 4} {
@@ -76,7 +78,7 @@ var table = func() []simtest.Row {
 // member pair is adjacent.
 func membershipRow() simtest.Runtime {
 	var s *Session
-	s, _ = tracked(gen.Cycle(40), 40, 6, Config{Workers: 1, Done: func(*graph.Undirected) bool { return s.Coverage() == 1 }})
+	s, _ = tracked(gen.Cycle(40), 40, 6, Config{Done: func(*graph.Undirected) bool { return s.Coverage() == 1 }})
 	s.RemoveNode(3)
 	s.RemoveNode(10)
 	s.InsertNode(3)
@@ -140,8 +142,8 @@ func steady(g *graph.Undirected, p core.Process, seed uint64, cfg Config) *Sessi
 	return NewSession(g, p, rng.New(seed), cfg)
 }
 
-// TestSessionZeroAllocStep: a steady-state Step allocates nothing on every
-// engine family, including the block acts (ActRange) of a bare Push or
+// TestSessionZeroAllocStep: a steady-state Step allocates nothing, through
+// per-node acts and through the block acts (ActRange) of a bare Push or
 // Pull on K_70, two full blocks and a ragged one, and the masked ones of
 // Crashed{Push} and CrashedPull on a membership-tracked session.
 func TestSessionZeroAllocStep(t *testing.T) {
@@ -153,24 +155,21 @@ func TestSessionZeroAllocStep(t *testing.T) {
 		name    string
 		g       *graph.Undirected
 		p       core.Process
-		workers []int
 		members []bool // the TrackMembership mask, if any
 	}{
-		{"fixed-probe", gen.Star(64), fixedProbe{}, []int{0, 1, 4}, nil},
-		{"push", gen.Complete(70), core.Push{}, []int{0, 1}, nil},
-		{"pull", gen.Complete(70), core.Pull{}, []int{0, 1}, nil},
-		{"crashed-push", gen.Complete(70), core.Crashed{Inner: core.Push{}, Alive: alive}, []int{0, 1}, alive},
-		{"crashed-pull", gen.Complete(70), core.CrashedPull{Alive: alive}, []int{0, 1}, alive},
+		{"fixed-probe", gen.Star(64), fixedProbe{}, nil},
+		{"push", gen.Complete(70), core.Push{}, nil},
+		{"pull", gen.Complete(70), core.Pull{}, nil},
+		{"crashed-push", gen.Complete(70), core.Crashed{Inner: core.Push{}, Alive: alive}, alive},
+		{"crashed-pull", gen.Complete(70), core.CrashedPull{Alive: alive}, alive},
 	} {
-		for _, w := range tc.workers {
-			s := steady(tc.g.Clone(), tc.p, 1, Config{Workers: w})
-			if tc.members != nil {
-				s.TrackMembership(tc.members)
-			}
-			simtest.ZeroAlloc(t, fmt.Sprintf("%s/w=%d", tc.name, w), simtest.Undirected(s))
-			if s.Stats().Proposals == 0 {
-				t.Errorf("%s, Workers=%d: no proposals, so the steps measured nothing", tc.name, w)
-			}
+		s := steady(tc.g, tc.p, 1, Config{})
+		if tc.members != nil {
+			s.TrackMembership(tc.members)
+		}
+		simtest.ZeroAlloc(t, tc.name, simtest.Undirected(s))
+		if s.Stats().Proposals == 0 {
+			t.Errorf("%s: no proposals, so the steps measured nothing", tc.name)
 		}
 	}
 }
@@ -179,26 +178,21 @@ func TestSessionZeroAllocStep(t *testing.T) {
 // the complete digraph on 70 nodes, whose act is DirectedTwoHop.ActRange.
 func TestDirectedSessionZeroAllocStep(t *testing.T) {
 	never := func(*graph.Directed) bool { return false }
-	for _, w := range []int{0, 1} {
-		s := NewDirectedSession(gen.CompleteDigraph(70), core.DirectedTwoHop{}, rng.New(1), DirectedConfig{Workers: w, MaxRounds: -1, Done: never})
-		simtest.ZeroAlloc(t, fmt.Sprintf("w=%d", w), simtest.Directed(s))
-		if s.Stats().Proposals == 0 {
-			t.Errorf("Workers=%d: no proposals, so the steps measured nothing", w)
-		}
+	s := NewDirectedSession(gen.CompleteDigraph(70), core.DirectedTwoHop{}, rng.New(1), DirectedConfig{MaxRounds: -1, Done: never})
+	simtest.ZeroAlloc(t, "directed", simtest.Directed(s))
+	if s.Stats().Proposals == 0 {
+		t.Error("no proposals, so the steps measured nothing")
 	}
 }
 
-// probeAllocs runs ZeroAlloc on fixedProbe over the 64-star on cfg at
-// Workers 0, 1 and 4, with a fresh subscriber from each of subs.
+// probeAllocs runs ZeroAlloc on fixedProbe over the 64-star on cfg, with a
+// fresh subscriber from each of subs.
 func probeAllocs(t *testing.T, cfg Config, subs ...func() stream.Subscriber) {
-	for _, w := range []int{0, 1, 4} {
-		cfg.Workers = w
-		s := NewSession(gen.Star(64), fixedProbe{}, rng.New(1), cfg)
-		for _, sub := range subs {
-			s.Subscribe(sub())
-		}
-		simtest.ZeroAlloc(t, fmt.Sprintf("w=%d", w), simtest.Undirected(s))
+	s := NewSession(gen.Star(64), fixedProbe{}, rng.New(1), cfg)
+	for _, sub := range subs {
+		s.Subscribe(sub())
 	}
+	simtest.ZeroAlloc(t, "fixed-probe", simtest.Undirected(s))
 }
 
 // TestSessionZeroAllocStepWithAnalyzer: the analyzer pack and a no-op
@@ -211,12 +205,10 @@ func TestSessionZeroAllocStepWithAnalyzer(t *testing.T) {
 
 // TestDenseZeroAllocStep: the dense act keeps a steady Step allocation-free.
 func TestDenseZeroAllocStep(t *testing.T) {
-	for _, w := range []int{0, 1, 4} {
-		s := steady(gen.Star(64), core.Push{}, 1, Config{Workers: w, DensePhase: 1})
-		simtest.ZeroAlloc(t, fmt.Sprintf("w=%d", w), simtest.Undirected(s))
-		if !s.InDensePhase() {
-			t.Fatalf("Workers=%d: DensePhase=1 session not in dense phase", w)
-		}
+	s := steady(gen.Star(64), core.Push{}, 1, Config{DensePhase: 1})
+	simtest.ZeroAlloc(t, "dense", simtest.Undirected(s))
+	if !s.InDensePhase() {
+		t.Fatal("DensePhase=1 session not in dense phase")
 	}
 }
 
@@ -228,15 +220,13 @@ func TestPopulationStepZeroAlloc(t *testing.T) {
 }
 
 // TestEngineSteadyStateAllocs: a bounded run's rounds allocate nothing
-// once its buffers are warm, on every engine family.
+// once its buffers are warm.
 func TestEngineSteadyStateAllocs(t *testing.T) { probeAllocs(t, Config{MaxRounds: 1050}) }
 
 // TestEngineSteadyStateAllocsDirected is the same for the directed engine.
 func TestEngineSteadyStateAllocsDirected(t *testing.T) {
-	for _, w := range []int{0, 4} {
-		s := NewDirectedSession(gen.DirectedCycle(64), fixedArcProbe{}, rng.New(1), DirectedConfig{Workers: w, MaxRounds: 1050})
-		simtest.ZeroAlloc(t, fmt.Sprintf("w=%d", w), simtest.Directed(s))
-	}
+	s := NewDirectedSession(gen.DirectedCycle(64), fixedArcProbe{}, rng.New(1), DirectedConfig{MaxRounds: 1050})
+	simtest.ZeroAlloc(t, "fixed-arc-probe", simtest.Directed(s))
 }
 
 // TestDeltaSteadyStateAllocs: the delta pipeline keeps a bounded run's
@@ -264,38 +254,16 @@ func converged(t *testing.T, o simtest.Outcome) {
 	}
 }
 
-// The worker count, GOMAXPROCS and, under CommitEager, the dense phase
-// are performance knobs: same seed ⇒ the same Result and delta stream for
-// every Workers >= 1, on push, pull, the directed engine and the dense
-// phase. CI runs these under -race.
-
-func TestDeterminismAcrossWorkersUndirected(t *testing.T) {
-	converged(t, simtest.Identical(t, workers([]int{1, 2, 8}, tree(200, 77), core.Push{}, 42, Config{})...))
-}
-
-func TestDeterminismAcrossWorkersPull(t *testing.T) {
-	converged(t, simtest.Identical(t, workers([]int{1, 2, 8}, cycle(150), core.Pull{}, 5, Config{})...))
-}
-
-func TestDeterminismAcrossWorkersDirected(t *testing.T) {
-	converged(t, simtest.Identical(t, simtest.Axis([]int{1, 2, 8}, func(w int) simtest.Row {
-		return directed(fmt.Sprintf("w=%d", w), strong(96, 9), core.DirectedTwoHop{}, 43, DirectedConfig{Workers: w})
-	})...))
-}
+// GOMAXPROCS is not an input of a run: same seed ⇒ the same Result and
+// delta stream for every GOMAXPROCS, and, under CommitEager, with the dense
+// phase armed or not. CI runs these under -race.
 
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	simtest.Identical(t, simtest.Axis([]int{1, 2, 8}, func(procs int) simtest.Row {
-		row := session(fmt.Sprintf("procs=%d", procs), tree(200, 77), core.Push{}, 42, Config{Workers: 4})
+		row := session(fmt.Sprintf("procs=%d", procs), tree(200, 77), core.Push{}, 42, Config{})
 		row.Procs = procs
 		return row
 	})...)
-}
-
-// TestDeterminismEagerIgnoresWorkers: CommitEager is sequential, so
-// Workers does not reach its run; TestDenseEagerIgnored: nor does the
-// dense phase.
-func TestDeterminismEagerIgnoresWorkers(t *testing.T) {
-	simtest.Identical(t, workers([]int{0, 1, 8}, cycle(64), core.Push{}, 3, Config{Mode: CommitEager})...)
 }
 
 func TestDenseEagerIgnored(t *testing.T) {
@@ -304,20 +272,24 @@ func TestDenseEagerIgnored(t *testing.T) {
 	})...)
 }
 
+// Config.Workers is ignored until it goes (ROADMAP item 1): setting it
+// gives the default's Result and delta stream, with the dense phase on and
+// off and on the directed session.
+
 func TestDenseDeterminismAcrossWorkers(t *testing.T) {
-	converged(t, simtest.Identical(t, workers([]int{1, 2, 8}, tree(200, 77), core.Push{}, 42, Config{DensePhase: 0.4})...))
+	converged(t, simtest.Identical(t, workers([]int{0, 1, 8}, tree(200, 77), core.Push{}, 42, Config{DensePhase: 0.4})...))
 }
 
 func TestDenseDeterminismAcrossWorkersDirected(t *testing.T) {
-	converged(t, simtest.Identical(t, simtest.Axis([]int{1, 2, 8}, func(w int) simtest.Row {
+	converged(t, simtest.Identical(t, simtest.Axis([]int{0, 1, 8}, func(w int) simtest.Row {
 		return directed(fmt.Sprintf("w=%d", w), strong(96, 9), core.DirectedTwoHop{}, 43, DirectedConfig{Workers: w, DensePhase: 0.5})
 	})...))
 }
 
 func TestDenseDeltaStreamDeterministicAcrossWorkers(t *testing.T) {
-	converged(t, simtest.Identical(t, workers([]int{1, 2, 8}, cycle(150), core.Pull{}, 5, Config{DensePhase: 0.3})...))
+	converged(t, simtest.Identical(t, workers([]int{0, 1, 8}, cycle(150), core.Pull{}, 5, Config{DensePhase: 0.3})...))
 }
 
 func TestDeltaStreamDeterministicAcrossWorkers(t *testing.T) {
-	converged(t, simtest.Identical(t, workers([]int{1, 2, 8}, cycle(140), core.Push{}, 12, Config{})...))
+	converged(t, simtest.Identical(t, workers([]int{0, 1, 8}, cycle(140), core.Push{}, 12, Config{})...))
 }

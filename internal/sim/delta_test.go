@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"gossipdisc/internal/core"
@@ -30,41 +29,36 @@ func shadow(t *testing.T, start *graph.Undirected) stream.Subscriber {
 	})
 }
 
-// TestDeltaReconstructsObserverSnapshots: for every engine (Workers 0, 1,
-// 2, 8) and both processes, accumulating the delta stream onto a shadow
-// graph reconstructs, round for round, exactly the live graph the event
-// carries. CI runs this under -race.
+// TestDeltaReconstructsObserverSnapshots: for both processes, accumulating
+// the delta stream onto a shadow graph reconstructs, round for round,
+// exactly the live graph the event carries. CI runs this under -race.
 func TestDeltaReconstructsObserverSnapshots(t *testing.T) {
 	for _, proc := range []core.Process{core.Push{}, core.Pull{}} {
-		for _, w := range []int{0, 1, 2, 8} {
-			row := session(fmt.Sprintf("%s/w=%d", proc.Name(), w), tree(110, 5), proc, 99, Config{Workers: w})
-			converged(t, simtest.Run(t, row, shadow(t, tree(110, 5)())))
-		}
+		row := session(proc.Name(), tree(110, 5), proc, 99, Config{})
+		converged(t, simtest.Run(t, row, shadow(t, tree(110, 5)())))
 	}
 }
 
 // TestDeltaReconstructsObserverSnapshotsDirected repeats the reconstruction
-// property for the directed engines, including the closure-remaining
+// property for the directed session, including the closure-remaining
 // counter reaching zero exactly at termination.
 func TestDeltaReconstructsObserverSnapshotsDirected(t *testing.T) {
-	for _, w := range []int{0, 1, 2, 8} {
-		sh, lastRemaining := strong(90, 8)(), -1
-		row := directed(fmt.Sprintf("w=%d", w), strong(90, 8), core.DirectedTwoHop{}, 17, DirectedConfig{Workers: w})
-		converged(t, simtest.Run(t, row, stream.SubscriberFunc(func(e *stream.Event) {
-			d := e.DirectedDelta
-			for _, a := range d.NewArcs {
-				if !sh.AddArc(a.U, a.V) {
-					t.Fatalf("round %d: delta arc %v already in shadow graph", d.Round, a)
-				}
+	sh, lastRemaining := strong(90, 8)(), -1
+	row := directed("directed", strong(90, 8), core.DirectedTwoHop{}, 17, DirectedConfig{})
+	converged(t, simtest.Run(t, row, stream.SubscriberFunc(func(e *stream.Event) {
+		d := e.DirectedDelta
+		for _, a := range d.NewArcs {
+			if !sh.AddArc(a.U, a.V) {
+				t.Fatalf("round %d: delta arc %v already in shadow graph", d.Round, a)
 			}
-			lastRemaining = d.ClosureArcsRemaining
-			if !sh.Equal(e.Digraph) {
-				t.Fatalf("Workers=%d round %d: accumulated deltas diverge from the live graph", w, d.Round)
-			}
-		})))
-		if lastRemaining != 0 {
-			t.Fatalf("Workers=%d: final ClosureArcsRemaining = %d", w, lastRemaining)
 		}
+		lastRemaining = d.ClosureArcsRemaining
+		if !sh.Equal(e.Digraph) {
+			t.Fatalf("round %d: accumulated deltas diverge from the live graph", d.Round)
+		}
+	})))
+	if lastRemaining != 0 {
+		t.Fatalf("final ClosureArcsRemaining = %d", lastRemaining)
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // goldens and its complement views. Its determinism and step-vs-run rows
 // are in the conformance table.
 
-// TestDenseGoldens pins the dense trajectory for both engine families —
-// the dense phase has goldens of its own, exactly as the legacy engines
-// do (TestDeterminismSequentialPathUnchanged). If these values move, the
+// TestDenseGoldens pins the dense trajectory for both session types — the
+// dense phase has goldens of its own, exactly as the default round does
+// (TestDeterminismSequentialPathUnchanged). If these values move, the
 // dense sampling order has changed.
 func TestDenseGoldens(t *testing.T) {
 	dcycle := func() *graph.Directed { return gen.DirectedCycle(24) }
@@ -27,12 +27,8 @@ func TestDenseGoldens(t *testing.T) {
 	}{
 		{session("w=0", cycle(32), core.Push{}, 1, Config{DensePhase: 0.25}),
 			Result{Rounds: 43, Converged: true, Proposals: 1183, NewEdges: 464, DuplicateProposals: 719}},
-		{session("w=1", cycle(32), core.Push{}, 1, Config{Workers: 1, DensePhase: 0.25}),
-			Result{Rounds: 40, Converged: true, Proposals: 1127, NewEdges: 464, DuplicateProposals: 663}},
 		{directed("directed/w=0", dcycle, core.DirectedTwoHop{}, 2, DirectedConfig{DensePhase: 0.5}),
 			DirectedResult{Rounds: 30, Converged: true, Proposals: 686, NewArcs: 528, DuplicateProposals: 158, TargetArcs: 552}},
-		{directed("directed/w=1", dcycle, core.DirectedTwoHop{}, 2, DirectedConfig{Workers: 1, DensePhase: 0.5}),
-			DirectedResult{Rounds: 32, Converged: true, Proposals: 706, NewArcs: 528, DuplicateProposals: 178, TargetArcs: 552}},
 	} {
 		if got := simtest.Run(t, gd.row).Result; got != gd.want {
 			t.Fatalf("%s: dense golden moved: got %+v want %+v", gd.row.Name, got, gd.want)
@@ -49,8 +45,8 @@ func TestDenseOffKeepsLegacyGolden(t *testing.T) { checkLegacyGolden(t, Config{D
 // converges in under half the rounds of the scan-all-nodes act, a collapse
 // that no fast hardware can hide.
 func TestDenseConvergesFaster(t *testing.T) {
-	def := Run(gen.Cycle(256), core.Push{}, rng.New(3), Config{Workers: 1})
-	den := Run(gen.Cycle(256), core.Push{}, rng.New(3), Config{Workers: 1, DensePhase: 0.25})
+	def := Run(gen.Cycle(256), core.Push{}, rng.New(3), Config{})
+	den := Run(gen.Cycle(256), core.Push{}, rng.New(3), Config{DensePhase: 0.25})
 	if !def.Converged || !den.Converged || den.Rounds*2 >= def.Rounds {
 		t.Fatalf("dense mode not twice as fast: default %+v, dense %+v", def, den)
 	}
@@ -67,7 +63,7 @@ func TestDensePhaseValidation(t *testing.T) { densePhaseOutOfRange(t, -0.1, 1.5)
 func TestDenseDirectedStaysInsideClosure(t *testing.T) {
 	g := gen.RandomStronglyConnected(64, 24, rng.New(4))
 	target := g.TransitiveClosure()
-	if res := RunDirected(g, core.DirectedTwoHop{}, rng.New(5), DirectedConfig{Workers: 2, DensePhase: 1}); !res.Converged || !g.IsClosed() {
+	if res := RunDirected(g, core.DirectedTwoHop{}, rng.New(5), DirectedConfig{DensePhase: 1}); !res.Converged || !g.IsClosed() {
 		t.Fatalf("dense-from-round-1 directed run did not reach closure: %+v", res)
 	}
 	for _, a := range g.Arcs() {
@@ -83,7 +79,7 @@ func TestDenseDirectedStaysInsideClosure(t *testing.T) {
 // session families (the directed half is testDirectedMissingRowProperty).
 func TestDenseMissingDegreeDeltaViews(t *testing.T) {
 	g := gen.Cycle(48)
-	s := NewSession(g, core.Push{}, rng.New(6), Config{Workers: 2, DensePhase: 0.5})
+	s := NewSession(g, core.Push{}, rng.New(6), Config{DensePhase: 0.5})
 	defer s.Close()
 	for {
 		d, more := s.Step()
@@ -128,7 +124,7 @@ func testDirectedMissingRowProperty(t *testing.T, backend graph.Backend, denses 
 		g := gen.RandomStronglyConnected(80, 30, rng.New(14), backend)
 		target := g.TransitiveClosure()
 		s := NewDirectedSession(g, core.DirectedTwoHop{}, rng.New(15),
-			DirectedConfig{Workers: 2, DensePhase: dense})
+			DirectedConfig{DensePhase: dense})
 		for {
 			d, more := s.Step()
 			total := 0

@@ -41,10 +41,11 @@ type DirectedSession struct {
 
 // NewDirectedSession constructs a resumable directed session over g. The
 // transitive closure of g is computed here (no generator output is
-// consumed); the first step performs the engine-family dispatch. As with
-// Session, any negative cfg.MaxRounds means unbounded stepping, and junk
-// configuration panics here with a clear message (see round.setup).
+// consumed). As with Session, any negative cfg.MaxRounds means unbounded
+// stepping, and junk configuration panics here with a clear message (see
+// round.setup).
 func NewDirectedSession(g *graph.Directed, p core.DirectedProcess, r *rng.Rand, cfg DirectedConfig) *DirectedSession {
+	validateWorkers(cfg.Workers, "DirectedConfig.Workers")
 	n := g.N()
 	comp, reach := g.Condensation()
 	s := &DirectedSession{
@@ -61,9 +62,9 @@ func NewDirectedSession(g *graph.Directed, p core.DirectedProcess, r *rng.Rand, 
 	}
 	s.round = round[*graph.Directed, graph.Arc]{
 		g: g, n: n, p: p, r: r, sub: s,
-		mode: cfg.Mode, workers: cfg.Workers, maxRounds: cfg.MaxRounds,
+		mode: cfg.Mode, maxRounds: cfg.MaxRounds,
 	}
-	s.setup("DirectedConfig.Workers", DefaultDirectedMaxRounds(n), cfg.DensePhase, s.targetArcs)
+	s.setup(DefaultDirectedMaxRounds(n), cfg.DensePhase, s.targetArcs)
 	return s
 }
 
@@ -194,7 +195,6 @@ func (s *DirectedSession) MissingClosureDegree(u int) int {
 
 // Stats returns a snapshot of the cumulative run statistics: the round
 // core's counters under their directed names, plus the closure target. O(1).
-// DirectedResult is bit-identical for every Workers >= 1 by contract.
 func (s *DirectedSession) Stats() DirectedResult {
 	return DirectedResult{
 		Rounds:             s.res.Rounds,

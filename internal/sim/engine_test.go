@@ -9,9 +9,9 @@ import (
 	"gossipdisc/internal/rng"
 )
 
-// TestDeterminismSequentialPathUnchanged pins the Workers == 0 engine's
-// rng consumption (one stream, node order) to a golden Result: if it
-// fails, the sequential path's bit-compatibility contract is broken.
+// TestDeterminismSequentialPathUnchanged pins the round's rng consumption
+// (one stream, node order) to a golden Result: if it fails, the round's
+// bit-compatibility contract is broken.
 func TestDeterminismSequentialPathUnchanged(t *testing.T) { checkLegacyGolden(t, Config{}) }
 
 // checkLegacyGolden runs push on the 32-cycle, seed 1, on cfg.
@@ -60,9 +60,9 @@ func checkSynchronous(t *testing.T, n int, cfg Config) {
 	}
 }
 
-// TestParallelSynchronousSemantics: the sharded engine keeps it too; 97 is
-// not a multiple of the shard size, so the tail shard is exercised.
-func TestParallelSynchronousSemantics(t *testing.T) { checkSynchronous(t, 97, Config{Workers: 4}) }
+// TestParallelSynchronousSemantics: the same on 97 nodes, which the one
+// act call covers in full.
+func TestParallelSynchronousSemantics(t *testing.T) { checkSynchronous(t, 97, Config{}) }
 
 // checkDuplicates: fixedProbe proposes one edge from each of n nodes, so
 // round one has 1 new edge and n-1 duplicates.
@@ -74,46 +74,52 @@ func checkDuplicates(t *testing.T, n int, cfg Config) {
 	}
 }
 
-// TestParallelDuplicateAccounting: duplicates across shards are counted
-// exactly as the sequential engine counts them.
-func TestParallelDuplicateAccounting(t *testing.T) { checkDuplicates(t, 100, Config{Workers: 4}) }
+// TestParallelDuplicateAccounting: duplicates within one round are counted
+// on 100 nodes as on 4.
+func TestParallelDuplicateAccounting(t *testing.T) { checkDuplicates(t, 100, Config{}) }
 
-// TestParallelEngineInvariants: a full parallel run preserves the graph
-// invariants and reaches the same terminal object (the complete graph).
+// TestParallelEngineInvariants: a full run preserves the graph invariants
+// and reaches the terminal object (the complete graph, the closure).
 func TestParallelEngineInvariants(t *testing.T) {
 	g := gen.RandomTree(130, rng.New(21))
-	if res := Run(g, core.PushPull{}, rng.New(22), Config{Workers: 4}); !res.Converged || !g.IsComplete() {
-		t.Fatalf("parallel push-pull did not complete: %+v", res)
+	if res := Run(g, core.PushPull{}, rng.New(22), Config{}); !res.Converged || !g.IsComplete() {
+		t.Fatalf("push-pull did not complete: %+v", res)
 	}
 	g.CheckInvariants()
 	d := gen.DirectedCycle(40)
-	if res := RunDirected(d, core.DirectedTwoHop{}, rng.New(23), DirectedConfig{Workers: 4}); !res.Converged || !d.IsClosed() {
-		t.Fatalf("parallel directed run did not close: %+v", res)
+	if res := RunDirected(d, core.DirectedTwoHop{}, rng.New(23), DirectedConfig{}); !res.Converged || !d.IsClosed() {
+		t.Fatalf("directed run did not close: %+v", res)
 	}
 	d.CheckInvariants()
 }
 
 // TestParallelObserverAndDone: subscribers and a custom Done predicate run
-// on the committing goroutine between rounds, exactly as in the sequential
-// engine.
+// on the stepping goroutine between rounds.
 func TestParallelObserverAndDone(t *testing.T) {
-	g, res := observed(t, 80, 31, Config{Workers: 4, Done: func(g *graph.Undirected) bool { return g.MinDegree() >= 3 }})
+	g, res := observed(t, 80, 31, Config{Done: func(g *graph.Undirected) bool { return g.MinDegree() >= 3 }})
 	if !res.Converged || g.MinDegree() < 3 {
 		t.Fatalf("custom done not reached: %+v", res)
 	}
 }
 
-// TestParallelTinyGraphs: engine edge cases — n smaller than one shard,
-// n == 0, workers far above the shard count, already-converged entry.
+// TestParallelTinyGraphs: round edge cases — n == 0, 1 and 3, and a graph
+// complete at entry, which consumes nothing. On the ones that run, every
+// node acts exactly once per round.
 func TestParallelTinyGraphs(t *testing.T) {
-	for _, c := range []struct {
-		g       *graph.Undirected
-		workers int
-	}{{gen.Path(3), 16}, {graph.NewUndirected(0), 8}, {gen.Complete(5), 8}} {
-		done := c.g.IsComplete()
-		res := Run(c.g, core.Push{}, rng.New(1), Config{Workers: c.workers})
-		if !res.Converged || !c.g.IsComplete() || done && (res.Rounds != 0 || res.Proposals != 0) {
-			t.Fatalf("n=%d, Workers=%d, complete at entry %v: %+v", c.g.N(), c.workers, done, res)
+	for _, g := range []*graph.Undirected{gen.Path(3), graph.NewUndirected(0), graph.NewUndirected(1), gen.Complete(5)} {
+		done := g.IsComplete()
+		res := Run(g, core.Push{}, rng.New(1), Config{})
+		if !res.Converged || !g.IsComplete() || done && (res.Rounds != 0 || res.Proposals != 0) {
+			t.Fatalf("n=%d, complete at entry %v: %+v", g.N(), done, res)
+		}
+	}
+	for _, n := range []int{0, 1, 3, 33} {
+		seen := make([]int, n)
+		NewSession(gen.Path(n), nodeCounter{seen}, rng.New(1), Config{Done: func(*graph.Undirected) bool { return false }, MaxRounds: 1}).Run()
+		for u, c := range seen {
+			if c != 1 {
+				t.Fatalf("n=%d: node %d acted %d times in one round", n, u, c)
+			}
 		}
 	}
 }
@@ -129,21 +135,16 @@ func (fixedArcProbe) Act(g *graph.Directed, u int, r *rng.Rand, propose func(a, 
 
 // TestActMayKeepState: every round acts on the stepping goroutine, so a
 // process may keep plain, unsynchronized state in Act. Under -race a
-// counter bumped on every call must count the same calls, and the run
-// must give the same Result, at Workers 4 as at Workers 1.
+// counter bumped on every call must count n calls per round, and the run
+// must give Push's Result.
 func TestActMayKeepState(t *testing.T) {
-	run := func(workers int) (Result, int) {
-		p := &countingPush{}
-		res := Run(gen.Cycle(256), p, rng.New(5), Config{Workers: workers, MaxRounds: 40})
-		return res, p.calls
+	p := &countingPush{}
+	res := Run(gen.Cycle(256), p, rng.New(5), Config{MaxRounds: 40})
+	if want := Run(gen.Cycle(256), core.Push{}, rng.New(5), Config{MaxRounds: 40}); res != want {
+		t.Fatalf("counting push: %+v; push: %+v", res, want)
 	}
-	res1, calls1 := run(1)
-	res4, calls4 := run(4)
-	if res1 != res4 || calls1 != calls4 {
-		t.Fatalf("Workers 4: %+v after %d calls; Workers 1: %+v after %d calls", res4, calls4, res1, calls1)
-	}
-	if calls1 != 256*res1.Rounds {
-		t.Fatalf("%d calls over %d rounds of 256 nodes", calls1, res1.Rounds)
+	if p.calls != 256*res.Rounds {
+		t.Fatalf("%d calls over %d rounds of 256 nodes", p.calls, res.Rounds)
 	}
 }
 
@@ -154,66 +155,6 @@ func (*countingPush) Name() string { return "counting-push" }
 func (c *countingPush) Act(g *graph.Undirected, u int, r *rng.Rand, propose func(a, b int)) {
 	c.calls++
 	core.Push{}.Act(g, u, r, propose)
-}
-
-// TestNewEngineLayout: n below one shard (0 and 1 included) yields one
-// shard over exactly [0, n); every layout partitions [0, n) and acts each
-// node once, whatever the worker count; a negative n panics.
-func TestNewEngineLayout(t *testing.T) {
-	for _, tc := range []struct {
-		name                   string
-		n, workers, wantShards int
-	}{
-		{"empty graph", 0, 0, 1},
-		{"single node", 1, 0, 1},
-		{"below one shard", 3, 0, 1},
-		{"exactly one shard", 32, 0, 1},
-		{"one past a shard", 33, 0, 2},
-		// A session's worker count, below or above the shard count, leaves
-		// the layout at ceil(n/32) shards.
-		{"many shards few workers", 256, 3, 8},
-		{"workers above shards", 64, 100, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			seen := make([]int, tc.n)
-			shards := newShards(tc.n, rng.New(1))
-			if tc.workers > 0 {
-				s := NewSession(gen.Cycle(tc.n), nodeCounter{seen}, rng.New(1), Config{Workers: tc.workers})
-				defer s.Close()
-				s.Step()
-				shards = s.shards
-			} else {
-				// The round core's act over the shards, as a round runs it.
-				r := &round[*graph.Undirected, graph.Edge]{p: nodeCounter{seen}, shards: shards}
-				for _, sh := range shards {
-					r.act(sh.lo, sh.hi, sh.r)
-				}
-			}
-			if len(shards) != tc.wantShards {
-				t.Fatalf("n=%d workers=%d: %d shards want %d", tc.n, tc.workers, len(shards), tc.wantShards)
-			}
-			// The shards partition [0, n) exactly: contiguous, non-overlapping,
-			// clamped to n, each with its own stream.
-			next := 0
-			for i, sh := range shards {
-				if sh.lo != next || sh.hi < sh.lo || sh.hi > max(tc.n, 0) || sh.r == nil {
-					t.Fatalf("shard %d [%d,%d) breaks the partition at %d", i, sh.lo, sh.hi, next)
-				}
-				next = sh.hi
-			}
-			if next != tc.n {
-				t.Fatalf("shards cover [0,%d) want [0,%d)", next, tc.n)
-			}
-			for u, c := range seen {
-				if c != 1 {
-					t.Fatalf("node %d acted %d times in one round", u, c)
-				}
-			}
-		})
-	}
-	t.Run("negative n panics", func(t *testing.T) {
-		mustPanic(t, func() { newShards(-1, rng.New(1)) })
-	})
 }
 
 // nodeCounter counts each node's Act calls and proposes nothing.

@@ -139,7 +139,7 @@ func TestEdgesRemainingMembershipAware(t *testing.T) {
 func membershipAudit(t *testing.T, backend graph.Backend, dense float64) (*graph.Undirected, uint64) {
 	const n = 48
 	name := fmt.Sprintf("%v/dense=%v", backend, dense)
-	s, alive := tracked(gen.Cycle(n, backend), 32, 21, Config{Workers: 2, DensePhase: dense})
+	s, alive := tracked(gen.Cycle(n, backend), 32, 21, Config{DensePhase: dense})
 	defer s.Close()
 	rt, fp := simtest.Undirected(s), simtest.NewFingerprint()
 	inv := simtest.NewInvariants(t, name, rt)
@@ -208,7 +208,7 @@ func TestBackendSessionMembershipLockstep(t *testing.T) {
 // neither gossip nor accept connections.
 func TestDenseMembershipSkipsDeparted(t *testing.T) {
 	g := gen.Cycle(64)
-	s, _ := tracked(g, 64, 9, Config{Workers: 2, DensePhase: 1})
+	s, _ := tracked(g, 64, 9, Config{DensePhase: 1})
 	defer s.Close()
 	s.RemoveNode(10)
 	s.RemoveNode(11)

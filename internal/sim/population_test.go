@@ -16,10 +16,12 @@ import (
 // table's allocation checks.
 
 // TestPopulationUniformByteIdentity: a Population with no roles assigned
-// gives the bare process's Result and delta stream on every engine family
-// and dense-phase setting, so wrapping every run in one is free. A bare
-// Push or Pull takes its block act, ActRange; a uniform Population acts
-// node by node through the same process, and the two must agree.
+// gives the bare process's Result and delta stream with the dense phase
+// off and on, so wrapping every run in one is free. A bare Push or Pull
+// takes its block act, ActRange; a uniform Population acts node by node
+// through the same process, and the two must agree. Workers is ignored, so
+// the w=1 and w=4 rows run the same round as w=0; they stay until the
+// field goes (ROADMAP item 1).
 func TestPopulationUniformByteIdentity(t *testing.T) {
 	const n = 96
 	cases := []struct {
@@ -51,8 +53,8 @@ func TestPopulationUniformByteIdentity(t *testing.T) {
 
 // TestPopulationUniformByteIdentityDirected is the directed twin: a bare
 // DirectedTwoHop takes its block act, a uniform DirectedPopulation acts
-// node by node, and Result and delta stream must be the same on every
-// engine family with the dense phase off and on.
+// node by node, and Result and delta stream must be the same with the
+// dense phase off and on.
 func TestPopulationUniformByteIdentityDirected(t *testing.T) {
 	const n = 96
 	build := func() *graph.Directed { return gen.RandomStronglyConnected(n, n/2, rng.New(7000+n)) }
@@ -69,40 +71,35 @@ func TestPopulationUniformByteIdentityDirected(t *testing.T) {
 }
 
 // TestPopulationBitReplay: a mixed population replays bit-identically
-// from (seed, roles) at every Workers >= 1 — the sharded engines share
-// one per-shard stream layout, so the schedule cannot leak into the
-// trajectory even when nodes run different behaviors — and the roles
-// actually bite: the uniform trajectory differs.
+// from (seed, roles), run after run on the one population value, and the
+// roles actually bite: the uniform trajectory differs.
 func TestPopulationBitReplay(t *testing.T) {
 	const n = 128
-	bounded := func(p core.Process, workers int) simtest.Row {
-		return session(fmt.Sprintf("w=%d", workers), cycle(n), p, 99, Config{
-			Workers: workers, MaxRounds: 200, Done: func(*graph.Undirected) bool { return false },
-		})
+	bounded := func(name string, p core.Process) simtest.Row {
+		return session(name, cycle(n), p, 99, Config{MaxRounds: 200, Done: func(*graph.Undirected) bool { return false }})
 	}
 	pop, err := core.ParseRoleSpec("honest,byzantine=5%,selfish=10:0-99,silent=3", n, core.Push{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := simtest.Identical(t, simtest.Axis([]int{1, 2, 4, 7, 4}, func(w int) simtest.Row { return bounded(pop, w) })...)
-	if simtest.Run(t, bounded(core.Push{}, 1)).Hash == want.Hash {
+	want := simtest.Identical(t, bounded("first", pop), bounded("replay", pop))
+	if simtest.Run(t, bounded("uniform", core.Push{})).Hash == want.Hash {
 		t.Fatal("mixed population produced the uniform trajectory — roles had no effect")
 	}
 }
 
 // TestPopulationMutationDeterministic drives two sessions through the
 // same step/mutate schedule — retuning a role class and overriding
-// individual nodes between steps — on different worker counts, and
-// requires identical trajectories. Mutation between steps is part of the
+// individual nodes between steps — and requires identical trajectories. Mutation between steps is part of the
 // determinism contract (mirroring eventsim's RateMap mid-run retuning).
 func TestPopulationMutationDeterministic(t *testing.T) {
 	const n = 96
-	trajectory := func(workers int) simtest.Outcome {
+	trajectory := func() simtest.Outcome {
 		pop, err := core.ParseRoleSpec("byzantine=8,selfish=4:0-31", n, core.Push{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := steady(gen.Cycle(n), pop, 7, Config{Workers: workers})
+		s := steady(gen.Cycle(n), pop, 7, Config{})
 		defer s.Close()
 		rt, fp := simtest.Undirected(s), simtest.NewFingerprint()
 		for step := 0; step < 60; step++ {
@@ -122,11 +119,8 @@ func TestPopulationMutationDeterministic(t *testing.T) {
 		}
 		return simtest.Outcome{Result: s.Stats(), Hash: fp.Sum}
 	}
-	want := trajectory(1)
-	for _, workers := range []int{2, 4} {
-		if got := trajectory(workers); got != want {
-			t.Fatalf("workers=%d: %+v %#x, workers=1: %+v %#x", workers, got.Result, got.Hash, want.Result, want.Hash)
-		}
+	if got, want := trajectory(), trajectory(); got != want {
+		t.Fatalf("replay: %+v %#x, first run: %+v %#x", got.Result, got.Hash, want.Result, want.Hash)
 	}
 }
 

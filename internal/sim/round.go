@@ -10,12 +10,12 @@ import (
 )
 
 // This file is the round core under Session and DirectedSession: the
-// lifecycle, the lazy engine dispatch, the round body and the dense-phase
-// act, written once over the graph type G and the proposal type P. The
-// paper's third process is the same two-hop walk read over out-neighbours,
-// and above the graph the two runs differ only in what a proposal commits
-// to and what counts as done; that part sits behind substrate, which each
-// session type implements itself.
+// lifecycle, the round body and the dense-phase act, written once over the
+// graph type G and the proposal type P. The paper's third process is the
+// same two-hop walk read over out-neighbours, and above the graph the two
+// runs differ only in what a proposal commits to and what counts as done;
+// that part sits behind substrate, which each session type implements
+// itself.
 //
 // # Lifecycle
 //
@@ -25,9 +25,10 @@ import (
 //	running  — at least one round executed
 //	finished — the termination predicate fired, or the budget is exhausted
 //
-// The engine is created lazily on the first step, so a session whose graph
-// is done at entry consumes no generator output at all — exactly as the Run
-// facades behaved. Close ends the session; it is idempotent.
+// Nothing draws from the generator before the first round, so a session
+// whose graph is done at entry consumes no generator output at all —
+// exactly as the Run facades behaved. Close ends the session; it is
+// idempotent.
 
 // pair is the shape of a proposal: graph.Edge and graph.Arc are both
 // struct{ U, V int }, so the one propose closure builds either as
@@ -72,7 +73,7 @@ type substrate[P pair] interface {
 // (core.Pull.ActRange, core.DirectedTwoHop.ActRange). The churn runtime's
 // core.Crashed{Push} and core.CrashedPull do the same with their liveness
 // mask handed to the graph (core.Crashed over another inner loops over its
-// Act). dispatch asks for it once, on the process exactly as configured: any
+// Act). setup asks for it once, on the process exactly as configured: any
 // other wrapper (a population, core.Wrap / WrapDirected with a behavior
 // chain) does not have it and acts node by node, as do eager commits, the
 // dense phase, RunAsync and eventsim. Wrap(p) with an empty chain
@@ -101,7 +102,6 @@ type round[G any, P pair] struct {
 	sub substrate[P]
 
 	mode      CommitMode
-	workers   int
 	maxRounds int
 
 	started  bool
@@ -116,18 +116,12 @@ type round[G any, P pair] struct {
 	// otherwise, once sub.missing() drops to the threshold, dense flips
 	// true and the act phase samples proposals from the missing set instead
 	// of scanning all nodes (see Config.DensePhase). densePrefix is the
-	// sequential engine's reusable prefix-sum scratch (shard calls scan
-	// their <= shardNodes range linearly).
+	// reusable prefix-sum scratch.
 	denseThreshold int
 	dense          bool
 	densePrefix    []int
 
-	// shards is the act phase's node ranges and their streams, set by
-	// dispatch: the sharded engine's fixed layout (engine.go) under
-	// synchronous mode with Workers >= 1, else [0, n) on the session's r.
-	shards []shard
-
-	// ranged is the process's block form, set by dispatch when a synchronous
+	// ranged is the process's block form, set by setup when a synchronous
 	// session's process has one (see rangeActor); nil means every act goes
 	// node by node through p.Act.
 	ranged rangeActor[G, P]
@@ -141,14 +135,13 @@ type round[G any, P pair] struct {
 
 // setup runs the constructor checks both sessions share, on a round whose
 // configuration fields the session has filled in. Junk fails fast here rather
-// than misbehaving downstream: a negative workers (field names it in the
-// panic), a mode that is no CommitMode and a densePhase outside [0, 1] —
-// NaN included — panic (TestNewSessionRejectsJunkConfig). maxRounds == 0 selects defaultRounds,
-// any negative value means unbounded. A densePhase in (0, 1] arms the dense
-// phase at densePhase × denseTotal missing units, under CommitSynchronous
-// only.
-func (r *round[G, P]) setup(field string, defaultRounds int, densePhase float64, denseTotal int) {
-	validateWorkers(r.workers, field)
+// than misbehaving downstream: a mode that is no CommitMode and a densePhase
+// outside [0, 1] — NaN included — panic (TestNewSessionRejectsJunkConfig).
+// maxRounds == 0 selects defaultRounds, any negative value means unbounded.
+// A densePhase in (0, 1] arms the dense phase at densePhase × denseTotal
+// missing units, under CommitSynchronous only. setup then hoists the
+// commit mode's propose closure and takes the process's block form.
+func (r *round[G, P]) setup(defaultRounds int, densePhase float64, denseTotal int) {
 	if r.mode != CommitSynchronous && r.mode != CommitEager {
 		panic(fmt.Sprintf("sim: unknown commit mode %d", r.mode))
 	}
@@ -164,14 +157,6 @@ func (r *round[G, P]) setup(field string, defaultRounds int, densePhase float64,
 	if densePhase > 0 && r.mode == CommitSynchronous {
 		r.denseThreshold = int(densePhase * float64(denseTotal))
 	}
-}
-
-// dispatch performs the engine-family setup. It runs lazily, at the first
-// step that actually executes a round, so a session that is done at entry
-// (or never stepped) consumes no generator output. A session resumed by a
-// membership mutation after finishing at entry dispatches here too.
-func (r *round[G, P]) dispatch() {
-	r.shards = []shard{{hi: r.n, r: r.r}}
 	if r.mode == CommitEager {
 		r.propose = func(a, b int) {
 			r.res.Proposals++
@@ -185,22 +170,20 @@ func (r *round[G, P]) dispatch() {
 	}
 	r.ranged, _ = r.p.(rangeActor[G, P])
 	r.propose = func(a, b int) { r.buf = append(r.buf, P{U: a, V: b}) }
-	if r.workers != 0 {
-		r.shards = newShards(r.n, r.r)
-	}
 }
 
-// act runs the act phase of the nodes [lo, hi) on the stream gen, appending
-// their proposals to buf (or, under eager commits, committing them).
-func (r *round[G, P]) act(lo, hi int, gen *rng.Rand) {
+// act runs the act phase: every node acts on G_t, in node order on the
+// session's stream, appending its proposals to buf (or, under eager
+// commits, committing them).
+func (r *round[G, P]) act() {
 	switch {
 	case r.dense:
-		r.denseAct(lo, hi, gen)
+		r.denseAct()
 	case r.ranged != nil:
-		r.buf = r.ranged.ActRange(r.g, lo, hi, gen, r.buf)
+		r.buf = r.ranged.ActRange(r.g, 0, r.n, r.r, r.buf)
 	default:
-		for u := lo; u < hi; u++ {
-			r.p.Act(r.g, u, gen, r.propose)
+		for u := 0; u < r.n; u++ {
+			r.p.Act(r.g, u, r.r, r.propose)
 		}
 	}
 }
@@ -224,9 +207,6 @@ func (r *round[G, P]) step() bool {
 		r.finished = true
 		return false
 	}
-	if r.propose == nil {
-		r.dispatch()
-	}
 	if r.denseThreshold >= 0 && !r.dense && r.sub.missing() <= r.denseThreshold {
 		// Crossing the threshold is one-way: the graph only grows, so the
 		// missing count never climbs back above it.
@@ -235,11 +215,7 @@ func (r *round[G, P]) step() bool {
 	num := r.res.Rounds + 1
 	r.buf = r.buf[:0]
 
-	// Act phase: every node acts on G_t before anything commits, shard by
-	// shard; shards are contiguous, so buf ends in node order.
-	for _, sh := range r.shards {
-		r.act(sh.lo, sh.hi, sh.r)
-	}
+	r.act()
 	if r.mode == CommitSynchronous {
 		// One grouped commit filters the accepted proposals into the front
 		// of buf: state-identical to per-edge commits in node order, and the
@@ -265,77 +241,44 @@ func (r *round[G, P]) step() bool {
 	return true
 }
 
-// denseAct is the dense-phase act body for the node range [lo, hi): the
-// whole range under the sequential engine, one shard under the sharded one
-// (each shard draws from its own stream, which is what keeps dense rounds
-// bit-identical for every Workers >= 1). Instead of letting every node
+// denseAct is the dense-phase act body. Instead of letting every node
 // gossip — near the end almost every such proposal is a duplicate — it
-// samples up to hi-lo proposals from the range's missing incidences: a draw
+// samples up to n proposals from the graph's missing incidences: a draw
 // picks t uniform in [0, Σ missingDegree(u)), which lands on node u with
 // probability proportional to u's missing work and on u's t'-th missing
 // partner w uniformly within it, and proposes exactly the missing (u, w).
-// Every draw reads only the committed graph, so the act phase stays
-// read-only. Ranges (and whole rounds) with no missing work consume no
-// generator output.
-func (r *round[G, P]) denseAct(lo, hi int, gen *rng.Rand) {
-	// Locating a draw's node: shard calls cover at most shardNodes nodes
-	// and scan their missing degrees linearly; the sequential engine's
-	// whole-graph call builds prefix sums once per round and binary-
-	// searches each draw, keeping the round O(n + budget·(log n + n/64))
-	// instead of O(n·budget). Both map t to the identical (u, t') pair —
-	// the graph is read-only during the act — so the two lookups share
-	// one deterministic trajectory.
-	sub := r.sub
-	width := hi - lo
-	var prefix []int
+// Prefix sums, built once per round, locate each draw's node by binary
+// search, keeping the round O(n + budget·(log n + n/64)) instead of
+// O(n·budget). Every draw reads only the committed graph, so the act phase
+// stays read-only. A round with no missing work consumes no generator
+// output.
+func (r *round[G, P]) denseAct() {
+	if cap(r.densePrefix) < r.n+1 {
+		r.densePrefix = make([]int, r.n+1)
+	}
+	prefix := r.densePrefix[:r.n+1]
 	tot := 0
-	if width > shardNodes {
-		if cap(r.densePrefix) < width+1 {
-			r.densePrefix = make([]int, width+1)
-		}
-		prefix = r.densePrefix[:width+1]
-		prefix[0] = 0
-		for i := 0; i < width; i++ {
-			tot += sub.missingDegree(lo + i)
-			prefix[i+1] = tot
-		}
-	} else {
-		for u := lo; u < hi; u++ {
-			tot += sub.missingDegree(u)
-		}
+	for u := 0; u < r.n; u++ {
+		tot += r.sub.missingDegree(u)
+		prefix[u+1] = tot
 	}
 	if tot == 0 {
 		return
 	}
-	for range min(width, tot) {
-		t := gen.Intn(tot)
-		var u int
-		if prefix != nil {
-			i := prefixOwner(prefix, t)
-			u = lo + i
-			t -= prefix[i]
-		} else {
-			u = lo
-			for {
-				md := sub.missingDegree(u)
-				if t < md {
-					break
-				}
-				t -= md
-				u++
-			}
-		}
-		if w, ok := sub.missingPick(u, t); ok {
+	for range min(r.n, tot) {
+		t := r.r.Intn(tot)
+		u := prefixOwner(prefix, t)
+		if w, ok := r.sub.missingPick(u, t-prefix[u]); ok {
 			r.buf = append(r.buf, P{U: u, V: w})
 		}
 	}
 }
 
-// prefixOwner returns the first i with prefix[i+1] > t: the node (offset)
-// whose slice of the prefix sums a dense-phase draw t lands in. A plain
-// loop, no closure; on go1.24 it times the same as the sort.Search it
-// replaced (64 vs 65 ns at width 2048), the probes' mispredicted branches
-// being the cost either way.
+// prefixOwner returns the first i with prefix[i+1] > t: the node whose
+// slice of the prefix sums a dense-phase draw t lands in. A plain loop, no
+// closure; on go1.24 it times the same as the sort.Search it replaced (64
+// vs 65 ns at width 2048), the probes' mispredicted branches being the
+// cost either way.
 func prefixOwner(prefix []int, t int) int {
 	lo, hi := 0, len(prefix)-1
 	for lo < hi {

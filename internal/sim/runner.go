@@ -24,26 +24,18 @@
 // loop of the uniform asynchronous model, kept as the reference the event
 // runtime (internal/eventsim) is checked against.
 //
-// # Shard layouts
+// # One stream per round
 //
-// Synchronous rounds are embarrassingly parallel: during a round the graph
-// is read-only and every node only *proposes* edges. Every round runs one
-// act loop over a list of shards, each a contiguous node range with its
-// own generator; Config.Workers (and DirectedConfig.Workers) only selects
-// the layout:
-//
-//   - Workers == 0 (the default) is one shard, [0, n), on the session's
-//     own generator, so every node draws from one stream in node order.
-//   - Workers >= 1 partitions the node set into fixed 32-node shards
-//     (engine.go); shard i acts with the i-th sequential split of the
-//     run's generator. Because the layout and streams depend only on n and
-//     the root generator, results are bit-identical for every
-//     Workers >= 1 and any GOMAXPROCS.
-//
-// Either way the shards act inline, in shard order, on the stepping
-// goroutine, and the round's proposals, in node order, are committed once
-// through the batched graph commit paths. Spreading the shards over
-// goroutines was measured not to pay (DESIGN.md, "Parallel trial pools").
+// The paper fixes what a round is — every node acts on G_t, and the
+// round's proposals commit together — but not which random stream each
+// node draws from. Here every synchronous round acts all nodes inline, in
+// node order, on the session's own generator, and commits the round's
+// proposals, in node order, once through the batched graph commit paths.
+// A run is therefore a pure function of (graph, process, generator), for
+// any GOMAXPROCS. Config.Workers is ignored: any other stream layout would
+// give a second trajectory with the same law, and acting a round on
+// several goroutines measured no faster (DESIGN.md, "Parallel trial
+// pools").
 //
 // # The parallel trial harness
 //
@@ -56,7 +48,7 @@
 // size. Trial-level parallelism is the only concurrency in this package: a
 // round runs on one goroutine.
 //
-// Both layouts allocate only at session start: the propose closure is hoisted
+// A session allocates only at its start: the propose closure is hoisted
 // out of the per-node loop, and the round buffer is reused across rounds,
 // so a steady-state round — equivalently, a steady-state Session.Step —
 // performs zero allocations.
@@ -74,12 +66,7 @@
 // a run on every runtime. Incremental consumers such as metrics.Trajectory
 // rebuild every snapshot quantity from the stream, so trajectory recording
 // costs O(new edges) per round instead of a full O(n + m) graph inspection.
-// Deltas obey the same determinism contract as Result: bit-identical for
-// every Workers >= 1.
-//
-// CommitEager is inherently sequential — its semantics *are* the node
-// order — so eager runs always use the one-shard layout and ignore
-// Workers.
+// Deltas obey the same determinism contract as Result.
 package sim
 
 import (
@@ -125,12 +112,10 @@ type Config struct {
 	MaxRounds int
 	// Mode selects the commit semantics (default CommitSynchronous).
 	Mode CommitMode
-	// Workers selects the shard layout. 0 (default) acts all nodes as one
-	// shard on the session's generator; every w >= 1 uses the fixed
-	// 32-node shards, whose results are identical for every w >= 1 (see
-	// the package comment for the determinism contract). A negative value
-	// is junk and panics at session construction. Ignored under
-	// CommitEager.
+	// Workers is ignored: every round acts all nodes on the session's
+	// generator (see the package comment). The field is kept only because
+	// cmd/bench still sets it; ROADMAP item 1 deletes it. A negative value
+	// still panics at session construction.
 	Workers int
 	// DensePhase, when in (0, 1], arms the dense-phase engine mode: once
 	// the number of missing node pairs drops to DensePhase × n(n-1)/2, the
@@ -145,11 +130,10 @@ type Config struct {
 	// convergence runs, not a re-expression of the process. 0 (the
 	// default) disables the mode and keeps every legacy result
 	// bit-identical; the dense trajectory is deterministic with its own
-	// goldens, and bit-identical for every Workers >= 1 (the dense act
-	// runs per shard on the shard's own stream). The switch is evaluated
-	// against the full graph (not the member subgraph) and, like Workers,
-	// applies only under CommitSynchronous; CommitEager ignores it. Values
-	// outside [0, 1] panic at session construction.
+	// goldens. The switch is evaluated against the full graph (not the
+	// member subgraph) and applies only under CommitSynchronous;
+	// CommitEager ignores it. Values outside [0, 1] panic at session
+	// construction.
 	DensePhase float64
 	// Done, if non-nil, overrides the convergence predicate (default:
 	// graph is complete). It is evaluated after every round.
@@ -172,16 +156,12 @@ type Result struct {
 	DuplicateProposals int
 }
 
-// validateWorkers rejects junk worker counts with a clear panic at session
-// construction, so library callers fail fast instead of tripping over
-// incidental downstream behavior (cmd/gossipsim's flag validation used to
-// be the only gate). 0 and every positive count are valid; every negative
-// value is a caller bug.
+// validateWorkers rejects a negative value of the ignored Workers field
+// with a clear panic at session construction, as it did while the field
+// chose a layout: a negative count is a caller bug.
 func validateWorkers(workers int, field string) {
 	if workers < 0 {
-		panic(fmt.Sprintf(
-			"sim: %s = %d is not a worker count (0 = sequential engine, >= 1 = sharded)",
-			field, workers))
+		panic(fmt.Sprintf("sim: %s = %d is not a worker count (the field is ignored; leave it 0)", field, workers))
 	}
 }
 
@@ -235,8 +215,9 @@ type DirectedConfig struct {
 	MaxRounds int
 	// Mode selects commit semantics (default CommitSynchronous).
 	Mode CommitMode
-	// Workers selects the shard layout, exactly as Config.Workers
-	// (including the junk-value panic at session construction).
+	// Workers is ignored, exactly as Config.Workers (including the panic
+	// on a negative value); it is kept only because cmd/bench still sets
+	// it, and ROADMAP item 1 deletes it.
 	Workers int
 	// DensePhase, when in (0, 1], arms the directed dense-phase mode: once
 	// the number of still-missing transitive-closure arcs drops to
@@ -246,8 +227,7 @@ type DirectedConfig struct {
 	// Dense proposals are always arcs of the initial graph's closure, so
 	// the closure invariant (and the termination counter built on it) is
 	// preserved. Semantics otherwise mirror Config.DensePhase: 0 disables,
-	// sync-only, bit-identical for every Workers >= 1, panics outside
-	// [0, 1].
+	// sync-only, panics outside [0, 1].
 	DensePhase float64
 	// Done, if non-nil, overrides the termination predicate (default: the
 	// graph contains the transitive closure of the initial graph). It is

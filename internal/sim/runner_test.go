@@ -197,19 +197,16 @@ func TestDefaultBudgetsSaturate(t *testing.T) {
 // parity with Config.Done) stops the run at 90% closure, on both engine
 // families.
 func TestRunDirectedCustomDone(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		g := gen.DirectedCycle(48)
-		m0 := g.M()
-		target := g.ClosureArcCount()
-		// Stop when 90% of the initially missing closure arcs are present.
-		goal := m0 + (9*(target-m0)+9)/10
-		res := RunDirected(g, core.DirectedTwoHop{}, rng.New(17), DirectedConfig{
-			Workers: workers,
-			Done:    func(g *graph.Directed) bool { return g.M() >= goal },
-		})
-		if !res.Converged || g.M() < goal || g.IsClosed() || res.TargetArcs != target {
-			t.Fatalf("Workers=%d: %+v with %d arcs, goal %d, closed %v, target %d", workers, res, g.M(), goal, g.IsClosed(), target)
-		}
+	g := gen.DirectedCycle(48)
+	m0 := g.M()
+	target := g.ClosureArcCount()
+	// Stop when 90% of the initially missing closure arcs are present.
+	goal := m0 + (9*(target-m0)+9)/10
+	res := RunDirected(g, core.DirectedTwoHop{}, rng.New(17), DirectedConfig{
+		Done: func(g *graph.Directed) bool { return g.M() >= goal },
+	})
+	if !res.Converged || g.M() < goal || g.IsClosed() || res.TargetArcs != target {
+		t.Fatalf("%+v with %d arcs, goal %d, closed %v, target %d", res, g.M(), goal, g.IsClosed(), target)
 	}
 }
 

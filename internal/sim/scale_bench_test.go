@@ -16,14 +16,14 @@ import (
 // from complete. heapMB reports the live heap after the run, so per-edge
 // cost regressions show up, not just wall time.
 
-// benchScale runs `rounds` sync push rounds on an n-cycle over backend at
-// Workers 4. heapMB is the live heap with the final run's graph still
+// benchScale runs `rounds` sync push rounds on an n-cycle over backend.
+// heapMB is the live heap with the final run's graph still
 // reachable.
 func benchScale(b *testing.B, backend graph.Backend, n, rounds int) {
 	var g *graph.Undirected
 	for i := 0; i < b.N; i++ {
 		g = gen.Cycle(n, backend)
-		res := Run(g, core.Push{}, rng.New(uint64(i)+1), Config{MaxRounds: rounds, Workers: 4})
+		res := Run(g, core.Push{}, rng.New(uint64(i)+1), Config{MaxRounds: rounds})
 		if res.Rounds != rounds || res.NewEdges == 0 {
 			b.Fatalf("run stopped after %d rounds with %d new edges", res.Rounds, res.NewEdges)
 		}
@@ -66,7 +66,7 @@ func TestScaleSparseSmoke(t *testing.T) {
 	if md := g.MissingDegree(0); md != n-3 {
 		t.Fatalf("MissingDegree(0) = %d, want %d", md, n-3)
 	}
-	res := Run(g, core.Push{}, rng.New(1), Config{MaxRounds: 3, Workers: 2})
+	res := Run(g, core.Push{}, rng.New(1), Config{MaxRounds: 3})
 	if res.Rounds != 3 || res.NewEdges == 0 {
 		t.Fatalf("smoke run: %+v", res)
 	}

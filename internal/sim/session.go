@@ -18,12 +18,12 @@ import (
 // the graph. The fire-and-forget Run facade in runner.go is a thin wrapper
 // over a Session, so the two are bit-identical by construction: a Session
 // consumes exactly the generator stream the facade consumed, round for
-// round, for every engine family (Workers == 0, Workers >= 1, CommitEager).
+// round, for every engine family (synchronous, dense phase, CommitEager).
 //
-// The lifecycle, the engine dispatch and the round body are the round core's
-// (round.go), shared with DirectedSession; what is here is what is really
-// undirected: the completeness target, membership, AddEdge injection and
-// coverage. Between steps the session — including its graph — may be
+// The lifecycle, the commit-mode setup and the round body are the round
+// core's (round.go), shared with DirectedSession; what is here is what is
+// really undirected: the completeness target, membership, AddEdge
+// injection and coverage. Between steps the session — including its graph — may be
 // mutated; see the membership section below.
 //
 // # Membership and between-step mutation
@@ -68,9 +68,8 @@ type Session struct {
 
 // NewSession constructs a resumable session over g. The session owns the
 // run exactly as Run does: p acts on g under cfg's commit semantics and
-// engine family, drawing every random choice from r (or, for Workers >= 1,
-// from r's sequential splits). Nothing is consumed from r
-// until the first step. cfg.MaxRounds keeps its Run semantics (0 selects
+// engine family, drawing every random choice from r. Nothing is consumed
+// from r until the first step. cfg.MaxRounds keeps its Run semantics (0 selects
 // the default budget) with one session-only extension: any negative
 // MaxRounds means unbounded, for open-ended stepping under churn.
 //
@@ -78,6 +77,7 @@ type Session struct {
 // negative Workers, an unknown Mode and a DensePhase outside [0, 1] panic
 // with a clear message (see round.setup).
 func NewSession(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Config) *Session {
+	validateWorkers(cfg.Workers, "Config.Workers")
 	n := g.N()
 	s := &Session{done: cfg.Done}
 	if s.done == nil {
@@ -85,9 +85,9 @@ func NewSession(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Config) *S
 	}
 	s.round = round[*graph.Undirected, graph.Edge]{
 		g: g, n: n, p: p, r: r, sub: s,
-		mode: cfg.Mode, workers: cfg.Workers, maxRounds: cfg.MaxRounds,
+		mode: cfg.Mode, maxRounds: cfg.MaxRounds,
 	}
-	s.setup("Config.Workers", DefaultMaxRounds(n), cfg.DensePhase, n*(n-1)/2)
+	s.setup(DefaultMaxRounds(n), cfg.DensePhase, n*(n-1)/2)
 	return s
 }
 
@@ -242,8 +242,7 @@ func (s *Session) memberPairsMissing() int {
 // excluding u itself. O(1); see graph.Undirected.MissingDegree.
 func (s *Session) MissingDegree(u int) int { return s.g.MissingDegree(u) }
 
-// Stats returns a snapshot of the cumulative run statistics. O(1). Result
-// is bit-identical for every Workers >= 1 by contract.
+// Stats returns a snapshot of the cumulative run statistics. O(1).
 func (s *Session) Stats() Result { return s.res }
 
 // TrackMembership enables membership tracking over the given liveness mask

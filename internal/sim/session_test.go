@@ -105,7 +105,7 @@ func TestSessionRunUntilBreakpoint(t *testing.T) {
 // refuses to step.
 func TestSessionCloseStopsStepping(t *testing.T) {
 	g := gen.Path(80)
-	s := NewSession(g, core.Push{}, rng.New(2), Config{Workers: 4})
+	s := NewSession(g, core.Push{}, rng.New(2), Config{})
 	s.Step()
 	s.Close()
 	s.Close()

@@ -84,12 +84,12 @@ func TestDirectedTrialsDeterministic(t *testing.T) {
 	}, directedConverges)
 }
 
-// TestParallelTrialsDeterministic: Workers flows through Trials and keeps
+// TestParallelTrialsDeterministic: a Config flows through Trials and keeps
 // the whole batch a deterministic function of (seed, trial index).
 func TestParallelTrialsDeterministic(t *testing.T) {
 	samePools(t, func(pool int) []Result {
 		return Trials(pool, 6, 11, func(trial int, r *rng.Rand) *graph.Undirected { return gen.Cycle(48 + 16*trial) },
-			runs(core.Push{}, Config{Workers: 2}))
+			runs(core.Push{}, Config{DensePhase: 0.5}))
 	}, converges)
 }
 

@@ -19,13 +19,11 @@ import (
 // runtime) shares one definition. internal/sim aliases them under their old
 // names, so existing consumers and goldens are untouched.
 //
-// Determinism: a delta stream is a pure function of (graph, process, root
-// generator, engine family). Under the sharded engine the accepted list is
-// produced by committing the concatenated shard buffers in shard order
-// through one grouped commit, so the stream is bit-identical for every
-// Workers >= 1 and any GOMAXPROCS — the same contract the Result obeys. The
-// Workers == 0 engine consumes a different generator stream, so its deltas
-// describe a different (but equally deterministic) trajectory.
+// Determinism: a delta stream is a pure function of (graph, process,
+// generator, engine family). A synchronous round's accepted list comes
+// from one grouped commit of the round's proposals in node order, so the
+// stream is bit-identical at any GOMAXPROCS — the same contract the Result
+// obeys.
 
 // RoundDelta describes everything that changed in one committed synchronous
 // round of an undirected run. The engine reuses the delta and its slices

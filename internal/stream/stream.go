@@ -36,9 +36,9 @@ type Kind uint8
 
 const (
 	// KindRound is one committed round of an undirected run: Graph, Delta,
-	// and Time are set. Emitted by the synchronous engines (one-shard,
-	// sharded, dense-phase) and the event-driven runtime — Round deltas
-	// mean the same thing on all of them.
+	// and Time are set. Emitted by the synchronous round (with or without
+	// the dense phase) and the event-driven runtime — Round deltas mean the
+	// same thing on all of them.
 	KindRound Kind = 1 + iota
 	// KindDirectedRound is one committed round of a directed run: Digraph,
 	// DirectedDelta, and Time are set.

@@ -1,17 +1,13 @@
 package gossipdisc_test
 
-// Large-n scaling suite for the sharded parallel round engine. Each
-// benchmark runs one full convergence per iteration and compares the
-// sharded engine at Workers=1 ("seq") against Workers=GOMAXPROCS ("par") —
-// the two are bit-identical in results, so any ns/op gap is pure engine
-// speedup. "legacy" is the classic single-stream sequential engine
-// (Workers: 0) for reference against the pre-sharding baseline. Baselines
-// are recorded in BENCH_pr1.json; CI smokes every BenchmarkScale* suite at
-// -benchtime=1x (this one, trajectory, session/churn, and — in its own
-// step — the dense-phase suite).
+// Large-n scaling suite for the synchronous round. Each benchmark runs one
+// full convergence per iteration. Baselines are recorded in BENCH_pr1.json
+// (its "seq" and "par" rows timed a sharded layout that is gone; "legacy"
+// is the layout every round runs now); CI smokes every BenchmarkScale*
+// suite at -benchtime=1x (this one, trajectory, session/churn and the
+// dense phase).
 
 import (
-	"runtime"
 	"testing"
 
 	"gossipdisc/internal/core"
@@ -21,25 +17,13 @@ import (
 )
 
 func benchScalePush(b *testing.B, n int) {
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"legacy", 0},
-		{"seq", 1},
-		{"par", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			r := rng.New(uint64(n))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g := gen.Cycle(n)
-				res := sim.Run(g, core.Push{}, r.Split(), sim.Config{Workers: bc.workers})
-				if !res.Converged {
-					b.Fatal("run did not converge")
-				}
-			}
-		})
+	r := rng.New(uint64(n))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g := gen.Cycle(n)
+		if res := sim.Run(g, core.Push{}, r.Split(), sim.Config{}); !res.Converged {
+			b.Fatal("run did not converge")
+		}
 	}
 }
 
@@ -48,26 +32,13 @@ func BenchmarkScalePush1024(b *testing.B) { benchScalePush(b, 1024) }
 func BenchmarkScalePush2048(b *testing.B) { benchScalePush(b, 2048) }
 
 func benchScaleDirected(b *testing.B, n int) {
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"legacy", 0},
-		{"seq", 1},
-		{"par", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			r := rng.New(uint64(n))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g := gen.RandomStronglyConnected(n, n/2, r)
-				res := sim.RunDirected(g, core.DirectedTwoHop{}, r.Split(),
-					sim.DirectedConfig{Workers: bc.workers})
-				if !res.Converged {
-					b.Fatal("run did not converge")
-				}
-			}
-		})
+	r := rng.New(uint64(n))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g := gen.RandomStronglyConnected(n, n/2, r)
+		if res := sim.RunDirected(g, core.DirectedTwoHop{}, r.Split(), sim.DirectedConfig{}); !res.Converged {
+			b.Fatal("run did not converge")
+		}
 	}
 }
 

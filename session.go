@@ -6,7 +6,6 @@ package gossipdisc
 // package:
 //
 //	sess := gossipdisc.NewSession(g,
-//	    gossipdisc.WithWorkers(1),
 //	    gossipdisc.WithAnalyzers(traj),
 //	    gossipdisc.WithMaxRounds(10_000),
 //	)
@@ -53,9 +52,8 @@ type (
 // default rate def (0 parks a node: it never activates).
 func NewRateMap(n int, def float64) *RateMap { return eventsim.NewRateMap(n, def) }
 
-// SessionOption configures NewSession and NewEventSession. WithWorkers
-// applies to NewSession only and WithRates to NewEventSession only; the
-// other constructor ignores them.
+// SessionOption configures NewSession and NewEventSession. WithRates
+// applies to NewEventSession only; NewSession ignores it.
 type SessionOption func(*sessionOptions)
 
 type sessionOptions struct {
@@ -75,14 +73,6 @@ func WithProcess(p Process) SessionOption {
 // WithSeed seeds the session's deterministic generator (default seed 1).
 func WithSeed(seed uint64) SessionOption {
 	return func(o *sessionOptions) { o.seed = seed }
-}
-
-// WithWorkers selects the shard layout of a round: 0 (default) acts every
-// node as one shard on the session's generator, w >= 1 uses fixed 32-node
-// shards that act inline on their own generator streams, so results are
-// bit-identical for every w >= 1. A negative w panics at construction.
-func WithWorkers(w int) SessionOption {
-	return func(o *sessionOptions) { o.cfg.Workers = w }
 }
 
 // WithRates hands an event session its per-node activation rates (default:

@@ -28,14 +28,14 @@ import (
 	"gossipdisc/internal/stream"
 )
 
-func benchScaleSession(b *testing.B, n, workers int) {
+func benchScaleSession(b *testing.B, n int) {
 	sink := 0
 	b.Run("run", func(b *testing.B) {
 		r := rng.New(uint64(n))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			g := gen.Cycle(n)
-			res := sim.Run(g, core.Push{}, r.Split(), sim.Config{Workers: workers})
+			res := sim.Run(g, core.Push{}, r.Split(), sim.Config{})
 			if !res.Converged {
 				b.Fatal("run did not converge")
 			}
@@ -46,7 +46,7 @@ func benchScaleSession(b *testing.B, n, workers int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			g := gen.Cycle(n)
-			res := runObserved(g, r.Split(), workers, stream.SubscriberFunc(func(*stream.Event) {}))
+			res := runObserved(g, r.Split(), stream.SubscriberFunc(func(*stream.Event) {}))
 			if !res.Converged {
 				b.Fatal("run did not converge")
 			}
@@ -57,7 +57,7 @@ func benchScaleSession(b *testing.B, n, workers int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			g := gen.Cycle(n)
-			sess := sim.NewSession(g, core.Push{}, r.Split(), sim.Config{Workers: workers})
+			sess := sim.NewSession(g, core.Push{}, r.Split(), sim.Config{})
 			for {
 				d, more := sess.Step()
 				if d != nil {
@@ -76,8 +76,7 @@ func benchScaleSession(b *testing.B, n, workers int) {
 	_ = sink
 }
 
-func BenchmarkScaleSessionPush1024(b *testing.B)    { benchScaleSession(b, 1024, 0) }
-func BenchmarkScaleSessionPush1024Par(b *testing.B) { benchScaleSession(b, 1024, 8) }
+func BenchmarkScaleSessionPush1024(b *testing.B) { benchScaleSession(b, 1024) }
 
 // coverageByScan is the pre-session coverage computation: a full pair scan
 // over the current membership.

@@ -27,14 +27,14 @@ import (
 )
 
 // runObserved is one push convergence of g with sub on the session's bus.
-func runObserved(g *graph.Undirected, r *rng.Rand, workers int, sub stream.Subscriber) sim.Result {
-	s := sim.NewSession(g, core.Push{}, r, sim.Config{Workers: workers})
+func runObserved(g *graph.Undirected, r *rng.Rand, sub stream.Subscriber) sim.Result {
+	s := sim.NewSession(g, core.Push{}, r, sim.Config{})
 	defer s.Close()
 	s.Subscribe(sub)
 	return s.Run()
 }
 
-func benchScaleTrajectory(b *testing.B, n, workers int) {
+func benchScaleTrajectory(b *testing.B, n int) {
 	check := func(b *testing.B, res sim.Result, traj *metrics.Trajectory) {
 		b.Helper()
 		if !res.Converged {
@@ -53,7 +53,7 @@ func benchScaleTrajectory(b *testing.B, n, workers int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			g := gen.Cycle(n)
-			res := sim.Run(g, core.Push{}, r.Split(), sim.Config{Workers: workers})
+			res := sim.Run(g, core.Push{}, r.Split(), sim.Config{})
 			check(b, res, nil)
 		}
 	})
@@ -65,7 +65,7 @@ func benchScaleTrajectory(b *testing.B, n, workers int) {
 			g := gen.Cycle(n)
 			traj := &metrics.Trajectory{}
 			newEdges := 0
-			res := runObserved(g, r.Split(), workers, stream.SubscriberFunc(func(e *stream.Event) {
+			res := runObserved(g, r.Split(), stream.SubscriberFunc(func(e *stream.Event) {
 				traj.OnEvent(e)
 				newEdges += len(e.Delta.NewEdges)
 			}))
@@ -77,4 +77,4 @@ func benchScaleTrajectory(b *testing.B, n, workers int) {
 	})
 }
 
-func BenchmarkScaleTrajectory1024(b *testing.B) { benchScaleTrajectory(b, 1024, 0) }
+func BenchmarkScaleTrajectory1024(b *testing.B) { benchScaleTrajectory(b, 1024) }
