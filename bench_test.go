@@ -147,8 +147,8 @@ func BenchmarkE12Robustness(b *testing.B) {
 		func(r *rng.Rand) *gossipdisc.Graph { return gen.Cycle(96) })
 }
 
-// BenchmarkE13Protocol measures the goroutine-per-node message-level push
-// protocol on a 32-node cycle.
+// BenchmarkE13Protocol measures the message-level push protocol on a
+// 32-node cycle.
 func BenchmarkE13Protocol(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -15,11 +15,12 @@ import (
 	"gossipdisc/internal/trace"
 )
 
-// protocols implements E13: it runs the goroutine-per-node message-level
-// protocols next to the centralized simulator on identical workloads,
-// checking that (a) round counts are consistent, (b) every message carries
-// at most one ⌈log₂ n⌉-bit identifier — the paper's bandwidth model — and
-// (c) Lemma 1 holds along the trajectory of random graphs.
+// protocols implements E13: it runs the message-level protocols, each
+// round on one goroutine, next to the centralized simulator on identical
+// workloads, checking that (a) round counts are consistent, (b) every
+// message carries at most one ⌈log₂ n⌉-bit identifier — the paper's
+// bandwidth model — and (c) Lemma 1 holds along the trajectory of random
+// graphs.
 func protocols(cfg Config) ([]*trace.Table, error) {
 	n := 32
 	trials := cfg.trials(20)

@@ -34,9 +34,6 @@ func benchRounds(b *testing.B, n int, cfg Config) {
 // the seed repo ran, and the baseline the impairment pipeline must not tax.
 func BenchmarkRoundPristine256(b *testing.B) { benchRounds(b, 256, Config{}) }
 
-// BenchmarkRoundDrop is the legacy i.i.d. DropProb coin, scenario-free.
-func BenchmarkRoundDrop256(b *testing.B) { benchRounds(b, 256, Config{DropProb: 0.2}) }
-
 // BenchmarkRoundNoopScenario attaches a scenario whose single phase
 // impairs nothing, so the full impairment pipeline runs — rule lookup,
 // partition and crash checks — but every coin stays in its pocket. The

@@ -10,20 +10,17 @@
 // routing and delivery: per-link loss, fixed+jittered delay, reordering,
 // duplication, asymmetric links, partitions that heal, and crash/restart
 // churn — all timed in phases and all replayable bit-for-bit from
-// (seed, scenario). The legacy Config.DropProb coin is the trivial
-// scenario (uniform i.i.d. loss, see DropScenario), kept on its own
-// historical rng stream so pre-scenario runs replay unchanged.
+// (seed, scenario). Uniform i.i.d. loss is the one-phase DropScenario.
 //
-// Nodes execute concurrently on a persistent bounded worker pool — node
-// handlers only ever touch their own state and their round's inbox, so the
-// execution is race-free, and determinism is preserved by per-node split
-// generators, by sorting message routing by sender, and by drawing every
-// impairment decision from dedicated split streams in sender order.
+// A round runs on the caller's goroutine: the live handlers act one at a
+// time in node order, each on its own split generator, and each one's
+// output is routed before the next acts. Every impairment decision draws
+// from a dedicated split stream in sender order, so a run is a pure
+// function of (seed, scenario).
 package netsim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"gossipdisc/internal/rng"
@@ -71,8 +68,7 @@ type Message struct {
 
 // Handler is the per-node protocol logic. HandleRound is called exactly
 // once per round with the messages delivered this round (sent during the
-// previous round), and returns the node's outgoing messages. Handlers own
-// their node's state exclusively; they must not share mutable state.
+// previous round), and returns the node's outgoing messages.
 type Handler interface {
 	HandleRound(round int, inbox []Message, r *rng.Rand) []Message
 }
@@ -90,20 +86,15 @@ type CrashAware interface {
 
 // Config controls a Network.
 type Config struct {
-	// DropProb drops each message independently with this probability
-	// before the scenario pipeline runs. It is exactly the trivial
-	// scenario (DropScenario), but draws from its own historical rng
-	// stream so pre-scenario runs replay bit-identically.
-	DropProb float64
 	// Seed derives the network's internal generators (per-node handler
-	// generators, the drop coin, and the scenario impairment streams).
+	// generators and the scenario impairment streams).
 	Seed uint64
 	// Scenario optionally installs a chaos schedule on the wire.
-	// nil means a pristine wire (modulo DropProb).
+	// nil means a pristine wire.
 	Scenario *Scenario
-	// Workers bounds the persistent handler pool: 0 picks
-	// min(GOMAXPROCS, n); explicit counts are clamped to [1, n].
-	// Executions are identical for every value.
+	// Workers is ignored: a round runs its handlers one at a time on the
+	// caller's goroutine. The field is kept only because cmd/bench still
+	// sets it; ROADMAP item 1 deletes it. A negative value still panics.
 	Workers int
 }
 
@@ -111,7 +102,7 @@ type Config struct {
 type Stats struct {
 	Rounds    int
 	Sent      int64 // messages handed to the network
-	Dropped   int64 // messages lost for any reason (coin, scenario loss, partition, crash)
+	Dropped   int64 // messages lost for any reason (loss, partition, crash)
 	Delivered int64 // message copies delivered to inboxes
 	// IDBits is the total identifier payload volume in bits: one
 	// ⌈log₂ n⌉-bit ID per message with a non-negative payload.
@@ -135,19 +126,16 @@ type queued struct {
 // Network is a synchronous message-passing network over n nodes.
 type Network struct {
 	n        int
-	cfg      Config
 	nodeRNGs []*rng.Rand
-	dropRNG  *rng.Rand // legacy DropProb coin (historical stream position)
 
 	// Scenario impairment streams, one per concern so scenarios compose
-	// without perturbing each other's draws. All are split from the root
-	// after the historical streams, so a nil scenario changes nothing.
+	// without perturbing each other's draws.
 	lossRNG, delayRNG, dupRNG, reorderRNG *rng.Rand
 
 	scn     *compiledScenario
 	pending map[int][]queued // delivery round -> in-flight copies, arrival order
 	down    []bool           // crash state as of the last executed round
-	pool    *handlerPool
+	closed  bool
 	stats   Stats
 	idBits  int
 
@@ -160,14 +148,10 @@ type Network struct {
 }
 
 // New returns a network of n nodes. It panics on a malformed Config: a
-// DropProb outside [0, 1] (or NaN), negative Workers, or a Scenario that
-// fails validation against n.
+// negative Workers, or a Scenario that fails validation against n.
 func New(n int, cfg Config) *Network {
-	if math.IsNaN(cfg.DropProb) || cfg.DropProb < 0 || cfg.DropProb > 1 {
-		panic(fmt.Sprintf("netsim: DropProb %v is not a probability in [0, 1]", cfg.DropProb))
-	}
 	if cfg.Workers < 0 {
-		panic(fmt.Sprintf("netsim: negative Workers %d (0 = min(GOMAXPROCS, n))", cfg.Workers))
+		panic(fmt.Sprintf("netsim: negative Workers %d", cfg.Workers))
 	}
 	if err := cfg.Scenario.Validate(n); err != nil {
 		panic(fmt.Sprintf("netsim: invalid scenario: %v", err))
@@ -177,17 +161,17 @@ func New(n int, cfg Config) *Network {
 	for i := range nodeRNGs {
 		nodeRNGs[i] = root.Split()
 	}
+	// The next split fed a retired i.i.d. drop coin. It is still taken
+	// and discarded, so that the scenario streams below keep the
+	// positions every recorded run was made with.
+	root.Split()
 	bits := 1
 	for v := n - 1; v > 1; v >>= 1 {
 		bits++
 	}
 	return &Network{
-		n:        n,
-		cfg:      cfg,
-		nodeRNGs: nodeRNGs,
-		dropRNG:  root.Split(),
-		// Order matters: these must come after the historical splits so
-		// node and drop streams match pre-scenario runs byte-for-byte.
+		n:          n,
+		nodeRNGs:   nodeRNGs,
 		lossRNG:    root.Split(),
 		delayRNG:   root.Split(),
 		dupRNG:     root.Split(),
@@ -195,7 +179,6 @@ func New(n int, cfg Config) *Network {
 		scn:        compileScenario(cfg.Scenario, n),
 		pending:    make(map[int][]queued),
 		down:       make([]bool, n),
-		pool:       newHandlerPool(n, cfg.Workers),
 		idBits:     bits,
 	}
 }
@@ -220,16 +203,20 @@ func (nw *Network) Down(u int) bool { return nw.down[u] }
 // routing. The event payload is reused across rounds; copy it if retained.
 func (nw *Network) Subscribe(sub stream.Subscriber) { nw.bus.Subscribe(sub) }
 
-// Close releases the persistent handler pool. Rounds executed after Close
-// panic; Close is idempotent.
-func (nw *Network) Close() { nw.pool.close() }
+// Close retires the network: rounds executed after Close panic. It holds
+// no resources, and it is idempotent.
+func (nw *Network) Close() { nw.closed = true }
 
 // Round executes one synchronous round: it applies scenario crash
-// transitions, delivers the copies due this round to all live handlers
-// concurrently (on the persistent bounded pool), collects their outgoing
-// messages, runs the impairment pipeline in sender order, and enqueues
-// surviving copies for their delivery rounds.
+// transitions, then calls each live handler in node order with the copies
+// due to it this round, and runs that handler's outgoing messages through
+// the impairment pipeline before the next handler acts. Routing only
+// enqueues copies for later rounds, so it never changes what a handler of
+// this round sees.
 func (nw *Network) Round(handlers []Handler) {
+	if nw.closed {
+		panic("netsim: Round on a closed Network")
+	}
 	if len(handlers) != nw.n {
 		panic(fmt.Sprintf("netsim: %d handlers for %d nodes", len(handlers), nw.n))
 	}
@@ -241,19 +228,11 @@ func (nw *Network) Round(handlers []Handler) {
 	}
 
 	inboxes := nw.buildInboxes(round)
-
-	outs := make([][]Message, nw.n)
-	nw.pool.run(nw.n, func(u int) {
+	for u, h := range handlers {
 		if nw.down[u] {
-			return
+			continue
 		}
-		outs[u] = handlers[u].HandleRound(round, inboxes[u], nw.nodeRNGs[u])
-	})
-
-	// Route in sender order so impairment-stream consumption is
-	// deterministic regardless of pool scheduling.
-	for u := 0; u < nw.n; u++ {
-		for _, m := range outs[u] {
+		for _, m := range h.HandleRound(round, inboxes[u], nw.nodeRNGs[u]) {
 			if m.From != u {
 				panic(fmt.Sprintf("netsim: node %d forged sender %d", u, m.From))
 			}
@@ -263,10 +242,6 @@ func (nw *Network) Round(handlers []Handler) {
 			nw.stats.Sent++
 			if m.Payload >= 0 {
 				nw.stats.IDBits += int64(nw.idBits)
-			}
-			if nw.cfg.DropProb > 0 && nw.dropRNG.Bernoulli(nw.cfg.DropProb) {
-				nw.stats.Dropped++
-				continue
 			}
 			if nw.scn == nil {
 				// Pristine fast path: next-round delivery, no draws.

@@ -77,7 +77,7 @@ func TestHeaderOnlyMessagesCostNoIDBits(t *testing.T) {
 }
 
 func TestDropRate(t *testing.T) {
-	nw := New(2, Config{Seed: 4, DropProb: 0.3})
+	nw := New(2, Config{Seed: 4, Scenario: DropScenario(0.3)})
 	handlers := []Handler{
 		&echoNode{self: 0, to: 1, payload: 1},
 		&echoNode{self: 1, to: 0, payload: 2},
@@ -97,7 +97,7 @@ func TestDropRate(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() Stats {
-		nw := New(3, Config{Seed: 5, DropProb: 0.5})
+		nw := New(3, Config{Seed: 5, Scenario: DropScenario(0.5)})
 		handlers := []Handler{
 			&echoNode{self: 0, to: 1, payload: 1},
 			&echoNode{self: 1, to: 2, payload: 2},

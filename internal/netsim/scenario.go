@@ -231,11 +231,8 @@ func LoadScenario(path string) (*Scenario, error) {
 	return s, nil
 }
 
-// DropScenario is the trivial scenario the legacy Config.DropProb coin is
-// equivalent to: uniform i.i.d. loss on every link for the whole run. (The
-// Network keeps DropProb on its own historical rng stream for bit-compat
-// with pre-scenario runs; this constructor exists to state the equivalence
-// and for tests that pin it.)
+// DropScenario is uniform i.i.d. loss with probability p on every link for
+// the whole run.
 func DropScenario(p float64) *Scenario {
 	return &Scenario{
 		Name:   fmt.Sprintf("drop-%g", p),

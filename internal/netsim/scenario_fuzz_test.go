@@ -21,7 +21,7 @@ func FuzzScenarioJSON(f *testing.F) {
 			return
 		}
 		const n = 8
-		nw := New(n, Config{Seed: seed, Scenario: scn, Workers: 1})
+		nw := New(n, Config{Seed: seed, Scenario: scn})
 		defer nw.Close()
 		handlers := make([]Handler, n)
 		for u := range handlers {

@@ -31,10 +31,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"drop NaN", Config{DropProb: math.NaN()}, "DropProb"},
-		{"drop negative", Config{DropProb: -0.1}, "DropProb"},
-		{"drop above one", Config{DropProb: 1.0001}, "DropProb"},
-		{"drop +inf", Config{DropProb: math.Inf(1)}, "DropProb"},
 		{"negative workers", Config{Workers: -1}, "Workers"},
 		{"bad scenario loss", Config{Scenario: &Scenario{Phases: []Phase{
 			{All: &Impairment{Loss: 1.5}}}}}, "loss"},
@@ -46,8 +42,8 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		})
 	}
 	// Boundary values are fine.
-	New(4, Config{DropProb: 0}).Close()
-	New(4, Config{DropProb: 1}).Close()
+	New(4, Config{Workers: 0}).Close()
+	New(4, Config{Scenario: DropScenario(1)}).Close()
 }
 
 func TestScenarioValidate(t *testing.T) {
@@ -447,29 +443,6 @@ func TestScenarioCrashFreezesNodeRNG(t *testing.T) {
 	}
 }
 
-func TestDropScenarioMatchesDropProbRate(t *testing.T) {
-	// DropScenario(p) is the declarative form of Config.DropProb: same
-	// drop rate (different stream, so rates — not bytes — must agree).
-	run := func(cfg Config) float64 {
-		nw := New(2, cfg)
-		defer nw.Close()
-		handlers := []Handler{
-			&echoNode{self: 0, to: 1, payload: 1},
-			&echoNode{self: 1, to: 0, payload: 2},
-		}
-		for i := 0; i < 4000; i++ {
-			nw.Round(handlers)
-		}
-		st := nw.Stats()
-		return float64(st.Dropped) / float64(st.Sent)
-	}
-	legacy := run(Config{Seed: 21, DropProb: 0.3})
-	declarative := run(Config{Seed: 21, Scenario: DropScenario(0.3)})
-	if math.Abs(legacy-0.3) > 0.02 || math.Abs(declarative-0.3) > 0.02 {
-		t.Fatalf("drop rates: legacy %.3f declarative %.3f want ≈0.3", legacy, declarative)
-	}
-}
-
 func TestScenarioReplayByteIdentical(t *testing.T) {
 	// The kitchen sink: loss + delay + jitter + reorder + duplication +
 	// an asymmetric rule + a healing partition + a crash spike, all at
@@ -488,23 +461,15 @@ func TestScenarioReplayByteIdentical(t *testing.T) {
 	run := func() (string, Stats) {
 		nw := New(n, Config{Seed: 99, Scenario: scn})
 		defer nw.Close()
-		// Handlers run on the pool's goroutines, in scheduler order: each
-		// node writes its own trace, and the traces are joined in node
-		// order once the run is over.
-		traces := make([]strings.Builder, n)
+		var trace strings.Builder
 		handlers := make([]Handler, n)
 		for i := 0; i < n; i++ {
-			i := i
 			handlers[i] = handlerFunc(func(round int, inbox []Message, r *rng.Rand) []Message {
-				fmt.Fprintf(&traces[i], "r%d u%d %v\n", round, i, inbox)
+				fmt.Fprintf(&trace, "r%d u%d %v\n", round, i, inbox)
 				return []Message{{From: i, To: r.Intn(n), Kind: KindIntroduce, Payload: i}}
 			})
 		}
 		nw.Run(handlers, rounds, nil)
-		var trace strings.Builder
-		for i := range traces {
-			trace.WriteString(traces[i].String())
-		}
 		return trace.String(), nw.Stats()
 	}
 	t1, s1 := run()
@@ -518,34 +483,6 @@ func TestScenarioReplayByteIdentical(t *testing.T) {
 	if s1.PartitionDrops == 0 || s1.CrashDrops == 0 || s1.Delayed == 0 ||
 		s1.Duplicated == 0 || s1.Reordered == 0 || s1.Dropped == 0 {
 		t.Fatalf("kitchen sink failed to exercise every impairment: %+v", s1)
-	}
-}
-
-func TestPoolEquivalence(t *testing.T) {
-	// The bounded pool must produce executions identical to any other pool
-	// size (the seed simulator's goroutine-per-node fan-out included).
-	digest := func(workers int) (string, Stats) {
-		nw := New(16, Config{Seed: 31, Workers: workers, DropProb: 0.1})
-		defer nw.Close()
-		handlers := make([]Handler, 16)
-		recs := make([]*crashRecorder, 16)
-		for i := range handlers {
-			recs[i] = &crashRecorder{self: i, sendTo: (i + 1) % 16}
-			handlers[i] = recs[i]
-		}
-		nw.Run(handlers, 50, nil)
-		var b strings.Builder
-		for i, r := range recs {
-			fmt.Fprintf(&b, "%d:%d:%v;", i, r.seenTotal, r.handled)
-		}
-		return b.String(), nw.Stats()
-	}
-	d1, s1 := digest(1)
-	for _, w := range []int{2, 7, 16, 0} {
-		d, s := digest(w)
-		if d != d1 || s != s1 {
-			t.Fatalf("workers=%d execution differs from workers=1", w)
-		}
 	}
 }
 

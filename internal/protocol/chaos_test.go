@@ -19,15 +19,15 @@ var updateGoldens = flag.Bool("update", false, "rewrite golden files from curren
 
 // clusterDigest runs one wire-level discovery to completion (or maxRounds)
 // and folds everything observable — round count, convergence, the full
-// traffic counters, and every final contact list — into one line. Two runs
-// are behaviorally identical iff their digests match.
+// traffic counters, and every node's final knowledge — into one line. Two
+// runs are behaviorally identical iff their digests match.
 func clusterDigest(proto Protocol, n int, maxRounds int, cfg netsim.Config) string {
 	cl := NewCluster(gen.Cycle(n), proto, cfg)
 	defer cl.Close()
 	rounds, done := cl.Run(maxRounds)
 	h := fnv.New64a()
 	for u := 0; u < n; u++ {
-		contacts := cl.Contacts(u).Slice()
+		contacts := cl.Knowledge().OutNeighbors(u, nil)
 		sort.Ints(contacts)
 		fmt.Fprintf(h, "%d:%v;", u, contacts)
 	}
@@ -38,25 +38,19 @@ func clusterDigest(proto Protocol, n int, maxRounds int, cfg netsim.Config) stri
 }
 
 // TestSeedCompatGolden pins the zero-impairment wire byte-for-byte against
-// goldens recorded on the pre-scenario netsim (PR 6 seed state): a Network
-// with no Scenario — including the legacy DropProb coin — must replay the
-// exact executions the goroutine-per-node seed simulator produced.
+// goldens recorded on the pre-scenario netsim: a Network with no Scenario
+// must replay the exact executions the first, goroutine-per-node simulator
+// produced.
 func TestSeedCompatGolden(t *testing.T) {
 	var lines []string
 	for _, c := range []struct {
 		proto Protocol
 		seed  uint64
-		drop  float64
 	}{
-		{ProtoPush, 11, 0},
-		{ProtoPull, 12, 0},
-		{ProtoPush, 13, 0.25},
-		{ProtoPull, 14, 0.25},
+		{ProtoPush, 11},
+		{ProtoPull, 12},
 	} {
-		lines = append(lines, clusterDigest(c.proto, 32, sim.DefaultMaxRounds(32), netsim.Config{
-			Seed:     c.seed,
-			DropProb: c.drop,
-		}))
+		lines = append(lines, clusterDigest(c.proto, 32, sim.DefaultMaxRounds(32), netsim.Config{Seed: c.seed}))
 	}
 	got := strings.Join(lines, "\n") + "\n"
 	compareGolden(t, "seedcompat.golden", got)
@@ -141,13 +135,13 @@ func TestChaosCrashHooks(t *testing.T) {
 	for _, proto := range []Protocol{ProtoPush, ProtoPull} {
 		cl := NewCluster(gen.Cycle(n), proto, netsim.Config{Seed: 51, Scenario: scn})
 		cl.Net.Run(cl.Handlers, 2, nil)
-		before := cl.Contacts(4).Len()
+		before := cl.Knowledge().OutDegree(4)
 		cl.Net.Run(cl.Handlers, 4, nil) // rounds 3-6: mid-outage
 		h := cl.Health(4)
 		if !h.Down || h.Crashes != 1 || h.LastCrash != 3 {
 			t.Fatalf("%s mid-outage health %+v", proto, h)
 		}
-		if cl.Contacts(4).Len() != before {
+		if cl.Knowledge().OutDegree(4) != before {
 			t.Fatalf("%s crashed node's contacts changed during outage", proto)
 		}
 		rounds, done := cl.Run(sim.DefaultMaxRounds(n))
@@ -183,7 +177,7 @@ func TestPullLossMidHandshake(t *testing.T) {
 	cl := NewCluster(gen.Cycle(n), ProtoPull, netsim.Config{Seed: 61, Scenario: blackout})
 	before := make([]int, n)
 	for u := 0; u < n; u++ {
-		before[u] = cl.Contacts(u).Len()
+		before[u] = cl.Knowledge().OutDegree(u)
 	}
 	cl.Net.Run(cl.Handlers, 10, nil)
 	st := cl.Net.Stats()
@@ -194,7 +188,7 @@ func TestPullLossMidHandshake(t *testing.T) {
 		t.Fatalf("blackout delivered %d", st.Delivered)
 	}
 	for u := 0; u < n; u++ {
-		if cl.Contacts(u).Len() != before[u] {
+		if cl.Knowledge().OutDegree(u) != before[u] {
 			t.Fatalf("node %d's contacts changed under total loss", u)
 		}
 	}
@@ -214,9 +208,9 @@ func TestPullLossMidHandshake(t *testing.T) {
 		{Until: 12, Links: []netsim.LinkRule{{To: netsim.Node(0), Impairment: netsim.Impairment{Loss: 1}}}},
 	}}
 	cl = NewCluster(gen.Cycle(n), ProtoPull, netsim.Config{Seed: 62, Scenario: deaf})
-	deg0 := cl.Contacts(0).Len()
+	deg0 := cl.Knowledge().OutDegree(0)
 	cl.Net.Run(cl.Handlers, 12, nil)
-	if cl.Contacts(0).Len() != deg0 {
+	if cl.Knowledge().OutDegree(0) != deg0 {
 		t.Fatal("node 0 learned contacts despite severed replies")
 	}
 	rounds, done = cl.Run(sim.DefaultMaxRounds(n))
@@ -224,6 +218,27 @@ func TestPullLossMidHandshake(t *testing.T) {
 		t.Fatalf("pull stalled after reply loss healed (%d rounds)", rounds)
 	}
 	cl.Close()
+}
+
+// TestKnowledgeIsOneWayUnderLoss pins why the knowledge graph is directed:
+// with every link into node 0 severed, pull nodes still learn 0 from the
+// replies they get, but the HELLO that would introduce them to 0 is lost,
+// so some u knows 0 while 0 does not know u.
+func TestKnowledgeIsOneWayUnderLoss(t *testing.T) {
+	const n = 8
+	deaf := &netsim.Scenario{Phases: []netsim.Phase{
+		{Links: []netsim.LinkRule{{To: netsim.Node(0), Impairment: netsim.Impairment{Loss: 1}}}},
+	}}
+	cl := NewCluster(gen.Cycle(n), ProtoPull, netsim.Config{Seed: 62, Scenario: deaf})
+	defer cl.Close()
+	cl.Net.Run(cl.Handlers, 12, nil)
+	kg := cl.Knowledge()
+	for u := 1; u < n; u++ {
+		if kg.HasArc(u, 0) && !kg.HasArc(0, u) {
+			return
+		}
+	}
+	t.Fatalf("no node knows 0 one-way after 12 rounds with 0's inbound links severed: %v", kg.Arcs())
 }
 
 func compareGolden(t *testing.T, name, got string) {

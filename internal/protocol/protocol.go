@@ -3,11 +3,15 @@
 // the claim that both processes run with O(log n)-bit messages and
 // constant amortized work per node per round.
 //
-// Each node holds only its own contact list (the IDs it has discovered);
-// there is no global graph object. The union of the contact lists *is* the
-// evolving graph, and the tests in this package check that the
-// protocol-level executions converge with round counts distributionally
-// consistent with the centralized simulator.
+// A node's knowledge is the IDs it has discovered. The cluster keeps all of
+// it in one graph.Directed, where arc u→v means "u knows v": u's out-row is
+// u's contact list, in the order u learned it. Knowledge is one-way under
+// loss — a lost HELLO or INTRODUCE leaves u knowing v while v does not know
+// u — so the graph is directed. netsim calls the handlers one at a time,
+// and each reads and writes only its own node's out-row, so one shared
+// graph gives exactly the run that n private lists would. The tests in
+// this package check that the protocol-level executions converge with
+// round counts distributionally consistent with the centralized simulator.
 //
 //   - Push: node u picks contacts v, w uniformly at random (with
 //     replacement) from its list and sends INTRODUCE(w) to v and
@@ -25,53 +29,8 @@ import (
 	"gossipdisc/internal/rng"
 )
 
-// Contacts is a node's local contact list: a slice for O(1) uniform
-// sampling plus a membership set. The node's own ID is never a contact.
-type Contacts struct {
-	self  int
-	list  []int
-	known map[int]bool
-}
-
-// NewContacts returns a contact list for node self, seeded with neighbors.
-func NewContacts(self int, neighbors []int) *Contacts {
-	c := &Contacts{self: self, known: make(map[int]bool, len(neighbors))}
-	for _, v := range neighbors {
-		c.Add(v)
-	}
-	return c
-}
-
-// Add inserts id (ignoring self and duplicates) and reports whether it was
-// new.
-func (c *Contacts) Add(id int) bool {
-	if id == c.self || c.known[id] {
-		return false
-	}
-	c.known[id] = true
-	c.list = append(c.list, id)
-	return true
-}
-
-// Len returns the number of known contacts.
-func (c *Contacts) Len() int { return len(c.list) }
-
-// Random returns a uniform contact, or -1 if the list is empty.
-func (c *Contacts) Random(r *rng.Rand) int {
-	if len(c.list) == 0 {
-		return -1
-	}
-	return c.list[r.Intn(len(c.list))]
-}
-
-// Has reports whether id is a known contact.
-func (c *Contacts) Has(id int) bool { return c.known[id] }
-
-// Slice returns a copy of the contact list.
-func (c *Contacts) Slice() []int { return append([]int(nil), c.list...) }
-
 // NodeHealth tracks a node's scenario churn state: both protocol handlers
-// embed it to implement netsim.CrashAware. Contact lists survive an outage
+// embed it to implement netsim.CrashAware. Knowledge survives an outage
 // (a restart keeps durable state); the counters let tests and experiments
 // observe the churn a scenario inflicted.
 type NodeHealth struct {
@@ -99,7 +58,8 @@ func (h *NodeHealth) Restarted(round int) {
 
 // PushNode is the per-node handler of the push (triangulation) protocol.
 type PushNode struct {
-	Contacts *Contacts
+	self int
+	know *graph.Directed // the cluster's knowledge; this node touches row self
 	NodeHealth
 }
 
@@ -107,22 +67,21 @@ type PushNode struct {
 func (p *PushNode) HandleRound(round int, inbox []netsim.Message, r *rng.Rand) []netsim.Message {
 	for _, m := range inbox {
 		if m.Kind == netsim.KindIntroduce && m.Payload >= 0 {
-			p.Contacts.Add(m.Payload)
+			p.know.AddArc(p.self, m.Payload)
 		}
 	}
-	n := p.Contacts.Len()
-	if n == 0 {
+	// Two independent uniform picks, with replacement, per the paper.
+	v := p.know.RandomOutNeighbor(p.self, r)
+	if v < 0 {
 		return nil
 	}
-	// Two independent uniform picks, with replacement, per the paper.
-	v := p.Contacts.list[r.Intn(n)]
-	w := p.Contacts.list[r.Intn(n)]
+	w := p.know.RandomOutNeighbor(p.self, r)
 	if v == w {
 		return nil
 	}
 	return []netsim.Message{
-		{From: p.Contacts.self, To: v, Kind: netsim.KindIntroduce, Payload: w},
-		{From: p.Contacts.self, To: w, Kind: netsim.KindIntroduce, Payload: v},
+		{From: p.self, To: v, Kind: netsim.KindIntroduce, Payload: w},
+		{From: p.self, To: w, Kind: netsim.KindIntroduce, Payload: v},
 	}
 }
 
@@ -133,38 +92,39 @@ func (p *PushNode) HandleRound(round int, inbox []netsim.Message, r *rng.Rand) [
 // costs exactly that round's walk: the next round's fresh request is the
 // retry (pinned by TestPullLossMidHandshake).
 type PullNode struct {
-	Contacts *Contacts
+	self int
+	know *graph.Directed // the cluster's knowledge; this node touches row self
 	NodeHealth
 }
 
 // HandleRound implements netsim.Handler.
 func (p *PullNode) HandleRound(round int, inbox []netsim.Message, r *rng.Rand) []netsim.Message {
-	self := p.Contacts.self
+	self := p.self
 	var out []netsim.Message
 	for _, m := range inbox {
 		switch m.Kind {
 		case netsim.KindPullRequest:
 			// Serve: reply with a uniform contact (possibly the requester
 			// itself, matching the process where w == u yields nothing).
-			if w := p.Contacts.Random(r); w >= 0 {
+			if w := p.know.RandomOutNeighbor(self, r); w >= 0 {
 				out = append(out, netsim.Message{
 					From: self, To: m.From, Kind: netsim.KindPullReply, Payload: w,
 				})
 			}
 		case netsim.KindPullReply:
-			if m.Payload >= 0 && m.Payload != self && p.Contacts.Add(m.Payload) {
+			if m.Payload >= 0 && p.know.AddArc(self, m.Payload) {
 				out = append(out, netsim.Message{
 					From: self, To: m.Payload, Kind: netsim.KindHello, Payload: self,
 				})
 			}
 		case netsim.KindHello:
-			p.Contacts.Add(m.From)
+			p.know.AddArc(self, m.From)
 		case netsim.KindIntroduce:
-			p.Contacts.Add(m.Payload)
+			p.know.AddArc(self, m.Payload)
 		}
 	}
 	// Initiate this round's two-hop walk.
-	if v := p.Contacts.Random(r); v >= 0 {
+	if v := p.know.RandomOutNeighbor(self, r); v >= 0 {
 		out = append(out, netsim.Message{
 			From: self, To: v, Kind: netsim.KindPullRequest, Payload: -1,
 		})
@@ -177,7 +137,7 @@ func (p *PullNode) HandleRound(round int, inbox []netsim.Message, r *rng.Rand) [
 type Cluster struct {
 	Net      *netsim.Network
 	Handlers []netsim.Handler
-	contacts []*Contacts
+	know     *graph.Directed
 }
 
 // Protocol selects which discovery protocol a Cluster runs.
@@ -197,22 +157,26 @@ func (p Protocol) String() string {
 	return "pull"
 }
 
-// NewCluster builds a cluster whose initial contact lists mirror g.
+// NewCluster builds a cluster whose initial knowledge mirrors g: node u
+// knows its neighbors in g, in g's list order, on g's backend.
 func NewCluster(g *graph.Undirected, proto Protocol, cfg netsim.Config) *Cluster {
 	n := g.N()
 	cl := &Cluster{
 		Net:      netsim.New(n, cfg),
 		Handlers: make([]netsim.Handler, n),
-		contacts: make([]*Contacts, n),
+		know:     graph.NewDirectedOn(n, g.Backend()),
 	}
+	var nbrs []int
 	for u := 0; u < n; u++ {
-		c := NewContacts(u, g.Neighbors(u, nil))
-		cl.contacts[u] = c
+		nbrs = g.Neighbors(u, nbrs[:0])
+		for _, v := range nbrs {
+			cl.know.AddArc(u, v)
+		}
 		switch proto {
 		case ProtoPush:
-			cl.Handlers[u] = &PushNode{Contacts: c}
+			cl.Handlers[u] = &PushNode{self: u, know: cl.know}
 		case ProtoPull:
-			cl.Handlers[u] = &PullNode{Contacts: c}
+			cl.Handlers[u] = &PullNode{self: u, know: cl.know}
 		default:
 			panic("protocol: unknown protocol")
 		}
@@ -220,8 +184,10 @@ func NewCluster(g *graph.Undirected, proto Protocol, cfg netsim.Config) *Cluster
 	return cl
 }
 
-// Contacts returns node u's live contact list.
-func (cl *Cluster) Contacts(u int) *Contacts { return cl.contacts[u] }
+// Knowledge returns the live knowledge graph: arc u→v means node u knows
+// node v, and u's out-list is its contacts in the order it learned them.
+// Callers must not modify it.
+func (cl *Cluster) Knowledge() *graph.Directed { return cl.know }
 
 // Health returns node u's churn state (crash/restart bookkeeping).
 func (cl *Cluster) Health(u int) *NodeHealth {
@@ -235,35 +201,23 @@ func (cl *Cluster) Health(u int) *NodeHealth {
 	}
 }
 
-// Close releases the network's persistent handler pool.
+// Close closes the network: rounds after Close panic.
 func (cl *Cluster) Close() { cl.Net.Close() }
 
-// AllDiscovered reports whether every node knows every other node.
+// AllDiscovered reports whether every node knows every other node: the
+// knowledge graph holds all n(n−1) arcs.
 func (cl *Cluster) AllDiscovered() bool {
-	n := cl.Net.N()
-	for _, c := range cl.contacts {
-		if c.Len() < n-1 {
-			return false
-		}
-	}
-	return true
-}
-
-// KnowledgeGraph materializes the union of contact lists as an undirected
-// graph (u knowing v yields the edge {u, v}).
-func (cl *Cluster) KnowledgeGraph() *graph.Undirected {
-	g := graph.NewUndirected(cl.Net.N())
-	for u, c := range cl.contacts {
-		for _, v := range c.list {
-			g.AddEdge(u, v)
-		}
-	}
-	return g
+	n := cl.know.N()
+	return cl.know.M() == n*(n-1)
 }
 
 // Run executes rounds until all nodes discovered all others or maxRounds
-// elapsed, returning the rounds used and whether discovery completed.
+// elapsed, returning the rounds used and whether discovery completed. A
+// start on which everyone already knows everyone takes no round.
 func (cl *Cluster) Run(maxRounds int) (int, bool) {
+	if cl.AllDiscovered() {
+		return 0, true
+	}
 	return cl.Net.Run(cl.Handlers, maxRounds, func(round int) bool {
 		return cl.AllDiscovered()
 	})

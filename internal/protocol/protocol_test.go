@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"testing"
 
 	"gossipdisc/internal/core"
@@ -11,33 +12,26 @@ import (
 	"gossipdisc/internal/sim"
 )
 
-func TestContactsBasics(t *testing.T) {
-	c := NewContacts(2, []int{0, 1})
-	if c.Len() != 2 || !c.Has(0) || !c.Has(1) || c.Has(2) {
-		t.Fatalf("contacts wrong: %v", c.Slice())
+// complete reports whether every node of kg knows every other node, read
+// row by row rather than from the arc count AllDiscovered uses.
+func complete(kg *graph.Directed) bool {
+	for u := 0; u < kg.N(); u++ {
+		if kg.OutDegree(u) != kg.N()-1 {
+			return false
+		}
 	}
-	if c.Add(2) {
-		t.Fatal("added self")
-	}
-	if c.Add(0) {
-		t.Fatal("added duplicate")
-	}
-	if !c.Add(5) || c.Len() != 3 {
-		t.Fatal("failed to add new contact")
-	}
-	// Slice returns a copy.
-	s := c.Slice()
-	s[0] = 99
-	if c.list[0] == 99 {
-		t.Fatal("Slice aliases internal storage")
-	}
+	return true
 }
 
-func TestContactsRandomEmpty(t *testing.T) {
-	c := NewContacts(0, nil)
-	if c.Random(rng.New(1)) != -1 {
-		t.Fatal("empty Random should be -1")
+// mirrors reports whether kg's out-lists are exactly g's neighbor lists,
+// order included: the knowledge of a cluster that has learned nothing yet.
+func mirrors(kg *graph.Directed, g *graph.Undirected) bool {
+	for u := 0; u < g.N(); u++ {
+		if fmt.Sprint(kg.OutNeighbors(u, nil)) != fmt.Sprint(g.Neighbors(u, nil)) {
+			return false
+		}
 	}
+	return kg.N() == g.N() && kg.M() == 2*g.M()
 }
 
 func TestPushProtocolDiscoversPath(t *testing.T) {
@@ -47,7 +41,7 @@ func TestPushProtocolDiscoversPath(t *testing.T) {
 	if !done {
 		t.Fatalf("push protocol did not converge in %d rounds", rounds)
 	}
-	if !cl.KnowledgeGraph().IsComplete() {
+	if !complete(cl.Knowledge()) {
 		t.Fatal("knowledge graph not complete")
 	}
 }
@@ -59,7 +53,7 @@ func TestPullProtocolDiscoversPath(t *testing.T) {
 	if !done {
 		t.Fatalf("pull protocol did not converge in %d rounds", rounds)
 	}
-	if !cl.KnowledgeGraph().IsComplete() {
+	if !complete(cl.Knowledge()) {
 		t.Fatal("knowledge graph not complete")
 	}
 }
@@ -74,8 +68,7 @@ func TestPushKnowledgeStaysSymmetric(t *testing.T) {
 		// Pending in-flight messages may break symmetry transiently; check
 		// only that completed knowledge is consistent after the run.
 	}
-	kg := cl.KnowledgeGraph()
-	kg.CheckInvariants()
+	cl.Knowledge().CheckInvariants()
 }
 
 func TestProtocolMessagesAreSingleID(t *testing.T) {
@@ -131,24 +124,24 @@ func TestPushProtocolMatchesCentralizedSim(t *testing.T) {
 
 func TestPullProtocolWithDropsStillConverges(t *testing.T) {
 	g := gen.Path(10)
-	cl := NewCluster(g, ProtoPull, netsim.Config{Seed: 5, DropProb: 0.3})
+	cl := NewCluster(g, ProtoPull, netsim.Config{Seed: 5, Scenario: netsim.DropScenario(0.3)})
 	rounds, done := cl.Run(sim.DefaultMaxRounds(10) * 2)
 	if !done {
 		t.Fatalf("lossy pull did not converge in %d rounds", rounds)
 	}
 	if cl.Net.Stats().Dropped == 0 {
-		t.Fatal("no drops recorded at DropProb=0.3")
+		t.Fatal("no drops recorded at loss 0.3")
 	}
 }
 
 func TestClusterContactsAccessor(t *testing.T) {
 	g := gen.Star(5)
 	cl := NewCluster(g, ProtoPush, netsim.Config{Seed: 6})
-	if cl.Contacts(0).Len() != 4 {
-		t.Fatalf("center contacts %d", cl.Contacts(0).Len())
+	if d := cl.Knowledge().OutDegree(0); d != 4 {
+		t.Fatalf("center contacts %d", d)
 	}
-	if cl.Contacts(1).Len() != 1 {
-		t.Fatalf("leaf contacts %d", cl.Contacts(1).Len())
+	if d := cl.Knowledge().OutDegree(1); d != 1 {
+		t.Fatalf("leaf contacts %d", d)
 	}
 }
 
@@ -156,6 +149,21 @@ func TestAllDiscoveredOnCompleteStart(t *testing.T) {
 	cl := NewCluster(gen.Complete(4), ProtoPush, netsim.Config{Seed: 7})
 	if !cl.AllDiscovered() {
 		t.Fatal("complete start not discovered")
+	}
+}
+
+// A start on which everyone already knows everyone is discovered before
+// any round: Run executes none.
+func TestRunOnCompleteStartTakesNoRounds(t *testing.T) {
+	for _, proto := range []Protocol{ProtoPush, ProtoPull} {
+		cl := NewCluster(gen.Complete(4), proto, netsim.Config{Seed: 7})
+		rounds, done := cl.Run(100)
+		if rounds != 0 || !done {
+			t.Fatalf("%s: Run on a complete start returned (%d, %v), want (0, true)", proto, rounds, done)
+		}
+		if st := cl.Net.Stats(); st.Rounds != 0 {
+			t.Fatalf("%s: %d network rounds executed on a complete start", proto, st.Rounds)
+		}
 	}
 }
 
@@ -168,7 +176,7 @@ func TestProtocolString(t *testing.T) {
 func TestKnowledgeGraphMirrorsInitialGraph(t *testing.T) {
 	g := gen.RandomTree(20, rng.New(8))
 	cl := NewCluster(g, ProtoPull, netsim.Config{Seed: 9})
-	if !cl.KnowledgeGraph().Equal(g) {
+	if !mirrors(cl.Knowledge(), g) {
 		t.Fatal("initial knowledge graph differs from seed graph")
 	}
 }

@@ -319,7 +319,7 @@ func Run(t testing.TB, row Row, subs ...stream.Subscriber) Outcome {
 }
 
 // Identical requires every row to reproduce the first row's Outcome: the
-// property of a config axis (worker counts, backends, GOMAXPROCS, a replay
+// property of a config axis (backends, GOMAXPROCS, a replay
 // of the same row) that must not reach the run, and of a uniform
 // Population against the bare process it wraps. It returns that Outcome.
 func Identical(t testing.TB, rows ...Row) Outcome {

@@ -15,11 +15,11 @@
 // subscriber in subscription order. The bus draws no randomness, allocates
 // nothing on the publish path, and never mutates the payload, so a run's
 // Result and delta stream are bit-identical whether zero, one, or fifty
-// subscribers are attached — the bus-equivalence suites in internal/sim and
-// internal/eventsim pin Result + fnv delta-stream hash across subscriber
-// counts, worker counts, and engine families. Events and their payload
-// slices are owned by the publisher and reused across rounds: subscribers
-// must copy anything they retain.
+// subscribers are attached — the bus-equivalence rows in internal/sim and
+// internal/eventsim pin Result + simtest.Fingerprint across subscriber
+// counts and engine families. Events and their payload slices are owned by
+// the publisher and reused across rounds: subscribers must copy anything
+// they retain.
 //
 // A Bus is not safe for concurrent use; each session publishes from its own
 // stepping goroutine, which is the only goroutine that may touch the bus.

@@ -4,11 +4,11 @@ package gossipdisc
 // behavior assignment (internal/core's Population layer), the behavior
 // middleware that composes fault models, and the source-anonymity analyzer
 // that watches the adversarial roles. A Population implements Process, so
-// it runs wherever a Process goes — Run, NewSession at any worker count,
-// NewEventSession — without any engine-side configuration: pass it with
-// WithProcess. Uniform populations are byte-identical to the bare process
-// and dispatch without allocating; mixed runs replay bit-for-bit from
-// (seed, roles) at any worker count >= 1 and any GOMAXPROCS.
+// it runs wherever a Process goes — Run, NewSession, NewEventSession —
+// without any engine-side configuration: pass it with WithProcess. Uniform
+// populations are byte-identical to the bare process and dispatch without
+// allocating; mixed runs replay bit-for-bit from (seed, roles) at any
+// GOMAXPROCS.
 
 import (
 	"gossipdisc/internal/analyze"
