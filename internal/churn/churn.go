@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"gossipdisc/internal/core"
-	"gossipdisc/internal/gen"
 	"gossipdisc/internal/graph"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
@@ -86,9 +85,14 @@ func NewSession(cfg Config, r *rng.Rand) *Session {
 		r:        r,
 	}
 	// Initial topology: ring plus one random chord per member, connected.
-	init := gen.Cycle(cfg.InitialMembers)
-	for _, e := range init.Edges() {
-		g.AddEdge(e.U, e.V)
+	// The ring goes in in a cycle's Edges() order, which the lists keep.
+	m := cfg.InitialMembers
+	g.AddEdge(0, 1)
+	if m >= 3 {
+		g.AddEdge(0, m-1)
+	}
+	for u := 1; u < m-1; u++ {
+		g.AddEdge(u, u+1)
 	}
 	for u := 0; u < cfg.InitialMembers; u++ {
 		g.AddEdge(u, r.Intn(cfg.InitialMembers))

@@ -182,11 +182,18 @@ func (g *Directed) RowSelectDiff(u int, target *bitset.Set, k int) int {
 	return g.rows.selectDiff(u, target, k)
 }
 
+// Freeze holds the sampling reads, RandomOutNeighbor and TwoHopWalks, at
+// the graph as it is now until Thaw, as Undirected.Freeze does.
+func (g *Directed) Freeze() { g.out.freeze(g.n) }
+
+// Thaw ends a Freeze: the sampling reads see the live graph again.
+func (g *Directed) Thaw() { g.out.frozen = g.out.frozen[:0] }
+
 // RandomOutNeighbor returns a uniformly random out-neighbor of u, or -1 if u
 // has no out-neighbors.
 func (g *Directed) RandomOutNeighbor(u int, r *rng.Rand) int {
 	g.checkNode(u)
-	list := g.out.list(u)
+	list := g.out.drawn(u)
 	if len(list) == 0 {
 		return -1
 	}

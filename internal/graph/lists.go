@@ -21,6 +21,11 @@ import (
 // free block of order k (1<<k entries) holds ^k, which no node id can, and
 // its free-list links in its first three entries; a freed block merges
 // with its free buddy, and a whole free page goes back to the Go heap.
+//
+// Between freeze and thaw, frozen holds every list's length at freeze, and
+// the sampling reads (drawn, sizes) see each list cut to it. A list only
+// grows at its end, and a move to a bigger block or to a Go slice copies
+// its entries in order, so the cut list is the list as it was at freeze.
 type lists struct {
 	spans           []span
 	long            [][]int32
@@ -29,6 +34,7 @@ type lists struct {
 	held            uint32               // bit k set while free[k] is not empty
 	idle            []uint32             // indices of released pages, reused before the pool grows
 	fresh, freshEnd uint32               // the newest page's never handed out, unlisted tail
+	frozen          []int32              // the lengths at freeze; empty while thawed, its storage kept
 }
 
 // span is a list of n entries on the sparse backend, at pool address at
@@ -78,17 +84,42 @@ func (l *lists) size(u int) int {
 	return int(l.spans[u].n)
 }
 
-// sizes writes the lengths of lists lo, lo+1, …, lo+len(ds)-1 into ds.
+// drawn returns node u's list as the sampling reads see it: cut to its
+// length at freeze while frozen, whole otherwise.
+func (l *lists) drawn(u int) []int32 {
+	list := l.list(u)
+	if len(l.frozen) != 0 {
+		list = list[:l.frozen[u]]
+	}
+	return list
+}
+
+// sizes writes the lengths of lists lo, lo+1, …, lo+len(ds)-1 as the
+// sampling reads see them into ds: their lengths at freeze while frozen.
 func (l *lists) sizes(lo int, ds []int32) {
-	if l.spans == nil {
+	switch {
+	case len(l.frozen) != 0:
+		copy(ds, l.frozen[lo:])
+	case l.spans == nil:
 		for k, list := range l.long[lo : lo+len(ds)] {
 			ds[k] = int32(len(list))
 		}
-		return
+	default:
+		for k, s := range l.spans[lo : lo+len(ds)] {
+			ds[k] = s.n
+		}
 	}
-	for k, s := range l.spans[lo : lo+len(ds)] {
-		ds[k] = s.n
+}
+
+// freeze cuts the sampling reads of the n lists at their current lengths
+// until a thaw empties frozen; the first freeze allocates its 4n bytes.
+func (l *lists) freeze(n int) {
+	if cap(l.frozen) < n {
+		l.frozen = make([]int32, 0, n)
 	}
+	l.frozen = l.frozen[:0]
+	l.sizes(0, l.frozen[:n])
+	l.frozen = l.frozen[:n]
 }
 
 // add appends v to node u's list.
@@ -238,9 +269,10 @@ func (l *lists) copyTo(n int, c *lists, rows rowStore) {
 	}
 }
 
-// clone returns a deep copy: page by page, plus each Go-slice list.
+// clone returns a deep copy, thawed: page by page, plus each Go-slice list.
 func (l *lists) clone() *lists {
 	c := *l
+	c.frozen = nil
 	c.spans, c.idle = slices.Clone(l.spans), slices.Clone(l.idle)
 	c.long, c.pages = slices.Clone(l.long), slices.Clone(l.pages)
 	for _, ls := range [][][]int32{c.long, c.pages} {

@@ -10,14 +10,17 @@ import (
 // FuzzNeighborLists drives the sparse backend's list store with random
 // append sequences over a few hundred nodes against a [][]int32 oracle. The
 // op stream is read three bytes at a time: the top two bits of the first
-// byte pick the op, the next two bytes the node. Ops 0–2 append a run of
-// 1–64 entries — long enough for a list to cross shortRow, and leave the
-// pool, within a few ops; op 3 clones the store and from then on alternates
-// the appends between the original and the clone, each against its own
-// oracle. After every op both stores must hold exactly their oracle's
-// lists, and the pool's layout must be whole: live and free blocks tile
-// every page without overlap, free blocks carry their mark and links, no
-// free block's buddy is free, and no page is all free.
+// byte pick the op, the next two bytes the node. Ops 0 and 1 append a run
+// of 1–64 entries — long enough for a list to cross shortRow, and leave
+// the pool, within a few ops; op 2 freezes the store at its oracle's
+// lengths, or thaws it if frozen; op 3 clones the store (thawed) and from
+// then on alternates the appends between the original and the clone, each
+// against its own oracle. After every op both stores must hold exactly
+// their oracle's lists, their sampling reads must see each list cut to its
+// length at freeze while frozen and whole otherwise, and the pool's layout
+// must be whole: live and free blocks tile every page without overlap,
+// free blocks carry their mark and links, no free block's buddy is free,
+// and no page is all free.
 func FuzzNeighborLists(f *testing.F) {
 	f.Add(uint16(300), []byte{0, 0, 7, 63, 0, 7, 63, 0, 7, 5, 0, 8, 192, 0, 0, 63, 0, 7, 1, 0, 8})
 	f.Add(uint16(1), []byte{0, 0, 0, 1, 0, 0, 2, 0, 0, 192, 0, 0, 3, 0, 0})
@@ -41,36 +44,84 @@ func FuzzNeighborLists(f *testing.F) {
 		climb = append(climb, 63, 0, byte(u))
 	}
 	f.Add(uint16(300), climb)
+	// Freeze with node 7 at 3 entries and node 9 at 127, grow node 7 to a
+	// bigger block and node 9 to a Go slice, clone the frozen store (the
+	// clone is thawed), grow node 7 in both, then thaw the original.
+	f.Add(uint16(20), []byte{2, 0, 7, 63, 0, 9, 62, 0, 9, 128, 0, 0, 1, 0, 7, 0, 0, 9, 192, 0, 0,
+		7, 0, 7, 7, 0, 7, 0, 0, 3, 0, 0, 3, 128, 0, 0})
 	f.Fuzz(func(t *testing.T, nodes uint16, ops []byte) {
 		n := int(nodes)%400 + 1
 		l, _ := newLists(n, BackendSparse)
-		oracle := make([][]int32, n)
-		var c *lists
-		var cOracle [][]int32
+		cur := &fuzzLists{l: l, oracle: make([][]int32, n)}
+		var other *fuzzLists
 		for i := 0; i+2 < len(ops); i += 3 {
 			u := (int(ops[i+1])<<8 | int(ops[i+2])) % n
-			if ops[i]>>6 == 3 {
-				c, cOracle = l.clone(), make([][]int32, n)
-				for v := range oracle {
-					cOracle[v] = slices.Clone(oracle[v])
+			switch ops[i] >> 6 {
+			case 3:
+				other = &fuzzLists{l: cur.l.clone(), oracle: make([][]int32, n)}
+				for v := range cur.oracle {
+					other.oracle[v] = slices.Clone(cur.oracle[v])
 				}
 				continue
+			case 2:
+				cur.toggle()
+			default:
+				if other != nil && i%2 == 0 {
+					cur, other = other, cur
+				}
+				for range int(ops[i]&63) + 1 {
+					v := int32((len(cur.oracle[u])*7 + u) % n)
+					cur.l.add(u, v)
+					cur.oracle[u] = append(cur.oracle[u], v)
+				}
 			}
-			if c != nil && i%2 == 0 {
-				l, oracle, c, cOracle = c, cOracle, l, oracle
-			}
-			for range int(ops[i]&63) + 1 {
-				v := int32((len(oracle[u])*7 + u) % n)
-				l.add(u, v)
-				oracle[u] = append(oracle[u], v)
-			}
-			checkLists(t, l, oracle)
-			if c != nil {
-				checkLists(t, c, cOracle)
+			cur.check(t)
+			if other != nil {
+				other.check(t)
 			}
 		}
-		checkLists(t, l, oracle)
+		cur.check(t)
 	})
+}
+
+// fuzzLists is one store of FuzzNeighborLists with its oracle and, while
+// frozen, the oracle's lengths at freeze.
+type fuzzLists struct {
+	l      *lists
+	oracle [][]int32
+	frozen []int
+}
+
+// toggle freezes a thawed store and thaws a frozen one.
+func (s *fuzzLists) toggle() {
+	if s.frozen != nil {
+		s.l.frozen = s.l.frozen[:0]
+		s.frozen = nil
+		return
+	}
+	s.l.freeze(len(s.oracle))
+	s.frozen = make([]int, len(s.oracle))
+	for u, list := range s.oracle {
+		s.frozen[u] = len(list)
+	}
+}
+
+// check fails t unless the store holds its oracle's lists over a whole
+// pool (checkLists) and its sampling reads see each list cut to its length
+// at freeze while frozen, and whole otherwise.
+func (s *fuzzLists) check(t *testing.T) {
+	t.Helper()
+	checkLists(t, s.l, s.oracle)
+	bounds := make([]int32, len(s.oracle))
+	s.l.sizes(0, bounds)
+	for u, list := range s.oracle {
+		if s.frozen != nil {
+			list = list[:s.frozen[u]]
+		}
+		if got := s.l.drawn(u); !slices.Equal(got, list) || int(bounds[u]) != len(list) {
+			t.Fatalf("list %d drawn as %v (bound %d), want %v", u, got, bounds[u], list)
+		}
+	}
 }
 
 // checkLists fails t unless l holds exactly oracle's lists over a whole

@@ -219,11 +219,26 @@ func (g *Undirected) Neighbor(u, i int) int {
 	return int(g.adj.list(u)[i])
 }
 
+// Freeze holds the graph's sampling reads — RandomNeighbor,
+// RandomNeighborPair, RandomNeighborPairs and TwoHopWalks — at the graph as
+// it is now until Thaw: each draw is bounded by a neighbor list's length at
+// Freeze, and a list keeps its first entries in place as edges are added,
+// so the reads draw and return exactly what they would have at Freeze.
+// Every other read and every insert sees the live graph, and Clone and
+// OnBackend copy it unfrozen. A synchronous round on the sparse backend
+// uses it to commit its proposals a block of nodes at a time while every
+// node still samples the round-start graph. Freeze takes O(n) time; its 4n
+// bytes are allocated by the first call and kept.
+func (g *Undirected) Freeze() { g.adj.freeze(g.n) }
+
+// Thaw ends a Freeze: the sampling reads see the live graph again.
+func (g *Undirected) Thaw() { g.adj.frozen = g.adj.frozen[:0] }
+
 // RandomNeighbor returns a uniformly random neighbor of u, or -1 if u is
 // isolated.
 func (g *Undirected) RandomNeighbor(u int, r *rng.Rand) int {
 	g.checkNode(u)
-	list := g.adj.list(u)
+	list := g.adj.drawn(u)
 	if len(list) == 0 {
 		return -1
 	}
@@ -235,7 +250,7 @@ func (g *Undirected) RandomNeighbor(u int, r *rng.Rand) int {
 // Both are -1 if u is isolated.
 func (g *Undirected) RandomNeighborPair(u int, r *rng.Rand) (int, int) {
 	g.checkNode(u)
-	list := g.adj.list(u)
+	list := g.adj.drawn(u)
 	if len(list) == 0 {
 		return -1, -1
 	}
@@ -335,11 +350,11 @@ func (g *Undirected) checkMask(alive []bool) {
 // twoHopWalks is the walk loop of both TwoHopWalks (alive nil for
 // Directed), whose callers have checked lo, lo+len(ws)-1 and alive. An
 // empty first list makes no draw, an empty second one (a directed sink as
-// middle hop) no second draw. Unmasked walks over Go-slice lists have a
-// loop of their own, as a loop of list(u) or a mask test there slows the
-// dense workloads (DESIGN.md "Masked blocks").
+// middle hop) no second draw. Unmasked, unfrozen walks over Go-slice lists
+// have a loop of their own, as a loop of list(u) or a mask test there slows
+// the dense workloads (DESIGN.md "Masked blocks").
 func twoHopWalks(adj *lists, lo int, alive []bool, r *rng.Rand, ws []int32) {
-	if lists := adj.long; adj.spans == nil && alive == nil {
+	if lists := adj.long; adj.spans == nil && alive == nil && len(adj.frozen) == 0 {
 		for k, list := range lists[lo : lo+len(ws)] {
 			w := int32(-1)
 			if d := len(list); d != 0 {
@@ -353,9 +368,9 @@ func twoHopWalks(adj *lists, lo int, alive []bool, r *rng.Rand, ws []int32) {
 	}
 	for k := range ws {
 		w := int32(-1)
-		if list := adj.list(lo + k); len(list) != 0 && (alive == nil || alive[lo+k]) {
+		if list := adj.drawn(lo + k); len(list) != 0 && (alive == nil || alive[lo+k]) {
 			if v := list[r.Intn(len(list))]; alive == nil || alive[v] {
-				if next := adj.list(int(v)); len(next) != 0 {
+				if next := adj.drawn(int(v)); len(next) != 0 {
 					w = next[r.Intn(len(next))]
 				}
 			}

@@ -20,8 +20,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/stream"
@@ -68,7 +69,8 @@ type Message struct {
 
 // Handler is the per-node protocol logic. HandleRound is called exactly
 // once per round with the messages delivered this round (sent during the
-// previous round), and returns the node's outgoing messages.
+// previous round), and returns the node's outgoing messages. The network
+// reuses the inbox's storage in later rounds: copy anything retained.
 type Handler interface {
 	HandleRound(round int, inbox []Message, r *rng.Rand) []Message
 }
@@ -139,6 +141,15 @@ type Network struct {
 	stats   Stats
 	idBits  int
 
+	// Delivery scratch, reused round after round: each node's inbox and
+	// its copies before the sort, the copies of one inbox detached from
+	// the sort, and the storage of the last delivered batch, which the
+	// next new delivery round takes.
+	inboxes   [][]Message
+	perNode   [][]queued
+	reordered []queued
+	spare     []queued
+
 	// Observation bus: a KindWireRound event with the cumulative counters
 	// fires at the end of every executed round. Publishing happens after
 	// all routing and touches no generator stream, so a subscribed wire is
@@ -179,6 +190,8 @@ func New(n int, cfg Config) *Network {
 		scn:        compileScenario(cfg.Scenario, n),
 		pending:    make(map[int][]queued),
 		down:       make([]bool, n),
+		inboxes:    make([][]Message, n),
+		perNode:    make([][]queued, n),
 		idBits:     bits,
 	}
 }
@@ -246,7 +259,7 @@ func (nw *Network) Round(handlers []Handler) {
 			if nw.scn == nil {
 				// Pristine fast path: next-round delivery, no draws.
 				nw.stats.Delivered++
-				nw.pending[round+1] = append(nw.pending[round+1], queued{msg: m})
+				nw.enqueue(round+1, queued{msg: m})
 				continue
 			}
 			nw.routeImpaired(round, m)
@@ -318,32 +331,35 @@ func (nw *Network) enqueueCopy(round int, m Message, imp Impairment) {
 		nw.stats.Reordered++
 	}
 	nw.stats.Delivered++
-	nw.pending[deliverAt] = append(nw.pending[deliverAt], q)
+	nw.enqueue(deliverAt, q)
+}
+
+// enqueue appends q to the copies due at round at; a round's first copy
+// takes the spare storage, if there is any.
+func (nw *Network) enqueue(at int, q queued) {
+	batch, ok := nw.pending[at]
+	if !ok {
+		batch, nw.spare = nw.spare, nil
+	}
+	nw.pending[at] = append(batch, q)
 }
 
 // buildInboxes assembles this round's inboxes from the in-flight queue:
 // per receiver, copies are sorted deterministically by (sender, kind) —
 // stable over arrival order, exactly the pre-scenario contract — and then
-// each reordered copy is reinserted at its random position.
+// each reordered copy is reinserted at its random position. The inboxes
+// live in the network's reused scratch.
 func (nw *Network) buildInboxes(round int) [][]Message {
-	inboxes := make([][]Message, nw.n)
 	batch := nw.pending[round]
-	if len(batch) == 0 {
-		delete(nw.pending, round)
-		return inboxes
-	}
-	perNode := make([][]queued, nw.n)
-	for _, q := range batch {
-		perNode[q.msg.To] = append(perNode[q.msg.To], q)
-	}
 	delete(nw.pending, round)
-	for u := range perNode {
-		qs := perNode[u]
-		if len(qs) == 0 {
-			continue
-		}
-		inbox := make([]Message, 0, len(qs))
-		var reordered []queued
+	for _, q := range batch {
+		nw.perNode[q.msg.To] = append(nw.perNode[q.msg.To], q)
+	}
+	if batch != nil {
+		nw.spare = batch[:0]
+	}
+	for u, qs := range nw.perNode {
+		inbox, reordered := nw.inboxes[u][:0], nw.reordered[:0]
 		for _, q := range qs {
 			if q.reorder {
 				reordered = append(reordered, q)
@@ -351,21 +367,19 @@ func (nw *Network) buildInboxes(round int) [][]Message {
 			}
 			inbox = append(inbox, q.msg)
 		}
-		sort.SliceStable(inbox, func(i, j int) bool {
-			if inbox[i].From != inbox[j].From {
-				return inbox[i].From < inbox[j].From
+		slices.SortStableFunc(inbox, func(a, b Message) int {
+			if c := cmp.Compare(a.From, b.From); c != 0 {
+				return c
 			}
-			return inbox[i].Kind < inbox[j].Kind
+			return cmp.Compare(a.Kind, b.Kind)
 		})
 		for _, q := range reordered {
 			at := int(q.key % uint64(len(inbox)+1))
-			inbox = append(inbox, Message{})
-			copy(inbox[at+1:], inbox[at:])
-			inbox[at] = q.msg
+			inbox = slices.Insert(inbox, at, q.msg)
 		}
-		inboxes[u] = inbox
+		nw.inboxes[u], nw.perNode[u], nw.reordered = inbox, qs[:0], reordered
 	}
-	return inboxes
+	return nw.inboxes
 }
 
 // applyCrashTransitions diffs the scenario's crash schedule against the

@@ -138,11 +138,14 @@ func (s *DirectedSession) commitEager(a, b int) bool {
 	}
 	arc := graph.Arc{U: a, V: b}
 	s.settle(arc)
-	if s.acc != nil {
+	if s.observed() {
 		s.buf = append(s.buf, arc)
 	}
 	return true
 }
+
+// observed: publish reads the accepted arcs only for the delta.
+func (s *DirectedSession) observed() bool { return s.acc != nil }
 
 func (s *DirectedSession) publish(round int, accepted []graph.Arc) {
 	if s.acc != nil {

@@ -56,8 +56,11 @@ type substrate[P pair] interface {
 	commit(props []P) []P
 	// commitEager inserts one proposal at once and reports whether it was
 	// new; the substrate appends it to the round's buffer itself, if
-	// anything will read it.
+	// observed.
 	commitEager(a, b int) bool
+	// observed reports whether publish reads the accepted list; while it
+	// does not, a round keeps none.
+	observed() bool
 	// publish closes the round on the session's side: accounting over the
 	// accepted list, the delta, the bus.
 	publish(round int, accepted []P)
@@ -72,19 +75,27 @@ type substrate[P pair] interface {
 // (core.Push.ActRange) or make a block's draws in one call
 // (core.Pull.ActRange, core.DirectedTwoHop.ActRange). The churn runtime's
 // core.Crashed{Push} and core.CrashedPull do the same with their liveness
-// mask handed to the graph (core.Crashed over another inner loops over its
-// Act). setup asks for it once, on the process exactly as configured: any
-// other wrapper (a population, core.Wrap / WrapDirected with a behavior
-// chain) does not have it and acts node by node, as do eager commits, the
-// dense phase, RunAsync and eventsim. Wrap(p) with an empty chain
-// returns p itself, so it takes the block path when p does.
+// mask handed to the graph.
+//
+// setup takes it once, on the process exactly as configured, and only from
+// a process that reads the graph through the sampling reads alone
+// (blockActor): the four core types and core.Crashed over core.Push, not
+// over another inner, whose Act may read anything (HasEdge, M). Any other
+// process — a population, a behavior chain, a user Process — acts node by
+// node, as do eager commits, the dense phase, RunAsync and eventsim; Wrap(p)
+// with an empty chain returns p itself, so it takes the block path when p
+// does. A sparse round of more than one block commits the block form block
+// by block over the frozen graph (actBlocks); otherwise one ActRange over
+// all nodes fills the round buffer, committed once (DESIGN.md "Committing
+// block by block" has why dense rows keep the buffer).
 type rangeActor[G any, P pair] interface {
 	ActRange(g G, lo, hi int, r *rng.Rand, props []P) []P
 }
 
 // rangeActors and directedRangeActors list the core types that take the
-// block path, so that adding one is a decision made here. A type that embeds
-// one of these would inherit its ActRange past its own Act;
+// block path (core.Crashed only over core.Push, see blockActor), so that
+// adding one is a decision made here. A type that embeds one of these would
+// inherit its ActRange past its own Act;
 // TestRangeActorsListed / TestDirectedRangeActorsListed fail on any core
 // process that has the method and is not on its list.
 var (
@@ -92,9 +103,35 @@ var (
 	directedRangeActors = []rangeActor[*graph.Directed, graph.Arc]{core.DirectedTwoHop{}}
 )
 
+// blockActor returns p's block form if p reads the graph only through the
+// sampling reads (see rangeActor), nil otherwise.
+func blockActor[G any, P pair](p core.ProcessOn[G]) rangeActor[G, P] {
+	if c, ok := any(p).(core.Crashed); ok {
+		if _, push := c.Inner.(core.Push); !push {
+			return nil
+		}
+	}
+	ra, _ := p.(rangeActor[G, P])
+	return ra
+}
+
+// blockNodes is how many nodes a block of a committing-as-it-goes round
+// acts before it commits: its buffer holds at most one proposal per node
+// for every process that takes the path, 8 KiB of edges.
+const blockNodes = 512
+
+// frozenGraph is the graph of a round: Freeze and Thaw bracket the
+// block-committed act (graph.Undirected.Freeze), which only a sparse graph
+// takes.
+type frozenGraph interface {
+	Freeze()
+	Thaw()
+	Backend() graph.Backend
+}
+
 // round is the state and code Session and DirectedSession share; each embeds
 // one and sets sub to itself.
-type round[G any, P pair] struct {
+type round[G frozenGraph, P pair] struct {
 	g   G
 	n   int // node count of g, fixed for the session's life
 	p   core.ProcessOn[G]
@@ -122,13 +159,17 @@ type round[G any, P pair] struct {
 	densePrefix    []int
 
 	// ranged is the process's block form, set by setup when a synchronous
-	// session's process has one (see rangeActor); nil means every act goes
-	// node by node through p.Act.
-	ranged rangeActor[G, P]
+	// session's process may take it (see rangeActor); nil means every act
+	// goes node by node through p.Act. blockSize is how many nodes it acts
+	// per commit: blockNodes on a sparse graph of more, n otherwise.
+	ranged    rangeActor[G, P]
+	blockSize int
 
 	// propose is the hoisted closure per-node acts propose through. buf is
-	// the one reused round buffer: the round's proposals, then the accepted
-	// ones its commit filters into the front (eager rounds append only those).
+	// the one reused round buffer: the proposals of the round or of its
+	// block, then the accepted ones its commit filters into the front. An
+	// observed round keeps every accepted one, an unobserved block-committed
+	// round only its block's; eager rounds append the accepted ones alone.
 	propose func(a, b int)
 	buf     []P
 }
@@ -168,24 +209,65 @@ func (r *round[G, P]) setup(defaultRounds int, densePhase float64, denseTotal in
 		}
 		return
 	}
-	r.ranged, _ = r.p.(rangeActor[G, P])
+	r.ranged, r.blockSize = blockActor[G, P](r.p), r.n
+	if r.n > blockNodes && r.g.Backend() == graph.BackendSparse {
+		r.blockSize = blockNodes
+	}
 	r.propose = func(a, b int) { r.buf = append(r.buf, P{U: a, V: b}) }
 }
 
-// act runs the act phase: every node acts on G_t, in node order on the
-// session's stream, appending its proposals to buf (or, under eager
-// commits, committing them).
+// act runs the round: every node acts on G_t, in node order on the
+// session's stream, and its proposals commit — block by block, all at once
+// after the last node, or, under eager commits, each as it is made.
 func (r *round[G, P]) act() {
 	switch {
 	case r.dense:
 		r.denseAct()
+		r.buf = r.commitBatch(r.buf)
 	case r.ranged != nil:
-		r.buf = r.ranged.ActRange(r.g, 0, r.n, r.r, r.buf)
+		r.actBlocks()
 	default:
 		for u := 0; u < r.n; u++ {
 			r.p.Act(r.g, u, r.r, r.propose)
 		}
+		if r.mode == CommitSynchronous {
+			r.buf = r.commitBatch(r.buf)
+		}
 	}
+}
+
+// actBlocks is the block act: each block of blockSize nodes acts into buf,
+// behind the accepted edges kept so far, and commits at once. With more
+// than one block the graph stays frozen at G_t throughout, and the blocks'
+// commits in order are the one commit of the whole round's proposals, so
+// the round is the buffered one.
+func (r *round[G, P]) actBlocks() {
+	frozen, keep := r.blockSize < r.n, r.sub.observed()
+	if frozen {
+		r.g.Freeze()
+	}
+	for lo := 0; lo < r.n; lo += r.blockSize {
+		start := 0
+		if keep {
+			start = len(r.buf)
+		}
+		props := r.ranged.ActRange(r.g, lo, min(lo+r.blockSize, r.n), r.r, r.buf[:start])
+		r.buf = props[:start+len(r.commitBatch(props[start:]))]
+	}
+	if frozen {
+		r.g.Thaw()
+	}
+}
+
+// commitBatch is one synchronous commit of props: the grouped insert
+// filters the accepted proposals into the front of props, state-identical
+// to per-edge commits in order, and the counters take the batch.
+func (r *round[G, P]) commitBatch(props []P) []P {
+	accepted := r.sub.commit(props)
+	r.res.Proposals += len(props)
+	r.res.NewEdges += len(accepted)
+	r.res.DuplicateProposals += len(props) - len(accepted)
+	return accepted
 }
 
 // step executes one committed round and reports whether the session can
@@ -216,16 +298,6 @@ func (r *round[G, P]) step() bool {
 	r.buf = r.buf[:0]
 
 	r.act()
-	if r.mode == CommitSynchronous {
-		// One grouped commit filters the accepted proposals into the front
-		// of buf: state-identical to per-edge commits in node order, and the
-		// accepted list doubles as the round's delta.
-		proposals := len(r.buf)
-		r.buf = r.sub.commit(r.buf)
-		r.res.Proposals += proposals
-		r.res.NewEdges += len(r.buf)
-		r.res.DuplicateProposals += proposals - len(r.buf)
-	}
 	r.res.Rounds = num
 
 	r.sub.publish(num, r.buf)

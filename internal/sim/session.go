@@ -129,11 +129,15 @@ func (s *Session) commitEager(a, b int) bool {
 	if !s.g.AddEdge(a, b) {
 		return false
 	}
-	if s.acc != nil || s.alive != nil {
+	if s.observed() {
 		s.buf = append(s.buf, graph.Edge{U: a, V: b}.Norm())
 	}
 	return true
 }
+
+// observed: publish reads the accepted edges for the delta and for the
+// member-edge count.
+func (s *Session) observed() bool { return s.acc != nil || s.alive != nil }
 
 // publish settles the member-edge count over the round's accepted edges,
 // then fills and publishes the delta.
