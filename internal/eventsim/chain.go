@@ -26,6 +26,7 @@ import (
 type rateGroup struct {
 	exp     int     // binary exponent k: scale = 2^k
 	scale   float64 // 2^k, the group's thinning bound
+	below   int     // members filed at a rate below scale: zero means no candidate is thinned
 	members []int32
 }
 
@@ -33,7 +34,7 @@ type rateGroup struct {
 // order and every node's place in them.
 type chain struct {
 	groups []rateGroup
-	exp    []int16 // node -> exponent of its group, if filed
+	exp    []int16 // node -> k<<1 of its group 2^k, | 1 if filed below 2^k
 	pos    []int32 // node -> index in its group's members, -1 when parked
 	total  float64 // Λ* = Σ |members|·scale, re-summed from the groups
 }
@@ -73,7 +74,11 @@ func (c *chain) file(u int, rate float64) {
 		c.groups[i] = rateGroup{exp: k, scale: math.Ldexp(1, k)}
 	}
 	g := &c.groups[i]
-	c.exp[u] = int16(k)
+	c.exp[u] = int16(k << 1)
+	if frac != 0.5 {
+		c.exp[u] |= 1
+		g.below++
+	}
 	c.pos[u] = int32(len(g.members))
 	g.members = append(g.members, int32(u))
 }
@@ -82,10 +87,11 @@ func (c *chain) file(u int, rate float64) {
 // when it empties.
 func (c *chain) unfile(u int) {
 	i := 0
-	for c.groups[i].exp != int(c.exp[u]) {
+	for c.groups[i].exp != int(c.exp[u]>>1) {
 		i++
 	}
 	g := &c.groups[i]
+	g.below -= int(c.exp[u] & 1)
 	last := g.members[len(g.members)-1]
 	g.members[c.pos[u]] = last
 	c.pos[last] = c.pos[u]
@@ -121,9 +127,11 @@ func (c *chain) candidate(clock, act *rng.Rand, rates []float64) int {
 		}
 	}
 	u := g.members[act.Intn(len(g.members))]
-	// A rate at or above the group's scale keeps the candidate outright, so
-	// acceptance stays ≤ 1 even for a rate mutated behind the session's back.
-	if rate := rates[u]; rate < g.scale && clock.Float64() >= rate/g.scale {
+	// A group of members filed at its scale keeps every candidate without
+	// reading a rate. Otherwise a rate at or above the scale keeps the
+	// candidate outright, so acceptance stays ≤ 1 even for a rate mutated
+	// behind the session's back.
+	if g.below != 0 && rates[u] < g.scale && clock.Float64() >= rates[u]/g.scale {
 		return -1
 	}
 	return int(u)

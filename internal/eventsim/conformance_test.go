@@ -125,9 +125,17 @@ func TestPopulationMixedReplayEvent(t *testing.T) {
 
 // TestEventStepZeroAllocWithHealth: with the full analyzer pack (Age
 // included) subscribed, a steady-state Step allocates nothing — the edge
-// times ride a reused scratch slice.
+// times ride a reused scratch slice, and the planner's buffers live on the
+// stack — for push, for pull, and under non-power-of-two rates, whose
+// thinned candidates fall inside planned batches.
 func TestEventStepZeroAllocWithHealth(t *testing.T) {
-	s := New(gen.Cycle(64), core.Push{}, rng.New(1), Config{MaxEvents: -1, Done: never})
-	s.Subscribe(analyze.NewHealth())
-	simtest.ZeroAlloc(t, "health", simtest.Undirected(s))
+	for _, c := range []struct {
+		name  string
+		p     core.Process
+		rates *RateMap
+	}{{"push", core.Push{}, nil}, {"pull", core.Pull{}, nil}, {"thinned", core.Push{}, lawRates()}} {
+		s := New(gen.Cycle(60), c.p, rng.New(1), Config{Rates: c.rates, MaxEvents: -1, Done: never})
+		s.Subscribe(analyze.NewHealth())
+		simtest.ZeroAlloc(t, c.name, simtest.Undirected(s))
+	}
 }

@@ -139,7 +139,17 @@ type Session struct {
 	// package-private tap the determinism property tests record the
 	// activation sequence through.
 	hook func(u int, t float64)
+
+	// With predict, the planner (step) picks up to maxBatch activations
+	// ahead, each act predicted to draw two raw words, and reads the lists
+	// they pick (walk: as a pull walk's) into sink, which nothing reads;
+	// without, it picks one at a time and predicts no draws.
+	predict, walk bool
+	sink          int32
 }
+
+// maxBatch is the most activations step plans ahead.
+const maxBatch = 32
 
 // New constructs a resumable event-driven session over g. Nothing is
 // consumed from r until the first step; at that point r is split twice, the
@@ -164,7 +174,7 @@ func New(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Config) *Session 
 	if done == nil {
 		done = (*graph.Undirected).IsComplete
 	}
-	return &Session{
+	s := &Session{
 		g:         g,
 		p:         p,
 		r:         r,
@@ -173,6 +183,15 @@ func New(g *graph.Undirected, p core.Process, r *rng.Rand, cfg Config) *Session 
 		done:      done,
 		rates:     rates,
 	}
+	// The planner's table: Push and Pull draw two raw words per act unless
+	// the node is isolated or a draw is rejected, which the check after the
+	// act catches; any other process is planned one activation at a time.
+	switch p.(type) {
+	case core.Push, core.Pull:
+		_, s.walk = p.(core.Pull)
+		s.predict = true
+	}
+	return s
 }
 
 // Subscribe attaches sub to the session's observation bus. Subscribers
@@ -265,35 +284,72 @@ func (s *Session) step() bool {
 		return false
 	}
 	target := float64(s.rounds + 1)
+	// Per planned activation: its time, the clock state after its candidate,
+	// the act state after its pick and predicted after its act, its draws.
+	var (
+		times                [maxBatch]float64
+		clocks, picks, posts [maxBatch]rng.Rand
+		draws                [maxBatch]graph.ActDraw
+	)
+replan:
 	for t := s.now; ; {
-		// A candidate past the boundary is dropped: the next step draws a
+		// Plan: the candidate loop on copies of the two streams. A
+		// candidate past the boundary is dropped: the next step draws a
 		// fresh gap, which memorylessness makes exact.
-		if t += s.clock.Exp() / s.chain.total; t > target {
-			break
+		clock, act := *s.clock, *s.act
+		k := 0
+		for k < maxBatch && (k == 0 || s.predict) {
+			if t += clock.Exp() / s.chain.total; t > target {
+				break
+			}
+			u := s.chain.candidate(&clock, &act, s.rates.table.Values())
+			if u < 0 {
+				continue // thinned: time passes, nobody acts
+			}
+			times[k], clocks[k], picks[k], draws[k] = t, clock, act, graph.ActDraw{U: u}
+			if s.predict {
+				draws[k].X, draws[k].Y = act.Uint64(), act.Uint64()
+			}
+			posts[k] = act
+			k++
 		}
-		u := s.chain.candidate(s.clock, s.act, s.rates.table.Values())
-		if u < 0 {
-			continue // thinned: time passes, nobody acts
+		if s.predict {
+			s.sink ^= s.g.TouchActs(draws[:k], s.walk)
 		}
-		if s.res.Events >= s.maxEvents {
-			s.finished = true
-			s.res.BudgetExhausted = true
-			s.flushPartial()
-			return false
+		// Run each planned activation and check its act against the plan.
+		for i, d := range draws[:k] {
+			if s.res.Events >= s.maxEvents {
+				s.finished = true
+				s.res.BudgetExhausted = true
+				s.flushPartial()
+				return false
+			}
+			s.now = times[i]
+			s.res.Events++
+			s.eventsInRound++
+			if s.hook != nil {
+				s.hook(d.U, s.now)
+			}
+			*s.act = picks[i]
+			prevEdges := s.res.NewEdges
+			s.p.Act(s.g, d.U, s.act, s.propose)
+			if s.res.NewEdges > prevEdges && s.done(s.g) {
+				s.res.Converged = true
+				s.finished = true
+				s.flushPartial()
+				return false
+			}
+			if *s.act != posts[i] {
+				// The act drew other than predicted (an isolated node, a
+				// rejected draw, another process): rewind the clock to its
+				// candidate and replan from the act stream as it is.
+				*s.clock, t = clocks[i], times[i]
+				continue replan
+			}
 		}
-		s.now = t
-		s.res.Events++
-		s.eventsInRound++
-		if s.hook != nil {
-			s.hook(u, t)
-		}
-		prevEdges := s.res.NewEdges
-		s.p.Act(s.g, u, s.act, s.propose)
-		if s.res.NewEdges > prevEdges && s.done(s.g) {
-			s.res.Converged = true
-			s.finished = true
-			s.flushPartial()
-			return false
+		*s.clock, *s.act = clock, act
+		if t > target {
+			break // the plan ended at the boundary
 		}
 	}
 	s.now = target

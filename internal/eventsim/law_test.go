@@ -251,12 +251,18 @@ func TestEventLawMatchesIndependentClocks(t *testing.T) {
 // sequences, with steps in between, and checks after every mutation that
 // each node with a positive rate sits in exactly one group with
 // 2^(k-1) < rate ≤ 2^k at a consistent position, parked nodes in none, the
-// groups non-empty in ascending order, and Λ* = Σ|g|·2^k.
+// groups non-empty in ascending order, each group's count of members below
+// its scale right, and Λ* = Σ|g|·2^k. It starts by moving a node between
+// its group's scale and below it, both ways.
 func TestChainGroupInvariant(t *testing.T) {
-	values := []float64{0, 1, 2, 0.5, 0.3, 3, 7.9, 800, 0.75, 1e-300, 5e-324, 1 << 31, 1<<31 + 1, maxRate}
+	values := []float64{0, 1, 2, 0.5, 0.3, 1.5, 3, 7.9, 800, 0.75, 1e-300, 5e-324, 1 << 31, 1<<31 + 1, maxRate}
 	r := rng.New(77)
 	s := New(gen.Cycle(64, graph.BackendSparse), core.Push{}, rng.New(78), Config{Rates: skewed(), MaxEvents: -1, Done: never})
 	s.Step()
+	for _, rate := range []float64{2, 1.5, 2} {
+		s.SetNodeRate(30, rate)
+		checkChain(t, s)
+	}
 	for op := 0; op < 2000; op++ {
 		rate := values[r.Intn(len(values))]
 		if r.Intn(4) == 0 {
@@ -282,12 +288,20 @@ func checkChain(t *testing.T, s *Session) {
 		if len(g.members) == 0 || (i > 0 && c.groups[i-1].exp >= g.exp) || g.scale != math.Ldexp(1, g.exp) {
 			t.Fatalf("group %d (exp %d, scale %v, %d members) breaks the group order", i, g.exp, g.scale, len(g.members))
 		}
+		below := 0
 		for p, u := range g.members {
 			seen[u]++
 			rate := s.rates.Rate(int(u))
-			if c.pos[u] != int32(p) || int(c.exp[u]) != g.exp || !(rate > g.scale/2 && rate <= g.scale) {
+			if rate < g.scale {
+				below++
+			}
+			if c.pos[u] != int32(p) || int(c.exp[u]>>1) != g.exp || (c.exp[u]&1 == 1) != (rate < g.scale) ||
+				!(rate > g.scale/2 && rate <= g.scale) {
 				t.Fatalf("node %d at rate %v filed at %d of group 2^%d (its pos %d, exp %d)", u, rate, p, g.exp, c.pos[u], c.exp[u])
 			}
+		}
+		if below != g.below {
+			t.Fatalf("group 2^%d counts %d members below its scale, holds %d", g.exp, g.below, below)
 		}
 		total += float64(len(g.members)) * g.scale
 	}

@@ -21,8 +21,10 @@ import (
 // Session.SetClassRate mutate the session's map and move the affected nodes
 // between the sampler's rate groups. Mutating a map shared with a running
 // session directly (not through the session methods) leaves each node in
-// its old group — a parked node stays parked, and a raised rate is capped
-// at the old group's bound — so go through the session. The table is a
+// its old group — a parked node stays parked, a raised rate is capped at
+// the old group's bound, and a lowered one fires at that bound until the
+// node is refiled, unless the group holds a member filed below its bound —
+// so go through the session. The table is a
 // named field, not embedded: its mutators would bypass rate validation and
 // the running total.
 type RateMap struct {

@@ -25,6 +25,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gossipdisc/internal/bitset"
 	"gossipdisc/internal/rng"
@@ -338,6 +339,51 @@ func (g *Undirected) TwoHopWalks(lo int, alive []bool, r *rng.Rand, ws []int32) 
 	g.checkNode(lo + len(ws) - 1)
 	g.checkMask(alive)
 	twoHopWalks(g.adj, lo, alive, r, ws)
+}
+
+// ActDraw is an act of node U predicted to draw the raw words X and Y.
+type ActDraw struct {
+	U    int
+	X, Y uint64
+}
+
+// TouchActs reads the memory the acts will read, in stages over blocks of
+// acts so that their cache misses overlap, and returns what it read folded
+// together for the caller to discard. A push pair draws v, w from list U
+// at X's and Y's Lemire indices, a pull walk (walk) v from list U at X and
+// w from list v at Y, proposing {U, w}; the commit scans a proposal's first
+// end's list and appends to its second's. Indices skip Lemire's rejection,
+// so nothing may depend on what this reads. It writes and allocates nothing.
+func (g *Undirected) TouchActs(acts []ActDraw, walk bool) (sum int32) {
+	index := func(x uint64, d int) int { hi, _ := bits.Mul64(x, uint64(d)); return int(hi) }
+	var ends [32][2]int32 // per act of a block: the list its commit scans, the one it appends to
+	for len(acts) != 0 {
+		block := acts[:min(len(acts), len(ends))]
+		acts = acts[len(block):]
+		for i, a := range block {
+			g.checkNode(a.U)
+			ends[i] = [2]int32{-1, -1}
+			if list := g.adj.list(a.U); len(list) != 0 {
+				ends[i] = [2]int32{list[index(a.X, len(list))], list[index(a.Y, len(list))]}
+			}
+		}
+		for i, a := range block {
+			if v := ends[i][0]; walk && v >= 0 {
+				next := g.adj.list(int(v)) // not empty: it holds U
+				ends[i] = [2]int32{int32(a.U), next[index(a.Y, len(next))]}
+			}
+		}
+		for _, e := range ends[:len(block)] {
+			if e[0] >= 0 { // both ends have neighbors, so both lists are not empty
+				scan, tail := g.adj.list(int(e[0])), g.adj.list(int(e[1]))
+				for i := 0; i < min(len(scan), shortRow); i += 16 { // one entry per cache line
+					sum ^= scan[i]
+				}
+				sum ^= tail[len(tail)-1]
+			}
+		}
+	}
+	return sum
 }
 
 // checkMask panics unless alive is nil or covers every node.

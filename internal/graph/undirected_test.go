@@ -83,6 +83,7 @@ func TestNodeRangePanics(t *testing.T) {
 			func() { g.Neighbor(1, g.Degree(1)) },
 			func() { g.Neighbor(2, -1) },
 			func() { g.Neighbor(3, 0) },
+			func() { g.TouchActs([]ActDraw{{U: 3}}, false) },
 		} {
 			func() {
 				defer func() {
@@ -92,6 +93,35 @@ func TestNodeRangePanics(t *testing.T) {
 				}()
 				f()
 			}()
+		}
+	}
+}
+
+// TestTouchActsReadsOnly: on both backends, with isolated nodes, short
+// lists and lists past shortRow, pairs and walks of any raw words — more
+// of them than one stage holds — leave the graph as it was and allocate
+// nothing.
+func TestTouchActsReadsOnly(t *testing.T) {
+	r := rng.New(5)
+	for _, b := range []Backend{BackendDense, BackendSparse} {
+		g := NewUndirectedOn(300, b)
+		for v := 1; v < 200; v++ {
+			g.AddEdge(0, v)
+			g.AddEdge(v, v%50+1)
+		}
+		want := g.Clone()
+		acts := make([]ActDraw, 101)
+		for i := range acts {
+			acts[i] = ActDraw{U: r.Intn(g.N()), X: r.Uint64(), Y: r.Uint64()}
+		}
+		acts[0], acts[1] = ActDraw{U: 0, X: math.MaxUint64, Y: 0}, ActDraw{U: 299, X: 1, Y: 2}
+		for _, walk := range []bool{false, true} {
+			if allocs := testing.AllocsPerRun(10, func() { g.TouchActs(acts, walk) }); allocs != 0 {
+				t.Errorf("%v walk=%v: TouchActs allocates %v", b, walk, allocs)
+			}
+		}
+		if !g.Equal(want) || g.M() != want.M() {
+			t.Fatalf("%v: TouchActs changed the graph", b)
 		}
 	}
 }

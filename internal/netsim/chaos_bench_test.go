@@ -7,12 +7,16 @@ import (
 )
 
 // benchNode is a minimal traffic generator: each node sends one message to
-// a rotating target per round, so the bench measures the network's routing
-// and delivery pipeline rather than handler work.
-type benchNode struct{ self, n int }
+// a rotating target per round, from a reused buffer, so the bench measures
+// the network's routing and delivery pipeline rather than handler work.
+type benchNode struct {
+	self, n int
+	out     [1]Message
+}
 
 func (b *benchNode) HandleRound(round int, inbox []Message, r *rng.Rand) []Message {
-	return []Message{{From: b.self, To: (b.self + round) % b.n, Kind: KindIntroduce, Payload: b.self}}
+	b.out[0] = Message{From: b.self, To: (b.self + round) % b.n, Kind: KindIntroduce, Payload: b.self}
+	return b.out[:]
 }
 
 func benchRounds(b *testing.B, n int, cfg Config) {

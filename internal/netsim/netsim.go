@@ -70,7 +70,10 @@ type Message struct {
 // Handler is the per-node protocol logic. HandleRound is called exactly
 // once per round with the messages delivered this round (sent during the
 // previous round), and returns the node's outgoing messages. The network
-// reuses the inbox's storage in later rounds: copy anything retained.
+// reuses the inbox's storage in later rounds: copy anything retained. It
+// copies the returned messages out before the next handler runs and keeps
+// no reference to the slice, so a handler may reuse one output buffer
+// every round.
 type Handler interface {
 	HandleRound(round int, inbox []Message, r *rng.Rand) []Message
 }

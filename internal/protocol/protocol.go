@@ -59,7 +59,8 @@ func (h *NodeHealth) Restarted(round int) {
 // PushNode is the per-node handler of the push (triangulation) protocol.
 type PushNode struct {
 	self int
-	know *graph.Directed // the cluster's knowledge; this node touches row self
+	know *graph.Directed  // the cluster's knowledge; this node touches row self
+	out  []netsim.Message // HandleRound's result, reused every round
 	NodeHealth
 }
 
@@ -79,10 +80,10 @@ func (p *PushNode) HandleRound(round int, inbox []netsim.Message, r *rng.Rand) [
 	if v == w {
 		return nil
 	}
-	return []netsim.Message{
-		{From: p.self, To: v, Kind: netsim.KindIntroduce, Payload: w},
-		{From: p.self, To: w, Kind: netsim.KindIntroduce, Payload: v},
-	}
+	p.out = append(p.out[:0],
+		netsim.Message{From: p.self, To: v, Kind: netsim.KindIntroduce, Payload: w},
+		netsim.Message{From: p.self, To: w, Kind: netsim.KindIntroduce, Payload: v})
+	return p.out
 }
 
 // PullNode is the per-node handler of the pull (two-hop walk) protocol.
@@ -93,14 +94,15 @@ func (p *PushNode) HandleRound(round int, inbox []netsim.Message, r *rng.Rand) [
 // retry (pinned by TestPullLossMidHandshake).
 type PullNode struct {
 	self int
-	know *graph.Directed // the cluster's knowledge; this node touches row self
+	know *graph.Directed  // the cluster's knowledge; this node touches row self
+	out  []netsim.Message // HandleRound's result, reused every round
 	NodeHealth
 }
 
 // HandleRound implements netsim.Handler.
 func (p *PullNode) HandleRound(round int, inbox []netsim.Message, r *rng.Rand) []netsim.Message {
 	self := p.self
-	var out []netsim.Message
+	out := p.out[:0]
 	for _, m := range inbox {
 		switch m.Kind {
 		case netsim.KindPullRequest:
@@ -129,6 +131,7 @@ func (p *PullNode) HandleRound(round int, inbox []netsim.Message, r *rng.Rand) [
 			From: self, To: v, Kind: netsim.KindPullRequest, Payload: -1,
 		})
 	}
+	p.out = out
 	return out
 }
 

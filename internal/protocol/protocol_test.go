@@ -10,6 +10,7 @@ import (
 	"gossipdisc/internal/netsim"
 	"gossipdisc/internal/rng"
 	"gossipdisc/internal/sim"
+	"gossipdisc/internal/simtest"
 )
 
 // complete reports whether every node of kg knows every other node, read
@@ -191,5 +192,26 @@ func TestDeterministicClusterRuns(t *testing.T) {
 	r2, s2 := run()
 	if r1 != r2 || s1 != s2 {
 		t.Fatalf("cluster runs non-deterministic: (%d,%d) vs (%d,%d)", r1, s1, r2, s2)
+	}
+}
+
+// TestHandlersReuseOutput: once every node knows every other and 300
+// rounds have grown every buffer, a pristine push round and pull round on
+// 256 nodes allocate nothing. Each handler returns its messages in its own
+// buffer, reused every round, which the network copies out before the next
+// handler runs.
+func TestHandlersReuseOutput(t *testing.T) {
+	if simtest.Race {
+		t.Skip("allocation accounting differs under -race")
+	}
+	for _, proto := range []Protocol{ProtoPush, ProtoPull} {
+		cl := NewCluster(gen.Complete(256, graph.BackendSparse), proto, netsim.Config{Seed: 1})
+		for i := 0; i < 300; i++ {
+			cl.Net.Round(cl.Handlers)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { cl.Net.Round(cl.Handlers) }); allocs != 0 {
+			t.Errorf("%s: a steady-state round allocates %v", proto, allocs)
+		}
+		cl.Close()
 	}
 }
